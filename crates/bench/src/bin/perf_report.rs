@@ -25,15 +25,15 @@
 //!    run also reports the NRMSE between the planned and reference
 //!    grids — the ≤ 1e-9 equivalence contract.
 //! 4. **grid_reconstruct** — the analysis-grid workload of
-//!    `BistEngine::run` (~12288 uniform points at 4 GHz): the
-//!    per-point planned batch vs the grid-aware plan
-//!    (`PnbsGridPlan::reconstruct_grid`, cross-point rotor reuse and
-//!    the runtime-dispatched SIMD walk kernels). Asserted ≥ 2× (full)
-//!    / ≥ 1.5× (quick) at ≤ 1e-9 NRMSE everywhere — the rotor-reuse
-//!    win the scalar walk already banks — and ≥ 5.5× (full) / ≥ 4×
-//!    (quick) where the AVX2/AVX-512+FMA walk kernels can dispatch
-//!    (the mask_scan-style feature gate; the ratio is reported either
-//!    way on scalar hardware or under `RFBIST_FORCE_SCALAR`).
+//!    `BistEngine::run` (~12288 uniform points at 4 GHz, a 9/400
+//!    lattice of the sample period): the per-point planned batch vs
+//!    the grid-aware plan (`PnbsGridPlan::reconstruct_grid`,
+//!    phase-major on this rational grid, with the runtime-dispatched
+//!    SIMD kernels). Asserted ≥ 2× (full) / ≥ 1.5× (quick) at ≤ 1e-9
+//!    NRMSE everywhere and ≥ 5.5× (full) / ≥ 4× (quick) where the
+//!    AVX2/AVX-512+FMA kernels can dispatch (the mask_scan-style
+//!    feature gate; the ratio is reported either way on scalar
+//!    hardware or under `RFBIST_FORCE_SCALAR`).
 //! 5. **mask_scan** — one spectral-mask verdict, FFT-Welch vs the
 //!    banked Goertzel scan. The speedup floor is asserted only when
 //!    the AVX2+FMA kernels can dispatch (on plain SSE2/NEON the bank
@@ -42,20 +42,17 @@
 //!    (reconstruction → scan), full-grid batch (the pre-streaming
 //!    engine: materialize the grid, construct the scanner, scan) vs
 //!    the streaming single pass (block feed → push-style scan with
-//!    engine-held scratch), plus the parallel-producer feed and the
-//!    early-exit case on a grossly failing unit. Verdict agreement is
+//!    engine-held scratch), plus the early-exit case on a grossly
+//!    failing unit. Verdict agreement is
 //!    asserted everywhere (the paths are bit-identical by
 //!    construction); the sequential stream must no longer regress
 //!    below the batch (floor 0.9× quick / 0.95× full — with the Welch
 //!    window folded inside the banked pass the streamed verdict sits
 //!    at ~0.95–1.0× of a batch that additionally pays per-verdict
 //!    allocation and scanner construction),
-//!    the early exit must beat the batch outright (SIMD-free and
+//!    and the early exit must beat the batch outright (SIMD-free and
 //!    core-count-free — reconstruction stops at the first completed
-//!    segment), and the parallel feed must beat it ≥ 1.2× wherever ≥ 2
-//!    producer workers exist (the core-gated analogue of the
-//!    mask_scan AVX2 gate; single-core machines report the ratio
-//!    without asserting).
+//!    segment).
 //! 7. **service** — the sharded verdict service: a batch of identical
 //!    calibrated-skew jobs through the persistent worker pool at 1, 2
 //!    and 4 workers vs the direct `try_run_with` loop on one reused
@@ -220,9 +217,11 @@ struct GridReconResult {
 /// before every mask verdict. Per-point planned path
 /// (`reconstruct_batch`, six rotor re-seeds + two Kaiser Horner
 /// evaluations per tap per point) vs the grid-aware plan
-/// (`reconstruct_grid`, cross-point rotors + factored per-sample
-/// tables + tabulated window). Both paths reuse their scratch across
-/// repetitions, exactly as the engine does across verdicts.
+/// (`reconstruct_grid`: the 4 GHz grid is a 9/400 lattice of the
+/// sample period, so it runs phase-major — 400 weight rows per
+/// super-block, one dot product per point). Both paths reuse their
+/// scratch across repetitions, exactly as the engine does across
+/// verdicts.
 fn bench_grid_reconstruct(cfg: &Config) -> GridReconResult {
     const FS_GRID: f64 = 4e9;
     let band = BandSpec::centered(FC, B);
@@ -319,9 +318,7 @@ struct StreamBistResult {
     points: usize,
     batch_ns: f64,
     stream_ns: f64,
-    stream_par_ns: f64,
     early_ns: f64,
-    workers: usize,
     margin_delta_db: f64,
     verdicts_agree: bool,
     early_fired: bool,
@@ -350,16 +347,13 @@ fn bench_stream_bist(cfg: &Config) -> StreamBistResult {
     let (seg, overlap) = welch_segmentation(points);
     let verdicts = if cfg.quick { 2 } else { 4 };
 
-    // The four configurations are timed inside the *same* rep loop,
+    // The three configurations are timed inside the *same* rep loop,
     // interleaved, so slow drift on a shared machine (the dominant
     // noise source at ~10 ms per verdict) hits every configuration
     // equally and cancels out of the ratios.
     let scan = MaskScanEngine::new(&mask, FC, FS_GRID, seg, overlap, Window::BlackmanHarris);
     let mut grid = GridScratch::new();
     let mut stream_scratch = StreamScratch::new();
-    // The engine's own auto resolution, so the parallel case measures
-    // what `BistEngine::run_with` actually does by default.
-    let workers = rfbist_core::bist::BistConfig::paper_default().resolved_stream_workers();
     // Early-exit fixture: a gross in-mask spur (−10 dBc at 15 MHz
     // offset) stops the feed at the first completed segment.
     let spur = MultiTone::new(vec![
@@ -373,7 +367,7 @@ fn bench_stream_bist(cfg: &Config) -> StreamBistResult {
     let mut stream_report = None;
     let mut early_fired = false;
     let mut early_points = 0usize;
-    let mut samples: [Vec<f64>; 4] = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
+    let mut samples: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     for _ in 0..cfg.reps {
         // Full-grid batch: per-verdict allocation and construction
         // included, exactly as the engine paid it before streaming.
@@ -411,23 +405,6 @@ fn bench_stream_bist(cfg: &Config) -> StreamBistResult {
         }
         samples[1].push(start.elapsed().as_nanos() as f64 / verdicts as f64);
 
-        // Parallel producers feeding the same in-order consumer.
-        let start = Instant::now();
-        for _ in 0..verdicts {
-            let mut stream = scan.stream(&mut stream_scratch, None);
-            rec.grid_plan()
-                .stream_blocks_parallel(&cap, lo, dt, points, workers, |_, block| {
-                    stream.push(block) == ScanFeed::Continue
-                })
-                .expect("grid inside coverage");
-            black_box(
-                stream
-                    .try_finish()
-                    .expect("stream fed at least one segment"),
-            );
-        }
-        samples[2].push(start.elapsed().as_nanos() as f64 / verdicts as f64);
-
         // Early exit on the gross-violation fixture.
         let start = Instant::now();
         for _ in 0..verdicts {
@@ -448,19 +425,14 @@ fn bench_stream_bist(cfg: &Config) -> StreamBistResult {
                     .expect("stream fed at least one segment"),
             );
         }
-        samples[3].push(start.elapsed().as_nanos() as f64 / verdicts as f64);
+        samples[2].push(start.elapsed().as_nanos() as f64 / verdicts as f64);
     }
     let median = |v: &mut Vec<f64>| {
         v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         v[v.len() / 2]
     };
-    let [mut s0, mut s1, mut s2, mut s3] = samples;
-    let (batch_ns, stream_ns, stream_par_ns, early_ns) = (
-        median(&mut s0),
-        median(&mut s1),
-        median(&mut s2),
-        median(&mut s3),
-    );
+    let [mut s0, mut s1, mut s2] = samples;
+    let (batch_ns, stream_ns, early_ns) = (median(&mut s0), median(&mut s1), median(&mut s2));
 
     let batch_report = batch_report.expect("batch verdict");
     let stream_report = stream_report.expect("streamed verdict");
@@ -468,9 +440,7 @@ fn bench_stream_bist(cfg: &Config) -> StreamBistResult {
         points,
         batch_ns,
         stream_ns,
-        stream_par_ns,
         early_ns,
-        workers,
         margin_delta_db: (batch_report.worst_margin_db - stream_report.worst_margin_db).abs(),
         verdicts_agree: batch_report.passed == stream_report.passed,
         early_fired,
@@ -487,8 +457,7 @@ struct ServiceResult {
 }
 
 /// The verdict-service workload: a batch of identical calibrated-skew
-/// jobs (short 2048-point analysis grid, `stream_workers = 1` — the
-/// service's job-level sharding) through the persistent pool at 1, 2
+/// jobs (short 2048-point analysis grid) through the persistent pool at 1, 2
 /// and 4 workers, against the direct `try_run_with` loop on one
 /// reused scratch. Each pool is warmed with one untimed batch (thread
 /// start + scratch growth), then timed over whole submit-all/collect-
@@ -501,7 +470,6 @@ fn bench_service(cfg: &Config) -> ServiceResult {
 
     let mut bist = BistConfig::paper_default().with_calibrated_skew(D);
     bist.grid_len = 2048;
-    bist.stream_workers = 1;
     let mask = SpectralMask::qpsk_10msym();
     let stimulus: SharedSignal = Arc::new(
         rfbist_bench::paper_tx(
@@ -675,12 +643,6 @@ fn main() {
         stream.points,
     );
     println!(
-        "stream_bist par    {:>10.1} us/verdict across {} worker(s) ({:.2}x vs batch)",
-        stream.stream_par_ns / 1e3,
-        stream.workers,
-        stream.batch_ns / stream.stream_par_ns,
-    );
-    println!(
         "stream_bist early  {:>10.1} us/verdict early-exit ({:.2}x vs batch, stopped after {} of {} points)",
         stream.early_ns / 1e3,
         stream.batch_ns / stream.early_ns,
@@ -765,9 +727,6 @@ fn main() {
     "batch_median_ns_per_verdict": {stream_batch:.2},
     "stream_median_ns_per_verdict": {stream_seq:.2},
     "stream_speedup": {stream_seq_speedup:.3},
-    "parallel_workers": {stream_workers},
-    "stream_parallel_median_ns_per_verdict": {stream_par:.2},
-    "stream_parallel_speedup": {stream_par_speedup:.3},
     "early_exit_median_ns_per_verdict": {stream_early:.2},
     "early_exit_speedup": {stream_early_speedup:.3},
     "early_exit_points": {stream_early_points},
@@ -819,9 +778,6 @@ fn main() {
         stream_batch = stream.batch_ns,
         stream_seq = stream.stream_ns,
         stream_seq_speedup = stream.batch_ns / stream.stream_ns,
-        stream_workers = stream.workers,
-        stream_par = stream.stream_par_ns,
-        stream_par_speedup = stream.batch_ns / stream.stream_par_ns,
         stream_early = stream.early_ns,
         stream_early_speedup = stream.batch_ns / stream.early_ns,
         stream_early_points = stream.early_points,
@@ -859,14 +815,14 @@ fn main() {
     );
     // Grid-reconstruct contracts: the grid-aware plan must agree with
     // the per-point plan on the analysis-grid workload, and two floors
-    // pin its cost. The scalar floor (rotor reuse + factored tables,
-    // no vector width needed) holds unconditionally; the SIMD floor
-    // pins the runtime-dispatched walk kernels and is asserted only
-    // where they can engage — the mask_scan gate applied to the walk —
-    // with the ratio reported either way on scalar hardware or under
-    // RFBIST_FORCE_SCALAR. A quiet AVX-512 box measures ~8.5–12.5x;
-    // the 5.5x floor leaves room for shared-runner noise while still
-    // catching a kernel that silently falls back to scalar.
+    // pin its cost. The scalar floor (no vector width needed) holds
+    // unconditionally; the SIMD floor pins the runtime-dispatched
+    // grid-plan kernels and is asserted only where they can engage —
+    // the mask_scan gate applied to the grid plan — with the ratio
+    // reported either way on scalar hardware or under
+    // RFBIST_FORCE_SCALAR. Both floors sit far under what the
+    // phase-major path measures; they catch a grid plan that silently
+    // falls back to the per-point cost.
     assert!(
         grid_recon.nrmse <= 1e-9,
         "grid plan diverged from the per-point plan: nrmse {}",
@@ -930,7 +886,7 @@ fn main() {
     // batched scan — so the margin delta must sit at exactly zero
     // (budgeted 1e-9, the acceptance contract). The stream floors are
     // SIMD-*independent*: both pipelines run the same runtime-
-    // dispatched walk and scan kernels (whichever arm the CPU
+    // dispatched grid-plan and scan kernels (whichever arm the CPU
     // selects), so vector width cancels out of every ratio.
     assert!(
         stream.verdicts_agree && stream.margin_delta_db <= 1e-9,
@@ -970,25 +926,6 @@ fn main() {
         "early-exit verdict below the {early_floor}x floor: {:.2}x",
         stream.batch_ns / stream.early_ns
     );
-    // The parallel feed divides the reconstruction across producers;
-    // the ≥ 1.2x floor needs at least two of them, so (mirroring the
-    // mask_scan AVX2 gate) it is asserted only where the machine can
-    // express it — GitHub's runners can; the ratio is reported either
-    // way.
-    let par_floor = if cfg.quick { 1.1 } else { 1.2 };
-    if stream.workers >= 2 {
-        assert!(
-            stream.batch_ns / stream.stream_par_ns >= par_floor,
-            "parallel streaming below the {par_floor}x floor: {:.2}x",
-            stream.batch_ns / stream.stream_par_ns
-        );
-    } else {
-        println!(
-            "stream_bist parallel floor (>= {par_floor}x) not asserted: single producer \
-             worker on this machine (measured {:.2}x)",
-            stream.batch_ns / stream.stream_par_ns
-        );
-    }
     // Verdict-service contracts. Equivalence was asserted inside the
     // bench (every pool outcome bit-identical to the direct verdict);
     // the gates here are throughput-shaped. The 1-worker floors are
@@ -1025,7 +962,7 @@ fn main() {
 }
 
 /// Whether the runtime-dispatched AVX2+FMA kernels — the banked
-/// Goertzel scan (`rfbist_dsp::goertzel`) and the grid-walk kernels
+/// Goertzel scan (`rfbist_dsp::goertzel`) and the grid-plan kernels
 /// (`rfbist_sampling::gridplan`) share the dispatch predicate — can
 /// engage in this process: the precondition for the scan and SIMD
 /// grid-reconstruct speedup floors. False under `RFBIST_FORCE_SCALAR`

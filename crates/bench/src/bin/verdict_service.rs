@@ -59,7 +59,6 @@ fn main() {
 
     let mut bist = BistConfig::paper_default().with_calibrated_skew(180e-12);
     bist.grid_len = 2048;
-    bist.stream_workers = 1;
     let mask = SpectralMask::qpsk_10msym();
     let stimulus: SharedSignal =
         Arc::new(rfbist_bench::paper_tx(TxImpairments::typical(), 160, 0xACE1).rf_output());

@@ -24,7 +24,7 @@ use rfbist_converter::calibration::auto_calibrate;
 use rfbist_dsp::psd::welch;
 use rfbist_dsp::window::Window;
 use rfbist_sampling::dualrate::DualRateConfig;
-use rfbist_sampling::gridplan::{GridScratch, GRID_BLOCK_LEN};
+use rfbist_sampling::gridplan::GridScratch;
 use rfbist_sampling::reconstruct::PnbsReconstructor;
 use rfbist_signal::traits::ContinuousSignal;
 
@@ -60,22 +60,6 @@ pub enum ScanStrategy {
     /// skipping the ~96 % of the spectrum the mask never reads.
     #[default]
     BankedGoertzel,
-}
-
-/// How the engine recovered the streaming block feed after a producer
-/// worker fault, surfaced on
-/// [`BistReport::stream_recovery`](crate::report::BistReport). The
-/// recovered verdict is bit-identical to the clean path either way —
-/// blocks re-seed exactly, so a retried or sequential feed produces
-/// the same bits; only the wall clock and this annotation change.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StreamRecovery {
-    /// The first parallel feed lost a worker; a second parallel
-    /// attempt completed the verdict.
-    ParallelRetry,
-    /// Both parallel attempts lost workers; the in-thread sequential
-    /// feed (which cannot fault) completed the verdict.
-    SequentialFallback,
 }
 
 /// Acceptance gate on the per-run skew estimate, folded into
@@ -212,12 +196,6 @@ pub struct BistConfig {
     /// limit by the guard margin. `None` (the default) always measures
     /// the full capture.
     pub early_verdict: Option<EarlyVerdict>,
-    /// Producer threads for the streaming reconstruction feed:
-    /// `0` = one per available core beyond the scan consumer (the
-    /// default), `1` = produce blocks in-thread. Any value yields
-    /// bit-identical verdicts — blocks re-seed exactly, so only the
-    /// wall clock changes.
-    pub stream_workers: usize,
     /// Externally calibrated skew in seconds: when set, the engine
     /// skips the per-run cost/LMS estimation and reconstructs with
     /// this delay. Skew is a hardware property of the sampler, not of
@@ -263,7 +241,6 @@ impl BistConfig {
             scan_strategy: ScanStrategy::default(),
             probe_schedule: ProbeSchedule::default(),
             early_verdict: None,
-            stream_workers: 0,
             calibrated_skew: None,
             skew_gate: SkewGate::paper_default(),
             noise_figure: None,
@@ -294,13 +271,6 @@ impl BistConfig {
     /// Builder-style: arm the streaming early-verdict policy.
     pub fn with_early_verdict(mut self, policy: EarlyVerdict) -> Self {
         self.early_verdict = Some(policy);
-        self
-    }
-
-    /// Builder-style: set the streaming producer worker count
-    /// (`0` = auto, `1` = in-thread).
-    pub fn with_stream_workers(mut self, workers: usize) -> Self {
-        self.stream_workers = workers;
         self
     }
 
@@ -344,21 +314,6 @@ impl BistConfig {
     pub fn with_health_policy(mut self, health: HealthPolicy) -> Self {
         self.health = health;
         self
-    }
-
-    /// The producer worker count [`stream_workers`](Self::stream_workers)
-    /// resolves to on this machine: the configured value, or — for the
-    /// `0` auto default — one worker per available core beyond the
-    /// scan consumer (at least one). The single definition shared by
-    /// the engine and the perf harness, so benches measure the
-    /// engine's actual default.
-    pub fn resolved_stream_workers(&self) -> usize {
-        match self.stream_workers {
-            0 => std::thread::available_parallelism()
-                .map(|p| p.get().saturating_sub(1).max(1))
-                .unwrap_or(1),
-            w => w,
-        }
     }
 }
 
@@ -504,19 +459,15 @@ impl BistEngine {
 
     /// [`run`](Self::run) with caller-owned [`BistScratch`], so
     /// repeated verdicts (fault sweeps, multi-standard loops, benches)
-    /// reuse the scan buffers and the prepared scanner instead of
-    /// reallocating them per call; the in-thread block feed
-    /// (`stream_workers` resolving to 1) and the `FftWelch` path also
-    /// reuse the grid scratch. Parallel producers own per-worker grid
-    /// scratches for the duration of the call — bounded per-verdict
-    /// setup that the reconstruction win amortizes (a persistent
-    /// worker pool is a ROADMAP item).
+    /// reuse the grid and scan buffers and the prepared scanner
+    /// instead of reallocating them per call. Parallelism belongs at
+    /// the job level: run many verdicts on the
+    /// [`VerdictService`](crate::service::VerdictService) pool.
     ///
     /// Under [`ScanStrategy::BankedGoertzel`] the analysis grid is
     /// streamed: reconstruction blocks feed the scan as they are
-    /// produced (optionally from parallel producers —
-    /// [`BistConfig::stream_workers`]), the full grid never
-    /// materializes, and an armed [`BistConfig::early_verdict`] stops
+    /// produced, the full grid never materializes, and an armed
+    /// [`BistConfig::early_verdict`] stops
     /// reconstruction as soon as the verdict is decided (the report's
     /// `early_exit` flag records this; Δε then covers only the
     /// reconstructed prefix). [`ScanStrategy::FftWelch`] keeps the
@@ -541,12 +492,7 @@ impl BistEngine {
     ///   marginal clipping on the report;
     /// - geometry problems (capture too short for the tap window or
     ///   the analysis grid, scan grid without mask coverage) come back
-    ///   as values;
-    /// - a panicking parallel-feed producer is supervised: the engine
-    ///   retries the parallel feed once, then falls back to the
-    ///   bit-identical sequential feed, and surfaces the recovery on
-    ///   [`BistReport::stream_recovery`] — the verdict itself is
-    ///   unchanged.
+    ///   as values.
     pub fn try_run_with<S: ContinuousSignal, R: ContinuousSignal>(
         &self,
         dut: &S,
@@ -638,131 +584,88 @@ impl BistEngine {
         let (seg, overlap) = welch_segmentation(n_grid);
         let carrier = cfg.dual.fast_band().center();
         let noise_band = cfg.noise_figure.map(|nf| (nf.offset_lo, nf.offset_hi));
-        let mut stream_recovery = None;
-        let (mask_report, reconstruction_error, early_exit, noise_density_dbhz) = match cfg
-            .scan_strategy
-        {
-            // The preserved batch reference: materialize the full
-            // analysis grid (grid-aware plan, cross-point rotor reuse),
-            // estimate the complete PSD, check the mask — byte-identical
-            // to the pre-streaming pipeline.
-            ScanStrategy::FftWelch => {
-                rec.reconstruct_grid(&fast_cap, lo, dt, n_grid, &mut scratch.grid);
-                let wave = scratch.grid.values();
-                let reconstruction_error = reference.map(|r| {
-                    // Accumulates the exact terms `nrmse(wave, &r.sample(&grid))`
-                    // would form — each accumulator adds in grid order, and
-                    // `sample` is `eval` mapped over the instants — without
-                    // materializing the golden-reference grid inside the
-                    // scratch-reuse hot path.
-                    let (mut num, mut den) = (0.0f64, 0.0f64);
-                    for (i, &g) in wave.iter().enumerate() {
-                        let rv = r.eval(lo + i as f64 * dt);
-                        num += (g - rv) * (g - rv);
-                        den += rv * rv;
-                    }
-                    if den == 0.0 {
-                        if num == 0.0 {
-                            0.0
-                        } else {
-                            f64::INFINITY
+        let (mask_report, reconstruction_error, early_exit, noise_density_dbhz) =
+            match cfg.scan_strategy {
+                // The preserved batch reference: materialize the full
+                // analysis grid (the same grid-plan producer the stream
+                // drains), estimate the complete PSD, check the mask.
+                ScanStrategy::FftWelch => {
+                    rec.reconstruct_grid(&fast_cap, lo, dt, n_grid, &mut scratch.grid);
+                    let wave = scratch.grid.values();
+                    let reconstruction_error = reference.map(|r| {
+                        // Accumulates the exact terms `nrmse(wave, &r.sample(&grid))`
+                        // would form — each accumulator adds in grid order, and
+                        // `sample` is `eval` mapped over the instants — without
+                        // materializing the golden-reference grid inside the
+                        // scratch-reuse hot path.
+                        let (mut num, mut den) = (0.0f64, 0.0f64);
+                        for (i, &g) in wave.iter().enumerate() {
+                            let rv = r.eval(lo + i as f64 * dt);
+                            num += (g - rv) * (g - rv);
+                            den += rv * rv;
                         }
-                    } else {
-                        (num / den).sqrt()
-                    }
-                });
-                let psd = welch(wave, cfg.grid_rate, seg, overlap, Window::BlackmanHarris);
-                let noise_density = noise_band.and_then(|(lo, hi)| {
-                    psd.mean_density_in_offset_band(carrier, lo, hi)
-                        .map(|d| 10.0 * d.max(1e-30).log10())
-                });
-                (
-                    mask.try_check(&psd, carrier)?,
-                    reconstruction_error,
-                    false,
-                    noise_density,
-                )
-            }
-            // The streaming pipeline: the block-reseeded walk feeds the
-            // banked scan segment by segment — one pass, no full-grid
-            // buffer — and the early-verdict policy can stop
-            // reconstruction (the hottest loop of the whole run) as
-            // soon as the verdict is decided. Blocks re-seed exactly,
-            // so the verdict is bit-identical to scanning the batch
-            // reconstruction.
-            ScanStrategy::BankedGoertzel => {
-                let BistScratch {
-                    grid,
-                    stream,
-                    scan_cache,
-                } = scratch;
-                let engine = scan_engine_cached(
-                    scan_cache,
-                    mask,
-                    carrier,
-                    cfg.grid_rate,
-                    seg,
-                    overlap,
-                    noise_band,
-                )?;
-                let workers = cfg.resolved_stream_workers();
-                // Supervised feed: a panicking producer worker aborts
-                // the attempt, which is retried once in parallel and
-                // then degraded to the bit-identical sequential feed.
-                // The scan state and Δε accumulators are rebuilt per
-                // attempt, so a recovered run reproduces the
-                // clean-path verdict exactly.
-                let mut attempt = 0usize;
-                loop {
+                        if den == 0.0 {
+                            if num == 0.0 {
+                                0.0
+                            } else {
+                                f64::INFINITY
+                            }
+                        } else {
+                            (num / den).sqrt()
+                        }
+                    });
+                    let psd = welch(wave, cfg.grid_rate, seg, overlap, Window::BlackmanHarris);
+                    let noise_density = noise_band.and_then(|(lo, hi)| {
+                        psd.mean_density_in_offset_band(carrier, lo, hi)
+                            .map(|d| 10.0 * d.max(1e-30).log10())
+                    });
+                    (
+                        mask.try_check(&psd, carrier)?,
+                        reconstruction_error,
+                        false,
+                        noise_density,
+                    )
+                }
+                // The streaming pipeline: the grid-plan block feed drives
+                // the banked scan segment by segment — one pass, no
+                // full-grid buffer — and the early-verdict policy can stop
+                // reconstruction as soon as the verdict is decided. The
+                // feed runs the batch grid's producer over the same
+                // chunks, so the verdict is bit-identical to scanning the
+                // batch reconstruction.
+                ScanStrategy::BankedGoertzel => {
+                    let BistScratch {
+                        grid,
+                        stream,
+                        scan_cache,
+                    } = scratch;
+                    let engine = scan_engine_cached(
+                        scan_cache,
+                        mask,
+                        carrier,
+                        cfg.grid_rate,
+                        seg,
+                        overlap,
+                        noise_band,
+                    )?;
                     let mut scan = engine.stream(stream, cfg.early_verdict);
                     // Δε accumulators, summed in grid order so a full
                     // capture reproduces `nrmse` over the batch wave
                     // bit-for-bit.
                     let (mut err_num, mut err_den) = (0.0f64, 0.0f64);
-                    let mut consume = |start: usize, block: &[f64]| {
+                    let mut produced = 0usize;
+                    let mut blocks = rec.reconstruct_blocks(&fast_cap, lo, dt, n_grid, grid);
+                    while let Some(block) = blocks.next_block() {
                         if let Some(r) = reference {
                             for (i, &g) in block.iter().enumerate() {
-                                let rv = r.eval(lo + (start + i) as f64 * dt);
+                                let rv = r.eval(lo + (produced + i) as f64 * dt);
                                 err_num += (g - rv) * (g - rv);
                                 err_den += rv * rv;
                             }
                         }
-                        scan.push(block) == ScanFeed::Continue
-                    };
-                    if workers > 1 && attempt < 2 {
-                        match rec.grid_plan().try_stream_blocks_parallel(
-                            &fast_cap,
-                            lo,
-                            dt,
-                            n_grid,
-                            workers,
-                            |idx, b| consume(idx * GRID_BLOCK_LEN, b),
-                        ) {
-                            Ok(Some(_)) => {}
-                            Ok(None) => {
-                                return Err(BistError::CaptureTooShort {
-                                    reason: "fast capture too short for reconstruction".to_string(),
-                                });
-                            }
-                            Err(_) => {
-                                attempt += 1;
-                                stream_recovery = Some(if attempt == 1 {
-                                    StreamRecovery::ParallelRetry
-                                } else {
-                                    StreamRecovery::SequentialFallback
-                                });
-                                continue;
-                            }
-                        }
-                    } else {
-                        let mut produced = 0usize;
-                        let mut blocks = rec.reconstruct_blocks(&fast_cap, lo, dt, n_grid, grid);
-                        while let Some(block) = blocks.next_block() {
-                            let start = produced;
-                            produced += block.len();
-                            if !consume(start, block) {
-                                break;
-                            }
+                        produced += block.len();
+                        if scan.push(block) != ScanFeed::Continue {
+                            break;
                         }
                     }
                     let early_exit = scan.early_stopped();
@@ -779,10 +682,9 @@ impl BistEngine {
                             (err_num / err_den).sqrt()
                         }
                     });
-                    break (mask_report, reconstruction_error, early_exit, noise_density);
+                    (mask_report, reconstruction_error, early_exit, noise_density)
                 }
-            }
-        };
+            };
 
         let (noise_figure_db, nf_ok) = match (cfg.noise_figure, noise_density_dbhz) {
             (Some(nf), Some(density)) => {
@@ -802,7 +704,6 @@ impl BistEngine {
             noise_figure_db,
             nf_ok,
             capture_health: Some(capture_health),
-            stream_recovery,
         })
     }
 
@@ -1112,32 +1013,6 @@ mod tests {
         assert!(report.early_exit, "gross regrowth must decide early");
         assert!(!report.mask.passed);
         assert!(report.mask.worst_margin_db < -EarlyVerdict::paper_default().guard_db);
-    }
-
-    #[test]
-    fn stream_worker_count_does_not_change_the_verdict() {
-        // blocks re-seed exactly, so parallel producers must be
-        // bit-identical to the in-thread feed
-        let tx = paper_tx(TxImpairments::typical());
-        let base = BistEngine::new(BistConfig::paper_default().with_stream_workers(1));
-        let want = base.run(
-            &tx.rf_output(),
-            &SpectralMask::qpsk_10msym(),
-            Some(&tx.ideal_rf_output()),
-        );
-        for workers in [0usize, 3] {
-            let engine = BistEngine::new(BistConfig::paper_default().with_stream_workers(workers));
-            let got = engine.run(
-                &tx.rf_output(),
-                &SpectralMask::qpsk_10msym(),
-                Some(&tx.ideal_rf_output()),
-            );
-            assert_eq!(got.mask, want.mask, "workers = {workers}");
-            assert_eq!(
-                got.reconstruction_error, want.reconstruction_error,
-                "workers = {workers}"
-            );
-        }
     }
 
     #[test]

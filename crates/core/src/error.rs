@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use rfbist_sampling::gridplan::StreamWorkerPanic;
-
 /// Everything that can go wrong between a capture and a verdict.
 ///
 /// The taxonomy deliberately distinguishes *capture* problems (the
@@ -69,10 +67,11 @@ pub enum BistError {
         /// The library's known standards, sorted.
         known: Vec<String>,
     },
-    /// A streaming producer worker panicked (supervised and recovered
-    /// by the engine; surfaced directly by the low-level feed API).
+    /// A pool worker panicked on every attempt at a job, or the pool
+    /// itself is gone (the verdict service and the supervised campaign
+    /// retry it as transient first).
     WorkerPanic {
-        /// Which worker and what its panic payload said.
+        /// What failed, with the panic payload when there was one.
         detail: String,
     },
     /// The configuration itself is invalid (empty corpus, degenerate
@@ -158,7 +157,7 @@ impl fmt::Display for BistError {
                 Ok(())
             }
             BistError::WorkerPanic { detail } => {
-                write!(f, "streaming producer worker panicked: {detail}")
+                write!(f, "worker panic: {detail}")
             }
             BistError::InvalidConfig { reason } => write!(f, "{reason}"),
             BistError::Checkpoint { reason } => {
@@ -178,14 +177,6 @@ impl fmt::Display for BistError {
 }
 
 impl std::error::Error for BistError {}
-
-impl From<StreamWorkerPanic> for BistError {
-    fn from(p: StreamWorkerPanic) -> Self {
-        BistError::WorkerPanic {
-            detail: p.to_string(),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -215,21 +206,6 @@ mod tests {
             min_ac_rms: 1e-6
         }
         .is_transient());
-    }
-
-    #[test]
-    fn worker_panic_converts_from_the_sampling_type() {
-        let p = StreamWorkerPanic {
-            worker: 2,
-            detail: "boom".into(),
-        };
-        let e: BistError = p.into();
-        assert_eq!(
-            e,
-            BistError::WorkerPanic {
-                detail: "stream producer worker 2 panicked: boom".into()
-            }
-        );
     }
 
     #[test]

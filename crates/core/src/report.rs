@@ -1,6 +1,5 @@
 //! Structured BIST results.
 
-use crate::bist::StreamRecovery;
 use crate::health::CaptureHealth;
 use crate::mask::MaskReport;
 use crate::skew::SkewEstimate;
@@ -51,12 +50,6 @@ pub struct BistReport {
     /// [`BistError`](crate::error::BistError) — so a populated scan
     /// here is at worst *marginal* (elevated but tolerable clipping).
     pub capture_health: Option<CaptureHealth>,
-    /// Set when the streaming feed had to recover from a panicking
-    /// producer worker: the verdict is still the clean-path verdict
-    /// (attempts are rebuilt from scratch and the sequential fallback
-    /// is bit-identical), but the incident is surfaced here for
-    /// logging and maintenance triage.
-    pub stream_recovery: Option<StreamRecovery>,
 }
 
 impl BistReport {
@@ -119,16 +112,6 @@ impl fmt::Display for BistReport {
                 )?;
             }
         }
-        if let Some(r) = self.stream_recovery {
-            writeln!(
-                f,
-                "  stream feed recovered: {}",
-                match r {
-                    StreamRecovery::ParallelRetry => "parallel retry",
-                    StreamRecovery::SequentialFallback => "sequential fallback",
-                }
-            )?;
-        }
         Ok(())
     }
 }
@@ -162,7 +145,6 @@ mod tests {
             noise_figure_db: None,
             nf_ok: true,
             capture_health: None,
-            stream_recovery: None,
         }
     }
 
@@ -206,16 +188,8 @@ mod tests {
     }
 
     #[test]
-    fn display_mentions_recovery_and_marginal_health() {
+    fn display_mentions_marginal_health() {
         let mut r = dummy_report(true);
-        assert!(!r.to_string().contains("recovered"));
-        r.stream_recovery = Some(StreamRecovery::ParallelRetry);
-        assert!(r.to_string().contains("recovered: parallel retry"), "{r}");
-        r.stream_recovery = Some(StreamRecovery::SequentialFallback);
-        assert!(
-            r.to_string().contains("recovered: sequential fallback"),
-            "{r}"
-        );
         // a healthy scan stays silent; a marginal one is surfaced
         r.capture_health = Some(CaptureHealth {
             samples: 4096,

@@ -4,11 +4,9 @@
 //! One [`BistEngine::try_run_with`] call serves one capture; a
 //! production line serves many DUTs against many deployments at
 //! once. The service keeps a pool of long-lived worker threads, each
-//! owning its [`BistScratch`] arena for the life of the pool —
-//! replacing the per-verdict scoped producer spawn inside
-//! `stream_blocks_parallel` with job-level sharding: every job runs
-//! its reconstruction feed sequentially (`stream_workers = 1`) on a
-//! warm arena, and the cores are saturated by running many jobs, not
+//! owning its [`BistScratch`] arena for the life of the pool. Every
+//! job runs its verdict (reconstruction feed included) sequentially on
+//! a warm arena, and the cores are saturated by running many jobs, not
 //! by splitting one.
 //!
 //! Jobs flow through a bounded queue ([`ServiceConfig::queue_depth`])
@@ -114,9 +112,7 @@ pub struct VerdictJob {
     /// Mask-library standard name (for triage; the mask itself rides
     /// along below).
     pub standard: String,
-    /// The engine configuration for this deployment. Campaign-built
-    /// jobs force `stream_workers = 1`: sharding is per job, not per
-    /// verdict.
+    /// The engine configuration for this deployment.
     pub config: BistConfig,
     /// The emission mask to score against.
     pub mask: SpectralMask,
@@ -412,11 +408,6 @@ impl DutSpec {
 /// hardware property shared by every DUT stimulus the front end
 /// captures), then one job per DUT with the deployment's mask and a
 /// payload stimulus shaped at the standard's symbol rate.
-///
-/// Campaign jobs force `stream_workers = 1`: with the service
-/// sharding whole jobs across its persistent workers, nesting a
-/// scoped producer pool inside each verdict would only oversubscribe
-/// the cores.
 pub fn try_campaign_jobs(
     deployments: &[Deployment],
     library: &MaskLibrary,
@@ -431,7 +422,7 @@ pub fn try_campaign_jobs(
                 known: library.names().map(str::to_string).collect(),
             });
         };
-        let base = dep.try_bist_config()?.with_stream_workers(1);
+        let base = dep.try_bist_config()?;
         let span = (base.fast_start as f64 + dep.fast_len as f64) / CAMPAIGN_B * 1.2;
         let cal_syms = ((span * CALIBRATION_SYMBOL_RATE) as usize + 30).max(96);
         let cal_bb = ShapedBaseband::qpsk_prbs(CALIBRATION_SYMBOL_RATE, 0.5, 12, cal_syms, 0xACE1);

@@ -1,74 +1,139 @@
-//! Grid-aware PNBS reconstruction — cross-point rotor reuse on uniform
-//! analysis grids.
+//! Grid-aware PNBS reconstruction on uniform analysis grids: a
+//! cross-point rotor walk for arbitrary grids, and phase-major
+//! reconstruction for grids on a rational lattice of the sample period.
 //!
 //! The per-point plan ([`PnbsPlan`]) already removed the per-tap
-//! trigonometry from one eq. 6 evaluation, but it still *re-seeds* six
+//! trigonometry from one eq. 6 evaluation, but it still re-seeds six
 //! phase rotors (six `sincos` calls) at every probe instant and pays a
-//! ~31-term Kaiser Horner polynomial twice per tap. On the workloads
-//! that dominate the end-to-end BIST — the dense analysis grid
-//! (`BistEngine::run` reconstructs ~12288 uniform points per verdict)
-//! and uniform-grid cost probes — the probe instants are consecutive
-//! points of a *uniform* grid, so the kernel phases advance by a fixed
-//! increment from point to point and nothing needs re-seeding.
+//! ~31-term Kaiser Horner polynomial twice per tap. Analysis grids and
+//! uniform-grid cost probes are consecutive points of a *uniform* grid,
+//! so [`PnbsGridPlan`] exploits that structure.
 //!
-//! [`PnbsGridPlan`] exploits that structure twice over:
+//! # The walk
+//!
+//! Every grid point is one *weight row* — the 2 × `num_taps` eq. 6
+//! weights (Kohlenberg kernel × window) of its tap window — dotted with
+//! the capture samples under that window. The walk builds the row of
+//! every point:
 //!
 //! - **Cross-point rotors.** Each cosine family's time phasor
-//!   `e^{jωⱼ(t − n_ref·T)}` is advanced once per *grid point* by a
-//!   precomputed grid-step rotor `e^{jωⱼ·Δt}` (with a periodic exact
-//!   re-seed bounding phase drift on arbitrarily long grids), instead
-//!   of six `sincos` re-seeds per point.
+//!   `e^{jωⱼ(t − n_ref·T)}` advances once per grid point by the
+//!   grid-step rotor `e^{jωⱼ·Δt}`, with an exact re-seed every
+//!   [`GRID_BLOCK_LEN`] absolute grid points bounding phase drift.
 //! - **Factored per-sample tables.** The kernel numerator is a fixed
-//!   linear combination `Σⱼ αⱼcos(ωⱼτ) + βⱼsin(ωⱼτ)` of the three
-//!   families, and `τ = t − nT` splits by the angle-sum identity into
-//!   the time phasor times a per-*sample* phasor `e^{jωⱼ(n − n_ref)T}`.
-//!   Folding `(αⱼ, βⱼ)` into per-sample tables (built once per grid
-//!   call with [`fill_phasor_table`]'s re-seeded recurrences) collapses
-//!   the whole per-tap kernel numerator to six fused multiply-adds per
-//!   stream.
-//! - **Tabulated window.** The Kaiser Horner polynomial is replaced by
-//!   the cached cubic [`WindowTable`], built *node-aligned* to the tap
-//!   stride `1/(2(h+1))`: every tap of a point's window row then shares
-//!   one set of interpolation weights and an integer node stride, so a
-//!   row costs four contiguous loads and four fused multiply-adds per
-//!   tap (≤ 5e-12 from the exact sampler, with a direct fallback for
-//!   shapes the table cannot represent).
-//! - **Runtime-dispatched SIMD walk.** On x86-64 hosts with hardware
-//!   FMA the cubic-table walk runs as `#[target_feature]` (AVX2 or
-//!   AVX-512F) recompilations of a branch-free kernel over unit-stride
-//!   per-sample phasor planes — near-origin taps are patched exactly
-//!   after the vector pass — behind the same
-//!   `is_x86_feature_detected!` / `RFBIST_FORCE_SCALAR` dispatch as
-//!   `rfbist_dsp::goertzel`. The portable scalar walk is untouched, so
-//!   CI's forced-scalar job exercises exactly the code it always did,
-//!   and both paths re-seed identically: streamed blocks remain
-//!   bit-identical to the batch walk whichever kernel dispatch picks.
+//!   linear combination `Σⱼ αⱼcos(ωⱼτ) + βⱼsin(ωⱼτ)`, and `τ = t − nT`
+//!   splits by the angle-sum identity into the time phasor times a
+//!   per-*sample* phasor `e^{jωⱼ(n − n_ref)T}`. Folding `(αⱼ, βⱼ)` into
+//!   per-sample tables (built once per grid with [`fill_phasor_table`])
+//!   collapses the per-tap numerator to six multiply-adds per stream.
+//! - **Tabulated window.** The Kaiser polynomial is replaced by the
+//!   cached cubic [`WindowTable`], node-aligned to the tap stride
+//!   `1/(2(h+1))` and transposed by node residue, so a whole window row
+//!   shares one set of interpolation weights and reads four unit-stride
+//!   streams (≤ 5e-12 from the exact sampler; kinked shapes fall back
+//!   to the direct sampler). The transposed table depends only on
+//!   (window, taps) and is shared across plans through a thread-local
+//!   MRU cache, so a new `D̂` costs only the [`PnbsPlan`] constants.
+//! - **Near-origin guard.** Within [`NEAR_ORIGIN_FRACTION`] of a sample
+//!   instant the `1/τ` pole would amplify the tables' bounded phase
+//!   error, so that tap (at most one per stream) is evaluated exactly.
 //!
-//! Near the kernel origin (|τ| below [`NEAR_ORIGIN_FRACTION`] of a
-//! sample period) the `1/τ` pole amplifies the tables' bounded phase
-//! error, so those few taps — at most one per stream per point — drop
-//! to an exact small-argument evaluation. The result tracks the
-//! per-point plan and the direct reference to ≪ 1e-9
-//! (`tests/grid_plan_equivalence.rs`), at less than half the per-point
-//! plan's cost (`BENCH_recon.json`, `grid_reconstruct`).
+//! # Phase-major reconstruction on rational grids
+//!
+//! A fixed-rate sampler serving several standards puts every builtin
+//! analysis grid on a small rational fraction of the sample period:
+//! `step = (p/q)·T` (3/10, 9/400, 9/500 and 9/650 at 0.3, 4, 5 and
+//! 6.5 GHz against the 90 MHz sampler). Grid point `i = r + m·q` then
+//! sits at `t_r + m·p·T`, so its weight row is the row of point `r`
+//! and its tap window is point `r`'s shifted by `m·p` samples.
+//! [`PnbsGridPlan`] detects such grids from the geometry alone: a
+//! continued-fraction convergent `p/q` of `step/T` with `q ≤ 4096`,
+//! relative error ≤ 1e-12, at least four points per phase, and an
+//! accumulated lattice phase error over the whole grid of at most
+//! 1e-10 rad at the kernel's fastest oscillation (far inside the 1e-9
+//! equivalence budget). Such grids are reconstructed **phase-major**
+//! in super-blocks of [`SUPER_BLOCK_LEN`] consecutive points: the walk
+//! runs over the first `q` grid points only, emitting each point's
+//! weight row instead of its dot product, and the row of residue `r`
+//! is applied to every point of that residue in the super-block —
+//! one 2 × `num_taps` dot product per point instead of a row build.
+//! Every other grid (including the LMS's short probe grids) keeps the
+//! walk; both paths share one row builder and one dot product.
+//!
+//! **Tie rule.** When `t_r/T` sits exactly half a sample from a sample
+//! instant (one residue per grid whenever `t0` is a sample instant and
+//! `q` is even), the per-point `round(t/T)` that picks the tap window
+//! flips with float noise from point to point, and the walk and the
+//! direct reference follow each flip. Phase-major reconstruction
+//! evaluates the same per-point rounding and, where it departs from
+//! the lattice prediction, applies a second row built for the shifted
+//! tap window — so every point reproduces the per-point choice.
+//!
+//! **Memory bound.** Only one row (plus the tie residue's second row)
+//! is in flight, and every super-block rebuilds its rows from the grid
+//! start: values do not depend on chunking, so the batch
+//! ([`PnbsGridPlan::reconstruct_grid`]) and the block feed
+//! ([`PnbsGridPlan::reconstruct_blocks`]) share one producer and stay
+//! bit-identical, and the feed holds at most one super-block (64 KiB).
+//! An early-stopped feed never builds the super-blocks after the stop.
+//! There is deliberately no resident `q × 2·num_taps` coefficient
+//! bank: on the five-standard calibrated line with one pool worker per
+//! core (2-core AVX-512 VM), keeping every residue's row resident
+//! raised peak RSS from 5.1–5.2 MiB to 7.6–7.8 MiB (+49 %), while
+//! rebuilding the rows costs only `q` row builds per super-block.
+//!
+//! # Runtime-dispatched SIMD
+//!
+//! On x86-64 hosts with hardware FMA the producer (row builds and dot
+//! products) runs as `#[target_feature]` AVX-512F or AVX2
+//! recompilations of one safe kernel body, behind the same
+//! `is_x86_feature_detected!` / `RFBIST_FORCE_SCALAR` dispatch as
+//! `rfbist_dsp::goertzel`. The portable instantiation uses plain
+//! `*`/`+` (without hardware FMA, `f64::mul_add` is a libm call). The
+//! result tracks the per-point plan and the direct reference to
+//! ≪ 1e-9 (`tests/grid_plan_equivalence.rs`).
 
 use crate::plan::PnbsPlan;
 use crate::reconstruct::NonuniformCapture;
 use rfbist_dsp::window::{Window, WindowTable};
 use rfbist_math::rotor::{fill_phasor_table, sincos};
+use std::cell::RefCell;
+use std::sync::Arc;
 
-/// Grid points between exact re-seeds of the three time phasors, and
-/// the chunk size of the streaming block producer
-/// ([`PnbsGridPlan::reconstruct_blocks`]): each [`GridBlocks`] block is
-/// one re-seed interval, so the block feed and the monolithic walk
-/// re-seed at the same absolute grid indices. The grid-step rotor's
-/// phase error grows O(points·ε); re-seeding every 256 points caps it
-/// at ≈ 6e-14 rad — far below the near-origin guard's budget — for
-/// arbitrarily long grids.
+/// Points per [`GridBlocks::next_block`] block, and the interval (in
+/// absolute grid points) between exact re-seeds of the three time
+/// phasors. The grid-step rotor's phase error grows O(points·ε);
+/// re-seeding every 256 points caps it at ≈ 6e-14 rad — far below the
+/// near-origin guard's budget — for arbitrarily long grids, and because
+/// the schedule is absolute, walking a grid in chunks that start on
+/// these boundaries is bit-identical to one monolithic walk.
 pub const GRID_BLOCK_LEN: usize = 256;
 
 /// Internal alias documenting the re-seed role of [`GRID_BLOCK_LEN`].
 const TIME_RESEED_INTERVAL: usize = GRID_BLOCK_LEN;
+
+/// Consecutive grid points reconstructed together on the phase-major
+/// path: the unit a block feed materializes (64 KiB of values) and an
+/// early verdict skips. It equals the engine's longest Welch segment,
+/// so a verdict decided at the first completed segment of a long grid
+/// never builds a second super-block.
+pub const SUPER_BLOCK_LEN: usize = 32 * GRID_BLOCK_LEN;
+
+/// Largest lattice denominator `q` reconstructed phase-major.
+const MAX_LATTICE_PHASES: i64 = 4096;
+
+/// Fewest grid points per lattice phase for which rebuilding `q` rows
+/// pays off against walking every point.
+const MIN_POINTS_PER_PHASE: usize = 4;
+
+/// Largest relative error `|step/T − p/q| / (step/T)` of an accepted
+/// convergent.
+const LATTICE_REL_TOLERANCE: f64 = 1e-12;
+
+/// Largest accumulated phase error, in radians at the kernel's fastest
+/// angular frequency, between the grid instants and their lattice
+/// positions over the whole grid.
+const LATTICE_PHASE_TOLERANCE: f64 = 1e-10;
 
 /// Taps whose kernel argument is within this fraction of a sample
 /// period of the origin are evaluated exactly instead of through the
@@ -78,31 +143,35 @@ const TIME_RESEED_INTERVAL: usize = GRID_BLOCK_LEN;
 /// one tap per stream per point.
 const NEAR_ORIGIN_FRACTION: f64 = 1.0 / 16.0;
 
-/// Reusable buffers for grid reconstruction: the output values plus
-/// the per-sample factored phasor tables, so repeated grid calls (one
-/// per cost candidate, one per BIST verdict) allocate nothing in
-/// steady state.
+/// One grid point's eq. 6 weights (kernel × window), one value per tap
+/// and stream.
+#[derive(Clone, Debug, Default)]
+struct WeightRow {
+    even: Vec<f64>,
+    odd: Vec<f64>,
+}
+
+/// Reusable buffers for grid reconstruction: the output values, the
+/// per-sample factored phasor tables and the weight rows in flight, so
+/// repeated grid calls (one per cost candidate, one per BIST verdict)
+/// allocate nothing in steady state.
 #[derive(Clone, Debug, Default)]
 pub struct GridScratch {
     out: Vec<f64>,
     /// Even-stream per-sample constants in plane-major layout: six
     /// `span`-long planes `[A₀ | B₀ | A₁ | B₁ | A₂ | B₂]` — one
     /// `(αⱼ, βⱼ)`-folded pair per cosine family, unit-stride in the
-    /// sample index so the walk kernels read each plane contiguously.
+    /// sample index so the row builder reads each plane contiguously.
     even_tab: Vec<f64>,
     /// Odd-stream per-sample constants, same layout.
     odd_tab: Vec<f64>,
     cos_buf: Vec<f64>,
     sin_buf: Vec<f64>,
-    /// Per-point window rows (one value per tap and stream), refilled
-    /// for every grid point.
-    win_e: Vec<f64>,
-    win_o: Vec<f64>,
-    /// Per-point branch-free tap contributions, written by the SIMD
-    /// walk kernels and reduced after the exact near-origin patch;
-    /// untouched on the scalar path.
-    contrib_e: Vec<f64>,
-    contrib_o: Vec<f64>,
+    /// The row of the point (or lattice residue) in flight.
+    row: WeightRow,
+    /// The phase-major tie residue's second row, for points whose tap
+    /// window rounds one sample off the lattice prediction.
+    alt: WeightRow,
 }
 
 impl GridScratch {
@@ -111,7 +180,8 @@ impl GridScratch {
         Self::default()
     }
 
-    /// The values written by the most recent grid call.
+    /// The values written by the most recent grid call (for a block
+    /// feed, the chunk it currently holds).
     pub fn values(&self) -> &[f64] {
         &self.out
     }
@@ -123,8 +193,249 @@ impl GridScratch {
     }
 }
 
-/// A [`PnbsPlan`] extended for uniform-grid reconstruction with
-/// cross-point rotor reuse (see the module docs).
+/// The cubic window table of a [`PnbsGridPlan`] transposed by node
+/// residue: `data[r · cols + n] = vals[r + n · stride]` (zero-padded
+/// past the table end), for residues `r ∈ [0, stride + 3)` and node
+/// ranks `n ∈ [0, cols)`. A window row anchored at table position
+/// `i₀ = q·stride + r` then reads taps `k` as
+/// `data[(r + o) · cols + q + k]` for the four stencil offsets
+/// `o ∈ {0,1,2,3}` — four contiguous streams instead of a
+/// `stride`-strided gather, which is what lets the row fill vectorize
+/// alongside the tap kernel.
+#[derive(Clone, Debug)]
+struct WinRows {
+    /// Table nodes per tap step (the original stencil stride).
+    stride: usize,
+    /// Row length: one more than the table's node count per support
+    /// (`2(h+1) + 1`), covering every node rank a tap can anchor at.
+    cols: usize,
+    /// `(stride + 3) × cols` row-major residue planes.
+    data: Vec<f64>,
+}
+
+/// A plan's tapering window in the two forms the row builder reads:
+/// the node-aligned table (for its scale, or the direct fallback) and,
+/// for cubic tables, its residue transpose.
+#[derive(Debug)]
+struct GridWindow {
+    table: WindowTable,
+    rows: Option<WinRows>,
+}
+
+thread_local! {
+    /// Most-recently-used [`GridWindow`], keyed by (window, node
+    /// alignment). Cost sweeps build two grid plans per delay
+    /// candidate with the same window and taps; sharing the transposed
+    /// table makes every build after the first a reference-count bump.
+    static GRID_WINDOW_CACHE: RefCell<Option<(Window, usize, Arc<GridWindow>)>> =
+        const { RefCell::new(None) };
+}
+
+impl GridWindow {
+    /// The shared window for `window` aligned on `alignment` nodes per
+    /// unit interval (the tap stride's reciprocal, `2(h+1)`).
+    fn shared(window: Window, alignment: usize) -> Arc<Self> {
+        GRID_WINDOW_CACHE.with(|cell| {
+            let mut slot = cell.borrow_mut();
+            if let Some((w, a, shared)) = slot.as_ref() {
+                if *w == window && *a == alignment {
+                    return Arc::clone(shared);
+                }
+            }
+            let table = window.tabulated_aligned(alignment);
+            let rows = table.cubic_parts().map(|(scale, vals)| {
+                let stride = (scale as usize) / alignment;
+                let cols = alignment + 1;
+                let mut data = vec![0.0; (stride + 3) * cols];
+                for (r, row) in data.chunks_exact_mut(cols).enumerate() {
+                    for (n, slot) in row.iter_mut().enumerate() {
+                        if let Some(&v) = vals.get(r + n * stride) {
+                            *slot = v;
+                        }
+                    }
+                }
+                WinRows { stride, cols, data }
+            });
+            let shared = Arc::new(GridWindow { table, rows });
+            *slot = Some((window, alignment, Arc::clone(&shared)));
+            shared
+        })
+    }
+}
+
+/// A grid step of exactly `p/q` sample periods, in lowest terms.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Lattice {
+    p: i64,
+    q: usize,
+}
+
+impl Lattice {
+    /// The rational lattice an `n`-point grid of spacing `step` sits on
+    /// against sample period `period`, when phase-major reconstruction
+    /// applies (see the module docs); `omega_max` is the kernel's
+    /// fastest angular frequency.
+    fn detect(step: f64, period: f64, n: usize, omega_max: f64) -> Option<Self> {
+        let x = step / period;
+        // Coarser-than-a-million-samples steps are not analysis grids;
+        // the cap also keeps the convergents inside i64.
+        if !(x > 0.0 && x < 1e6) {
+            return None;
+        }
+        // Continued-fraction convergents h/k of x.
+        let (mut h_prev, mut h) = (0i64, 1i64);
+        let (mut k_prev, mut k) = (1i64, 0i64);
+        let mut r = x;
+        loop {
+            let whole = r.floor();
+            // past the first term, a partial quotient this large already
+            // overflows the phase budget (and could overflow i64)
+            if k > 0 && whole > MAX_LATTICE_PHASES as f64 {
+                return None;
+            }
+            let a = whole as i64;
+            let k_next = a * k + k_prev;
+            if k_next > MAX_LATTICE_PHASES {
+                return None;
+            }
+            (h_prev, h) = (h, a * h + h_prev);
+            (k_prev, k) = (k, k_next);
+            if (x - h as f64 / k as f64).abs() <= LATTICE_REL_TOLERANCE * x {
+                break;
+            }
+            let frac = r - whole;
+            if frac <= 0.0 {
+                return None;
+            }
+            r = 1.0 / frac;
+        }
+        let q = k as usize;
+        let drift = n as f64 * (step - h as f64 * period / k as f64).abs();
+        (h > 0 && n >= MIN_POINTS_PER_PHASE * q && drift * omega_max <= LATTICE_PHASE_TOLERANCE)
+            .then_some(Lattice { p: h, q })
+    }
+}
+
+/// One grid's producer state besides the scratch: the geometry, the
+/// factored tables' extent and the path it takes.
+#[derive(Clone, Copy, Debug)]
+struct GridFeed {
+    t0: f64,
+    step: f64,
+    n: usize,
+    /// First capture sample index the factored tables cover.
+    tab_first: i64,
+    /// Phase origin of the tables and time phasors.
+    n_ref: i64,
+    lattice: Option<Lattice>,
+    /// Whether the producer may dispatch to the SIMD kernels.
+    simd: bool,
+}
+
+impl GridFeed {
+    /// Points one producer call emits: a super-block on the
+    /// phase-major path, one re-seed block on the walk.
+    fn chunk_len(&self) -> usize {
+        match self.lattice {
+            Some(_) => SUPER_BLOCK_LEN,
+            None => GRID_BLOCK_LEN,
+        }
+    }
+}
+
+/// How the row builder fills a stream's window row.
+#[derive(Clone, Copy)]
+enum WindowFill<'a> {
+    /// Node-aligned cubic table read through its residue transpose.
+    Planar { rows: &'a WinRows, scale: f64 },
+    /// Per-tap sampling, for shapes the cubic table cannot represent.
+    Direct(&'a WindowTable),
+}
+
+impl WindowFill<'_> {
+    /// Fills `out` with the window at `x_start + k·inv_2hw`.
+    #[inline(always)]
+    fn fill<const FMA: bool>(self, x_start: f64, inv_2hw: f64, out: &mut [f64]) {
+        match self {
+            WindowFill::Planar { rows, scale } => {
+                fill_window_row_planar::<FMA>(rows, scale, inv_2hw, x_start, out)
+            }
+            WindowFill::Direct(table) => {
+                for (k, w) in out.iter_mut().enumerate() {
+                    *w = table.at(x_start + k as f64 * inv_2hw);
+                }
+            }
+        }
+    }
+}
+
+/// Per-call constants of the row builder.
+struct RowCtx<'a> {
+    period: f64,
+    inv_2hw: f64,
+    /// Odd-stream window offset `(D̂/T)/(2(h+1))`.
+    d_shift: f64,
+    tau_guard: f64,
+    tab_first: i64,
+    span: usize,
+    even_tab: &'a [f64],
+    odd_tab: &'a [f64],
+    fill: WindowFill<'a>,
+}
+
+/// The three time phasors `e^{jωⱼ(t − n_ref·T)}` of the grid point in
+/// flight, advanced point to point by the grid-step rotation.
+struct TimeRotor {
+    c: [f64; 3],
+    s: [f64; 3],
+    step_c: [f64; 3],
+    step_s: [f64; 3],
+}
+
+impl TimeRotor {
+    fn new(w: &[f64; 3], step: f64) -> Self {
+        let mut rot = TimeRotor {
+            c: [1.0; 3],
+            s: [0.0; 3],
+            step_c: [1.0; 3],
+            step_s: [0.0; 3],
+        };
+        for ((c, s), &wj) in rot.step_c.iter_mut().zip(&mut rot.step_s).zip(w) {
+            (*s, *c) = sincos(wj * step);
+        }
+        rot
+    }
+
+    /// Exact re-seed at `dt = t − n_ref·T` when absolute grid index `i`
+    /// is on the re-seed schedule (bounds rotor drift on long grids).
+    #[inline(always)]
+    fn seed_if_due(&mut self, i: usize, w: &[f64; 3], dt: f64) {
+        if i.is_multiple_of(TIME_RESEED_INTERVAL) {
+            for ((c, s), &wj) in self.c.iter_mut().zip(&mut self.s).zip(w) {
+                (*s, *c) = sincos(wj * dt);
+            }
+        }
+    }
+
+    /// `[c₀, s₀, c₁, s₁, c₂, s₂]`, matching the table plane order.
+    #[inline(always)]
+    fn phasors(&self) -> [f64; 6] {
+        let [c0, c1, c2] = self.c;
+        let [s0, s1, s2] = self.s;
+        [c0, s0, c1, s1, c2, s2]
+    }
+
+    #[inline(always)]
+    fn advance(&mut self) {
+        let steps = self.step_c.iter().zip(&self.step_s);
+        for ((c, s), (&dc, &ds)) in self.c.iter_mut().zip(&mut self.s).zip(steps) {
+            (*c, *s) = (*c * dc - *s * ds, *c * ds + *s * dc);
+        }
+    }
+}
+
+/// A [`PnbsPlan`] extended for uniform-grid reconstruction (see the
+/// module docs).
 ///
 /// # Example
 ///
@@ -149,38 +460,12 @@ impl GridScratch {
 #[derive(Clone, Debug)]
 pub struct PnbsGridPlan {
     plan: PnbsPlan,
-    window_table: WindowTable,
+    window: Arc<GridWindow>,
     /// Cosine weights of the factored kernel numerator
     /// `Σⱼ αⱼ·cos(ωⱼτ) + βⱼ·sin(ωⱼτ)`.
     alpha: [f64; 3],
     /// Sine weights of the factored kernel numerator.
     beta: [f64; 3],
-    /// Residue-transposed cubic window table for the SIMD walk
-    /// kernels (`None` for shapes without a cubic table): the
-    /// node-aligned row fill reads every `stride`-th table node, so
-    /// transposing the table by node residue turns the strided
-    /// stencil into four unit-stride row reads. See [`WinRows`].
-    win_rows: Option<WinRows>,
-}
-
-/// The cubic window table of a [`PnbsGridPlan`] transposed by node
-/// residue: `data[r · cols + n] = vals[r + n · stride]` (zero-padded
-/// past the table end), for residues `r ∈ [0, stride + 3)` and node
-/// ranks `n ∈ [0, cols)`. A window row anchored at table position
-/// `i₀ = q·stride + r` then reads taps `k` as
-/// `data[(r + o) · cols + q + k]` for the four stencil offsets
-/// `o ∈ {0,1,2,3}` — four contiguous streams instead of a
-/// `stride`-strided gather, which is what lets the row fill vectorize
-/// alongside the tap kernel.
-#[derive(Clone, Debug)]
-struct WinRows {
-    /// Table nodes per tap step (the original stencil stride).
-    stride: usize,
-    /// Row length: one more than the table's node count per support
-    /// (`2(h+1) + 1`), covering every node rank a tap can anchor at.
-    cols: usize,
-    /// `(stride + 3) × cols` row-major residue planes.
-    data: Vec<f64>,
 }
 
 impl PnbsGridPlan {
@@ -196,7 +481,7 @@ impl PnbsGridPlan {
     }
 
     /// Wraps an existing per-point plan, adding the grid machinery
-    /// (window table, factored numerator weights).
+    /// (shared window tables, factored numerator weights).
     pub fn from_plan(plan: PnbsPlan, window: Window) -> Self {
         // Regroup the eq. 2 numerator
         //   ((c₂ − c₁)cos φ₁ + (s₂ − s₁)sin φ₁)/sin φ₁
@@ -216,27 +501,12 @@ impl PnbsGridPlan {
         }
         // Node-align the table on the tap stride 1/(2(h+1)) so a whole
         // window row shares one interpolation-weight set per point.
-        let alignment = 2 * (plan.half_taps + 1);
-        let window_table = window.tabulated_aligned(alignment);
-        let win_rows = window_table.cubic_parts().map(|(scale, vals)| {
-            let stride = (scale as usize) / alignment;
-            let cols = alignment + 1;
-            let mut data = vec![0.0; (stride + 3) * cols];
-            for (r, row) in data.chunks_exact_mut(cols).enumerate() {
-                for (n, slot) in row.iter_mut().enumerate() {
-                    if let Some(&v) = vals.get(r + n * stride) {
-                        *slot = v;
-                    }
-                }
-            }
-            WinRows { stride, cols, data }
-        });
+        let window = GridWindow::shared(window, 2 * (plan.half_taps + 1));
         PnbsGridPlan {
             plan,
-            window_table,
+            window,
             alpha,
             beta,
-            win_rows,
         }
     }
 
@@ -264,9 +534,9 @@ impl PnbsGridPlan {
             return self.plan.origin;
         }
         let mut num = 0.0;
-        for j in 0..3 {
-            let (s, c) = sincos(self.plan.w[j] * tau);
-            num += self.alpha[j] * c + self.beta[j] * s;
+        for ((&w, &a), &b) in self.plan.w.iter().zip(&self.alpha).zip(&self.beta) {
+            let (s, c) = sincos(w * tau);
+            num += a * c + b * s;
         }
         num * self.plan.inv_two_pi_b / tau
     }
@@ -278,13 +548,12 @@ impl PnbsGridPlan {
     /// geometry allows.
     fn fill_sample_tables(
         &self,
-        capture: &NonuniformCapture,
+        period: f64,
         first_n: i64,
         span: usize,
         n_ref: i64,
         scratch: &mut GridScratch,
     ) {
-        let period = capture.period();
         scratch.cos_buf.resize(span, 0.0);
         scratch.sin_buf.resize(span, 0.0);
         scratch.even_tab.resize(span * 6, 0.0);
@@ -357,9 +626,9 @@ impl PnbsGridPlan {
 
     /// [`try_reconstruct_grid`](Self::try_reconstruct_grid) with the
     /// SIMD dispatch bypassed unconditionally (not just under
-    /// `RFBIST_FORCE_SCALAR`): the scalar walk kernel runs regardless
-    /// of detected CPU features. A test hook — the equivalence suite
-    /// uses it to pin the dispatched walk against the scalar kernel
+    /// `RFBIST_FORCE_SCALAR`): the portable kernel runs regardless of
+    /// detected CPU features. A test hook — the equivalence suite uses
+    /// it to pin the dispatched producer against the portable kernel
     /// inside one process, where the latched environment flag cannot
     /// flip between the two runs.
     #[doc(hidden)]
@@ -380,503 +649,18 @@ impl PnbsGridPlan {
         t0: f64,
         step: f64,
         n: usize,
-        allow_simd: bool,
+        simd: bool,
         scratch: &'s mut GridScratch,
     ) -> Option<&'s [f64]> {
-        assert!(step > 0.0, "grid step must be positive");
+        let feed = self.prepare(capture, t0, step, n, simd, scratch)?;
         scratch.out.clear();
-        if n == 0 {
-            return Some(&scratch.out);
+        let mut i0 = 0;
+        while i0 < n {
+            let i1 = (i0 + feed.chunk_len()).min(n);
+            self.produce(capture, &feed, i0, i1, scratch);
+            i0 = i1;
         }
-        let (first_n, span) = self.grid_sample_span(capture, t0, step, n)?;
-        let h = self.plan.half_taps as i64;
-        self.fill_sample_tables(capture, first_n, span, first_n + h, scratch);
-        self.walk_span_dispatched(capture, t0, step, 0, n, first_n, allow_simd, scratch);
         Some(&scratch.out)
-    }
-
-    /// Monomorphizes the walk over the window-row filler and the SIMD
-    /// dispatch: the aligned cubic table shares one
-    /// interpolation-weight set across a whole row and — on x86-64
-    /// hosts with hardware FMA, unless `RFBIST_FORCE_SCALAR` is set —
-    /// runs through a `#[target_feature]` recompilation of the
-    /// branch-free [`walk_span_cubic`](Self::walk_span_cubic) kernel;
-    /// kinked windows fall back to per-tap sampling on the scalar
-    /// walk. Shared by the monolithic grid walk (`i_start = 0`,
-    /// `len = n`) and the streaming block producer (one re-seed chunk
-    /// per call), so batch and streamed reconstruction always pick the
-    /// same kernel and stay bit-identical. `allow_simd = false` pins
-    /// the scalar kernel unconditionally (the equivalence suite's
-    /// in-process scalar reference); production callers pass `true`
-    /// and let feature detection and `RFBIST_FORCE_SCALAR` decide.
-    #[allow(clippy::too_many_arguments)]
-    fn walk_span_dispatched(
-        &self,
-        capture: &NonuniformCapture,
-        t0: f64,
-        step: f64,
-        i_start: usize,
-        len: usize,
-        first_n: i64,
-        allow_simd: bool,
-        scratch: &mut GridScratch,
-    ) {
-        // Only the x86-64 dispatch below consults the flag.
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = allow_simd;
-        let hw = self.plan.half_taps as f64 + 1.0;
-        let inv_2hw = 1.0 / (2.0 * hw);
-        let d_shift = self.plan.delay / capture.period() * inv_2hw;
-        match self.window_table.cubic_parts() {
-            Some((scale, vals)) => {
-                let stride = (scale as usize) / (2 * (self.plan.half_taps + 1));
-                debug_assert_eq!(
-                    stride * 2 * (self.plan.half_taps + 1),
-                    scale as usize,
-                    "window table must be node-aligned on the tap stride"
-                );
-                #[cfg(target_arch = "x86_64")]
-                if let Some(wr) = self.win_rows.as_ref() {
-                    if allow_simd
-                        && !rfbist_dsp::simd::force_scalar()
-                        && std::arch::is_x86_feature_detected!("fma")
-                    {
-                        if std::arch::is_x86_feature_detected!("avx512f") {
-                            // SAFETY: AVX-512F + FMA support was just
-                            // verified at runtime by
-                            // is_x86_feature_detected!; the kernel body
-                            // is ordinary safe Rust, recompiled at wider
-                            // vectors with hardware-FMA steps.
-                            unsafe {
-                                self.walk_span_cubic_avx512(
-                                    capture, t0, step, i_start, len, first_n, scale, wr, scratch,
-                                )
-                            };
-                            return;
-                        }
-                        if std::arch::is_x86_feature_detected!("avx2") {
-                            // SAFETY: AVX2 + FMA support was just
-                            // verified at runtime by
-                            // is_x86_feature_detected!; same safe kernel
-                            // body as the scalar path.
-                            unsafe {
-                                self.walk_span_cubic_avx2(
-                                    capture, t0, step, i_start, len, first_n, scale, wr, scratch,
-                                )
-                            };
-                            return;
-                        }
-                    }
-                }
-                self.walk_span(
-                    capture,
-                    t0,
-                    step,
-                    i_start,
-                    len,
-                    first_n,
-                    scratch,
-                    move |x0: f64, we: &mut [f64], wo: &mut [f64]| {
-                        fill_window_row(scale, vals, stride, inv_2hw, x0, we);
-                        fill_window_row(scale, vals, stride, inv_2hw, x0 + d_shift, wo);
-                    },
-                )
-            }
-            None => {
-                let table = &self.window_table;
-                self.walk_span(
-                    capture,
-                    t0,
-                    step,
-                    i_start,
-                    len,
-                    first_n,
-                    scratch,
-                    move |x0: f64, we: &mut [f64], wo: &mut [f64]| {
-                        for (k, (e, o)) in we.iter_mut().zip(wo.iter_mut()).enumerate() {
-                            let x = x0 + k as f64 * inv_2hw;
-                            *e = table.at(x);
-                            *o = table.at(x + d_shift);
-                        }
-                    },
-                )
-            }
-        }
-    }
-
-    /// The grid walk itself: advances the three time phasors point to
-    /// point with the grid-step rotors and accumulates eq. 6 through
-    /// the factored per-sample tables, appending grid points
-    /// `i_start .. i_start + len` (absolute indices of the
-    /// `t0`-anchored grid) to `scratch.out`. `fill_windows(x0, we,
-    /// wo)` writes both streams' per-tap window rows for the point
-    /// whose first tap sits at normalized window position `x0`.
-    /// `scratch.even_tab`/`odd_tab` must already cover `first_n ..`
-    /// (see `fill_sample_tables`).
-    ///
-    /// The phasors re-seed exactly at absolute indices that are
-    /// multiples of [`GRID_BLOCK_LEN`], so a span starting on a block
-    /// boundary seeds on entry: walking a grid in
-    /// [`GRID_BLOCK_LEN`]-sized spans performs bit-identical arithmetic
-    /// to one monolithic walk — the property that makes the streamed
-    /// block feed (and its parallel producers) exactly reproduce the
-    /// batch reconstruction.
-    #[allow(clippy::too_many_arguments)]
-    fn walk_span<W: Fn(f64, &mut [f64], &mut [f64])>(
-        &self,
-        capture: &NonuniformCapture,
-        t0: f64,
-        step: f64,
-        i_start: usize,
-        len: usize,
-        first_n: i64,
-        scratch: &mut GridScratch,
-        fill_windows: W,
-    ) {
-        debug_assert!(
-            i_start.is_multiple_of(TIME_RESEED_INTERVAL),
-            "spans must start on a re-seed boundary"
-        );
-        let period = capture.period();
-        let h = self.plan.half_taps as i64;
-        let num_taps = self.plan.num_taps();
-        let hw = self.plan.half_taps as f64 + 1.0;
-        let inv_2hw = 1.0 / (2.0 * hw);
-        let inv_two_pi_b = self.plan.inv_two_pi_b;
-        let tau_guard = NEAR_ORIGIN_FRACTION * period;
-        let t_ref = (first_n + h) as f64 * period;
-        let even = capture.even();
-        let odd = capture.odd();
-
-        // Grid-step rotations of the three time phasors.
-        let mut step_cos = [0.0; 3];
-        let mut step_sin = [0.0; 3];
-        for j in 0..3 {
-            let (s, c) = sincos(self.plan.w[j] * step);
-            step_cos[j] = c;
-            step_sin[j] = s;
-        }
-
-        // Field-disjoint borrows: the output grows while the factored
-        // tables are read and the window rows are refilled.
-        let out = &mut scratch.out;
-        let even_tab = scratch.even_tab.as_slice();
-        let odd_tab = scratch.odd_tab.as_slice();
-        let span = even_tab.len() / 6;
-        scratch.win_e.resize(num_taps, 0.0);
-        scratch.win_o.resize(num_taps, 0.0);
-        let win_e = scratch.win_e.as_mut_slice();
-        let win_o = scratch.win_o.as_mut_slice();
-        out.reserve(len);
-        let mut ct = [0.0; 3];
-        let mut st = [0.0; 3];
-        for i in i_start..i_start + len {
-            let t = t0 + i as f64 * step;
-            if i % TIME_RESEED_INTERVAL == 0 {
-                // exact re-seed: bounds rotor phase drift on long grids
-                for j in 0..3 {
-                    let (s, c) = sincos(self.plan.w[j] * (t - t_ref));
-                    ct[j] = c;
-                    st[j] = s;
-                }
-            }
-            let t_idx = t / period;
-            let nc = t_idx.round() as i64;
-            let first = nc - h;
-            let te0 = t - first as f64 * period;
-            let to0 = first as f64 * period + self.plan.delay - t;
-            let x0 = 0.5 + (first as f64 - t_idx) * inv_2hw;
-            let tab_base = (first - first_n) as usize;
-            let cap_base = (first - capture.n_start()) as usize;
-            fill_windows(x0, win_e, win_o);
-            let ev = &even[cap_base..cap_base + num_taps];
-            let od = &odd[cap_base..cap_base + num_taps];
-            let ea = plane_views(even_tab, span, tab_base, num_taps);
-            let oa = plane_views(odd_tab, span, tab_base, num_taps);
-            // Two accumulators halve the floating-add dependency chain.
-            let mut acc_e = 0.0;
-            let mut acc_o = 0.0;
-            for (k, (((&fe, &fo), &w_e), &w_o)) in ev
-                .iter()
-                .zip(od)
-                .zip(win_e.iter())
-                .zip(win_o.iter())
-                .enumerate()
-            {
-                let fk = k as f64;
-                if w_e != 0.0 {
-                    let tau_e = te0 - fk * period;
-                    let s_e = if tau_e.abs() < tau_guard {
-                        self.kernel_near_origin(tau_e)
-                    } else {
-                        let num = ct[0] * ea[0][k]
-                            + st[0] * ea[1][k]
-                            + ct[1] * ea[2][k]
-                            + st[1] * ea[3][k]
-                            + ct[2] * ea[4][k]
-                            + st[2] * ea[5][k];
-                        num * inv_two_pi_b / tau_e
-                    };
-                    acc_e += fe * s_e * w_e;
-                }
-                if w_o != 0.0 {
-                    let tau_o = to0 + fk * period;
-                    let s_o = if tau_o.abs() < tau_guard {
-                        self.kernel_near_origin(tau_o)
-                    } else {
-                        let num = ct[0] * oa[0][k]
-                            + st[0] * oa[1][k]
-                            + ct[1] * oa[2][k]
-                            + st[1] * oa[3][k]
-                            + ct[2] * oa[4][k]
-                            + st[2] * oa[5][k];
-                        num * inv_two_pi_b / tau_o
-                    };
-                    acc_o += fo * s_o * w_o;
-                }
-            }
-            out.push(acc_e + acc_o);
-            for j in 0..3 {
-                let c = ct[j] * step_cos[j] - st[j] * step_sin[j];
-                let s = ct[j] * step_sin[j] + st[j] * step_cos[j];
-                ct[j] = c;
-                st[j] = s;
-            }
-        }
-    }
-
-    /// The cubic-table grid walk restructured for the loop vectorizer,
-    /// the body behind the `#[target_feature]` recompilations
-    /// ([`walk_span_cubic_avx2`](Self::walk_span_cubic_avx2),
-    /// [`walk_span_cubic_avx512`](Self::walk_span_cubic_avx512)):
-    ///
-    /// - the factored per-sample planes are read at unit stride, so
-    ///   the six-FMA kernel numerator vectorizes across taps;
-    /// - the per-tap pass is branch-free — every tap goes through the
-    ///   table path into a contribution buffer, zero-weight taps
-    ///   contribute signed zeros, and the `1/τ` poles land only on
-    ///   lanes the exact near-origin patch rewrites afterwards (at
-    ///   most one per stream per point, since the guard ring
-    ///   [`NEAR_ORIGIN_FRACTION`] is far narrower than the tap
-    ///   spacing);
-    /// - the contributions are reduced with a four-lane accumulator.
-    ///
-    /// Arithmetic differs from [`walk_span`](Self::walk_span) by
-    /// reassociation and FMA rounding only (≪ 1e-12 of kernel value,
-    /// pinned by `tests/grid_plan_equivalence.rs`), and is identical
-    /// whatever the span chunking — the rotor re-seed schedule matches
-    /// the scalar walk, so streamed blocks stay bit-identical to the
-    /// batch walk within either dispatch arm.
-    #[cfg(target_arch = "x86_64")]
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    // analysis: allow(naked-panic) — every slice is pre-bounded to num_taps before the branch-free tap loop; the k subscripts cannot leave it
-    fn walk_span_cubic(
-        &self,
-        capture: &NonuniformCapture,
-        t0: f64,
-        step: f64,
-        i_start: usize,
-        len: usize,
-        first_n: i64,
-        scale: f64,
-        wr: &WinRows,
-        scratch: &mut GridScratch,
-    ) {
-        debug_assert!(
-            i_start.is_multiple_of(TIME_RESEED_INTERVAL),
-            "spans must start on a re-seed boundary"
-        );
-        let period = capture.period();
-        let h = self.plan.half_taps as i64;
-        let num_taps = self.plan.num_taps();
-        let hw = self.plan.half_taps as f64 + 1.0;
-        let inv_2hw = 1.0 / (2.0 * hw);
-        let d_shift = self.plan.delay / period * inv_2hw;
-        let inv_two_pi_b = self.plan.inv_two_pi_b;
-        let tau_guard = NEAR_ORIGIN_FRACTION * period;
-        let t_ref = (first_n + h) as f64 * period;
-        let even = capture.even();
-        let odd = capture.odd();
-
-        // Grid-step rotations of the three time phasors.
-        let mut step_cos = [0.0; 3];
-        let mut step_sin = [0.0; 3];
-        for j in 0..3 {
-            let (s, c) = sincos(self.plan.w[j] * step);
-            step_cos[j] = c;
-            step_sin[j] = s;
-        }
-
-        // Field-disjoint borrows, as in the scalar walk.
-        let out = &mut scratch.out;
-        let even_tab = scratch.even_tab.as_slice();
-        let odd_tab = scratch.odd_tab.as_slice();
-        let span = even_tab.len() / 6;
-        scratch.win_e.resize(num_taps, 0.0);
-        scratch.win_o.resize(num_taps, 0.0);
-        scratch.contrib_e.resize(num_taps, 0.0);
-        scratch.contrib_o.resize(num_taps, 0.0);
-        let win_e = scratch.win_e.as_mut_slice();
-        let win_o = scratch.win_o.as_mut_slice();
-        let contrib_e = scratch.contrib_e.as_mut_slice();
-        let contrib_o = scratch.contrib_o.as_mut_slice();
-        out.reserve(len);
-        let mut ct = [0.0; 3];
-        let mut st = [0.0; 3];
-        for i in i_start..i_start + len {
-            let t = t0 + i as f64 * step;
-            if i % TIME_RESEED_INTERVAL == 0 {
-                // exact re-seed: bounds rotor phase drift on long grids
-                for j in 0..3 {
-                    let (s, c) = sincos(self.plan.w[j] * (t - t_ref));
-                    ct[j] = c;
-                    st[j] = s;
-                }
-            }
-            let t_idx = t / period;
-            let nc = t_idx.round() as i64;
-            let first = nc - h;
-            let te0 = t - first as f64 * period;
-            let to0 = first as f64 * period + self.plan.delay - t;
-            let x0 = 0.5 + (first as f64 - t_idx) * inv_2hw;
-            let tab_base = (first - first_n) as usize;
-            let cap_base = (first - capture.n_start()) as usize;
-            fill_window_row_planar(wr, scale, inv_2hw, x0, win_e);
-            fill_window_row_planar(wr, scale, inv_2hw, x0 + d_shift, win_o);
-            let ev = &even[cap_base..cap_base + num_taps];
-            let od = &odd[cap_base..cap_base + num_taps];
-            let ea = plane_views(even_tab, span, tab_base, num_taps);
-            let oa = plane_views(odd_tab, span, tab_base, num_taps);
-            // Branch-free vector pass over all taps of both streams.
-            // Every slice is pre-bounded to `num_taps`, so the loop
-            // carries no bounds checks and vectorizes cleanly.
-            for k in 0..num_taps {
-                let fk = k as f64;
-                let tau_e = te0 - fk * period;
-                let num_e = ct[0].mul_add(
-                    ea[0][k],
-                    st[0].mul_add(
-                        ea[1][k],
-                        ct[1].mul_add(
-                            ea[2][k],
-                            st[1].mul_add(ea[3][k], ct[2].mul_add(ea[4][k], st[2] * ea[5][k])),
-                        ),
-                    ),
-                );
-                contrib_e[k] = (ev[k] * win_e[k]) * (num_e * inv_two_pi_b / tau_e);
-                let tau_o = to0 + fk * period;
-                let num_o = ct[0].mul_add(
-                    oa[0][k],
-                    st[0].mul_add(
-                        oa[1][k],
-                        ct[1].mul_add(
-                            oa[2][k],
-                            st[1].mul_add(oa[3][k], ct[2].mul_add(oa[4][k], st[2] * oa[5][k])),
-                        ),
-                    ),
-                );
-                contrib_o[k] = (od[k] * win_o[k]) * (num_o * inv_two_pi_b / tau_o);
-            }
-            // Exact near-origin patches: the only lane per stream whose
-            // |τ| can sit inside the guard ring is the one nearest the
-            // pole, and rewriting it also repairs any inf/NaN the
-            // branch-free division put there (including τ = ±0).
-            let kg_e = (te0 / period).round();
-            if kg_e >= 0.0 && (kg_e as usize) < num_taps {
-                let k = kg_e as usize;
-                let tau_e = te0 - kg_e * period;
-                if tau_e.abs() < tau_guard {
-                    contrib_e[k] = (ev[k] * win_e[k]) * self.kernel_near_origin(tau_e);
-                }
-            }
-            let kg_o = (-to0 / period).round();
-            if kg_o >= 0.0 && (kg_o as usize) < num_taps {
-                let k = kg_o as usize;
-                let tau_o = to0 + kg_o * period;
-                if tau_o.abs() < tau_guard {
-                    contrib_o[k] = (od[k] * win_o[k]) * self.kernel_near_origin(tau_o);
-                }
-            }
-            // Four-lane reduction over both streams' contributions.
-            let mut acc = [0.0f64; 4];
-            let mut qe = contrib_e.chunks_exact(4);
-            let mut qo = contrib_o.chunks_exact(4);
-            for (e4, o4) in (&mut qe).zip(&mut qo) {
-                acc[0] += e4[0] + o4[0];
-                acc[1] += e4[1] + o4[1];
-                acc[2] += e4[2] + o4[2];
-                acc[3] += e4[3] + o4[3];
-            }
-            let mut tail = 0.0;
-            for (&e, &o) in qe.remainder().iter().zip(qo.remainder()) {
-                tail += e + o;
-            }
-            out.push((acc[0] + acc[1]) + (acc[2] + acc[3]) + tail);
-            for j in 0..3 {
-                let c = ct[j] * step_cos[j] - st[j] * step_sin[j];
-                let s = ct[j] * step_sin[j] + st[j] * step_cos[j];
-                ct[j] = c;
-                st[j] = s;
-            }
-        }
-    }
-
-    /// [`walk_span_cubic`](Self::walk_span_cubic) compiled with AVX2 +
-    /// FMA enabled. Selected at runtime by
-    /// [`walk_span_dispatched`](Self::walk_span_dispatched); agrees
-    /// with the scalar walk to FMA/reassociation rounding, far inside
-    /// every consumer's tolerance.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 and FMA support on the
-    /// running CPU (`is_x86_feature_detected!`) before calling —
-    /// `#[target_feature]` recompilation emits those instructions
-    /// unconditionally. The body itself is safe Rust.
-    #[cfg(target_arch = "x86_64")]
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn walk_span_cubic_avx2(
-        &self,
-        capture: &NonuniformCapture,
-        t0: f64,
-        step: f64,
-        i_start: usize,
-        len: usize,
-        first_n: i64,
-        scale: f64,
-        wr: &WinRows,
-        scratch: &mut GridScratch,
-    ) {
-        self.walk_span_cubic(capture, t0, step, i_start, len, first_n, scale, wr, scratch)
-    }
-
-    /// [`walk_span_cubic`](Self::walk_span_cubic) compiled with
-    /// AVX-512F + FMA enabled — the AVX2 variant's contract at twice
-    /// the lane count.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX-512F and FMA support on the
-    /// running CPU (`is_x86_feature_detected!`) before calling; the
-    /// body itself is safe Rust.
-    #[cfg(target_arch = "x86_64")]
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f,fma")]
-    unsafe fn walk_span_cubic_avx512(
-        &self,
-        capture: &NonuniformCapture,
-        t0: f64,
-        step: f64,
-        i_start: usize,
-        len: usize,
-        first_n: i64,
-        scale: f64,
-        wr: &WinRows,
-        scratch: &mut GridScratch,
-    ) {
-        self.walk_span_cubic(capture, t0, step, i_start, len, first_n, scale, wr, scratch)
     }
 
     /// Reconstructs the `n` uniform grid instants `t0, t0 + step, …`
@@ -905,44 +689,390 @@ impl PnbsGridPlan {
             })
     }
 
-    /// The capture-sample span `(first_n, span)` the `n`-point grid
-    /// reads, or `None` when the grid leaves the capture's coverage.
-    /// `n` must be positive.
-    fn grid_sample_span(
+    /// The tap-window centers `(nc_first, nc_last)` of the `n`-point
+    /// grid's end points, or `None` when the grid leaves the capture's
+    /// coverage. `n` must be positive.
+    fn grid_centers(
         &self,
         capture: &NonuniformCapture,
         t0: f64,
         step: f64,
         n: usize,
-    ) -> Option<(i64, usize)> {
+    ) -> Option<(i64, i64)> {
         let period = capture.period();
         let h = self.plan.half_taps as i64;
         // The grid is monotone, so endpoint tap windows bound every
         // point's window.
         let nc_first = (t0 / period).round() as i64;
         let nc_last = ((t0 + (n - 1) as f64 * step) / period).round() as i64;
-        let first_n = nc_first - h;
-        let last_n = nc_last + h;
-        if first_n < capture.n_start() || last_n >= capture.n_start() + capture.len() as i64 {
+        if nc_first - h < capture.n_start()
+            || nc_last + h >= capture.n_start() + capture.len() as i64
+        {
             return None;
         }
-        Some((first_n, (last_n - first_n + 1) as usize))
+        Some((nc_first, nc_last))
+    }
+
+    /// Picks the grid's path from its geometry, checks coverage and
+    /// fills the factored tables the producer reads.
+    fn prepare(
+        &self,
+        capture: &NonuniformCapture,
+        t0: f64,
+        step: f64,
+        n: usize,
+        simd: bool,
+        scratch: &mut GridScratch,
+    ) -> Option<GridFeed> {
+        assert!(step > 0.0, "grid step must be positive");
+        let omega_max = self.plan.w.iter().fold(0.0f64, |m, w| m.max(w.abs()));
+        let lattice = Lattice::detect(step, capture.period(), n, omega_max);
+        self.prepare_feed(capture, t0, step, n, lattice, simd, scratch)
+    }
+
+    /// [`prepare`](Self::prepare) on a given path: the tables cover the
+    /// whole grid's sample span for the walk, and the first `q` points'
+    /// span (one sample of margin each side for the tie residue's
+    /// shifted window) on the phase-major path.
+    #[allow(clippy::too_many_arguments)]
+    fn prepare_feed(
+        &self,
+        capture: &NonuniformCapture,
+        t0: f64,
+        step: f64,
+        n: usize,
+        lattice: Option<Lattice>,
+        simd: bool,
+        scratch: &mut GridScratch,
+    ) -> Option<GridFeed> {
+        let mut feed = GridFeed {
+            t0,
+            step,
+            n,
+            tab_first: 0,
+            n_ref: 0,
+            lattice,
+            simd,
+        };
+        if n == 0 {
+            return Some(feed);
+        }
+        let (nc_first, nc_last) = self.grid_centers(capture, t0, step, n)?;
+        let period = capture.period();
+        let h = self.plan.half_taps as i64;
+        let (lo, hi) = match feed.lattice {
+            Some(lat) => {
+                let t_last_row = t0 + (lat.q - 1) as f64 * step;
+                let nc_last_row = (t_last_row / period).round() as i64;
+                (nc_first - h - 1, nc_last_row + h + 1)
+            }
+            None => (nc_first - h, nc_last + h),
+        };
+        feed.tab_first = lo;
+        feed.n_ref = nc_first;
+        self.fill_sample_tables(period, lo, (hi - lo + 1) as usize, nc_first, scratch);
+        Some(feed)
+    }
+
+    /// Appends grid points `i0 .. i1` to `scratch.out`, dispatching to
+    /// the SIMD recompilations of [`produce_body`](Self::produce_body)
+    /// on x86-64 hosts with hardware FMA unless `RFBIST_FORCE_SCALAR`
+    /// is set or the feed pins the portable kernel. The single
+    /// producer behind the batch grid and the block feed. On the walk,
+    /// `i0` must be a multiple of [`GRID_BLOCK_LEN`].
+    fn produce(
+        &self,
+        capture: &NonuniformCapture,
+        feed: &GridFeed,
+        i0: usize,
+        i1: usize,
+        scratch: &mut GridScratch,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if feed.simd
+            && !rfbist_dsp::simd::force_scalar()
+            && std::arch::is_x86_feature_detected!("fma")
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: AVX-512F + FMA support was just verified at
+                // runtime by is_x86_feature_detected!; the kernel body
+                // is ordinary safe Rust, recompiled at wider vectors
+                // with hardware-FMA steps.
+                unsafe { self.produce_avx512(capture, feed, i0, i1, scratch) };
+                return;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 + FMA support was just verified at
+                // runtime by is_x86_feature_detected!; same safe kernel
+                // body as the portable path.
+                unsafe { self.produce_avx2(capture, feed, i0, i1, scratch) };
+                return;
+            }
+        }
+        self.produce_body::<false>(capture, feed, i0, i1, scratch)
+    }
+
+    /// [`produce_body`](Self::produce_body) compiled with AVX2 + FMA
+    /// enabled. Selected at runtime by [`produce`](Self::produce);
+    /// agrees with the portable kernel to FMA rounding, far inside
+    /// every consumer's tolerance.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX2 and FMA support on the
+    /// running CPU (`is_x86_feature_detected!`) before calling —
+    /// `#[target_feature]` recompilation emits those instructions
+    /// unconditionally. The body itself is safe Rust.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn produce_avx2(
+        &self,
+        capture: &NonuniformCapture,
+        feed: &GridFeed,
+        i0: usize,
+        i1: usize,
+        scratch: &mut GridScratch,
+    ) {
+        self.produce_body::<true>(capture, feed, i0, i1, scratch)
+    }
+
+    /// [`produce_body`](Self::produce_body) compiled with AVX-512F +
+    /// FMA enabled — the AVX2 variant's contract at twice the lane
+    /// count.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX-512F and FMA support on the
+    /// running CPU (`is_x86_feature_detected!`) before calling; the
+    /// body itself is safe Rust.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,fma")]
+    unsafe fn produce_avx512(
+        &self,
+        capture: &NonuniformCapture,
+        feed: &GridFeed,
+        i0: usize,
+        i1: usize,
+        scratch: &mut GridScratch,
+    ) {
+        self.produce_body::<true>(capture, feed, i0, i1, scratch)
+    }
+
+    /// The producer kernel: the walk or the phase-major super-block,
+    /// with every multiply-add fused when `FMA` (the
+    /// `#[target_feature]` instantiations) and plain `*`/`+` otherwise.
+    #[inline(always)]
+    fn produce_body<const FMA: bool>(
+        &self,
+        capture: &NonuniformCapture,
+        feed: &GridFeed,
+        i0: usize,
+        i1: usize,
+        scratch: &mut GridScratch,
+    ) {
+        let GridScratch {
+            out,
+            even_tab,
+            odd_tab,
+            row,
+            alt,
+            ..
+        } = scratch;
+        let num_taps = self.plan.num_taps();
+        for buf in [&mut row.even, &mut row.odd, &mut alt.even, &mut alt.odd] {
+            buf.resize(num_taps, 0.0);
+        }
+        let period = capture.period();
+        let inv_2hw = 1.0 / (2.0 * (self.plan.half_taps as f64 + 1.0));
+        let fill = match (&self.window.rows, self.window.table.cubic_parts()) {
+            (Some(rows), Some((scale, _))) => WindowFill::Planar { rows, scale },
+            _ => WindowFill::Direct(&self.window.table),
+        };
+        let ctx = RowCtx {
+            period,
+            inv_2hw,
+            d_shift: self.plan.delay / period * inv_2hw,
+            tau_guard: NEAR_ORIGIN_FRACTION * period,
+            tab_first: feed.tab_first,
+            span: even_tab.len() / 6,
+            even_tab,
+            odd_tab,
+            fill,
+        };
+        match feed.lattice {
+            Some(lat) => {
+                self.phase_major_body::<FMA>(capture, feed, lat, &ctx, i0, i1, row, alt, out)
+            }
+            None => self.walk_body::<FMA>(capture, feed, &ctx, i0, i1, row, out),
+        }
+    }
+
+    /// The walk: builds every point's row, advancing the time phasors
+    /// point to point, and appends its dot product with the capture.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn walk_body<const FMA: bool>(
+        &self,
+        capture: &NonuniformCapture,
+        feed: &GridFeed,
+        ctx: &RowCtx<'_>,
+        i0: usize,
+        i1: usize,
+        row: &mut WeightRow,
+        out: &mut Vec<f64>,
+    ) {
+        debug_assert!(
+            i0.is_multiple_of(TIME_RESEED_INTERVAL),
+            "walk chunks must start on a re-seed boundary"
+        );
+        let h = self.plan.half_taps as i64;
+        let t_ref = feed.n_ref as f64 * ctx.period;
+        let mut rot = TimeRotor::new(&self.plan.w, feed.step);
+        out.reserve(i1 - i0);
+        for i in i0..i1 {
+            let t = feed.t0 + i as f64 * feed.step;
+            rot.seed_if_due(i, &self.plan.w, t - t_ref);
+            let t_idx = t / ctx.period;
+            let first = t_idx.round() as i64 - h;
+            self.point_row::<FMA>(ctx, &rot.phasors(), t, t_idx, first, row);
+            out.push(dot_row::<FMA>(capture, first, row));
+            rot.advance();
+        }
+    }
+
+    /// One phase-major super-block: walks the first `q` grid points,
+    /// building residue `r`'s row at point `r`, and applies it to every
+    /// point `r + m·q` of the block with the tap window shifted by
+    /// `m·p` samples. A point whose own `round(t/T)` departs from that
+    /// prediction (the half-sample tie residue) takes the second row,
+    /// built for its shifted window. Appends points `i0 .. i1`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn phase_major_body<const FMA: bool>(
+        &self,
+        capture: &NonuniformCapture,
+        feed: &GridFeed,
+        lat: Lattice,
+        ctx: &RowCtx<'_>,
+        i0: usize,
+        i1: usize,
+        row: &mut WeightRow,
+        alt: &mut WeightRow,
+        out: &mut Vec<f64>,
+    ) {
+        let h = self.plan.half_taps as i64;
+        let t_ref = feed.n_ref as f64 * ctx.period;
+        let base = out.len();
+        out.resize(base + (i1 - i0), 0.0);
+        let block = &mut out[base..];
+        let mut rot = TimeRotor::new(&self.plan.w, feed.step);
+        for r in 0..lat.q {
+            let t_r = feed.t0 + r as f64 * feed.step;
+            rot.seed_if_due(r, &self.plan.w, t_r - t_ref);
+            // first point of residue r inside the block
+            let m0 = i0.saturating_sub(r).div_ceil(lat.q);
+            if r + m0 * lat.q < i1 {
+                let t_idx = t_r / ctx.period;
+                let first = t_idx.round() as i64 - h;
+                let ph = rot.phasors();
+                self.point_row::<FMA>(ctx, &ph, t_r, t_idx, first, row);
+                // window offset of the second row currently built
+                let mut alt_shift = 0i64;
+                let points = block.iter_mut().skip(r + m0 * lat.q - i0).step_by(lat.q);
+                for (m, slot) in (m0..).zip(points) {
+                    let t = feed.t0 + (r + m * lat.q) as f64 * feed.step;
+                    let lattice_first = first + m as i64 * lat.p;
+                    let shift = ((t / ctx.period).round() as i64 - h) - lattice_first;
+                    *slot = if shift == 0 {
+                        dot_row::<FMA>(capture, lattice_first, row)
+                    } else {
+                        debug_assert!(shift.abs() == 1, "lattice drift is sub-sample");
+                        if shift != alt_shift {
+                            self.point_row::<FMA>(ctx, &ph, t_r, t_idx, first + shift, alt);
+                            alt_shift = shift;
+                        }
+                        dot_row::<FMA>(capture, lattice_first + shift, alt)
+                    };
+                }
+            }
+            rot.advance();
+        }
+    }
+
+    /// The row builder: the eq. 6 weights (kernel × window) of the grid
+    /// point at `t` (`t_idx = t/T`) for the tap window starting at
+    /// sample `first`, given its time phasors `ph`. The per-tap pass is
+    /// branch-free — every tap goes through the factored tables, and
+    /// the at most one tap per stream inside the near-origin guard ring
+    /// (where the `1/τ` pole lives, including τ = ±0) is rewritten with
+    /// its exact value afterwards.
+    #[inline(always)]
+    fn point_row<const FMA: bool>(
+        &self,
+        ctx: &RowCtx<'_>,
+        ph: &[f64; 6],
+        t: f64,
+        t_idx: f64,
+        first: i64,
+        row: &mut WeightRow,
+    ) {
+        let num_taps = self.plan.num_taps();
+        let period = ctx.period;
+        let te0 = t - first as f64 * period;
+        let to0 = first as f64 * period + self.plan.delay - t;
+        let x0 = 0.5 + (first as f64 - t_idx) * ctx.inv_2hw;
+        let even = &mut row.even[..num_taps];
+        let odd = &mut row.odd[..num_taps];
+        ctx.fill.fill::<FMA>(x0, ctx.inv_2hw, even);
+        ctx.fill.fill::<FMA>(x0 + ctx.d_shift, ctx.inv_2hw, odd);
+        // Exact near-origin weights, taken while the rows still hold
+        // the bare window values.
+        let exact = |tau0: f64, sign: f64, win: &[f64]| {
+            let kg = (sign * tau0 / period).round();
+            let tau = tau0 - sign * kg * period;
+            if kg < 0.0 || tau.abs() >= ctx.tau_guard {
+                return None;
+            }
+            let k = kg as usize;
+            win.get(k).map(|&w| (k, w * self.kernel_near_origin(tau)))
+        };
+        let patch_e = exact(te0, 1.0, even);
+        let patch_o = exact(to0, -1.0, odd);
+        let base = (first - ctx.tab_first) as usize;
+        let ea = plane_views(ctx.even_tab, ctx.span, base, num_taps);
+        let oa = plane_views(ctx.odd_tab, ctx.span, base, num_taps);
+        let inv_two_pi_b = self.plan.inv_two_pi_b;
+        for k in 0..num_taps {
+            let fk = k as f64;
+            let tau_e = te0 - fk * period;
+            even[k] *= numerator::<FMA>(ph, &ea, k) * inv_two_pi_b / tau_e;
+            let tau_o = to0 + fk * period;
+            odd[k] *= numerator::<FMA>(ph, &oa, k) * inv_two_pi_b / tau_o;
+        }
+        for (stream, patch) in [(even, patch_e), (odd, patch_o)] {
+            if let Some((k, v)) = patch {
+                if let Some(slot) = stream.get_mut(k) {
+                    *slot = v;
+                }
+            }
+        }
     }
 
     /// Streams the `n` uniform grid instants `t0, t0 + step, …` as
-    /// [`GRID_BLOCK_LEN`]-point blocks — the re-seed chunks the grid
-    /// walk already produces — reconstructed into `scratch` one block
-    /// per [`GridBlocks::next_block`] call, with no allocation per
-    /// block in steady state. Returns `None` when the grid is not
-    /// fully inside the capture's coverage.
+    /// [`GRID_BLOCK_LEN`]-point blocks, one per
+    /// [`GridBlocks::next_block`] call, with no allocation per block in
+    /// steady state. The producer fills `scratch` one chunk ahead — one
+    /// re-seed block on the walk, one [`SUPER_BLOCK_LEN`] super-block on
+    /// the phase-major path — so the full grid never materializes.
+    /// Returns `None` when the grid is not fully inside the capture's
+    /// coverage.
     ///
-    /// Blocks start on the walk's re-seed boundaries, so the
-    /// concatenated blocks are **bit-identical** to one
-    /// [`reconstruct_grid`](Self::reconstruct_grid) call over the same
-    /// grid (pinned by the gridplan tests and
-    /// `tests/stream_scan_equivalence.rs`) — a consumer fed block by
-    /// block sees exactly the batch waveform, without the full grid
-    /// ever materializing.
+    /// The feed runs the same producer as
+    /// [`reconstruct_grid`](Self::reconstruct_grid) over the same
+    /// chunks, so the concatenated blocks are **bit-identical** to the
+    /// batch grid (pinned by the gridplan tests,
+    /// `tests/grid_plan_equivalence.rs` and
+    /// `tests/stream_scan_equivalence.rs`).
     ///
     /// # Panics
     ///
@@ -955,22 +1085,14 @@ impl PnbsGridPlan {
         n: usize,
         scratch: &'a mut GridScratch,
     ) -> Option<GridBlocks<'a>> {
-        assert!(step > 0.0, "grid step must be positive");
-        let mut first_n = 0;
-        if n > 0 {
-            let (fnn, span) = self.grid_sample_span(capture, t0, step, n)?;
-            first_n = fnn;
-            let h = self.plan.half_taps as i64;
-            self.fill_sample_tables(capture, first_n, span, first_n + h, scratch);
-        }
+        let feed = self.prepare(capture, t0, step, n, true, scratch)?;
+        scratch.out.clear();
         Some(GridBlocks {
             plan: self,
             capture,
             scratch,
-            t0,
-            step,
-            n,
-            first_n,
+            feed,
+            held: 0,
             produced: 0,
         })
     }
@@ -995,344 +1117,50 @@ impl PnbsGridPlan {
                 )
             })
     }
-
-    /// Reconstructs every `stride`-th [`GRID_BLOCK_LEN`]-point block
-    /// of the `n`-point grid, starting at block `offset`, calling
-    /// `emit(block_index, &mut block)` for each. This is the single
-    /// producer body shared by the scoped workers of
-    /// [`try_stream_blocks_parallel`](Self::try_stream_blocks_parallel)
-    /// and the persistent workers of the `rfbist-core` verdict
-    /// service: one worker runs `(offset = w, stride = workers)` and
-    /// the union over workers covers the grid exactly once.
-    ///
-    /// `emit` receives the block through `&mut Vec<f64>` so a
-    /// consumer can `mem::swap` it against a recycled buffer —
-    /// steady state stays allocation-free — and returns `false` to
-    /// stop the walk early. Blocks re-seed exactly, so
-    /// `(offset = 0, stride = 1)` emits bit-identical blocks to
-    /// [`reconstruct_blocks`](Self::reconstruct_blocks).
-    ///
-    /// Returns the number of blocks emitted, or `None` when the grid
-    /// is not fully inside the capture's coverage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` is not positive or `stride` is zero — caller
-    /// bugs, not runtime faults.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_produce_blocks_strided<F: FnMut(usize, &mut Vec<f64>) -> bool>(
-        &self,
-        capture: &NonuniformCapture,
-        t0: f64,
-        step: f64,
-        n: usize,
-        offset: usize,
-        stride: usize,
-        scratch: &mut GridScratch,
-        mut emit: F,
-    ) -> Option<usize> {
-        assert!(step > 0.0, "grid step must be positive");
-        assert!(stride > 0, "stride must be positive");
-        if n == 0 {
-            return Some(0);
-        }
-        let (first_n, span) = self.grid_sample_span(capture, t0, step, n)?;
-        let h = self.plan.half_taps as i64;
-        self.fill_sample_tables(capture, first_n, span, first_n + h, scratch);
-        let nblocks = n.div_ceil(GRID_BLOCK_LEN);
-        let mut produced = 0usize;
-        let mut idx = offset;
-        while idx < nblocks {
-            let i_start = idx * GRID_BLOCK_LEN;
-            let len = (n - i_start).min(GRID_BLOCK_LEN);
-            scratch.out.clear();
-            self.walk_span_dispatched(capture, t0, step, i_start, len, first_n, true, scratch);
-            produced += 1;
-            if !emit(idx, &mut scratch.out) {
-                break;
-            }
-            idx += stride;
-        }
-        Some(produced)
-    }
-
-    /// Drives `consume(block_index, block)` over every
-    /// [`GRID_BLOCK_LEN`]-point block of the grid **in index order**,
-    /// reconstructing blocks on `workers` scoped producer threads —
-    /// the pipelined form of [`reconstruct_blocks`]
-    /// (Self::reconstruct_blocks) for consumers (the streaming mask
-    /// scan) that are much cheaper than the reconstruction feeding
-    /// them. Because every block re-seeds exactly, the consumer sees
-    /// bit-identical blocks regardless of the worker count or
-    /// scheduling; only the wall-clock changes.
-    ///
-    /// `consume` returns `false` to stop the feed early (a streaming
-    /// early verdict): producers drain and exit, and the number of
-    /// points actually consumed is returned. In-flight memory is
-    /// bounded by a few blocks per worker — the full grid never
-    /// materializes. Returns `None` when the grid is not fully inside
-    /// the capture's coverage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` is not positive or `workers` is zero, and
-    /// propagates producer panics.
-    pub fn stream_blocks_parallel<F: FnMut(usize, &[f64]) -> bool>(
-        &self,
-        capture: &NonuniformCapture,
-        t0: f64,
-        step: f64,
-        n: usize,
-        workers: usize,
-        consume: F,
-    ) -> Option<usize> {
-        self.try_stream_blocks_parallel(capture, t0, step, n, workers, consume)
-            .unwrap_or_else(|p| panic!("{p}"))
-    }
-
-    /// [`stream_blocks_parallel`](Self::stream_blocks_parallel) with
-    /// supervised producers: each worker body runs under
-    /// `catch_unwind`, the buffer pool tolerates poisoned locks
-    /// (surviving workers recover the pool with
-    /// [`PoisonError::into_inner`](std::sync::PoisonError::into_inner)
-    /// — the protected `Vec<Vec<f64>>` of recycled buffers is valid in
-    /// any state the panicking worker can leave it in), and the first
-    /// worker panic is returned as a typed [`StreamWorkerPanic`]
-    /// instead of unwinding through the caller. On a worker fault the
-    /// feed stops, the remaining producers drain, and no further
-    /// blocks reach `consume` — the caller decides whether to retry
-    /// in parallel or fall back to the bit-identical sequential feed.
-    ///
-    /// # Panics
-    ///
-    /// Still panics if `step` is not positive or `workers` is zero —
-    /// those are caller bugs, not runtime faults.
-    pub fn try_stream_blocks_parallel<F: FnMut(usize, &[f64]) -> bool>(
-        &self,
-        capture: &NonuniformCapture,
-        t0: f64,
-        step: f64,
-        n: usize,
-        workers: usize,
-        mut consume: F,
-    ) -> Result<Option<usize>, StreamWorkerPanic> {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::mpsc::sync_channel;
-        use std::sync::Mutex;
-
-        assert!(step > 0.0, "grid step must be positive");
-        assert!(workers > 0, "need at least one producer");
-        if n == 0 {
-            return Ok(Some(0));
-        }
-        if self.grid_sample_span(capture, t0, step, n).is_none() {
-            return Ok(None);
-        }
-        let nblocks = n.div_ceil(GRID_BLOCK_LEN);
-        let workers = workers.min(nblocks);
-        let stop = AtomicBool::new(false);
-        // Recycled block buffers: the pool bounds steady-state
-        // allocation to the in-flight window.
-        let pool: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
-        // First worker panic wins; later ones are redundant (the stop
-        // flag is already up by then).
-        let fault: Mutex<Option<StreamWorkerPanic>> = Mutex::new(None);
-        let (tx, rx) = sync_channel::<(usize, Vec<f64>)>(2 * workers);
-        let mut consumed = 0usize;
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let tx = tx.clone();
-                let (stop, pool, fault) = (&stop, &pool, &fault);
-                scope.spawn(move || {
-                    let body = catch_unwind(AssertUnwindSafe(|| {
-                        let mut scratch = GridScratch::new();
-                        // Static round-robin over the shared strided
-                        // producer body: uniform per-block cost makes
-                        // it within a few percent of optimal (the
-                        // rfbist-bench chunked-sweep argument).
-                        // Coverage was validated before spawning, so
-                        // the walk cannot return `None` here.
-                        let _ = self.try_produce_blocks_strided(
-                            capture,
-                            t0,
-                            step,
-                            n,
-                            w,
-                            workers,
-                            &mut scratch,
-                            |idx, out| {
-                                if stop.load(Ordering::Relaxed) {
-                                    return false;
-                                }
-                                let mut guard = lock_unpoisoned(pool);
-                                if chaos::take_producer_panic() {
-                                    // Deliberately panic while holding
-                                    // the pool lock so the
-                                    // poison-recovery path is
-                                    // exercised, not just catch_unwind.
-                                    panic!("chaos: injected producer panic in worker {w}");
-                                }
-                                let mut buf = guard.pop().unwrap_or_default();
-                                drop(guard);
-                                std::mem::swap(&mut buf, out);
-                                // `false` on send failure: the
-                                // consumer hung up after an early stop.
-                                tx.send((idx, buf)).is_ok()
-                            },
-                        );
-                    }));
-                    if let Err(payload) = body {
-                        let detail = if let Some(s) = payload.downcast_ref::<&str>() {
-                            (*s).to_string()
-                        } else if let Some(s) = payload.downcast_ref::<String>() {
-                            s.clone()
-                        } else {
-                            "non-string panic payload".to_string()
-                        };
-                        lock_unpoisoned(fault)
-                            .get_or_insert(StreamWorkerPanic { worker: w, detail });
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                });
-            }
-            drop(tx);
-            // The consumer runs on the calling thread, re-ordering the
-            // workers' blocks so `consume` always sees the grid in
-            // order. A dead worker leaves a hole in the round-robin
-            // sequence; `next` stalls there, blocks pile into
-            // `pending`, and the stop flag drains the survivors — the
-            // channel closes when the last sender drops, so this loop
-            // always terminates.
-            let mut pending: std::collections::BTreeMap<usize, Vec<f64>> =
-                std::collections::BTreeMap::new();
-            let mut next = 0usize;
-            for (idx, buf) in rx {
-                pending.insert(idx, buf);
-                while let Some(buf) = pending.remove(&next) {
-                    if !stop.load(Ordering::Relaxed) {
-                        let keep_going = consume(next, &buf);
-                        consumed += buf.len();
-                        if !keep_going {
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                    }
-                    lock_unpoisoned(&pool).push(buf);
-                    next += 1;
-                }
-                if stop.load(Ordering::Relaxed) {
-                    // keep draining so blocked producers can exit
-                    pending.clear();
-                }
-            }
-        });
-        match fault.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some(panic) => Err(panic),
-            None => Ok(Some(consumed)),
-        }
-    }
 }
 
-/// Lock a mutex, recovering from poisoning: every value protected by a
-/// pool/fault mutex in this module is valid in any state a panicking
-/// holder can leave it in (a `Vec` of owned buffers, an `Option`).
-fn lock_unpoisoned<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// A producer thread of
-/// [`try_stream_blocks_parallel`](PnbsGridPlan::try_stream_blocks_parallel)
-/// panicked; the feed stopped before completing the grid.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StreamWorkerPanic {
-    /// Zero-based index of the worker that died.
-    pub worker: usize,
-    /// The panic payload (or a placeholder for non-string payloads).
-    pub detail: String,
-}
-
-impl core::fmt::Display for StreamWorkerPanic {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "stream producer worker {} panicked: {}",
-            self.worker, self.detail
-        )
-    }
-}
-
-impl std::error::Error for StreamWorkerPanic {}
-
-/// Fault-injection hooks for the chaos test suite. Not part of the
-/// public API contract; armed panics fire inside the parallel feed's
-/// producer loop **while the buffer-pool lock is held**, so a single
-/// armed panic exercises both `catch_unwind` supervision and poisoned
-/// pool recovery in the surviving workers.
-#[doc(hidden)]
-pub mod chaos {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    static PRODUCER_PANICS: AtomicUsize = AtomicUsize::new(0);
-
-    /// Arm the next `n` producer block productions (across all
-    /// workers and calls) to panic. `0` disarms.
-    pub fn arm_producer_panics(n: usize) {
-        PRODUCER_PANICS.store(n, Ordering::SeqCst);
-    }
-
-    /// Consume one armed panic, if any.
-    pub(super) fn take_producer_panic() -> bool {
-        PRODUCER_PANICS
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
-            .is_ok()
-    }
-}
-
-/// A lending iterator over the grid's [`GRID_BLOCK_LEN`]-point
-/// re-seed blocks, produced by
-/// [`PnbsGridPlan::reconstruct_blocks`]. Each
-/// [`next_block`](Self::next_block) reconstructs the next chunk into
-/// the borrowed scratch and yields it; the final block may be shorter.
+/// A lending iterator over the grid's [`GRID_BLOCK_LEN`]-point blocks,
+/// produced by [`PnbsGridPlan::reconstruct_blocks`]. Each
+/// [`next_block`](Self::next_block) yields the next block from the
+/// chunk held in the borrowed scratch, producing the next chunk when
+/// the held one is exhausted; the final block may be shorter.
 ///
 /// This is the producer side of the streaming BIST pipeline: feed each
 /// block straight into a consumer (the engine pushes them into
 /// `rfbist_core`'s streaming mask scan) and the full analysis grid
-/// never materializes.
+/// never materializes. A consumer that stops early skips every chunk
+/// after the one it stopped in.
 #[derive(Debug)]
 pub struct GridBlocks<'a> {
     plan: &'a PnbsGridPlan,
     capture: &'a NonuniformCapture,
     scratch: &'a mut GridScratch,
-    t0: f64,
-    step: f64,
-    n: usize,
-    first_n: i64,
+    feed: GridFeed,
+    /// Grid index of the first point of the chunk held in the scratch.
+    held: usize,
     produced: usize,
 }
 
 impl GridBlocks<'_> {
-    /// Reconstructs and yields the next block, or `None` when the grid
-    /// is exhausted. The yielded slice lives in the scratch buffer and
-    /// is overwritten by the next call.
+    /// Yields the next block, or `None` when the grid is exhausted.
+    /// The yielded slice lives in the scratch buffer and is
+    /// overwritten by a later call.
     pub fn next_block(&mut self) -> Option<&[f64]> {
-        let remaining = self.n - self.produced;
-        if remaining == 0 {
+        let n = self.feed.n;
+        if self.produced == n {
             return None;
         }
-        let len = remaining.min(GRID_BLOCK_LEN);
-        self.scratch.out.clear();
-        self.plan.walk_span_dispatched(
-            self.capture,
-            self.t0,
-            self.step,
-            self.produced,
-            len,
-            self.first_n,
-            true,
-            self.scratch,
-        );
+        if self.produced == self.held + self.scratch.out.len() {
+            let end = (self.produced + self.feed.chunk_len()).min(n);
+            self.scratch.out.clear();
+            self.plan
+                .produce(self.capture, &self.feed, self.produced, end, self.scratch);
+            self.held = self.produced;
+        }
+        let lo = self.produced - self.held;
+        let len = (n - self.produced).min(GRID_BLOCK_LEN);
         self.produced += len;
-        Some(&self.scratch.out)
+        self.scratch.out.get(lo..lo + len)
     }
 
     /// Grid points yielded so far.
@@ -1342,28 +1170,98 @@ impl GridBlocks<'_> {
 
     /// Total grid points this feed will yield.
     pub fn grid_len(&self) -> usize {
-        self.n
+        self.feed.n
     }
+}
+
+/// `a·b + c`: one fused multiply-add in the `#[target_feature]`
+/// instantiations, plain `*`/`+` on the portable path.
+#[inline(always)]
+fn mad<const FMA: bool>(a: f64, b: f64, c: f64) -> f64 {
+    if FMA {
+        a.mul_add(b, c)
+    } else {
+        a * b + c
+    }
+}
+
+/// The factored kernel numerator at tap `k`:
+/// `c₀A₀ + s₀B₀ + c₁A₁ + s₁B₁ + c₂A₂ + s₂B₂`, nested from the last
+/// family outward.
+#[inline(always)]
+fn numerator<const FMA: bool>(ph: &[f64; 6], planes: &[&[f64]; 6], k: usize) -> f64 {
+    let mut num = 0.0;
+    for (p, plane) in ph.iter().zip(planes).rev() {
+        num = mad::<FMA>(*p, plane[k], num);
+    }
+    num
+}
+
+/// A row's dot product with the capture samples under its tap window
+/// (which starts at sample `first`): both streams accumulate on eight
+/// lanes, reduced pairwise, plus the scalar tail.
+#[inline(always)]
+fn dot_row<const FMA: bool>(capture: &NonuniformCapture, first: i64, row: &WeightRow) -> f64 {
+    const LANES: usize = 8;
+    let taps = row.even.len();
+    let cap = (first - capture.n_start()) as usize;
+    let (ev, evt) = capture.even()[cap..cap + taps].as_chunks::<LANES>();
+    let (od, odt) = capture.odd()[cap..cap + taps].as_chunks::<LANES>();
+    let (re, ret) = row.even.as_chunks::<LANES>();
+    let (ro, rot) = row.odd.as_chunks::<LANES>();
+    let mut acc_e = [0.0f64; LANES];
+    let mut acc_o = [0.0f64; LANES];
+    for (((e, o), a), b) in ev.iter().zip(od).zip(re).zip(ro) {
+        for (s, (&x, &w)) in acc_e.iter_mut().zip(e.iter().zip(a)) {
+            *s = mad::<FMA>(x, w, *s);
+        }
+        for (s, (&x, &w)) in acc_o.iter_mut().zip(o.iter().zip(b)) {
+            *s = mad::<FMA>(x, w, *s);
+        }
+    }
+    let (mut tail_e, mut tail_o) = (0.0, 0.0);
+    for (((&e, &o), &a), &b) in evt.iter().zip(odt).zip(ret).zip(rot) {
+        tail_e = mad::<FMA>(e, a, tail_e);
+        tail_o = mad::<FMA>(o, b, tail_o);
+    }
+    lane_sum(acc_e) + lane_sum(acc_o) + (tail_e + tail_o)
+}
+
+/// Pairwise sum of an eight-lane accumulator.
+#[inline(always)]
+fn lane_sum(acc: [f64; 8]) -> f64 {
+    let [a0, a1, a2, a3, a4, a5, a6, a7] = acc;
+    ((a0 + a4) + (a1 + a5)) + ((a2 + a6) + (a3 + a7))
 }
 
 /// The six per-sample factored planes of one stream's table (see
 /// [`GridScratch`]), each sliced to the `len`-tap window starting at
-/// sample offset `base` — pre-bounded so the walk kernels' tap loops
-/// carry no bounds checks.
+/// sample offset `base` — pre-bounded so the row builder's tap loop
+/// carries no bounds checks.
 #[inline(always)]
 fn plane_views(tab: &[f64], span: usize, base: usize, len: usize) -> [&[f64]; 6] {
-    std::array::from_fn(|p| &tab[p * span + base..p * span + base + len])
+    let plane = |p: usize| &tab[p * span + base..p * span + base + len];
+    [plane(0), plane(1), plane(2), plane(3), plane(4), plane(5)]
 }
 
-/// [`fill_window_row`] against the residue-transposed table
-/// ([`WinRows`]): the four stencil nodes of every tap come from four
-/// *contiguous* residue rows, so the whole row fill is four
-/// unit-stride streams of fused multiply-adds and vectorizes with the
-/// tap kernel. Used only by the `#[target_feature]` walk kernels —
-/// same weights, same table nodes, FMA-rounded.
+/// Fills one stream's per-tap window row for a grid point whose first
+/// tap sits at normalized position `x_start`, walking the row at
+/// stride `inv_2hw` through the residue-transposed node-aligned cubic
+/// table ([`WinRows`], built from [`Window::tabulated_aligned`]): the
+/// stride spans exactly `stride` table nodes, so every tap shares the
+/// interpolation weights computed once from the fractional node
+/// position, and the four stencil nodes of every tap come from four
+/// contiguous residue rows — four unit-stride streams of multiply-adds
+/// that vectorize with the tap kernel. Taps beyond the window support
+/// get exact zeros, matching [`WindowTable::at`].
 #[inline(always)]
-// analysis: allow(naked-panic) — p0..p3 are pre-sliced to n_active; the k subscripts cannot leave them
-fn fill_window_row_planar(wr: &WinRows, scale: f64, inv_2hw: f64, x_start: f64, out: &mut [f64]) {
+fn fill_window_row_planar<const FMA: bool>(
+    wr: &WinRows,
+    scale: f64,
+    inv_2hw: f64,
+    x_start: f64,
+    out: &mut [f64],
+) {
     debug_assert!(x_start > 0.0 && x_start < 1.0);
     let pos = x_start * scale;
     let i0 = pos as usize;
@@ -1396,55 +1294,13 @@ fn fill_window_row_planar(wr: &WinRows, scale: f64, inv_2hw: f64, x_start: f64, 
     let p3 = &wr.data[base + 3 * cols..base + 3 * cols + n_active];
     let (active, tail) = out.split_at_mut(n_active);
     for (k, w) in active.iter_mut().enumerate() {
-        *w = c0.mul_add(p0[k], c1.mul_add(p1[k], c2.mul_add(p2[k], c3 * p3[k])));
+        *w = mad::<FMA>(
+            c0,
+            p0[k],
+            mad::<FMA>(c1, p1[k], mad::<FMA>(c2, p2[k], c3 * p3[k])),
+        );
     }
     tail.fill(0.0);
-}
-
-/// Fills one stream's per-tap window row for a grid point whose first
-/// tap sits at normalized position `x_start`, walking the row at
-/// stride `inv_2hw` through a node-aligned cubic table
-/// ([`Window::tabulated_aligned`]): the stride spans exactly `stride`
-/// table nodes, so every tap shares the interpolation weights computed
-/// once from the fractional node position, and each value is four
-/// contiguous loads and four fused multiply-adds. Taps beyond the
-/// window support get exact zeros, matching [`WindowTable::at`].
-#[inline(always)]
-fn fill_window_row(
-    scale: f64,
-    vals: &[f64],
-    stride: usize,
-    inv_2hw: f64,
-    x_start: f64,
-    out: &mut [f64],
-) {
-    debug_assert!(x_start > 0.0 && x_start < 1.0);
-    let pos = x_start * scale;
-    let i0 = pos as usize;
-    let s = pos - i0 as f64;
-    // Shared cubic-Lagrange weights on the stencil at s ∈ {−1, 0, 1, 2}.
-    let sp = s + 1.0;
-    let sm = s - 1.0;
-    let s2 = s - 2.0;
-    let c0 = -(s * sm * s2) / 6.0;
-    let c1 = sp * sm * s2 * 0.5;
-    let c2 = -(sp * s * s2) * 0.5;
-    let c3 = sp * s * sm / 6.0;
-    // Taps past the support edge (odd stream, large D̂) are zero.
-    let k_hi = if x_start + (out.len() - 1) as f64 * inv_2hw <= 1.0 {
-        out.len() - 1
-    } else {
-        (((1.0 - x_start) / inv_2hw).floor().max(0.0) as usize).min(out.len() - 1)
-    };
-    for (k, w) in out.iter_mut().enumerate() {
-        if k > k_hi {
-            *w = 0.0;
-            continue;
-        }
-        // x ≤ 1 keeps the stencil inside the padded table
-        let p = &vals[i0 + k * stride..i0 + k * stride + 4];
-        *w = c0 * p[0] + c1 * p[1] + c2 * p[2] + c3 * p[3];
-    }
 }
 
 #[cfg(test)]
@@ -1618,145 +1474,6 @@ mod tests {
     }
 
     #[test]
-    fn strided_producer_with_unit_stride_matches_monolithic_grid() {
-        let tone = Tone::unit(0.98e9);
-        let cap = NonuniformCapture::from_signal(&tone, 1.0 / B, D, -50, 350);
-        let plan = PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0));
-        let (t0, step, n) = (0.6e-6, 2.5e-10, 2000);
-        let mut scratch = GridScratch::new();
-        let want = plan
-            .reconstruct_grid(&cap, t0, step, n, &mut scratch)
-            .to_vec();
-        let mut got = Vec::new();
-        let mut next_idx = 0usize;
-        let mut stride_scratch = GridScratch::new();
-        let blocks = plan
-            .try_produce_blocks_strided(&cap, t0, step, n, 0, 1, &mut stride_scratch, |idx, out| {
-                assert_eq!(idx, next_idx, "unit stride walks blocks in order");
-                next_idx += 1;
-                got.extend_from_slice(out);
-                true
-            })
-            .expect("grid is inside coverage");
-        assert_eq!(blocks, n.div_ceil(GRID_BLOCK_LEN));
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn strided_producers_partition_the_grid_exactly_once() {
-        let tone = Tone::unit(0.98e9);
-        let cap = NonuniformCapture::from_signal(&tone, 1.0 / B, D, -50, 350);
-        let plan = PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0));
-        let (t0, step, n) = (0.6e-6, 2.5e-10, 2000);
-        let mut scratch = GridScratch::new();
-        let want = plan
-            .reconstruct_grid(&cap, t0, step, n, &mut scratch)
-            .to_vec();
-        let stride = 3usize;
-        let mut got = vec![f64::NAN; n];
-        let mut total_blocks = 0usize;
-        for offset in 0..stride {
-            let mut worker_scratch = GridScratch::new();
-            total_blocks += plan
-                .try_produce_blocks_strided(
-                    &cap,
-                    t0,
-                    step,
-                    n,
-                    offset,
-                    stride,
-                    &mut worker_scratch,
-                    |idx, out| {
-                        assert_eq!(idx % stride, offset, "block {idx} on wrong worker");
-                        let lo = idx * GRID_BLOCK_LEN;
-                        for (slot, &v) in got[lo..lo + out.len()].iter_mut().zip(out.iter()) {
-                            assert!(slot.is_nan(), "block {idx} emitted twice");
-                            *slot = v;
-                        }
-                        true
-                    },
-                )
-                .expect("grid is inside coverage");
-        }
-        assert_eq!(total_blocks, n.div_ceil(GRID_BLOCK_LEN));
-        // the union of the strided walks is the monolithic grid,
-        // bit-identical — every point written exactly once
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn strided_producer_early_stop_and_swap_are_supported() {
-        let tone = Tone::unit(0.98e9);
-        let cap = NonuniformCapture::from_signal(&tone, 1.0 / B, D, -50, 350);
-        let plan = PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0));
-        let (t0, step, n) = (0.6e-6, 2.5e-10, 2000);
-        let mut scratch = GridScratch::new();
-        let mut stolen: Vec<Vec<f64>> = Vec::new();
-        let blocks = plan
-            .try_produce_blocks_strided(&cap, t0, step, n, 0, 1, &mut scratch, |_, out| {
-                let mut buf = Vec::new();
-                std::mem::swap(&mut buf, out);
-                stolen.push(buf);
-                stolen.len() < 3
-            })
-            .expect("grid is inside coverage");
-        assert_eq!(blocks, 3, "emit returning false stops the walk");
-        assert!(stolen.iter().all(|b| b.len() == GRID_BLOCK_LEN));
-        // out-of-coverage grids still surface as None
-        assert!(plan
-            .try_produce_blocks_strided(&cap, -1.0, 1e-9, 8, 0, 1, &mut scratch, |_, _| true)
-            .is_none());
-    }
-
-    #[test]
-    fn parallel_block_feed_matches_sequential_feed() {
-        let tone = Tone::unit(0.98e9);
-        let cap = NonuniformCapture::from_signal(&tone, 1.0 / B, D, -50, 350);
-        let plan = PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0));
-        let (t0, step, n) = (0.6e-6, 2.5e-10, 2000);
-        let mut scratch = GridScratch::new();
-        let want = plan
-            .reconstruct_grid(&cap, t0, step, n, &mut scratch)
-            .to_vec();
-        for workers in [1usize, 2, 3, 7] {
-            let mut got = vec![f64::NAN; n];
-            let mut cursor = 0usize;
-            let consumed = plan
-                .stream_blocks_parallel(&cap, t0, step, n, workers, |idx, block| {
-                    assert_eq!(idx * GRID_BLOCK_LEN, cursor, "blocks must arrive in order");
-                    got[cursor..cursor + block.len()].copy_from_slice(block);
-                    cursor += block.len();
-                    true
-                })
-                .expect("grid inside coverage");
-            assert_eq!(consumed, n, "workers = {workers}");
-            assert_eq!(got, want, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_block_feed_early_stop_bounds_consumption() {
-        let tone = Tone::unit(0.98e9);
-        let cap = NonuniformCapture::from_signal(&tone, 1.0 / B, D, -50, 350);
-        let plan = PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0));
-        let (t0, step, n) = (0.6e-6, 2.5e-10, 2000);
-        let mut seen = 0usize;
-        let consumed = plan
-            .stream_blocks_parallel(&cap, t0, step, n, 3, |_, block| {
-                seen += block.len();
-                seen < 600 // stop after the third block
-            })
-            .expect("grid inside coverage");
-        assert_eq!(consumed, seen);
-        assert_eq!(consumed, 3 * GRID_BLOCK_LEN);
-        // out-of-coverage grids are still rejected up front
-        let short = NonuniformCapture::from_signal(&tone, 1.0 / B, D, 0, 100);
-        assert!(plan
-            .stream_blocks_parallel(&short, 0.0, 1e-9, 8, 2, |_, _| true)
-            .is_none());
-    }
-
-    #[test]
     fn block_feed_handles_origin_branch_and_bartlett_fallback() {
         // exact sample instants exercise the near-origin guard inside
         // the block walk; Bartlett's kinked shape exercises the
@@ -1834,5 +1551,159 @@ mod tests {
         assert_eq!(plan.num_taps(), 61);
         assert_eq!(plan.delay(), D);
         assert_eq!(plan.plan().num_taps(), 61);
+    }
+
+    /// The walk's values on a grid, bypassing lattice detection.
+    fn walk_values(
+        plan: &PnbsGridPlan,
+        cap: &NonuniformCapture,
+        t0: f64,
+        step: f64,
+        n: usize,
+    ) -> Vec<f64> {
+        let mut scratch = GridScratch::new();
+        let feed = plan
+            .prepare_feed(cap, t0, step, n, None, true, &mut scratch)
+            .expect("grid inside coverage");
+        scratch.out.clear();
+        for i0 in (0..n).step_by(GRID_BLOCK_LEN) {
+            plan.produce(cap, &feed, i0, (i0 + GRID_BLOCK_LEN).min(n), &mut scratch);
+        }
+        scratch.out
+    }
+
+    fn omega_max(plan: &PnbsGridPlan) -> f64 {
+        plan.plan.w.iter().fold(0.0f64, |m, w| m.max(w.abs()))
+    }
+
+    #[test]
+    fn lattice_detection_finds_the_builtin_grid_ratios() {
+        // (carrier, grid rate, grid length) of the builtin deployments
+        // against the fixed 90 MHz sampler
+        for (fc, rate, n, p, q) in [
+            (100e6, 300e6, 8192, 3, 10),
+            (1e9, 4e9, 12288, 9, 400),
+            (1.55e9, 4e9, 12288, 9, 400),
+            (2.175e9, 5e9, 32768, 9, 500),
+            (2.85e9, 6.5e9, 32768, 9, 650),
+        ] {
+            let plan = PnbsGridPlan::new(BandSpec::centered(fc, B), D, 61, Window::Kaiser(8.0));
+            let lat = Lattice::detect(1.0 / rate, 1.0 / B, n, omega_max(&plan));
+            assert_eq!(lat, Some(Lattice { p, q }), "{rate:e} Hz grid");
+        }
+    }
+
+    #[test]
+    fn lattice_detection_rejects_walk_grids() {
+        let w = omega_max(&PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0)));
+        let t_s = 1.0 / B;
+        // a 300-point cost-probe-sized grid: under four points per phase
+        assert_eq!(Lattice::detect(2.5e-10, t_s, 300, w), None);
+        assert_eq!(Lattice::detect(2.5e-10, t_s, 1599, w), None);
+        assert!(Lattice::detect(2.5e-10, t_s, 1600, w).is_some());
+        // irrational and large-denominator steps
+        assert_eq!(
+            Lattice::detect(t_s / std::f64::consts::PI, t_s, 1 << 20, w),
+            None
+        );
+        assert_eq!(Lattice::detect(t_s / 4099.0, t_s, 1 << 24, w), None);
+        // within the convergent tolerance, but drifting too far over a
+        // long grid
+        let off = 2.5e-10 * (1.0 + 1e-14);
+        assert!(Lattice::detect(off, t_s, 2048, w).is_some());
+        assert_eq!(Lattice::detect(off, t_s, 1 << 22, w), None);
+        // degenerate steps
+        assert_eq!(Lattice::detect(f64::INFINITY, t_s, 4096, w), None);
+        assert_eq!(Lattice::detect(1e3, t_s, 4096, w), None);
+    }
+
+    #[test]
+    fn phase_major_matches_the_walk() {
+        let tone = Tone::unit(0.98e9);
+        let t_s = 1.0 / B;
+        let cap = NonuniformCapture::from_signal(&tone, t_s, D, -60, 400);
+        let plan = PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0));
+        // off-sample and on-sample starts, 4 GHz and T/8 lattices
+        for (t0, step, n) in [
+            (0.5e-6, 2.5e-10, 4000),
+            (80.0 * t_s, 2.5e-10, 9000),
+            (80.0 * t_s, t_s / 8.0, 600),
+        ] {
+            let mut scratch = GridScratch::new();
+            let got = plan.reconstruct_grid(&cap, t0, step, n, &mut scratch);
+            let want = walk_values(&plan, &cap, t0, step, n);
+            for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                assert!((g - w).abs() < 1e-10, "t0 {t0:e} point {i}: {g} vs {w}");
+            }
+        }
+    }
+
+    #[test]
+    fn tie_residue_reproduces_the_per_point_window_choice() {
+        // t0 on a sample instant and step 9T/400: residue 200·9⁻¹ mod 400
+        // sits exactly half a sample off, where round(t/T) flips with
+        // float noise from point to point
+        let tone = Tone::unit(1.01e9);
+        let t_s = 1.0 / B;
+        let cap = NonuniformCapture::from_signal(&tone, t_s, D, -50, 800);
+        let plan = PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0));
+        let (t0, step, n) = (80.0 * t_s, 2.5e-10, 16000);
+        let r = (0..400).find(|r| r * 9 % 400 == 200).expect("tie residue");
+        let nc_r = ((t0 + r as f64 * step) / t_s).round() as i64;
+        let flips = (r..n)
+            .step_by(400)
+            .enumerate()
+            .filter(|&(m, i)| ((t0 + i as f64 * step) / t_s).round() as i64 != nc_r + 9 * m as i64)
+            .count();
+        assert!(flips > 0, "the fixture must exercise the shifted window");
+        let mut scratch = GridScratch::new();
+        let got = plan.reconstruct_grid(&cap, t0, step, n, &mut scratch);
+        let want = walk_values(&plan, &cap, t0, step, n);
+        for i in (r..n).step_by(400) {
+            assert!(
+                (got[i] - want[i]).abs() < 1e-10,
+                "tie point {i}: {} vs {}",
+                got[i],
+                want[i]
+            );
+        }
+    }
+
+    #[test]
+    fn super_block_feed_is_bit_identical_and_bounded() {
+        let tone = Tone::unit(0.98e9);
+        let cap = NonuniformCapture::from_signal(&tone, 1.0 / B, D, -60, 800);
+        let plan = PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0));
+        // three super-blocks, the last one partial
+        let (t0, step, n) = (0.5e-6, 2.5e-10, 2 * SUPER_BLOCK_LEN + 1000);
+        let mut scratch = GridScratch::new();
+        let want = plan
+            .reconstruct_grid(&cap, t0, step, n, &mut scratch)
+            .to_vec();
+        let mut bs = GridScratch::new();
+        let mut blocks = plan.reconstruct_blocks(&cap, t0, step, n, &mut bs);
+        let mut got = Vec::new();
+        while let Some(block) = blocks.next_block() {
+            assert!(block.len() <= GRID_BLOCK_LEN);
+            got.extend_from_slice(block);
+        }
+        assert_eq!(got, want);
+        assert!(bs.values().len() <= SUPER_BLOCK_LEN);
+        // an early stop inside the first super-block builds no other
+        let mut blocks = plan.reconstruct_blocks(&cap, t0, step, n, &mut bs);
+        for _ in 0..3 {
+            blocks.next_block();
+        }
+        assert_eq!(blocks.produced(), 3 * GRID_BLOCK_LEN);
+        assert_eq!(bs.values(), &want[..SUPER_BLOCK_LEN]);
+    }
+
+    #[test]
+    fn new_delay_estimates_share_the_window_tables() {
+        let a = PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0));
+        let b = PnbsGridPlan::new(band(), D + 5e-12, 61, Window::Kaiser(8.0));
+        assert!(Arc::ptr_eq(&a.window, &b.window));
+        let c = PnbsGridPlan::new(band(), D, 21, Window::Kaiser(8.0));
+        assert!(!Arc::ptr_eq(&a.window, &c.window));
     }
 }

@@ -11,7 +11,7 @@
 //!   (phase-rotor kernels, prepared windows, scratch reuse),
 //! - [`gridplan`]: the grid-aware engine for uniform analysis grids
 //!   (cross-point rotor reuse, factored per-sample phasor tables,
-//!   tabulated windows),
+//!   tabulated windows, phase-major reconstruction on rational grids),
 //! - [`dualrate`]: the dual-rate non-degeneracy conditions (eq. 9) and
 //!   the search bound `m`,
 //! - [`error`]: reconstruction-sensitivity bounds (eq. 4) and skew
@@ -48,6 +48,6 @@ pub mod reconstruct;
 pub mod uniform;
 
 pub use band::BandSpec;
-pub use gridplan::{GridScratch, PnbsGridPlan, StreamWorkerPanic};
+pub use gridplan::{GridScratch, PnbsGridPlan};
 pub use plan::{PnbsPlan, PnbsScratch};
 pub use reconstruct::{NonuniformCapture, PnbsReconstructor};

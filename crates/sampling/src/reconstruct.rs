@@ -352,9 +352,9 @@ impl PnbsReconstructor {
 
     /// Reconstructs the `n` uniform grid instants `t0, t0 + step, …`
     /// through the grid-aware plan ([`PnbsGridPlan`]) — the entry
-    /// point for dense analysis grids, where cross-point rotor reuse
-    /// and the tabulated window more than halve the per-point planned
-    /// cost. Equivalent to
+    /// point for dense analysis grids (walked with cross-point rotor
+    /// reuse, or reconstructed phase-major when the step is a small
+    /// rational fraction of the sample period). Equivalent to
     /// [`reconstruct_batch`](Self::reconstruct_batch) over the same
     /// instants to ≪ 1e-9.
     ///
@@ -391,11 +391,11 @@ impl PnbsReconstructor {
 
     /// Streams the `n` uniform grid instants as
     /// [`GRID_BLOCK_LEN`](crate::gridplan::GRID_BLOCK_LEN)-point
-    /// blocks through the grid plan's block kernel
+    /// blocks through the grid plan's producer
     /// ([`PnbsGridPlan::reconstruct_blocks`]) — the producer side of a
     /// streaming verdict pipeline, where no full-grid buffer ever
-    /// materializes. Agrees with
-    /// [`reconstruct_grid`](Self::reconstruct_grid) to ≪ 1e-9.
+    /// materializes. The blocks are bit-identical to
+    /// [`reconstruct_grid`](Self::reconstruct_grid).
     ///
     /// # Panics
     ///

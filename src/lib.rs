@@ -52,7 +52,7 @@ pub mod prelude {
     pub use rfbist_converter::bptiadc::{BpTiadc, BpTiadcConfig, JitterPlacement};
     pub use rfbist_core::bist::{
         BistConfig, BistEngine, BistScratch, NoiseFigureConfig, ProbeSchedule, ScanStrategy,
-        SkewGate, StreamRecovery,
+        SkewGate,
     };
     pub use rfbist_core::campaign::{
         run_campaign, try_run_campaign, try_run_campaign_supervised, CampaignConfig,
@@ -78,9 +78,7 @@ pub mod prelude {
     pub use rfbist_rfchain::txchain::HomodyneTx;
     pub use rfbist_sampling::band::BandSpec;
     pub use rfbist_sampling::dualrate::DualRateConfig;
-    pub use rfbist_sampling::gridplan::{
-        GridBlocks, GridScratch, PnbsGridPlan, StreamWorkerPanic, GRID_BLOCK_LEN,
-    };
+    pub use rfbist_sampling::gridplan::{GridBlocks, GridScratch, PnbsGridPlan, GRID_BLOCK_LEN};
     pub use rfbist_sampling::plan::{PnbsPlan, PnbsScratch};
     pub use rfbist_sampling::reconstruct::{NonuniformCapture, PnbsReconstructor};
     pub use rfbist_signal::prelude::*;

@@ -1,24 +1,16 @@
 //! Fault-injection ("chaos") suite for the fail-safe verdict
 //! pipeline: every injected failure — NaN/Inf corruption, saturation,
-//! dead channels, truncated captures, panicking stream producers,
-//! poisoned worker pools, malformed campaign configurations, killed
-//! campaigns — must surface as a typed [`BistError`] or as a verdict
-//! bit-identical to the clean path. A corrupted capture silently
-//! PASSing is the one outcome a self-test must never produce.
+//! dead channels, truncated captures, malformed campaign
+//! configurations, killed campaigns — must surface as a typed
+//! [`BistError`] or as a verdict bit-identical to the clean path. A
+//! corrupted capture silently PASSing is the one outcome a self-test
+//! must never produce.
 
 mod common;
 
 use common::{paper_mask, paper_tx, paper_tx_seeded, PAPER_TX_SYMBOLS};
 use proptest::prelude::*;
-use rfbist::dsp::window::Window;
 use rfbist::prelude::*;
-use rfbist::sampling::gridplan::chaos;
-use std::sync::Mutex;
-
-/// Serializes every test that arms the global producer-panic hook:
-/// the hook is process-wide, so two armed tests running concurrently
-/// would steal each other's injections.
-static CHAOS_LOCK: Mutex<()> = Mutex::new(());
 
 /// Engine configured like the paper's Section V run but with an
 /// externally calibrated skew (no slow-channel capture, so the chaos
@@ -187,161 +179,6 @@ proptest! {
                 matches!(banked, BistError::DeadCapture { .. }), "{:?}", banked),
         }
     }
-}
-
-#[test]
-fn producer_panic_recovers_with_parallel_retry() {
-    let _guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let tx = paper_tx(TxImpairments::typical());
-    let golden = tx.ideal_rf_output();
-    let mut cfg = chaos_config();
-    cfg.stream_workers = 4;
-    let engine = BistEngine::new(cfg);
-
-    chaos::arm_producer_panics(0);
-    let clean = engine.run(&tx.rf_output(), &paper_mask(), Some(&golden));
-    assert!(clean.stream_recovery.is_none());
-
-    // one injected panic: the first parallel attempt dies (while the
-    // worker holds the pool lock, poisoning it), the retry succeeds
-    chaos::arm_producer_panics(1);
-    let recovered = engine.run(&tx.rf_output(), &paper_mask(), Some(&golden));
-    chaos::arm_producer_panics(0);
-
-    assert_eq!(
-        recovered.stream_recovery,
-        Some(StreamRecovery::ParallelRetry)
-    );
-    assert_eq!(recovered.mask.passed, clean.mask.passed);
-    assert_eq!(recovered.mask.worst_margin_db, clean.mask.worst_margin_db);
-    assert_eq!(recovered.reconstruction_error, clean.reconstruction_error);
-}
-
-#[test]
-fn persistent_producer_panics_degrade_to_sequential_feed() {
-    let _guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let tx = paper_tx(TxImpairments::typical());
-    let golden = tx.ideal_rf_output();
-    let mut cfg = chaos_config();
-    cfg.stream_workers = 4;
-    let engine = BistEngine::new(cfg);
-
-    chaos::arm_producer_panics(0);
-    let clean = engine.run(&tx.rf_output(), &paper_mask(), Some(&golden));
-
-    // effectively unlimited injections: both parallel attempts die,
-    // the engine falls back to the in-thread sequential feed (which
-    // never touches the worker pool)
-    chaos::arm_producer_panics(1_000_000);
-    let recovered = engine.run(&tx.rf_output(), &paper_mask(), Some(&golden));
-    chaos::arm_producer_panics(0);
-
-    assert_eq!(
-        recovered.stream_recovery,
-        Some(StreamRecovery::SequentialFallback)
-    );
-    // the sequential fallback is the bit-identical block walk, so the
-    // verdict numbers — not just the pass flag — must match
-    assert_eq!(recovered.mask.passed, clean.mask.passed);
-    assert_eq!(recovered.mask.worst_margin_db, clean.mask.worst_margin_db);
-    assert_eq!(recovered.reconstruction_error, clean.reconstruction_error);
-}
-
-#[test]
-fn gridplan_surfaces_worker_panics_and_recovers_after_poison() {
-    let _guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let tone = Tone::unit(0.98e9);
-    let cap = NonuniformCapture::from_signal(&tone, 1.0 / 90e6, 180e-12, -50, 350);
-    let plan = PnbsGridPlan::new(
-        BandSpec::centered(1e9, 90e6),
-        180e-12,
-        61,
-        Window::Kaiser(8.0),
-    );
-    let (t0, step, n) = (0.6e-6, 2.5e-10, 2000);
-    let mut scratch = GridScratch::new();
-    let want = plan
-        .reconstruct_grid(&cap, t0, step, n, &mut scratch)
-        .to_vec();
-
-    chaos::arm_producer_panics(1);
-    let err = plan
-        .try_stream_blocks_parallel(&cap, t0, step, n, 3, |_, _| true)
-        .expect_err("armed producer panic must surface as a typed error");
-    chaos::arm_producer_panics(0);
-    assert!(err.to_string().contains("worker"), "{err}");
-    assert!(err.to_string().contains("panicked"), "{err}");
-
-    // the pool mutex was poisoned mid-panic; the next (unarmed) call
-    // must recover it and produce the bit-identical feed
-    let mut got = vec![f64::NAN; n];
-    let mut cursor = 0usize;
-    let consumed = plan
-        .try_stream_blocks_parallel(&cap, t0, step, n, 3, |idx, block| {
-            assert_eq!(idx * 256, cursor);
-            got[cursor..cursor + block.len()].copy_from_slice(block);
-            cursor += block.len();
-            true
-        })
-        .expect("no injection armed")
-        .expect("grid inside coverage");
-    assert_eq!(consumed, n);
-    assert_eq!(got, want);
-}
-
-#[test]
-fn service_jobs_recover_from_producer_panics_with_identical_verdicts() {
-    let _guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // a service job whose verdict itself runs the parallel block
-    // producers: PR-7's in-verdict recovery must compose with the
-    // pool's job-level supervision
-    let mut cfg = chaos_config();
-    cfg.stream_workers = 2;
-    let job = |job_id| VerdictJob {
-        job_id,
-        dut: 0,
-        standard: "qpsk-10msym-srrc0.5".into(),
-        config: cfg.clone(),
-        mask: paper_mask(),
-        stimulus: std::sync::Arc::new(paper_tx(TxImpairments::typical()).rf_output()),
-        reference: None,
-    };
-    let mut svc =
-        VerdictService::try_start(ServiceConfig::paper_default().with_workers(1)).expect("start");
-
-    chaos::arm_producer_panics(0);
-    let clean = svc.try_run_all(vec![job(0)]).expect("pool alive");
-    let clean = clean[0].result.as_ref().expect("clean job");
-    assert!(clean.stream_recovery.is_none());
-
-    // one injected producer panic inside the verdict: the engine's
-    // parallel retry absorbs it — the service never even sees a panic
-    chaos::arm_producer_panics(1);
-    let recovered = svc.try_run_all(vec![job(1)]).expect("pool alive");
-    chaos::arm_producer_panics(0);
-    let outcome = &recovered[0];
-    assert_eq!(outcome.attempts, 1, "recovery happens inside the verdict");
-    assert!(!outcome.recovered_panic);
-    let report = outcome.result.as_ref().expect("recovered job");
-    assert_eq!(report.stream_recovery, Some(StreamRecovery::ParallelRetry));
-    assert_eq!(report.mask, clean.mask);
-    assert_eq!(report.reconstruction_error, clean.reconstruction_error);
-
-    // persistent producer panics: the verdict degrades to the
-    // sequential feed, still bit-identical, still attempt #1
-    chaos::arm_producer_panics(1_000_000);
-    let degraded = svc.try_run_all(vec![job(2)]).expect("pool alive");
-    chaos::arm_producer_panics(0);
-    let outcome = &degraded[0];
-    assert_eq!(outcome.attempts, 1);
-    let report = outcome.result.as_ref().expect("degraded job");
-    assert_eq!(
-        report.stream_recovery,
-        Some(StreamRecovery::SequentialFallback)
-    );
-    assert_eq!(report.mask, clean.mask);
-    assert_eq!(report.reconstruction_error, clean.reconstruction_error);
-    svc.shutdown();
 }
 
 /// A 2-standard, 1-trial, 1-jitter, gross-faults-only campaign: small

@@ -1,12 +1,13 @@
 //! Equivalence suite for the grid-aware PNBS reconstruction engine:
-//! `PnbsGridPlan::reconstruct_grid` (cross-point rotor reuse, factored
-//! per-sample phasor tables, node-aligned window table) must match both
-//! the per-point planned path (`PnbsPlan` / `reconstruct_batch`) and
-//! the preserved direct eq. 6 evaluation (`*_reference`) to ≤ 1e-9 on
-//! the paper's Section V fixtures — including long grids that exercise
-//! the grid-step rotors' renormalization/re-seed machinery, grids that
-//! land exactly on sample instants (the kernel-origin branch), and
-//! random band/delay/step combinations.
+//! `PnbsGridPlan::reconstruct_grid` (the cross-point rotor walk, and
+//! phase-major reconstruction on rational grids) must match both the
+//! per-point planned path (`PnbsPlan` / `reconstruct_batch`) and the
+//! preserved direct eq. 6 evaluation (`*_reference`) to ≤ 1e-9 on the
+//! paper's Section V fixtures — including long grids that exercise the
+//! grid-step rotors' renormalization/re-seed machinery, grids that land
+//! exactly on sample instants (the kernel-origin branch), random
+//! band/delay/step combinations, and the analysis grid of every
+//! builtin deployment, checked against the direct reference.
 
 mod common;
 
@@ -14,6 +15,7 @@ use proptest::prelude::*;
 use rfbist::dsp::window::Window;
 use rfbist::math::stats::nrmse;
 use rfbist::prelude::*;
+use rfbist::sampling::gridplan::SUPER_BLOCK_LEN;
 use rfbist::sampling::kohlenberg::check_delay;
 
 const FC: f64 = 1e9;
@@ -327,5 +329,136 @@ proptest! {
         let cap = NonuniformCapture::from_signal(&tone, t_s, d, -50, 350);
         let rec = PnbsReconstructor::paper_default(band, d).expect("valid delay");
         assert_simd_matches_scalar(&rec, &cap, 0.6e-6, step_frac * t_s, 200);
+    }
+}
+
+/// The analysis-grid geometry of one builtin deployment, as the engine
+/// plans it: its carrier and grid on the fixed 90 MHz sampler, the
+/// `D = 1/(4·fc)` DCDE target, `t0` at the coverage start (a sample
+/// instant) and the grid clipped to the coverage.
+struct DeploymentGrid {
+    standard: String,
+    rec: PnbsReconstructor,
+    cap: NonuniformCapture,
+    t0: f64,
+    step: f64,
+    n: usize,
+    /// Sample periods per grid step, `p/q`.
+    ratio: (usize, usize),
+}
+
+fn deployment_grids() -> Vec<DeploymentGrid> {
+    let fast_start = BistConfig::paper_default().fast_start;
+    Deployment::builtin_five()
+        .into_iter()
+        .map(|dep| {
+            let fc = dep.carrier_hz;
+            let band = BandSpec::centered(fc, B);
+            let d = dep.delay_target();
+            // two in-band tones, off the carrier and each other's
+            // harmonics
+            let sig = MultiTone::new(vec![
+                Tone::new(fc - 0.31 * B, 1.0, 0.4),
+                Tone::new(fc + 0.17 * B, 0.6, 1.3),
+            ]);
+            let cap = NonuniformCapture::from_signal(&sig, 1.0 / B, d, fast_start, dep.fast_len);
+            let rec = PnbsReconstructor::paper_default(band, d).expect("DCDE target is admissible");
+            let (lo, hi) = rec.coverage(&cap).expect("capture covers the taps");
+            let step = 1.0 / dep.grid_rate;
+            let n = dep.grid_len.min(((hi - lo) / step) as usize);
+            // step/T = B/grid_rate in lowest terms
+            let (p, q) = ((B / 1e6) as usize, (dep.grid_rate / 1e6) as usize);
+            let g = (1..=p)
+                .rev()
+                .find(|g| p % g == 0 && q % g == 0)
+                .unwrap_or(1);
+            DeploymentGrid {
+                standard: dep.standard,
+                rec,
+                cap,
+                t0: lo,
+                step,
+                n,
+                ratio: (p / g, q / g),
+            }
+        })
+        .collect()
+}
+
+/// Drains the block feed over the grid's first `n` points.
+fn block_feed(g: &DeploymentGrid, n: usize, scratch: &mut GridScratch) -> Vec<f64> {
+    let mut blocks = g.rec.reconstruct_blocks(&g.cap, g.t0, g.step, n, scratch);
+    let mut got = Vec::with_capacity(n);
+    while let Some(block) = blocks.next_block() {
+        got.extend_from_slice(block);
+    }
+    got
+}
+
+#[test]
+fn deployment_grids_match_the_direct_reference() {
+    let grids = deployment_grids();
+    let ratios: Vec<(usize, usize)> = grids.iter().map(|g| g.ratio).collect();
+    assert_eq!(
+        ratios,
+        [(3, 10), (9, 400), (9, 400), (9, 500), (9, 650)],
+        "builtin grid ratios"
+    );
+    for g in &grids {
+        let got = block_feed(g, g.n, &mut GridScratch::new());
+        assert_eq!(got.len(), g.n);
+        // The tie residue: t0 is a sample instant, so the residue with
+        // r·p ≡ q/2 (mod q) sits half a sample off, where round(t/T)
+        // follows float noise point by point.
+        let (p, q) = g.ratio;
+        let tie = (0..q)
+            .find(|r| r * p % q == q / 2)
+            .expect("even q has a tie");
+        let checked = (0..g.n).step_by(97).chain((tie..g.n).step_by(q));
+        for i in checked {
+            let t = g.t0 + i as f64 * g.step;
+            let want = g
+                .rec
+                .try_reconstruct_at_reference(&g.cap, t)
+                .expect("grid inside coverage");
+            assert!(
+                (got[i] - want).abs() <= TOL,
+                "{} point {i}: {} vs reference {want} (diff {:e})",
+                g.standard,
+                got[i],
+                (got[i] - want).abs()
+            );
+        }
+    }
+}
+
+#[test]
+fn deployment_block_feeds_are_bit_identical_to_batch_grids() {
+    for g in deployment_grids() {
+        let mut scratch = GridScratch::new();
+        let streamed = block_feed(&g, g.n, &mut scratch);
+        let batch = g
+            .rec
+            .reconstruct_grid(&g.cap, g.t0, g.step, g.n, &mut scratch)
+            .to_vec();
+        assert_eq!(streamed, batch, "{}", g.standard);
+        // Grids cut one point either side of a super-block boundary (and
+        // mid-way into the next) reproduce the full grid's prefix bit
+        // for bit: values never depend on where a chunk ends.
+        let cuts = [
+            SUPER_BLOCK_LEN - 1,
+            SUPER_BLOCK_LEN,
+            SUPER_BLOCK_LEN + 1,
+            SUPER_BLOCK_LEN + 3 * GRID_BLOCK_LEN + 17,
+        ];
+        for cut in cuts.into_iter().filter(|&c| c <= g.n) {
+            let prefix = g
+                .rec
+                .reconstruct_grid(&g.cap, g.t0, g.step, cut, &mut scratch)
+                .to_vec();
+            assert_eq!(prefix, streamed[..cut], "{} cut at {cut}", g.standard);
+            let fed = block_feed(&g, cut, &mut scratch);
+            assert_eq!(fed, prefix, "{} feed cut at {cut}", g.standard);
+        }
     }
 }

@@ -26,7 +26,6 @@ static SERVICE_LOCK: Mutex<()> = Mutex::new(());
 fn paper_job(job_id: u64, dut: u32) -> VerdictJob {
     let mut cfg = BistConfig::paper_default().with_calibrated_skew(180e-12);
     cfg.grid_len = 2048;
-    cfg.stream_workers = 1;
     VerdictJob {
         job_id,
         dut,
@@ -90,9 +89,6 @@ fn campaign_jobs_cover_all_five_standards_and_match_single_shot() {
     let names: Vec<&str> = jobs.iter().map(|j| j.standard.as_str()).collect();
     for dep in &deployments {
         assert!(names.contains(&dep.standard.as_str()), "{}", dep.standard);
-    }
-    for job in &jobs {
-        assert_eq!(job.config.stream_workers, 1, "sharding is per job");
     }
     let direct: Vec<_> = jobs.iter().map(direct_verdict).collect();
     let mut svc =
