@@ -21,7 +21,6 @@ use crate::scan::{EarlyVerdict, MaskScanEngine, ScanFeed, StreamScratch};
 use crate::skew::SkewEstimate;
 use rfbist_converter::bptiadc::{BpTiadc, BpTiadcConfig};
 use rfbist_converter::calibration::auto_calibrate;
-use rfbist_dsp::psd::welch;
 use rfbist_dsp::window::Window;
 use rfbist_sampling::dualrate::DualRateConfig;
 use rfbist_sampling::gridplan::GridScratch;
@@ -46,20 +45,6 @@ pub enum ProbeSchedule {
     /// this schedule.
     #[default]
     UniformGrid,
-}
-
-/// How the engine turns the reconstructed waveform into a mask verdict.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScanStrategy {
-    /// Full Welch/FFT PSD over every bin, then [`SpectralMask::check`] —
-    /// the reference path, kept verbatim for equivalence testing.
-    FftWelch,
-    /// Banked-Goertzel scan ([`MaskScanEngine`]) evaluating only the
-    /// bins the mask constrains — same segmentation, window and
-    /// normalization, agreeing with `FftWelch` to numerical noise while
-    /// skipping the ~96 % of the spectrum the mask never reads.
-    #[default]
-    BankedGoertzel,
 }
 
 /// Acceptance gate on the per-run skew estimate, folded into
@@ -186,12 +171,9 @@ pub struct BistConfig {
     pub grid_rate: f64,
     /// Number of grid samples for PSD estimation.
     pub grid_len: usize,
-    /// How the mask verdict is computed from the reconstructed grid.
-    pub scan_strategy: ScanStrategy,
     /// How the cost function's probe times are placed.
     pub probe_schedule: ProbeSchedule,
-    /// Early-verdict policy for the streaming
-    /// [`BankedGoertzel`](ScanStrategy::BankedGoertzel) path: stop
+    /// Early-verdict policy for the streamed mask scan: stop
     /// reconstructing as soon as a provisional violation exceeds its
     /// limit by the guard margin. `None` (the default) always measures
     /// the full capture.
@@ -238,7 +220,6 @@ impl BistConfig {
             lms_initial: 100e-12,
             grid_rate: 4e9,
             grid_len: 12288,
-            scan_strategy: ScanStrategy::default(),
             probe_schedule: ProbeSchedule::default(),
             early_verdict: None,
             calibrated_skew: None,
@@ -253,12 +234,6 @@ impl BistConfig {
     pub fn with_ideal_frontend(mut self) -> Self {
         self.frontend_fast = BpTiadcConfig::ideal(self.dual.fast_rate(), self.dual.delay());
         self.frontend_slow = BpTiadcConfig::ideal(self.dual.slow_rate(), self.dual.delay());
-        self
-    }
-
-    /// Builder-style: select the mask-verdict scan strategy.
-    pub fn with_scan_strategy(mut self, strategy: ScanStrategy) -> Self {
-        self.scan_strategy = strategy;
         self
     }
 
@@ -320,9 +295,9 @@ impl BistConfig {
 /// The Welch segmentation the engine applies to a `grid_len`-sample
 /// reconstruction: segment length chosen for ≲ 1 MHz resolution
 /// bandwidth at the default 4 GHz grid (so mask segments a few MHz
-/// wide are resolved), 50 % overlap. Shared by both scan strategies
-/// and by the perf harness, so every consumer measures the same
-/// estimator.
+/// wide are resolved), 50 % overlap. Shared by the engine's scan, the
+/// perf harness and the FFT-Welch test oracle, so every consumer
+/// measures the same estimator.
 pub fn welch_segmentation(grid_len: usize) -> (usize, usize) {
     let seg = (grid_len / 2).next_power_of_two().clamp(256, 8192);
     let seg = seg.min(grid_len);
@@ -376,41 +351,43 @@ fn scan_engine_cached<'a>(
     overlap: usize,
     noise_band: Option<(f64, f64)>,
 ) -> Result<&'a MaskScanEngine, BistError> {
-    let stale = !matches!(
-        cache,
+    // the entry is taken out first, so a failed rebuild leaves the
+    // cache empty rather than holding a stale hit; a stale entry is
+    // freed before its replacement is built, so two scanners are never
+    // alive at once
+    let entry = match cache.take() {
         Some(e)
             if e.mask == *mask
                 && e.carrier_hz == carrier_hz
                 && e.fs == fs
                 && e.segment_len == segment_len
                 && e.overlap == overlap
-                && e.noise_band == noise_band
-    );
-    if stale {
-        *cache = None; // a failed rebuild must not leave a stale hit
-        let engine = MaskScanEngine::try_build(
-            mask,
-            carrier_hz,
-            fs,
-            segment_len,
-            overlap,
-            Window::BlackmanHarris,
-            noise_band,
-        )?;
-        *cache = Some(ScanCacheEntry {
-            mask: mask.clone(),
-            carrier_hz,
-            fs,
-            segment_len,
-            overlap,
-            noise_band,
-            engine,
-        });
-    }
-    match cache.as_ref() {
-        Some(e) => Ok(&e.engine),
-        None => unreachable!("cache filled above"),
-    }
+                && e.noise_band == noise_band =>
+        {
+            e
+        }
+        stale => {
+            drop(stale);
+            ScanCacheEntry {
+                mask: mask.clone(),
+                carrier_hz,
+                fs,
+                segment_len,
+                overlap,
+                noise_band,
+                engine: MaskScanEngine::try_build(
+                    mask,
+                    carrier_hz,
+                    fs,
+                    segment_len,
+                    overlap,
+                    Window::BlackmanHarris,
+                    noise_band,
+                )?,
+            }
+        }
+    };
+    Ok(&cache.insert(entry).engine)
 }
 
 /// The BIST engine.
@@ -464,14 +441,12 @@ impl BistEngine {
     /// the job level: run many verdicts on the
     /// [`VerdictService`](crate::service::VerdictService) pool.
     ///
-    /// Under [`ScanStrategy::BankedGoertzel`] the analysis grid is
-    /// streamed: reconstruction blocks feed the scan as they are
-    /// produced, the full grid never materializes, and an armed
-    /// [`BistConfig::early_verdict`] stops
-    /// reconstruction as soon as the verdict is decided (the report's
-    /// `early_exit` flag records this; Δε then covers only the
-    /// reconstructed prefix). [`ScanStrategy::FftWelch`] keeps the
-    /// batch reference pipeline byte-identical.
+    /// The analysis grid is streamed: reconstruction blocks feed the
+    /// banked-Goertzel mask scan as they are produced, the full grid
+    /// never materializes, and an armed [`BistConfig::early_verdict`]
+    /// stops reconstruction as soon as the verdict is decided (the
+    /// report's `early_exit` flag records this; Δε then covers only the
+    /// reconstructed prefix).
     pub fn run_with<S: ContinuousSignal, R: ContinuousSignal>(
         &self,
         dut: &S,
@@ -577,114 +552,64 @@ impl BistEngine {
         }
         let n_grid = cfg.grid_len.min(usable);
 
-        // 4 + 5. reconstruction and mask verdict. Both strategies share
-        // the [`welch_segmentation`] parameters and the Blackman–Harris
-        // window; they differ in which bins they materialize and in how
-        // the grid flows into the scan.
+        // 4 + 5. reconstruction and mask verdict in one streamed pass:
+        // the grid-plan block feed drives the banked-Goertzel scan
+        // (the [`welch_segmentation`] Welch bins the mask reads, under
+        // a Blackman–Harris window) segment by segment, with no
+        // full-grid buffer, and the early-verdict policy can stop
+        // reconstruction as soon as the verdict is decided. The feed
+        // runs the batch grid's producer over the same chunks, so the
+        // verdict is bit-identical to scanning the batch reconstruction.
         let (seg, overlap) = welch_segmentation(n_grid);
         let carrier = cfg.dual.fast_band().center();
         let noise_band = cfg.noise_figure.map(|nf| (nf.offset_lo, nf.offset_hi));
-        let (mask_report, reconstruction_error, early_exit, noise_density_dbhz) =
-            match cfg.scan_strategy {
-                // The preserved batch reference: materialize the full
-                // analysis grid (the same grid-plan producer the stream
-                // drains), estimate the complete PSD, check the mask.
-                ScanStrategy::FftWelch => {
-                    rec.reconstruct_grid(&fast_cap, lo, dt, n_grid, &mut scratch.grid);
-                    let wave = scratch.grid.values();
-                    let reconstruction_error = reference.map(|r| {
-                        // Accumulates the exact terms `nrmse(wave, &r.sample(&grid))`
-                        // would form — each accumulator adds in grid order, and
-                        // `sample` is `eval` mapped over the instants — without
-                        // materializing the golden-reference grid inside the
-                        // scratch-reuse hot path.
-                        let (mut num, mut den) = (0.0f64, 0.0f64);
-                        for (i, &g) in wave.iter().enumerate() {
-                            let rv = r.eval(lo + i as f64 * dt);
-                            num += (g - rv) * (g - rv);
-                            den += rv * rv;
-                        }
-                        if den == 0.0 {
-                            if num == 0.0 {
-                                0.0
-                            } else {
-                                f64::INFINITY
-                            }
-                        } else {
-                            (num / den).sqrt()
-                        }
-                    });
-                    let psd = welch(wave, cfg.grid_rate, seg, overlap, Window::BlackmanHarris);
-                    let noise_density = noise_band.and_then(|(lo, hi)| {
-                        psd.mean_density_in_offset_band(carrier, lo, hi)
-                            .map(|d| 10.0 * d.max(1e-30).log10())
-                    });
-                    (
-                        mask.try_check(&psd, carrier)?,
-                        reconstruction_error,
-                        false,
-                        noise_density,
-                    )
+        let BistScratch {
+            grid,
+            stream,
+            scan_cache,
+        } = scratch;
+        let engine = scan_engine_cached(
+            scan_cache,
+            mask,
+            carrier,
+            cfg.grid_rate,
+            seg,
+            overlap,
+            noise_band,
+        )?;
+        let mut scan = engine.stream(stream, cfg.early_verdict);
+        // Δε accumulators, summed in grid order so a full capture
+        // reproduces `nrmse` over the batch wave bit-for-bit.
+        let (mut err_num, mut err_den) = (0.0f64, 0.0f64);
+        let mut produced = 0usize;
+        let mut blocks = rec.reconstruct_blocks(&fast_cap, lo, dt, n_grid, grid);
+        while let Some(block) = blocks.next_block() {
+            if let Some(r) = reference {
+                for (i, &g) in block.iter().enumerate() {
+                    let rv = r.eval(lo + (produced + i) as f64 * dt);
+                    err_num += (g - rv) * (g - rv);
+                    err_den += rv * rv;
                 }
-                // The streaming pipeline: the grid-plan block feed drives
-                // the banked scan segment by segment — one pass, no
-                // full-grid buffer — and the early-verdict policy can stop
-                // reconstruction as soon as the verdict is decided. The
-                // feed runs the batch grid's producer over the same
-                // chunks, so the verdict is bit-identical to scanning the
-                // batch reconstruction.
-                ScanStrategy::BankedGoertzel => {
-                    let BistScratch {
-                        grid,
-                        stream,
-                        scan_cache,
-                    } = scratch;
-                    let engine = scan_engine_cached(
-                        scan_cache,
-                        mask,
-                        carrier,
-                        cfg.grid_rate,
-                        seg,
-                        overlap,
-                        noise_band,
-                    )?;
-                    let mut scan = engine.stream(stream, cfg.early_verdict);
-                    // Δε accumulators, summed in grid order so a full
-                    // capture reproduces `nrmse` over the batch wave
-                    // bit-for-bit.
-                    let (mut err_num, mut err_den) = (0.0f64, 0.0f64);
-                    let mut produced = 0usize;
-                    let mut blocks = rec.reconstruct_blocks(&fast_cap, lo, dt, n_grid, grid);
-                    while let Some(block) = blocks.next_block() {
-                        if let Some(r) = reference {
-                            for (i, &g) in block.iter().enumerate() {
-                                let rv = r.eval(lo + (produced + i) as f64 * dt);
-                                err_num += (g - rv) * (g - rv);
-                                err_den += rv * rv;
-                            }
-                        }
-                        produced += block.len();
-                        if scan.push(block) != ScanFeed::Continue {
-                            break;
-                        }
-                    }
-                    let early_exit = scan.early_stopped();
-                    let noise_density = scan.noise_density_dbhz();
-                    let mask_report = scan.try_finish()?;
-                    let reconstruction_error = reference.map(|_| {
-                        if err_den == 0.0 {
-                            if err_num == 0.0 {
-                                0.0
-                            } else {
-                                f64::INFINITY
-                            }
-                        } else {
-                            (err_num / err_den).sqrt()
-                        }
-                    });
-                    (mask_report, reconstruction_error, early_exit, noise_density)
+            }
+            produced += block.len();
+            if scan.push(block) != ScanFeed::Continue {
+                break;
+            }
+        }
+        let early_exit = scan.early_stopped();
+        let noise_density_dbhz = scan.noise_density_dbhz();
+        let mask_report = scan.try_finish()?;
+        let reconstruction_error = reference.map(|_| {
+            if err_den == 0.0 {
+                if err_num == 0.0 {
+                    0.0
+                } else {
+                    f64::INFINITY
                 }
-            };
+            } else {
+                (err_num / err_den).sqrt()
+            }
+        });
 
         let (noise_figure_db, nf_ok) = match (cfg.noise_figure, noise_density_dbhz) {
             (Some(nf), Some(density)) => {
@@ -857,45 +782,6 @@ mod tests {
             report.skew.delay * 1e12,
             report.true_delay * 1e12
         );
-    }
-
-    #[test]
-    fn scan_strategies_agree_on_verdict_and_margin() {
-        // the default engine runs the banked scan; the FFT-Welch
-        // reference path must produce the same verdict to well under
-        // the 0.5 dB equivalence budget, for healthy and faulty units
-        let engine_scan = BistEngine::new(BistConfig::paper_default());
-        assert_eq!(
-            engine_scan.config().scan_strategy,
-            ScanStrategy::BankedGoertzel
-        );
-        let engine_fft =
-            BistEngine::new(BistConfig::paper_default().with_scan_strategy(ScanStrategy::FftWelch));
-        let healthy = paper_tx(TxImpairments::typical());
-        let faulty = paper_tx(
-            Fault::new(FaultKind::PaEarlyCompression { v_sat_factor: 0.05 })
-                .inject(TxImpairments::typical()),
-        );
-        for tx in [&healthy, &faulty] {
-            let a = engine_scan.run(
-                &tx.rf_output(),
-                &SpectralMask::qpsk_10msym(),
-                None::<&BandpassSignal<ShapedBaseband>>,
-            );
-            let b = engine_fft.run(
-                &tx.rf_output(),
-                &SpectralMask::qpsk_10msym(),
-                None::<&BandpassSignal<ShapedBaseband>>,
-            );
-            assert_eq!(a.mask.passed, b.mask.passed);
-            assert!(
-                (a.mask.worst_margin_db - b.mask.worst_margin_db).abs() < 0.5,
-                "margins {} vs {}",
-                a.mask.worst_margin_db,
-                b.mask.worst_margin_db
-            );
-            assert_eq!(a.mask.violation_count, b.mask.violation_count);
-        }
     }
 
     #[test]
@@ -1109,26 +995,6 @@ mod tests {
             report.noise_figure_db
         );
         assert!(!report.passed(), "NF gate must fail the overall verdict");
-    }
-
-    #[test]
-    fn scan_strategies_agree_on_noise_figure() {
-        let (dut, density_dbhz) = noisy_paper_tx(0.01);
-        let nf_cfg = NoiseFigureConfig::new(25e6, 40e6, density_dbhz);
-        let banked = BistEngine::new(BistConfig::paper_default().with_noise_figure(nf_cfg));
-        let welch = BistEngine::new(
-            BistConfig::paper_default()
-                .with_noise_figure(nf_cfg)
-                .with_scan_strategy(ScanStrategy::FftWelch),
-        );
-        let mask = SpectralMask::qpsk_10msym();
-        let a = banked.run(&dut, &mask, None::<&BandpassSignal<ShapedBaseband>>);
-        let b = welch.run(&dut, &mask, None::<&BandpassSignal<ShapedBaseband>>);
-        let (nf_a, nf_b) = (a.noise_figure_db.unwrap(), b.noise_figure_db.unwrap());
-        assert!(
-            (nf_a - nf_b).abs() < 0.5,
-            "banked {nf_a} dB vs welch {nf_b} dB"
-        );
     }
 
     #[test]

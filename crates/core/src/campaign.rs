@@ -8,15 +8,20 @@
 //! profiles, which injected faults does the pipeline flag and how
 //! often does it condemn a healthy unit? This module sweeps
 //! [`standard_fault_set`] (plus the healthy baseline) through
-//! [`BistEngine::run_with`] on every [`MaskLibrary`] standard and
+//! [`BistEngine::try_run_with`] on every [`MaskLibrary`] standard and
 //! accumulates exactly that matrix.
 //!
-//! Each deployment calibrates the sampler skew once on a wideband
-//! burst ([`BistEngine::calibrate_skew`]) and reuses the estimate for
-//! every per-standard verdict — the fix for the narrowband trap where
-//! a GSM-like stimulus leaves the LMS ~170 ps off while the mask
-//! still passes. Disable [`CampaignConfig::wideband_calibration`] to
-//! reproduce the broken per-run behavior.
+//! Each (deployment, jitter) cell calibrates the sampler skew once on
+//! a wideband burst ([`BistEngine::try_calibrate_skew`], on the
+//! calling thread) and reuses the estimate for every verdict of the
+//! cell — the fix for the narrowband trap where a GSM-like stimulus
+//! leaves the LMS ~170 ps off while the mask still passes. The cell's
+//! verdicts then run as [`VerdictJob`]s on one [`VerdictService`] pool
+//! shared by the whole sweep, so the campaign uses every core. The pool
+//! retries a panicked verdict ([`ServiceConfig::max_retries`]); one
+//! that still fails is scored as an errored run instead of aborting the
+//! sweep. Outcomes are scored in job order, so the matrix does not
+//! depend on the worker count.
 //!
 //! A fault counts as *detected* when the overall verdict fails
 //! (mask, skew gate or noise figure) **or** the golden-waveform
@@ -25,9 +30,11 @@
 //! check the emission mask cannot see (IQ imbalance, carrier
 //! feed-through stay inside the occupied band).
 
-use crate::bist::{BistConfig, BistEngine, BistScratch};
+use crate::bist::{BistConfig, BistEngine};
 use crate::error::BistError;
 use crate::mask::{MaskLibrary, MaskStandard};
+use crate::report::BistReport;
+use crate::service::{ServiceConfig, VerdictJob, VerdictOutcome, VerdictService};
 use rfbist_converter::bptiadc::BpTiadcConfig;
 use rfbist_converter::clock::JitterModel;
 use rfbist_rfchain::faults::{gross_fault_set, standard_fault_set, Fault};
@@ -39,9 +46,9 @@ use rfbist_sampling::kohlenberg::optimal_delay;
 use rfbist_signal::baseband::ShapedBaseband;
 use std::fmt::Write as _;
 use std::fs;
+use std::iter;
 use std::path::Path;
-use std::thread;
-use std::time::Duration;
+use std::sync::Arc;
 
 /// Fixed fast-channel rate shared by every deployment, Hz (the
 /// flexibility claim: hardware never retunes).
@@ -158,6 +165,38 @@ impl Deployment {
     fn capture_span(&self, fast_start: i64) -> f64 {
         (fast_start as f64 + self.fast_len as f64) / CAMPAIGN_B * 1.2
     }
+
+    /// A QPSK-PRBS payload at `symbol_rate` (SRRC `rolloff`, 12-symbol
+    /// span) covering a capture that starts at fast sample
+    /// `fast_start`: the baseband of every campaign DUT and
+    /// calibration burst.
+    pub(crate) fn payload(
+        &self,
+        fast_start: i64,
+        symbol_rate: f64,
+        rolloff: f64,
+        seed: u64,
+    ) -> ShapedBaseband {
+        let n_sym = ((self.capture_span(fast_start) * symbol_rate) as usize + 30).max(96);
+        ShapedBaseband::qpsk_prbs(symbol_rate, rolloff, 12, n_sym, seed)
+    }
+
+    /// `base` with its skew calibrated on this deployment's wideband
+    /// burst (payload seed `seed`, typical impairments). Skew is a
+    /// hardware property, so the estimate carries across every
+    /// stimulus this front-end configuration captures.
+    pub(crate) fn try_calibrate(
+        &self,
+        base: BistConfig,
+        seed: u64,
+    ) -> Result<BistConfig, BistError> {
+        let bb = self.payload(base.fast_start, CALIBRATION_SYMBOL_RATE, 0.5, seed);
+        let burst = HomodyneTx::builder(bb, self.carrier_hz)
+            .impairments(TxImpairments::typical())
+            .build();
+        let est = BistEngine::new(base.clone()).try_calibrate_skew(&burst.rf_output())?;
+        base.try_with_calibrated_skew(est.delay)
+    }
 }
 
 /// Campaign parameters.
@@ -178,11 +217,6 @@ pub struct CampaignConfig {
     /// Golden-comparison detection threshold: a run is flagged when
     /// Δε exceeds this multiple of the same trial's healthy baseline.
     pub eps_ratio: f64,
-    /// Calibrate skew once per (deployment, jitter) on a wideband
-    /// burst and reuse it for every verdict (the narrowband fix).
-    /// When `false`, every run re-estimates skew from its own
-    /// stimulus — the pre-fix behavior, kept for A/B measurement.
-    pub wideband_calibration: bool,
 }
 
 impl CampaignConfig {
@@ -201,7 +235,6 @@ impl CampaignConfig {
             base_seed: 0xACE1,
             jitter_rms: vec![1.5e-12, 3e-12],
             eps_ratio: 2.0,
-            wideband_calibration: true,
         }
     }
 
@@ -251,8 +284,9 @@ pub struct StandardOutcome {
     /// Healthy runs the verdict condemned (should be zero).
     pub false_alarms: usize,
     /// Runs (healthy or fault-injected) that produced no verdict at
-    /// all — a typed [`BistError`] that persisted through the bounded
-    /// per-trial retries. Errored runs are excluded from the
+    /// all — a typed [`BistError`], including a verdict that panicked
+    /// on every pool attempt. A trial whose healthy run errors counts
+    /// all its runs here. Errored runs are excluded from the
     /// detection and false-alarm denominators but surfaced here so a
     /// degraded campaign cannot masquerade as a clean one.
     pub errored_runs: usize,
@@ -415,13 +449,6 @@ impl CoverageMatrix {
     }
 }
 
-/// Builds the stimulus baseband for one deployment: enough symbols at
-/// the given rate to cover the capture span.
-fn stimulus_baseband(span: f64, symbol_rate: f64, rolloff: f64, seed: u64) -> ShapedBaseband {
-    let n_sym = ((span * symbol_rate) as usize + 30).max(96);
-    ShapedBaseband::qpsk_prbs(symbol_rate, rolloff, 12, n_sym, seed)
-}
-
 /// Progress report handed to the supervision observer after every
 /// completed (deployment, jitter) cell.
 #[derive(Clone, Debug, PartialEq)]
@@ -459,25 +486,6 @@ struct CellRecord {
     errored_runs: usize,
     worst_skew_error: f64,
     faults: Vec<CellFault>,
-}
-
-/// Runs `op` with bounded backoff: transient failures (per
-/// [`BistError::is_transient`]) are retried up to twice, sleeping
-/// 10 ms then 40 ms; anything else — or a third transient failure —
-/// is returned.
-fn with_retry<T>(mut op: impl FnMut() -> Result<T, BistError>) -> Result<T, BistError> {
-    const BACKOFF_MS: [u64; 2] = [10, 40];
-    let mut attempt = 0usize;
-    loop {
-        match op() {
-            Ok(v) => return Ok(v),
-            Err(e) if e.is_transient() && attempt < BACKOFF_MS.len() => {
-                thread::sleep(Duration::from_millis(BACKOFF_MS[attempt]));
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
 }
 
 /// Validates a campaign configuration up front, so every rejection —
@@ -519,16 +527,20 @@ fn validate(cfg: &CampaignConfig, library: &MaskLibrary) -> Result<(), BistError
     Ok(())
 }
 
-/// Runs one (deployment, jitter) cell. Infallible by design: a run
-/// whose typed error survives the bounded retries is tallied under
-/// `errored_runs` instead of aborting the campaign — a robustness
-/// campaign must outlive the failures it measures.
+/// Runs one (deployment, jitter) cell: calibrates the skew on the
+/// calling thread, submits the cell's `trials × (faults + 1)` verdicts
+/// to the pool and scores the outcomes in job order. A run whose
+/// verdict fails is tallied under `errored_runs` instead of aborting
+/// the campaign — a robustness campaign must outlive the failures it
+/// measures. Only a dead pool is an `Err`.
 fn run_cell(
+    service: &mut VerdictService,
     cfg: &CampaignConfig,
     dep: &Deployment,
     standard: &MaskStandard,
     jitter: f64,
-) -> CellRecord {
+) -> Result<CellRecord, BistError> {
+    let runs_per_trial = cfg.faults.len() + 1;
     let mut record = CellRecord {
         standard: dep.standard.clone(),
         jitter_rms: jitter,
@@ -547,106 +559,75 @@ fn run_cell(
             })
             .collect(),
     };
-    let mut scratch = BistScratch::new();
 
-    let mut base = dep.bist_config();
+    let mut base = dep.try_bist_config()?;
     base.frontend_fast.jitter = JitterModel::Gaussian { rms: jitter };
     base.frontend_slow.jitter = JitterModel::Gaussian { rms: jitter };
-    let span = dep.capture_span(base.fast_start);
-
-    let engine = if cfg.wideband_calibration {
-        // one wideband burst per cell: skew is a hardware property, so
-        // its estimate carries across every stimulus this front-end
-        // configuration captures
-        let burst_bb = stimulus_baseband(span, CALIBRATION_SYMBOL_RATE, 0.5, cfg.base_seed);
-        let burst = HomodyneTx::builder(burst_bb, dep.carrier_hz)
-            .impairments(TxImpairments::typical())
-            .build();
-        let cal = BistEngine::new(base.clone());
-        match with_retry(|| cal.try_calibrate_skew(&burst.rf_output())) {
-            Ok(est) => BistEngine::new(base.clone().with_calibrated_skew(est.delay)),
-            Err(_) => {
-                // no skew estimate, no verdicts: the whole cell errors
-                record.errored_runs = cfg.trials * (cfg.faults.len() + 1);
-                return record;
-            }
-        }
-    } else {
-        BistEngine::new(base.clone())
+    let Ok(config) = dep.try_calibrate(base, cfg.base_seed) else {
+        // no skew estimate, no verdicts: the whole cell errors
+        record.errored_runs = cfg.trials * runs_per_trial;
+        return Ok(record);
     };
 
+    // each trial is its healthy baseline followed by every corpus
+    // fault, on one payload
+    let healthy = TxImpairments::typical();
+    let mut jobs = Vec::with_capacity(cfg.trials * runs_per_trial);
     for trial in 0..cfg.trials {
-        let bb = stimulus_baseband(
-            span,
+        let bb = dep.payload(
+            config.fast_start,
             standard.symbol_rate,
             standard.rolloff,
             cfg.trial_seed(trial),
         );
-
-        let healthy_tx = HomodyneTx::builder(bb.clone(), dep.carrier_hz)
-            .impairments(TxImpairments::typical())
-            .build();
-        let healthy = match with_retry(|| {
-            engine.try_run_with(
-                &healthy_tx.rf_output(),
-                &standard.mask,
-                Some(&healthy_tx.ideal_rf_output()),
-                &mut scratch,
-            )
-        }) {
-            Ok(report) => report,
-            Err(_) => {
-                // without the healthy Δε floor the trial's fault runs
-                // cannot be scored either: the whole trial errors
-                record.errored_runs += cfg.faults.len() + 1;
-                continue;
-            }
-        };
-        record.healthy_runs += 1;
-        if !healthy.passed() {
-            record.false_alarms += 1;
+        for impairments in iter::once(healthy).chain(cfg.faults.iter().map(|f| f.inject(healthy))) {
+            let tx = HomodyneTx::builder(bb.clone(), dep.carrier_hz)
+                .impairments(impairments)
+                .build();
+            jobs.push(VerdictJob {
+                job_id: jobs.len() as u64,
+                dut: trial as u32,
+                standard: dep.standard.clone(),
+                config: config.clone(),
+                mask: standard.mask.clone(),
+                stimulus: Arc::new(tx.rf_output()),
+                reference: Some(Arc::new(tx.ideal_rf_output())),
+            });
         }
-        record.worst_skew_error = record.worst_skew_error.max(healthy.skew_abs_error());
-        let Some(healthy_eps) = healthy.reconstruction_error else {
-            // a reference is supplied for every campaign run, so a
-            // missing Δε means the run itself was unusable
-            record.healthy_runs -= 1;
-            record.errored_runs += cfg.faults.len() + 1;
+    }
+
+    for trial in service.try_run_all(jobs)?.chunks(runs_per_trial) {
+        let mut runs = trial.iter().map(scored);
+        let Some(Some((healthy, healthy_eps))) = runs.next() else {
+            // without the healthy Δε floor the trial's fault runs
+            // cannot be scored either: the whole trial errors
+            record.errored_runs += runs_per_trial;
             continue;
         };
-
-        for (slot, &fault) in cfg.faults.iter().enumerate() {
-            let tx = HomodyneTx::builder(bb.clone(), dep.carrier_hz)
-                .impairments(fault.inject(TxImpairments::typical()))
-                .build();
-            let report = match with_retry(|| {
-                engine.try_run_with(
-                    &tx.rf_output(),
-                    &standard.mask,
-                    Some(&tx.ideal_rf_output()),
-                    &mut scratch,
-                )
-            }) {
-                Ok(report) => report,
-                Err(_) => {
-                    record.errored_runs += 1;
-                    continue;
-                }
-            };
-            let Some(eps) = report.reconstruction_error else {
+        record.healthy_runs += 1;
+        record.false_alarms += usize::from(!healthy.passed());
+        record.worst_skew_error = record.worst_skew_error.max(healthy.skew_abs_error());
+        for (tally, run) in record.faults.iter_mut().zip(runs) {
+            let Some((report, eps)) = run else {
                 record.errored_runs += 1;
                 continue;
             };
             let verdict_flag = !report.passed();
             let eps_flag = eps > cfg.eps_ratio * healthy_eps;
-            let tally = &mut record.faults[slot];
             tally.runs += 1;
             tally.verdict_detected += usize::from(verdict_flag);
             tally.detected += usize::from(verdict_flag || eps_flag);
             record.worst_skew_error = record.worst_skew_error.max(report.skew_abs_error());
         }
     }
-    record
+    Ok(record)
+}
+
+/// A scoreable run: its report and Δε. Every campaign job carries a
+/// reference, so a verdict without Δε means the run was unusable.
+fn scored(outcome: &VerdictOutcome) -> Option<(&BistReport, f64)> {
+    let report = outcome.result.as_ref().ok()?;
+    Some((report, report.reconstruction_error?))
 }
 
 /// Folds completed cell records (deployment-major, jitter-minor order)
@@ -701,10 +682,12 @@ fn fold_records(cfg: &CampaignConfig, records: &[CellRecord]) -> CoverageMatrix 
 /// incomparable measurements.
 fn config_fingerprint(cfg: &CampaignConfig) -> String {
     let mut s = String::new();
+    // `cal=true` names the per-cell wideband calibration every
+    // campaign runs; the text stays so older checkpoints still resume
     let _ = write!(
         s,
-        "v1;seed={};trials={};eps={};cal={};jitter=",
-        cfg.base_seed, cfg.trials, cfg.eps_ratio, cfg.wideband_calibration
+        "v1;seed={};trials={};eps={};cal=true;jitter=",
+        cfg.base_seed, cfg.trials, cfg.eps_ratio
     );
     for j in &cfg.jitter_rms {
         let _ = write!(s, "{j},");
@@ -924,21 +907,25 @@ fn load_checkpoint(
 }
 
 /// Runs the campaign and returns the coverage matrix, or a typed
-/// [`BistError`] when the configuration is invalid.
+/// [`BistError`] when the configuration is invalid or the verdict
+/// pool dies.
 ///
-/// For each (deployment, jitter-profile) cell: optionally calibrate
-/// the sampler skew on a wideband burst, then for each trial run the
-/// healthy baseline followed by every corpus fault through the same
-/// engine and scratch, scoring detections against the trial's own
-/// healthy Δε floor. Per-run failures never abort the sweep — see
-/// [`StandardOutcome::errored_runs`].
+/// For each (deployment, jitter-profile) cell: calibrate the sampler
+/// skew on a wideband burst, then run every trial's healthy baseline
+/// and corpus faults on the verdict pool, scoring detections against
+/// the trial's own healthy Δε floor. Per-run failures never abort the
+/// sweep — see [`StandardOutcome::errored_runs`].
 pub fn try_run_campaign(cfg: &CampaignConfig) -> Result<CoverageMatrix, BistError> {
     try_run_campaign_supervised(cfg, None, false, &mut |_| true)
 }
 
 /// The fully supervised campaign driver: optional checkpointing after
 /// every completed cell, resume from a compatible checkpoint, and an
-/// observer that can stop the sweep between cells.
+/// observer that can stop the sweep between cells. One
+/// [`VerdictService`] pool, sized by [`ServiceConfig::paper_default`],
+/// runs every verdict of the sweep; a dead pool stops the sweep with
+/// [`BistError::WorkerPanic`], the checkpoint holding every completed
+/// cell.
 ///
 /// - `checkpoint`: when `Some`, the partial cell sequence is
 ///   atomically rewritten to this path after every completed cell
@@ -952,8 +939,9 @@ pub fn try_run_campaign(cfg: &CampaignConfig) -> Result<CoverageMatrix, BistErro
 ///   with [`BistError::Interrupted`].
 ///
 /// A resumed campaign folds to exactly the matrix the uninterrupted
-/// run produces: cells are deterministic given the config, and the
-/// checkpoint round-trips every tally bit-for-bit.
+/// run produces: cells are deterministic given the config (whatever
+/// the worker count), and the checkpoint round-trips every tally
+/// bit-for-bit.
 pub fn try_run_campaign_supervised(
     cfg: &CampaignConfig,
     checkpoint: Option<&Path>,
@@ -970,6 +958,7 @@ pub fn try_run_campaign_supervised(
         _ => Vec::new(),
     };
 
+    let mut service = VerdictService::try_start(ServiceConfig::paper_default())?;
     for index in records.len()..total_cells {
         let dep = &cfg.deployments[index / cfg.jitter_rms.len()];
         let jitter = cfg.jitter_rms[index % cfg.jitter_rms.len()];
@@ -983,7 +972,7 @@ pub fn try_run_campaign_supervised(
                 });
             }
         };
-        let record = run_cell(cfg, dep, standard, jitter);
+        let record = run_cell(&mut service, cfg, dep, standard, jitter)?;
         records.push(record);
         if let Some(path) = checkpoint {
             write_checkpoint(path, &fingerprint, &records)?;
@@ -1001,6 +990,7 @@ pub fn try_run_campaign_supervised(
             });
         }
     }
+    service.shutdown();
 
     Ok(fold_records(cfg, &records))
 }
@@ -1262,7 +1252,6 @@ mod tests {
             base_seed: 0xACE1,
             jitter_rms: vec![3e-12],
             eps_ratio: 3.0,
-            wideband_calibration: true,
         }
     }
 
@@ -1395,43 +1384,6 @@ mod tests {
             }
             other => panic!("expected UnknownStandard, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn retry_helper_retries_transients_and_gives_up() {
-        // two transient failures, then success
-        let mut calls = 0usize;
-        let out = with_retry(|| {
-            calls += 1;
-            if calls < 3 {
-                Err(BistError::WorkerPanic {
-                    detail: "injected".into(),
-                })
-            } else {
-                Ok(calls)
-            }
-        });
-        assert_eq!(out, Ok(3));
-        // a non-transient error is returned immediately
-        let mut calls = 0usize;
-        let out: Result<(), _> = with_retry(|| {
-            calls += 1;
-            Err(BistError::InvalidConfig {
-                reason: "nope".into(),
-            })
-        });
-        assert!(out.is_err());
-        assert_eq!(calls, 1);
-        // a persistent transient error exhausts the backoff schedule
-        let mut calls = 0usize;
-        let out: Result<(), _> = with_retry(|| {
-            calls += 1;
-            Err(BistError::WorkerPanic {
-                detail: "stuck".into(),
-            })
-        });
-        assert!(out.is_err());
-        assert_eq!(calls, 3);
     }
 
     #[test]

@@ -67,9 +67,11 @@ pub enum BistError {
         /// The library's known standards, sorted.
         known: Vec<String>,
     },
-    /// A pool worker panicked on every attempt at a job, or the pool
-    /// itself is gone (the verdict service and the supervised campaign
-    /// retry it as transient first).
+    /// A pool worker panicked on every attempt at a job (the verdict
+    /// service retries a panicked attempt up to
+    /// `ServiceConfig::max_retries` times first), or the pool itself
+    /// is gone. The campaign scores the former as an errored run and
+    /// stops on the latter.
     WorkerPanic {
         /// What failed, with the panic payload when there was one.
         detail: String,
@@ -105,11 +107,15 @@ pub enum BistError {
 }
 
 impl BistError {
-    /// Whether retrying the same operation can plausibly succeed.
+    /// Whether resubmitting the same job can plausibly succeed.
     ///
     /// Only infrastructure faults (a panicked worker thread) are
     /// transient; capture and configuration errors are deterministic
-    /// and retrying them would just burn the backoff budget.
+    /// and would fail the same way again. The library itself retries
+    /// nothing on this flag: the verdict service retries panicked
+    /// attempts in place, and this tells a caller holding a
+    /// [`WorkerPanic`](BistError::WorkerPanic) outcome whether a
+    /// resubmission is worth it.
     pub fn is_transient(&self) -> bool {
         matches!(self, BistError::WorkerPanic { .. })
     }

@@ -73,7 +73,7 @@ pub mod service;
 pub mod skew;
 pub mod wire;
 
-pub use bist::{BistConfig, BistEngine, BistScratch, NoiseFigureConfig, ScanStrategy, SkewGate};
+pub use bist::{BistConfig, BistEngine, BistScratch, NoiseFigureConfig, SkewGate};
 pub use campaign::{
     run_campaign, try_run_campaign, try_run_campaign_supervised, CampaignConfig, CampaignProgress,
     CoverageMatrix, Deployment, FaultOutcome, StandardOutcome,

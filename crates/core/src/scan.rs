@@ -391,7 +391,7 @@ impl MaskScanEngine {
         debug_assert!(reference_db.is_finite(), "reference bins pinned in new()");
 
         // same verdict fold as `SpectralMask::check` — one definition,
-        // so the two scan strategies cannot drift
+        // so the banked scan and an FFT-Welch check cannot drift
         let (report, _) = report_from_margins(
             self.mask_name.clone(),
             self.carrier_hz,

@@ -16,7 +16,8 @@
 //! retried in place up to [`ServiceConfig::max_retries`] times, then
 //! surfaced as a typed [`BistError::WorkerPanic`] — the pool itself
 //! survives every panic (the worker catches the unwind and moves to
-//! the next job).
+//! the next job). This is the only retry layer: the fault-coverage
+//! [`campaign`](crate::campaign) runs its verdicts on this pool too.
 //!
 //! The byte-level companion is [`wire`](crate::wire): sample blocks
 //! and partial reports cross a transport as length-prefixed frames.
@@ -31,7 +32,7 @@ use rfbist_rfchain::txchain::HomodyneTx;
 use rfbist_signal::prelude::*;
 
 use crate::bist::{BistConfig, BistEngine, BistScratch};
-use crate::campaign::{Deployment, CALIBRATION_SYMBOL_RATE, CAMPAIGN_B};
+use crate::campaign::Deployment;
 use crate::error::BistError;
 use crate::mask::{MaskLibrary, SpectralMask};
 use crate::report::BistReport;
@@ -309,8 +310,8 @@ impl Drop for VerdictService {
 }
 
 /// Runs one job on the calling worker thread: supervised
-/// (`catch_unwind`), with in-place retries for panicked or transient
-/// attempts. Returns `(attempts, saw_panic, result)`.
+/// (`catch_unwind`), with in-place retries for panicked attempts.
+/// Returns `(attempts, saw_panic, result)`.
 fn run_job(
     job: &VerdictJob,
     max_retries: u32,
@@ -335,13 +336,7 @@ fn run_job(
             )
         }));
         match attempt {
-            Ok(Ok(report)) => return (attempts, saw_panic, Ok(report)),
-            Ok(Err(e)) => {
-                if e.is_transient() && attempts <= max_retries {
-                    continue;
-                }
-                return (attempts, saw_panic, Err(e));
-            }
+            Ok(result) => return (attempts, saw_panic, result),
             Err(payload) => {
                 saw_panic = true;
                 if attempts <= max_retries {
@@ -404,17 +399,17 @@ impl DutSpec {
 }
 
 /// Builds the (standard × carrier × DUT) job matrix for the service:
-/// per deployment, one wideband skew calibration (the estimate is a
-/// hardware property shared by every DUT stimulus the front end
-/// captures), then one job per DUT with the deployment's mask and a
-/// payload stimulus shaped at the standard's symbol rate.
+/// per deployment, one wideband skew calibration (burst payload seed
+/// `0xACE1`; the estimate is a hardware property shared by every DUT
+/// stimulus the front end captures), then one job per DUT with the
+/// deployment's mask and a payload stimulus shaped at the standard's
+/// symbol rate.
 pub fn try_campaign_jobs(
     deployments: &[Deployment],
     library: &MaskLibrary,
     duts: &[DutSpec],
 ) -> Result<Vec<VerdictJob>, BistError> {
     let mut jobs = Vec::with_capacity(deployments.len() * duts.len());
-    let mut job_id = 0u64;
     for dep in deployments {
         let Some(standard) = library.get(&dep.standard) else {
             return Err(BistError::UnknownStandard {
@@ -422,29 +417,19 @@ pub fn try_campaign_jobs(
                 known: library.names().map(str::to_string).collect(),
             });
         };
-        let base = dep.try_bist_config()?;
-        let span = (base.fast_start as f64 + dep.fast_len as f64) / CAMPAIGN_B * 1.2;
-        let cal_syms = ((span * CALIBRATION_SYMBOL_RATE) as usize + 30).max(96);
-        let cal_bb = ShapedBaseband::qpsk_prbs(CALIBRATION_SYMBOL_RATE, 0.5, 12, cal_syms, 0xACE1);
-        let burst = HomodyneTx::builder(cal_bb, dep.carrier_hz)
-            .impairments(TxImpairments::typical())
-            .build();
-        let est = BistEngine::new(base.clone()).try_calibrate_skew(&burst.rf_output())?;
-        let cfg = base.with_calibrated_skew(est.delay);
+        let cfg = dep.try_calibrate(dep.try_bist_config()?, 0xACE1)?;
         for dut in duts {
-            let n_sym = ((span * standard.symbol_rate) as usize + 30).max(96);
-            let bb = ShapedBaseband::qpsk_prbs(
+            let bb = dep.payload(
+                cfg.fast_start,
                 standard.symbol_rate,
                 standard.rolloff,
-                12,
-                n_sym,
                 dut.payload_seed,
             );
             let tx = HomodyneTx::builder(bb, dep.carrier_hz)
                 .impairments(dut.impairments)
                 .build();
             jobs.push(VerdictJob {
-                job_id,
+                job_id: jobs.len() as u64,
                 dut: dut.dut,
                 standard: dep.standard.clone(),
                 config: cfg.clone(),
@@ -452,7 +437,6 @@ pub fn try_campaign_jobs(
                 stimulus: Arc::new(tx.rf_output()),
                 reference: None,
             });
-            job_id += 1;
         }
     }
     Ok(jobs)

@@ -51,8 +51,7 @@ pub use rfbist_signal as signal;
 pub mod prelude {
     pub use rfbist_converter::bptiadc::{BpTiadc, BpTiadcConfig, JitterPlacement};
     pub use rfbist_core::bist::{
-        BistConfig, BistEngine, BistScratch, NoiseFigureConfig, ProbeSchedule, ScanStrategy,
-        SkewGate,
+        BistConfig, BistEngine, BistScratch, NoiseFigureConfig, ProbeSchedule, SkewGate,
     };
     pub use rfbist_core::campaign::{
         run_campaign, try_run_campaign, try_run_campaign_supervised, CampaignConfig,

@@ -21,6 +21,16 @@ fn chaos_config() -> BistConfig {
     cfg
 }
 
+/// [`chaos_config`] estimating the skew per run with the LMS instead:
+/// the engine's other skew path. The capture health guard runs before
+/// the two diverge.
+fn chaos_config_lms() -> BistConfig {
+    BistConfig {
+        calibrated_skew: None,
+        ..chaos_config()
+    }
+}
+
 /// Corruption kinds the proptest sweeps over, applied from `t = 0`
 /// (the whole capture).
 #[derive(Clone, Copy, Debug)]
@@ -53,20 +63,26 @@ fn nan_capture_is_rejected_identically_by_both_strategies() {
         kind: Corruption::Nan,
     };
     let golden = tx.ideal_rf_output();
-    let banked = BistEngine::new(chaos_config())
+    let calibrated = BistEngine::new(chaos_config())
         .try_run(&dut, &paper_mask(), Some(&golden))
         .unwrap_err();
-    let welch = BistEngine::new(chaos_config().with_scan_strategy(ScanStrategy::FftWelch))
+    let estimated = BistEngine::new(chaos_config_lms())
         .try_run(&dut, &paper_mask(), Some(&golden))
         .unwrap_err();
     assert!(
-        matches!(banked, BistError::NonFiniteCapture { first_index: 0, .. }),
-        "{banked:?}"
+        matches!(
+            calibrated,
+            BistError::NonFiniteCapture { first_index: 0, .. }
+        ),
+        "{calibrated:?}"
     );
-    // the health guard runs before the strategies diverge, so the
-    // typed rejection is identical streamed vs batch
-    assert_eq!(banked, welch);
-    assert!(banked.to_string().contains("non-finite"), "{banked}");
+    // the health guard runs before the skew strategies diverge, so
+    // the typed rejection is identical calibrated vs per-run LMS
+    assert_eq!(calibrated, estimated);
+    assert!(
+        calibrated.to_string().contains("non-finite"),
+        "{calibrated}"
+    );
 }
 
 #[test]
@@ -110,19 +126,19 @@ fn dead_capture_is_rejected_not_passed() {
 fn truncated_capture_is_a_typed_error_on_both_paths() {
     let tx = paper_tx(TxImpairments::typical());
     let golden = tx.ideal_rf_output();
-    let mut cfg = chaos_config();
-    cfg.fast_len = 20; // far below the 61-tap reconstruction window
-    let banked = BistEngine::new(cfg.clone())
-        .try_run(&tx.rf_output(), &paper_mask(), Some(&golden))
-        .unwrap_err();
-    let welch = BistEngine::new(cfg.with_scan_strategy(ScanStrategy::FftWelch))
-        .try_run(&tx.rf_output(), &paper_mask(), Some(&golden))
-        .unwrap_err();
-    for err in [&banked, &welch] {
+    // far below the 61-tap reconstruction window: the calibrated path
+    // trips the reconstruction coverage, the LMS path its probe window
+    let truncated = |cfg: BistConfig| BistConfig {
+        fast_len: 20,
+        ..cfg
+    };
+    for cfg in [truncated(chaos_config()), truncated(chaos_config_lms())] {
+        let err = BistEngine::new(cfg)
+            .try_run(&tx.rf_output(), &paper_mask(), Some(&golden))
+            .unwrap_err();
         assert!(matches!(err, BistError::CaptureTooShort { .. }), "{err:?}");
         assert!(err.to_string().contains("too short"), "{err}");
     }
-    assert_eq!(banked, welch);
 }
 
 #[test]
@@ -150,7 +166,7 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Whatever the corruption and payload, both scan strategies
+    /// Whatever the corruption and payload, both skew strategies
     /// reject the capture with the *same* typed error — never a
     /// verdict, never a panic, never a strategy-dependent answer.
     #[test]
@@ -162,21 +178,21 @@ proptest! {
         let tx = paper_tx_seeded(TxImpairments::typical(), PAPER_TX_SYMBOLS, 0xACE1 + seed);
         let dut = Corrupt { inner: tx.rf_output(), kind };
         let golden = tx.ideal_rf_output();
-        let banked = BistEngine::new(chaos_config())
-            .try_run(&dut, &paper_mask(), Some(&golden));
-        let welch = BistEngine::new(chaos_config().with_scan_strategy(ScanStrategy::FftWelch))
-            .try_run(&dut, &paper_mask(), Some(&golden));
-        let banked = banked.expect_err("corrupted capture must not produce a verdict");
-        let welch = welch.expect_err("corrupted capture must not produce a verdict");
-        prop_assert_eq!(&banked, &welch);
+        let calibrated = BistEngine::new(chaos_config())
+            .try_run(&dut, &paper_mask(), Some(&golden))
+            .expect_err("corrupted capture must not produce a verdict");
+        let estimated = BistEngine::new(chaos_config_lms())
+            .try_run(&dut, &paper_mask(), Some(&golden))
+            .expect_err("corrupted capture must not produce a verdict");
+        prop_assert_eq!(&calibrated, &estimated);
         match kind {
             Corruption::Nan => prop_assert!(
-                matches!(banked, BistError::NonFiniteCapture { .. }), "{:?}", banked),
+                matches!(calibrated, BistError::NonFiniteCapture { .. }), "{:?}", calibrated),
             // Inf clamps onto the quantizer rails: a saturation fault
             Corruption::Inf => prop_assert!(
-                matches!(banked, BistError::SaturatedCapture { .. }), "{:?}", banked),
+                matches!(calibrated, BistError::SaturatedCapture { .. }), "{:?}", calibrated),
             Corruption::Dead => prop_assert!(
-                matches!(banked, BistError::DeadCapture { .. }), "{:?}", banked),
+                matches!(calibrated, BistError::DeadCapture { .. }), "{:?}", calibrated),
         }
     }
 }
@@ -200,7 +216,6 @@ fn two_cell_campaign() -> CampaignConfig {
         base_seed: 0xACE1,
         jitter_rms: vec![3e-12],
         eps_ratio: 3.0,
-        wideband_calibration: true,
     }
 }
 

@@ -5,7 +5,7 @@
 //! recurrences and segment folds perform the same operations in the
 //! same order regardless of chunking. The early-verdict policy must
 //! never fire on passing fixtures, and the engine's streamed
-//! block-feed path must match its batch FFT-Welch reference.
+//! block-feed path must match the batch FFT-Welch oracle.
 
 use proptest::prelude::*;
 use rfbist::prelude::*;
@@ -17,7 +17,7 @@ use rfbist_signal::traits::ContinuousSignal;
 use std::f64::consts::PI;
 
 mod common;
-use common::{paper_mask, paper_tx, PAPER_CARRIER};
+use common::{fft_welch_verdict, oracle_cases, paper_mask, paper_tx, PAPER_CARRIER};
 
 /// The Section V waveform on the engine's default 4 GHz analysis grid.
 fn section_v_wave(imp: TxImpairments, n: usize) -> Vec<f64> {
@@ -159,19 +159,44 @@ fn early_exit_stops_gross_failures_and_keeps_marginal_units_complete() {
 
 #[test]
 fn engine_streamed_path_matches_fft_welch_reference_end_to_end() {
-    // streamed banked verdict vs the preserved batch FFT-Welch
-    // pipeline: same reconstruction bits (blocks re-seed exactly), so
-    // Δε agrees exactly and margins agree to numerical noise
-    let tx = paper_tx(TxImpairments::typical());
-    let streamed = BistEngine::new(BistConfig::paper_default());
-    let batch =
-        BistEngine::new(BistConfig::paper_default().with_scan_strategy(ScanStrategy::FftWelch));
-    let a = streamed.run(&tx.rf_output(), &paper_mask(), Some(&tx.ideal_rf_output()));
-    let b = batch.run(&tx.rf_output(), &paper_mask(), Some(&tx.ideal_rf_output()));
-    assert_eq!(a.reconstruction_error, b.reconstruction_error);
-    assert!(!a.early_exit && !b.early_exit);
-    assert_eq!(a.mask.passed, b.mask.passed);
-    assert!((a.mask.worst_margin_db - b.mask.worst_margin_db).abs() < 1e-6);
+    // streamed banked verdict vs the batch FFT-Welch oracle on the
+    // engine's skew: same reconstruction bits (blocks re-seed exactly),
+    // so Δε agrees exactly and margins agree to numerical noise
+    let mask = paper_mask();
+    for case in oracle_cases() {
+        let a = BistEngine::new(case.config.clone()).run(&case.dut, &mask, Some(&case.reference));
+        let b = fft_welch_verdict(
+            &case.config,
+            a.skew.delay,
+            &case.dut,
+            &mask,
+            Some(&case.reference),
+        );
+        assert_eq!(
+            a.reconstruction_error.map(f64::to_bits),
+            b.reconstruction_error.map(f64::to_bits),
+            "{}: Δε",
+            case.name
+        );
+        assert!(!a.early_exit, "{}", case.name);
+        assert_eq!(a.mask.passed, b.mask.passed, "{}", case.name);
+        assert!(
+            (a.mask.worst_margin_db - b.mask.worst_margin_db).abs() < 1e-6,
+            "{}: margins {} vs {}",
+            case.name,
+            a.mask.worst_margin_db,
+            b.mask.worst_margin_db
+        );
+        match (a.noise_figure_db, b.noise_figure_db) {
+            (Some(nf_a), Some(nf_b)) => assert!(
+                (nf_a - nf_b).abs() < 0.5,
+                "{}: banked {nf_a} dB vs welch {nf_b} dB",
+                case.name
+            ),
+            (None, None) => assert!(case.config.noise_figure.is_none(), "{}", case.name),
+            other => panic!("{}: noise figure {other:?}", case.name),
+        }
+    }
 }
 
 /// A compact spur fixture for the proptests: carrier plus one spur at

@@ -4,7 +4,8 @@
 //! regardless of worker count, queue depth, submission order or a
 //! supervised worker panic along the way. The scheduler edge cases
 //! (zero DUTs, one worker, queue-full backpressure, panic-then-retry)
-//! are pinned here too.
+//! are pinned here too, and so is the fault-coverage campaign's
+//! supervision, since its verdicts run on the pool.
 
 mod common;
 
@@ -295,4 +296,47 @@ fn submissions_are_tracked_in_flight_until_collected() {
     ids.sort_unstable();
     assert_eq!(ids, vec![0, 1]);
     svc.shutdown();
+}
+
+/// The paper standard with two gross faults and one trial: a one-cell
+/// campaign of three verdicts.
+fn one_cell_campaign() -> CampaignConfig {
+    CampaignConfig {
+        deployments: vec![Deployment::builtin_five().remove(1)],
+        faults: vec![
+            Fault::new(FaultKind::PaEarlyCompression { v_sat_factor: 0.25 }),
+            Fault::new(FaultKind::IqGainImbalance { gain_db: 3.0 }),
+        ],
+        trials: 1,
+        jitter_rms: vec![3e-12],
+        eps_ratio: 3.0,
+        ..CampaignConfig::paper_default()
+    }
+}
+
+#[test]
+fn campaign_verdict_panic_is_retried_to_the_clean_matrix() {
+    let _guard = SERVICE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = one_cell_campaign();
+    let clean = try_run_campaign(&cfg).expect("clean campaign");
+    chaos::arm_job_panics(1);
+    let recovered = try_run_campaign(&cfg);
+    chaos::arm_job_panics(0);
+    let recovered = recovered.expect("a retried panic does not stop the campaign");
+    assert_eq!(recovered.to_json(), clean.to_json());
+}
+
+#[test]
+fn campaign_scores_exhausted_verdicts_as_errored_runs() {
+    let _guard = SERVICE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = one_cell_campaign();
+    chaos::arm_job_panics(usize::MAX);
+    let matrix = try_run_campaign(&cfg);
+    chaos::arm_job_panics(0);
+    let matrix = matrix.expect("the campaign outlives verdicts that always panic");
+    let s = &matrix.standards[0];
+    assert_eq!(s.errored_runs, 1 + cfg.faults.len(), "every run errored");
+    assert_eq!(s.healthy_runs, 0);
+    assert_eq!(s.fault_runs(), 0);
+    assert_eq!(s.false_alarms, 0);
 }
