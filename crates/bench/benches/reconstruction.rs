@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rfbist_dsp::window::Window;
 use rfbist_sampling::band::BandSpec;
+use rfbist_sampling::gridplan::GridScratch;
 use rfbist_sampling::kohlenberg::KohlenbergInterpolant;
-use rfbist_sampling::plan::{PnbsPlan, PnbsScratch};
 use rfbist_sampling::reconstruct::{NonuniformCapture, PnbsReconstructor};
 use rfbist_signal::tone::Tone;
 use std::hint::black_box;
@@ -18,19 +18,6 @@ fn bench_kernel_eval(c: &mut Criterion) {
         b.iter(|| {
             t += 1.3e-11;
             black_box(kern.eval(black_box(t)))
-        })
-    });
-
-    // the planned rotor row amortizes its sincos setup over 61 taps
-    let plan = PnbsPlan::new(band, 180e-12, 61, Window::Kaiser(8.0));
-    let mut row = vec![0.0f64; 61];
-    let t_s = 1.0 / 90e6;
-    c.bench_function("pnbs_plan_kernel_row_61", |b| {
-        let mut t0 = 1.0e-9;
-        b.iter(|| {
-            t0 += 1.3e-11;
-            plan.kernel_row(black_box(t0), -t_s, &mut row);
-            black_box(row[60])
         })
     });
 }
@@ -53,7 +40,7 @@ fn bench_reconstruct_point(c: &mut Criterion) {
                 black_box(rec.reconstruct_at(&cap, black_box(t)))
             })
         });
-        // the preserved pre-plan baseline, for the perf trajectory
+        // the direct eq. 6 reference, for the perf trajectory
         group.bench_with_input(BenchmarkId::new("reference", taps), &taps, |b, _| {
             let mut t = 1.0e-6;
             b.iter(|| {
@@ -69,20 +56,24 @@ fn bench_reconstruct_point(c: &mut Criterion) {
 }
 
 fn bench_reconstruct_grid(c: &mut Criterion) {
-    // the PSD path: 4096 grid points through the 61-tap reconstructor
+    // the PSD path: 4096 points through the 61-tap reconstructor, as
+    // arbitrary instants and as the uniform grid they form
     let band = BandSpec::centered(1e9, 90e6);
     let tone = Tone::unit(0.987e9);
     let cap = NonuniformCapture::from_signal(&tone, 1.0 / 90e6, 180e-12, -60, 400);
     let rec = PnbsReconstructor::paper_default(band, 180e-12).expect("valid delay");
-    let grid: Vec<f64> = (0..4096).map(|i| 1.0e-6 + i as f64 * 0.25e-9).collect();
-    c.bench_function("pnbs_reconstruct_grid_4096", |b| {
-        b.iter(|| black_box(rec.reconstruct(&cap, black_box(&grid))))
-    });
-    // allocation-free batch form with a reused scratch buffer
-    let mut scratch = PnbsScratch::new();
+    let (t0, step, n) = (1.0e-6, 0.25e-9, 4096);
+    let times: Vec<f64> = (0..n).map(|i| t0 + i as f64 * step).collect();
+    let mut scratch = GridScratch::new();
     c.bench_function("pnbs_reconstruct_batch_4096", |b| {
         b.iter(|| {
-            let out = rec.reconstruct_batch(&cap, black_box(&grid), &mut scratch);
+            let out = rec.reconstruct_batch(&cap, black_box(&times), &mut scratch);
+            black_box(out[out.len() - 1])
+        })
+    });
+    c.bench_function("pnbs_reconstruct_grid_4096", |b| {
+        b.iter(|| {
+            let out = rec.reconstruct_grid(&cap, black_box(t0), step, n, &mut scratch);
             black_box(out[out.len() - 1])
         })
     });

@@ -1,6 +1,7 @@
 //! Headless perf-trajectory harness: times the PNBS reconstruction
-//! kernels (planned engine vs the preserved scalar baseline, measured
-//! in the same run) and writes `BENCH_recon.json`.
+//! kernels (planned engine vs the direct eq. 6 reference, measured in
+//! the same run) and the verdict pipeline around them, and writes
+//! `BENCH_recon.json`.
 //!
 //! ```sh
 //! cargo run --release -p rfbist-bench --bin perf_report            # full
@@ -8,37 +9,38 @@
 //! cargo run --release -p rfbist-bench --bin perf_report -- --out some.json
 //! ```
 //!
-//! Three kernels, mirroring the criterion benches but with medians a
+//! Sections, mirroring the criterion benches but with medians a
 //! machine can diff across commits:
 //!
-//! 1. **kernel_eval** — Kohlenberg `s(t)` over a 61-tap row:
-//!    `KohlenbergInterpolant::eval` per tap vs `PnbsPlan::kernel_row`.
-//! 2. **point_reconstruct** — one eq. 6 evaluation (61 taps, Kaiser
-//!    β = 8): `reconstruct_at_reference` vs the planned
-//!    `reconstruct_at`.
-//! 3. **cost_grid** — the Fig. 5 sweep: `evaluate_reference` per
-//!    candidate vs the batched+planned grid. The asserted ≥ 5×
-//!    speedup is measured single-threaded (`eval_grid`, scratch
-//!    reuse) so it pins the engine rather than the core count; the
-//!    chunked `std::thread::scope` parallel wall clock
-//!    (`CostEvaluator` per worker) is reported alongside. The same
-//!    run also reports the NRMSE between the planned and reference
-//!    grids — the ≤ 1e-9 equivalence contract.
-//! 4. **grid_reconstruct** — the analysis-grid workload of
+//! 1. **point_reconstruct** — one eq. 6 evaluation (61 taps, Kaiser
+//!    β = 8): `reconstruct_at_reference` vs the planned single-point
+//!    `reconstruct_at`, which fills the plan's tables over the whole
+//!    capture per call. Reported, not gated: no verdict path makes
+//!    single-point calls.
+//! 2. **cost_grid** — the Fig. 5 sweep on the paper's random probes:
+//!    `evaluate_reference` per candidate vs the planned grid (the
+//!    plan's arbitrary-instant order). The asserted ≥ 5× speedup is
+//!    measured single-threaded (`eval_grid`, scratch reuse) so it pins
+//!    the engine rather than the core count; the chunked
+//!    `std::thread::scope` parallel wall clock (`CostEvaluator` per
+//!    worker) is reported alongside. The same run also reports the
+//!    NRMSE between the planned and reference grids — the ≤ 1e-9
+//!    equivalence contract.
+//! 3. **grid_reconstruct** — the analysis-grid workload of
 //!    `BistEngine::run` (~12288 uniform points at 4 GHz, a 9/400
-//!    lattice of the sample period): the per-point planned batch vs
-//!    the grid-aware plan (`PnbsGridPlan::reconstruct_grid`,
-//!    phase-major on this rational grid, with the runtime-dispatched
-//!    SIMD kernels). Asserted ≥ 2× (full) / ≥ 1.5× (quick) at ≤ 1e-9
-//!    NRMSE everywhere and ≥ 5.5× (full) / ≥ 4× (quick) where the
-//!    AVX2/AVX-512+FMA kernels can dispatch (the mask_scan-style
-//!    feature gate; the ratio is reported either way on scalar
-//!    hardware or under `RFBIST_FORCE_SCALAR`).
-//! 5. **mask_scan** — one spectral-mask verdict, FFT-Welch vs the
+//!    lattice of the sample period): the direct reference per point vs
+//!    the planned grid (`PnbsGridPlan::reconstruct_grid`, phase-major
+//!    on this rational grid, with the runtime-dispatched SIMD
+//!    kernels). Asserted ≥ 12× (full) / ≥ 9× (quick) at ≤ 1e-9 NRMSE
+//!    against the reference everywhere and ≥ 33× (full) / ≥ 24×
+//!    (quick) where the AVX2/AVX-512+FMA kernels can dispatch (the
+//!    mask_scan-style feature gate; the ratio is reported either way
+//!    on scalar hardware or under `RFBIST_FORCE_SCALAR`).
+//! 4. **mask_scan** — one spectral-mask verdict, FFT-Welch vs the
 //!    banked Goertzel scan. The speedup floor is asserted only when
 //!    the AVX2+FMA kernels can dispatch (on plain SSE2/NEON the bank
 //!    loses to the FFT by design); agreement is asserted everywhere.
-//! 6. **stream_bist** — the end-to-end verdict pipeline
+//! 5. **stream_bist** — the end-to-end verdict pipeline
 //!    (reconstruction → scan), full-grid batch (the pre-streaming
 //!    engine: materialize the grid, construct the scanner, scan) vs
 //!    the streaming single pass (block feed → push-style scan with
@@ -53,15 +55,16 @@
 //!    and the early exit must beat the batch outright (SIMD-free and
 //!    core-count-free — reconstruction stops at the first completed
 //!    segment).
-//! 7. **service** — the sharded verdict service: a batch of identical
+//! 6. **service** — the sharded verdict service: a batch of identical
 //!    calibrated-skew jobs through the persistent worker pool at 1, 2
 //!    and 4 workers vs the direct `try_run_with` loop on one reused
-//!    scratch. Every outcome is asserted bit-identical to the direct
-//!    verdict. The core-count-free gates are the 1-worker throughput
-//!    floor (verdicts/s) and `overhead_1w` ≥ 0.7 (the pool's queue,
-//!    clone and channel overhead must stay a small fraction of a
-//!    verdict); the `scaling_2w` > 1.3× gate is asserted only where
-//!    ≥ 2 cores exist to express it.
+//!    scratch, all four timed interleaved inside one rep loop. Every
+//!    outcome is asserted bit-identical to the direct verdict. The
+//!    core-count-free gates are the 1-worker throughput floor
+//!    (verdicts/s) and `overhead_1w` ≥ 0.7 (the pool's queue, clone and
+//!    channel overhead must stay a small fraction of a verdict); the
+//!    `scaling_2w` > 1.3× gate is asserted only where ≥ 2 cores exist
+//!    to express it.
 
 use rfbist_bench::{paper_cost, paper_stimulus, par, Frontend};
 use rfbist_core::bist::welch_segmentation;
@@ -72,8 +75,6 @@ use rfbist_dsp::window::Window;
 use rfbist_math::stats::nrmse;
 use rfbist_sampling::band::BandSpec;
 use rfbist_sampling::gridplan::GridScratch;
-use rfbist_sampling::kohlenberg::KohlenbergInterpolant;
-use rfbist_sampling::plan::{PnbsPlan, PnbsScratch};
 use rfbist_sampling::reconstruct::{NonuniformCapture, PnbsReconstructor};
 use rfbist_signal::tone::{MultiTone, Tone};
 use rfbist_signal::traits::ContinuousSignal;
@@ -83,7 +84,6 @@ use std::time::Instant;
 const FC: f64 = 1e9;
 const B: f64 = 90e6;
 const D: f64 = 180e-12;
-const TAPS: usize = 61;
 
 struct Config {
     quick: bool,
@@ -106,33 +106,6 @@ fn median_ns_per_op<F: FnMut()>(reps: usize, ops: usize, mut work: F) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     samples[samples.len() / 2]
-}
-
-fn bench_kernel_eval(cfg: &Config) -> (f64, f64) {
-    let band = BandSpec::centered(FC, B);
-    let kern = KohlenbergInterpolant::new(band, D).expect("valid delay");
-    let plan = PnbsPlan::new(band, D, TAPS, Window::Kaiser(8.0));
-    let t_s = 1.0 / B;
-    let rows = if cfg.quick { 2_000 } else { 20_000 };
-    let mut buf = vec![0.0f64; TAPS];
-
-    let reference = median_ns_per_op(cfg.reps, rows * TAPS, || {
-        for r in 0..rows {
-            let t0 = 3.4e-7 + r as f64 * 1.3e-11;
-            for (i, slot) in buf.iter_mut().enumerate() {
-                *slot = kern.eval(t0 - i as f64 * t_s);
-            }
-            black_box(&buf);
-        }
-    });
-    let planned = median_ns_per_op(cfg.reps, rows * TAPS, || {
-        for r in 0..rows {
-            let t0 = 3.4e-7 + r as f64 * 1.3e-11;
-            plan.kernel_row(t0, -t_s, &mut buf);
-            black_box(&buf);
-        }
-    });
-    (reference, planned)
 }
 
 fn bench_point_reconstruct(cfg: &Config) -> (f64, f64) {
@@ -181,7 +154,8 @@ fn bench_cost_grid(cfg: &Config) -> CostGridResult {
 
     // Single-threaded planned grid: the same threading as the
     // reference, so the asserted speedup measures the planned engine
-    // (rotors + prepared window + scratch reuse), not the core count.
+    // (factored tables + tabulated window + scratch reuse), not the
+    // core count.
     let mut planned_grid = Vec::new();
     let planned_ns = median_ns_per_op(cfg.reps, candidates.len(), || {
         planned_grid = cost.eval_grid(&candidates);
@@ -206,7 +180,7 @@ fn bench_cost_grid(cfg: &Config) -> CostGridResult {
 }
 
 struct GridReconResult {
-    per_point_ns: f64,
+    reference_ns: f64,
     grid_ns: f64,
     nrmse: f64,
     points: usize,
@@ -214,14 +188,13 @@ struct GridReconResult {
 
 /// The analysis-grid workload: `BistEngine::run` step 4 reconstructs
 /// the RF waveform on a dense uniform grid (~12288 points at 4 GHz)
-/// before every mask verdict. Per-point planned path
-/// (`reconstruct_batch`, six rotor re-seeds + two Kaiser Horner
-/// evaluations per tap per point) vs the grid-aware plan
+/// before every mask verdict. The direct reference
+/// (`reconstruct_at_reference`: four kernel cosines and two Kaiser
+/// Bessel series per tap per point) vs the planned grid
 /// (`reconstruct_grid`: the 4 GHz grid is a 9/400 lattice of the
 /// sample period, so it runs phase-major — 400 weight rows per
-/// super-block, one dot product per point). Both paths reuse their
-/// scratch across repetitions, exactly as the engine does across
-/// verdicts.
+/// super-block, one dot product per point, reusing its scratch across
+/// repetitions exactly as the engine does across verdicts).
 fn bench_grid_reconstruct(cfg: &Config) -> GridReconResult {
     const FS_GRID: f64 = 4e9;
     let band = BandSpec::centered(FC, B);
@@ -231,13 +204,14 @@ fn bench_grid_reconstruct(cfg: &Config) -> GridReconResult {
     let (lo, hi) = rec.coverage(&cap).expect("capture too short");
     let dt = 1.0 / FS_GRID;
     let points = if cfg.quick { 4096 } else { 12288 }.min(((hi - lo) / dt) as usize);
-    let times: Vec<f64> = (0..points).map(|i| lo + i as f64 * dt).collect();
 
-    let mut pp_scratch = PnbsScratch::new();
-    let per_point_ns = median_ns_per_op(cfg.reps, points, || {
-        black_box(rec.reconstruct_batch(&cap, &times, &mut pp_scratch));
+    let mut reference_wave = vec![0.0; points];
+    let reference_ns = median_ns_per_op(cfg.reps, points, || {
+        for (i, slot) in reference_wave.iter_mut().enumerate() {
+            *slot = rec.reconstruct_at_reference(&cap, black_box(lo + i as f64 * dt));
+        }
+        black_box(&reference_wave);
     });
-    let per_point_wave = pp_scratch.values().to_vec();
 
     let mut grid_scratch = GridScratch::new();
     let grid_ns = median_ns_per_op(cfg.reps, points, || {
@@ -246,9 +220,9 @@ fn bench_grid_reconstruct(cfg: &Config) -> GridReconResult {
     let grid_wave = grid_scratch.values();
 
     GridReconResult {
-        per_point_ns,
+        reference_ns,
         grid_ns,
-        nrmse: nrmse(grid_wave, &per_point_wave),
+        nrmse: nrmse(grid_wave, &reference_wave),
         points,
     }
 }
@@ -457,12 +431,15 @@ struct ServiceResult {
 }
 
 /// The verdict-service workload: a batch of identical calibrated-skew
-/// jobs (short 2048-point analysis grid) through the persistent pool at 1, 2
-/// and 4 workers, against the direct `try_run_with` loop on one
+/// jobs (short 2048-point analysis grid) through the persistent pool at
+/// 1, 2 and 4 workers, against the direct `try_run_with` loop on one
 /// reused scratch. Each pool is warmed with one untimed batch (thread
-/// start + scratch growth), then timed over whole submit-all/collect-
-/// all batches; every outcome is asserted bit-identical to the direct
-/// verdict before any number is reported.
+/// start + scratch growth), and every outcome is asserted
+/// bit-identical to the direct verdict before any number is reported.
+/// The direct loop and the three pools are then timed over whole
+/// submit-all/collect-all batches *interleaved* inside one rep loop,
+/// as `stream_bist` does, so slow drift on a shared machine hits every
+/// configuration alike and cancels out of the ratios.
 fn bench_service(cfg: &Config) -> ServiceResult {
     use rfbist_core::bist::{BistConfig, BistEngine, BistScratch};
     use rfbist_core::service::{ServiceConfig, SharedSignal, VerdictJob, VerdictService};
@@ -498,10 +475,10 @@ fn bench_service(cfg: &Config) -> ServiceResult {
     // workers do minus the queue, clones and channels.
     let mut scratch = BistScratch::new();
     let template = make_jobs(1).remove(0);
-    let mut direct_report = None;
-    let direct_ns = median_ns_per_op(cfg.reps, jobs_per_batch, || {
+    let mut run_direct = || {
+        let mut report = None;
         for _ in 0..jobs_per_batch {
-            direct_report = Some(black_box(
+            report = Some(black_box(
                 BistEngine::new(template.config.clone())
                     .try_run_with(
                         &template.stimulus,
@@ -512,35 +489,57 @@ fn bench_service(cfg: &Config) -> ServiceResult {
                     .expect("clean direct verdict"),
             ));
         }
-    });
-    let direct_report = direct_report.expect("direct verdict");
+        report.expect("direct verdict")
+    };
+    let direct_report = run_direct();
 
-    let mut saturation = Vec::new();
-    for workers in [1usize, 2, 4] {
-        let mut svc =
-            VerdictService::try_start(ServiceConfig::paper_default().with_workers(workers))
-                .expect("verdict service starts");
-        // warm batch: thread start, per-worker scratch growth — and the
-        // equivalence assertion, once per worker count
-        let outcomes = svc
-            .try_run_all(make_jobs(jobs_per_batch))
-            .expect("pool alive");
-        for outcome in &outcomes {
-            let report = outcome.result.as_ref().expect("clean service verdict");
-            assert_eq!(
-                report, &direct_report,
-                "service verdict diverged from the direct run at {workers} worker(s)"
-            );
-        }
-        let ns = median_ns_per_op(cfg.reps, jobs_per_batch, || {
+    let pool_sizes = [1usize, 2, 4];
+    let mut pools: Vec<VerdictService> = pool_sizes
+        .iter()
+        .map(|&workers| {
+            let mut svc =
+                VerdictService::try_start(ServiceConfig::paper_default().with_workers(workers))
+                    .expect("verdict service starts");
+            // warm batch: thread start, per-worker scratch growth — and
+            // the equivalence assertion, once per worker count
+            let outcomes = svc
+                .try_run_all(make_jobs(jobs_per_batch))
+                .expect("pool alive");
+            for outcome in &outcomes {
+                let report = outcome.result.as_ref().expect("clean service verdict");
+                assert_eq!(
+                    report, &direct_report,
+                    "service verdict diverged from the direct run at {workers} worker(s)"
+                );
+            }
+            svc
+        })
+        .collect();
+
+    // samples[0] is the direct loop, samples[1 + k] pool k
+    let mut samples = vec![Vec::with_capacity(cfg.reps); 1 + pools.len()];
+    for _ in 0..cfg.reps {
+        let start = Instant::now();
+        run_direct();
+        samples[0].push(start.elapsed().as_nanos() as f64 / jobs_per_batch as f64);
+        for (svc, sample) in pools.iter_mut().zip(&mut samples[1..]) {
+            let start = Instant::now();
             let outcomes = svc
                 .try_run_all(make_jobs(jobs_per_batch))
                 .expect("pool alive");
             black_box(&outcomes);
-        });
-        svc.shutdown();
-        saturation.push((workers, ns));
+            sample.push(start.elapsed().as_nanos() as f64 / jobs_per_batch as f64);
+        }
     }
+    for svc in pools {
+        svc.shutdown();
+    }
+    let mut medians = samples.into_iter().map(|mut v| {
+        v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        v[v.len() / 2]
+    });
+    let direct_ns = medians.next().expect("direct samples");
+    let saturation = pool_sizes.into_iter().zip(medians).collect();
 
     ServiceResult {
         available_workers: std::thread::available_parallelism()
@@ -590,11 +589,6 @@ fn main() {
         cfg.candidates
     );
 
-    let (kern_ref, kern_plan) = bench_kernel_eval(&cfg);
-    println!(
-        "kernel_eval        {kern_ref:>10.1} ns/op reference  {kern_plan:>10.1} ns/op planned  ({:.2}x)",
-        kern_ref / kern_plan
-    );
     let (pt_ref, pt_plan) = bench_point_reconstruct(&cfg);
     println!(
         "point_reconstruct  {pt_ref:>10.1} ns/op reference  {pt_plan:>10.1} ns/op planned  ({:.2}x)",
@@ -616,10 +610,10 @@ fn main() {
     );
     let grid_recon = bench_grid_reconstruct(&cfg);
     println!(
-        "grid_reconstruct   {:>10.1} ns/pt per-point plan {:>10.1} ns/pt grid plan  ({:.2}x over {} points, nrmse {:.3e})",
-        grid_recon.per_point_ns,
+        "grid_reconstruct   {:>10.1} ns/pt reference  {:>10.1} ns/pt grid plan  ({:.2}x over {} points, nrmse {:.3e})",
+        grid_recon.reference_ns,
         grid_recon.grid_ns,
-        grid_recon.per_point_ns / grid_recon.grid_ns,
+        grid_recon.reference_ns / grid_recon.grid_ns,
         grid_recon.points,
         grid_recon.nrmse,
     );
@@ -686,11 +680,6 @@ fn main() {
   "generator": "perf_report",
   "mode": "{mode}",
   "reps": {reps},
-  "kernel_eval": {{
-    "reference_median_ns_per_op": {kern_ref:.2},
-    "planned_median_ns_per_op": {kern_plan:.2},
-    "speedup": {kern_speedup:.3}
-  }},
   "point_reconstruct": {{
     "reference_median_ns_per_op": {pt_ref:.2},
     "planned_median_ns_per_op": {pt_plan:.2},
@@ -709,10 +698,10 @@ fn main() {
   }},
   "grid_reconstruct": {{
     "points": {grid_recon_points},
-    "per_point_median_ns_per_point": {grid_recon_pp:.2},
+    "reference_median_ns_per_point": {grid_recon_ref:.2},
     "grid_plan_median_ns_per_point": {grid_recon_grid:.2},
     "speedup": {grid_recon_speedup:.3},
-    "grid_vs_per_point_nrmse": {grid_recon_nrmse:.3e}
+    "grid_vs_reference_nrmse": {grid_recon_nrmse:.3e}
   }},
   "mask_scan": {{
     "probed_bins": {scan_bins},
@@ -748,9 +737,6 @@ fn main() {
 "#,
         mode = if cfg.quick { "quick" } else { "full" },
         reps = cfg.reps,
-        kern_ref = kern_ref,
-        kern_plan = kern_plan,
-        kern_speedup = kern_ref / kern_plan,
         pt_ref = pt_ref,
         pt_plan = pt_plan,
         pt_speedup = pt_ref / pt_plan,
@@ -764,9 +750,9 @@ fn main() {
         grid_par_speedup = grid.reference_ns / grid.parallel_ns,
         nrmse = grid.nrmse,
         grid_recon_points = grid_recon.points,
-        grid_recon_pp = grid_recon.per_point_ns,
+        grid_recon_ref = grid_recon.reference_ns,
         grid_recon_grid = grid_recon.grid_ns,
-        grid_recon_speedup = grid_recon.per_point_ns / grid_recon.grid_ns,
+        grid_recon_speedup = grid_recon.reference_ns / grid_recon.grid_ns,
         grid_recon_nrmse = grid_recon.nrmse,
         scan_bins = mask_scan.probed_bins,
         scan_total = mask_scan.total_bins,
@@ -804,48 +790,49 @@ fn main() {
     // planned engine itself — thread parallelism cannot mask an
     // algorithmic regression, and core count cannot fail a healthy one.
     // Quick mode (3-rep medians on shared CI runners) gets a softer
-    // floor: a real regression collapses the ratio toward 1x, while
-    // scheduler noise on the small workload can shave a couple of x off
-    // the ~6.5x a quiet machine measures.
+    // floor. Both floors sit far under the ~40-70x the arbitrary-instant
+    // order measures on a 2-core AVX-512 VM; a real regression (a
+    // per-instant table fill, a lost window table) collapses the ratio
+    // toward the floors.
     let floor = if cfg.quick { 3.0 } else { 5.0 };
     assert!(
         grid.reference_ns / grid.planned_ns >= floor,
         "cost-grid speedup below the {floor}x floor: {:.2}x",
         grid.reference_ns / grid.planned_ns
     );
-    // Grid-reconstruct contracts: the grid-aware plan must agree with
-    // the per-point plan on the analysis-grid workload, and two floors
+    // Grid-reconstruct contracts: the planned grid must agree with the
+    // direct reference on the analysis-grid workload, and two floors
     // pin its cost. The scalar floor (no vector width needed) holds
     // unconditionally; the SIMD floor pins the runtime-dispatched
-    // grid-plan kernels and is asserted only where they can engage —
-    // the mask_scan gate applied to the grid plan — with the ratio
+    // kernels and is asserted only where they can engage — the
+    // mask_scan gate applied to the grid plan — with the ratio
     // reported either way on scalar hardware or under
     // RFBIST_FORCE_SCALAR. Both floors sit far under what the
-    // phase-major path measures; they catch a grid plan that silently
-    // falls back to the per-point cost.
+    // phase-major path measures (~220–260x on a 2-core AVX-512 VM);
+    // they catch a grid that silently falls back to a per-instant cost.
     assert!(
         grid_recon.nrmse <= 1e-9,
-        "grid plan diverged from the per-point plan: nrmse {}",
+        "grid plan diverged from the direct reference: nrmse {}",
         grid_recon.nrmse
     );
-    let grid_floor = if cfg.quick { 1.5 } else { 2.0 };
+    let grid_floor = if cfg.quick { 9.0 } else { 12.0 };
     assert!(
-        grid_recon.per_point_ns / grid_recon.grid_ns >= grid_floor,
+        grid_recon.reference_ns / grid_recon.grid_ns >= grid_floor,
         "grid-reconstruct speedup below the {grid_floor}x floor: {:.2}x",
-        grid_recon.per_point_ns / grid_recon.grid_ns
+        grid_recon.reference_ns / grid_recon.grid_ns
     );
-    let grid_simd_floor = if cfg.quick { 4.0 } else { 5.5 };
+    let grid_simd_floor = if cfg.quick { 24.0 } else { 33.0 };
     if scan_simd_available() {
         assert!(
-            grid_recon.per_point_ns / grid_recon.grid_ns >= grid_simd_floor,
+            grid_recon.reference_ns / grid_recon.grid_ns >= grid_simd_floor,
             "SIMD grid-reconstruct speedup below the {grid_simd_floor}x floor: {:.2}x",
-            grid_recon.per_point_ns / grid_recon.grid_ns
+            grid_recon.reference_ns / grid_recon.grid_ns
         );
     } else {
         println!(
             "grid_reconstruct SIMD floor (>= {grid_simd_floor}x) not asserted: no AVX2+FMA \
              dispatch on this CPU (measured {:.2}x)",
-            grid_recon.per_point_ns / grid_recon.grid_ns
+            grid_recon.reference_ns / grid_recon.grid_ns
         );
     }
     // Mask-scan contracts: the banked Goertzel path must agree with the

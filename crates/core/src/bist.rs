@@ -14,7 +14,7 @@
 use crate::cost::DualRateCost;
 use crate::error::BistError;
 use crate::health::{CaptureHealth, HealthPolicy};
-use crate::lms::{estimate_skew_lms, LmsConfig};
+use crate::lms::{estimate_skew_lms, LmsConfig, LmsResult};
 use crate::mask::SpectralMask;
 use crate::report::BistReport;
 use crate::scan::{EarlyVerdict, MaskScanEngine, ScanFeed, StreamScratch};
@@ -24,7 +24,7 @@ use rfbist_converter::calibration::auto_calibrate;
 use rfbist_dsp::window::Window;
 use rfbist_sampling::dualrate::DualRateConfig;
 use rfbist_sampling::gridplan::GridScratch;
-use rfbist_sampling::reconstruct::PnbsReconstructor;
+use rfbist_sampling::reconstruct::{NonuniformCapture, PnbsReconstructor};
 use rfbist_signal::traits::ContinuousSignal;
 
 /// How the engine places the cost function's probe times.
@@ -481,10 +481,8 @@ impl BistEngine {
         //        offset/gain background calibration (the slow channel
         //        is only needed when the skew must be estimated on
         //        this run)
-        let mut fast_adc = BpTiadc::new(cfg.frontend_fast);
-        let fast_raw = fast_adc.capture(dut, cfg.fast_start, cfg.fast_len);
-        let capture_health = CaptureHealth::scan(&fast_raw, &cfg.frontend_fast, &cfg.health)?;
-        let (fast_cap, _) = auto_calibrate(&fast_raw);
+        let (fast_cap, capture_health, true_delay) =
+            self.calibrated_capture(dut, &cfg.frontend_fast, cfg.fast_start, cfg.fast_len)?;
 
         // 3. skew: reuse the calibrated value when one is supplied
         //    (skew is a hardware property — the wideband calibration
@@ -493,31 +491,7 @@ impl BistEngine {
         let (skew, skew_ok) = match cfg.calibrated_skew {
             Some(delay) => (SkewEstimate::from_delay(delay), true),
             None => {
-                let mut slow_adc = BpTiadc::new(cfg.frontend_slow);
-                let slow_raw = slow_adc.capture(dut, cfg.slow_start, cfg.slow_len);
-                CaptureHealth::scan(&slow_raw, &cfg.frontend_slow, &cfg.health)?;
-                let (slow_cap, _) = auto_calibrate(&slow_raw);
-                // typed pre-check of the cost's coverage contract, so
-                // an undersized capture cannot panic inside the cost
-                // constructor
-                DualRateCost::try_probe_window(&fast_cap, &slow_cap, &cfg.dual)
-                    .map_err(|reason| BistError::CaptureTooShort { reason })?;
-                let cost = match cfg.probe_schedule {
-                    ProbeSchedule::Random => DualRateCost::paper_probes(
-                        fast_cap.clone(),
-                        slow_cap,
-                        cfg.dual,
-                        cfg.probe_count,
-                        cfg.probe_seed,
-                    ),
-                    ProbeSchedule::UniformGrid => DualRateCost::grid_probes(
-                        fast_cap.clone(),
-                        slow_cap,
-                        cfg.dual,
-                        cfg.probe_count,
-                    ),
-                };
-                let lms = estimate_skew_lms(&cost, LmsConfig::paper_default(cfg.lms_initial));
+                let lms = self.estimate_skew(dut, fast_cap.clone())?;
                 let ok = (!cfg.skew_gate.require_convergence || lms.converged)
                     && cfg
                         .skew_gate
@@ -621,7 +595,7 @@ impl BistEngine {
 
         Ok(BistReport {
             skew,
-            true_delay: fast_adc.true_delay(),
+            true_delay,
             mask: mask_report,
             reconstruction_error,
             early_exit,
@@ -660,14 +634,43 @@ impl BistEngine {
         stimulus: &S,
     ) -> Result<SkewEstimate, BistError> {
         let cfg = &self.config;
-        let mut fast_adc = BpTiadc::new(cfg.frontend_fast);
-        let mut slow_adc = BpTiadc::new(cfg.frontend_slow);
-        let fast_raw = fast_adc.capture(stimulus, cfg.fast_start, cfg.fast_len);
-        let slow_raw = slow_adc.capture(stimulus, cfg.slow_start, cfg.slow_len);
-        CaptureHealth::scan(&fast_raw, &cfg.frontend_fast, &cfg.health)?;
-        CaptureHealth::scan(&slow_raw, &cfg.frontend_slow, &cfg.health)?;
-        let (fast_cap, _) = auto_calibrate(&fast_raw);
-        let (slow_cap, _) = auto_calibrate(&slow_raw);
+        let (fast_cap, _, _) =
+            self.calibrated_capture(stimulus, &cfg.frontend_fast, cfg.fast_start, cfg.fast_len)?;
+        Ok(self.estimate_skew(stimulus, fast_cap)?.to_estimate())
+    }
+
+    /// One channel of the front half: captures `len` pairs from sample
+    /// `start` through `frontend` and health-scans the raw capture
+    /// **before** calibration (NaN would poison the calibration means).
+    /// Returns the offset/gain-calibrated capture, its health summary
+    /// and the sampler's physical delay.
+    fn calibrated_capture<S: ContinuousSignal>(
+        &self,
+        signal: &S,
+        frontend: &BpTiadcConfig,
+        start: i64,
+        len: usize,
+    ) -> Result<(NonuniformCapture, CaptureHealth, f64), BistError> {
+        let mut adc = BpTiadc::new(*frontend);
+        let raw = adc.capture(signal, start, len);
+        let health = CaptureHealth::scan(&raw, frontend, &self.config.health)?;
+        Ok((auto_calibrate(&raw).0, health, adc.true_delay()))
+    }
+
+    /// The rest of the front half, shared by the per-run LMS and
+    /// [`try_calibrate_skew`](Self::try_calibrate_skew): the slow-rate
+    /// capture, the dual-rate cost on the configured probe schedule
+    /// and the LMS descent.
+    fn estimate_skew<S: ContinuousSignal>(
+        &self,
+        signal: &S,
+        fast_cap: NonuniformCapture,
+    ) -> Result<LmsResult, BistError> {
+        let cfg = &self.config;
+        let (slow_cap, _, _) =
+            self.calibrated_capture(signal, &cfg.frontend_slow, cfg.slow_start, cfg.slow_len)?;
+        // typed pre-check of the cost's coverage contract, so an
+        // undersized capture cannot panic inside the cost constructor
         DualRateCost::try_probe_window(&fast_cap, &slow_cap, &cfg.dual)
             .map_err(|reason| BistError::CaptureTooShort { reason })?;
         let cost = match cfg.probe_schedule {
@@ -682,7 +685,8 @@ impl BistEngine {
                 DualRateCost::grid_probes(fast_cap, slow_cap, cfg.dual, cfg.probe_count)
             }
         };
-        Ok(estimate_skew_lms(&cost, LmsConfig::paper_default(cfg.lms_initial)).to_estimate())
+        let lms_config = LmsConfig::paper_default(cfg.lms_initial);
+        Ok(estimate_skew_lms(&cost, lms_config))
     }
 }
 

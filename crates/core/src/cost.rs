@@ -18,7 +18,6 @@ use rfbist_dsp::window::Window;
 use rfbist_math::rng::Randomizer;
 use rfbist_sampling::dualrate::DualRateConfig;
 use rfbist_sampling::gridplan::{GridScratch, PnbsGridPlan};
-use rfbist_sampling::plan::{PnbsPlan, PnbsScratch};
 use rfbist_sampling::reconstruct::{NonuniformCapture, PnbsReconstructor};
 
 /// The paper's probe-schedule reconstruction configuration (61 taps,
@@ -36,8 +35,8 @@ pub struct DualRateCost {
     times: Vec<f64>,
     /// `Some((t0, step))` when `times` is the uniform grid
     /// `t0, t0 + step, …` — the schedule that routes every cost
-    /// evaluation through the grid-aware reconstruction plan
-    /// ([`PnbsGridPlan`]) instead of the per-point batch path.
+    /// evaluation through the plan's grid walk ([`PnbsGridPlan`])
+    /// instead of its arbitrary-instant order.
     grid: Option<(f64, f64)>,
     num_taps: usize,
     window: Window,
@@ -98,16 +97,17 @@ impl DualRateCost {
             num_taps,
             window,
         };
-        // verify coverage with a representative (valid) delay
+        // verify coverage with a representative (valid) delay, through
+        // the reconstructors' own tap-window predicate
         let probe = cost.config.delay().min(cost.config.m_bound() * 0.5);
         let (fast_rec, slow_rec) = cost.reconstructors(probe);
         for &t in &cost.times {
-            if fast_rec.try_reconstruct_at(&cost.fast, t).is_none() {
+            if !fast_rec.grid_plan().covers(&cost.fast, t) {
                 return Err(BistError::InvalidConfig {
                     reason: format!("probe time {t:.3e} s outside fast-capture coverage"),
                 });
             }
-            if slow_rec.try_reconstruct_at(&cost.slow, t).is_none() {
+            if !slow_rec.grid_plan().covers(&cost.slow, t) {
                 return Err(BistError::InvalidConfig {
                     reason: format!("probe time {t:.3e} s outside slow-capture coverage"),
                 });
@@ -201,8 +201,8 @@ impl DualRateCost {
     /// Functionally interchangeable with
     /// [`paper_probes`](Self::paper_probes) — the cost keeps its unique
     /// minimum at the true delay — but the uniform spacing lets every
-    /// evaluation reconstruct both captures through the grid-aware plan
-    /// ([`PnbsGridPlan`]): per-tap rotors are reused *across* probe
+    /// evaluation reconstruct both captures through the plan's grid
+    /// walk ([`PnbsGridPlan`]): the time phasors advance *across* probe
     /// points instead of being re-seeded per point, which is where LMS
     /// descents and Fig. 5 sweeps spend their time.
     pub fn grid_probes(
@@ -247,7 +247,7 @@ impl DualRateCost {
 
     /// `Some((t0, step))` when the probe times form a uniform grid (the
     /// [`grid_probes`](Self::grid_probes) schedule), enabling the
-    /// grid-aware reconstruction path inside every evaluation.
+    /// grid walk inside every evaluation.
     pub fn probe_grid(&self) -> Option<(f64, f64)> {
         self.grid
     }
@@ -289,7 +289,7 @@ impl DualRateCost {
         )
     }
 
-    /// Evaluates `ε(D̂)` (paper eq. 8) through the planned batch path.
+    /// Evaluates `ε(D̂)` (paper eq. 8) through the planned engine.
     ///
     /// Candidates are clamped into the open search interval `]0, m[`
     /// with a 0.1 ps margin, so optimizer overshoot cannot hit the
@@ -301,8 +301,8 @@ impl DualRateCost {
 
     /// [`evaluate`](Self::evaluate) through the preserved direct
     /// reconstruction path (four kernel cosines + two Bessel series per
-    /// tap) — the scalar baseline the perf-trajectory harness measures
-    /// the planned engine against.
+    /// tap) — the oracle and baseline the planned engine is measured
+    /// against.
     pub fn evaluate_reference(&self, d_hat: f64) -> f64 {
         let d = self.clamp_candidate(d_hat);
         let (fast_rec, slow_rec) = self.reconstructors(d);
@@ -330,8 +330,6 @@ impl DualRateCost {
     pub fn evaluator(&self) -> CostEvaluator<'_> {
         CostEvaluator {
             cost: self,
-            fast_scratch: PnbsScratch::new(),
-            slow_scratch: PnbsScratch::new(),
             fast_grid: GridScratch::new(),
             slow_grid: GridScratch::new(),
         }
@@ -391,8 +389,6 @@ impl DualRateCost {
 #[derive(Clone, Debug)]
 pub struct CostEvaluator<'a> {
     cost: &'a DualRateCost,
-    fast_scratch: PnbsScratch,
-    slow_scratch: PnbsScratch,
     fast_grid: GridScratch,
     slow_grid: GridScratch,
 }
@@ -402,30 +398,28 @@ impl CostEvaluator<'_> {
     /// [`DualRateCost::evaluate`].
     ///
     /// Uniform-grid probe schedules
-    /// ([`DualRateCost::grid_probes`]) dispatch to the grid-aware
-    /// reconstruction plan; random schedules use the per-point batch
-    /// path. Both agree with the direct reference to ≤ 1e-9.
+    /// ([`DualRateCost::grid_probes`]) run the plan's grid walk; random
+    /// schedules run its arbitrary-instant order. Both agree with the
+    /// direct reference to ≤ 1e-9.
     // analysis: allow(typed-error-parity) — cannot panic: candidates are clamped into ]0, m[ and the `::new` tokens the fixpoint matches are the plan/scratch constructors, not the panicking sibling `new`
     pub fn eval(&mut self, d_hat: f64) -> f64 {
         let cost = self.cost;
         let d = cost.clamp_candidate(d_hat);
-        if let Some((t0, step)) = cost.grid {
-            let n = cost.times.len();
-            let fast_plan =
-                PnbsGridPlan::new(cost.config.fast_band(), d, cost.num_taps, cost.window);
-            let slow_plan =
-                PnbsGridPlan::new(cost.config.slow_band(), d, cost.num_taps, cost.window);
-            let a = fast_plan.reconstruct_grid(&cost.fast, t0, step, n, &mut self.fast_grid);
-            let b = slow_plan.reconstruct_grid(&cost.slow, t0, step, n, &mut self.slow_grid);
-            let acc: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
-            return acc / n as f64;
-        }
-        let fast_plan = PnbsPlan::new(cost.config.fast_band(), d, cost.num_taps, cost.window);
-        let slow_plan = PnbsPlan::new(cost.config.slow_band(), d, cost.num_taps, cost.window);
-        let a = fast_plan.reconstruct_batch(&cost.fast, &cost.times, &mut self.fast_scratch);
-        let b = slow_plan.reconstruct_batch(&cost.slow, &cost.times, &mut self.slow_scratch);
+        let n = cost.times.len();
+        let fast_plan = PnbsGridPlan::new(cost.config.fast_band(), d, cost.num_taps, cost.window);
+        let slow_plan = PnbsGridPlan::new(cost.config.slow_band(), d, cost.num_taps, cost.window);
+        let (a, b) = match cost.grid {
+            Some((t0, step)) => (
+                fast_plan.reconstruct_grid(&cost.fast, t0, step, n, &mut self.fast_grid),
+                slow_plan.reconstruct_grid(&cost.slow, t0, step, n, &mut self.slow_grid),
+            ),
+            None => (
+                fast_plan.reconstruct_instants(&cost.fast, &cost.times, &mut self.fast_grid),
+                slow_plan.reconstruct_instants(&cost.slow, &cost.times, &mut self.slow_grid),
+            ),
+        };
         let acc: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
-        acc / cost.times.len() as f64
+        acc / n as f64
     }
 
     /// Evaluates a batch of candidates through this evaluator's scratch

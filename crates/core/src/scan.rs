@@ -45,7 +45,7 @@ struct ScanBin {
 
 /// Reusable buffers for [`MaskScanEngine::scan_with`]; create once per
 /// sweep so repeated scans allocate nothing (the
-/// [`PnbsScratch`](rfbist_sampling::plan::PnbsScratch) shape applied
+/// [`GridScratch`](rfbist_sampling::gridplan::GridScratch) shape applied
 /// to the verdict path).
 #[derive(Clone, Debug, Default)]
 pub struct MaskScanScratch {
@@ -64,7 +64,7 @@ impl MaskScanScratch {
 /// Goertzel coefficient bank and window coefficients for one
 /// (mask, carrier, sample rate, Welch segmentation) configuration.
 ///
-/// Mirrors the `PnbsPlan` split: everything that does not depend on
+/// Mirrors the `PnbsGridPlan` split: everything that does not depend on
 /// the waveform — bin selection, `2cos ω` tables, window, density
 /// normalization — is computed once here; [`scan`](Self::scan) then
 /// runs one banked recurrence pass per Welch segment.

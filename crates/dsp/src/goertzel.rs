@@ -51,7 +51,7 @@ pub fn goertzel_tone_power(x: &[f64], f: f64) -> f64 {
 
 /// Reusable state buffers for [`GoertzelBank`]; create once and pass to
 /// every [`GoertzelBank::powers_into`] call so segment-averaged scans
-/// allocate nothing per segment (the `PnbsScratch` shape applied to
+/// allocate nothing per segment (the `GridScratch` shape applied to
 /// spectral scanning).
 #[derive(Clone, Debug, Default)]
 pub struct GoertzelScratch {

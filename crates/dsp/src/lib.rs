@@ -5,15 +5,13 @@
 //!
 //! - [`window`]: window functions (rectangular through Kaiser),
 //! - [`fir`]: windowed-sinc FIR design and filtering,
-//! - [`iir`]: biquad sections and Butterworth designs (behavioral analog
-//!   filter models),
 //! - [`srrc`]: raised-cosine and square-root raised-cosine pulses,
 //! - [`psd`]: periodogram and Welch power-spectral-density estimation,
 //! - [`specmetrics`]: single-tone converter metrics (SNR, SINAD, SFDR,
 //!   ENOB, THD),
 //! - [`resample`]: rational and sinc-based resampling, fractional delay,
-//! - [`goertzel`]: single-bin DFT evaluation,
-//! - [`evm`]: error-vector-magnitude and constellation utilities.
+//! - [`goertzel`]: single-bin DFT evaluation (the banked mask-bin scan),
+//! - [`simd`]: the runtime kernel-dispatch switch.
 //!
 //! # Example
 //!
@@ -29,10 +27,8 @@
 //! assert!((dc - 1.0).abs() < 1e-12);
 //! ```
 
-pub mod evm;
 pub mod fir;
 pub mod goertzel;
-pub mod iir;
 pub mod psd;
 pub mod resample;
 pub mod simd;

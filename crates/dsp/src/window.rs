@@ -158,13 +158,14 @@ impl Window {
 impl Window {
     /// Prepares this window for repeated pointwise evaluation.
     ///
-    /// The PNBS reconstruction plan calls the window twice per tap per
-    /// probe instant; for [`Window::Kaiser`] the naive
-    /// [`at`](Self::at) pays a Bessel-`I0` series (with its per-term
-    /// divisions) *and* the `1/I0(β)` normalization on every call. The
-    /// sampler hoists the normalization and rewrites the window as a
-    /// polynomial table evaluated by Horner's rule — see
-    /// [`WindowSampler`].
+    /// For [`Window::Kaiser`] the naive [`at`](Self::at) pays a
+    /// Bessel-`I0` series (with its per-term divisions) *and* the
+    /// `1/I0(β)` normalization on every call. The sampler hoists the
+    /// normalization and rewrites the window as a polynomial table
+    /// evaluated by Horner's rule — see [`WindowSampler`]. It supplies
+    /// the nodes of every [`WindowTable`] (the form the PNBS
+    /// reconstruction plan reads per tap) and evaluates the shapes the
+    /// cubic table cannot represent.
     pub fn sampler(self) -> WindowSampler {
         WindowSampler::new(self)
     }

@@ -7,7 +7,6 @@
 //! - [`fft`]: radix-2 and Bluestein FFTs (any length), plus helpers,
 //! - [`special`]: special functions (modified Bessel `I0`, `erf`, `sinc`),
 //! - [`linalg`]: small dense matrices, linear solves, least squares,
-//! - [`poly`]: polynomial evaluation and fitting,
 //! - [`stats`]: descriptive statistics used by measurement code,
 //! - [`interp`]: pointwise interpolation kernels,
 //! - [`rotor`]: incremental phase rotation (`sincos`, [`rotor::PhaseRotor`]),
@@ -36,7 +35,6 @@ pub mod complex;
 pub mod fft;
 pub mod interp;
 pub mod linalg;
-pub mod poly;
 pub mod rng;
 pub mod rotor;
 pub mod special;

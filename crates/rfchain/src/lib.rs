@@ -14,9 +14,7 @@
 //! - [`impairments`]: the aggregate impairment configuration,
 //! - [`txchain`]: the assembled homodyne transmitter,
 //! - [`faults`]: a parametric fault catalogue for BIST fault-coverage
-//!   experiments,
-//! - [`loopback`]: the loopback-BIST baseline and its fault-masking
-//!   weakness (the paper's Section I motivation).
+//!   experiments.
 //!
 //! # Example
 //!
@@ -33,7 +31,6 @@
 pub mod faults;
 pub mod impairments;
 pub mod iqmod;
-pub mod loopback;
 pub mod pa;
 pub mod txchain;
 

@@ -1,42 +1,60 @@
-//! Grid-aware PNBS reconstruction on uniform analysis grids: a
-//! cross-point rotor walk for arbitrary grids, and phase-major
-//! reconstruction for grids on a rational lattice of the sample period.
+//! Planned PNBS reconstruction (paper eq. 6) — the workspace's hottest
+//! loop — in three iteration orders over one row builder: a cross-point
+//! rotor walk for uniform grids, phase-major reconstruction for grids
+//! on a rational lattice of the sample period, and arbitrary instants.
 //!
-//! The per-point plan ([`PnbsPlan`]) already removed the per-tap
-//! trigonometry from one eq. 6 evaluation, but it still re-seeds six
-//! phase rotors (six `sincos` calls) at every probe instant and pays a
-//! ~31-term Kaiser Horner polynomial twice per tap. Analysis grids and
-//! uniform-grid cost probes are consecutive points of a *uniform* grid,
-//! so [`PnbsGridPlan`] exploits that structure.
+//! The direct form
+//! ([`PnbsReconstructor::try_reconstruct_at_reference`](crate::reconstruct::PnbsReconstructor::try_reconstruct_at_reference))
+//! pays, per tap and per instant, four cosines of the Kohlenberg kernel
+//! (paper eq. 2) and two Bessel-`I0` Kaiser-window series. Every cost
+//! evaluation (Fig. 5), LMS iteration (Fig. 6) and analysis grid
+//! multiplies that by hundreds to tens of thousands of instants.
+//! [`PnbsGridPlan`] precomputes everything that does not depend on the
+//! instant.
 //!
-//! # The walk
+//! # The row builder
 //!
-//! Every grid point is one *weight row* — the 2 × `num_taps` eq. 6
+//! Every instant is one *weight row* — the 2 × `num_taps` eq. 6
 //! weights (Kohlenberg kernel × window) of its tap window — dotted with
-//! the capture samples under that window. The walk builds the row of
-//! every point:
+//! the capture samples under that window:
 //!
-//! - **Cross-point rotors.** Each cosine family's time phasor
-//!   `e^{jωⱼ(t − n_ref·T)}` advances once per grid point by the
-//!   grid-step rotor `e^{jωⱼ·Δt}`, with an exact re-seed every
-//!   [`GRID_BLOCK_LEN`] absolute grid points bounding phase drift.
+//! - **Time phasors.** Each cosine family's phasor
+//!   `e^{jωⱼ(t − n_ref·T)}` is the only per-instant trigonometry: three
+//!   `sincos` per instant, or on a uniform grid one grid-step rotation
+//!   per point.
 //! - **Factored per-sample tables.** The kernel numerator is a fixed
 //!   linear combination `Σⱼ αⱼcos(ωⱼτ) + βⱼsin(ωⱼτ)`, and `τ = t − nT`
 //!   splits by the angle-sum identity into the time phasor times a
 //!   per-*sample* phasor `e^{jωⱼ(n − n_ref)T}`. Folding `(αⱼ, βⱼ)` into
-//!   per-sample tables (built once per grid with [`fill_phasor_table`])
+//!   per-sample tables (built once per call with [`fill_phasor_table`])
 //!   collapses the per-tap numerator to six multiply-adds per stream.
-//! - **Tabulated window.** The Kaiser polynomial is replaced by the
-//!   cached cubic [`WindowTable`], node-aligned to the tap stride
-//!   `1/(2(h+1))` and transposed by node residue, so a whole window row
-//!   shares one set of interpolation weights and reads four unit-stride
-//!   streams (≤ 5e-12 from the exact sampler; kinked shapes fall back
-//!   to the direct sampler). The transposed table depends only on
-//!   (window, taps) and is shared across plans through a thread-local
-//!   MRU cache, so a new `D̂` costs only the [`PnbsPlan`] constants.
+//! - **Tabulated window.** The Kaiser series is replaced by the cached
+//!   cubic [`WindowTable`], node-aligned to the tap stride `1/(2(h+1))`
+//!   and transposed by node residue, so a whole window row shares one
+//!   set of interpolation weights and reads four unit-stride streams
+//!   (≤ 5e-12 from the exact window; kinked shapes fall back to direct
+//!   sampling). The transposed table depends only on (window, taps) and
+//!   is shared across plans through a thread-local MRU cache, so a new
+//!   `D̂` costs only the eq. 2 constants.
 //! - **Near-origin guard.** Within [`NEAR_ORIGIN_FRACTION`] of a sample
 //!   instant the `1/τ` pole would amplify the tables' bounded phase
 //!   error, so that tap (at most one per stream) is evaluated exactly.
+//!
+//! # The walk
+//!
+//! On a uniform grid the time phasors advance once per point by the
+//! grid-step rotor `e^{jωⱼ·Δt}`, with an exact re-seed every
+//! [`GRID_BLOCK_LEN`] absolute grid points bounding phase drift; the
+//! tables cover the grid's sample span, phased from its first tap
+//! window center.
+//!
+//! # Arbitrary instants
+//!
+//! [`PnbsGridPlan::try_reconstruct_instants`] seeds every instant's
+//! time phasors exactly. Its tables cover the whole capture, phased
+//! from the fixed origin `n₀ + h` of the capture, so a value depends
+//! only on the plan, the capture and `t`: a batch and a single-point
+//! call are bit-identical.
 //!
 //! # Phase-major reconstruction on rational grids
 //!
@@ -89,15 +107,16 @@
 //! recompilations of one safe kernel body, behind the same
 //! `is_x86_feature_detected!` / `RFBIST_FORCE_SCALAR` dispatch as
 //! `rfbist_dsp::goertzel`. The portable instantiation uses plain
-//! `*`/`+` (without hardware FMA, `f64::mul_add` is a libm call). The
-//! result tracks the per-point plan and the direct reference to
-//! ≪ 1e-9 (`tests/grid_plan_equivalence.rs`).
+//! `*`/`+` (without hardware FMA, `f64::mul_add` is a libm call). Every
+//! order tracks the direct reference to ≪ 1e-9
+//! (`tests/plan_equivalence.rs`, `tests/grid_plan_equivalence.rs`).
 
-use crate::plan::PnbsPlan;
+use crate::band::BandSpec;
 use crate::reconstruct::NonuniformCapture;
 use rfbist_dsp::window::{Window, WindowTable};
 use rfbist_math::rotor::{fill_phasor_table, sincos};
 use std::cell::RefCell;
+use std::f64::consts::PI;
 use std::sync::Arc;
 
 /// Points per [`GridBlocks::next_block`] block, and the interval (in
@@ -151,9 +170,9 @@ struct WeightRow {
     odd: Vec<f64>,
 }
 
-/// Reusable buffers for grid reconstruction: the output values, the
+/// Reusable buffers for planned reconstruction: the output values, the
 /// per-sample factored phasor tables and the weight rows in flight, so
-/// repeated grid calls (one per cost candidate, one per BIST verdict)
+/// repeated calls (one per cost candidate, one per BIST verdict)
 /// allocate nothing in steady state.
 #[derive(Clone, Debug, Default)]
 pub struct GridScratch {
@@ -176,17 +195,18 @@ pub struct GridScratch {
 
 impl GridScratch {
     /// An empty scratch buffer.
+    // analysis: allow(typed-error-parity) — infallible `Default` constructor (panic capability is a same-file name match against `PnbsGridPlan::new`)
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The values written by the most recent grid call (for a block
-    /// feed, the chunk it currently holds).
+    /// The values written by the most recent call (for a block feed,
+    /// the chunk it currently holds).
     pub fn values(&self) -> &[f64] {
         &self.out
     }
 
-    /// Consumes the scratch, yielding the most recent grid's values
+    /// Consumes the scratch, yielding the most recent call's values
     /// without a copy.
     pub fn into_values(self) -> Vec<f64> {
         self.out
@@ -316,10 +336,22 @@ impl Lattice {
     }
 }
 
-/// One grid's producer state besides the scratch: the geometry, the
-/// factored tables' extent and the path it takes.
+/// The order in which a producer visits its points.
 #[derive(Clone, Copy, Debug)]
-struct GridFeed {
+enum Order<'t> {
+    /// The cross-point rotor walk over a uniform grid.
+    Walk,
+    /// Phase-major reconstruction of a grid on a rational lattice.
+    PhaseMajor(Lattice),
+    /// Arbitrary instants, each seeding its time phasors exactly.
+    Instants(&'t [f64]),
+}
+
+/// One call's producer state besides the scratch: the geometry, the
+/// factored tables' extent and the order it takes.
+#[derive(Clone, Copy, Debug)]
+struct GridFeed<'t> {
+    /// Grid start and step (unused by [`Order::Instants`]).
     t0: f64,
     step: f64,
     n: usize,
@@ -327,18 +359,18 @@ struct GridFeed {
     tab_first: i64,
     /// Phase origin of the tables and time phasors.
     n_ref: i64,
-    lattice: Option<Lattice>,
+    order: Order<'t>,
     /// Whether the producer may dispatch to the SIMD kernels.
     simd: bool,
 }
 
-impl GridFeed {
+impl GridFeed<'_> {
     /// Points one producer call emits: a super-block on the
-    /// phase-major path, one re-seed block on the walk.
+    /// phase-major path, one re-seed block otherwise.
     fn chunk_len(&self) -> usize {
-        match self.lattice {
-            Some(_) => SUPER_BLOCK_LEN,
-            None => GRID_BLOCK_LEN,
+        match self.order {
+            Order::PhaseMajor(_) => SUPER_BLOCK_LEN,
+            Order::Walk | Order::Instants(_) => GRID_BLOCK_LEN,
         }
     }
 }
@@ -411,9 +443,8 @@ impl TimeRotor {
     #[inline(always)]
     fn seed_if_due(&mut self, i: usize, w: &[f64; 3], dt: f64) {
         if i.is_multiple_of(TIME_RESEED_INTERVAL) {
-            for ((c, s), &wj) in self.c.iter_mut().zip(&mut self.s).zip(w) {
-                (*s, *c) = sincos(wj * dt);
-            }
+            let [c0, s0, c1, s1, c2, s2] = time_phasors(w, dt);
+            (self.c, self.s) = ([c0, c1, c2], [s0, s1, s2]);
         }
     }
 
@@ -434,8 +465,9 @@ impl TimeRotor {
     }
 }
 
-/// A [`PnbsPlan`] extended for uniform-grid reconstruction (see the
-/// module docs).
+/// A precomputed reconstruction plan for one band / delay estimate /
+/// tap count / window configuration (paper eq. 6; see the module
+/// docs).
 ///
 /// # Example
 ///
@@ -453,76 +485,114 @@ impl TimeRotor {
 /// let plan = PnbsGridPlan::new(band, d, 61, Window::Kaiser(8.0));
 /// let mut scratch = GridScratch::new();
 /// let wave = plan.reconstruct_grid(&cap, 1.0e-6, 2.5e-10, 64, &mut scratch);
-/// // identical (to ≪ 1e-9) to the per-point planned path
+/// // identical (to ≪ 1e-9) to the direct eq. 6 evaluation
 /// let rec = PnbsReconstructor::paper_default(band, d).unwrap();
-/// assert!((wave[5] - rec.reconstruct_at(&cap, 1.0e-6 + 5.0 * 2.5e-10)).abs() < 1e-9);
+/// let t = 1.0e-6 + 5.0 * 2.5e-10;
+/// assert!((wave[5] - rec.reconstruct_at_reference(&cap, t)).abs() < 1e-9);
 /// ```
 #[derive(Clone, Debug)]
 pub struct PnbsGridPlan {
-    plan: PnbsPlan,
-    window: Arc<GridWindow>,
+    /// Angular frequencies of the three cosine families (rad/s):
+    /// `ω₀ = 2πf_l`, `ω₁ = 2π(kB − f_l)`, `ω₂ = 2π(f_l + B)`.
+    w: [f64; 3],
     /// Cosine weights of the factored kernel numerator
     /// `Σⱼ αⱼ·cos(ωⱼτ) + βⱼ·sin(ωⱼτ)`.
     alpha: [f64; 3],
     /// Sine weights of the factored kernel numerator.
     beta: [f64; 3],
+    /// `1/(2πB)` — the kernel's shared denominator scale.
+    inv_two_pi_b: f64,
+    /// Kernel limit `s(0) = s₀(0) + s₁(0)`.
+    origin: f64,
+    /// The delay estimate `D̂` in seconds.
+    delay: f64,
+    half_taps: usize,
+    window: Arc<GridWindow>,
 }
 
 impl PnbsGridPlan {
-    /// Builds a grid plan for `band` at delay estimate `delay` with
-    /// `num_taps` kernel taps per stream tapered by `window`. Delay
-    /// constraints are not checked, mirroring [`PnbsPlan::new`].
+    /// Builds a plan for `band` at delay estimate `delay` with
+    /// `num_taps` kernel taps per stream tapered by `window`.
+    ///
+    /// Delay constraints (eq. 3) are *not* checked here, so cost
+    /// functions can probe arbitrary candidates; validated entry points
+    /// check before planning.
     ///
     /// # Panics
     ///
     /// Panics if `num_taps` is even or zero.
-    pub fn new(band: crate::band::BandSpec, delay: f64, num_taps: usize, window: Window) -> Self {
-        Self::from_plan(PnbsPlan::new(band, delay, num_taps, window), window)
-    }
-
-    /// Wraps an existing per-point plan, adding the grid machinery
-    /// (shared window tables, factored numerator weights).
-    pub fn from_plan(plan: PnbsPlan, window: Window) -> Self {
+    // analysis: allow(typed-error-parity) — the tap count is a build-time constant at every call site (61, or a reconstructor that already asserted it odd), so an even count is a caller bug rather than a runtime fault
+    pub fn new(band: BandSpec, delay: f64, num_taps: usize, window: Window) -> Self {
+        assert!(num_taps % 2 == 1, "tap count must be odd (nw + 1)");
+        let b = band.bandwidth();
+        let f_lo = band.f_lo();
+        let k = band.k() as f64;
+        let k_plus = band.k_plus() as f64;
         // Regroup the eq. 2 numerator
         //   ((c₂ − c₁)cos φ₁ + (s₂ − s₁)sin φ₁)/sin φ₁
-        // + ((c₁ − c₀)cos φ₀ + (s₁ − s₀)sin φ₀)/sin φ₀
-        // by cosine family: αⱼ, βⱼ multiply cos(ωⱼτ), sin(ωⱼτ).
-        let a1 = plan.s1.cos_phi * plan.s1.inv_sin;
-        let b1 = plan.s1.sin_phi * plan.s1.inv_sin;
+        // + ((c₁ − c₀)cos φ₀ + (s₁ − s₀)sin φ₀)/sin φ₀,
+        // φ₀ = kπBD̂ and φ₁ = k⁺πBD̂, by cosine family: αⱼ, βⱼ multiply
+        // cos(ωⱼτ), sin(ωⱼτ). The s₀ term vanishes identically on
+        // integer-positioned bands.
+        let (a1, b1) = term_weights(k_plus * PI * b * delay);
         let mut alpha = [0.0, -a1, a1];
         let mut beta = [0.0, -b1, b1];
-        if let Some(s0) = plan.s0 {
-            let a0 = s0.cos_phi * s0.inv_sin;
-            let b0 = s0.sin_phi * s0.inv_sin;
+        let s0_origin = if band.is_integer_positioned() {
+            0.0
+        } else {
+            let (a0, b0) = term_weights(k * PI * b * delay);
             alpha[0] = -a0;
             beta[0] = -b0;
             alpha[1] += a0;
             beta[1] += b0;
-        }
-        // Node-align the table on the tap stride 1/(2(h+1)) so a whole
-        // window row shares one interpolation-weight set per point.
-        let window = GridWindow::shared(window, 2 * (plan.half_taps + 1));
+            k - 2.0 * f_lo / b
+        };
+        let s1_origin = 1.0 + 2.0 * f_lo / b - k;
+        let half_taps = num_taps / 2;
         PnbsGridPlan {
-            plan,
-            window,
+            w: [
+                2.0 * PI * f_lo,
+                2.0 * PI * (k * b - f_lo),
+                2.0 * PI * (f_lo + b),
+            ],
             alpha,
             beta,
+            inv_two_pi_b: 1.0 / (2.0 * PI * b),
+            origin: s0_origin + s1_origin,
+            delay,
+            half_taps,
+            // Node-align the table on the tap stride 1/(2(h+1)) so a
+            // whole window row shares one interpolation-weight set.
+            window: GridWindow::shared(window, 2 * (half_taps + 1)),
         }
-    }
-
-    /// The wrapped per-point plan.
-    pub fn plan(&self) -> &PnbsPlan {
-        &self.plan
     }
 
     /// The delay estimate `D̂` in seconds.
     pub fn delay(&self) -> f64 {
-        self.plan.delay()
+        self.delay
     }
 
     /// Taps per stream (`nw + 1`).
     pub fn num_taps(&self) -> usize {
-        self.plan.num_taps()
+        2 * self.half_taps + 1
+    }
+
+    /// The time interval over which `capture` fully covers the filter
+    /// support: `[(n₀ + h)·T, (n₀ + len − 1 − h)·T]` with `h = nw/2`;
+    /// `None` when the capture is too short for even one evaluation.
+    pub fn coverage(&self, capture: &NonuniformCapture) -> Option<(f64, f64)> {
+        let h = self.half_taps as i64;
+        let lo = capture.n_start() + h;
+        let hi = capture.n_start() + capture.len() as i64 - 1 - h;
+        (hi >= lo).then(|| (lo as f64 * capture.period(), hi as f64 * capture.period()))
+    }
+
+    /// Whether `capture` holds the whole tap window `round(t/T) ± h` of
+    /// instant `t` — the coverage predicate of every reconstruction.
+    pub fn covers(&self, capture: &NonuniformCapture, t: f64) -> bool {
+        let h = self.half_taps as i64;
+        let nc = (t / capture.period()).round() as i64;
+        nc - h >= capture.n_start() && nc + h < capture.n_start() + capture.len() as i64
     }
 
     /// Exact kernel evaluation for taps inside the near-origin guard
@@ -531,14 +601,14 @@ impl PnbsGridPlan {
     /// direct `sincos` instead.
     fn kernel_near_origin(&self, tau: f64) -> f64 {
         if tau.abs() < 1e-18 {
-            return self.plan.origin;
+            return self.origin;
         }
         let mut num = 0.0;
-        for ((&w, &a), &b) in self.plan.w.iter().zip(&self.alpha).zip(&self.beta) {
+        for ((&w, &a), &b) in self.w.iter().zip(&self.alpha).zip(&self.beta) {
             let (s, c) = sincos(w * tau);
             num += a * c + b * s;
         }
-        num * self.plan.inv_two_pi_b / tau
+        num * self.inv_two_pi_b / tau
     }
 
     /// Fills the per-sample factored phasor tables (six plane-major
@@ -560,7 +630,7 @@ impl PnbsGridPlan {
         scratch.odd_tab.resize(span * 6, 0.0);
         let base_offset = (first_n - n_ref) as f64 * period;
         for j in 0..3 {
-            let w = self.plan.w[j];
+            let w = self.w[j];
             let (aj, bj) = (self.alpha[j], self.beta[j]);
             let step_phase = w * period;
             // Even stream: phasors of ωⱼ·(n − n_ref)·T.
@@ -585,7 +655,7 @@ impl PnbsGridPlan {
             }
             // Odd stream: phasors of ωⱼ·((n − n_ref)·T + D̂).
             fill_phasor_table(
-                w * (base_offset + self.plan.delay),
+                w * (base_offset + self.delay),
                 step_phase,
                 &mut scratch.cos_buf,
                 &mut scratch.sin_buf,
@@ -653,14 +723,25 @@ impl PnbsGridPlan {
         scratch: &'s mut GridScratch,
     ) -> Option<&'s [f64]> {
         let feed = self.prepare(capture, t0, step, n, simd, scratch)?;
+        Some(self.drain(capture, &feed, scratch))
+    }
+
+    /// Runs the producer over every point of `feed`, chunk by chunk,
+    /// into `scratch`, and returns the filled slice.
+    fn drain<'s>(
+        &self,
+        capture: &NonuniformCapture,
+        feed: &GridFeed<'_>,
+        scratch: &'s mut GridScratch,
+    ) -> &'s [f64] {
         scratch.out.clear();
         let mut i0 = 0;
-        while i0 < n {
-            let i1 = (i0 + feed.chunk_len()).min(n);
-            self.produce(capture, &feed, i0, i1, scratch);
+        while i0 < feed.n {
+            let i1 = (i0 + feed.chunk_len()).min(feed.n);
+            self.produce(capture, feed, i0, i1, scratch);
             i0 = i1;
         }
-        Some(&scratch.out)
+        &scratch.out
     }
 
     /// Reconstructs the `n` uniform grid instants `t0, t0 + step, …`
@@ -669,8 +750,8 @@ impl PnbsGridPlan {
     ///
     /// # Panics
     ///
-    /// Panics (like the per-point batch path) if any grid instant falls
-    /// outside the capture's coverage, or if `step` is not positive.
+    /// Panics if any grid instant falls outside the capture's coverage,
+    /// or if `step` is not positive.
     pub fn reconstruct_grid<'s>(
         &self,
         capture: &NonuniformCapture,
@@ -684,7 +765,62 @@ impl PnbsGridPlan {
                 panic!(
                     "grid [{t0:.3e}, {:.3e}] s outside capture coverage {:?}",
                     t0 + n.saturating_sub(1) as f64 * step,
-                    self.plan.coverage(capture)
+                    self.coverage(capture)
+                )
+            })
+    }
+
+    /// Reconstructs every instant of `times`, in any order, into
+    /// `scratch`, returning `None` when one of them falls outside the
+    /// capture's coverage. Each instant seeds its time phasors exactly
+    /// and the tables are phased from the capture's fixed origin, so a
+    /// value does not depend on the other instants of the call.
+    pub fn try_reconstruct_instants<'s>(
+        &self,
+        capture: &NonuniformCapture,
+        times: &[f64],
+        scratch: &'s mut GridScratch,
+    ) -> Option<&'s [f64]> {
+        if !times.iter().all(|&t| self.covers(capture, t)) {
+            return None;
+        }
+        let n_ref = capture.n_start() + self.half_taps as i64;
+        self.fill_sample_tables(
+            capture.period(),
+            capture.n_start(),
+            capture.len(),
+            n_ref,
+            scratch,
+        );
+        let feed = GridFeed {
+            t0: 0.0,
+            step: 0.0,
+            n: times.len(),
+            tab_first: capture.n_start(),
+            n_ref,
+            order: Order::Instants(times),
+            simd: true,
+        };
+        Some(self.drain(capture, &feed, scratch))
+    }
+
+    /// [`try_reconstruct_instants`](Self::try_reconstruct_instants),
+    /// returning the filled slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any instant falls outside the capture's coverage.
+    pub fn reconstruct_instants<'s>(
+        &self,
+        capture: &NonuniformCapture,
+        times: &[f64],
+        scratch: &'s mut GridScratch,
+    ) -> &'s [f64] {
+        self.try_reconstruct_instants(capture, times, scratch)
+            .unwrap_or_else(|| {
+                panic!(
+                    "probe instants outside capture coverage {:?}",
+                    self.coverage(capture)
                 )
             })
     }
@@ -700,7 +836,7 @@ impl PnbsGridPlan {
         n: usize,
     ) -> Option<(i64, i64)> {
         let period = capture.period();
-        let h = self.plan.half_taps as i64;
+        let h = self.half_taps as i64;
         // The grid is monotone, so endpoint tap windows bound every
         // point's window.
         let nc_first = (t0 / period).round() as i64;
@@ -723,9 +859,9 @@ impl PnbsGridPlan {
         n: usize,
         simd: bool,
         scratch: &mut GridScratch,
-    ) -> Option<GridFeed> {
+    ) -> Option<GridFeed<'static>> {
         assert!(step > 0.0, "grid step must be positive");
-        let omega_max = self.plan.w.iter().fold(0.0f64, |m, w| m.max(w.abs()));
+        let omega_max = self.w.iter().fold(0.0f64, |m, w| m.max(w.abs()));
         let lattice = Lattice::detect(step, capture.period(), n, omega_max);
         self.prepare_feed(capture, t0, step, n, lattice, simd, scratch)
     }
@@ -744,14 +880,14 @@ impl PnbsGridPlan {
         lattice: Option<Lattice>,
         simd: bool,
         scratch: &mut GridScratch,
-    ) -> Option<GridFeed> {
+    ) -> Option<GridFeed<'static>> {
         let mut feed = GridFeed {
             t0,
             step,
             n,
             tab_first: 0,
             n_ref: 0,
-            lattice,
+            order: lattice.map_or(Order::Walk, Order::PhaseMajor),
             simd,
         };
         if n == 0 {
@@ -759,8 +895,8 @@ impl PnbsGridPlan {
         }
         let (nc_first, nc_last) = self.grid_centers(capture, t0, step, n)?;
         let period = capture.period();
-        let h = self.plan.half_taps as i64;
-        let (lo, hi) = match feed.lattice {
+        let h = self.half_taps as i64;
+        let (lo, hi) = match lattice {
             Some(lat) => {
                 let t_last_row = t0 + (lat.q - 1) as f64 * step;
                 let nc_last_row = (t_last_row / period).round() as i64;
@@ -774,16 +910,16 @@ impl PnbsGridPlan {
         Some(feed)
     }
 
-    /// Appends grid points `i0 .. i1` to `scratch.out`, dispatching to
-    /// the SIMD recompilations of [`produce_body`](Self::produce_body)
-    /// on x86-64 hosts with hardware FMA unless `RFBIST_FORCE_SCALAR`
-    /// is set or the feed pins the portable kernel. The single
-    /// producer behind the batch grid and the block feed. On the walk,
-    /// `i0` must be a multiple of [`GRID_BLOCK_LEN`].
+    /// Appends points `i0 .. i1` to `scratch.out`, dispatching to the
+    /// SIMD recompilations of [`produce_body`](Self::produce_body) on
+    /// x86-64 hosts with hardware FMA unless `RFBIST_FORCE_SCALAR` is
+    /// set or the feed pins the portable kernel. The single producer
+    /// behind the batch grid, the block feed and arbitrary instants. On
+    /// the walk, `i0` must be a multiple of [`GRID_BLOCK_LEN`].
     fn produce(
         &self,
         capture: &NonuniformCapture,
-        feed: &GridFeed,
+        feed: &GridFeed<'_>,
         i0: usize,
         i1: usize,
         scratch: &mut GridScratch,
@@ -828,7 +964,7 @@ impl PnbsGridPlan {
     unsafe fn produce_avx2(
         &self,
         capture: &NonuniformCapture,
-        feed: &GridFeed,
+        feed: &GridFeed<'_>,
         i0: usize,
         i1: usize,
         scratch: &mut GridScratch,
@@ -850,7 +986,7 @@ impl PnbsGridPlan {
     unsafe fn produce_avx512(
         &self,
         capture: &NonuniformCapture,
-        feed: &GridFeed,
+        feed: &GridFeed<'_>,
         i0: usize,
         i1: usize,
         scratch: &mut GridScratch,
@@ -858,14 +994,14 @@ impl PnbsGridPlan {
         self.produce_body::<true>(capture, feed, i0, i1, scratch)
     }
 
-    /// The producer kernel: the walk or the phase-major super-block,
-    /// with every multiply-add fused when `FMA` (the
+    /// The producer kernel: the walk, the phase-major super-block or a
+    /// run of arbitrary instants, with every multiply-add fused when `FMA` (the
     /// `#[target_feature]` instantiations) and plain `*`/`+` otherwise.
     #[inline(always)]
     fn produce_body<const FMA: bool>(
         &self,
         capture: &NonuniformCapture,
-        feed: &GridFeed,
+        feed: &GridFeed<'_>,
         i0: usize,
         i1: usize,
         scratch: &mut GridScratch,
@@ -878,12 +1014,12 @@ impl PnbsGridPlan {
             alt,
             ..
         } = scratch;
-        let num_taps = self.plan.num_taps();
+        let num_taps = self.num_taps();
         for buf in [&mut row.even, &mut row.odd, &mut alt.even, &mut alt.odd] {
             buf.resize(num_taps, 0.0);
         }
         let period = capture.period();
-        let inv_2hw = 1.0 / (2.0 * (self.plan.half_taps as f64 + 1.0));
+        let inv_2hw = 1.0 / (2.0 * (self.half_taps as f64 + 1.0));
         let fill = match (&self.window.rows, self.window.table.cubic_parts()) {
             (Some(rows), Some((scale, _))) => WindowFill::Planar { rows, scale },
             _ => WindowFill::Direct(&self.window.table),
@@ -891,7 +1027,7 @@ impl PnbsGridPlan {
         let ctx = RowCtx {
             period,
             inv_2hw,
-            d_shift: self.plan.delay / period * inv_2hw,
+            d_shift: self.delay / period * inv_2hw,
             tau_guard: NEAR_ORIGIN_FRACTION * period,
             tab_first: feed.tab_first,
             span: even_tab.len() / 6,
@@ -899,11 +1035,14 @@ impl PnbsGridPlan {
             odd_tab,
             fill,
         };
-        match feed.lattice {
-            Some(lat) => {
+        match feed.order {
+            Order::PhaseMajor(lat) => {
                 self.phase_major_body::<FMA>(capture, feed, lat, &ctx, i0, i1, row, alt, out)
             }
-            None => self.walk_body::<FMA>(capture, feed, &ctx, i0, i1, row, out),
+            Order::Walk => self.walk_body::<FMA>(capture, feed, &ctx, i0, i1, row, out),
+            Order::Instants(times) => {
+                self.instants_body::<FMA>(capture, feed, &ctx, &times[i0..i1], row, out)
+            }
         }
     }
 
@@ -914,7 +1053,7 @@ impl PnbsGridPlan {
     fn walk_body<const FMA: bool>(
         &self,
         capture: &NonuniformCapture,
-        feed: &GridFeed,
+        feed: &GridFeed<'_>,
         ctx: &RowCtx<'_>,
         i0: usize,
         i1: usize,
@@ -925,18 +1064,42 @@ impl PnbsGridPlan {
             i0.is_multiple_of(TIME_RESEED_INTERVAL),
             "walk chunks must start on a re-seed boundary"
         );
-        let h = self.plan.half_taps as i64;
+        let h = self.half_taps as i64;
         let t_ref = feed.n_ref as f64 * ctx.period;
-        let mut rot = TimeRotor::new(&self.plan.w, feed.step);
+        let mut rot = TimeRotor::new(&self.w, feed.step);
         out.reserve(i1 - i0);
         for i in i0..i1 {
             let t = feed.t0 + i as f64 * feed.step;
-            rot.seed_if_due(i, &self.plan.w, t - t_ref);
+            rot.seed_if_due(i, &self.w, t - t_ref);
             let t_idx = t / ctx.period;
             let first = t_idx.round() as i64 - h;
             self.point_row::<FMA>(ctx, &rot.phasors(), t, t_idx, first, row);
             out.push(dot_row::<FMA>(capture, first, row));
             rot.advance();
+        }
+    }
+
+    /// Arbitrary instants: seeds each instant's time phasors exactly,
+    /// builds its row and appends its dot product with the capture.
+    #[inline(always)]
+    fn instants_body<const FMA: bool>(
+        &self,
+        capture: &NonuniformCapture,
+        feed: &GridFeed<'_>,
+        ctx: &RowCtx<'_>,
+        times: &[f64],
+        row: &mut WeightRow,
+        out: &mut Vec<f64>,
+    ) {
+        let h = self.half_taps as i64;
+        let t_ref = feed.n_ref as f64 * ctx.period;
+        out.reserve(times.len());
+        for &t in times {
+            let t_idx = t / ctx.period;
+            let first = t_idx.round() as i64 - h;
+            let ph = time_phasors(&self.w, t - t_ref);
+            self.point_row::<FMA>(ctx, &ph, t, t_idx, first, row);
+            out.push(dot_row::<FMA>(capture, first, row));
         }
     }
 
@@ -951,7 +1114,7 @@ impl PnbsGridPlan {
     fn phase_major_body<const FMA: bool>(
         &self,
         capture: &NonuniformCapture,
-        feed: &GridFeed,
+        feed: &GridFeed<'_>,
         lat: Lattice,
         ctx: &RowCtx<'_>,
         i0: usize,
@@ -960,15 +1123,15 @@ impl PnbsGridPlan {
         alt: &mut WeightRow,
         out: &mut Vec<f64>,
     ) {
-        let h = self.plan.half_taps as i64;
+        let h = self.half_taps as i64;
         let t_ref = feed.n_ref as f64 * ctx.period;
         let base = out.len();
         out.resize(base + (i1 - i0), 0.0);
         let block = &mut out[base..];
-        let mut rot = TimeRotor::new(&self.plan.w, feed.step);
+        let mut rot = TimeRotor::new(&self.w, feed.step);
         for r in 0..lat.q {
             let t_r = feed.t0 + r as f64 * feed.step;
-            rot.seed_if_due(r, &self.plan.w, t_r - t_ref);
+            rot.seed_if_due(r, &self.w, t_r - t_ref);
             // first point of residue r inside the block
             let m0 = i0.saturating_sub(r).div_ceil(lat.q);
             if r + m0 * lat.q < i1 {
@@ -999,8 +1162,8 @@ impl PnbsGridPlan {
         }
     }
 
-    /// The row builder: the eq. 6 weights (kernel × window) of the grid
-    /// point at `t` (`t_idx = t/T`) for the tap window starting at
+    /// The row builder: the eq. 6 weights (kernel × window) of the
+    /// instant `t` (`t_idx = t/T`) for the tap window starting at
     /// sample `first`, given its time phasors `ph`. The per-tap pass is
     /// branch-free — every tap goes through the factored tables, and
     /// the at most one tap per stream inside the near-origin guard ring
@@ -1016,10 +1179,10 @@ impl PnbsGridPlan {
         first: i64,
         row: &mut WeightRow,
     ) {
-        let num_taps = self.plan.num_taps();
+        let num_taps = self.num_taps();
         let period = ctx.period;
         let te0 = t - first as f64 * period;
-        let to0 = first as f64 * period + self.plan.delay - t;
+        let to0 = first as f64 * period + self.delay - t;
         let x0 = 0.5 + (first as f64 - t_idx) * ctx.inv_2hw;
         let even = &mut row.even[..num_taps];
         let odd = &mut row.odd[..num_taps];
@@ -1041,7 +1204,7 @@ impl PnbsGridPlan {
         let base = (first - ctx.tab_first) as usize;
         let ea = plane_views(ctx.even_tab, ctx.span, base, num_taps);
         let oa = plane_views(ctx.odd_tab, ctx.span, base, num_taps);
-        let inv_two_pi_b = self.plan.inv_two_pi_b;
+        let inv_two_pi_b = self.inv_two_pi_b;
         for k in 0..num_taps {
             let fk = k as f64;
             let tau_e = te0 - fk * period;
@@ -1108,7 +1271,7 @@ impl PnbsGridPlan {
         n: usize,
         scratch: &'a mut GridScratch,
     ) -> GridBlocks<'a> {
-        let coverage = self.plan.coverage(capture);
+        let coverage = self.coverage(capture);
         self.try_reconstruct_blocks(capture, t0, step, n, scratch)
             .unwrap_or_else(|| {
                 panic!(
@@ -1135,7 +1298,7 @@ pub struct GridBlocks<'a> {
     plan: &'a PnbsGridPlan,
     capture: &'a NonuniformCapture,
     scratch: &'a mut GridScratch,
-    feed: GridFeed,
+    feed: GridFeed<'a>,
     /// Grid index of the first point of the chunk held in the scratch.
     held: usize,
     produced: usize,
@@ -1145,6 +1308,7 @@ impl GridBlocks<'_> {
     /// Yields the next block, or `None` when the grid is exhausted.
     /// The yielded slice lives in the scratch buffer and is
     /// overwritten by a later call.
+    // analysis: allow(typed-error-parity) — the feed's coverage was checked when it was built; the panic capability is a same-file name match of `TimeRotor::new` against `PnbsGridPlan::new`
     pub fn next_block(&mut self) -> Option<&[f64]> {
         let n = self.feed.n;
         if self.produced == n {
@@ -1172,6 +1336,26 @@ impl GridBlocks<'_> {
     pub fn grid_len(&self) -> usize {
         self.feed.n
     }
+}
+
+/// The exact time phasors `e^{jωⱼ·dt}` as `[c₀, s₀, c₁, s₁, c₂, s₂]`,
+/// matching the table plane order.
+#[inline(always)]
+fn time_phasors(w: &[f64; 3], dt: f64) -> [f64; 6] {
+    let mut ph = [0.0; 6];
+    for (pair, &wj) in ph.chunks_exact_mut(2).zip(w) {
+        (pair[1], pair[0]) = sincos(wj * dt);
+    }
+    ph
+}
+
+/// `(cos φ / sin φ, sin φ / sin φ)`: the cosine and sine weights of one
+/// eq. 2 term with phase offset `φ`, through the reciprocal of its
+/// `sin φ` denominator.
+fn term_weights(phi: f64) -> (f64, f64) {
+    let (sin_phi, cos_phi) = sincos(phi);
+    let inv_sin = 1.0 / sin_phi;
+    (cos_phi * inv_sin, sin_phi * inv_sin)
 }
 
 /// `a·b + c`: one fused multiply-add in the `#[target_feature]`
@@ -1306,8 +1490,7 @@ fn fill_window_row_planar<const FMA: bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::band::BandSpec;
-    use crate::plan::PnbsScratch;
+    use crate::kohlenberg::KohlenbergInterpolant;
     use crate::reconstruct::PnbsReconstructor;
     use rfbist_signal::tone::Tone;
 
@@ -1331,10 +1514,8 @@ mod tests {
         let (t0, step, n) = (0.6e-6, 2.5e-10, 2000);
         let mut scratch = GridScratch::new();
         let got = plan.reconstruct_grid(&cap, t0, step, n, &mut scratch);
-        let mut pp = PnbsScratch::new();
-        let want = plan
-            .plan()
-            .reconstruct_batch(&cap, &grid_times(t0, step, n), &mut pp);
+        let mut pp = GridScratch::new();
+        let want = plan.reconstruct_instants(&cap, &grid_times(t0, step, n), &mut pp);
         for i in 0..n {
             assert!(
                 (got[i] - want[i]).abs() < 1e-10,
@@ -1350,7 +1531,7 @@ mod tests {
     fn grid_hits_exact_sample_instants() {
         // t0 an exact multiple of T: some grid points land on sample
         // instants (τ ≈ 0) and must take the origin branch, matching
-        // the per-point plan.
+        // the per-instant order.
         let tone = Tone::unit(1.01e9);
         let t_s = 1.0 / B;
         let cap = NonuniformCapture::from_signal(&tone, t_s, D, -50, 350);
@@ -1362,9 +1543,9 @@ mod tests {
         let got = plan
             .reconstruct_grid(&cap, t0, step, n, &mut scratch)
             .to_vec();
-        for (i, &g) in got.iter().enumerate() {
-            let want = plan.plan().try_reconstruct_at(&cap, t0 + i as f64 * step);
-            assert!((g - want.unwrap()).abs() < 1e-10, "point {i}");
+        let want = plan.reconstruct_instants(&cap, &grid_times(t0, step, n), &mut scratch);
+        for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+            assert!((g - w).abs() < 1e-10, "point {i}");
         }
     }
 
@@ -1374,7 +1555,7 @@ mod tests {
         let tone = Tone::unit(0.99e9);
         let cap = NonuniformCapture::from_signal(&tone, 1.0 / 80e6, 200e-12, -50, 350);
         let plan = PnbsGridPlan::new(band80, 200e-12, 61, Window::Kaiser(8.0));
-        assert!(plan.plan().num_taps() == 61);
+        assert!(plan.num_taps() == 61);
         let mut scratch = GridScratch::new();
         let got = plan
             .reconstruct_grid(&cap, 0.9e-6, 3.1e-10, 500, &mut scratch)
@@ -1546,11 +1727,147 @@ mod tests {
     }
 
     #[test]
-    fn accessors_delegate_to_plan() {
+    fn plan_accessors() {
         let plan = PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0));
         assert_eq!(plan.num_taps(), 61);
         assert_eq!(plan.delay(), D);
-        assert_eq!(plan.plan().num_taps(), 61);
+        assert_eq!(
+            PnbsGridPlan::new(band(), D, 21, Window::Hann).num_taps(),
+            21
+        );
+    }
+
+    #[test]
+    fn accessors_delegate_to_plan() {
+        // The accessors read the folded eq. 2 state that coverage and
+        // every reconstruction use: `num_taps()` fixes the `h = nw/2`
+        // trim on both ends of the capture.
+        let tone = Tone::unit(1.0e9);
+        let cap = NonuniformCapture::from_signal(&tone, 1.0 / B, D, -50, 350);
+        for taps in [21, 61] {
+            let plan = PnbsGridPlan::new(band(), D, taps, Window::Kaiser(8.0));
+            assert_eq!(plan.num_taps(), taps);
+            assert_eq!(plan.num_taps(), 2 * plan.half_taps + 1);
+            assert_eq!(plan.delay(), D);
+            let h = (plan.num_taps() / 2) as i64;
+            let (lo, hi) = plan.coverage(&cap).expect("capture covers the taps");
+            assert_eq!(lo, (-50 + h) as f64 * cap.period());
+            assert_eq!(hi, (-50 + 350 - 1 - h) as f64 * cap.period());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "odd")]
+    fn even_tap_count_panics() {
+        let _ = PnbsGridPlan::new(band(), D, 60, Window::Kaiser(8.0));
+    }
+
+    #[test]
+    fn exact_kernel_matches_direct_interpolant() {
+        // The eq. 2 constants (ωⱼ, αⱼ, βⱼ, 1/(2πB)) through the exact
+        // near-origin kernel, against the interpolant's four-cosine
+        // form, over bands on both sides of the positioning numbers.
+        for (fc, b, d) in [
+            (FC, B, D),
+            (FC, B, 20e-12),
+            (FC, B, 460e-12),
+            (0.45e9, 60e6, 300e-12),
+            (2.3e9, 110e6, 90e-12),
+        ] {
+            let band = BandSpec::centered(fc, b);
+            let kern = KohlenbergInterpolant::new(band, d).unwrap();
+            let plan = PnbsGridPlan::new(band, d, 61, Window::Kaiser(8.0));
+            for i in -40..=40 {
+                let tau = i as f64 * 0.37 / b + 1.3e-12;
+                let (got, want) = (plan.kernel_near_origin(tau), kern.eval(tau));
+                assert!(
+                    (got - want).abs() < 1e-9,
+                    "{band} D {d:e} τ = {tau:e}: {got} vs {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn exact_kernel_hits_origin_limit() {
+        let kern = KohlenbergInterpolant::new(band(), D).unwrap();
+        let plan = PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0));
+        assert!((plan.kernel_near_origin(0.0) - kern.eval(0.0)).abs() < 1e-12);
+        assert!((plan.kernel_near_origin(0.0) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn integer_positioned_band_plan_drops_s0() {
+        let band80 = BandSpec::centered(FC, 80e6);
+        assert!(band80.is_integer_positioned());
+        let kern = KohlenbergInterpolant::new(band80, 200e-12).unwrap();
+        let plan = PnbsGridPlan::new(band80, 200e-12, 61, Window::Kaiser(8.0));
+        assert_eq!((plan.alpha[0], plan.beta[0]), (0.0, 0.0));
+        for i in 0..32 {
+            let tau = 0.9e-7 + i as f64 / 80e6 / 3.0;
+            assert!(
+                (plan.kernel_near_origin(tau) - kern.eval(tau)).abs() < 1e-10,
+                "tap {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn planned_point_matches_reference_reconstruction() {
+        let tone = Tone::unit(0.98e9);
+        let cap = NonuniformCapture::from_signal(&tone, 1.0 / B, D, -50, 350);
+        let plan = PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0));
+        let rec = PnbsReconstructor::paper_default(band(), D).unwrap();
+        let times: Vec<f64> = (0..40).map(|i| 0.6e-6 + i as f64 * 31.7e-9).collect();
+        let mut scratch = GridScratch::new();
+        let got = plan.reconstruct_instants(&cap, &times, &mut scratch);
+        for (&t, &g) in times.iter().zip(got) {
+            let want = rec.try_reconstruct_at_reference(&cap, t).unwrap();
+            assert!((g - want).abs() < 1e-10, "t = {t:e}: {g} vs {want}");
+        }
+    }
+
+    #[test]
+    fn batch_reuses_scratch_and_matches_scalar() {
+        let tone = Tone::unit(1.01e9);
+        let cap = NonuniformCapture::from_signal(&tone, 1.0 / B, D, -50, 350);
+        let plan = PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0));
+        // unsorted instants, on and off sample instants
+        let mut times: Vec<f64> = (0..50).map(|i| 0.7e-6 + i as f64 * 23.3e-9).collect();
+        times.reverse();
+        times.push(90.0 / B);
+        let mut scratch = GridScratch::new();
+        let first = plan
+            .reconstruct_instants(&cap, &times, &mut scratch)
+            .to_vec();
+        // a second call reuses the buffers, same values
+        assert_eq!(first, plan.reconstruct_instants(&cap, &times, &mut scratch));
+        assert_eq!(scratch.values().len(), times.len());
+        // each value depends only on its own instant
+        for (&t, &v) in times.iter().zip(&first) {
+            let single = plan.reconstruct_instants(&cap, &[t], &mut scratch)[0];
+            assert_eq!(v, single, "batch and single point diverge at {t:e}");
+        }
+    }
+
+    #[test]
+    fn batch_coverage_panic_matches_scalar_contract() {
+        let tone = Tone::unit(1.0e9);
+        let cap = NonuniformCapture::from_signal(&tone, 1.0 / B, D, 0, 100);
+        let plan = PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0));
+        let mut scratch = GridScratch::new();
+        assert!(plan.covers(&cap, 30.0 / B) && !plan.covers(&cap, 29.0 / B));
+        assert!(plan
+            .try_reconstruct_instants(&cap, &[40.0 / B, 0.0], &mut scratch)
+            .is_none());
+        assert!(plan
+            .try_reconstruct_instants(&cap, &[], &mut scratch)
+            .is_some_and(<[f64]>::is_empty));
+        let result = std::panic::catch_unwind(|| {
+            let mut scratch = GridScratch::new();
+            let _ = plan.reconstruct_instants(&cap, &[0.0], &mut scratch);
+        });
+        assert!(result.is_err(), "out-of-coverage instants must panic");
     }
 
     /// The walk's values on a grid, bypassing lattice detection.
@@ -1573,7 +1890,7 @@ mod tests {
     }
 
     fn omega_max(plan: &PnbsGridPlan) -> f64 {
-        plan.plan.w.iter().fold(0.0f64, |m, w| m.max(w.abs()))
+        plan.w.iter().fold(0.0f64, |m, w| m.max(w.abs()))
     }
 
     #[test]

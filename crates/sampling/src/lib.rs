@@ -7,16 +7,14 @@
 //! - [`kohlenberg`]: the second-order interpolants `s₀`, `s₁` (paper
 //!   eq. 2) and the delay constraints (eq. 3),
 //! - [`reconstruct`]: windowed finite-tap PNBS reconstruction (eq. 6),
-//! - [`plan`]: the precomputed batch-evaluation engine behind it
-//!   (phase-rotor kernels, prepared windows, scratch reuse),
-//! - [`gridplan`]: the grid-aware engine for uniform analysis grids
-//!   (cross-point rotor reuse, factored per-sample phasor tables,
-//!   tabulated windows, phase-major reconstruction on rational grids),
+//! - [`gridplan`]: the planned engine behind it (factored per-sample
+//!   phasor tables, tabulated windows; a rotor walk on uniform grids,
+//!   phase-major reconstruction on rational grids, and arbitrary
+//!   instants),
 //! - [`dualrate`]: the dual-rate non-degeneracy conditions (eq. 9) and
 //!   the search bound `m`,
 //! - [`error`]: reconstruction-sensitivity bounds (eq. 4) and skew
 //!   budgets (eq. 5),
-//! - [`uniform`]: first-order bandpass reconstruction baseline,
 //! - [`fixedpoint`]: fixed-point tap quantization (hardware-mapping
 //!   ablation).
 //!
@@ -43,11 +41,8 @@ pub mod fixedpoint;
 pub mod gridplan;
 pub mod kohlenberg;
 pub mod pbs;
-pub mod plan;
 pub mod reconstruct;
-pub mod uniform;
 
 pub use band::BandSpec;
 pub use gridplan::{GridScratch, PnbsGridPlan};
-pub use plan::{PnbsPlan, PnbsScratch};
 pub use reconstruct::{NonuniformCapture, PnbsReconstructor};

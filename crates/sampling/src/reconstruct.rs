@@ -13,7 +13,6 @@
 use crate::band::BandSpec;
 use crate::gridplan::{GridBlocks, GridScratch, PnbsGridPlan};
 use crate::kohlenberg::{DelayConstraintError, KohlenbergInterpolant};
-use crate::plan::{PnbsPlan, PnbsScratch};
 use rfbist_dsp::window::Window;
 use rfbist_signal::traits::ContinuousSignal;
 
@@ -169,13 +168,12 @@ impl PnbsReconstructor {
     ) -> Result<Self, DelayConstraintError> {
         assert!(num_taps % 2 == 1, "tap count must be odd (nw + 1)");
         let kernel = KohlenbergInterpolant::new(band, delay_estimate)?;
-        let plan = PnbsPlan::new(band, delay_estimate, num_taps, window);
         Ok(PnbsReconstructor {
             kernel,
             band,
             half_taps: num_taps / 2,
             window,
-            grid_plan: PnbsGridPlan::from_plan(plan, window),
+            grid_plan: PnbsGridPlan::new(band, delay_estimate, num_taps, window),
         })
     }
 
@@ -197,13 +195,12 @@ impl PnbsReconstructor {
     ) -> Self {
         assert!(num_taps % 2 == 1, "tap count must be odd (nw + 1)");
         let kernel = KohlenbergInterpolant::new_unchecked(band, delay_estimate);
-        let plan = PnbsPlan::new(band, delay_estimate, num_taps, window);
         PnbsReconstructor {
             kernel,
             band,
             half_taps: num_taps / 2,
             window,
-            grid_plan: PnbsGridPlan::from_plan(plan, window),
+            grid_plan: PnbsGridPlan::new(band, delay_estimate, num_taps, window),
         }
     }
 
@@ -228,18 +225,12 @@ impl PnbsReconstructor {
     /// Returns `None` when the capture is too short for even one
     /// evaluation.
     pub fn coverage(&self, capture: &NonuniformCapture) -> Option<(f64, f64)> {
-        self.plan().coverage(capture)
+        self.grid_plan.coverage(capture)
     }
 
     /// The precomputed reconstruction plan this reconstructor
-    /// evaluates through (kernel constants, phase rotors, prepared
-    /// window) — see [`PnbsPlan`].
-    pub fn plan(&self) -> &PnbsPlan {
-        self.grid_plan.plan()
-    }
-
-    /// The grid-aware extension of [`plan`](Self::plan) — cross-point
-    /// rotor reuse for uniform analysis grids, see [`PnbsGridPlan`].
+    /// evaluates through (eq. 2 constants, factored phasor tables,
+    /// tabulated window) — see [`PnbsGridPlan`].
     pub fn grid_plan(&self) -> &PnbsGridPlan {
         &self.grid_plan
     }
@@ -247,11 +238,17 @@ impl PnbsReconstructor {
     /// Reconstructs `f(t)`, returning `None` if the capture does not
     /// cover the filter support at `t`.
     ///
-    /// Evaluates through the precomputed [`PnbsPlan`]; equivalent to
+    /// Evaluates through the plan's arbitrary-instant order
+    /// ([`PnbsGridPlan::try_reconstruct_instants`]), bit-identical to
+    /// the same instant inside a [`reconstruct_batch`](Self::reconstruct_batch)
+    /// and equivalent to
     /// [`try_reconstruct_at_reference`](Self::try_reconstruct_at_reference)
-    /// to ≪ 1e-9 at roughly an order of magnitude less cost.
+    /// to ≪ 1e-9. Each call fills the plan's tables over the whole
+    /// capture: batch many instants instead.
     pub fn try_reconstruct_at(&self, capture: &NonuniformCapture, t: f64) -> Option<f64> {
-        self.plan().try_reconstruct_at(capture, t)
+        self.grid_plan
+            .try_reconstruct_instants(capture, &[t], &mut GridScratch::new())
+            .and_then(|v| v.first().copied())
     }
 
     /// The direct (unplanned) eq. 6 evaluation: four kernel cosines and
@@ -329,14 +326,14 @@ impl PnbsReconstructor {
     ///
     /// Panics as [`reconstruct_at`](Self::reconstruct_at) does.
     pub fn reconstruct(&self, capture: &NonuniformCapture, times: &[f64]) -> Vec<f64> {
-        let mut scratch = PnbsScratch::new();
+        let mut scratch = GridScratch::new();
         self.reconstruct_batch(capture, times, &mut scratch);
         scratch.into_values()
     }
 
-    /// Reconstructs every instant of `times` through the plan, reusing
-    /// `scratch`'s buffer, and returns the filled slice. The
-    /// allocation-free form grid sweeps and cost functions should call.
+    /// Reconstructs every instant of `times` through the plan's
+    /// arbitrary-instant order, reusing `scratch`'s buffers, and returns
+    /// the filled slice — the allocation-free form for repeated calls.
     ///
     /// # Panics
     ///
@@ -345,16 +342,16 @@ impl PnbsReconstructor {
         &self,
         capture: &NonuniformCapture,
         times: &[f64],
-        scratch: &'s mut PnbsScratch,
+        scratch: &'s mut GridScratch,
     ) -> &'s [f64] {
-        self.plan().reconstruct_batch(capture, times, scratch)
+        self.grid_plan.reconstruct_instants(capture, times, scratch)
     }
 
     /// Reconstructs the `n` uniform grid instants `t0, t0 + step, …`
-    /// through the grid-aware plan ([`PnbsGridPlan`]) — the entry
-    /// point for dense analysis grids (walked with cross-point rotor
-    /// reuse, or reconstructed phase-major when the step is a small
-    /// rational fraction of the sample period). Equivalent to
+    /// through the plan's grid orders — the entry point for dense
+    /// analysis grids (walked with cross-point rotor reuse, or
+    /// reconstructed phase-major when the step is a small rational
+    /// fraction of the sample period). Equivalent to
     /// [`reconstruct_batch`](Self::reconstruct_batch) over the same
     /// instants to ≪ 1e-9.
     ///
@@ -514,12 +511,11 @@ mod tests {
 
     #[test]
     fn batch_matches_scalar_path_exactly() {
-        use crate::plan::PnbsScratch;
         let tone = Tone::unit(0.99e9);
         let cap = NonuniformCapture::from_signal(&tone, 1.0 / B, D, -50, 350);
         let rec = PnbsReconstructor::paper_default(band(), D).unwrap();
         let times = probe_times(60, 0.5e-6, 2.0e-6, 12);
-        let mut scratch = PnbsScratch::new();
+        let mut scratch = GridScratch::new();
         let batch = rec.reconstruct_batch(&cap, &times, &mut scratch);
         for (i, &t) in times.iter().enumerate() {
             assert_eq!(batch[i], rec.reconstruct_at(&cap, t));
@@ -528,7 +524,6 @@ mod tests {
 
     #[test]
     fn grid_path_matches_batch_path() {
-        use crate::gridplan::GridScratch;
         let tone = Tone::unit(0.99e9);
         let cap = NonuniformCapture::from_signal(&tone, 1.0 / B, D, -50, 350);
         let rec = PnbsReconstructor::paper_default(band(), D).unwrap();

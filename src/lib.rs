@@ -78,7 +78,6 @@ pub mod prelude {
     pub use rfbist_sampling::band::BandSpec;
     pub use rfbist_sampling::dualrate::DualRateConfig;
     pub use rfbist_sampling::gridplan::{GridBlocks, GridScratch, PnbsGridPlan, GRID_BLOCK_LEN};
-    pub use rfbist_sampling::plan::{PnbsPlan, PnbsScratch};
     pub use rfbist_sampling::reconstruct::{NonuniformCapture, PnbsReconstructor};
     pub use rfbist_signal::prelude::*;
 }

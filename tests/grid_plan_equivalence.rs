@@ -1,8 +1,8 @@
-//! Equivalence suite for the grid-aware PNBS reconstruction engine:
+//! Equivalence suite for planned PNBS reconstruction on uniform grids:
 //! `PnbsGridPlan::reconstruct_grid` (the cross-point rotor walk, and
 //! phase-major reconstruction on rational grids) must match both the
-//! per-point planned path (`PnbsPlan` / `reconstruct_batch`) and the
-//! preserved direct eq. 6 evaluation (`*_reference`) to ≤ 1e-9 on the
+//! plan's arbitrary-instant order (`reconstruct_batch`) and the direct
+//! eq. 6 evaluation (`*_reference`) to ≤ 1e-9 on the
 //! paper's Section V fixtures — including long grids that exercise the
 //! grid-step rotors' renormalization/re-seed machinery, grids that land
 //! exactly on sample instants (the kernel-origin branch), random
@@ -46,7 +46,7 @@ fn assert_grid_equivalent(
         .reconstruct_grid(cap, t0, step, n, &mut grid_scratch)
         .to_vec();
     let times = grid_times(t0, step, n);
-    let mut batch_scratch = PnbsScratch::new();
+    let mut batch_scratch = GridScratch::new();
     let batch = rec.reconstruct_batch(cap, &times, &mut batch_scratch);
     let mut reference = Vec::with_capacity(n);
     for (i, &t) in times.iter().enumerate() {
@@ -267,7 +267,7 @@ proptest! {
     // property suites.
     #![proptest_config(ProptestConfig::with_cases_and_seed(16, 0x2026_0731))]
 
-    /// Grid reconstruction equals the per-point plan over random
+    /// Grid reconstruction equals the per-instant order over random
     /// bands, admissible delays and grid steps — including steps
     /// commensurate and incommensurate with the sample period, and
     /// grids dense enough to put many points inside one period.
@@ -295,7 +295,7 @@ proptest! {
         let mut grid_scratch = GridScratch::new();
         let grid = rec.reconstruct_grid(&cap, t0, step, n, &mut grid_scratch).to_vec();
         let times = grid_times(t0, step, n);
-        let mut batch_scratch = PnbsScratch::new();
+        let mut batch_scratch = GridScratch::new();
         let batch = rec.reconstruct_batch(&cap, &times, &mut batch_scratch);
         for i in 0..n {
             prop_assert!(
