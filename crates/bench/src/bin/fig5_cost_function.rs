@@ -10,11 +10,10 @@
 //! sharp minimum at D̂ = D = 180 ps; this binary prints the same series
 //! (plus a full-interval sweep to exhibit uniqueness over ]0, m[).
 //!
-//! Both grids run through the planned batch engine
-//! (`DualRateCost::eval_grid` semantics), chunked across cores with
-//! one `CostEvaluator` per worker.
+//! Both grids run through `DualRateCost::eval_grid`: one evaluator
+//! combining the probe sums the cost built once, on one thread.
 
-use rfbist_bench::{paper_cost, par, print_header, print_row, Frontend};
+use rfbist_bench::{paper_cost, print_header, print_row, Frontend};
 
 fn main() {
     let cost = paper_cost(Frontend::Paper, 300, 42);
@@ -29,7 +28,7 @@ fn main() {
     let plotted: Vec<f64> = (0..n)
         .map(|i| (120.0 + 140.0 * i as f64 / (n - 1) as f64) * 1e-12)
         .collect();
-    let values = par::map_with(&plotted, || cost.evaluator(), |ev, &d| ev.eval(d));
+    let values = cost.eval_grid(&plotted);
     let mut min_d = 0.0;
     let mut min_c = f64::INFINITY;
     for (&d, &c) in plotted.iter().zip(&values) {
@@ -49,7 +48,7 @@ fn main() {
 
     // uniqueness over the full admissible interval
     let candidates = cost.sweep_candidates(96);
-    let grid = par::map_with(&candidates, || cost.evaluator(), |ev, &d| ev.eval(d));
+    let grid = cost.eval_grid(&candidates);
     let sweep: Vec<(f64, f64)> = candidates.iter().copied().zip(grid).collect();
     let mut minima = 0;
     for w in sweep.windows(3) {
@@ -68,6 +67,5 @@ fn main() {
         global_d * 1e12,
         global_c
     );
-    println!("({} sweep workers)", par::worker_count(candidates.len()));
     println!("Paper: \"the cost function has only one minimum that appears when D̂ = D\".");
 }

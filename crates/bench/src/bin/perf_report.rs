@@ -17,16 +17,23 @@
 //!    `reconstruct_at`, which fills the plan's tables over the whole
 //!    capture per call. Reported, not gated: no verdict path makes
 //!    single-point calls.
-//! 2. **cost_grid** — the Fig. 5 sweep on the paper's random probes:
-//!    `evaluate_reference` per candidate vs the planned grid (the
-//!    plan's arbitrary-instant order). The asserted ≥ 5× speedup is
-//!    measured single-threaded (`eval_grid`, scratch reuse) so it pins
-//!    the engine rather than the core count; the chunked
-//!    `std::thread::scope` parallel wall clock (`CostEvaluator` per
-//!    worker) is reported alongside. The same run also reports the
-//!    NRMSE between the planned and reference grids — the ≤ 1e-9
-//!    equivalence contract.
-//! 3. **grid_reconstruct** — the analysis-grid workload of
+//! 2. **cost_grid** — the Fig. 5 sweep on the paper's random probes
+//!    (paper front-end): `evaluate_reference` per candidate vs
+//!    `eval_grid`, which combines the `D̂`-separable probe sums the
+//!    cost built once. The per-candidate speedup is asserted (≥ 200×
+//!    full / ≥ 150× quick) and the build is reported as its own
+//!    field, `build_median_ns`. The same run also reports the NRMSE
+//!    between the planned and reference grids — the ≤ 1e-9
+//!    equivalence contract, asserted.
+//! 3. **lms** — Algorithm 1 on the same fixture: the median time of
+//!    one `estimate_skew_lms` *with the cost build included*, its
+//!    iteration and cost-evaluation counts, and `speedup_vs_reference`
+//!    = evaluations × the reference's time per candidate / that LMS
+//!    time. Both sides are measured in the same run and neither
+//!    depends on the core count; the ratio is asserted (≥ 100× full /
+//!    ≥ 80× quick). The build and LMS timings run last, after the
+//!    service section, so their allocations cannot disturb the others.
+//! 4. **grid_reconstruct** — the analysis-grid workload of
 //!    `BistEngine::run` (~12288 uniform points at 4 GHz, a 9/400
 //!    lattice of the sample period): the direct reference per point vs
 //!    the planned grid (`PnbsGridPlan::reconstruct_grid`, phase-major
@@ -36,11 +43,11 @@
 //!    (quick) where the AVX2/AVX-512+FMA kernels can dispatch (the
 //!    mask_scan-style feature gate; the ratio is reported either way
 //!    on scalar hardware or under `RFBIST_FORCE_SCALAR`).
-//! 4. **mask_scan** — one spectral-mask verdict, FFT-Welch vs the
+//! 5. **mask_scan** — one spectral-mask verdict, FFT-Welch vs the
 //!    banked Goertzel scan. The speedup floor is asserted only when
 //!    the AVX2+FMA kernels can dispatch (on plain SSE2/NEON the bank
 //!    loses to the FFT by design); agreement is asserted everywhere.
-//! 5. **stream_bist** — the end-to-end verdict pipeline
+//! 6. **stream_bist** — the end-to-end verdict pipeline
 //!    (reconstruction → scan), full-grid batch (the pre-streaming
 //!    engine: materialize the grid, construct the scanner, scan) vs
 //!    the streaming single pass (block feed → push-style scan with
@@ -55,7 +62,7 @@
 //!    and the early exit must beat the batch outright (SIMD-free and
 //!    core-count-free — reconstruction stops at the first completed
 //!    segment).
-//! 6. **service** — the sharded verdict service: a batch of identical
+//! 7. **service** — the sharded verdict service: a batch of identical
 //!    calibrated-skew jobs through the persistent worker pool at 1, 2
 //!    and 4 workers vs the direct `try_run_with` loop on one reused
 //!    scratch, all four timed interleaved inside one rep loop. Every
@@ -66,8 +73,10 @@
 //!    `scaling_2w` > 1.3× gate is asserted only where ≥ 2 cores exist
 //!    to express it.
 
-use rfbist_bench::{paper_cost, paper_stimulus, par, Frontend};
+use rfbist_bench::{paper_cost, paper_stimulus, Frontend};
 use rfbist_core::bist::welch_segmentation;
+use rfbist_core::cost::DualRateCost;
+use rfbist_core::lms::{estimate_skew_lms, LmsConfig};
 use rfbist_core::mask::SpectralMask;
 use rfbist_core::scan::{EarlyVerdict, MaskScanEngine, ScanFeed, StreamScratch};
 use rfbist_dsp::psd::welch;
@@ -84,6 +93,16 @@ use std::time::Instant;
 const FC: f64 = 1e9;
 const B: f64 = 90e6;
 const D: f64 = 180e-12;
+
+/// `cost_grid` speedup floors (full, quick). Readings on a 2-core
+/// AVX-512 VM: 573–1210x full (24 runs) and 532–994x quick (17 runs),
+/// 903–968x quick under `RFBIST_FORCE_SCALAR`.
+const COST_GRID_FLOOR: (f64, f64) = (200.0, 150.0);
+
+/// `lms.speedup_vs_reference` floors (full, quick). Readings on the
+/// same VM: 209–405x full and 202–448x quick over the same runs,
+/// 238–258x quick under `RFBIST_FORCE_SCALAR`.
+const LMS_FLOOR: (f64, f64) = (100.0, 80.0);
 
 struct Config {
     quick: bool,
@@ -134,9 +153,7 @@ fn bench_point_reconstruct(cfg: &Config) -> (f64, f64) {
 struct CostGridResult {
     reference_ns: f64,
     planned_ns: f64,
-    parallel_ns: f64,
     nrmse: f64,
-    workers: usize,
 }
 
 fn bench_cost_grid(cfg: &Config) -> CostGridResult {
@@ -152,30 +169,59 @@ fn bench_cost_grid(cfg: &Config) -> CostGridResult {
         black_box(&reference_grid);
     });
 
-    // Single-threaded planned grid: the same threading as the
-    // reference, so the asserted speedup measures the planned engine
-    // (factored tables + tabulated window + scratch reuse), not the
-    // core count.
+    // Per candidate, single-threaded like the reference: the probe
+    // sums are built with the cost, outside this timing.
     let mut planned_grid = Vec::new();
     let planned_ns = median_ns_per_op(cfg.reps, candidates.len(), || {
         planned_grid = cost.eval_grid(&candidates);
         black_box(&planned_grid);
     });
 
-    // Parallel wall clock, reported informationally (machine-dependent).
-    let mut parallel_grid = Vec::new();
-    let parallel_ns = median_ns_per_op(cfg.reps, candidates.len(), || {
-        parallel_grid = par::map_with(&candidates, || cost.evaluator(), |ev, &d| ev.eval(d));
-        black_box(&parallel_grid);
-    });
-    assert_eq!(parallel_grid, planned_grid, "parallel grid diverged");
-
     CostGridResult {
         reference_ns,
         planned_ns,
-        parallel_ns,
         nrmse: nrmse(&planned_grid, &reference_grid),
-        workers: par::worker_count(candidates.len()),
+    }
+}
+
+struct LmsResultNs {
+    /// Median ns per cost build (both captures' probe sums).
+    build_ns: f64,
+    /// Median ns per LMS run with its cost build.
+    ns: f64,
+    iterations: usize,
+    evaluations: usize,
+}
+
+/// The cost build and Algorithm 1 on the `cost_grid` fixture, from the
+/// paper's 60 ps start, each run paying for its own cost build as a
+/// verdict does. Run after every other section: in a full-mode A/B on
+/// the 2-core VM, timing these first moved the next section's
+/// `stream_bist.stream_speedup` median from ~1.01 to ~0.97.
+fn bench_lms(cfg: &Config) -> LmsResultNs {
+    let cost = paper_cost(Frontend::Paper, cfg.probes, 42);
+    let rebuild = || {
+        DualRateCost::new(
+            cost.fast_capture().clone(),
+            cost.slow_capture().clone(),
+            *cost.config(),
+            cost.times().to_vec(),
+        )
+    };
+    let build_ns = median_ns_per_op(cfg.reps, 1, || {
+        black_box(rebuild());
+    });
+    let lms_config = LmsConfig::paper_default(60e-12);
+    let mut run = estimate_skew_lms(&cost, lms_config);
+    let ns = median_ns_per_op(cfg.reps, 1, || {
+        run = estimate_skew_lms(&rebuild(), lms_config);
+        black_box(&run);
+    });
+    LmsResultNs {
+        build_ns,
+        ns,
+        iterations: run.iterations,
+        evaluations: run.evaluations,
     }
 }
 
@@ -602,12 +648,6 @@ fn main() {
         grid.reference_ns / grid.planned_ns,
         grid.nrmse,
     );
-    println!(
-        "cost_grid parallel {:>10.1} us/cand across {} worker(s) ({:.2}x vs reference)",
-        grid.parallel_ns / 1e3,
-        grid.workers,
-        grid.reference_ns / grid.parallel_ns,
-    );
     let grid_recon = bench_grid_reconstruct(&cfg);
     println!(
         "grid_reconstruct   {:>10.1} ns/pt reference  {:>10.1} ns/pt grid plan  ({:.2}x over {} points, nrmse {:.3e})",
@@ -662,6 +702,20 @@ fn main() {
         );
     }
 
+    let lms = bench_lms(&cfg);
+    println!(
+        "cost_grid build    {:>10.1} us/cost (both captures' probe sums)",
+        lms.build_ns / 1e3,
+    );
+    let lms_speedup = lms.evaluations as f64 * grid.reference_ns / lms.ns;
+    println!(
+        "lms                {:>10.1} us/run with the build ({} iterations, {} evaluations, {:.2}x vs reference evaluations)",
+        lms.ns / 1e3,
+        lms.iterations,
+        lms.evaluations,
+        lms_speedup,
+    );
+
     let saturation_json = service
         .saturation
         .iter()
@@ -691,10 +745,14 @@ fn main() {
     "reference_median_ns_per_candidate": {grid_ref:.2},
     "planned_median_ns_per_candidate": {grid_plan:.2},
     "speedup": {grid_speedup:.3},
-    "parallel_workers": {workers},
-    "parallel_median_ns_per_candidate": {grid_par:.2},
-    "parallel_speedup": {grid_par_speedup:.3},
+    "build_median_ns": {grid_build:.2},
     "planned_vs_reference_nrmse": {nrmse:.3e}
+  }},
+  "lms": {{
+    "median_ns_per_run": {lms_ns:.2},
+    "iterations": {lms_iterations},
+    "evaluations": {lms_evaluations},
+    "speedup_vs_reference": {lms_speedup:.3}
   }},
   "grid_reconstruct": {{
     "points": {grid_recon_points},
@@ -742,13 +800,14 @@ fn main() {
         pt_speedup = pt_ref / pt_plan,
         probes = cfg.probes,
         candidates = cfg.candidates,
-        workers = grid.workers,
         grid_ref = grid.reference_ns,
         grid_plan = grid.planned_ns,
         grid_speedup = grid.reference_ns / grid.planned_ns,
-        grid_par = grid.parallel_ns,
-        grid_par_speedup = grid.reference_ns / grid.parallel_ns,
+        grid_build = lms.build_ns,
         nrmse = grid.nrmse,
+        lms_ns = lms.ns,
+        lms_iterations = lms.iterations,
+        lms_evaluations = lms.evaluations,
         grid_recon_points = grid_recon.points,
         grid_recon_ref = grid_recon.reference_ns,
         grid_recon_grid = grid_recon.grid_ns,
@@ -786,19 +845,28 @@ fn main() {
         "planned cost grid diverged from the scalar baseline: nrmse {}",
         grid.nrmse
     );
-    // Asserted on the single-threaded ratio so the gate pins the
-    // planned engine itself — thread parallelism cannot mask an
-    // algorithmic regression, and core count cannot fail a healthy one.
-    // Quick mode (3-rep medians on shared CI runners) gets a softer
-    // floor. Both floors sit far under the ~40-70x the arbitrary-instant
-    // order measures on a 2-core AVX-512 VM; a real regression (a
-    // per-instant table fill, a lost window table) collapses the ratio
-    // toward the floors.
-    let floor = if cfg.quick { 3.0 } else { 5.0 };
+    // Asserted on single-threaded ratios so the gates pin the probe
+    // sums themselves, not the core count. Quick mode (80 probes,
+    // 3-rep medians on shared CI runners) gets softer floors. The
+    // floors sit two to four times under the lowest readings, portable
+    // kernels included; a regression that rebuilds a weight row per
+    // probe and candidate falls back to the ~40-70x per-instant level.
+    let floor = if cfg.quick {
+        COST_GRID_FLOOR.1
+    } else {
+        COST_GRID_FLOOR.0
+    };
     assert!(
         grid.reference_ns / grid.planned_ns >= floor,
         "cost-grid speedup below the {floor}x floor: {:.2}x",
         grid.reference_ns / grid.planned_ns
+    );
+    // The LMS gate counts the build: an evaluation that got cheap by
+    // moving work into the build cannot pass it.
+    let lms_floor = if cfg.quick { LMS_FLOOR.1 } else { LMS_FLOOR.0 };
+    assert!(
+        lms_speedup >= lms_floor,
+        "LMS speedup over reference evaluations below the {lms_floor}x floor: {lms_speedup:.2}x"
     );
     // Grid-reconstruct contracts: the planned grid must agree with the
     // direct reference on the analysis-grid workload, and two floors

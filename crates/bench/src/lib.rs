@@ -78,77 +78,6 @@ pub fn paper_cost(frontend: Frontend, n_probes: usize, seed: u64) -> DualRateCos
     )
 }
 
-/// Chunked `std::thread::scope` parallelism for the experiment
-/// binaries' embarrassingly parallel sweeps (cost grids, per-standard
-/// configurations).
-///
-/// Deliberately minimal — no work stealing, no thread pool — because
-/// every sweep in this workspace is a static grid whose per-item cost
-/// is uniform: splitting the grid into one contiguous chunk per
-/// available core is within a few percent of optimal and keeps the
-/// binaries dependency-free.
-pub mod par {
-    /// Number of worker threads a sweep over `n` items should use.
-    pub fn worker_count(n: usize) -> usize {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(n)
-            .max(1)
-    }
-
-    /// Maps `f` over `items` in parallel, preserving order, with one
-    /// worker-local state built by `init` per thread — the hook that
-    /// lets cost sweeps reuse a `CostEvaluator` (plan + scratch
-    /// buffers) across all candidates a worker owns.
-    ///
-    /// # Panics
-    ///
-    /// Propagates panics from `f`/`init`.
-    pub fn map_with<T, R, S, I, F>(items: &[T], init: I, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, &T) -> R + Sync,
-    {
-        let workers = worker_count(items.len());
-        if workers <= 1 {
-            let mut state = init();
-            return items.iter().map(|item| f(&mut state, item)).collect();
-        }
-        let chunk_len = items.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk_len)
-                .map(|chunk| {
-                    scope.spawn(|| {
-                        let mut state = init();
-                        chunk
-                            .iter()
-                            .map(|item| f(&mut state, item))
-                            .collect::<Vec<R>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
-        })
-    }
-
-    /// Stateless order-preserving parallel map.
-    pub fn map_chunked<T, R, F>(items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        map_with(items, || (), |(), item| f(item))
-    }
-}
-
 /// Prints a Markdown-ish table row with `|`-separated cells.
 pub fn print_row(cells: &[String]) {
     println!("| {} |", cells.join(" | "));
@@ -183,42 +112,5 @@ mod tests {
         let at_truth = cost.evaluate(180e-12);
         let away = cost.evaluate(100e-12);
         assert!(at_truth < away);
-    }
-
-    #[test]
-    fn par_map_preserves_order_and_values() {
-        let items: Vec<u64> = (0..101).collect();
-        let squares = par::map_chunked(&items, |&x| x * x);
-        assert_eq!(squares.len(), items.len());
-        for (i, &s) in squares.iter().enumerate() {
-            assert_eq!(s, (i as u64) * (i as u64));
-        }
-    }
-
-    #[test]
-    fn par_map_with_worker_state() {
-        // worker-local counters must never be shared between items of
-        // different workers; here each item adds its index to a local
-        // accumulator and returns the running value — order within a
-        // chunk is sequential, so the result is deterministic per chunk.
-        let items: Vec<usize> = (0..16).collect();
-        let out = par::map_with(
-            &items,
-            || 0usize,
-            |acc, &x| {
-                *acc += x;
-                *acc
-            },
-        );
-        assert_eq!(out.len(), 16);
-        // first item of the first chunk is always 0
-        assert_eq!(out[0], 0);
-    }
-
-    #[test]
-    fn par_map_empty_and_single() {
-        let empty: Vec<i32> = vec![];
-        assert!(par::map_chunked(&empty, |&x| x).is_empty());
-        assert_eq!(par::map_chunked(&[7], |&x| x + 1), vec![8]);
     }
 }

@@ -669,20 +669,18 @@ impl BistEngine {
         let cfg = &self.config;
         let (slow_cap, _, _) =
             self.calibrated_capture(signal, &cfg.frontend_slow, cfg.slow_start, cfg.slow_len)?;
-        // typed pre-check of the cost's coverage contract, so an
-        // undersized capture cannot panic inside the cost constructor
-        DualRateCost::try_probe_window(&fast_cap, &slow_cap, &cfg.dual)
-            .map_err(|reason| BistError::CaptureTooShort { reason })?;
+        // the typed constructors, so an undersized capture or a cost
+        // the probe sums cannot build is an error value, not a panic
         let cost = match cfg.probe_schedule {
-            ProbeSchedule::Random => DualRateCost::paper_probes(
+            ProbeSchedule::Random => DualRateCost::try_paper_probes(
                 fast_cap,
                 slow_cap,
                 cfg.dual,
                 cfg.probe_count,
                 cfg.probe_seed,
-            ),
+            )?,
             ProbeSchedule::UniformGrid => {
-                DualRateCost::grid_probes(fast_cap, slow_cap, cfg.dual, cfg.probe_count)
+                DualRateCost::try_grid_probes(fast_cap, slow_cap, cfg.dual, cfg.probe_count)?
             }
         };
         let lms_config = LmsConfig::paper_default(cfg.lms_initial);
@@ -783,6 +781,39 @@ mod tests {
         assert!(
             (report.skew.delay - report.true_delay).abs() < 0.3e-12,
             "skew {} vs true {}",
+            report.skew.delay * 1e12,
+            report.true_delay * 1e12
+        );
+    }
+
+    #[test]
+    fn half_period_search_bound_runs_through_the_typed_path() {
+        // fc = 60 MHz on the 90/45 MHz rate pair: k⁺ = 2, so the search
+        // bound m = 1/(2B) is half the fast capture's sample period
+        let dep = crate::campaign::Deployment {
+            standard: "vhf-60m".to_string(),
+            carrier_hz: 60e6,
+            grid_rate: 300e6,
+            grid_len: 8192,
+            fast_len: 2600,
+            slow_len: 1400,
+        };
+        let cfg = dep.try_bist_config().expect("eq. 9 holds at 60 MHz");
+        assert!((cfg.dual.m_bound() * cfg.dual.fast_rate() - 0.5).abs() < 1e-12);
+        let bb = dep.payload(cfg.fast_start, 10e6, 0.5, 0xACE1);
+        let tx = HomodyneTx::builder(bb, dep.carrier_hz)
+            .impairments(TxImpairments::typical())
+            .build();
+        let report = BistEngine::new(cfg)
+            .try_run(
+                &tx.rf_output(),
+                &SpectralMask::gsm_like(),
+                None::<&BandpassSignal<ShapedBaseband>>,
+            )
+            .expect("a typed verdict");
+        assert!(
+            (report.skew.delay - report.true_delay).abs() < 5e-12,
+            "skew {} vs true {} ps",
             report.skew.delay * 1e12,
             report.true_delay * 1e12
         );

@@ -12,34 +12,40 @@
 //! vanishes only when `D̂ = D` (both reconstructions then equal the true
 //! signal), and under the eq. (9) conditions has a *unique* minimum on
 //! `]0, m[` — no reference signal required.
+//!
+//! # Evaluation
+//!
+//! The eq. 2 kernel depends on `D̂` only through its numerator weights
+//! and the odd stream's shift, so every constructor summarizes each
+//! capture once at the probe times
+//! ([`ProbeSums`](rfbist_sampling::gridplan::ProbeSums)): six exact
+//! even-stream sums per probe, six odd-stream sums at the nine
+//! Chebyshev nodes of `[0, m]`, and the few taps the fit cannot
+//! reproduce (poles near `[0, m]`, window support edges) kept exact.
+//! An evaluation then costs one 60-term dot product per probe and
+//! capture, plus the exact taps: ~20–25 µs for the
+//! Section V cost against ~0.3–0.4 ms for two 2 × 61-tap weight rows
+//! per probe, after a ~1.3–2.6 ms build (2-core AVX-512 VM). Both
+//! probe schedules evaluate the same way and agree with the direct
+//! reference ([`evaluate_reference`](DualRateCost::evaluate_reference))
+//! to ≤ 1e-9 across `]0, m[`.
 
 use crate::error::BistError;
-use rfbist_dsp::window::Window;
 use rfbist_math::rng::Randomizer;
 use rfbist_sampling::dualrate::DualRateConfig;
-use rfbist_sampling::gridplan::{GridScratch, PnbsGridPlan};
+use rfbist_sampling::gridplan::{ProbeSums, ProbeSumsError, PROBE_TAPS, PROBE_WINDOW};
 use rfbist_sampling::reconstruct::{NonuniformCapture, PnbsReconstructor};
 
-/// The paper's probe-schedule reconstruction configuration (61 taps,
-/// Kaiser β = 8), shared by the coverage-window computation and both
-/// generated schedules so they can never drift apart.
-const PAPER_PROBE_TAPS: usize = 61;
-const PAPER_PROBE_WINDOW: Window = Window::Kaiser(8.0);
-
-/// A bound cost function: captures + probe times + filter settings.
+/// A bound cost function: captures + probe times, with each capture's
+/// `D̂`-independent probe sums built once at construction.
 #[derive(Clone, Debug)]
 pub struct DualRateCost {
     fast: NonuniformCapture,
     slow: NonuniformCapture,
     config: DualRateConfig,
     times: Vec<f64>,
-    /// `Some((t0, step))` when `times` is the uniform grid
-    /// `t0, t0 + step, …` — the schedule that routes every cost
-    /// evaluation through the plan's grid walk ([`PnbsGridPlan`])
-    /// instead of its arbitrary-instant order.
-    grid: Option<(f64, f64)>,
-    num_taps: usize,
-    window: Window,
+    fast_sums: ProbeSums,
+    slow_sums: ProbeSums,
 }
 
 impl DualRateCost {
@@ -56,10 +62,8 @@ impl DualRateCost {
         slow: NonuniformCapture,
         config: DualRateConfig,
         times: Vec<f64>,
-        num_taps: usize,
-        window: Window,
     ) -> Self {
-        Self::try_new(fast, slow, config, times, num_taps, window).unwrap_or_else(|e| panic!("{e}"))
+        Self::try_new(fast, slow, config, times).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`new`](Self::new) in typed form: every contract violation
@@ -70,8 +74,6 @@ impl DualRateCost {
         slow: NonuniformCapture,
         config: DualRateConfig,
         times: Vec<f64>,
-        num_taps: usize,
-        window: Window,
     ) -> Result<Self, BistError> {
         if times.is_empty() {
             return Err(BistError::InvalidConfig {
@@ -88,32 +90,39 @@ impl DualRateCost {
                 reason: "slow capture rate disagrees with config".to_string(),
             });
         }
-        let cost = DualRateCost {
+        Self::build(fast, slow, config, times)
+    }
+
+    /// Builds both captures' probe sums over `times` — the one place
+    /// every constructor pays for, so an evaluation only combines them.
+    fn build(
+        fast: NonuniformCapture,
+        slow: NonuniformCapture,
+        config: DualRateConfig,
+        times: Vec<f64>,
+    ) -> Result<Self, BistError> {
+        let sums = |band, capture: &NonuniformCapture, channel: &str| {
+            ProbeSums::try_new(band, capture, &times, config.m_bound()).map_err(|e| {
+                BistError::InvalidConfig {
+                    reason: match e {
+                        ProbeSumsError::OutsideCoverage { time } => {
+                            format!("probe time {time:.3e} s outside {channel}-capture coverage")
+                        }
+                        other => other.to_string(),
+                    },
+                }
+            })
+        };
+        let fast_sums = sums(config.fast_band(), &fast, "fast")?;
+        let slow_sums = sums(config.slow_band(), &slow, "slow")?;
+        Ok(DualRateCost {
             fast,
             slow,
             config,
             times,
-            grid: None,
-            num_taps,
-            window,
-        };
-        // verify coverage with a representative (valid) delay, through
-        // the reconstructors' own tap-window predicate
-        let probe = cost.config.delay().min(cost.config.m_bound() * 0.5);
-        let (fast_rec, slow_rec) = cost.reconstructors(probe);
-        for &t in &cost.times {
-            if !fast_rec.grid_plan().covers(&cost.fast, t) {
-                return Err(BistError::InvalidConfig {
-                    reason: format!("probe time {t:.3e} s outside fast-capture coverage"),
-                });
-            }
-            if !slow_rec.grid_plan().covers(&cost.slow, t) {
-                return Err(BistError::InvalidConfig {
-                    reason: format!("probe time {t:.3e} s outside slow-capture coverage"),
-                });
-            }
-        }
-        Ok(cost)
+            fast_sums,
+            slow_sums,
+        })
     }
 
     /// The coverage check behind every probe schedule, in typed form:
@@ -126,13 +135,13 @@ impl DualRateCost {
         slow: &NonuniformCapture,
         config: &DualRateConfig,
     ) -> Result<(f64, f64), String> {
-        let num_taps = PAPER_PROBE_TAPS;
-        let window = PAPER_PROBE_WINDOW;
         let probe_delay = config.delay().min(config.m_bound() * 0.5);
-        let fast_rec = PnbsReconstructor::new(config.fast_band(), probe_delay, num_taps, window)
-            .map_err(|_| "valid probe delay".to_string())?;
-        let slow_rec = PnbsReconstructor::new(config.slow_band(), probe_delay, num_taps, window)
-            .map_err(|_| "valid probe delay".to_string())?;
+        let fast_rec =
+            PnbsReconstructor::new(config.fast_band(), probe_delay, PROBE_TAPS, PROBE_WINDOW)
+                .map_err(|_| "valid probe delay".to_string())?;
+        let slow_rec =
+            PnbsReconstructor::new(config.slow_band(), probe_delay, PROBE_TAPS, PROBE_WINDOW)
+                .map_err(|_| "valid probe delay".to_string())?;
         let (f_lo, f_hi) = fast_rec
             .coverage(fast)
             .ok_or("fast capture too short")
@@ -182,15 +191,7 @@ impl DualRateCost {
             .map_err(|reason| BistError::CaptureTooShort { reason })?;
         let mut rng = Randomizer::from_seed(seed);
         let times = (0..n).map(|_| rng.uniform(lo, hi)).collect();
-        Ok(DualRateCost {
-            fast,
-            slow,
-            config,
-            times,
-            grid: None,
-            num_taps: PAPER_PROBE_TAPS,
-            window: PAPER_PROBE_WINDOW,
-        })
+        Self::build(fast, slow, config, times)
     }
 
     /// Uniform-grid probe schedule: `n` probe times at the midpoints of
@@ -199,12 +200,9 @@ impl DualRateCost {
     /// Kaiser reconstruction.
     ///
     /// Functionally interchangeable with
-    /// [`paper_probes`](Self::paper_probes) — the cost keeps its unique
-    /// minimum at the true delay — but the uniform spacing lets every
-    /// evaluation reconstruct both captures through the plan's grid
-    /// walk ([`PnbsGridPlan`]): the time phasors advance *across* probe
-    /// points instead of being re-seeded per point, which is where LMS
-    /// descents and Fig. 5 sweeps spend their time.
+    /// [`paper_probes`](Self::paper_probes): the cost keeps its unique
+    /// minimum at the true delay, and both schedules evaluate through
+    /// the same probe sums at the same price.
     pub fn grid_probes(
         fast: NonuniformCapture,
         slow: NonuniformCapture,
@@ -234,22 +232,7 @@ impl DualRateCost {
         let step = (hi - lo) / n as f64;
         let t0 = lo + 0.5 * step;
         let times = (0..n).map(|i| t0 + i as f64 * step).collect();
-        Ok(DualRateCost {
-            fast,
-            slow,
-            config,
-            times,
-            grid: Some((t0, step)),
-            num_taps: PAPER_PROBE_TAPS,
-            window: PAPER_PROBE_WINDOW,
-        })
-    }
-
-    /// `Some((t0, step))` when the probe times form a uniform grid (the
-    /// [`grid_probes`](Self::grid_probes) schedule), enabling the
-    /// grid walk inside every evaluation.
-    pub fn probe_grid(&self) -> Option<(f64, f64)> {
-        self.grid
+        Self::build(fast, slow, config, times)
     }
 
     /// The dual-rate configuration.
@@ -277,31 +260,30 @@ impl DualRateCost {
             PnbsReconstructor::new_unchecked(
                 self.config.fast_band(),
                 d_hat,
-                self.num_taps,
-                self.window,
+                PROBE_TAPS,
+                PROBE_WINDOW,
             ),
             PnbsReconstructor::new_unchecked(
                 self.config.slow_band(),
                 d_hat,
-                self.num_taps,
-                self.window,
+                PROBE_TAPS,
+                PROBE_WINDOW,
             ),
         )
     }
 
-    /// Evaluates `ε(D̂)` (paper eq. 8) through the planned engine.
+    /// Evaluates `ε(D̂)` (paper eq. 8) from the probe sums.
     ///
     /// Candidates are clamped into the open search interval `]0, m[`
     /// with a 0.1 ps margin, so optimizer overshoot cannot hit the
     /// kernel singularities at the interval ends.
-    // analysis: allow(typed-error-parity) — cannot panic: candidates are clamped into ]0, m[ and the `::new` tokens the fixpoint matches are the plan/scratch constructors, not the panicking sibling `new`
     pub fn evaluate(&self, d_hat: f64) -> f64 {
         self.evaluator().eval(d_hat)
     }
 
     /// [`evaluate`](Self::evaluate) through the preserved direct
     /// reconstruction path (four kernel cosines + two Bessel series per
-    /// tap) — the oracle and baseline the planned engine is measured
+    /// tap) — the oracle and baseline the probe sums are measured
     /// against.
     pub fn evaluate_reference(&self, d_hat: f64) -> f64 {
         let d = self.clamp_candidate(d_hat);
@@ -323,22 +305,20 @@ impl DualRateCost {
         d_hat.clamp(margin, self.config.m_bound() - margin)
     }
 
-    /// A reusable evaluator holding the scratch buffers one cost
-    /// evaluation needs, so grid sweeps and LMS runs allocate once
-    /// instead of per candidate.
-    // analysis: allow(typed-error-parity) — cannot panic: candidates are clamped into ]0, m[ and the `::new` tokens the fixpoint matches are the plan/scratch constructors, not the panicking sibling `new`
+    /// A reusable evaluator holding the two value buffers one cost
+    /// evaluation fills, sized to the probe count, so grid sweeps and
+    /// LMS runs allocate once instead of per candidate. Cheap: the
+    /// probe sums were built with the cost.
     pub fn evaluator(&self) -> CostEvaluator<'_> {
         CostEvaluator {
             cost: self,
-            fast_grid: GridScratch::new(),
-            slow_grid: GridScratch::new(),
+            fast: Vec::with_capacity(self.times.len()),
+            slow: Vec::with_capacity(self.times.len()),
         }
     }
 
-    /// Evaluates `ε(D̂)` for every candidate in `candidates`, reusing
-    /// one pair of scratch buffers (and one plan per candidate) across
-    /// the whole grid — the batched form of the Fig. 5 sweep.
-    // analysis: allow(typed-error-parity) — cannot panic: candidates are clamped into ]0, m[ and the `::new` tokens the fixpoint matches are the plan/scratch constructors, not the panicking sibling `new`
+    /// Evaluates `ε(D̂)` for every candidate in `candidates` through one
+    /// evaluator — the batched form of the Fig. 5 sweep.
     pub fn eval_grid(&self, candidates: &[f64]) -> Vec<f64> {
         self.evaluator().eval_grid(candidates)
     }
@@ -380,8 +360,8 @@ impl DualRateCost {
     }
 }
 
-/// A cost evaluator bound to one [`DualRateCost`], carrying the scratch
-/// buffers the planned reconstruction engine reuses across candidates.
+/// A cost evaluator bound to one [`DualRateCost`], carrying the two
+/// per-probe value buffers it reuses across candidates.
 ///
 /// Built by [`DualRateCost::evaluator`]; the LMS estimator keeps one
 /// for its whole descent, and [`DualRateCost::eval_grid`] keeps one for
@@ -389,44 +369,32 @@ impl DualRateCost {
 #[derive(Clone, Debug)]
 pub struct CostEvaluator<'a> {
     cost: &'a DualRateCost,
-    fast_grid: GridScratch,
-    slow_grid: GridScratch,
+    fast: Vec<f64>,
+    slow: Vec<f64>,
 }
 
 impl CostEvaluator<'_> {
     /// Evaluates `ε(D̂)` with the same clamping contract as
-    /// [`DualRateCost::evaluate`].
-    ///
-    /// Uniform-grid probe schedules
-    /// ([`DualRateCost::grid_probes`]) run the plan's grid walk; random
-    /// schedules run its arbitrary-instant order. Both agree with the
-    /// direct reference to ≤ 1e-9.
-    // analysis: allow(typed-error-parity) — cannot panic: candidates are clamped into ]0, m[ and the `::new` tokens the fixpoint matches are the plan/scratch constructors, not the panicking sibling `new`
+    /// [`DualRateCost::evaluate`]: both captures' probe sums at the
+    /// clamped candidate, then the mean squared disagreement. Agrees
+    /// with the direct reference to ≤ 1e-9 on either probe schedule.
     pub fn eval(&mut self, d_hat: f64) -> f64 {
         let cost = self.cost;
         let d = cost.clamp_candidate(d_hat);
-        let n = cost.times.len();
-        let fast_plan = PnbsGridPlan::new(cost.config.fast_band(), d, cost.num_taps, cost.window);
-        let slow_plan = PnbsGridPlan::new(cost.config.slow_band(), d, cost.num_taps, cost.window);
-        let (a, b) = match cost.grid {
-            Some((t0, step)) => (
-                fast_plan.reconstruct_grid(&cost.fast, t0, step, n, &mut self.fast_grid),
-                slow_plan.reconstruct_grid(&cost.slow, t0, step, n, &mut self.slow_grid),
-            ),
-            None => (
-                fast_plan.reconstruct_instants(&cost.fast, &cost.times, &mut self.fast_grid),
-                slow_plan.reconstruct_instants(&cost.slow, &cost.times, &mut self.slow_grid),
-            ),
-        };
-        let acc: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
-        acc / n as f64
+        cost.fast_sums.eval_into(d, &mut self.fast);
+        cost.slow_sums.eval_into(d, &mut self.slow);
+        let acc: f64 = self
+            .fast
+            .iter()
+            .zip(&self.slow)
+            .map(|(x, y)| (x - y) * (x - y))
+            .sum();
+        acc / cost.times.len() as f64
     }
 
-    /// Evaluates a batch of candidates through this evaluator's scratch
+    /// Evaluates a batch of candidates through this evaluator's
     /// buffers — the entry point [`DualRateCost::eval_grid`] and the
-    /// LMS gradient probes share, so plan setup and scratch reuse
-    /// amortize across every candidate of a descent or sweep.
-    // analysis: allow(typed-error-parity) — cannot panic: candidates are clamped into ]0, m[ and the `::new` tokens the fixpoint matches are the plan/scratch constructors, not the panicking sibling `new`
+    /// LMS gradient probes share.
     pub fn eval_grid(&mut self, candidates: &[f64]) -> Vec<f64> {
         candidates.iter().map(|&d| self.eval(d)).collect()
     }
@@ -597,14 +565,16 @@ mod tests {
     #[test]
     fn grid_probes_form_a_uniform_midpoint_grid() {
         let cost = paper_grid_setup(true);
-        let (t0, step) = cost.probe_grid().expect("grid schedule");
+        let (lo, hi) =
+            DualRateCost::try_probe_window(cost.fast_capture(), cost.slow_capture(), cost.config())
+                .expect("covered");
+        let step = (hi - lo) / 120.0;
+        let t0 = lo + 0.5 * step;
         assert!(step > 0.0);
         assert_eq!(cost.times().len(), 120);
         for (i, &t) in cost.times().iter().enumerate() {
             assert_eq!(t, t0 + i as f64 * step, "probe {i} off the grid");
         }
-        // random schedules expose no grid
-        assert!(paper_setup(true).probe_grid().is_none());
     }
 
     #[test]
@@ -667,6 +637,37 @@ mod tests {
     }
 
     #[test]
+    fn uncovered_probe_times_are_typed_errors_per_capture() {
+        let cost = paper_setup(true);
+        let (fast, slow) = (cost.fast_capture(), cost.slow_capture());
+        // past the fast capture's end, but inside the slow one's
+        let late = (fast.n_start() + fast.len() as i64) as f64 * fast.period();
+        for (t, channel) in [(late, "fast"), (0.0, "fast"), (cost.times()[0], "")] {
+            let result = DualRateCost::try_new(fast.clone(), slow.clone(), *cost.config(), vec![t]);
+            match result {
+                Err(BistError::InvalidConfig { reason }) => {
+                    assert!(reason.contains(&format!("outside {channel}-capture coverage")))
+                }
+                Ok(_) => assert!(channel.is_empty(), "{t:e} accepted"),
+                Err(e) => panic!("unexpected error {e}"),
+            }
+        }
+        let slow_short = NonuniformCapture::from_streams(
+            slow.period(),
+            slow.delay(),
+            slow.n_start(),
+            slow.even()[..80].to_vec(),
+            slow.odd()[..80].to_vec(),
+        );
+        let err = DualRateCost::try_new(fast.clone(), slow_short, *cost.config(), vec![late * 0.9])
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("outside slow-capture coverage"),
+            "{err}"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "rate disagrees")]
     fn mismatched_rates_panic() {
         let cfg = DualRateConfig::paper_section_v();
@@ -679,8 +680,6 @@ mod tests {
             slow.capture(&tx, 40, 160),
             cfg,
             vec![1.5e-6],
-            61,
-            Window::Kaiser(8.0),
         );
     }
 }

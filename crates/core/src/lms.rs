@@ -90,6 +90,9 @@ pub struct LmsResult {
     pub converged: bool,
     /// Per-iteration history (index 0 is the starting point).
     pub trace: Vec<LmsIteration>,
+    /// Cost evaluations the descent made: the starting point, two
+    /// gradient probes per iteration and every update attempt.
+    pub evaluations: usize,
 }
 
 impl LmsResult {
@@ -128,6 +131,7 @@ pub fn estimate_skew_lms(cost: &DualRateCost, config: LmsConfig) -> LmsResult {
 
     let mut d_cur = clamp(config.initial_estimate);
     let mut e_cur = eval.eval(d_cur);
+    let mut evaluations = 1;
 
     let mut mu = config.initial_step;
     let mut trace = vec![LmsIteration {
@@ -144,14 +148,15 @@ pub fn estimate_skew_lms(cost: &DualRateCost, config: LmsConfig) -> LmsResult {
         // Step 2: finite-difference gradient. The probe width follows
         // the step size (floored at the bootstrap delta scale) so the
         // difference stays informative as the search zooms in. The
-        // probes go through the evaluator's batch entry point — a
-        // structural alignment with `eval_grid` sweeps (one evaluator,
-        // one scratch pair, arbitrary probe stencils), not a flop
-        // reduction: each candidate still plans independently.
+        // probes go through the evaluator's batch entry point, shared
+        // with `eval_grid` sweeps; each candidate only combines the
+        // probe sums the cost built once, so a probe costs about as
+        // much as one step.
         let delta = (mu / 4.0)
             .max(config.bootstrap_delta.abs() / 20.0)
             .max(1e-16);
         let probes = eval.eval_grid(&[clamp(d_cur + delta), clamp(d_cur - delta)]);
+        evaluations += probes.len();
         let (e_plus, e_minus) = (probes[0], probes[1]);
         let grad = (e_plus - e_minus) / (2.0 * delta);
         if grad == 0.0 {
@@ -168,6 +173,7 @@ pub fn estimate_skew_lms(cost: &DualRateCost, config: LmsConfig) -> LmsResult {
         for _ in 0..config.max_retries {
             d_next = clamp(d_cur - mu * direction);
             e_next = eval.eval(d_next);
+            evaluations += 1;
             if e_next <= e_cur {
                 accepted = true;
                 break;
@@ -222,6 +228,7 @@ pub fn estimate_skew_lms(cost: &DualRateCost, config: LmsConfig) -> LmsResult {
         iterations,
         converged,
         trace,
+        evaluations,
     }
 }
 
@@ -356,6 +363,17 @@ mod tests {
         assert!((result.trace[0].estimate - 350e-12).abs() < 1e-15);
         assert!(result.converged);
         assert!(result.iterations <= 40);
+    }
+
+    #[test]
+    fn evaluation_count_covers_probes_and_attempts() {
+        // every counted iteration makes two gradient probes and at
+        // least one update attempt, on top of the starting point
+        let cost = paper_cost(false);
+        let config = LmsConfig::paper_default(60e-12);
+        let result = estimate_skew_lms(&cost, config);
+        assert!(result.evaluations > 3 * result.iterations);
+        assert!(result.evaluations <= 1 + (2 + config.max_retries) * (result.iterations + 1));
     }
 
     #[test]

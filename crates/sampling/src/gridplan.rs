@@ -2,13 +2,17 @@
 //! loop — in three iteration orders over one row builder: a cross-point
 //! rotor walk for uniform grids, phase-major reconstruction for grids
 //! on a rational lattice of the sample period, and arbitrary instants.
+//! Beside them, [`ProbeSums`] reuses the row builder's parts to
+//! summarize a capture at fixed probe instants once, so the dual-rate
+//! cost can evaluate any delay candidate without building a row (see
+//! its module docs).
 //!
 //! The direct form
 //! ([`PnbsReconstructor::try_reconstruct_at_reference`](crate::reconstruct::PnbsReconstructor::try_reconstruct_at_reference))
 //! pays, per tap and per instant, four cosines of the Kohlenberg kernel
-//! (paper eq. 2) and two Bessel-`I0` Kaiser-window series. Every cost
-//! evaluation (Fig. 5), LMS iteration (Fig. 6) and analysis grid
-//! multiplies that by hundreds to tens of thousands of instants.
+//! (paper eq. 2) and two Bessel-`I0` Kaiser-window series. Every
+//! analysis grid multiplies that by thousands to tens of thousands of
+//! instants.
 //! [`PnbsGridPlan`] precomputes everything that does not depend on the
 //! instant.
 //!
@@ -75,8 +79,8 @@
 //! weight row instead of its dot product, and the row of residue `r`
 //! is applied to every point of that residue in the super-block —
 //! one 2 × `num_taps` dot product per point instead of a row build.
-//! Every other grid (including the LMS's short probe grids) keeps the
-//! walk; both paths share one row builder and one dot product.
+//! Every other grid keeps the walk; both paths share one row builder
+//! and one dot product.
 //!
 //! **Tie rule.** When `t_r/T` sits exactly half a sample from a sample
 //! instant (one residue per grid whenever `t0` is a sample instant and
@@ -118,6 +122,9 @@ use rfbist_math::rotor::{fill_phasor_table, sincos};
 use std::cell::RefCell;
 use std::f64::consts::PI;
 use std::sync::Arc;
+
+mod probe_sums;
+pub use probe_sums::{ProbeSums, ProbeSumsError, PROBE_TAPS, PROBE_WINDOW};
 
 /// Points per [`GridBlocks::next_block`] block, and the interval (in
 /// absolute grid points) between exact re-seeds of the three time
@@ -162,6 +169,10 @@ const LATTICE_PHASE_TOLERANCE: f64 = 1e-10;
 /// one tap per stream per point.
 const NEAR_ORIGIN_FRACTION: f64 = 1.0 / 16.0;
 
+/// Kernel arguments closer than this to zero (seconds) take the limit
+/// `s(0)` instead of the `1/τ` form.
+const ORIGIN_TAU: f64 = 1e-18;
+
 /// One grid point's eq. 6 weights (kernel × window), one value per tap
 /// and stream.
 #[derive(Clone, Debug, Default)]
@@ -172,8 +183,8 @@ struct WeightRow {
 
 /// Reusable buffers for planned reconstruction: the output values, the
 /// per-sample factored phasor tables and the weight rows in flight, so
-/// repeated calls (one per cost candidate, one per BIST verdict)
-/// allocate nothing in steady state.
+/// repeated calls (one per BIST verdict) allocate nothing in steady
+/// state.
 #[derive(Clone, Debug, Default)]
 pub struct GridScratch {
     out: Vec<f64>,
@@ -244,9 +255,10 @@ struct GridWindow {
 
 thread_local! {
     /// Most-recently-used [`GridWindow`], keyed by (window, node
-    /// alignment). Cost sweeps build two grid plans per delay
-    /// candidate with the same window and taps; sharing the transposed
-    /// table makes every build after the first a reference-count bump.
+    /// alignment). A verdict builds plans for several delay estimates
+    /// and a cost's probe sums with the same window and taps; sharing
+    /// the transposed table makes every build after the first a
+    /// reference-count bump.
     static GRID_WINDOW_CACHE: RefCell<Option<(Window, usize, Arc<GridWindow>)>> =
         const { RefCell::new(None) };
 }
@@ -280,6 +292,15 @@ impl GridWindow {
             *slot = Some((window, alignment, Arc::clone(&shared)));
             shared
         })
+    }
+
+    /// The row fill this window supports: the planar residue transpose
+    /// for cubic tables, direct sampling otherwise.
+    fn fill(&self) -> WindowFill<'_> {
+        match (&self.rows, self.table.cubic_parts()) {
+            (Some(rows), Some((scale, _))) => WindowFill::Planar { rows, scale },
+            _ => WindowFill::Direct(&self.table),
+        }
     }
 }
 
@@ -524,41 +545,14 @@ impl PnbsGridPlan {
     // analysis: allow(typed-error-parity) — the tap count is a build-time constant at every call site (61, or a reconstructor that already asserted it odd), so an even count is a caller bug rather than a runtime fault
     pub fn new(band: BandSpec, delay: f64, num_taps: usize, window: Window) -> Self {
         assert!(num_taps % 2 == 1, "tap count must be odd (nw + 1)");
-        let b = band.bandwidth();
-        let f_lo = band.f_lo();
-        let k = band.k() as f64;
-        let k_plus = band.k_plus() as f64;
-        // Regroup the eq. 2 numerator
-        //   ((c₂ − c₁)cos φ₁ + (s₂ − s₁)sin φ₁)/sin φ₁
-        // + ((c₁ − c₀)cos φ₀ + (s₁ − s₀)sin φ₀)/sin φ₀,
-        // φ₀ = kπBD̂ and φ₁ = k⁺πBD̂, by cosine family: αⱼ, βⱼ multiply
-        // cos(ωⱼτ), sin(ωⱼτ). The s₀ term vanishes identically on
-        // integer-positioned bands.
-        let (a1, b1) = term_weights(k_plus * PI * b * delay);
-        let mut alpha = [0.0, -a1, a1];
-        let mut beta = [0.0, -b1, b1];
-        let s0_origin = if band.is_integer_positioned() {
-            0.0
-        } else {
-            let (a0, b0) = term_weights(k * PI * b * delay);
-            alpha[0] = -a0;
-            beta[0] = -b0;
-            alpha[1] += a0;
-            beta[1] += b0;
-            k - 2.0 * f_lo / b
-        };
-        let s1_origin = 1.0 + 2.0 * f_lo / b - k;
+        let (alpha, beta) = kernel_weights(band, delay);
         let half_taps = num_taps / 2;
         PnbsGridPlan {
-            w: [
-                2.0 * PI * f_lo,
-                2.0 * PI * (k * b - f_lo),
-                2.0 * PI * (f_lo + b),
-            ],
+            w: kernel_frequencies(band),
             alpha,
             beta,
-            inv_two_pi_b: 1.0 / (2.0 * PI * b),
-            origin: s0_origin + s1_origin,
+            inv_two_pi_b: 1.0 / (2.0 * PI * band.bandwidth()),
+            origin: kernel_origin(band),
             delay,
             half_taps,
             // Node-align the table on the tap stride 1/(2(h+1)) so a
@@ -590,9 +584,7 @@ impl PnbsGridPlan {
     /// Whether `capture` holds the whole tap window `round(t/T) ± h` of
     /// instant `t` — the coverage predicate of every reconstruction.
     pub fn covers(&self, capture: &NonuniformCapture, t: f64) -> bool {
-        let h = self.half_taps as i64;
-        let nc = (t / capture.period()).round() as i64;
-        nc - h >= capture.n_start() && nc + h < capture.n_start() + capture.len() as i64
+        covers_tap_window(capture, t, self.half_taps)
     }
 
     /// Exact kernel evaluation for taps inside the near-origin guard
@@ -600,7 +592,7 @@ impl PnbsGridPlan {
     /// tables' bounded phase error there, so these few taps pay three
     /// direct `sincos` instead.
     fn kernel_near_origin(&self, tau: f64) -> f64 {
-        if tau.abs() < 1e-18 {
+        if tau.abs() < ORIGIN_TAU {
             return self.origin;
         }
         let mut num = 0.0;
@@ -1020,10 +1012,7 @@ impl PnbsGridPlan {
         }
         let period = capture.period();
         let inv_2hw = 1.0 / (2.0 * (self.half_taps as f64 + 1.0));
-        let fill = match (&self.window.rows, self.window.table.cubic_parts()) {
-            (Some(rows), Some((scale, _))) => WindowFill::Planar { rows, scale },
-            _ => WindowFill::Direct(&self.window.table),
-        };
+        let fill = self.window.fill();
         let ctx = RowCtx {
             period,
             inv_2hw,
@@ -1338,6 +1327,14 @@ impl GridBlocks<'_> {
     }
 }
 
+/// Whether `capture` holds the whole tap window `round(t/T) ± h` of
+/// instant `t`.
+fn covers_tap_window(capture: &NonuniformCapture, t: f64, half_taps: usize) -> bool {
+    let h = half_taps as i64;
+    let nc = (t / capture.period()).round() as i64;
+    nc - h >= capture.n_start() && nc + h < capture.n_start() + capture.len() as i64
+}
+
 /// The exact time phasors `e^{jωⱼ·dt}` as `[c₀, s₀, c₁, s₁, c₂, s₂]`,
 /// matching the table plane order.
 #[inline(always)]
@@ -1356,6 +1353,54 @@ fn term_weights(phi: f64) -> (f64, f64) {
     let (sin_phi, cos_phi) = sincos(phi);
     let inv_sin = 1.0 / sin_phi;
     (cos_phi * inv_sin, sin_phi * inv_sin)
+}
+
+/// Angular frequencies of the eq. 2 kernel's three cosine families
+/// (rad/s): `ω₀ = 2πf_l`, `ω₁ = 2π(kB − f_l)`, `ω₂ = 2π(f_l + B)`.
+fn kernel_frequencies(band: BandSpec) -> [f64; 3] {
+    let (b, f_lo, k) = (band.bandwidth(), band.f_lo(), band.k() as f64);
+    [
+        2.0 * PI * f_lo,
+        2.0 * PI * (k * b - f_lo),
+        2.0 * PI * (f_lo + b),
+    ]
+}
+
+/// The eq. 2 numerator regrouped by cosine family at delay estimate
+/// `delay`: `(αⱼ, βⱼ)` multiply `cos(ωⱼτ)`, `sin(ωⱼτ)` in
+///
+/// ```text
+///   ((c₂ − c₁)cos φ₁ + (s₂ − s₁)sin φ₁)/sin φ₁
+/// + ((c₁ − c₀)cos φ₀ + (s₁ − s₀)sin φ₀)/sin φ₀,   φ₀ = kπBD̂, φ₁ = k⁺πBD̂.
+/// ```
+///
+/// The s₀ term vanishes identically on integer-positioned bands. Apart
+/// from the odd stream's shift, this is the only place the kernel
+/// depends on `D̂`.
+fn kernel_weights(band: BandSpec, delay: f64) -> ([f64; 3], [f64; 3]) {
+    let b = band.bandwidth();
+    let (a1, b1) = term_weights(band.k_plus() as f64 * PI * b * delay);
+    let mut alpha = [0.0, -a1, a1];
+    let mut beta = [0.0, -b1, b1];
+    if !band.is_integer_positioned() {
+        let (a0, b0) = term_weights(band.k() as f64 * PI * b * delay);
+        alpha[0] = -a0;
+        beta[0] = -b0;
+        alpha[1] += a0;
+        beta[1] += b0;
+    }
+    (alpha, beta)
+}
+
+/// The kernel limit `s(0) = s₀(0) + s₁(0)`, independent of `D̂`.
+fn kernel_origin(band: BandSpec) -> f64 {
+    let (b, f_lo, k) = (band.bandwidth(), band.f_lo(), band.k() as f64);
+    let s0_origin = if band.is_integer_positioned() {
+        0.0
+    } else {
+        k - 2.0 * f_lo / b
+    };
+    s0_origin + (1.0 + 2.0 * f_lo / b - k)
 }
 
 /// `a·b + c`: one fused multiply-add in the `#[target_feature]`

@@ -120,3 +120,80 @@ pub fn oracle_cases() -> Vec<OracleCase> {
         ),
     ]
 }
+
+/// [`paper_cost_fixture`]'s stimulus and capture spans through the
+/// paper's Section V front-end (10-bit converters, 3 ps rms skew
+/// jitter), with `n_probes` random probes drawn from `seed`.
+#[allow(dead_code)]
+pub fn paper_frontend_cost_fixture(n_probes: usize, seed: u64) -> DualRateCost {
+    let cfg = DualRateConfig::paper_section_v();
+    let tx = paper_stimulus_seeded(96, PAPER_PRBS_SEED);
+    let mut fast = BpTiadc::new(BpTiadcConfig::paper_section_v(cfg.delay()));
+    let mut slow = BpTiadc::new(
+        BpTiadcConfig::paper_section_v(cfg.delay())
+            .with_sample_rate(cfg.slow_rate())
+            .with_seed(0x51DE),
+    );
+    DualRateCost::paper_probes(
+        fast.capture(&tx, 80, 260),
+        slow.capture(&tx, 40, 160),
+        cfg,
+        n_probes,
+        seed,
+    )
+}
+
+/// The gsm-like-270k campaign deployment's dual-rate cost: a 100 MHz
+/// carrier on the 90/45 MHz rate pair, so the search bound `m` is a
+/// third of the fast sample period (Section V has `m/T ≈ 0.043`).
+/// Captures of a 10 Msym/s QPSK burst through the deployment's paper
+/// front-end (10-bit converters, 3 ps rms skew jitter), with
+/// `n_probes` random probes drawn from `seed`.
+#[allow(dead_code)]
+pub fn gsm_cost_fixture(n_probes: usize, seed: u64) -> DualRateCost {
+    let dep = Deployment::builtin_five().remove(0);
+    assert_eq!(dep.standard, "gsm-like-270k");
+    let cfg = dep.bist_config();
+    let bb = ShapedBaseband::qpsk_prbs(10e6, 0.5, 12, 96, PAPER_PRBS_SEED);
+    let tx = BandpassSignal::new(bb, dep.carrier_hz);
+    let mut fast = BpTiadc::new(cfg.frontend_fast);
+    let mut slow = BpTiadc::new(cfg.frontend_slow);
+    DualRateCost::paper_probes(
+        fast.capture(&tx, 80, 260),
+        slow.capture(&tx, 40, 160),
+        cfg.dual,
+        n_probes,
+        seed,
+    )
+}
+
+/// The same captures and configuration as `cost`, probed on the
+/// uniform midpoint grid of `n` points.
+#[allow(dead_code)]
+pub fn grid_probed(cost: &DualRateCost, n: usize) -> DualRateCost {
+    DualRateCost::grid_probes(
+        cost.fast_capture().clone(),
+        cost.slow_capture().clone(),
+        *cost.config(),
+        n,
+    )
+}
+
+/// Asserts `cost`'s evaluation against its direct reference at the
+/// candidates 0.1 ps and 0.5 ps inside each end of `]0, m[`, where the
+/// `1/sin(kπBD̂)` weights drive ε to ~1e5 — relative to ε, since an
+/// absolute bound would ask ~1e-14 relative agreement there.
+#[allow(dead_code)]
+pub fn assert_clamp_edges_match_reference(cost: &DualRateCost) {
+    let m = cost.config().m_bound();
+    for d in [0.1e-12, 0.5e-12, m - 0.5e-12, m - 0.1e-12] {
+        let planned = cost.evaluate(d);
+        let reference = cost.evaluate_reference(d);
+        let rel = (planned - reference).abs() / reference.abs();
+        assert!(
+            rel <= 1e-10,
+            "D̂ = {:.2} ps: cost {planned} vs reference {reference} (relative {rel:e})",
+            d * 1e12
+        );
+    }
+}

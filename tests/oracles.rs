@@ -1,0 +1,141 @@
+//! Independent-oracle checks: properties of the verdict pipeline that
+//! are checked against something other than the code's own earlier
+//! version, so a bug shared by a fast path and its twin cannot pass.
+//!
+//! - The LMS skew estimate (paper Algorithm 1 on the dual-rate cost of
+//!   the Section V QPSK stimulus) against the Jamal sine-fit estimate
+//!   on a single tone through the same front-end: two estimators that
+//!   share no code past the converter model.
+//! - Whole-sample shift invariance of the dual-rate cost: relabelling
+//!   both captures' sample indices and shifting the probes by the same
+//!   time leaves ε unchanged, which pins the phase origins of the
+//!   cost's probe sums without the direct reference.
+
+mod common;
+
+use rfbist::prelude::*;
+
+/// The paper's true inter-channel delay.
+const D: f64 = 180e-12;
+
+/// The Section V dual-rate cost of the QPSK stimulus through the paper
+/// front-end (10-bit converters, 3 ps rms skew jitter) with
+/// realization `seed`, probed on the engine's default uniform grid.
+fn qpsk_cost(seed: u64) -> DualRateCost {
+    let cfg = DualRateConfig::paper_section_v();
+    let tx = common::paper_stimulus_seeded(96, common::PAPER_PRBS_SEED ^ seed);
+    let mut fast = BpTiadc::new(BpTiadcConfig::paper_section_v(cfg.delay()).with_seed(seed));
+    let mut slow = BpTiadc::new(
+        BpTiadcConfig::paper_section_v(cfg.delay())
+            .with_sample_rate(cfg.slow_rate())
+            .with_seed(0x51DE ^ seed),
+    );
+    DualRateCost::grid_probes(
+        fast.capture(&tx, 80, 260),
+        slow.capture(&tx, 40, 160),
+        cfg,
+        300,
+    )
+}
+
+/// The Jamal sine-fit estimate on a tone whose alias lands at 0.46·B
+/// (the paper's Table I placement), through the same front-end with
+/// realization `seed`.
+fn jamal_estimate(seed: u64) -> f64 {
+    let cfg = DualRateConfig::paper_section_v();
+    let f_rf = test_tone_for_ratio(1e9, cfg.fast_rate(), 0.46);
+    let mut adc = BpTiadc::new(BpTiadcConfig::paper_section_v(D).with_seed(seed));
+    let cap = adc.capture(&Tone::new(f_rf, 0.9, 0.37), 0, 300);
+    estimate_skew_jamal(&cap, f_rf).delay
+}
+
+/// Realizations the skew cross-check runs over.
+const SEEDS: u64 = 8;
+
+/// Tolerances of the skew cross-check, set from the spread over
+/// `SEEDS` realizations (measured: LMS error ≤ 1.06 ps, median 0.31 ps;
+/// sine fit ≤ 0.38 ps, median 0.11 ps; the two ≤ 1.28 ps apart) with
+/// about 2x margin. The LMS spreads wider because the paper front-end
+/// puts its 3 ps rms jitter on the delay line, so the skew a capture
+/// realizes wanders with the capture (paper Table I: ~0.3 ps for the
+/// sine fit at 0.46·B, sub-ps for the LMS).
+const LMS_TOL: f64 = 2e-12;
+const JAMAL_TOL: f64 = 1e-12;
+const APART_TOL: f64 = 2.5e-12;
+
+#[test]
+fn lms_and_sine_fit_agree_on_the_skew() {
+    let mut lms_errs = Vec::new();
+    let mut jamal_errs = Vec::new();
+    for seed in 0..SEEDS {
+        let cost = qpsk_cost(seed);
+        let lms = estimate_skew_lms(&cost, LmsConfig::paper_default(100e-12)).estimate;
+        let jamal = jamal_estimate(seed);
+        assert!(
+            (lms - D).abs() <= LMS_TOL,
+            "seed {seed}: LMS {:.3} ps from the true delay",
+            (lms - D) * 1e12
+        );
+        assert!(
+            (jamal - D).abs() <= JAMAL_TOL,
+            "seed {seed}: sine fit {:.3} ps from the true delay",
+            (jamal - D) * 1e12
+        );
+        assert!(
+            (lms - jamal).abs() <= APART_TOL,
+            "seed {seed}: LMS and sine fit {:.3} ps apart",
+            (lms - jamal).abs() * 1e12
+        );
+        lms_errs.push((lms - D).abs());
+        jamal_errs.push((jamal - D).abs());
+    }
+    // Table I's scale: sub-ps medians for both estimators
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    assert!(median(lms_errs) < 1e-12);
+    assert!(median(jamal_errs) < 0.5e-12);
+}
+
+/// `cap` with its sample indices relabelled by `shift`: the same
+/// samples, taken `shift` periods later.
+fn relabelled(cap: &NonuniformCapture, shift: i64) -> NonuniformCapture {
+    NonuniformCapture::from_streams(
+        cap.period(),
+        cap.delay(),
+        cap.n_start() + shift,
+        cap.even().to_vec(),
+        cap.odd().to_vec(),
+    )
+}
+
+#[test]
+fn whole_sample_shift_leaves_the_cost_unchanged() {
+    // Relabel the fast capture by 2k samples and the slow one by k
+    // (B1 = B/2, so both move by 2k·T) and shift the probes by 2k·T:
+    // every reconstruction, hence ε, is unchanged up to the rounding
+    // of the shifted times (measured ≤ 2.5e-11 relative).
+    let cost = common::paper_frontend_cost_fixture(300, 42);
+    let t_fast = cost.fast_capture().period();
+    assert_eq!(cost.slow_capture().period(), 2.0 * t_fast);
+    for k in [1i64, 7, 120] {
+        let shifted = DualRateCost::new(
+            relabelled(cost.fast_capture(), 2 * k),
+            relabelled(cost.slow_capture(), k),
+            *cost.config(),
+            cost.times()
+                .iter()
+                .map(|&t| t + (2 * k) as f64 * t_fast)
+                .collect(),
+        );
+        for d in cost.sweep_candidates(30) {
+            let (a, b) = (cost.evaluate(d), shifted.evaluate(d));
+            assert!(
+                (a - b).abs() <= 1e-10 * a,
+                "k = {k}, D̂ = {:.1} ps: {a} vs {b}",
+                d * 1e12
+            );
+        }
+    }
+}

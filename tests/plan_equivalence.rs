@@ -166,6 +166,28 @@ fn random_probe_cost_matches_reference_across_the_search_interval() {
             d * 1e12
         );
     }
+    // The same sweep through the paper's front-end (10-bit converters,
+    // 3 ps rms skew jitter), where quantization and jitter noise stay
+    // in every probe sum, and on the gsm-like deployment, whose search
+    // bound is a third of the fast sample period (m/T ≈ 0.043 above);
+    // then the clamp edges of every fixture, where ε reaches ~1e5, to
+    // a relative bound.
+    let noisy = common::paper_frontend_cost_fixture(300, 42);
+    let gsm = common::gsm_cost_fixture(300, 42);
+    for (name, fixture) in [("paper front-end", &noisy), ("gsm-like", &gsm)] {
+        let candidates = fixture.sweep_candidates(99);
+        for (d, planned) in candidates.iter().zip(fixture.eval_grid(&candidates)) {
+            let reference = fixture.evaluate_reference(*d);
+            assert!(
+                (planned - reference).abs() <= TOL,
+                "{name}, D̂ = {:.1} ps: planned cost {planned} vs reference {reference}",
+                d * 1e12
+            );
+        }
+    }
+    for fixture in [&cost, &noisy, &gsm] {
+        common::assert_clamp_edges_match_reference(fixture);
+    }
 }
 
 proptest! {
