@@ -72,9 +72,20 @@
 //!    channel overhead must stay a small fraction of a verdict); the
 //!    `scaling_2w` > 1.3× gate is asserted only where ≥ 2 cores exist
 //!    to express it.
+//! 8. **capture** — stage 1 of every simulated verdict: one Section V
+//!    capture pair (fast 380 + slow 200 pairs, paper front-end,
+//!    `TxImpairments::typical()`) through `rf_output()`, whose SRRC
+//!    baseband runs the angle-sum tap table, vs the same chain on the
+//!    direct per-tap baseband (`fixtures::reference_rf_output`), timed
+//!    interleaved in one rep loop. The two captures must be
+//!    bit-identical, and the speedup is asserted (≥ 1.6× full / ≥ 1.5×
+//!    quick). Timed last, after the LMS, so it cannot move any other
+//!    section's readings.
 
-use rfbist_bench::{paper_cost, paper_stimulus, Frontend};
-use rfbist_core::bist::welch_segmentation;
+use rfbist::fixtures::reference_rf_output;
+use rfbist_bench::{paper_cost, paper_stimulus, paper_tx, Frontend};
+use rfbist_converter::bptiadc::BpTiadc;
+use rfbist_core::bist::{welch_segmentation, BistConfig};
 use rfbist_core::cost::DualRateCost;
 use rfbist_core::lms::{estimate_skew_lms, LmsConfig};
 use rfbist_core::mask::SpectralMask;
@@ -82,6 +93,7 @@ use rfbist_core::scan::{EarlyVerdict, MaskScanEngine, ScanFeed, StreamScratch};
 use rfbist_dsp::psd::welch;
 use rfbist_dsp::window::Window;
 use rfbist_math::stats::nrmse;
+use rfbist_rfchain::impairments::TxImpairments;
 use rfbist_sampling::band::BandSpec;
 use rfbist_sampling::gridplan::GridScratch;
 use rfbist_sampling::reconstruct::{NonuniformCapture, PnbsReconstructor};
@@ -103,6 +115,11 @@ const COST_GRID_FLOOR: (f64, f64) = (200.0, 150.0);
 /// same VM: 209–405x full and 202–448x quick over the same runs,
 /// 238–258x quick under `RFBIST_FORCE_SCALAR`.
 const LMS_FLOOR: (f64, f64) = (100.0, 80.0);
+
+/// `capture.speedup` floors (full, quick). Readings on the same VM:
+/// 2.63–3.22x full and 2.47–3.02x quick (21 runs each), 2.54–4.25x
+/// under `RFBIST_FORCE_SCALAR` (12 runs across both modes).
+const CAPTURE_FLOOR: (f64, f64) = (1.6, 1.5);
 
 struct Config {
     quick: bool,
@@ -222,6 +239,66 @@ fn bench_lms(cfg: &Config) -> LmsResultNs {
         ns,
         iterations: run.iterations,
         evaluations: run.evaluations,
+    }
+}
+
+struct CaptureResult {
+    /// Median ns per capture pair through the direct per-tap baseband.
+    reference_ns: f64,
+    /// Median ns per capture pair through `rf_output()`.
+    ns: f64,
+    /// Samples per capture pair, both channels of both rates.
+    samples: usize,
+    /// Whether both paths gave the same bits on every sample.
+    bit_identical: bool,
+}
+
+/// Both Section V captures of `signal` through the paper front-end,
+/// as raw sample bits.
+fn capture_pair_bits<S: ContinuousSignal>(signal: &S, bist: &BistConfig) -> Vec<u64> {
+    let fast = BpTiadc::new(bist.frontend_fast).capture(signal, bist.fast_start, bist.fast_len);
+    let slow = BpTiadc::new(bist.frontend_slow).capture(signal, bist.slow_start, bist.slow_len);
+    [fast.even(), fast.odd(), slow.even(), slow.odd()]
+        .concat()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// The capture stage of a Section V verdict: the DUT waveform
+/// evaluated at every sampling instant of the fast and slow captures.
+/// `rf_output()` vs the reference chain, each timed over a few pairs
+/// per rep, interleaved inside one rep loop as `stream_bist` does.
+fn bench_capture(cfg: &Config) -> CaptureResult {
+    let bist = BistConfig::paper_default();
+    let tx = paper_tx(TxImpairments::typical(), 160, 0xACE1);
+    let (rf, reference) = (tx.rf_output(), reference_rf_output(&tx));
+    let pairs = if cfg.quick { 4 } else { 8 };
+    let bits = capture_pair_bits(&rf, &bist);
+    let bit_identical = bits == capture_pair_bits(&reference, &bist);
+
+    let mut samples: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+    for _ in 0..3 * cfg.reps {
+        let start = Instant::now();
+        for _ in 0..pairs {
+            black_box(capture_pair_bits(&reference, &bist));
+        }
+        samples[0].push(start.elapsed().as_nanos() as f64 / pairs as f64);
+        let start = Instant::now();
+        for _ in 0..pairs {
+            black_box(capture_pair_bits(&rf, &bist));
+        }
+        samples[1].push(start.elapsed().as_nanos() as f64 / pairs as f64);
+    }
+    let [reference_ns, ns] = samples.map(|mut v| {
+        v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        v[v.len() / 2]
+    });
+    CaptureResult {
+        reference_ns,
+        ns,
+        samples: bits.len(),
+        bit_identical,
     }
 }
 
@@ -716,6 +793,17 @@ fn main() {
         lms_speedup,
     );
 
+    let capture = bench_capture(&cfg);
+    let capture_speedup = capture.reference_ns / capture.ns;
+    println!(
+        "capture            {:>10.1} us/pair reference   {:>10.1} us/pair rf_output  ({:.2}x over {} samples, bit-identical {})",
+        capture.reference_ns / 1e3,
+        capture.ns / 1e3,
+        capture_speedup,
+        capture.samples,
+        capture.bit_identical,
+    );
+
     let saturation_json = service
         .saturation
         .iter()
@@ -790,6 +878,12 @@ fn main() {
     "saturation": [
 {saturation_json}
     ]
+  }},
+  "capture": {{
+    "samples_per_pair": {capture_samples},
+    "reference_median_ns": {capture_ref:.2},
+    "median_ns": {capture_ns:.2},
+    "speedup": {capture_speedup:.3}
   }}
 }}
 "#,
@@ -834,6 +928,9 @@ fn main() {
         svc_vps = 1e9 / service_1w_ns,
         svc_overhead = service.direct_ns / service_1w_ns,
         svc_scaling = service_1w_ns / service.saturation[1].1,
+        capture_samples = capture.samples,
+        capture_ref = capture.reference_ns,
+        capture_ns = capture.ns,
     );
     std::fs::write(&cfg.out, json).expect("write bench report");
     println!("wrote {}", cfg.out);
@@ -980,6 +1077,23 @@ fn main() {
         stream.batch_ns / stream.early_ns >= early_floor,
         "early-exit verdict below the {early_floor}x floor: {:.2}x",
         stream.batch_ns / stream.early_ns
+    );
+    // Capture contracts: the angle-sum table must reproduce the direct
+    // per-tap baseband's 10-bit captures exactly, and beat it. The
+    // ratio is SIMD-free (both paths are plain scalar code), and a
+    // regression that brings back per-tap trig falls to ~1x.
+    assert!(
+        capture.bit_identical,
+        "rf_output() capture differs from the reference waveform's"
+    );
+    let capture_floor = if cfg.quick {
+        CAPTURE_FLOOR.1
+    } else {
+        CAPTURE_FLOOR.0
+    };
+    assert!(
+        capture_speedup >= capture_floor,
+        "capture speedup below the {capture_floor}x floor: {capture_speedup:.2}x"
     );
     // Verdict-service contracts. Equivalence was asserted inside the
     // bench (every pool outcome bit-identical to the direct verdict);

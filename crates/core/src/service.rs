@@ -404,6 +404,10 @@ impl DutSpec {
 /// stimulus the front end captures), then one job per DUT with the
 /// deployment's mask and a payload stimulus shaped at the standard's
 /// symbol rate.
+///
+/// A standard whose symbol rate is not finite and positive, or whose
+/// roll-off is not in `[0, 1]`, is a [`BistError::InvalidConfig`]
+/// naming it, returned before any calibration runs.
 pub fn try_campaign_jobs(
     deployments: &[Deployment],
     library: &MaskLibrary,
@@ -417,6 +421,16 @@ pub fn try_campaign_jobs(
                 known: library.names().map(str::to_string).collect(),
             });
         };
+        let rate_ok = standard.symbol_rate.is_finite() && standard.symbol_rate > 0.0;
+        if !rate_ok || !(0.0..=1.0).contains(&standard.rolloff) {
+            return Err(BistError::InvalidConfig {
+                reason: format!(
+                    "standard `{}` cannot shape a payload: symbol rate {} Hz must be finite \
+                     and positive, roll-off {} must be in [0, 1]",
+                    dep.standard, standard.symbol_rate, standard.rolloff
+                ),
+            });
+        }
         let cfg = dep.try_calibrate(dep.try_bist_config()?, 0xACE1)?;
         for dut in duts {
             let bb = dep.payload(
@@ -503,6 +517,42 @@ mod tests {
         let err = try_campaign_jobs(&[dep], &library, &[DutSpec::nominal(0, 1)])
             .expect_err("unknown standard");
         assert!(matches!(err, BistError::UnknownStandard { .. }), "{err}");
+    }
+
+    /// The builtin library with its Section V standard's stimulus
+    /// replaced by `symbol_rate` and `rolloff`, and that deployment.
+    fn library_with_stimulus(symbol_rate: f64, rolloff: f64) -> (MaskLibrary, Deployment) {
+        let mut library = MaskLibrary::builtin();
+        let dep = Deployment::builtin_five().remove(1);
+        let mut standard = library.get(&dep.standard).expect("builtin").clone();
+        standard.symbol_rate = symbol_rate;
+        standard.rolloff = rolloff;
+        library.register(standard);
+        (library, dep)
+    }
+
+    fn assert_invalid_stimulus(symbol_rate: f64, rolloff: f64) {
+        let (library, dep) = library_with_stimulus(symbol_rate, rolloff);
+        let err = try_campaign_jobs(
+            std::slice::from_ref(&dep),
+            &library,
+            &[DutSpec::nominal(0, 1)],
+        )
+        .expect_err("unusable stimulus");
+        assert!(matches!(err, BistError::InvalidConfig { .. }), "{err}");
+        assert!(err.to_string().contains(&dep.standard), "{err}");
+    }
+
+    #[test]
+    fn zero_symbol_rate_is_rejected_when_building_jobs() {
+        assert_invalid_stimulus(0.0, 0.5);
+        assert_invalid_stimulus(f64::INFINITY, 0.5);
+    }
+
+    #[test]
+    fn out_of_range_rolloff_is_rejected_when_building_jobs() {
+        assert_invalid_stimulus(10e6, 1.5);
+        assert_invalid_stimulus(10e6, f64::NAN);
     }
 
     #[test]

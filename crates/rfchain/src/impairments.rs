@@ -1,7 +1,8 @@
 //! Aggregate transmitter impairment configuration.
 
-use crate::iqmod::IqImbalance;
+use crate::iqmod::{IqImbalance, IqWeights};
 use crate::pa::PaModel;
+use rfbist_math::Complex64;
 
 /// All impairments applied along the Tx chain, in signal order:
 /// IQ modulator → PA → output attenuation.
@@ -58,8 +59,14 @@ impl TxImpairments {
     }
 
     /// Applies the full impairment chain to one envelope sample.
-    pub fn apply(&self, a: rfbist_math::Complex64) -> rfbist_math::Complex64 {
-        self.pa.apply(self.iq.apply(a)) * self.output_gain
+    pub fn apply(&self, a: Complex64) -> Complex64 {
+        self.apply_weighted(&self.iq.weights(), a)
+    }
+
+    /// [`apply`](Self::apply) with the modulator's weights `iq`
+    /// (`self.iq.weights()`) computed once by the caller.
+    pub(crate) fn apply_weighted(&self, iq: &IqWeights, a: Complex64) -> Complex64 {
+        self.pa.apply(iq.apply(a)) * self.output_gain
     }
 }
 
@@ -72,7 +79,6 @@ impl Default for TxImpairments {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfbist_math::Complex64;
 
     #[test]
     fn ideal_chain_is_identity() {

@@ -4,6 +4,11 @@
 //! an imbalanced modulator maps `a → μ·a + ν·a* + c`, where the image
 //! weight `ν` sets the image-rejection ratio and the constant `c` is the
 //! carrier (LO) leakage.
+//!
+//! `μ`, `ν` and `c` depend only on the imbalance spec (three `powf` and
+//! ten `sin`/`cos` between them). `IqImbalance::weights` is the one
+//! place that computes them; a transmitter's impaired envelope holds
+//! its result and applies it per sample.
 
 use rfbist_math::Complex64;
 
@@ -59,43 +64,51 @@ impl IqImbalance {
         self
     }
 
-    /// The direct-path weight `μ = (g_I·e^{jφ/2} + g_Q·e^{−jφ/2})/2`
-    /// with `g_I/g_Q` split symmetrically from `gain_db`.
-    pub fn mu(&self) -> Complex64 {
-        let (gi, gq) = self.path_gains();
+    /// The modulator's constant weights `(μ, ν, leakage)`, with the
+    /// dB gain imbalance split symmetrically between the two paths:
+    /// `g_I/g_Q = 10^{±gain_db/40}`.
+    pub(crate) fn weights(&self) -> IqWeights {
+        let gi = 10f64.powf(self.gain_db / 40.0);
+        let gq = 1.0 / gi;
         let half_phi = self.phase_deg.to_radians() / 2.0;
-        (Complex64::cis(half_phi) * gi + Complex64::cis(-half_phi) * gq) * 0.5
-    }
-
-    /// The image-path weight `ν = (g_I·e^{jφ/2} − g_Q·e^{−jφ/2})/2`.
-    pub fn nu(&self) -> Complex64 {
-        let (gi, gq) = self.path_gains();
-        let half_phi = self.phase_deg.to_radians() / 2.0;
-        (Complex64::cis(half_phi) * gi - Complex64::cis(-half_phi) * gq) * 0.5
-    }
-
-    fn path_gains(&self) -> (f64, f64) {
-        // split the dB imbalance symmetrically between the two paths
-        let half = 10f64.powf(self.gain_db / 40.0);
-        (half, 1.0 / half)
-    }
-
-    /// Complex LO-leakage term added to the envelope.
-    pub fn leakage(&self) -> Complex64 {
-        if self.lo_leakage_dbc == f64::NEG_INFINITY {
+        let (i_path, q_path) = (
+            Complex64::cis(half_phi) * gi,
+            Complex64::cis(-half_phi) * gq,
+        );
+        let leakage = if self.lo_leakage_dbc == f64::NEG_INFINITY {
             Complex64::ZERO
         } else {
             Complex64::from_polar(
                 10f64.powf(self.lo_leakage_dbc / 20.0),
                 self.lo_leakage_phase,
             )
+        };
+        IqWeights {
+            mu: (i_path + q_path) * 0.5,
+            nu: (i_path - q_path) * 0.5,
+            leakage,
         }
+    }
+
+    /// The direct-path weight `μ = (g_I·e^{jφ/2} + g_Q·e^{−jφ/2})/2`.
+    pub fn mu(&self) -> Complex64 {
+        self.weights().mu
+    }
+
+    /// The image-path weight `ν = (g_I·e^{jφ/2} − g_Q·e^{−jφ/2})/2`.
+    pub fn nu(&self) -> Complex64 {
+        self.weights().nu
+    }
+
+    /// Complex LO-leakage term added to the envelope.
+    pub fn leakage(&self) -> Complex64 {
+        self.weights().leakage
     }
 
     /// Applies the impairment to one envelope sample:
     /// `a → μ·a + ν·a* + leakage`.
     pub fn apply(&self, a: Complex64) -> Complex64 {
-        self.mu() * a + self.nu() * a.conj() + self.leakage()
+        self.weights().apply(a)
     }
 
     /// Image rejection ratio `|μ|²/|ν|²` in dB (infinite when balanced).
@@ -112,6 +125,25 @@ impl IqImbalance {
 impl Default for IqImbalance {
     fn default() -> Self {
         IqImbalance::ideal()
+    }
+}
+
+/// The constant weights of an [`IqImbalance`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct IqWeights {
+    /// Direct-path weight `μ`.
+    mu: Complex64,
+    /// Image-path weight `ν`.
+    nu: Complex64,
+    /// LO-leakage term.
+    leakage: Complex64,
+}
+
+impl IqWeights {
+    /// Applies the modulator to one envelope sample:
+    /// `a → μ·a + ν·a* + leakage`.
+    pub(crate) fn apply(&self, a: Complex64) -> Complex64 {
+        self.mu * a + self.nu * a.conj() + self.leakage
     }
 }
 

@@ -3,6 +3,10 @@
 //! Behavioral AM/AM + AM/PM conversion applied to the complex envelope:
 //! `y = G(|x|)·e^{j(∠x + Φ(|x|))}`. The classic trio — Rapp (solid-state),
 //! Saleh (TWT), odd polynomial — plus an ideal linear reference.
+//!
+//! Only Saleh has AM/PM. The other three apply `y = x·G(|x|)/|x|`,
+//! which keeps `∠x` without an `atan2` and a `sin_cos` per sample and
+//! agrees with the polar form to about an ulp.
 
 use rfbist_math::Complex64;
 
@@ -123,9 +127,10 @@ impl PaModel {
         if r == 0.0 {
             return Complex64::ZERO;
         }
-        let g = self.am_am(r);
-        let dphi = self.am_pm(r);
-        Complex64::from_polar(g, x.arg() + dphi)
+        match self {
+            PaModel::Saleh { .. } => Complex64::from_polar(self.am_am(r), x.arg() + self.am_pm(r)),
+            _ => x * (self.am_am(r) / r),
+        }
     }
 
     /// Small-signal voltage gain (slope of AM/AM at the origin,
@@ -279,6 +284,42 @@ mod tests {
         let x = Complex64::from_polar(0.1, 1.2);
         let y = pa.apply(x);
         assert!((y.arg() - 1.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cartesian_apply_matches_the_polar_form() {
+        let polar = |pa: &PaModel, x: Complex64| {
+            let r = x.abs();
+            Complex64::from_polar(pa.am_am(r), x.arg() + pa.am_pm(r))
+        };
+        let inputs: Vec<Complex64> = (0..500)
+            .map(|i| Complex64::from_polar(1e-3 + i as f64 * 7.3e-3, i as f64 * 0.731 - 3.0))
+            .chain([Complex64::new(0.4, 0.0), Complex64::new(0.0, -0.4)])
+            .collect();
+        let memoryless = [
+            PaModel::default(),
+            PaModel::linear_db(20.0),
+            PaModel::rapp(10.0, 40.0, 2.0),
+            PaModel::rapp(10.0, 1.0, 2.0),
+            PaModel::Polynomial {
+                a1: 10.0,
+                a3: -20.0,
+                a5: 3.0,
+            },
+        ];
+        for pa in memoryless {
+            for &x in &inputs {
+                let (got, want) = (pa.apply(x), polar(&pa, x));
+                assert!(
+                    (got - want).abs() <= 1e-15 * want.abs(),
+                    "{pa:?} at {x}: {got} vs {want}"
+                );
+            }
+        }
+        let saleh = PaModel::saleh_classic();
+        for &x in &inputs {
+            assert_eq!(saleh.apply(x), polar(&saleh, x), "{x}");
+        }
     }
 
     #[test]

@@ -3,8 +3,15 @@
 //! `baseband I/Q → quadrature modulator (impairments) → PA → coupling` —
 //! all pointwise on the complex envelope, so the RF output stays
 //! evaluable at arbitrary instants.
+//!
+//! [`HomodyneTx::impaired_envelope`] (and so [`HomodyneTx::rf_output`])
+//! computes the modulator's constant weights once, when it builds the
+//! envelope; each evaluation then pays only the baseband, the PA and
+//! the carrier, with values bit-identical to
+//! [`TxImpairments::apply`] on the baseband sample.
 
 use crate::impairments::TxImpairments;
+use crate::iqmod::IqWeights;
 use rfbist_math::Complex64;
 use rfbist_signal::bandpass::BandpassSignal;
 use rfbist_signal::baseband::ShapedBaseband;
@@ -67,6 +74,7 @@ impl<E: ComplexEnvelope + Clone> HomodyneTx<E> {
         ImpairedEnvelope {
             baseband: self.baseband.clone(),
             impairments: self.impairments,
+            iq: self.impairments.iq.weights(),
         }
     }
 
@@ -139,11 +147,14 @@ impl<E: ComplexEnvelope + Clone> HomodyneTxBuilder<E> {
 pub struct ImpairedEnvelope<E> {
     baseband: E,
     impairments: TxImpairments,
+    /// `impairments.iq.weights()`, computed once.
+    iq: IqWeights,
 }
 
 impl<E: ComplexEnvelope> ComplexEnvelope for ImpairedEnvelope<E> {
     fn eval_iq(&self, t: f64) -> Complex64 {
-        self.impairments.apply(self.baseband.eval_iq(t))
+        self.impairments
+            .apply_weighted(&self.iq, self.baseband.eval_iq(t))
     }
 }
 
@@ -206,6 +217,33 @@ mod tests {
             .build();
         let z = tx.impaired_envelope().eval_iq(0.0);
         assert!((z.abs() - 0.5 * 10f64.powf(0.3)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn impaired_envelope_is_bit_identical_to_the_impairment_chain() {
+        use crate::faults::standard_fault_set;
+        let mut budgets = vec![TxImpairments::ideal(), TxImpairments::typical()];
+        budgets.extend(
+            standard_fault_set()
+                .iter()
+                .map(|f| f.inject(TxImpairments::typical())),
+        );
+        let baseband = bb();
+        for imp in budgets {
+            let env = HomodyneTx::builder(baseband.clone(), 1e9)
+                .impairments(imp)
+                .build()
+                .impaired_envelope();
+            for i in 0..400 {
+                let t = -0.2e-6 + i as f64 * 23.7e-9;
+                let (got, want) = (env.eval_iq(t), imp.apply(baseband.eval_iq(t)));
+                assert_eq!(
+                    (got.re.to_bits(), got.im.to_bits()),
+                    (want.re.to_bits(), want.im.to_bits()),
+                    "{imp:?} at t = {t}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,10 +2,19 @@
 //!
 //! `a(t) = Σₖ sₖ · g(t/Ts − k)` evaluated analytically: the continuous
 //! I/Q waveform the paper's homodyne transmitter modulates onto the
-//! carrier. The truncated pulse span bounds each evaluation to
-//! `2·span + 1` symbol contributions.
+//! carrier. The truncated pulse span bounds each evaluation to the
+//! `2·span` symbols within `±span` periods of `t/Ts` (`2·span + 1` when
+//! `t/Ts` is an integer), fewer in the payload's ramp-up and ramp-down.
+//!
+//! For SRRC shaping, [`ShapedBaseband::eval_iq`] evaluates those taps
+//! through the angle-sum table of [`crate::pulse`]: two `sin_cos` per
+//! instant instead of a `sin`, a `cos` and a division per tap, within
+//! ~1e-11 of the direct per-tap sum. That direct sum stays as
+//! [`ShapedBaseband::eval_iq_reference`], the oracle, which also serves
+//! the instants near the pulse's removable singularities and the
+//! RC, sinc and rectangular shapes.
 
-use crate::pulse::PulseShape;
+use crate::pulse::{PulseShape, SrrcTable};
 use crate::symbols::Constellation;
 use crate::traits::ComplexEnvelope;
 use rfbist_math::rng::Randomizer;
@@ -34,6 +43,8 @@ pub struct ShapedBaseband {
     symbols: Vec<Complex64>,
     pulse: PulseShape,
     symbol_period: f64,
+    /// The angle-sum tap table, for SRRC pulses.
+    srrc: Option<SrrcTable>,
 }
 
 impl ShapedBaseband {
@@ -42,14 +53,27 @@ impl ShapedBaseband {
     ///
     /// # Panics
     ///
-    /// Panics if `symbol_rate <= 0` or `symbols` is empty.
+    /// Panics if `symbol_rate` is not positive and finite, if `symbols`
+    /// is empty, or if an SRRC or RC roll-off lies outside `[0, 1]`
+    /// (NaN included).
     pub fn new(symbols: Vec<Complex64>, pulse: PulseShape, symbol_rate: f64) -> Self {
-        assert!(symbol_rate > 0.0, "symbol rate must be positive");
+        assert!(
+            symbol_rate > 0.0 && symbol_rate.is_finite(),
+            "symbol rate must be positive and finite"
+        );
         assert!(!symbols.is_empty(), "at least one symbol required");
+        if let PulseShape::Srrc { alpha, .. } | PulseShape::Rc { alpha, .. } = pulse {
+            assert!((0.0..=1.0).contains(&alpha), "roll-off must be in [0, 1]");
+        }
+        let srrc = match pulse {
+            PulseShape::Srrc { alpha, span } => Some(SrrcTable::new(alpha, span)),
+            _ => None,
+        };
         ShapedBaseband {
             symbols,
             pulse,
             symbol_period: 1.0 / symbol_rate,
+            srrc,
         }
     }
 
@@ -118,25 +142,46 @@ impl ShapedBaseband {
             (n - 1 - span) as f64 * self.symbol_period,
         )
     }
-}
 
-impl ComplexEnvelope for ShapedBaseband {
-    fn eval_iq(&self, t: f64) -> Complex64 {
-        let tn = t / self.symbol_period; // time in symbol periods
-        let span = self.pulse.span() as isize;
-        let center = tn.floor() as isize;
-        let lo = (center - span).max(0);
-        let hi = (center + span + 1).min(self.symbols.len() as isize - 1);
+    /// The envelope at `t` as the direct per-tap sum: one
+    /// [`PulseShape::eval`] per symbol in range. The oracle
+    /// [`eval_iq`](ComplexEnvelope::eval_iq) is tested against; it
+    /// returns exactly this near the SRRC pulse's removable
+    /// singularities and for every non-SRRC shape.
+    pub fn eval_iq_reference(&self, t: f64) -> Complex64 {
+        let tn = t / self.symbol_period;
+        let (_, lo, hi) = self.tap_range(tn);
         let mut acc = Complex64::ZERO;
-        let mut k = lo;
-        while k <= hi {
+        for k in lo..=hi {
             let g = self.pulse.eval(tn - k as f64);
             if g != 0.0 {
                 acc += self.symbols[k as usize] * g;
             }
-            k += 1;
         }
         acc
+    }
+
+    /// `(⌊tn⌋, lo, hi)`: the symbols `lo..=hi` within a pulse span of
+    /// the normalized time `tn`, clamped to the payload.
+    fn tap_range(&self, tn: f64) -> (isize, isize, isize) {
+        let span = self.pulse.span() as isize;
+        let center = tn.floor() as isize;
+        let lo = (center - span).max(0);
+        let hi = (center + span + 1).min(self.symbols.len() as isize - 1);
+        (center, lo, hi)
+    }
+}
+
+impl ComplexEnvelope for ShapedBaseband {
+    fn eval_iq(&self, t: f64) -> Complex64 {
+        if let Some(table) = &self.srrc {
+            let tn = t / self.symbol_period; // time in symbol periods
+            let (center, lo, hi) = self.tap_range(tn);
+            if let Some(z) = table.tap_sum(tn, center, lo, hi, &self.symbols) {
+                return z;
+            }
+        }
+        self.eval_iq_reference(t)
     }
 }
 
@@ -263,5 +308,119 @@ mod tests {
     #[should_panic(expected = "symbol rate must be positive")]
     fn bad_rate_panics() {
         let _ = ShapedBaseband::new(vec![Complex64::ONE], PulseShape::Rect, 0.0);
+    }
+
+    fn srrc_bb(alpha: f64, span: usize) -> ShapedBaseband {
+        // unit symbol rate: t is the normalized time itself
+        let symbols = Constellation::Qpsk.prbs_symbols(0x5EED, 64);
+        ShapedBaseband::new(symbols, PulseShape::Srrc { alpha, span }, 1.0)
+    }
+
+    /// Fractional offsets of the fallback bands' centres for `alpha`.
+    fn singular_offsets(alpha: f64) -> Vec<f64> {
+        let mut offsets = vec![0.0];
+        if alpha > 0.0 {
+            let quarter = 1.0 / (4.0 * alpha);
+            offsets.push(quarter.rem_euclid(1.0));
+            offsets.push((-quarter).rem_euclid(1.0));
+        }
+        offsets
+    }
+
+    fn in_fallback_band(alpha: f64, f: f64) -> bool {
+        singular_offsets(alpha).iter().any(|&s| {
+            let d = (f - s).abs();
+            d.min(1.0 - d) < crate::pulse::SRRC_FALLBACK_BAND
+        })
+    }
+
+    #[test]
+    fn table_matches_the_direct_tap_sum() {
+        const BAND: f64 = crate::pulse::SRRC_FALLBACK_BAND;
+        for alpha in [0.0, 0.12, 0.22, 0.3, 0.35, 0.5, 1.0] {
+            for span in [12usize, 4] {
+                let bb = srrc_bb(alpha, span);
+                let n = bb.symbols().len() as f64;
+                let s = span as f64;
+                // symbol indices across the ramp-up, the steady range
+                // and the ramp-down, plus both sides of the payload
+                let bases = [
+                    -s - 2.0,
+                    -s,
+                    -3.0,
+                    0.0,
+                    1.0,
+                    s - 1.0,
+                    s,
+                    31.0,
+                    n - 2.0 - s,
+                    n - 1.0 - s,
+                    n - 3.0,
+                    n + 2.0,
+                    n + s - 1.0,
+                ];
+                // generic offsets, symbol boundaries (f = 0), and the
+                // inside and just outside of every fallback band
+                let mut fracs = vec![0.0, 0.125, 0.37, 0.5, 0.731, 0.999];
+                for centre in singular_offsets(alpha) {
+                    for delta in [0.0, 3e-5, 0.99 * BAND, 1.01 * BAND, 1.5 * BAND, 4.0 * BAND] {
+                        for f in [centre + delta, centre - delta] {
+                            fracs.push(f.rem_euclid(1.0));
+                        }
+                    }
+                }
+                let mut in_band = 0;
+                for &base in &bases {
+                    for &f in &fracs {
+                        let t = base + f;
+                        let fast = bb.eval_iq(t);
+                        let reference = bb.eval_iq_reference(t);
+                        let err = (fast - reference).abs();
+                        assert!(
+                            err <= 1e-11,
+                            "alpha {alpha}, span {span}, t {t}: |{fast} - {reference}| = {err:e}"
+                        );
+                        if in_fallback_band(alpha, t - t.floor()) {
+                            in_band += 1;
+                            assert_eq!(
+                                (fast.re.to_bits(), fast.im.to_bits()),
+                                (reference.re.to_bits(), reference.im.to_bits()),
+                                "alpha {alpha}, span {span}, t {t}: the band must take the direct path"
+                            );
+                        }
+                    }
+                }
+                assert!(in_band > 0, "no instant fell inside a fallback band");
+            }
+        }
+    }
+
+    #[test]
+    fn table_matches_the_direct_tap_sum_at_a_physical_symbol_rate() {
+        let bb = test_bb(128);
+        let ts = bb.symbol_period();
+        for i in 0..4000 {
+            let t = -14.0 * ts + i as f64 * 0.0391 * ts;
+            let err = (bb.eval_iq(t) - bb.eval_iq_reference(t)).abs();
+            assert!(err <= 1e-11, "t {t}: {err:e}");
+        }
+    }
+
+    #[test]
+    fn rolloff_outside_the_unit_interval_is_rejected() {
+        for alpha in [1.5, -0.1, f64::NAN] {
+            let built = std::panic::catch_unwind(|| {
+                ShapedBaseband::new(
+                    vec![Complex64::ONE],
+                    PulseShape::Srrc { alpha, span: 4 },
+                    1e6,
+                )
+            });
+            let message = built
+                .err()
+                .and_then(|e| e.downcast_ref::<&str>().map(|m| m.to_string()))
+                .unwrap_or_else(|| panic!("alpha {alpha} was accepted"));
+            assert!(message.contains("roll-off must be in [0, 1]"), "{message}");
+        }
     }
 }

@@ -20,7 +20,9 @@
 //! assert!(report.passed());
 //! ```
 
+use crate::math::Complex64;
 use crate::prelude::*;
+use crate::rfchain::txchain::ImpairedEnvelope;
 
 /// PRBS seed every fixture derives its payload from.
 pub const PAPER_PRBS_SEED: u64 = 0xACE1;
@@ -111,6 +113,30 @@ pub fn paper_cost_fixture(n_probes: usize, seed: u64) -> DualRateCost {
 /// The QPSK 10 Msym/s emission mask the engine's verdict checks.
 pub fn paper_mask() -> SpectralMask {
     SpectralMask::qpsk_10msym()
+}
+
+/// A [`ShapedBaseband`] evaluated through its direct per-tap sum,
+/// [`ShapedBaseband::eval_iq_reference`]: the oracle for the angle-sum
+/// table behind `eval_iq`.
+#[derive(Clone, Debug)]
+pub struct ReferenceBaseband(pub ShapedBaseband);
+
+impl ComplexEnvelope for ReferenceBaseband {
+    fn eval_iq(&self, t: f64) -> Complex64 {
+        self.0.eval_iq_reference(t)
+    }
+}
+
+/// `tx`'s RF output through the same impairment chain and carrier as
+/// [`HomodyneTx::rf_output`], on the [`ReferenceBaseband`] of its
+/// payload: what a capture of `tx` must reproduce bit for bit.
+pub fn reference_rf_output(
+    tx: &HomodyneTx<ShapedBaseband>,
+) -> BandpassSignal<ImpairedEnvelope<ReferenceBaseband>> {
+    HomodyneTx::builder(ReferenceBaseband(tx.baseband().clone()), tx.carrier_hz())
+        .impairments(*tx.impairments())
+        .build()
+        .rf_output()
 }
 
 #[cfg(test)]

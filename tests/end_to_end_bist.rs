@@ -96,3 +96,65 @@ fn engine_is_deterministic() {
     assert_eq!(a.mask.worst_margin_db, b.mask.worst_margin_db);
     assert_eq!(a.reconstruction_error, b.reconstruction_error);
 }
+
+/// Both channels' raw bits of a capture of `signal` through `frontend`.
+fn capture_bits<S: ContinuousSignal>(
+    signal: &S,
+    frontend: BpTiadcConfig,
+    start: i64,
+    len: usize,
+) -> Vec<u64> {
+    let cap = BpTiadc::new(frontend).capture(signal, start, len);
+    cap.even()
+        .iter()
+        .chain(cap.odd())
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+#[test]
+fn captures_match_the_reference_waveform_bit_for_bit() {
+    use rfbist::core::campaign::CAMPAIGN_B;
+    use rfbist::fixtures::reference_rf_output;
+
+    // (label, payload, carrier, engine configuration): the Section V
+    // fixture, then every builtin deployment on its standard's payload
+    let mut cases = vec![(
+        "section-v".to_string(),
+        paper_tx(TxImpairments::ideal()).baseband().clone(),
+        1e9,
+        BistConfig::paper_default(),
+    )];
+    let library = MaskLibrary::builtin();
+    for dep in Deployment::builtin_five() {
+        let standard = library.get(&dep.standard).expect("builtin standard");
+        let cfg = dep.try_bist_config().expect("builtin deployment");
+        let span = (cfg.fast_start as f64 + cfg.fast_len as f64) / CAMPAIGN_B * 1.2;
+        let symbols = ((span * standard.symbol_rate) as usize + 30).max(96);
+        let payload =
+            ShapedBaseband::qpsk_prbs(standard.symbol_rate, standard.rolloff, 12, symbols, 0xACE1);
+        cases.push((dep.standard.clone(), payload, dep.carrier_hz, cfg));
+    }
+
+    let compressed = Fault::new(FaultKind::PaEarlyCompression { v_sat_factor: 0.25 })
+        .inject(TxImpairments::typical());
+    for (label, payload, carrier, cfg) in cases {
+        for imp in [TxImpairments::typical(), compressed] {
+            let tx = HomodyneTx::builder(payload.clone(), carrier)
+                .impairments(imp)
+                .build();
+            let (fast, reference) = (tx.rf_output(), reference_rf_output(&tx));
+            for (frontend, start, len) in [
+                (cfg.frontend_fast, cfg.fast_start, cfg.fast_len),
+                (cfg.frontend_slow, cfg.slow_start, cfg.slow_len),
+            ] {
+                assert_eq!(
+                    capture_bits(&fast, frontend, start, len),
+                    capture_bits(&reference, frontend, start, len),
+                    "{label}, {:?}: capture differs from the reference waveform's",
+                    imp.pa
+                );
+            }
+        }
+    }
+}
