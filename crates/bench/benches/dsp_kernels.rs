@@ -1,8 +1,7 @@
 //! Criterion benches for the DSP substrate: FFT sizes used by the PSD
-//! path, Welch estimation, and FIR filtering.
+//! path, and Welch estimation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rfbist_dsp::fir::FirFilter;
 use rfbist_dsp::psd::welch;
 use rfbist_dsp::window::Window;
 use rfbist_math::complex::Complex64;
@@ -46,13 +45,5 @@ fn bench_welch(c: &mut Criterion) {
     });
 }
 
-fn bench_fir(c: &mut Criterion) {
-    let fir = FirFilter::lowpass(127, 0.1, Window::Kaiser(8.0));
-    let x: Vec<f64> = (0..8192).map(|i| (i as f64 * 0.3).sin()).collect();
-    c.bench_function("fir_127tap_filter_8192", |b| {
-        b.iter(|| black_box(fir.filter_same(black_box(&x))))
-    });
-}
-
-criterion_group!(benches, bench_fft, bench_welch, bench_fir);
+criterion_group!(benches, bench_fft, bench_welch);
 criterion_main!(benches);

@@ -1,5 +1,5 @@
 //! **Extension experiment**: decomposition of the LMS skew-estimation
-//! error into its front-end causes (an ablation DESIGN.md calls out).
+//! error into its front-end causes.
 //!
 //! Runs the estimator under combinations of quantizer resolution and
 //! jitter model/placement, reporting median |D̂ − D| across seeds.

@@ -8,8 +8,6 @@
 //! - [`clock`]: jittered sampling clocks and the DCDE,
 //! - [`quantizer`]: uniform mid-tread quantization with clipping,
 //! - [`adc`]: a single ADC channel (S/H + mismatches + quantizer),
-//! - [`tiadc`]: a classic interleaved two-channel TIADC (for mismatch
-//!   spur demonstrations),
 //! - [`bptiadc`]: the paper's nonuniform **BP-TIADC** that produces
 //!   [`rfbist_sampling::NonuniformCapture`]s,
 //! - [`calibration`]: offset/gain background calibration.
@@ -31,7 +29,6 @@ pub mod bptiadc;
 pub mod calibration;
 pub mod clock;
 pub mod quantizer;
-pub mod tiadc;
 
 pub use bptiadc::{BpTiadc, BpTiadcConfig};
 pub use clock::{ClockGenerator, Dcde, JitterModel};

@@ -137,22 +137,24 @@ mod tests {
 
     #[test]
     fn measured_snr_matches_ideal_formula() {
-        use rfbist_dsp::specmetrics::analyze_tone;
-        use rfbist_dsp::window::Window;
+        // SQNR measured directly: the power of a near-full-scale sine
+        // over the power of its quantization error q(x) − x
         let q = Quantizer::paper_default(1.0);
         let fs = 90e6;
         let n = 1 << 14;
         let x: Vec<f64> = (0..n)
             .map(|i| {
                 let t = i as f64 / fs;
-                q.quantize(0.999 * (2.0 * std::f64::consts::PI * 10.123e6 * t).sin())
+                0.999 * (2.0 * std::f64::consts::PI * 10.123e6 * t).sin()
             })
             .collect();
-        let m = analyze_tone(&x, fs, Window::BlackmanHarris);
+        let errors: Vec<f64> = x.iter().map(|&v| q.quantize(v) - v).collect();
+        let signal: f64 = x.iter().map(|v| v * v).sum();
+        let noise: f64 = errors.iter().map(|e| e * e).sum();
+        let sqnr_db = 10.0 * (signal / noise).log10();
         assert!(
-            (m.sinad_db - q.ideal_snr_db()).abs() < 2.0,
-            "sinad {} vs ideal {}",
-            m.sinad_db,
+            (sqnr_db - q.ideal_snr_db()).abs() < 2.0,
+            "sqnr {sqnr_db} vs ideal {}",
             q.ideal_snr_db()
         );
     }

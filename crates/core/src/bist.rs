@@ -37,12 +37,9 @@ pub enum ProbeSchedule {
     /// A uniform midpoint grid over the coverage intersection
     /// ([`DualRateCost::grid_probes`]) — the default. Statistically
     /// equivalent to the random draws for skew estimation (pinned by
-    /// `grid_probe_schedule_matches_random_schedule`), and every LMS
-    /// cost evaluation then reconstructs both captures through the
-    /// grid-aware plan with cross-point rotor reuse — the engine's
-    /// hottest pre-verdict loop rides the same vectorized walk as the
-    /// analysis grid. The Section V skew fixtures are pinned against
-    /// this schedule.
+    /// `grid_probe_schedule_matches_random_schedule`); both schedules
+    /// evaluate through the same probe sums at the same price. The
+    /// Section V skew fixtures are pinned against this schedule.
     #[default]
     UniformGrid,
 }

@@ -83,6 +83,6 @@ pub use error::BistError;
 pub use health::{CaptureHealth, HealthPolicy};
 pub use lms::{estimate_skew_lms, LmsConfig, LmsResult};
 pub use mask::{MaskLibrary, MaskReport, MaskStandard, SpectralMask};
-pub use scan::{EarlyVerdict, MaskScanEngine, MaskScanScratch, StreamScratch, StreamingMaskScan};
+pub use scan::{EarlyVerdict, MaskScanEngine, StreamScratch, StreamingMaskScan};
 pub use service::{DutSpec, ServiceConfig, VerdictJob, VerdictOutcome, VerdictService};
 pub use wire::{FrameDecoder, WireFrame, WireVerdictSession};

@@ -6,10 +6,13 @@
 //! [`MaskScanEngine`] inverts that: it enumerates, once, exactly the
 //! Welch bins that fall inside a mask segment or the 0 dBc reference
 //! region, and evaluates *only those* with a
-//! [`GoertzelBank`](rfbist_dsp::goertzel::GoertzelBank) — one batched
+//! [`GoertzelBank`](rfbist_dsp::goertzel::GoertzelBank) — one windowed
 //! recurrence pass per Welch segment, the same window coefficients,
 //! hop and density normalization as [`rfbist_dsp::psd::welch`], and a
-//! shared accumulator for the segment average.
+//! shared accumulator for the segment average. The batched
+//! [`MaskScanEngine::scan`] and the push-style [`StreamingMaskScan`]
+//! run the same bank calls on the same [`StreamScratch`], so their
+//! verdicts are bit-identical.
 //!
 //! Because the probed frequencies are the *same* bin centers the FFT
 //! would produce and Goertzel evaluates the same DFT sum, the two
@@ -24,7 +27,7 @@
 
 use crate::error::BistError;
 use crate::mask::{report_from_margins, MaskReport, SpectralMask};
-use rfbist_dsp::goertzel::{GoertzelBank, GoertzelScratch, GoertzelState};
+use rfbist_dsp::goertzel::{GoertzelBank, GoertzelState};
 use rfbist_dsp::window::Window;
 
 /// One probed Welch bin and its verdict role.
@@ -41,23 +44,6 @@ struct ScanBin {
     in_noise: bool,
     /// One-sided density factor: 2 for interior bins, 1 for DC/Nyquist.
     one_sided: f64,
-}
-
-/// Reusable buffers for [`MaskScanEngine::scan_with`]; create once per
-/// sweep so repeated scans allocate nothing (the
-/// [`GridScratch`](rfbist_sampling::gridplan::GridScratch) shape applied
-/// to the verdict path).
-#[derive(Clone, Debug, Default)]
-pub struct MaskScanScratch {
-    acc: Vec<f64>,
-    goertzel: GoertzelScratch,
-}
-
-impl MaskScanScratch {
-    /// An empty scratch buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// A prepared spectral-mask compliance scanner: mask bin table,
@@ -311,18 +297,20 @@ impl MaskScanEngine {
     ///
     /// Panics if `wave` is shorter than one Welch segment.
     pub fn scan(&self, wave: &[f64]) -> MaskReport {
-        self.scan_with(wave, &mut MaskScanScratch::new())
+        self.scan_with(wave, &mut StreamScratch::new())
     }
 
     /// [`scan`](Self::scan) returning a typed [`BistError`] instead of
     /// panicking on a too-short waveform.
     pub fn try_scan(&self, wave: &[f64]) -> Result<MaskReport, BistError> {
-        self.try_scan_with(wave, &mut MaskScanScratch::new())
+        self.try_scan_with(wave, &mut StreamScratch::new())
     }
 
-    /// [`scan`](Self::scan) with caller-owned scratch buffers, so
-    /// repeated scans (fault sweeps, benches) allocate nothing.
-    pub fn scan_with(&self, wave: &[f64], scratch: &mut MaskScanScratch) -> MaskReport {
+    /// [`scan`](Self::scan) with caller-owned scratch buffers (the
+    /// streaming scan's, of which it uses one state and the
+    /// accumulator), so repeated scans (fault sweeps, benches) allocate
+    /// nothing.
+    pub fn scan_with(&self, wave: &[f64], scratch: &mut StreamScratch) -> MaskReport {
         self.try_scan_with(wave, scratch)
             .unwrap_or_else(|e| panic!("{e}"))
     }
@@ -333,7 +321,7 @@ impl MaskScanEngine {
     pub fn try_scan_with(
         &self,
         wave: &[f64],
-        scratch: &mut MaskScanScratch,
+        scratch: &mut StreamScratch,
     ) -> Result<MaskReport, BistError> {
         if wave.len() < self.segment_len {
             return Err(BistError::CaptureTooShort {
@@ -346,28 +334,32 @@ impl MaskScanEngine {
         }
         // Welch-style segment averaging of banked Goertzel powers: the
         // same hop/window/normalization as `welch`, with only the
-        // probed bins ever materialized.
-        scratch.acc.clear();
-        scratch.acc.resize(self.bins.len(), 0.0);
+        // probed bins ever materialized. Only complete segments are
+        // advanced (a stream also starts the trailing partial one).
+        let StreamScratch { states, acc } = scratch;
+        acc.clear();
+        acc.resize(self.bins.len(), 0.0);
+        if states.is_empty() {
+            states.push(GoertzelState::new());
+        }
+        let state = &mut states[0];
         let mut count = 0usize;
         let mut start = 0usize;
         while start + self.segment_len <= wave.len() {
-            // Window fold inside the banked pass — the same `x·w`
+            // window fold inside the banked pass: the same `x·w`
             // products a staging buffer would hold, formed in-register
-            // (bit-identical, see `GoertzelBank::windowed_powers_into`).
-            let powers = self.bank.windowed_powers_into(
+            self.bank.reset_state(state);
+            self.bank.advance_state_windowed(
+                state,
                 &wave[start..start + self.segment_len],
                 &self.window,
-                &mut scratch.goertzel,
             );
-            for (a, p) in scratch.acc.iter_mut().zip(powers) {
-                *a += *p;
-            }
+            self.bank.accumulate_powers(state, acc);
             count += 1;
             start += self.hop;
         }
 
-        Ok(self.report_from_acc(&scratch.acc, count))
+        Ok(self.report_from_acc(acc, count))
     }
 
     /// Folds per-bin accumulated segment powers (`count` completed
@@ -501,12 +493,13 @@ impl Default for EarlyVerdict {
     }
 }
 
-/// Reusable buffers for [`MaskScanEngine::stream`]: per-segment
-/// Goertzel states and the running per-bin power accumulator. Memory
-/// is bounded by `ceil(segment/hop)` states of `2·probed_bins` values
-/// — independent of the capture length, which is the point of the
-/// streaming scan. (Window products are folded inside the banked pass,
-/// so no per-chunk staging buffer exists.)
+/// Reusable buffers for [`MaskScanEngine::stream`] and
+/// [`MaskScanEngine::scan_with`]: per-segment Goertzel states and the
+/// running per-bin power accumulator. Memory is bounded by
+/// `ceil(segment/hop)` states of `2·probed_bins` values — independent
+/// of the capture length, which is the point of the streaming scan; a
+/// batched scan uses one state. (Window products are folded inside the
+/// banked pass, so no per-chunk staging buffer exists.)
 #[derive(Clone, Debug, Default)]
 pub struct StreamScratch {
     states: Vec<GoertzelState>,
@@ -779,7 +772,7 @@ mod tests {
         let (scan, _) = engines();
         let clean = spur_wave(12288, 15e6, -70.0);
         let dirty = spur_wave(12288, 15e6, -10.0);
-        let mut scratch = MaskScanScratch::new();
+        let mut scratch = StreamScratch::new();
         let a1 = scan.scan_with(&clean, &mut scratch);
         let b1 = scan.scan_with(&dirty, &mut scratch);
         assert_eq!(a1, scan.scan(&clean), "scratch must not leak state");

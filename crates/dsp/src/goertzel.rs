@@ -1,9 +1,9 @@
 //! Goertzel algorithm: single-bin and banked multi-bin DFT evaluation.
 //!
-//! Cheaper than a full FFT when only a handful of frequencies matter —
-//! e.g. probing the two channel spectra at the Jamal calibration tone,
-//! or sweeping the few dozen PSD bins a spectral mask actually
-//! constrains ([`GoertzelBank`]).
+//! Cheaper than a full FFT when only a handful of frequencies matter,
+//! such as the few dozen PSD bins a spectral mask actually constrains:
+//! [`GoertzelBank`] advances one windowed recurrence per bin over a
+//! segment fed in chunks. The single-bin [`goertzel`] is its reference.
 
 use crate::simd::force_scalar;
 use rfbist_math::Complex64;
@@ -36,53 +36,16 @@ pub fn goertzel(x: &[f64], f: f64) -> Complex64 {
     y * Complex64::cis(-w * (n - 1.0))
 }
 
-/// Magnitude of the DFT at normalized frequency `f`.
-pub fn goertzel_magnitude(x: &[f64], f: f64) -> f64 {
-    goertzel(x, f).abs()
-}
-
-/// Power (|X|²) normalized by N², i.e. the squared average phasor —
-/// convenient for tone-power estimates: a full-scale real tone of
-/// amplitude A at frequency f gives `≈ (A/2)²`.
-pub fn goertzel_tone_power(x: &[f64], f: f64) -> f64 {
-    let n = x.len() as f64;
-    goertzel(x, f).norm_sqr() / (n * n)
-}
-
-/// Reusable state buffers for [`GoertzelBank`]; create once and pass to
-/// every [`GoertzelBank::powers_into`] call so segment-averaged scans
-/// allocate nothing per segment (the `GridScratch` shape applied to
-/// spectral scanning).
-#[derive(Clone, Debug, Default)]
-pub struct GoertzelScratch {
-    s1: Vec<f64>,
-    s2: Vec<f64>,
-    out: Vec<f64>,
-}
-
-impl GoertzelScratch {
-    /// An empty scratch buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The per-bin values written by the most recent banked call.
-    pub fn values(&self) -> &[f64] {
-        &self.out
-    }
-}
-
 /// Carried recurrence state for one segment fed incrementally through
-/// [`GoertzelBank::advance_state`] — the streaming form of
-/// [`GoertzelBank::powers_into`] for feeds (block-reseeded
+/// [`GoertzelBank::advance_state_windowed`], for feeds (block-reseeded
 /// reconstruction, live captures) where a full segment never exists in
 /// memory at once.
 ///
 /// Because the Goertzel recurrence is strictly sequential per bin,
 /// advancing a state over a segment split into arbitrary chunks
 /// performs the *same* floating-point operations in the same order as
-/// one pass over the whole segment: the streamed powers are
-/// bit-identical to the batched ones, regardless of chunking.
+/// one pass over the whole segment: the powers are bit-identical
+/// regardless of chunking.
 #[derive(Clone, Debug, Default)]
 pub struct GoertzelState {
     s1: Vec<f64>,
@@ -99,7 +62,7 @@ impl GoertzelState {
 
 /// A bank of Goertzel recurrences advanced together in one pass over
 /// the data — the batched form of [`goertzel`] for evaluating many
-/// spectral bins of the *same* signal segment.
+/// spectral bins of the *same* windowed signal segment.
 ///
 /// One pass costs one fused multiply-add and one subtraction per bin
 /// per sample, with all per-bin state held in flat arrays so the inner
@@ -111,21 +74,27 @@ impl GoertzelState {
 /// workspace's scalar FFT sits near `N/8` bins (see the
 /// `mask_scan` section of `BENCH_recon.json`).
 ///
-/// The coefficient table (`2cos ω`, and `cos ω`/`sin ω` for the final
-/// extraction) is computed once at construction and shared by every
-/// segment the bank processes.
+/// The recurrence coefficients `2cos ω` are computed once at
+/// construction and shared by every segment the bank processes.
 ///
 /// # Example
 ///
 /// ```
-/// use rfbist_dsp::goertzel::{goertzel, GoertzelBank, GoertzelScratch};
+/// use rfbist_dsp::goertzel::{goertzel, GoertzelBank, GoertzelState};
 ///
 /// let x: Vec<f64> = (0..256).map(|i| (i as f64 * 0.3).sin()).collect();
+/// let w: Vec<f64> = (0..256).map(|i| 0.5 + 0.002 * i as f64).collect();
 /// let bank = GoertzelBank::new(&[0.05, 0.125, 0.3]);
-/// let mut scratch = GoertzelScratch::new();
-/// let powers = bank.powers_into(&x, &mut scratch).to_vec();
-/// for (i, &f) in [0.05, 0.125, 0.3].iter().enumerate() {
-///     assert!((powers[i] - goertzel(&x, f).norm_sqr()).abs() < 1e-6);
+/// let mut state = GoertzelState::new();
+/// bank.reset_state(&mut state);
+/// // any chunking of the segment gives the same states
+/// bank.advance_state_windowed(&mut state, &x[..100], &w[..100]);
+/// bank.advance_state_windowed(&mut state, &x[100..], &w[100..]);
+/// let mut powers = vec![0.0; bank.len()];
+/// bank.accumulate_powers(&state, &mut powers);
+/// let windowed: Vec<f64> = x.iter().zip(&w).map(|(a, b)| a * b).collect();
+/// for (p, &f) in powers.iter().zip(bank.freqs()) {
+///     assert!((p - goertzel(&windowed, f).norm_sqr()).abs() < 1e-6);
 /// }
 /// ```
 #[derive(Clone, Debug)]
@@ -133,8 +102,6 @@ pub struct GoertzelBank {
     freqs: Vec<f64>,
     /// `2cos ωⱼ` — the recurrence coefficient per bin.
     coeff: Vec<f64>,
-    cos_w: Vec<f64>,
-    sin_w: Vec<f64>,
 }
 
 impl GoertzelBank {
@@ -146,20 +113,9 @@ impl GoertzelBank {
     /// Panics if `freqs` is empty.
     pub fn new(freqs: &[f64]) -> Self {
         assert!(!freqs.is_empty(), "goertzel bank needs at least one bin");
-        let mut coeff = Vec::with_capacity(freqs.len());
-        let mut cos_w = Vec::with_capacity(freqs.len());
-        let mut sin_w = Vec::with_capacity(freqs.len());
-        for &f in freqs {
-            let w = 2.0 * PI * f;
-            coeff.push(2.0 * w.cos());
-            cos_w.push(w.cos());
-            sin_w.push(w.sin());
-        }
         GoertzelBank {
             freqs: freqs.to_vec(),
-            coeff,
-            cos_w,
-            sin_w,
+            coeff: freqs.iter().map(|&f| 2.0 * (2.0 * PI * f).cos()).collect(),
         }
     }
 
@@ -178,52 +134,6 @@ impl GoertzelBank {
         &self.freqs
     }
 
-    /// Advances every bin's recurrence over `x` in one pass, leaving
-    /// the final states `(s[N−1], s[N−2])` in `(s1, s2)` of the
-    /// scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is empty.
-    fn run_states(&self, x: &[f64], scratch: &mut GoertzelScratch) {
-        assert!(!x.is_empty(), "goertzel over empty data");
-        let m = self.len();
-        scratch.s1.clear();
-        scratch.s1.resize(m, 0.0);
-        scratch.s2.clear();
-        scratch.s2.resize(m, 0.0);
-        self.advance_dispatch(x, &mut scratch.s1, &mut scratch.s2);
-    }
-
-    /// One runtime-dispatched recurrence pass over `x`, continuing from
-    /// the states already in `(s1, s2)` — shared by the batched
-    /// [`powers_into`](Self::powers_into) (which zeroes the states
-    /// first) and the incremental [`advance_state`](Self::advance_state)
-    /// (which carries them across chunks).
-    fn advance_dispatch(&self, x: &[f64], s1: &mut [f64], s2: &mut [f64]) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if !force_scalar() && std::arch::is_x86_feature_detected!("fma") {
-                if std::arch::is_x86_feature_detected!("avx512f") {
-                    // SAFETY: AVX-512F + FMA support was just verified
-                    // at runtime by is_x86_feature_detected!; the
-                    // kernel body is ordinary safe Rust, recompiled at
-                    // wider vectors with hardware-FMA steps.
-                    unsafe { Self::advance_avx512(&self.coeff, x, s1, s2) };
-                    return;
-                }
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    // SAFETY: AVX2 + FMA support was just verified at
-                    // runtime by is_x86_feature_detected!; same safe
-                    // kernel body as the scalar path.
-                    unsafe { Self::advance_avx2(&self.coeff, x, s1, s2) };
-                    return;
-                }
-            }
-        }
-        Self::advance::<false>(&self.coeff, x, s1, s2);
-    }
-
     /// Sizes and zeroes `state` for a fresh segment of this bank.
     pub fn reset_state(&self, state: &mut GoertzelState) {
         let m = self.len();
@@ -234,39 +144,14 @@ impl GoertzelBank {
     }
 
     /// Advances every bin's recurrence over the next chunk `x` of a
-    /// segment, carrying `state` across calls. Feeding a segment in any
-    /// chunking produces bit-identical states to one
-    /// [`powers_into`](Self::powers_into) pass over the whole segment
-    /// (the recurrence is strictly sequential per bin). An empty chunk
-    /// is a no-op.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` was not sized by
-    /// [`reset_state`](Self::reset_state) for this bank.
-    pub fn advance_state(&self, state: &mut GoertzelState, x: &[f64]) {
-        assert_eq!(
-            state.s1.len(),
-            self.len(),
-            "state not sized for this bank — call reset_state first"
-        );
-        if x.is_empty() {
-            return;
-        }
-        self.advance_dispatch(x, &mut state.s1, &mut state.s2);
-    }
-
-    /// [`advance_state`](Self::advance_state) with the window applied
-    /// on the fly: sample `i` enters the recurrence as `x[i]·w[i]`.
-    /// The product is the same single rounding a caller staging
-    /// `x[i]·w[i]` into a buffer and feeding it to `advance_state`
-    /// would perform, at the same point of the recurrence — the
-    /// resulting states are **bit-identical** to the staged form
-    /// (pinned by the `windowed_advance_matches_staged` test) while
-    /// the staging buffer, and its round-trip through memory on every
-    /// chunk of every segment, disappears. This is what lets a
-    /// streaming consumer apply its Welch window inside the feed's
-    /// output pass instead of copying each block first.
+    /// segment, carrying `state` across calls, with the window applied
+    /// on the fly: sample `i` enters as `x[i]·w[i]`, the same single
+    /// rounding a caller staging the product in a buffer would perform
+    /// at the same point of the recurrence. The states are therefore
+    /// **bit-identical** to the staged form (pinned by
+    /// `windowed_advance_matches_staged_bit_for_bit`) and to one pass
+    /// over the whole segment, in any chunking, without the staging
+    /// buffer's round-trip through memory. An empty chunk is a no-op.
     ///
     /// # Panics
     ///
@@ -286,10 +171,10 @@ impl GoertzelBank {
         self.advance_windowed_dispatch(x, w, &mut state.s1, &mut state.s2);
     }
 
-    /// Adds `|X(fⱼ)|²` of the segment accumulated in `state` onto
-    /// `acc[j]` — the Welch-averaging form of the power extraction in
-    /// [`powers_into`](Self::powers_into) (same per-bin expression, so
-    /// a streamed segment average is bit-identical to a batched one).
+    /// Adds `|X(fⱼ)|² = s₁² + s₂² − 2cos ωⱼ·s₁·s₂` of the segment
+    /// accumulated in `state` onto `acc[j]` (the phase rotations of the
+    /// final extraction drop out of the power) — the Welch-averaging
+    /// step, with the same scaling as `goertzel(x, f).norm_sqr()`.
     ///
     /// # Panics
     ///
@@ -334,37 +219,29 @@ impl GoertzelBank {
     /// (s₁, s₂) ← (sₙ₊₃, sₙ₊₂)
     /// ```
     ///
-    /// `WINDOWED` folds a per-sample window product into the quad
-    /// head: sample `i` enters the recurrence as `x[i]·w[i]`, formed
-    /// *once per sample* (not per bin) as a plain multiply. That is
-    /// the exact operation a caller staging `x[i]·w[i]` into a buffer
-    /// would perform, so the windowed kernel is bit-identical to
-    /// staging + the unwindowed kernel while skipping the staging
-    /// buffer's round-trip through memory. `w` is ignored (and may
-    /// alias `x`) when `WINDOWED` is false.
+    /// The window product is folded into the quad head: sample `i`
+    /// enters the recurrence as `x[i]·w[i]`, formed *once per sample*
+    /// (not per bin) as a plain multiply — the exact operation a caller
+    /// staging `x[i]·w[i]` into a buffer would perform.
     #[inline(always)]
     // analysis: allow(naked-panic) — quad indices are bounded by chunks_exact(4); the subscripts cannot leave the chunk
-    fn advance_kernel<const FUSED: bool, const WINDOWED: bool>(
+    fn advance_kernel<const FUSED: bool>(
         coeff: &[f64],
         x: &[f64],
         w: &[f64],
         s1: &mut [f64],
         s2: &mut [f64],
     ) {
-        debug_assert!(!WINDOWED || w.len() == x.len());
+        debug_assert!(w.len() == x.len());
         let mut quads = x.chunks_exact(4);
-        let mut wins = if WINDOWED { w } else { x }.chunks_exact(4);
+        let mut wins = w.chunks_exact(4);
         for (quad, wq) in (&mut quads).zip(&mut wins) {
-            let (x0, x1, x2, x3) = if WINDOWED {
-                (
-                    quad[0] * wq[0],
-                    quad[1] * wq[1],
-                    quad[2] * wq[2],
-                    quad[3] * wq[3],
-                )
-            } else {
-                (quad[0], quad[1], quad[2], quad[3])
-            };
+            let (x0, x1, x2, x3) = (
+                quad[0] * wq[0],
+                quad[1] * wq[1],
+                quad[2] * wq[2],
+                quad[3] * wq[3],
+            );
             for ((c, p1), p2) in coeff.iter().zip(s1.iter_mut()).zip(s2.iter_mut()) {
                 let s_a = Self::step::<FUSED>(*c, *p1, *p2, x0);
                 let s_b = Self::step::<FUSED>(*c, s_a, *p1, x1);
@@ -375,7 +252,7 @@ impl GoertzelBank {
             }
         }
         for (&xr, &wr) in quads.remainder().iter().zip(wins.remainder()) {
-            let x0 = if WINDOWED { xr * wr } else { xr };
+            let x0 = xr * wr;
             for ((c, p1), p2) in coeff.iter().zip(s1.iter_mut()).zip(s2.iter_mut()) {
                 let s = Self::step::<FUSED>(*c, *p1, *p2, x0);
                 *p2 = *p1;
@@ -384,48 +261,11 @@ impl GoertzelBank {
         }
     }
 
-    /// [`advance_kernel`](Self::advance_kernel) without the window
-    /// fold — the portable body behind the unwindowed wrappers.
-    #[inline(always)]
-    fn advance<const FUSED: bool>(coeff: &[f64], x: &[f64], s1: &mut [f64], s2: &mut [f64]) {
-        Self::advance_kernel::<FUSED, false>(coeff, x, x, s1, s2);
-    }
-
-    /// [`advance`](Self::advance) compiled with AVX2 + FMA enabled and
-    /// fused steps. Selected at runtime by `run_states`; agrees with
-    /// the portable path to ~1 ulp per step (single rounding), far
-    /// inside every consumer's tolerance.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 and FMA support on the
-    /// running CPU (`is_x86_feature_detected!`) before calling —
-    /// `#[target_feature]` recompilation emits those instructions
-    /// unconditionally. The body itself is safe Rust.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn advance_avx2(coeff: &[f64], x: &[f64], s1: &mut [f64], s2: &mut [f64]) {
-        Self::advance::<true>(coeff, x, s1, s2)
-    }
-
-    /// [`advance`](Self::advance) compiled with AVX-512F + FMA enabled
-    /// — the AVX2 variant's contract at twice the lane count.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX-512F and FMA support on the
-    /// running CPU (`is_x86_feature_detected!`) before calling; the
-    /// body itself is safe Rust.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,fma")]
-    unsafe fn advance_avx512(coeff: &[f64], x: &[f64], s1: &mut [f64], s2: &mut [f64]) {
-        Self::advance::<true>(coeff, x, s1, s2)
-    }
-
-    /// Window-folding [`advance_kernel`](Self::advance_kernel)
-    /// compiled with AVX2 + FMA enabled and fused steps — the
-    /// [`advance_avx2`](Self::advance_avx2) contract with the
-    /// `x[i]·w[i]` product formed in-register.
+    /// [`advance_kernel`](Self::advance_kernel) compiled with AVX2 +
+    /// FMA enabled and fused steps. Selected at runtime by
+    /// [`advance_windowed_dispatch`](Self::advance_windowed_dispatch);
+    /// agrees with the portable path to ~1 ulp per step (single
+    /// rounding), far inside every consumer's tolerance.
     ///
     /// # Safety
     ///
@@ -442,12 +282,13 @@ impl GoertzelBank {
         s1: &mut [f64],
         s2: &mut [f64],
     ) {
-        Self::advance_kernel::<true, true>(coeff, x, w, s1, s2)
+        Self::advance_kernel::<true>(coeff, x, w, s1, s2)
     }
 
-    /// Window-folding kernel compiled with AVX-512F + FMA enabled —
-    /// the [`advance_windowed_avx2`](Self::advance_windowed_avx2)
-    /// contract at twice the lane count.
+    /// [`advance_kernel`](Self::advance_kernel) compiled with AVX-512F
+    /// and FMA enabled — the
+    /// [`advance_windowed_avx2`](Self::advance_windowed_avx2) contract
+    /// at twice the lane count.
     ///
     /// # Safety
     ///
@@ -463,16 +304,13 @@ impl GoertzelBank {
         s1: &mut [f64],
         s2: &mut [f64],
     ) {
-        Self::advance_kernel::<true, true>(coeff, x, w, s1, s2)
+        Self::advance_kernel::<true>(coeff, x, w, s1, s2)
     }
 
-    /// One runtime-dispatched window-folding recurrence pass —
-    /// [`advance_dispatch`](Self::advance_dispatch) with the
-    /// `x[i]·w[i]` products formed inside the kernel instead of staged
-    /// through a buffer. Each dispatch arm performs the exact staged
-    /// products and recurrence steps of the corresponding
-    /// `advance_dispatch` arm, so callers swapping a staging buffer
-    /// for this pass see bit-identical states.
+    /// One runtime-dispatched recurrence pass over `x`, continuing from
+    /// the states already in `(s1, s2)`: the AVX-512F or AVX2 + FMA
+    /// recompilation where the CPU has it (unless `RFBIST_FORCE_SCALAR`
+    /// is set), the portable kernel otherwise.
     fn advance_windowed_dispatch(&self, x: &[f64], w: &[f64], s1: &mut [f64], s2: &mut [f64]) {
         #[cfg(target_arch = "x86_64")]
         {
@@ -494,79 +332,7 @@ impl GoertzelBank {
                 }
             }
         }
-        Self::advance_kernel::<false, true>(&self.coeff, x, w, s1, s2);
-    }
-
-    /// Evaluates `|X(fⱼ)|²` for every bin of the bank over `x` in one
-    /// pass, writing into `scratch` and returning the filled slice.
-    ///
-    /// Same scaling as `goertzel(x, f).norm_sqr()`: the squared direct
-    /// DFT coefficient, `|Σ x[n]·e^{-j2πfn}|²`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is empty.
-    pub fn powers_into<'s>(&self, x: &[f64], scratch: &'s mut GoertzelScratch) -> &'s [f64] {
-        self.run_states(x, scratch);
-        self.extract_powers(scratch)
-    }
-
-    /// [`powers_into`](Self::powers_into) with the window applied on
-    /// the fly, bit-identical to staging `x[i]·w[i]` first (see
-    /// [`advance_state_windowed`](Self::advance_state_windowed)) —
-    /// the batched form of the window fold, so a segment-averaging
-    /// scan and its streaming twin can both drop their staging
-    /// buffers without their verdicts drifting apart.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is empty or `w` and `x` differ in length.
-    pub fn windowed_powers_into<'s>(
-        &self,
-        x: &[f64],
-        w: &[f64],
-        scratch: &'s mut GoertzelScratch,
-    ) -> &'s [f64] {
-        assert!(!x.is_empty(), "goertzel over empty data");
-        assert_eq!(x.len(), w.len(), "window must match the segment");
-        let m = self.len();
-        scratch.s1.clear();
-        scratch.s1.resize(m, 0.0);
-        scratch.s2.clear();
-        scratch.s2.resize(m, 0.0);
-        self.advance_windowed_dispatch(x, w, &mut scratch.s1, &mut scratch.s2);
-        self.extract_powers(scratch)
-    }
-
-    /// `|X|² = s₁² + s₂² − 2cos ω·s₁·s₂` per bin (phase rotations drop
-    /// out) from the final states in `scratch`, into `scratch.out`.
-    fn extract_powers<'s>(&self, scratch: &'s mut GoertzelScratch) -> &'s [f64] {
-        scratch.out.clear();
-        scratch.out.extend(
-            scratch
-                .s1
-                .iter()
-                .zip(&scratch.s2)
-                .zip(&self.coeff)
-                .map(|((&s1, &s2), &c)| s1 * s1 + s2 * s2 - c * s1 * s2),
-        );
-        &scratch.out
-    }
-
-    /// Evaluates the complex DFT coefficient at every bin — the banked
-    /// equivalent of calling [`goertzel`] per frequency, with the same
-    /// `X(f) = Σ x[n]·e^{-j2πfn}` reference.
-    pub fn dft(&self, x: &[f64]) -> Vec<Complex64> {
-        let mut scratch = GoertzelScratch::new();
-        self.run_states(x, &mut scratch);
-        let n = x.len() as f64;
-        (0..self.len())
-            .map(|j| {
-                let (s1, s2) = (scratch.s1[j], scratch.s2[j]);
-                let y = Complex64::new(s1 - self.cos_w[j] * s2, self.sin_w[j] * s2);
-                y * Complex64::cis(-2.0 * PI * self.freqs[j] * (n - 1.0))
-            })
-            .collect()
+        Self::advance_kernel::<false>(&self.coeff, x, w, s1, s2);
     }
 }
 
@@ -574,6 +340,21 @@ impl GoertzelBank {
 mod tests {
     use super::*;
     use rfbist_math::fft::fft_real;
+
+    /// `|X(fⱼ)|²` of the windowed segment `x·w` through one fresh state.
+    fn segment_powers(bank: &GoertzelBank, x: &[f64], w: &[f64]) -> Vec<f64> {
+        let mut state = GoertzelState::new();
+        bank.reset_state(&mut state);
+        bank.advance_state_windowed(&mut state, x, w);
+        let mut acc = vec![0.0; bank.len()];
+        bank.accumulate_powers(&state, &mut acc);
+        acc
+    }
+
+    /// The rectangular window: `x[i]·1.0` is `x[i]` exactly.
+    fn ones(n: usize) -> Vec<f64> {
+        vec![1.0; n]
+    }
 
     #[test]
     fn matches_fft_at_bin_centers() {
@@ -594,7 +375,8 @@ mod tests {
         let x: Vec<f64> = (0..n)
             .map(|i| amp * (2.0 * PI * f0 * i as f64).cos())
             .collect();
-        let p = goertzel_tone_power(&x, f0);
+        // squared average phasor: a real tone of amplitude A gives ≈ (A/2)²
+        let p = goertzel(&x, f0).norm_sqr() / (n * n) as f64;
         assert!(
             ((p.sqrt() * 2.0) - amp).abs() < 0.01,
             "amp {}",
@@ -621,7 +403,7 @@ mod tests {
         let n = 1024;
         let x: Vec<f64> = (0..n).map(|i| (2.0 * PI * 0.25 * i as f64).sin()).collect();
         // probing far from the tone (and at a bin center) sees ~nothing
-        let p = goertzel_tone_power(&x, 0.125);
+        let p = goertzel(&x, 0.125).norm_sqr() / (n * n) as f64;
         assert!(p < 1e-10, "leak {p}");
     }
 
@@ -640,21 +422,13 @@ mod tests {
                 .collect();
             let freqs: Vec<f64> = vec![0.01, 0.125, 7.0 / n as f64, 0.33, 0.499];
             let bank = GoertzelBank::new(&freqs);
-            let mut scratch = GoertzelScratch::new();
-            let powers = bank.powers_into(&x, &mut scratch).to_vec();
-            let spectra = bank.dft(&x);
+            let powers = segment_powers(&bank, &x, &ones(n));
             for (j, &f) in freqs.iter().enumerate() {
-                let want = goertzel(&x, f);
+                let want = goertzel(&x, f).norm_sqr();
                 assert!(
-                    (powers[j] - want.norm_sqr()).abs() <= 1e-9 * want.norm_sqr().max(1.0),
-                    "n {n} bin {j}: {} vs {}",
-                    powers[j],
-                    want.norm_sqr()
-                );
-                assert!(
-                    (spectra[j] - want).abs() <= 1e-8 * want.abs().max(1.0),
+                    (powers[j] - want).abs() <= 1e-9 * want.max(1.0),
                     "n {n} bin {j}: {} vs {want}",
-                    spectra[j]
+                    powers[j]
                 );
             }
         }
@@ -668,8 +442,7 @@ mod tests {
         let ks = [0usize, 3, 100, 255];
         let freqs: Vec<f64> = ks.iter().map(|&k| k as f64 / n as f64).collect();
         let bank = GoertzelBank::new(&freqs);
-        let mut scratch = GoertzelScratch::new();
-        let powers = bank.powers_into(&x, &mut scratch);
+        let powers = segment_powers(&bank, &x, &ones(n));
         for (j, &k) in ks.iter().enumerate() {
             assert!(
                 (powers[j] - spec[k].norm_sqr()).abs() < 1e-7,
@@ -683,16 +456,21 @@ mod tests {
     #[test]
     fn bank_scratch_is_reusable_across_segments() {
         let bank = GoertzelBank::new(&[0.1, 0.2]);
-        let mut scratch = GoertzelScratch::new();
         let a: Vec<f64> = (0..128).map(|i| (i as f64 * 0.11).sin()).collect();
         let b: Vec<f64> = (0..64).map(|i| (i as f64 * 0.31).cos()).collect();
-        let pa = bank.powers_into(&a, &mut scratch).to_vec();
-        let pb = bank.powers_into(&b, &mut scratch).to_vec();
-        // re-running the first segment reproduces it exactly: no state
-        // leaks between segments
-        assert_eq!(bank.powers_into(&a, &mut scratch), &pa[..]);
-        assert_eq!(bank.powers_into(&b, &mut scratch), &pb[..]);
-        assert_eq!(scratch.values().len(), 2);
+        let mut state = GoertzelState::new();
+        let mut run = |x: &[f64]| {
+            bank.reset_state(&mut state);
+            bank.advance_state_windowed(&mut state, x, &ones(x.len()));
+            let mut acc = vec![0.0; 2];
+            bank.accumulate_powers(&state, &mut acc);
+            acc
+        };
+        let (pa, pb) = (run(&a), run(&b));
+        // re-running the first segment on the reset state reproduces it
+        // exactly: no state leaks between segments
+        assert_eq!(run(&a), pa);
+        assert_eq!(run(&b), pb);
     }
 
     #[test]
@@ -706,16 +484,10 @@ mod tests {
             .collect();
         let staged: Vec<f64> = x.iter().zip(&w).map(|(a, b)| a * b).collect();
         let bank = GoertzelBank::new(&[0.03, 0.125, 0.31, 0.499]);
-        let mut scratch = GoertzelScratch::new();
-        let batched = bank.powers_into(&staged, &mut scratch).to_vec();
+        let batched = segment_powers(&bank, &staged, &ones(n));
         // the on-the-fly window fold forms the same products at the
         // same recurrence points as the staged form — bit-identical,
-        // batched and chunked (including off-unroll boundaries)
-        assert_eq!(
-            bank.windowed_powers_into(&x, &w, &mut scratch),
-            &batched[..],
-            "windowed batch pass diverged from staging"
-        );
+        // in one pass and chunked (including off-unroll boundaries)
         for chunks in [vec![1000], vec![256, 256, 256, 232], vec![7, 501, 3, 489]] {
             let mut state = GoertzelState::new();
             bank.reset_state(&mut state);
@@ -736,44 +508,17 @@ mod tests {
     }
 
     #[test]
-    fn incremental_state_matches_batched_pass_bit_for_bit() {
-        let n = 1000;
-        let x: Vec<f64> = (0..n)
-            .map(|i| (i as f64 * 0.17).sin() + 0.2 * (i as f64 * 0.051).cos())
-            .collect();
-        let bank = GoertzelBank::new(&[0.03, 0.125, 0.31, 0.499]);
-        let mut scratch = GoertzelScratch::new();
-        let batched = bank.powers_into(&x, &mut scratch).to_vec();
-        // any chunking — including chunk boundaries off the 4-sample
-        // unroll — must reproduce the batched states exactly
-        for chunks in [vec![1000], vec![256, 256, 256, 232], vec![7, 501, 3, 489]] {
-            let mut state = GoertzelState::new();
-            bank.reset_state(&mut state);
-            let mut start = 0;
-            for len in chunks {
-                bank.advance_state(&mut state, &x[start..start + len]);
-                start += len;
-            }
-            assert_eq!(start, n);
-            let mut acc = vec![0.0; bank.len()];
-            bank.accumulate_powers(&state, &mut acc);
-            assert_eq!(acc, batched, "chunked pass diverged");
-        }
-    }
-
-    #[test]
     fn accumulate_powers_sums_across_segments() {
         let bank = GoertzelBank::new(&[0.1, 0.2]);
         let a: Vec<f64> = (0..128).map(|i| (i as f64 * 0.11).sin()).collect();
         let b: Vec<f64> = (0..96).map(|i| (i as f64 * 0.31).cos()).collect();
-        let mut scratch = GoertzelScratch::new();
-        let pa = bank.powers_into(&a, &mut scratch).to_vec();
-        let pb = bank.powers_into(&b, &mut scratch).to_vec();
+        let pa = segment_powers(&bank, &a, &ones(a.len()));
+        let pb = segment_powers(&bank, &b, &ones(b.len()));
         let mut acc = vec![0.0; 2];
         let mut state = GoertzelState::new();
         for seg in [&a, &b] {
             bank.reset_state(&mut state);
-            bank.advance_state(&mut state, seg);
+            bank.advance_state_windowed(&mut state, seg, &ones(seg.len()));
             bank.accumulate_powers(&state, &mut acc);
         }
         for j in 0..2 {
@@ -787,13 +532,13 @@ mod tests {
         let mut state = GoertzelState::new();
         bank.reset_state(&mut state);
         let x = [1.0, -0.5, 0.25];
-        bank.advance_state(&mut state, &x[..2]);
-        bank.advance_state(&mut state, &[]);
-        bank.advance_state(&mut state, &x[2..]);
+        let w = [0.5, 1.0, 0.75];
+        bank.advance_state_windowed(&mut state, &x[..2], &w[..2]);
+        bank.advance_state_windowed(&mut state, &[], &[]);
+        bank.advance_state_windowed(&mut state, &x[2..], &w[2..]);
         let mut acc = [0.0];
         bank.accumulate_powers(&state, &mut acc);
-        let mut scratch = GoertzelScratch::new();
-        assert_eq!(acc[0], bank.powers_into(&x, &mut scratch)[0]);
+        assert_eq!(acc[0], segment_powers(&bank, &x, &w)[0]);
     }
 
     #[test]
@@ -801,7 +546,7 @@ mod tests {
     fn unsized_state_panics() {
         let bank = GoertzelBank::new(&[0.1, 0.2]);
         let mut state = GoertzelState::new();
-        bank.advance_state(&mut state, &[1.0]);
+        bank.advance_state_windowed(&mut state, &[1.0], &[1.0]);
     }
 
     #[test]
@@ -816,12 +561,5 @@ mod tests {
     #[should_panic(expected = "at least one bin")]
     fn empty_bank_panics() {
         let _ = GoertzelBank::new(&[]);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn bank_empty_input_panics() {
-        let mut scratch = GoertzelScratch::new();
-        let _ = GoertzelBank::new(&[0.1]).powers_into(&[], &mut scratch);
     }
 }

@@ -1,52 +1,10 @@
-//! Resampling and fractional delay.
+//! Truncated-sinc fractional delay.
 //!
-//! Integer up/down-sampling with windowed-sinc anti-alias/interpolation
-//! filters, plus truncated-sinc fractional delay — used to cross-validate
-//! the analytic continuous-time models against grid simulations.
+//! The oracle that cross-validates the analytic delay models against
+//! grid simulations (`tests/analytic_vs_grid.rs`).
 
-use crate::fir::FirFilter;
 use crate::window::Window;
 use rfbist_math::special::sinc;
-
-/// Upsamples by integer factor `l` (zero-stuffing followed by a windowed-
-/// sinc interpolation filter of `2·half_len·l + 1` taps).
-///
-/// Output length is `x.len() · l`; the interpolation filter's group delay
-/// is compensated internally.
-///
-/// # Panics
-///
-/// Panics if `l == 0` or `half_len == 0`.
-pub fn upsample(x: &[f64], l: usize, half_len: usize) -> Vec<f64> {
-    assert!(l > 0, "upsampling factor must be positive");
-    assert!(half_len > 0, "filter half-length must be positive");
-    if l == 1 {
-        return x.to_vec();
-    }
-    let taps = 2 * half_len * l + 1;
-    let fir = FirFilter::lowpass(taps, 0.5 / l as f64 - 1e-9, Window::Kaiser(8.0));
-    let mut stuffed = vec![0.0; x.len() * l];
-    for (i, &v) in x.iter().enumerate() {
-        stuffed[i * l] = v * l as f64; // gain compensation
-    }
-    fir.filter_same(&stuffed)
-}
-
-/// Downsamples by integer factor `m` with a preceding anti-alias filter.
-///
-/// # Panics
-///
-/// Panics if `m == 0`.
-pub fn decimate(x: &[f64], m: usize, half_len: usize) -> Vec<f64> {
-    assert!(m > 0, "decimation factor must be positive");
-    if m == 1 {
-        return x.to_vec();
-    }
-    let taps = 2 * half_len * m + 1;
-    let fir = FirFilter::lowpass(taps, 0.5 / m as f64 - 1e-9, Window::Kaiser(8.0));
-    let filtered = fir.filter_same(x);
-    filtered.iter().step_by(m).copied().collect()
-}
 
 /// Delays a signal by a fractional number of samples using a truncated
 /// (Kaiser-windowed) sinc interpolator with `2·half_width + 1` taps.
@@ -88,50 +46,6 @@ mod tests {
     }
 
     #[test]
-    fn upsample_by_one_is_identity() {
-        let x = vec![1.0, 2.0, 3.0];
-        assert_eq!(upsample(&x, 1, 4), x);
-        assert_eq!(decimate(&x, 1, 4), x);
-    }
-
-    #[test]
-    fn upsample_interpolates_tone() {
-        let f0 = 0.05; // cycles/sample at original rate
-        let x = tone(256, f0);
-        let y = upsample(&x, 4, 8);
-        assert_eq!(y.len(), 1024);
-        // interior samples should match the dense tone
-        for (i, &v) in y.iter().enumerate().take(800).skip(200) {
-            let want = (2.0 * PI * f0 * i as f64 / 4.0).sin();
-            assert!((v - want).abs() < 0.02, "sample {i}: {v} vs {want}");
-        }
-    }
-
-    #[test]
-    fn decimate_preserves_low_frequency_tone() {
-        let f0 = 0.02;
-        let x = tone(1024, f0);
-        let y = decimate(&x, 4, 8);
-        assert_eq!(y.len(), 256);
-        for (i, &v) in y.iter().enumerate().take(200).skip(50) {
-            let want = (2.0 * PI * f0 * (i * 4) as f64).sin();
-            assert!((v - want).abs() < 0.02, "sample {i}");
-        }
-    }
-
-    #[test]
-    fn decimate_removes_aliasing_tone() {
-        // tone above the post-decimation Nyquist must be suppressed
-        let f_alias = 0.4; // would alias at m=4 (Nyquist 0.125)
-        let x = tone(2048, f_alias);
-        let y = decimate(&x, 4, 12);
-        let peak = y[100..y.len() - 100]
-            .iter()
-            .fold(0.0f64, |m, &v| m.max(v.abs()));
-        assert!(peak < 0.01, "alias peak {peak}");
-    }
-
-    #[test]
     fn fractional_delay_shifts_tone() {
         let f0 = 0.03;
         let x = tone(512, f0);
@@ -145,15 +59,17 @@ mod tests {
 
     #[test]
     fn integer_delay_matches_shift() {
-        let x: Vec<f64> = (0..200)
-            .map(|i| ((i * 7919) % 100) as f64 / 100.0)
+        // a bandlimited multi-tone (all below 0.2 cycles/sample), so sinc
+        // interpolation is valid
+        let x: Vec<f64> = tone(200, 0.037)
+            .iter()
+            .zip(tone(200, 0.11))
+            .zip(tone(200, 0.173))
+            .map(|((a, b), c)| a + 0.5 * b - 0.3 * c)
             .collect();
-        // bandlimit first so sinc interpolation is valid
-        let fir = FirFilter::lowpass(41, 0.2, Window::Kaiser(8.0));
-        let xb = fir.filter_same(&x);
-        let y = fractional_delay(&xb, 3.0, 20);
+        let y = fractional_delay(&x, 3.0, 20);
         for i in 60..140 {
-            assert!((y[i] - xb[i - 3]).abs() < 5e-3, "sample {i}");
+            assert!((y[i] - x[i - 3]).abs() < 5e-3, "sample {i}");
         }
     }
 
@@ -164,11 +80,5 @@ mod tests {
         for i in 40..200 {
             assert!((y[i] - x[i]).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "factor must be positive")]
-    fn zero_factor_panics() {
-        let _ = upsample(&[1.0], 0, 4);
     }
 }

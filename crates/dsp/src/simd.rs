@@ -1,6 +1,7 @@
 //! Runtime SIMD-dispatch helpers shared by the workspace's
 //! `#[target_feature]`-recompiled kernels ([`crate::goertzel`]'s
-//! banked recurrence, `rfbist_sampling`'s grid walk).
+//! banked recurrence, `rfbist_sampling`'s grid-plan producer and probe
+//! sums).
 
 /// `true` when `RFBIST_FORCE_SCALAR` is set (to anything but `0` or
 /// empty): the runtime SIMD dispatch is skipped and the portable

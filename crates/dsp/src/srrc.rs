@@ -2,9 +2,9 @@
 //!
 //! The paper's test stimulus is "10 MHz QPSK symbols shaped by a square
 //! root raised cosine filter with a roll-off factor of α = 0.5". These
-//! closed-form pulse evaluators are used both for discrete filter design
-//! and — crucially for PNBS — for *continuous-time* evaluation of the
-//! transmitted baseband at arbitrary sample instants.
+//! closed-form pulse evaluators serve the *continuous-time* evaluation
+//! of the transmitted baseband at arbitrary sample instants that PNBS
+//! needs.
 //!
 //! Time is normalized to the symbol period: `t_norm = t / Ts`. The pulses
 //! are normalized so `rc(0) = 1` and `srrc ⊛ srrc = rc` (unit-symbol
@@ -61,37 +61,6 @@ pub fn srrc_pulse(t: f64, alpha: f64) -> f64 {
     let four_at = 4.0 * alpha * t;
     ((PI * t * (1.0 - alpha)).sin() + four_at * (PI * t * (1.0 + alpha)).cos())
         / (PI * t * (1.0 - four_at * four_at))
-}
-
-/// Discrete SRRC filter taps spanning `±span` symbols at `sps` samples per
-/// symbol (length `2·span·sps + 1`), normalized to unit energy
-/// (`Σ h² = 1`), matching Matlab's `rcosdesign(α, span, sps, 'sqrt')`.
-///
-/// # Panics
-///
-/// Panics if `span == 0` or `sps == 0`.
-pub fn srrc_taps(alpha: f64, span: usize, sps: usize) -> Vec<f64> {
-    assert!(span > 0, "span must be positive");
-    assert!(sps > 0, "samples per symbol must be positive");
-    let half = (span * sps) as isize;
-    let mut taps: Vec<f64> = (-half..=half)
-        .map(|k| srrc_pulse(k as f64 / sps as f64, alpha))
-        .collect();
-    let energy: f64 = taps.iter().map(|&h| h * h).sum();
-    let norm = energy.sqrt();
-    taps.iter_mut().for_each(|h| *h /= norm);
-    taps
-}
-
-/// Discrete RC filter taps spanning `±span` symbols at `sps` samples per
-/// symbol, normalized to unit peak.
-pub fn rc_taps(alpha: f64, span: usize, sps: usize) -> Vec<f64> {
-    assert!(span > 0, "span must be positive");
-    assert!(sps > 0, "samples per symbol must be positive");
-    let half = (span * sps) as isize;
-    (-half..=half)
-        .map(|k| rc_pulse(k as f64 / sps as f64, alpha))
-        .collect()
 }
 
 /// Occupied (two-sided RF) bandwidth of an SRRC-shaped signal:
@@ -160,12 +129,15 @@ mod tests {
 
     #[test]
     fn srrc_convolved_with_itself_is_rc() {
-        // Numerical check of the defining property at 16 samples/symbol.
+        // Numerical check of the defining property at 16 samples/symbol,
+        // on the pulse sampled over ±12 symbols; the convolution is
+        // compared with RC after normalizing by its peak.
         let alpha = 0.5;
         let sps = 16usize;
-        let span = 12usize;
-        let h = srrc_taps(alpha, span, sps);
-        // h is unit-energy; SRRC⊛SRRC sampled at sps gives RC/sps scaling.
+        let half = (12 * sps) as isize;
+        let h: Vec<f64> = (-half..=half)
+            .map(|k| srrc_pulse(k as f64 / sps as f64, alpha))
+            .collect();
         let n = h.len();
         let center = n - 1; // full convolution center index
         let conv_at = |lag: isize| -> f64 {
@@ -190,12 +162,23 @@ mod tests {
         assert!((v_half - rc_half).abs() < 2e-3, "{v_half} vs {rc_half}");
     }
 
+    /// `pulse` sampled at `sps` samples per symbol over `±span` symbols.
+    fn sampled(pulse: fn(f64, f64) -> f64, alpha: f64, span: usize, sps: usize) -> Vec<f64> {
+        let half = (span * sps) as isize;
+        (-half..=half)
+            .map(|k| pulse(k as f64 / sps as f64, alpha))
+            .collect()
+    }
+
     #[test]
     fn srrc_taps_are_unit_energy_and_symmetric() {
-        let taps = srrc_taps(0.5, 6, 8);
+        // srrc ⊛ srrc = rc and rc(0) = 1, so the pulse has unit energy
+        // per symbol period; truncation at ±6 symbols loses < 1e-4.
+        let sps = 8;
+        let taps = sampled(srrc_pulse, 0.5, 6, sps);
         assert_eq!(taps.len(), 2 * 6 * 8 + 1);
-        let energy: f64 = taps.iter().map(|&h| h * h).sum();
-        assert!((energy - 1.0).abs() < 1e-12);
+        let energy: f64 = taps.iter().map(|&h| h * h).sum::<f64>() / sps as f64;
+        assert!((energy - 1.0).abs() < 1e-4, "energy {energy}");
         for i in 0..taps.len() / 2 {
             assert!((taps[i] - taps[taps.len() - 1 - i]).abs() < 1e-12);
         }
@@ -203,7 +186,7 @@ mod tests {
 
     #[test]
     fn rc_taps_peak_at_center() {
-        let taps = rc_taps(0.35, 5, 4);
+        let taps = sampled(rc_pulse, 0.35, 5, 4);
         let center = taps.len() / 2;
         assert!((taps[center] - 1.0).abs() < 1e-12);
         let max = taps.iter().fold(0.0f64, |m, &v| m.max(v.abs()));

@@ -3,8 +3,7 @@
 //! Symmetric (filter-design) windows are generated with the standard
 //! `N−1` denominator convention, matching Matlab's `window(@name, N)` and
 //! SciPy's `sym=True`. The Kaiser window — used by the paper to window the
-//! Kohlenberg reconstruction filter — exposes its `β` parameter directly
-//! and through the Kaiser-design formula from stopband attenuation.
+//! Kohlenberg reconstruction filter — takes its `β` parameter directly.
 
 use rfbist_math::special::bessel_i0;
 use std::cell::RefCell;
@@ -118,40 +117,6 @@ impl Window {
                 bessel_i0(beta * (1.0 - t * t).max(0.0).sqrt()) / bessel_i0(beta)
             }
         }
-    }
-
-    /// Kaiser `β` for a target stopband attenuation in dB
-    /// (Kaiser's empirical formula).
-    pub fn kaiser_beta(atten_db: f64) -> f64 {
-        if atten_db > 50.0 {
-            0.1102 * (atten_db - 8.7)
-        } else if atten_db >= 21.0 {
-            0.5842 * (atten_db - 21.0).powf(0.4) + 0.07886 * (atten_db - 21.0)
-        } else {
-            0.0
-        }
-    }
-
-    /// Estimated Kaiser filter order for given attenuation (dB) and
-    /// normalized transition width (cycles/sample).
-    pub fn kaiser_order(atten_db: f64, transition_width: f64) -> usize {
-        assert!(transition_width > 0.0, "transition width must be positive");
-        (((atten_db - 7.95) / (2.285 * 2.0 * PI * transition_width)).ceil() as usize).max(1)
-    }
-
-    /// Coherent gain: mean of the window coefficients (1.0 for
-    /// rectangular).
-    pub fn coherent_gain(self, n: usize) -> f64 {
-        let w = self.coefficients(n);
-        w.iter().sum::<f64>() / n as f64
-    }
-
-    /// Equivalent noise bandwidth in bins: `N·Σw² / (Σw)²`.
-    pub fn enbw(self, n: usize) -> f64 {
-        let w = self.coefficients(n);
-        let sum: f64 = w.iter().sum();
-        let sumsq: f64 = w.iter().map(|&v| v * v).sum();
-        n as f64 * sumsq / (sum * sum)
     }
 }
 
@@ -478,18 +443,6 @@ pub fn cubic_window_eval(scale: f64, vals: &[f64], x: f64) -> f64 {
         + (sp * s * sm / 6.0) * p[3]
 }
 
-/// Applies a window to data in place.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn apply_window(data: &mut [f64], window: &[f64]) {
-    assert_eq!(data.len(), window.len(), "window length mismatch");
-    for (d, w) in data.iter_mut().zip(window) {
-        *d *= w;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -579,22 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn kaiser_beta_formula_regions() {
-        assert_eq!(Window::kaiser_beta(10.0), 0.0);
-        // A&S formula reference: atten 60 dB -> beta ≈ 5.65326
-        assert!((Window::kaiser_beta(60.0) - 5.65326).abs() < 1e-4);
-        let b30 = Window::kaiser_beta(30.0);
-        assert!(b30 > 1.0 && b30 < 4.0);
-    }
-
-    #[test]
-    fn kaiser_order_scales_inversely_with_transition() {
-        let n_wide = Window::kaiser_order(60.0, 0.1);
-        let n_narrow = Window::kaiser_order(60.0, 0.01);
-        assert!(n_narrow > 5 * n_wide);
-    }
-
-    #[test]
     fn continuous_at_outside_support_is_zero() {
         assert_eq!(Window::Hann.at(-0.1), 0.0);
         assert_eq!(Window::Kaiser(5.0).at(1.1), 0.0);
@@ -609,12 +546,21 @@ mod tests {
 
     #[test]
     fn coherent_gain_and_enbw_reference() {
+        // coherent gain Σw/N and equivalent noise bandwidth N·Σw²/(Σw)²
+        let cg_enbw = |w: Window, n: usize| {
+            let c = w.coefficients(n);
+            let sum: f64 = c.iter().sum();
+            let sumsq: f64 = c.iter().map(|&v| v * v).sum();
+            (sum / n as f64, n as f64 * sumsq / (sum * sum))
+        };
         // Rectangular: CG = 1, ENBW = 1 bin.
-        assert!((Window::Rectangular.coherent_gain(64) - 1.0).abs() < 1e-12);
-        assert!((Window::Rectangular.enbw(64) - 1.0).abs() < 1e-12);
+        let (cg, enbw) = cg_enbw(Window::Rectangular, 64);
+        assert!((cg - 1.0).abs() < 1e-12);
+        assert!((enbw - 1.0).abs() < 1e-12);
         // Hann: CG -> 0.5, ENBW -> 1.5 bins for large N.
-        assert!((Window::Hann.coherent_gain(4096) - 0.5).abs() < 1e-3);
-        assert!((Window::Hann.enbw(4096) - 1.5).abs() < 1e-2);
+        let (cg, enbw) = cg_enbw(Window::Hann, 4096);
+        assert!((cg - 0.5).abs() < 1e-3);
+        assert!((enbw - 1.5).abs() < 1e-2);
     }
 
     #[test]
@@ -730,13 +676,6 @@ mod tests {
             let h = Window::Hann.tabulated();
             assert!((h.at(0.25) - Window::Hann.at(0.25)).abs() < 5e-12);
         }
-    }
-
-    #[test]
-    fn apply_window_multiplies() {
-        let mut d = vec![2.0, 4.0, 6.0];
-        apply_window(&mut d, &[0.5, 0.25, 0.0]);
-        assert_eq!(d, vec![1.0, 1.0, 0.0]);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Provides an iterative radix-2 Cooley–Tukey FFT for power-of-two lengths
 //! and a Bluestein (chirp-z) FFT for arbitrary lengths, so callers never
-//! need to zero-pad to a power of two unless they want to. Inverse
-//! transforms, real-input helpers and `fftshift`/frequency-axis utilities
-//! round out the module.
+//! need to zero-pad to a power of two unless they want to. The inverse
+//! transform, a real-input form and magnitude/power helpers round out
+//! the module.
 //!
 //! Conventions: the forward transform is **not** normalized
 //! (`X[k] = Σ x[n] e^{-j2πnk/N}`); the inverse divides by `N`, so
@@ -190,34 +190,6 @@ pub fn fft_real(x: &[f64]) -> Vec<Complex64> {
     fft(&buf)
 }
 
-/// Swaps the two halves of a spectrum so DC sits at the center.
-///
-/// For odd lengths the extra element goes to the first half after the
-/// shift, matching NumPy's `fftshift`.
-pub fn fftshift<T: Clone>(x: &[T]) -> Vec<T> {
-    let n = x.len();
-    let half = n.div_ceil(2);
-    let mut out = Vec::with_capacity(n);
-    out.extend_from_slice(&x[half..]);
-    out.extend_from_slice(&x[..half]);
-    out
-}
-
-/// Frequency axis (Hz) for an `n`-point FFT at sample rate `fs`,
-/// in natural (unshifted) bin order: `0, fs/n, …, -fs/n`.
-pub fn fft_freqs(n: usize, fs: f64) -> Vec<f64> {
-    let df = fs / n as f64;
-    (0..n)
-        .map(|k| {
-            if k <= (n - 1) / 2 {
-                k as f64 * df
-            } else {
-                (k as f64 - n as f64) * df
-            }
-        })
-        .collect()
-}
-
 /// Magnitude of each spectrum bin.
 pub fn magnitude(x: &[Complex64]) -> Vec<f64> {
     x.iter().map(|z| z.abs()).collect()
@@ -366,22 +338,6 @@ mod tests {
         for k in 1..n {
             assert!(close(spec[k], spec[n - k].conj(), 1e-9));
         }
-    }
-
-    #[test]
-    fn fftshift_even_and_odd() {
-        let even = vec![0, 1, 2, 3];
-        assert_eq!(fftshift(&even), vec![2, 3, 0, 1]);
-        let odd = vec![0, 1, 2, 3, 4];
-        assert_eq!(fftshift(&odd), vec![3, 4, 0, 1, 2]);
-    }
-
-    #[test]
-    fn fft_freqs_layout() {
-        let f = fft_freqs(4, 4.0);
-        assert_eq!(f, vec![0.0, 1.0, -2.0, -1.0]);
-        let f5 = fft_freqs(5, 5.0);
-        assert_eq!(f5, vec![0.0, 1.0, 2.0, -2.0, -1.0]);
     }
 
     #[test]

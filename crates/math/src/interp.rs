@@ -1,48 +1,9 @@
-//! Pointwise interpolation kernels.
+//! Truncated-sinc interpolation of uniform samples.
 //!
-//! Used for cross-validating the analytic signal models against
-//! oversampled-grid simulations, and for fractional-delay evaluation.
+//! The oracle that cross-validates the analytic signal models against
+//! oversampled-grid simulations (`tests/analytic_vs_grid.rs`).
 
 use crate::special::sinc;
-
-/// Linear interpolation of uniformly-sampled data `y[k] = f(k·dt + t0)` at
-/// time `t`; clamps outside the support.
-pub fn lerp_uniform(y: &[f64], t0: f64, dt: f64, t: f64) -> f64 {
-    assert!(!y.is_empty(), "lerp over empty data");
-    assert!(dt > 0.0, "non-positive sample spacing");
-    let pos = (t - t0) / dt;
-    if pos <= 0.0 {
-        return y[0];
-    }
-    let last = (y.len() - 1) as f64;
-    if pos >= last {
-        return y[y.len() - 1];
-    }
-    let k = pos.floor() as usize;
-    let frac = pos - k as f64;
-    y[k] * (1.0 - frac) + y[k + 1] * frac
-}
-
-/// Catmull–Rom cubic interpolation of uniformly-sampled data at time `t`;
-/// clamps outside the support, falls back to linear at the edges.
-pub fn cubic_uniform(y: &[f64], t0: f64, dt: f64, t: f64) -> f64 {
-    assert!(dt > 0.0, "non-positive sample spacing");
-    if y.len() < 4 {
-        return lerp_uniform(y, t0, dt, t);
-    }
-    let pos = (t - t0) / dt;
-    if pos <= 1.0 || pos >= (y.len() - 2) as f64 {
-        return lerp_uniform(y, t0, dt, t);
-    }
-    let k = pos.floor() as usize;
-    let s = pos - k as f64;
-    let (p0, p1, p2, p3) = (y[k - 1], y[k], y[k + 1], y[k + 2]);
-    // Catmull–Rom basis
-    0.5 * ((2.0 * p1)
-        + (-p0 + p2) * s
-        + (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) * s * s
-        + (-p0 + 3.0 * p1 - 3.0 * p2 + p3) * s * s * s)
-}
 
 /// Truncated-sinc (Whittaker–Shannon) interpolation of uniformly-sampled
 /// data at time `t`, using `2·half_width` taps around the target.
@@ -63,72 +24,10 @@ pub fn sinc_uniform(y: &[f64], t0: f64, dt: f64, t: f64, half_width: usize) -> f
     acc
 }
 
-/// Lagrange interpolation through arbitrary (distinct) abscissae —
-/// O(n²) barycentric-free form, for small n.
-///
-/// # Panics
-///
-/// Panics if `xs` and `ys` differ in length or are empty.
-pub fn lagrange(xs: &[f64], ys: &[f64], x: f64) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "lagrange needs matching lengths");
-    assert!(!xs.is_empty(), "lagrange over empty data");
-    let n = xs.len();
-    let mut acc = 0.0;
-    for i in 0..n {
-        let mut w = ys[i];
-        for j in 0..n {
-            if j != i {
-                w *= (x - xs[j]) / (xs[i] - xs[j]);
-            }
-        }
-        acc += w;
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::f64::consts::PI;
-
-    #[test]
-    fn lerp_hits_samples_and_midpoints() {
-        let y = [0.0, 1.0, 4.0];
-        assert_eq!(lerp_uniform(&y, 0.0, 1.0, 0.0), 0.0);
-        assert_eq!(lerp_uniform(&y, 0.0, 1.0, 1.0), 1.0);
-        assert_eq!(lerp_uniform(&y, 0.0, 1.0, 0.5), 0.5);
-        assert_eq!(lerp_uniform(&y, 0.0, 1.0, 1.5), 2.5);
-    }
-
-    #[test]
-    fn lerp_clamps_outside() {
-        let y = [2.0, 3.0];
-        assert_eq!(lerp_uniform(&y, 0.0, 1.0, -5.0), 2.0);
-        assert_eq!(lerp_uniform(&y, 0.0, 1.0, 9.0), 3.0);
-    }
-
-    #[test]
-    fn lerp_with_offset_origin() {
-        let y = [0.0, 10.0];
-        assert_eq!(lerp_uniform(&y, 5.0, 2.0, 6.0), 5.0);
-    }
-
-    #[test]
-    fn cubic_reproduces_cubic_polynomials() {
-        // Catmull-Rom is exact for quadratics; check error is tiny on a cubic-ish smooth fn
-        let f = |t: f64| t * t;
-        let y: Vec<f64> = (0..20).map(|k| f(k as f64)).collect();
-        for &t in &[3.3, 7.7, 12.5] {
-            let got = cubic_uniform(&y, 0.0, 1.0, t);
-            assert!((got - f(t)).abs() < 1e-9, "t={t}: {got} vs {}", f(t));
-        }
-    }
-
-    #[test]
-    fn cubic_falls_back_to_linear_at_edges() {
-        let y = [0.0, 1.0, 2.0, 3.0];
-        assert_eq!(cubic_uniform(&y, 0.0, 1.0, 0.5), 0.5);
-    }
 
     #[test]
     fn sinc_interp_recovers_bandlimited_tone() {
@@ -147,19 +46,5 @@ mod tests {
         let y: Vec<f64> = (0..32).map(|k| (k as f64 * 0.2).sin()).collect();
         let got = sinc_uniform(&y, 0.0, 1.0, 10.0, 8);
         assert!((got - y[10]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lagrange_through_quadratic() {
-        let xs = [0.0, 1.0, 2.0];
-        let ys = [1.0, 2.0, 5.0]; // y = x² + 1
-        assert!((lagrange(&xs, &ys, 1.5) - 3.25).abs() < 1e-12);
-        assert!((lagrange(&xs, &ys, 0.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "matching lengths")]
-    fn lagrange_mismatched_lengths_panic() {
-        let _ = lagrange(&[0.0], &[1.0, 2.0], 0.5);
     }
 }

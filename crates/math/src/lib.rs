@@ -8,9 +8,9 @@
 //! - [`special`]: special functions (modified Bessel `I0`, `erf`, `sinc`),
 //! - [`linalg`]: small dense matrices, linear solves, least squares,
 //! - [`stats`]: descriptive statistics used by measurement code,
-//! - [`interp`]: pointwise interpolation kernels,
-//! - [`rotor`]: incremental phase rotation (`sincos`, [`rotor::PhaseRotor`]),
-//! - [`units`]: newtypes for frequencies, times and decibel quantities,
+//! - [`interp`]: truncated-sinc interpolation (the grid-simulation oracle),
+//! - [`rotor`]: `sincos` and recurrence-built phasor tables
+//!   ([`rotor::fill_phasor_table`]),
 //! - [`rng`]: deterministic Gaussian/uniform sampling helpers.
 //!
 //! The workspace deliberately avoids external numeric crates so the entire
@@ -39,7 +39,5 @@ pub mod rng;
 pub mod rotor;
 pub mod special;
 pub mod stats;
-pub mod units;
 
 pub use complex::Complex64;
-pub use units::{Db, Hertz, Seconds};

@@ -1,18 +1,17 @@
 //! Incremental phase rotation.
 //!
 //! Evaluating `cos(φ₀ + n·Δ)` for a run of consecutive `n` — the shape
-//! of every windowed-interpolant tap loop in this workspace — does not
-//! need a trigonometric call per step. A unit phasor `e^{jφ}` advanced
-//! by a fixed rotation `e^{jΔ}` produces the whole run from two `sincos`
+//! of every per-sample phasor table in this workspace — does not need a
+//! trigonometric call per step. A unit phasor `e^{jφ}` advanced by a
+//! fixed rotation `e^{jΔ}` produces the whole run from two `sincos`
 //! evaluations, at the cost of one complex multiply per step.
 //!
-//! The naive recurrence drifts in magnitude by O(n·ε); [`PhaseRotor`]
-//! renormalizes its phasor with a Newton step every
-//! [`RENORM_INTERVAL`] advances, keeping the magnitude error bounded
-//! (≈ 32·ε ≈ 7e-15) independent of run length. Phase error still grows
-//! as O(n·ε) relative to a direct evaluation, which over the ≤ few
-//! hundred taps used here stays far below the 1e-9 equivalence budget
-//! enforced by the reconstruction tests.
+//! The naive recurrence drifts in magnitude by O(n·ε);
+//! [`fill_phasor_table`] renormalizes its phasor with a Newton step
+//! every [`RENORM_INTERVAL`] advances, keeping the magnitude error
+//! bounded (≈ 32·ε ≈ 7e-15), and re-seeds it exactly every
+//! [`RESEED_INTERVAL`] entries, which bounds the O(n·ε) phase error
+//! against a direct evaluation independent of table length.
 
 /// Simultaneous sine and cosine of `x`, as `(sin x, cos x)`.
 ///
@@ -26,98 +25,7 @@ pub fn sincos(x: f64) -> (f64, f64) {
 /// Advances between magnitude renormalizations. 32 keeps the Newton
 /// correction's input within ~1e-13 of 1, where one step is exact to
 /// double precision.
-const RENORM_INTERVAL: u32 = 32;
-
-/// A unit phasor `e^{j(φ₀ + n·Δ)}` advanced incrementally.
-///
-/// # Example
-///
-/// ```
-/// use rfbist_math::rotor::PhaseRotor;
-///
-/// let mut r = PhaseRotor::new(0.3, 0.01);
-/// for n in 0..100 {
-///     let phase = 0.3 + n as f64 * 0.01;
-///     assert!((r.cos() - phase.cos()).abs() < 1e-12);
-///     assert!((r.sin() - phase.sin()).abs() < 1e-12);
-///     r.advance();
-/// }
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct PhaseRotor {
-    c: f64,
-    s: f64,
-    dc: f64,
-    ds: f64,
-    since_renorm: u32,
-}
-
-impl PhaseRotor {
-    /// A rotor starting at `phase` and advancing by `step` radians per
-    /// [`advance`](Self::advance).
-    #[inline]
-    pub fn new(phase: f64, step: f64) -> Self {
-        let (s, c) = sincos(phase);
-        let (ds, dc) = sincos(step);
-        PhaseRotor {
-            c,
-            s,
-            dc,
-            ds,
-            since_renorm: 0,
-        }
-    }
-
-    /// A rotor starting at `phase` whose step rotation `(cos Δ, sin Δ)`
-    /// was precomputed — lets batch callers hoist the step `sincos` out
-    /// of a per-point loop when the step is shared.
-    #[inline]
-    pub fn with_step_parts(phase: f64, step_cos: f64, step_sin: f64) -> Self {
-        let (s, c) = sincos(phase);
-        PhaseRotor {
-            c,
-            s,
-            dc: step_cos,
-            ds: step_sin,
-            since_renorm: 0,
-        }
-    }
-
-    /// `cos` of the current phase.
-    #[inline]
-    pub fn cos(&self) -> f64 {
-        self.c
-    }
-
-    /// `sin` of the current phase.
-    #[inline]
-    pub fn sin(&self) -> f64 {
-        self.s
-    }
-
-    /// Rotates one step forward.
-    #[inline]
-    pub fn advance(&mut self) {
-        let c = self.c * self.dc - self.s * self.ds;
-        let s = self.c * self.ds + self.s * self.dc;
-        self.c = c;
-        self.s = s;
-        self.since_renorm += 1;
-        if self.since_renorm >= RENORM_INTERVAL {
-            self.renormalize();
-        }
-    }
-
-    /// One Newton step toward unit magnitude:
-    /// `g = (3 − |z|²)/2` satisfies `|g·z| = 1 + O((|z|²−1)²)`.
-    #[inline]
-    fn renormalize(&mut self) {
-        let g = 0.5 * (3.0 - (self.c * self.c + self.s * self.s));
-        self.c *= g;
-        self.s *= g;
-        self.since_renorm = 0;
-    }
-}
+const RENORM_INTERVAL: usize = 32;
 
 /// Advances between *exact* re-seedings in [`fill_phasor_table`]. The
 /// Newton renormalization bounds magnitude error but not phase error,
@@ -159,14 +67,22 @@ pub fn fill_phasor_table(phase0: f64, step: f64, cos_out: &mut [f64], sin_out: &
         "phasor table slices must have equal length"
     );
     let (ds, dc) = sincos(step);
-    let mut rot = PhaseRotor::with_step_parts(phase0, dc, ds);
-    for (i, (c, s)) in cos_out.iter_mut().zip(sin_out.iter_mut()).enumerate() {
+    let (mut s, mut c) = sincos(phase0);
+    for (i, (co, so)) in cos_out.iter_mut().zip(sin_out.iter_mut()).enumerate() {
         if i > 0 && i % RESEED_INTERVAL == 0 {
-            rot = PhaseRotor::with_step_parts(phase0 + i as f64 * step, dc, ds);
+            (s, c) = sincos(phase0 + i as f64 * step);
+        } else if i > 0 {
+            (c, s) = (c * dc - s * ds, c * ds + s * dc);
+            if i % RENORM_INTERVAL == 0 {
+                // one Newton step toward unit magnitude:
+                // g = (3 − |z|²)/2 gives |g·z| = 1 + O((|z|²−1)²)
+                let g = 0.5 * (3.0 - (c * c + s * s));
+                c *= g;
+                s *= g;
+            }
         }
-        *c = rot.cos();
-        *s = rot.sin();
-        rot.advance();
+        *co = c;
+        *so = s;
     }
 }
 
@@ -186,43 +102,27 @@ mod tests {
 
     #[test]
     fn rotor_tracks_direct_evaluation() {
-        let mut r = PhaseRotor::new(1.234, -0.71);
+        let mut c = vec![0.0; 500];
+        let mut s = vec![0.0; 500];
+        fill_phasor_table(1.234, -0.71, &mut c, &mut s);
         for n in 0..500 {
             let phase = 1.234 - 0.71 * n as f64;
-            assert!(
-                (r.cos() - phase.cos()).abs() < 1e-11,
-                "cos drift at step {n}"
-            );
-            assert!(
-                (r.sin() - phase.sin()).abs() < 1e-11,
-                "sin drift at step {n}"
-            );
-            r.advance();
+            assert!((c[n] - phase.cos()).abs() < 1e-11, "cos drift at step {n}");
+            assert!((s[n] - phase.sin()).abs() < 1e-11, "sin drift at step {n}");
         }
     }
 
     #[test]
     fn rotor_magnitude_stays_unit_over_long_runs() {
-        // The tap loops run ≤ a few hundred steps; push far beyond that
-        // to show the renormalization holds the magnitude regardless.
-        let mut r = PhaseRotor::new(0.0, 2.0 * PI / 1000.0 * 3.7);
-        for _ in 0..100_000 {
-            r.advance();
-        }
-        let mag = (r.cos() * r.cos() + r.sin() * r.sin()).sqrt();
-        assert!((mag - 1.0).abs() < 1e-12, "magnitude {mag}");
-    }
-
-    #[test]
-    fn with_step_parts_matches_new() {
-        let (ds, dc) = sincos(0.37);
-        let mut a = PhaseRotor::new(2.1, 0.37);
-        let mut b = PhaseRotor::with_step_parts(2.1, dc, ds);
-        for _ in 0..100 {
-            assert_eq!(a.cos(), b.cos());
-            assert_eq!(a.sin(), b.sin());
-            a.advance();
-            b.advance();
+        // The tap tables run ≤ a few thousand entries; push far beyond
+        // that to show the renormalization holds the magnitude regardless.
+        let n = 100_000;
+        let mut c = vec![0.0; n];
+        let mut s = vec![0.0; n];
+        fill_phasor_table(0.0, 2.0 * PI / 1000.0 * 3.7, &mut c, &mut s);
+        for i in 0..n {
+            let mag = (c[i] * c[i] + s[i] * s[i]).sqrt();
+            assert!((mag - 1.0).abs() < 1e-12, "magnitude {mag} at entry {i}");
         }
     }
 
@@ -285,11 +185,12 @@ mod tests {
         // thousands of radians, steps of tens of radians.
         let phase0 = 2.0 * PI * 1e9 * 1.37e-6;
         let step = 2.0 * PI * 1e9 * 1.11e-8;
-        let mut r = PhaseRotor::new(phase0, step);
-        for n in 0..200 {
+        let mut c = vec![0.0; 200];
+        let mut s = vec![0.0; 200];
+        fill_phasor_table(phase0, step, &mut c, &mut s);
+        for (n, &cn) in c.iter().enumerate() {
             let direct = (phase0 + step * n as f64).cos();
-            assert!((r.cos() - direct).abs() < 5e-10, "step {n}");
-            r.advance();
+            assert!((cn - direct).abs() < 5e-10, "step {n}");
         }
     }
 }

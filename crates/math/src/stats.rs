@@ -129,24 +129,6 @@ pub fn autocorrelation(x: &[f64], lags: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Histogram with `bins` equal-width bins spanning `[lo, hi)`; values
-/// outside the range are clamped into the edge bins.
-///
-/// # Panics
-///
-/// Panics if `bins == 0` or `hi <= lo`.
-pub fn histogram(x: &[f64], lo: f64, hi: f64, bins: usize) -> Vec<usize> {
-    assert!(bins > 0, "histogram needs at least one bin");
-    assert!(hi > lo, "histogram range must be non-empty");
-    let mut counts = vec![0usize; bins];
-    let width = (hi - lo) / bins as f64;
-    for &v in x {
-        let idx = (((v - lo) / width).floor() as isize).clamp(0, bins as isize - 1) as usize;
-        counts[idx] += 1;
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,19 +223,5 @@ mod tests {
         let r = autocorrelation(&[1.0, 2.0], 5);
         assert_eq!(r.len(), 6);
         assert_eq!(r[3], 0.0);
-    }
-
-    #[test]
-    fn histogram_counts() {
-        let x = [0.1, 0.2, 0.6, 0.9, -1.0, 2.0];
-        let h = histogram(&x, 0.0, 1.0, 2);
-        // -1.0 clamps into bin 0, 2.0 clamps into bin 1
-        assert_eq!(h, vec![3, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_zero_bins_panics() {
-        let _ = histogram(&[1.0], 0.0, 1.0, 0);
     }
 }

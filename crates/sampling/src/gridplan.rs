@@ -1,7 +1,6 @@
 //! Planned PNBS reconstruction (paper eq. 6) — the workspace's hottest
-//! loop — in three iteration orders over one row builder: a cross-point
-//! rotor walk for uniform grids, phase-major reconstruction for grids
-//! on a rational lattice of the sample period, and arbitrary instants.
+//! loop — in two iteration orders over one row builder: phase-major
+//! reconstruction of uniform grids, and arbitrary instants.
 //! Beside them, [`ProbeSums`] reuses the row builder's parts to
 //! summarize a capture at fixed probe instants once, so the dual-rate
 //! cost can evaluate any delay candidate without building a row (see
@@ -25,7 +24,8 @@
 //! - **Time phasors.** Each cosine family's phasor
 //!   `e^{jωⱼ(t − n_ref·T)}` is the only per-instant trigonometry: three
 //!   `sincos` per instant, or on a uniform grid one grid-step rotation
-//!   per point.
+//!   per row, with an exact re-seed every [`GRID_BLOCK_LEN`] grid
+//!   points bounding phase drift.
 //! - **Factored per-sample tables.** The kernel numerator is a fixed
 //!   linear combination `Σⱼ αⱼcos(ωⱼτ) + βⱼsin(ωⱼτ)`, and `τ = t − nT`
 //!   splits by the angle-sum identity into the time phasor times a
@@ -44,14 +44,6 @@
 //!   instant the `1/τ` pole would amplify the tables' bounded phase
 //!   error, so that tap (at most one per stream) is evaluated exactly.
 //!
-//! # The walk
-//!
-//! On a uniform grid the time phasors advance once per point by the
-//! grid-step rotor `e^{jωⱼ·Δt}`, with an exact re-seed every
-//! [`GRID_BLOCK_LEN`] absolute grid points bounding phase drift; the
-//! tables cover the grid's sample span, phased from its first tap
-//! window center.
-//!
 //! # Arbitrary instants
 //!
 //! [`PnbsGridPlan::try_reconstruct_instants`] seeds every instant's
@@ -60,7 +52,7 @@
 //! only on the plan, the capture and `t`: a batch and a single-point
 //! call are bit-identical.
 //!
-//! # Phase-major reconstruction on rational grids
+//! # Phase-major reconstruction of uniform grids
 //!
 //! A fixed-rate sampler serving several standards puts every builtin
 //! analysis grid on a small rational fraction of the sample period:
@@ -73,27 +65,36 @@
 //! relative error ≤ 1e-12, at least four points per phase, and an
 //! accumulated lattice phase error over the whole grid of at most
 //! 1e-10 rad at the kernel's fastest oscillation (far inside the 1e-9
-//! equivalence budget). Such grids are reconstructed **phase-major**
-//! in super-blocks of [`SUPER_BLOCK_LEN`] consecutive points: the walk
-//! runs over the first `q` grid points only, emitting each point's
-//! weight row instead of its dot product, and the row of residue `r`
-//! is applied to every point of that residue in the super-block —
-//! one 2 × `num_taps` dot product per point instead of a row build.
-//! Every other grid keeps the walk; both paths share one row builder
-//! and one dot product.
+//! equivalence budget). Grids are reconstructed **phase-major** in
+//! super-blocks of [`SUPER_BLOCK_LEN`] consecutive points: the time
+//! phasors advance by the grid-step rotor `e^{jωⱼ·Δt}` over the first
+//! `q` grid points only, each emitting its weight row, and the row of
+//! residue `r` is applied to every point of that residue in the
+//! super-block — one 2 × `num_taps` dot product per point instead of a
+//! row build.
+//!
+//! **The one-period lattice.** A uniform grid on no short lattice is
+//! the phase-major grid whose period is the whole grid, `q = n` (and
+//! `p = 0`, never read): every point is its own residue and gets its
+//! own row, built in grid order from the rotor. A super-block then
+//! steps only through its own residues, starting on a re-seed
+//! boundary, and the tables cover exactly the grid's tap windows.
 //!
 //! **Tie rule.** When `t_r/T` sits exactly half a sample from a sample
 //! instant (one residue per grid whenever `t0` is a sample instant and
 //! `q` is even), the per-point `round(t/T)` that picks the tap window
-//! flips with float noise from point to point, and the walk and the
-//! direct reference follow each flip. Phase-major reconstruction
-//! evaluates the same per-point rounding and, where it departs from
-//! the lattice prediction, applies a second row built for the shifted
-//! tap window — so every point reproduces the per-point choice.
+//! flips with float noise from point to point, and the direct
+//! reference follows each flip. Phase-major reconstruction evaluates
+//! the same per-point rounding and, where it departs from the lattice
+//! prediction, applies a second row built for the shifted tap window —
+//! so every point reproduces the per-point choice. The tables carry one
+//! sample of margin on each side for that shifted window, on short
+//! lattices only: a one-period grid has no second point per residue.
 //!
 //! **Memory bound.** Only one row (plus the tie residue's second row)
 //! is in flight, and every super-block rebuilds its rows from the grid
-//! start: values do not depend on chunking, so the batch
+//! start (on the one-period lattice, from its own first point's
+//! re-seed): values do not depend on chunking, so the batch
 //! ([`PnbsGridPlan::reconstruct_grid`]) and the block feed
 //! ([`PnbsGridPlan::reconstruct_blocks`]) share one producer and stay
 //! bit-identical, and the feed holds at most one super-block (64 KiB).
@@ -131,8 +132,8 @@ pub use probe_sums::{ProbeSums, ProbeSumsError, PROBE_TAPS, PROBE_WINDOW};
 /// phasors. The grid-step rotor's phase error grows O(points·ε);
 /// re-seeding every 256 points caps it at ≈ 6e-14 rad — far below the
 /// near-origin guard's budget — for arbitrarily long grids, and because
-/// the schedule is absolute, walking a grid in chunks that start on
-/// these boundaries is bit-identical to one monolithic walk.
+/// the schedule is absolute, a super-block that starts its rotor on one
+/// of these boundaries reproduces the rows of one pass from the start.
 pub const GRID_BLOCK_LEN: usize = 256;
 
 /// Internal alias documenting the re-seed role of [`GRID_BLOCK_LEN`].
@@ -149,7 +150,7 @@ pub const SUPER_BLOCK_LEN: usize = 32 * GRID_BLOCK_LEN;
 const MAX_LATTICE_PHASES: i64 = 4096;
 
 /// Fewest grid points per lattice phase for which rebuilding `q` rows
-/// pays off against walking every point.
+/// per super-block pays off against one row per point.
 const MIN_POINTS_PER_PHASE: usize = 4;
 
 /// Largest relative error `|step/T − p/q| / (step/T)` of an accepted
@@ -304,7 +305,9 @@ impl GridWindow {
     }
 }
 
-/// A grid step of exactly `p/q` sample periods, in lowest terms.
+/// A grid step of exactly `p/q` sample periods, in lowest terms; a
+/// grid on no short lattice is the one-period lattice `q = n`, `p = 0`
+/// (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Lattice {
     p: i64,
@@ -312,10 +315,9 @@ struct Lattice {
 }
 
 impl Lattice {
-    /// The rational lattice an `n`-point grid of spacing `step` sits on
-    /// against sample period `period`, when phase-major reconstruction
-    /// applies (see the module docs); `omega_max` is the kernel's
-    /// fastest angular frequency.
+    /// The short rational lattice an `n`-point grid of spacing `step`
+    /// sits on against sample period `period`, if any (see the module
+    /// docs); `omega_max` is the kernel's fastest angular frequency.
     fn detect(step: f64, period: f64, n: usize, omega_max: f64) -> Option<Self> {
         let x = step / period;
         // Coarser-than-a-million-samples steps are not analysis grids;
@@ -360,9 +362,7 @@ impl Lattice {
 /// The order in which a producer visits its points.
 #[derive(Clone, Copy, Debug)]
 enum Order<'t> {
-    /// The cross-point rotor walk over a uniform grid.
-    Walk,
-    /// Phase-major reconstruction of a grid on a rational lattice.
+    /// Phase-major reconstruction of a uniform grid.
     PhaseMajor(Lattice),
     /// Arbitrary instants, each seeding its time phasors exactly.
     Instants(&'t [f64]),
@@ -386,12 +386,12 @@ struct GridFeed<'t> {
 }
 
 impl GridFeed<'_> {
-    /// Points one producer call emits: a super-block on the
-    /// phase-major path, one re-seed block otherwise.
+    /// Points one producer call emits: a super-block of a grid, one
+    /// block of arbitrary instants.
     fn chunk_len(&self) -> usize {
         match self.order {
             Order::PhaseMajor(_) => SUPER_BLOCK_LEN,
-            Order::Walk | Order::Instants(_) => GRID_BLOCK_LEN,
+            Order::Instants(_) => GRID_BLOCK_LEN,
         }
     }
 }
@@ -817,16 +817,16 @@ impl PnbsGridPlan {
             })
     }
 
-    /// The tap-window centers `(nc_first, nc_last)` of the `n`-point
-    /// grid's end points, or `None` when the grid leaves the capture's
-    /// coverage. `n` must be positive.
-    fn grid_centers(
+    /// The tap-window center of the `n`-point grid's first point, or
+    /// `None` when the grid leaves the capture's coverage. `n` must be
+    /// positive.
+    fn grid_start_center(
         &self,
         capture: &NonuniformCapture,
         t0: f64,
         step: f64,
         n: usize,
-    ) -> Option<(i64, i64)> {
+    ) -> Option<i64> {
         let period = capture.period();
         let h = self.half_taps as i64;
         // The grid is monotone, so endpoint tap windows bound every
@@ -838,10 +838,10 @@ impl PnbsGridPlan {
         {
             return None;
         }
-        Some((nc_first, nc_last))
+        Some(nc_first)
     }
 
-    /// Picks the grid's path from its geometry, checks coverage and
+    /// Finds the grid's lattice from its geometry, checks coverage and
     /// fills the factored tables the producer reads.
     fn prepare(
         &self,
@@ -854,14 +854,15 @@ impl PnbsGridPlan {
     ) -> Option<GridFeed<'static>> {
         assert!(step > 0.0, "grid step must be positive");
         let omega_max = self.w.iter().fold(0.0f64, |m, w| m.max(w.abs()));
-        let lattice = Lattice::detect(step, capture.period(), n, omega_max);
+        let lattice =
+            Lattice::detect(step, capture.period(), n, omega_max).unwrap_or(Lattice { p: 0, q: n });
         self.prepare_feed(capture, t0, step, n, lattice, simd, scratch)
     }
 
-    /// [`prepare`](Self::prepare) on a given path: the tables cover the
-    /// whole grid's sample span for the walk, and the first `q` points'
-    /// span (one sample of margin each side for the tie residue's
-    /// shifted window) on the phase-major path.
+    /// [`prepare`](Self::prepare) on a given lattice: the tables cover
+    /// the tap windows of the first `q` points, with one sample of
+    /// margin each side for the tie residue's shifted window when the
+    /// lattice is shorter than the grid.
     #[allow(clippy::too_many_arguments)]
     fn prepare_feed(
         &self,
@@ -869,7 +870,7 @@ impl PnbsGridPlan {
         t0: f64,
         step: f64,
         n: usize,
-        lattice: Option<Lattice>,
+        lattice: Lattice,
         simd: bool,
         scratch: &mut GridScratch,
     ) -> Option<GridFeed<'static>> {
@@ -879,23 +880,18 @@ impl PnbsGridPlan {
             n,
             tab_first: 0,
             n_ref: 0,
-            order: lattice.map_or(Order::Walk, Order::PhaseMajor),
+            order: Order::PhaseMajor(lattice),
             simd,
         };
         if n == 0 {
             return Some(feed);
         }
-        let (nc_first, nc_last) = self.grid_centers(capture, t0, step, n)?;
+        let nc_first = self.grid_start_center(capture, t0, step, n)?;
         let period = capture.period();
         let h = self.half_taps as i64;
-        let (lo, hi) = match lattice {
-            Some(lat) => {
-                let t_last_row = t0 + (lat.q - 1) as f64 * step;
-                let nc_last_row = (t_last_row / period).round() as i64;
-                (nc_first - h - 1, nc_last_row + h + 1)
-            }
-            None => (nc_first - h, nc_last + h),
-        };
+        let nc_last_row = ((t0 + (lattice.q - 1) as f64 * step) / period).round() as i64;
+        let margin = i64::from(lattice.q < n);
+        let (lo, hi) = (nc_first - h - margin, nc_last_row + h + margin);
         feed.tab_first = lo;
         feed.n_ref = nc_first;
         self.fill_sample_tables(period, lo, (hi - lo + 1) as usize, nc_first, scratch);
@@ -907,7 +903,7 @@ impl PnbsGridPlan {
     /// x86-64 hosts with hardware FMA unless `RFBIST_FORCE_SCALAR` is
     /// set or the feed pins the portable kernel. The single producer
     /// behind the batch grid, the block feed and arbitrary instants. On
-    /// the walk, `i0` must be a multiple of [`GRID_BLOCK_LEN`].
+    /// a grid, `i0` must be a multiple of [`SUPER_BLOCK_LEN`].
     fn produce(
         &self,
         capture: &NonuniformCapture,
@@ -986,8 +982,8 @@ impl PnbsGridPlan {
         self.produce_body::<true>(capture, feed, i0, i1, scratch)
     }
 
-    /// The producer kernel: the walk, the phase-major super-block or a
-    /// run of arbitrary instants, with every multiply-add fused when `FMA` (the
+    /// The producer kernel: a phase-major super-block or a run of
+    /// arbitrary instants, with every multiply-add fused when `FMA` (the
     /// `#[target_feature]` instantiations) and plain `*`/`+` otherwise.
     #[inline(always)]
     fn produce_body<const FMA: bool>(
@@ -1028,43 +1024,9 @@ impl PnbsGridPlan {
             Order::PhaseMajor(lat) => {
                 self.phase_major_body::<FMA>(capture, feed, lat, &ctx, i0, i1, row, alt, out)
             }
-            Order::Walk => self.walk_body::<FMA>(capture, feed, &ctx, i0, i1, row, out),
             Order::Instants(times) => {
                 self.instants_body::<FMA>(capture, feed, &ctx, &times[i0..i1], row, out)
             }
-        }
-    }
-
-    /// The walk: builds every point's row, advancing the time phasors
-    /// point to point, and appends its dot product with the capture.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn walk_body<const FMA: bool>(
-        &self,
-        capture: &NonuniformCapture,
-        feed: &GridFeed<'_>,
-        ctx: &RowCtx<'_>,
-        i0: usize,
-        i1: usize,
-        row: &mut WeightRow,
-        out: &mut Vec<f64>,
-    ) {
-        debug_assert!(
-            i0.is_multiple_of(TIME_RESEED_INTERVAL),
-            "walk chunks must start on a re-seed boundary"
-        );
-        let h = self.half_taps as i64;
-        let t_ref = feed.n_ref as f64 * ctx.period;
-        let mut rot = TimeRotor::new(&self.w, feed.step);
-        out.reserve(i1 - i0);
-        for i in i0..i1 {
-            let t = feed.t0 + i as f64 * feed.step;
-            rot.seed_if_due(i, &self.w, t - t_ref);
-            let t_idx = t / ctx.period;
-            let first = t_idx.round() as i64 - h;
-            self.point_row::<FMA>(ctx, &rot.phasors(), t, t_idx, first, row);
-            out.push(dot_row::<FMA>(capture, first, row));
-            rot.advance();
         }
     }
 
@@ -1092,12 +1054,15 @@ impl PnbsGridPlan {
         }
     }
 
-    /// One phase-major super-block: walks the first `q` grid points,
-    /// building residue `r`'s row at point `r`, and applies it to every
-    /// point `r + m·q` of the block with the tap window shifted by
-    /// `m·p` samples. A point whose own `round(t/T)` departs from that
-    /// prediction (the half-sample tie residue) takes the second row,
-    /// built for its shifted window. Appends points `i0 .. i1`.
+    /// One phase-major super-block: steps the rotor through the first
+    /// `q` grid points, building residue `r`'s row at point `r`, and
+    /// applies it to every point `r + m·q` of the block with the tap
+    /// window shifted by `m·p` samples. A point whose own `round(t/T)`
+    /// departs from that prediction (the half-sample tie residue) takes
+    /// the second row, built for its shifted window. When no residue
+    /// repeats inside the block (`q ≥ i1`, the one-period lattice) only
+    /// the block's own residues `i0 .. i1` are visited, the rotor
+    /// starting on the re-seed at `i0`. Appends points `i0 .. i1`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn phase_major_body<const FMA: bool>(
@@ -1118,7 +1083,16 @@ impl PnbsGridPlan {
         out.resize(base + (i1 - i0), 0.0);
         let block = &mut out[base..];
         let mut rot = TimeRotor::new(&self.w, feed.step);
-        for r in 0..lat.q {
+        let residues = if lat.q >= i1 {
+            debug_assert!(
+                i0.is_multiple_of(TIME_RESEED_INTERVAL),
+                "super-blocks start on a re-seed boundary"
+            );
+            i0..i1
+        } else {
+            0..lat.q
+        };
+        for r in residues {
             let t_r = feed.t0 + r as f64 * feed.step;
             rot.seed_if_due(r, &self.w, t_r - t_ref);
             // first point of residue r inside the block
@@ -1213,9 +1187,9 @@ impl PnbsGridPlan {
     /// Streams the `n` uniform grid instants `t0, t0 + step, …` as
     /// [`GRID_BLOCK_LEN`]-point blocks, one per
     /// [`GridBlocks::next_block`] call, with no allocation per block in
-    /// steady state. The producer fills `scratch` one chunk ahead — one
-    /// re-seed block on the walk, one [`SUPER_BLOCK_LEN`] super-block on
-    /// the phase-major path — so the full grid never materializes.
+    /// steady state. The producer fills `scratch` one
+    /// [`SUPER_BLOCK_LEN`] super-block ahead, so the full grid never
+    /// materializes.
     /// Returns `None` when the grid is not fully inside the capture's
     /// coverage.
     ///
@@ -1694,15 +1668,15 @@ mod tests {
             .iter()
             .all(|&s| s == GRID_BLOCK_LEN));
         assert_eq!(*sizes.last().unwrap(), n % GRID_BLOCK_LEN);
-        // blocks start on re-seed boundaries, so the feed is
-        // bit-identical to the monolithic walk — not just close
+        // the feed runs the batch's producer over the same
+        // super-blocks, so it is bit-identical — not just close
         assert_eq!(got, want);
     }
 
     #[test]
     fn block_feed_handles_origin_branch_and_bartlett_fallback() {
         // exact sample instants exercise the near-origin guard inside
-        // the block walk; Bartlett's kinked shape exercises the
+        // the block feed; Bartlett's kinked shape exercises the
         // non-cubic window-row fallback
         let tone = Tone::unit(1.01e9);
         let t_s = 1.0 / B;
@@ -1915,8 +1889,9 @@ mod tests {
         assert!(result.is_err(), "out-of-coverage instants must panic");
     }
 
-    /// The walk's values on a grid, bypassing lattice detection.
-    fn walk_values(
+    /// A grid's values on the one-period lattice, bypassing lattice
+    /// detection: one row per point, built in grid order.
+    fn one_period_values(
         plan: &PnbsGridPlan,
         cap: &NonuniformCapture,
         t0: f64,
@@ -1925,13 +1900,9 @@ mod tests {
     ) -> Vec<f64> {
         let mut scratch = GridScratch::new();
         let feed = plan
-            .prepare_feed(cap, t0, step, n, None, true, &mut scratch)
+            .prepare_feed(cap, t0, step, n, Lattice { p: 0, q: n }, true, &mut scratch)
             .expect("grid inside coverage");
-        scratch.out.clear();
-        for i0 in (0..n).step_by(GRID_BLOCK_LEN) {
-            plan.produce(cap, &feed, i0, (i0 + GRID_BLOCK_LEN).min(n), &mut scratch);
-        }
-        scratch.out
+        plan.drain(cap, &feed, &mut scratch).to_vec()
     }
 
     fn omega_max(plan: &PnbsGridPlan) -> f64 {
@@ -1985,7 +1956,9 @@ mod tests {
         let t_s = 1.0 / B;
         let cap = NonuniformCapture::from_signal(&tone, t_s, D, -60, 400);
         let plan = PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0));
-        // off-sample and on-sample starts, 4 GHz and T/8 lattices
+        // the detected lattice's shared rows against one row per point
+        // (the one-period lattice); off-sample and on-sample starts,
+        // 4 GHz and T/8 lattices
         for (t0, step, n) in [
             (0.5e-6, 2.5e-10, 4000),
             (80.0 * t_s, 2.5e-10, 9000),
@@ -1993,10 +1966,47 @@ mod tests {
         ] {
             let mut scratch = GridScratch::new();
             let got = plan.reconstruct_grid(&cap, t0, step, n, &mut scratch);
-            let want = walk_values(&plan, &cap, t0, step, n);
+            let want = one_period_values(&plan, &cap, t0, step, n);
             for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
                 assert!((g - w).abs() < 1e-10, "t0 {t0:e} point {i}: {g} vs {w}");
             }
+        }
+    }
+
+    #[test]
+    fn one_period_grid_matches_instants_and_reference() {
+        // a 4 GHz grid detuned by √2·1e-6 sits on no short lattice, so
+        // it runs as one period of 17384 residues: past two super-blocks
+        // and many re-seed boundaries
+        let tone = Tone::unit(1.013e9);
+        let cap = NonuniformCapture::from_signal(&tone, 1.0 / B, D, -50, 700);
+        let plan = PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0));
+        let (t0, step, n) = (0.5e-6, 2.5e-10 * (1.0 + 2f64.sqrt() * 1e-6), 17_384);
+        assert!(n > 2 * SUPER_BLOCK_LEN);
+        assert_eq!(
+            Lattice::detect(step, cap.period(), n, omega_max(&plan)),
+            None
+        );
+        let mut scratch = GridScratch::new();
+        let got = plan
+            .reconstruct_grid(&cap, t0, step, n, &mut scratch)
+            .to_vec();
+        let mut bs = GridScratch::new();
+        let mut blocks = plan.reconstruct_blocks(&cap, t0, step, n, &mut bs);
+        let mut fed = Vec::new();
+        while let Some(block) = blocks.next_block() {
+            fed.extend_from_slice(block);
+        }
+        assert_eq!(fed, got, "block feed diverged from the batch grid");
+        let times = grid_times(t0, step, n);
+        let want = plan.reconstruct_instants(&cap, &times, &mut scratch);
+        for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+            assert!((g - w).abs() < 1e-10, "point {i}: {g} vs {w}");
+        }
+        let rec = PnbsReconstructor::paper_default(band(), D).unwrap();
+        for i in (0..n).step_by(97) {
+            let w = rec.reconstruct_at_reference(&cap, times[i]);
+            assert!((got[i] - w).abs() < 1e-9, "point {i}: {} vs {w}", got[i]);
         }
     }
 
@@ -2020,7 +2030,7 @@ mod tests {
         assert!(flips > 0, "the fixture must exercise the shifted window");
         let mut scratch = GridScratch::new();
         let got = plan.reconstruct_grid(&cap, t0, step, n, &mut scratch);
-        let want = walk_values(&plan, &cap, t0, step, n);
+        let want = one_period_values(&plan, &cap, t0, step, n);
         for i in (r..n).step_by(400) {
             assert!(
                 (got[i] - want[i]).abs() < 1e-10,

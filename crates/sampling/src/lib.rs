@@ -8,15 +8,12 @@
 //!   eq. 2) and the delay constraints (eq. 3),
 //! - [`reconstruct`]: windowed finite-tap PNBS reconstruction (eq. 6),
 //! - [`gridplan`]: the planned engine behind it (factored per-sample
-//!   phasor tables, tabulated windows; a rotor walk on uniform grids,
-//!   phase-major reconstruction on rational grids, and arbitrary
-//!   instants),
+//!   phasor tables, tabulated windows; phase-major reconstruction of
+//!   uniform grids, and arbitrary instants),
 //! - [`dualrate`]: the dual-rate non-degeneracy conditions (eq. 9) and
 //!   the search bound `m`,
 //! - [`error`]: reconstruction-sensitivity bounds (eq. 4) and skew
-//!   budgets (eq. 5),
-//! - [`fixedpoint`]: fixed-point tap quantization (hardware-mapping
-//!   ablation).
+//!   budgets (eq. 5).
 //!
 //! # Example: paper Section V parameters
 //!
@@ -37,7 +34,6 @@
 pub mod band;
 pub mod dualrate;
 pub mod error;
-pub mod fixedpoint;
 pub mod gridplan;
 pub mod kohlenberg;
 pub mod pbs;

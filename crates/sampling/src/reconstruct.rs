@@ -348,10 +348,10 @@ impl PnbsReconstructor {
     }
 
     /// Reconstructs the `n` uniform grid instants `t0, t0 + step, …`
-    /// through the plan's grid orders — the entry point for dense
-    /// analysis grids (walked with cross-point rotor reuse, or
-    /// reconstructed phase-major when the step is a small rational
-    /// fraction of the sample period). Equivalent to
+    /// through the plan's phase-major grid order — the entry point for
+    /// dense analysis grids (one row per residue of the step's rational
+    /// lattice of the sample period, or one row per point on grids off
+    /// any short lattice). Equivalent to
     /// [`reconstruct_batch`](Self::reconstruct_batch) over the same
     /// instants to ≪ 1e-9.
     ///

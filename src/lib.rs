@@ -3,15 +3,15 @@
 //! A full reproduction of *"A flexible BIST strategy for SDR
 //! transmitters"* (Dogaru, Vinci dos Santos, Rebernak — DATE 2014) as a
 //! production-quality Rust workspace. This facade crate re-exports the
-//! sub-crates; see the README for the architecture overview and
-//! `DESIGN.md`/`EXPERIMENTS.md` for the experiment index.
+//! sub-crates; see the README for the architecture overview ("Workspace
+//! layout") and the experiment index ("Experiment binaries").
 //!
 //! ## Layer map
 //!
 //! | module | crate | role |
 //! |---|---|---|
 //! | [`math`] | `rfbist-math` | complex/FFT/special-function kernel |
-//! | [`dsp`] | `rfbist-dsp` | windows, filters, PSD, metrics |
+//! | [`dsp`] | `rfbist-dsp` | windows, pulses, PSD, Goertzel bank |
 //! | [`signal`] | `rfbist-signal` | analytic continuous-time signals |
 //! | [`rfchain`] | `rfbist-rfchain` | behavioral homodyne Tx + faults |
 //! | [`converter`] | `rfbist-converter` | clocks, DCDE, quantizers, BP-TIADC |
@@ -63,9 +63,7 @@ pub mod prelude {
     pub use rfbist_core::jamal::{estimate_skew_jamal, test_tone_for_ratio};
     pub use rfbist_core::lms::{estimate_skew_lms, LmsConfig};
     pub use rfbist_core::mask::{MaskLibrary, MaskSegment, MaskStandard, SpectralMask};
-    pub use rfbist_core::scan::{
-        EarlyVerdict, MaskScanEngine, MaskScanScratch, ScanFeed, StreamScratch,
-    };
+    pub use rfbist_core::scan::{EarlyVerdict, MaskScanEngine, ScanFeed, StreamScratch};
     pub use rfbist_core::service::{
         try_campaign_jobs, DutSpec, ServiceConfig, VerdictJob, VerdictOutcome, VerdictService,
     };

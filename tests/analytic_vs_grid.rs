@@ -1,5 +1,5 @@
-//! Cross-validation of the two modeling styles (DESIGN.md ablation 1):
-//! the analytic continuous-time signal models must agree with a dense
+//! Cross-validation of the two modeling styles: the analytic
+//! continuous-time signal models must agree with a dense
 //! oversampled-grid simulation interpolated back to arbitrary instants.
 
 use rfbist::dsp::resample::fractional_delay;

@@ -1,6 +1,6 @@
 //! Equivalence suite for planned PNBS reconstruction on uniform grids:
-//! `PnbsGridPlan::reconstruct_grid` (the cross-point rotor walk, and
-//! phase-major reconstruction on rational grids) must match both the
+//! `PnbsGridPlan::reconstruct_grid` (phase-major reconstruction, on the
+//! step's rational lattice or the one-period lattice) must match both the
 //! plan's arbitrary-instant order (`reconstruct_batch`) and the direct
 //! eq. 6 evaluation (`*_reference`) to ≤ 1e-9 on the
 //! paper's Section V fixtures — including long grids that exercise the
@@ -70,7 +70,7 @@ fn assert_grid_equivalent(
     assert!(err <= TOL, "nrmse {err:e} above the 1e-9 budget");
 }
 
-/// Asserts the runtime-dispatched grid walk (AVX-512/AVX2 + FMA where
+/// Asserts the runtime-dispatched grid producer (AVX-512/AVX2 + FMA where
 /// detected) against the scalar kernel pinned in-process via the
 /// `try_reconstruct_grid_scalar` hook. On hosts without the features
 /// — or under `RFBIST_FORCE_SCALAR` — both sides run the same scalar
@@ -126,7 +126,7 @@ fn simd_walk_matches_scalar_walk_on_fixture_grids() {
 fn simd_walk_matches_scalar_walk_across_windows() {
     // Smooth windows ride the planar row fill the vector kernels use;
     // the kinked Bartlett shape must agree trivially (both sides fall
-    // back to the scalar walk).
+    // back to the scalar row fill).
     let tone = Tone::unit(1.01e9);
     let cap = NonuniformCapture::from_signal(&tone, 1.0 / B, D, -120, 600);
     for (taps, window) in [
@@ -180,7 +180,7 @@ fn wrong_delay_estimates_grid_matches_per_point() {
 fn long_grid_survives_rotor_renormalization_drift() {
     // ≥ 4096 points: the time phasors cross many renormalization and
     // exact-re-seed boundaries (every 256 points); drift must stay far
-    // inside the 1e-9 budget across the whole walk. 8192 points at the
+    // inside the 1e-9 budget across the whole grid. 8192 points at the
     // engine's 4 GHz analysis rate also covers the BistEngine workload
     // shape.
     let tone = Tone::unit(1.01e9);
@@ -204,7 +204,7 @@ fn grid_on_sample_instants_hits_origin_branch() {
 #[test]
 fn nondefault_taps_and_windows_grid_matches() {
     // Includes the kinked Bartlett shape, which exercises the window
-    // table's direct-sampler fallback inside the grid walk.
+    // table's direct-sampler fallback inside the grid producer.
     let tone = Tone::unit(1.01e9);
     let cap = NonuniformCapture::from_signal(&tone, 1.0 / B, D, -120, 600);
     for (taps, window) in [
@@ -309,7 +309,7 @@ proptest! {
         }
     }
 
-    /// The runtime-dispatched SIMD walk equals the in-process scalar
+    /// The runtime-dispatched SIMD producer equals the in-process scalar
     /// kernel over random bands, admissible delays and grid steps —
     /// NRMSE within the 1e-9 budget at every sampled configuration
     /// (bit-equal wherever no vector unit is dispatched).

@@ -1,5 +1,5 @@
 //! Paper-derived numeric invariants and property-based tests on the
-//! sampling core — the cross-checks DESIGN.md §4 lists.
+//! sampling core.
 
 use proptest::prelude::*;
 use rfbist::math::rng::Randomizer;
