@@ -42,7 +42,11 @@
 //!    against the reference everywhere and ≥ 33× (full) / ≥ 24×
 //!    (quick) where the AVX2/AVX-512+FMA kernels can dispatch (the
 //!    mask_scan-style feature gate; the ratio is reported either way
-//!    on scalar hardware or under `RFBIST_FORCE_SCALAR`).
+//!    on scalar hardware or under `RFBIST_FORCE_SCALAR`). The same grid
+//!    also runs on the portable kernel (`try_reconstruct_grid_on`),
+//!    timed interleaved with the dispatched one: `simd_speedup` is
+//!    asserted (floors in `GRID_SIMD_FLOOR`) where the FMA dispatch is
+//!    active.
 //! 5. **mask_scan** — one spectral-mask verdict, FFT-Welch vs the
 //!    banked Goertzel scan. The speedup floor is asserted only when
 //!    the AVX2+FMA kernels can dispatch (on plain SSE2/NEON the bank
@@ -79,8 +83,20 @@
 //!    direct per-tap baseband (`fixtures::reference_rf_output`), timed
 //!    interleaved in one rep loop. The two captures must be
 //!    bit-identical, and the speedup is asserted (≥ 1.6× full / ≥ 1.5×
-//!    quick). Timed last, after the LMS, so it cannot move any other
-//!    section's readings.
+//!    quick). Timed last, after the LMS and the probe sums, so it
+//!    cannot move any other section's readings.
+//! 9. **probe_sums** — the `cost_grid` fixture's probe sums built and
+//!    evaluated on the dispatched kernel arm and on the portable one
+//!    (`ProbeSums::{try_new_on, eval_into_on}`), interleaved:
+//!    `build_simd_speedup` and `eval_simd_speedup`, asserted where the
+//!    FMA dispatch is active (`PROBE_BUILD_SIMD_FLOOR`,
+//!    `PROBE_EVAL_SIMD_FLOOR`).
+//! 10. **fma_bound** — informational, not gated: each eight-lane
+//!     kernel's counted multiply-adds per op (a grid point's dot
+//!     product, a probe row's build, a probe's evaluation) and the
+//!     fraction of an in-run peak (`fma_peak`: eight register-resident
+//!     accumulator chains on the dispatched arm) its measured time
+//!     reaches.
 
 use rfbist::fixtures::reference_rf_output;
 use rfbist_bench::{paper_cost, paper_stimulus, paper_tx, Frontend};
@@ -91,11 +107,12 @@ use rfbist_core::lms::{estimate_skew_lms, LmsConfig};
 use rfbist_core::mask::SpectralMask;
 use rfbist_core::scan::{EarlyVerdict, MaskScanEngine, ScanFeed, StreamScratch};
 use rfbist_dsp::psd::welch;
+use rfbist_dsp::simd::{Arm, F64x8, Portable};
 use rfbist_dsp::window::Window;
 use rfbist_math::stats::nrmse;
 use rfbist_rfchain::impairments::TxImpairments;
 use rfbist_sampling::band::BandSpec;
-use rfbist_sampling::gridplan::GridScratch;
+use rfbist_sampling::gridplan::{GridScratch, ProbeSums, PROBE_TAPS};
 use rfbist_sampling::reconstruct::{NonuniformCapture, PnbsReconstructor};
 use rfbist_signal::tone::{MultiTone, Tone};
 use rfbist_signal::traits::ContinuousSignal;
@@ -121,6 +138,45 @@ const LMS_FLOOR: (f64, f64) = (100.0, 80.0);
 /// under `RFBIST_FORCE_SCALAR` (12 runs across both modes).
 const CAPTURE_FLOOR: (f64, f64) = (1.6, 1.5);
 
+/// Floors (full, quick) of the dispatched eight-lane kernels' speedup
+/// over their portable instantiation on the same inputs, asserted
+/// where the FMA dispatch is active. Readings on a 2-core AVX-512 VM
+/// (AVX-512 arm; the AVX2 arm reads about the same there), against
+/// the same kernels with `[f64; 8]` array accumulators, which LLVM
+/// compiled 2-wide or scalar:
+///
+/// | ratio | quick | full | arrays |
+/// |---|---|---|---|
+/// | `grid_reconstruct.simd_speedup` | 1.77–2.29x | 1.91–2.25x | 1.22–1.45x |
+/// | `probe_sums.build_simd_speedup` | 2.49–3.11x | 2.07–3.09x | 1.33–1.52x |
+/// | `probe_sums.eval_simd_speedup` | 1.11–1.48x | 1.21–1.54x | 0.87–0.99x |
+///
+/// An evaluation's fixed cost (its weights and basis) weighs more
+/// with quick mode's 80 probes, hence the lower quick eval ratio.
+const GRID_SIMD_FLOOR: (f64, f64) = (1.6, 1.5);
+const PROBE_BUILD_SIMD_FLOOR: (f64, f64) = (1.75, 1.9);
+const PROBE_EVAL_SIMD_FLOOR: (f64, f64) = (1.1, 1.05);
+
+/// Evaluation sweeps per interleaved rep of `probe_sums`: one sweep of
+/// the candidates takes only tens of microseconds.
+const EVAL_SWEEPS: usize = 8;
+
+/// Interleaved reps per `cfg.reps` of the dispatched-vs-portable
+/// ratios (each rep times a few milliseconds of work or less).
+const SIMD_RATIO_REPS: usize = 4;
+
+/// Multiply-adds of one grid point's dot product: both streams' taps.
+const GRID_DOT_FMAS: usize = 2 * PROBE_TAPS;
+
+/// Multiply-adds of one probe row's build: one six-plane pass over the
+/// 64 zero-padded taps for the even stream and one per Chebyshev node
+/// (9) for the odd one.
+const PROBE_BUILD_FMAS: usize = (1 + 9) * 6 * 64;
+
+/// Multiply-adds of one probe's evaluation: its `6 + 6·9`-value row
+/// dotted with the weight vector.
+const PROBE_EVAL_FMAS: usize = 6 + 6 * 9;
+
 struct Config {
     quick: bool,
     out: String,
@@ -128,6 +184,28 @@ struct Config {
     reps: usize,
     probes: usize,
     candidates: usize,
+}
+
+/// Runs each closure of `work` (each performing `ops` operations) once
+/// per rep, in turn, `reps` times, and returns each one's median ns/op:
+/// slow drift on a shared machine hits all of them alike.
+fn interleaved_medians<const K: usize>(
+    reps: usize,
+    ops: usize,
+    mut work: [&mut dyn FnMut(); K],
+) -> [f64; K] {
+    let mut samples: [Vec<f64>; K] = std::array::from_fn(|_| Vec::with_capacity(reps));
+    for _ in 0..reps {
+        for (w, sample) in work.iter_mut().zip(&mut samples) {
+            let start = Instant::now();
+            w();
+            sample.push(start.elapsed().as_nanos() as f64 / ops as f64);
+        }
+    }
+    samples.map(|mut v| {
+        v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        v[v.len() / 2]
+    })
 }
 
 /// Runs `work` (a closure performing `ops` operations) `reps` times and
@@ -277,23 +355,22 @@ fn bench_capture(cfg: &Config) -> CaptureResult {
     let bits = capture_pair_bits(&rf, &bist);
     let bit_identical = bits == capture_pair_bits(&reference, &bist);
 
-    let mut samples: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-    for _ in 0..3 * cfg.reps {
-        let start = Instant::now();
-        for _ in 0..pairs {
-            black_box(capture_pair_bits(&reference, &bist));
-        }
-        samples[0].push(start.elapsed().as_nanos() as f64 / pairs as f64);
-        let start = Instant::now();
-        for _ in 0..pairs {
-            black_box(capture_pair_bits(&rf, &bist));
-        }
-        samples[1].push(start.elapsed().as_nanos() as f64 / pairs as f64);
-    }
-    let [reference_ns, ns] = samples.map(|mut v| {
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        v[v.len() / 2]
-    });
+    let [reference_ns, ns] = interleaved_medians(
+        3 * cfg.reps,
+        pairs,
+        [
+            &mut || {
+                for _ in 0..pairs {
+                    black_box(capture_pair_bits(&reference, &bist));
+                }
+            },
+            &mut || {
+                for _ in 0..pairs {
+                    black_box(capture_pair_bits(&rf, &bist));
+                }
+            },
+        ],
+    );
     CaptureResult {
         reference_ns,
         ns,
@@ -305,6 +382,10 @@ fn bench_capture(cfg: &Config) -> CaptureResult {
 struct GridReconResult {
     reference_ns: f64,
     grid_ns: f64,
+    /// Median ns/pt of the same grid on the portable kernel
+    /// (`try_reconstruct_grid_on(Arm::Portable, ..)`), timed interleaved
+    /// with `grid_ns`.
+    portable_ns: f64,
     nrmse: f64,
     points: usize,
 }
@@ -336,15 +417,36 @@ fn bench_grid_reconstruct(cfg: &Config) -> GridReconResult {
         black_box(&reference_wave);
     });
 
+    // The dispatched and the portable kernel, interleaved in one rep
+    // loop so drift on a shared machine cancels out of their ratio.
+    let plan = rec.grid_plan();
     let mut grid_scratch = GridScratch::new();
-    let grid_ns = median_ns_per_op(cfg.reps, points, || {
-        black_box(rec.reconstruct_grid(&cap, lo, dt, points, &mut grid_scratch));
-    });
+    let mut portable_scratch = GridScratch::new();
+    let [grid_ns, portable_ns] = interleaved_medians(
+        SIMD_RATIO_REPS * cfg.reps,
+        points,
+        [
+            &mut || {
+                black_box(rec.reconstruct_grid(&cap, lo, dt, points, &mut grid_scratch));
+            },
+            &mut || {
+                black_box(plan.try_reconstruct_grid_on(
+                    Arm::Portable,
+                    &cap,
+                    lo,
+                    dt,
+                    points,
+                    &mut portable_scratch,
+                ));
+            },
+        ],
+    );
     let grid_wave = grid_scratch.values();
 
     GridReconResult {
         reference_ns,
         grid_ns,
+        portable_ns,
         nrmse: nrmse(grid_wave, &reference_wave),
         points,
     }
@@ -487,7 +589,9 @@ fn bench_stream_bist(cfg: &Config) -> StreamBistResult {
         // verdicts (the `run_with` steady state).
         let start = Instant::now();
         for _ in 0..verdicts {
-            let mut stream = scan.stream(&mut stream_scratch, None);
+            let mut stream = scan
+                .stream(&mut stream_scratch, None)
+                .with_capture_len(points);
             let mut blocks = rec.reconstruct_blocks(&cap, lo, dt, points, &mut grid);
             while let Some(block) = blocks.next_block() {
                 if stream.push(block) == ScanFeed::EarlyStop {
@@ -505,7 +609,9 @@ fn bench_stream_bist(cfg: &Config) -> StreamBistResult {
         // Early exit on the gross-violation fixture.
         let start = Instant::now();
         for _ in 0..verdicts {
-            let mut stream = scan.stream(&mut stream_scratch, Some(EarlyVerdict::paper_default()));
+            let mut stream = scan
+                .stream(&mut stream_scratch, Some(EarlyVerdict::paper_default()))
+                .with_capture_len(points);
             let mut blocks = rec.reconstruct_blocks(&spur_cap, spur_lo, dt, points, &mut grid);
             let mut produced = 0usize;
             while let Some(block) = blocks.next_block() {
@@ -674,6 +780,163 @@ fn bench_service(cfg: &Config) -> ServiceResult {
     }
 }
 
+struct ProbeSumsResult {
+    probes: usize,
+    /// Median ns per build of both captures' probe sums, dispatched and
+    /// on the portable kernel, timed interleaved.
+    build_ns: f64,
+    build_portable_ns: f64,
+    /// Median ns per evaluation of both captures' sums at one
+    /// candidate, dispatched and portable, timed interleaved.
+    eval_ns: f64,
+    eval_portable_ns: f64,
+}
+
+/// The `cost_grid` fixture's probe sums, built and evaluated on the
+/// dispatched kernel arm and on the portable one (`ProbeSums`'
+/// `try_new_on`/`eval_into_on` hooks), interleaved in one rep loop.
+/// Run after every other section but `capture`, as `lms` is: the
+/// builds allocate.
+fn bench_probe_sums(cfg: &Config) -> ProbeSumsResult {
+    let cost = paper_cost(Frontend::Paper, cfg.probes, 42);
+    let dual = *cost.config();
+    let captures = [
+        (dual.fast_band(), cost.fast_capture()),
+        (dual.slow_band(), cost.slow_capture()),
+    ];
+    let build = |arm: Arm| {
+        captures.map(|(band, cap)| {
+            ProbeSums::try_new_on(arm, band, cap, cost.times(), dual.m_bound())
+                .expect("probes inside coverage")
+        })
+    };
+    let arm = Arm::detect();
+    let reps = SIMD_RATIO_REPS * cfg.reps;
+    let [build_ns, build_portable_ns] = interleaved_medians(
+        reps,
+        1,
+        [
+            &mut || {
+                black_box(build(arm));
+            },
+            &mut || {
+                black_box(build(Arm::Portable));
+            },
+        ],
+    );
+    let sums = build(arm);
+    let candidates = cost.sweep_candidates(cfg.candidates);
+    let eval = |arm: Arm, out: &mut Vec<f64>| {
+        for _ in 0..EVAL_SWEEPS {
+            for &d in &candidates {
+                for s in &sums {
+                    s.eval_into_on(arm, d, out);
+                    black_box(&*out);
+                }
+            }
+        }
+    };
+    let (mut out, mut portable_out) = (Vec::new(), Vec::new());
+    let [eval_ns, eval_portable_ns] = interleaved_medians(
+        reps,
+        EVAL_SWEEPS * candidates.len(),
+        [&mut || eval(arm, &mut out), &mut || {
+            eval(Arm::Portable, &mut portable_out)
+        }],
+    );
+    ProbeSumsResult {
+        probes: cfg.probes,
+        build_ns,
+        build_portable_ns,
+        eval_ns,
+        eval_portable_ns,
+    }
+}
+
+/// Runs `rounds` rounds of eight independent lane multiply-adds on
+/// kernel arm `arm` (the portable one where this CPU lacks it), all
+/// operands in registers, and returns the lanes' total: the in-run
+/// peak the `fma_bound` report times the eight-lane kernels against.
+fn fma_peak(arm: Arm, rounds: usize) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("fma") {
+        if arm == Arm::Avx512 && std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: AVX-512F + FMA support was just verified at
+            // runtime by is_x86_feature_detected!.
+            return unsafe { fma_peak_avx512(rounds) };
+        }
+        if arm == Arm::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 + FMA support was just verified at runtime
+            // by is_x86_feature_detected!.
+            return unsafe { fma_peak_avx2(rounds) };
+        }
+    }
+    fma_peak_body(Portable::ZERO, rounds)
+}
+
+/// [`fma_peak_body`] compiled with AVX2 + FMA.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 and FMA support on the running
+/// CPU (`is_x86_feature_detected!`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn fma_peak_avx2(rounds: usize) -> f64 {
+    // SAFETY: this function's own contract.
+    fma_peak_body(unsafe { rfbist_dsp::simd::Fma256::new() }, rounds)
+}
+
+/// [`fma_peak_body`] compiled with AVX-512F + FMA.
+///
+/// # Safety
+///
+/// The caller must have verified AVX-512F and FMA support on the
+/// running CPU (`is_x86_feature_detected!`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,fma")]
+unsafe fn fma_peak_avx512(rounds: usize) -> f64 {
+    // SAFETY: this function's own contract.
+    fma_peak_body(unsafe { rfbist_dsp::simd::Fma512::new() }, rounds)
+}
+
+/// [`fma_peak`]'s kernel: eight accumulator chains, each one lane
+/// multiply-add per round.
+#[inline(always)]
+fn fma_peak_body<L: F64x8>(lanes: L, rounds: usize) -> f64 {
+    let (a, b) = black_box(([0.5; 8], [0.5; 8]));
+    let mut acc = [lanes.zero(); 8];
+    for _ in 0..rounds {
+        for x in acc.iter_mut() {
+            *x = x.mul_add(&a, &b);
+        }
+    }
+    let mut total = 0.0;
+    for x in acc {
+        total += x.sum();
+    }
+    total
+}
+
+/// Median ns per eight-lane multiply-add of the register-resident
+/// [`fma_peak`] kernel on the dispatched arm.
+fn bench_fma_peak(cfg: &Config) -> f64 {
+    const ROUNDS: usize = 250_000;
+    median_ns_per_op(SIMD_RATIO_REPS * cfg.reps, 8 * ROUNDS, || {
+        black_box(fma_peak(Arm::detect(), black_box(ROUNDS)));
+    })
+}
+
+/// One kernel's line of the counted-FMA report: `fmas` scalar
+/// multiply-adds per op in `ns` ns, against `peak` ns per eight-lane
+/// multiply-add.
+fn fma_bound_json(fmas: usize, ns: f64, peak: f64) -> String {
+    format!(
+        r#"{{ "fmas_per_op": {fmas}, "ns_per_op": {ns:.2}, "peak_fraction": {:.3} }}"#,
+        fmas as f64 / 8.0 * peak / ns
+    )
+}
+
 fn main() {
     let mut cfg = Config {
         quick: false,
@@ -734,6 +997,13 @@ fn main() {
         grid_recon.points,
         grid_recon.nrmse,
     );
+    let grid_simd_speedup = grid_recon.portable_ns / grid_recon.grid_ns;
+    println!(
+        "grid_reconstruct   {:>10.1} ns/pt portable   {:>10.1} ns/pt {:?} arm  ({grid_simd_speedup:.2}x)",
+        grid_recon.portable_ns,
+        grid_recon.grid_ns,
+        Arm::detect(),
+    );
     let mask_scan = bench_mask_scan(&cfg);
     println!(
         "mask_scan          {:>10.1} us/verdict fft-welch  {:>10.1} us/verdict banked  ({:.2}x, {} of {} bins, margin delta {:.3e} dB)",
@@ -793,6 +1063,48 @@ fn main() {
         lms_speedup,
     );
 
+    let probe_sums = bench_probe_sums(&cfg);
+    let build_simd_speedup = probe_sums.build_portable_ns / probe_sums.build_ns;
+    let eval_simd_speedup = probe_sums.eval_portable_ns / probe_sums.eval_ns;
+    println!(
+        "probe_sums build   {:>10.1} us/cost portable  {:>10.1} us/cost {:?} arm  ({build_simd_speedup:.2}x)",
+        probe_sums.build_portable_ns / 1e3,
+        probe_sums.build_ns / 1e3,
+        Arm::detect(),
+    );
+    println!(
+        "probe_sums eval    {:>10.2} us/cand portable  {:>10.2} us/cand {:?} arm  ({eval_simd_speedup:.2}x)",
+        probe_sums.eval_portable_ns / 1e3,
+        probe_sums.eval_ns / 1e3,
+        Arm::detect(),
+    );
+    // Informational: how close each eight-lane kernel runs to the
+    // register-resident lane-FMA peak, counting its dot-product
+    // multiply-adds only (a grid point also pays its share of row
+    // builds, a probe row its divides and window fills).
+    let peak = bench_fma_peak(&cfg);
+    let per_probe = 2.0 * probe_sums.probes as f64;
+    let fma_kernels = [
+        ("grid_dot", GRID_DOT_FMAS, grid_recon.grid_ns),
+        (
+            "probe_build",
+            PROBE_BUILD_FMAS,
+            probe_sums.build_ns / per_probe,
+        ),
+        (
+            "probe_eval",
+            PROBE_EVAL_FMAS,
+            probe_sums.eval_ns / per_probe,
+        ),
+    ];
+    println!("fma_bound          {peak:>10.3} ns per 8-lane FMA at the in-run peak");
+    for (name, fmas, ns) in fma_kernels {
+        println!(
+            "fma_bound {name:<12} {fmas:>5} FMAs/op {ns:>9.1} ns/op  ({:.1} % of peak)",
+            100.0 * fmas as f64 / 8.0 * peak / ns
+        );
+    }
+
     let capture = bench_capture(&cfg);
     let capture_speedup = capture.reference_ns / capture.ns;
     println!(
@@ -847,7 +1159,25 @@ fn main() {
     "reference_median_ns_per_point": {grid_recon_ref:.2},
     "grid_plan_median_ns_per_point": {grid_recon_grid:.2},
     "speedup": {grid_recon_speedup:.3},
+    "portable_median_ns_per_point": {grid_recon_portable:.2},
+    "simd_speedup": {grid_simd_speedup:.3},
     "grid_vs_reference_nrmse": {grid_recon_nrmse:.3e}
+  }},
+  "probe_sums": {{
+    "probes": {ps_probes},
+    "build_median_ns": {ps_build:.2},
+    "build_portable_median_ns": {ps_build_portable:.2},
+    "build_simd_speedup": {build_simd_speedup:.3},
+    "eval_median_ns_per_candidate": {ps_eval:.2},
+    "eval_portable_median_ns_per_candidate": {ps_eval_portable:.2},
+    "eval_simd_speedup": {eval_simd_speedup:.3}
+  }},
+  "fma_bound": {{
+    "arm": "{fma_arm:?}",
+    "peak_ns_per_lane_fma": {peak:.4},
+    "grid_dot": {fma_grid},
+    "probe_build": {fma_build},
+    "probe_eval": {fma_eval}
   }},
   "mask_scan": {{
     "probed_bins": {scan_bins},
@@ -907,6 +1237,16 @@ fn main() {
         grid_recon_grid = grid_recon.grid_ns,
         grid_recon_speedup = grid_recon.reference_ns / grid_recon.grid_ns,
         grid_recon_nrmse = grid_recon.nrmse,
+        grid_recon_portable = grid_recon.portable_ns,
+        ps_probes = probe_sums.probes,
+        ps_build = probe_sums.build_ns,
+        ps_build_portable = probe_sums.build_portable_ns,
+        ps_eval = probe_sums.eval_ns,
+        ps_eval_portable = probe_sums.eval_portable_ns,
+        fma_arm = Arm::detect(),
+        fma_grid = fma_bound_json(fma_kernels[0].1, fma_kernels[0].2, peak),
+        fma_build = fma_bound_json(fma_kernels[1].1, fma_kernels[1].2, peak),
+        fma_eval = fma_bound_json(fma_kernels[2].1, fma_kernels[2].2, peak),
         scan_bins = mask_scan.probed_bins,
         scan_total = mask_scan.total_bins,
         scan_fft = mask_scan.fft_welch_ns,
@@ -999,6 +1339,40 @@ fn main() {
              dispatch on this CPU (measured {:.2}x)",
             grid_recon.reference_ns / grid_recon.grid_ns
         );
+    }
+    // Vector-width contracts: each dispatched lane kernel against its
+    // portable instantiation, on the same inputs and timed interleaved.
+    // A kernel that LLVM compiles 2-wide or scalar again falls under
+    // its floor; the floors arm only where the FMA dispatch runs.
+    let simd_ratios = [
+        (
+            "grid_reconstruct.simd_speedup",
+            grid_simd_speedup,
+            GRID_SIMD_FLOOR,
+        ),
+        (
+            "probe_sums.build_simd_speedup",
+            build_simd_speedup,
+            PROBE_BUILD_SIMD_FLOOR,
+        ),
+        (
+            "probe_sums.eval_simd_speedup",
+            eval_simd_speedup,
+            PROBE_EVAL_SIMD_FLOOR,
+        ),
+    ];
+    for (name, ratio, (full, quick)) in simd_ratios {
+        let floor = if cfg.quick { quick } else { full };
+        if Arm::detect() != Arm::Portable {
+            assert!(
+                ratio >= floor,
+                "{name} below the {floor}x floor: {ratio:.2}x"
+            );
+        } else {
+            println!(
+                "{name} floor (>= {floor}x) not asserted: no FMA dispatch (measured {ratio:.2}x)"
+            );
+        }
     }
     // Mask-scan contracts: the banked Goertzel path must agree with the
     // FFT-Welch reference on the Section V fixture (they probe the same

@@ -548,7 +548,9 @@ impl BistEngine {
             overlap,
             noise_band,
         )?;
-        let mut scan = engine.stream(stream, cfg.early_verdict);
+        let mut scan = engine
+            .stream(stream, cfg.early_verdict)
+            .with_capture_len(n_grid);
         // Δε accumulators, summed in grid order so a full capture
         // reproduces `nrmse` over the batch wave bit-for-bit.
         let (mut err_num, mut err_den) = (0.0f64, 0.0f64);

@@ -436,6 +436,7 @@ impl MaskScanEngine {
             pushed: 0,
             segments: 0,
             early_stopped: false,
+            capture_len: None,
         }
     }
 }
@@ -543,9 +544,23 @@ pub struct StreamingMaskScan<'a> {
     pushed: usize,
     segments: usize,
     early_stopped: bool,
+    /// The capture's total length, when the feed declared it.
+    capture_len: Option<usize>,
 }
 
 impl StreamingMaskScan<'_> {
+    /// Declares that the feed will push `len` samples in all: a Welch
+    /// segment that cannot complete inside them is then never started.
+    /// The verdict does not change (a trailing partial segment is
+    /// discarded either way); the recurrences just skip its samples —
+    /// on a 12288-point grid segmented 8192/4096, 4096 of 20,480
+    /// sample-advances. Push at most `len` samples.
+    #[must_use]
+    pub fn with_capture_len(mut self, len: usize) -> Self {
+        self.capture_len = Some(len);
+        self
+    }
+
     /// Feeds the next chunk of the capture. Returns
     /// [`ScanFeed::EarlyStop`] once the early-verdict policy has fired
     /// (subsequent pushes are ignored no-ops).
@@ -561,6 +576,11 @@ impl StreamingMaskScan<'_> {
         let start_idx = self.pushed;
         let end_idx = start_idx + samples.len();
         self.pushed = end_idx;
+        let capture_len = self.capture_len.unwrap_or(usize::MAX);
+        debug_assert!(
+            end_idx <= capture_len,
+            "pushed past the declared capture length"
+        );
         // Welch segments intersecting [start_idx, end_idx): segment s
         // covers [s·hop, s·hop + seg).
         let s_lo = if start_idx < seg {
@@ -571,7 +591,8 @@ impl StreamingMaskScan<'_> {
         let s_hi = end_idx.saturating_sub(1) / hop;
         for s in s_lo..=s_hi {
             let seg_start = s * hop;
-            if seg_start >= end_idx {
+            // later segments start later: none of them completes either
+            if seg_start >= end_idx || seg_start + seg > capture_len {
                 break;
             }
             let a = seg_start.max(start_idx);
@@ -905,6 +926,44 @@ mod tests {
         assert_eq!(reports[0], reports[2], "scratch must not leak state");
         assert_eq!(reports[0], scan.scan(&clean));
         assert_eq!(reports[1], scan.scan(&dirty));
+    }
+
+    #[test]
+    fn declared_capture_len_leaves_every_verdict_unchanged() {
+        // 12288 samples in 4096-sample segments at 2048 hop: the last
+        // segment to start, at 10240, cannot complete and is skipped
+        let (scan, _) = engines();
+        let mut scratch = StreamScratch::new();
+        for wave in [spur_wave(12288, 15e6, -70.0), spur_wave(12288, 15e6, -10.0)] {
+            for (chunk, early) in [
+                (256, None),
+                (1000, None),
+                (256, Some(EarlyVerdict::paper_default())),
+            ] {
+                let run = |scratch: &mut StreamScratch, len: Option<usize>| {
+                    let mut stream = scan.stream(scratch, early);
+                    if let Some(len) = len {
+                        stream = stream.with_capture_len(len);
+                    }
+                    for piece in wave.chunks(chunk) {
+                        if stream.push(piece) == ScanFeed::EarlyStop {
+                            break;
+                        }
+                    }
+                    let segments = stream.segments_completed();
+                    (stream.finish(), segments)
+                };
+                let declared = run(&mut scratch, Some(wave.len()));
+                assert_eq!(
+                    declared,
+                    run(&mut scratch, None),
+                    "chunk {chunk}, {early:?}"
+                );
+                if early.is_none() {
+                    assert_eq!(declared.0, scan.scan(&wave));
+                }
+            }
+        }
     }
 
     #[test]

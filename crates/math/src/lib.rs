@@ -5,7 +5,7 @@
 //!
 //! - [`complex`]: a `Complex64` value type with full arithmetic,
 //! - [`fft`]: radix-2 and Bluestein FFTs (any length), plus helpers,
-//! - [`special`]: special functions (modified Bessel `I0`, `erf`, `sinc`),
+//! - [`special`]: special functions (the modified Bessel `I0`, `sinc`),
 //! - [`linalg`]: small dense matrices, linear solves, least squares,
 //! - [`stats`]: descriptive statistics used by measurement code,
 //! - [`interp`]: truncated-sinc interpolation (the grid-simulation oracle),

@@ -109,15 +109,24 @@
 //!
 //! On x86-64 hosts with hardware FMA the producer (row builds and dot
 //! products) runs as `#[target_feature]` AVX-512F or AVX2
-//! recompilations of one safe kernel body, behind the same
-//! `is_x86_feature_detected!` / `RFBIST_FORCE_SCALAR` dispatch as
-//! `rfbist_dsp::goertzel`. The portable instantiation uses plain
-//! `*`/`+` (without hardware FMA, `f64::mul_add` is a libm call). Every
+//! recompilations of one kernel body, behind the
+//! `is_x86_feature_detected!` / `RFBIST_FORCE_SCALAR` dispatch of
+//! [`Arm`]. The row builder is safe Rust that LLVM vectorizes itself;
+//! every multiply-add is fused in the FMA arms and plain `*`/`+` in the
+//! portable one (without hardware FMA, `f64::mul_add` is a libm call).
+//! The dot product runs on the arm's [`F64x8`] lanes: one `__m512d`, two
+//! `__m256d`, or the portable `[f64; 8]`. LLVM paired or scalarized the
+//! loop-carried `[f64; 8]` accumulators the kernel had before (2-wide
+//! xmm FMAs with shuffles, ~95 ns per Section V grid point on a 2-core
+//! AVX-512 VM); on explicit registers a point costs ~55–65 ns, with the
+//! same bits, since every form keeps the lane order of `rfbist_dsp::simd`
+//! (checked by `tests/lane_model.rs` on every arm the host runs). Every
 //! order tracks the direct reference to ≪ 1e-9
 //! (`tests/plan_equivalence.rs`, `tests/grid_plan_equivalence.rs`).
 
 use crate::band::BandSpec;
 use crate::reconstruct::NonuniformCapture;
+use rfbist_dsp::simd::{Arm, F64x8, Portable};
 use rfbist_dsp::window::{Window, WindowTable};
 use rfbist_math::rotor::{fill_phasor_table, sincos};
 use std::cell::RefCell;
@@ -381,8 +390,8 @@ struct GridFeed<'t> {
     /// Phase origin of the tables and time phasors.
     n_ref: i64,
     order: Order<'t>,
-    /// Whether the producer may dispatch to the SIMD kernels.
-    simd: bool,
+    /// The kernel arm the producer runs.
+    arm: Arm,
 }
 
 impl GridFeed<'_> {
@@ -393,6 +402,13 @@ impl GridFeed<'_> {
             Order::PhaseMajor(_) => SUPER_BLOCK_LEN,
             Order::Instants(_) => GRID_BLOCK_LEN,
         }
+    }
+
+    /// The `(i0, i1)` point ranges of the producer calls that cover
+    /// the feed.
+    fn chunks(&self) -> impl Iterator<Item = (usize, usize)> {
+        let (n, len) = (self.n, self.chunk_len());
+        (0..n).step_by(len).map(move |i0| (i0, (i0 + len).min(n)))
     }
 }
 
@@ -683,38 +699,28 @@ impl PnbsGridPlan {
         n: usize,
         scratch: &'s mut GridScratch,
     ) -> Option<&'s [f64]> {
-        self.try_reconstruct_grid_impl(capture, t0, step, n, true, scratch)
+        self.try_reconstruct_grid_on(Arm::detect(), capture, t0, step, n, scratch)
     }
 
-    /// [`try_reconstruct_grid`](Self::try_reconstruct_grid) with the
-    /// SIMD dispatch bypassed unconditionally (not just under
-    /// `RFBIST_FORCE_SCALAR`): the portable kernel runs regardless of
-    /// detected CPU features. A test hook — the equivalence suite uses
-    /// it to pin the dispatched producer against the portable kernel
-    /// inside one process, where the latched environment flag cannot
-    /// flip between the two runs.
+    /// [`try_reconstruct_grid`](Self::try_reconstruct_grid) on kernel
+    /// arm `arm` where this CPU supports it (the portable kernel
+    /// otherwise), whatever the dispatch would pick. A test and
+    /// benchmark hook: the equivalence suites pin the dispatched
+    /// producer against [`Arm::Portable`] inside one process (the
+    /// latched `RFBIST_FORCE_SCALAR` flag cannot flip between runs),
+    /// and the lane-model tests check every arm the host supports, so
+    /// an AVX-512 host also checks the AVX2 arm.
     #[doc(hidden)]
-    pub fn try_reconstruct_grid_scalar<'s>(
+    pub fn try_reconstruct_grid_on<'s>(
         &self,
+        arm: Arm,
         capture: &NonuniformCapture,
         t0: f64,
         step: f64,
         n: usize,
         scratch: &'s mut GridScratch,
     ) -> Option<&'s [f64]> {
-        self.try_reconstruct_grid_impl(capture, t0, step, n, false, scratch)
-    }
-
-    fn try_reconstruct_grid_impl<'s>(
-        &self,
-        capture: &NonuniformCapture,
-        t0: f64,
-        step: f64,
-        n: usize,
-        simd: bool,
-        scratch: &'s mut GridScratch,
-    ) -> Option<&'s [f64]> {
-        let feed = self.prepare(capture, t0, step, n, simd, scratch)?;
+        let feed = self.prepare(capture, t0, step, n, arm, scratch)?;
         Some(self.drain(capture, &feed, scratch))
     }
 
@@ -727,13 +733,38 @@ impl PnbsGridPlan {
         scratch: &'s mut GridScratch,
     ) -> &'s [f64] {
         scratch.out.clear();
-        let mut i0 = 0;
-        while i0 < feed.n {
-            let i1 = (i0 + feed.chunk_len()).min(feed.n);
+        for (i0, i1) in feed.chunks() {
             self.produce(capture, feed, i0, i1, scratch);
-            i0 = i1;
         }
         &scratch.out
+    }
+
+    /// [`try_reconstruct_grid`](Self::try_reconstruct_grid) with the
+    /// dot products on the caller's lanes `L` and every multiply-add of
+    /// the row builder fused as `L`'s are, outside any
+    /// `#[target_feature]` recompilation. A test hook: run on a scalar
+    /// model of the lane order, it reproduces an arm's grid bit for bit
+    /// (`f64::mul_add` rounds the same in hardware and in libm).
+    #[doc(hidden)]
+    pub fn try_reconstruct_grid_lanes<'s, L: F64x8>(
+        &self,
+        lanes: L,
+        capture: &NonuniformCapture,
+        t0: f64,
+        step: f64,
+        n: usize,
+        scratch: &'s mut GridScratch,
+    ) -> Option<&'s [f64]> {
+        let feed = self.prepare(capture, t0, step, n, Arm::Portable, scratch)?;
+        scratch.out.clear();
+        for (i0, i1) in feed.chunks() {
+            if L::FUSED {
+                self.produce_body::<true, L>(capture, &feed, i0, i1, lanes, scratch);
+            } else {
+                self.produce_body::<false, L>(capture, &feed, i0, i1, lanes, scratch);
+            }
+        }
+        Some(&scratch.out)
     }
 
     /// Reconstructs the `n` uniform grid instants `t0, t0 + step, …`
@@ -791,7 +822,7 @@ impl PnbsGridPlan {
             tab_first: capture.n_start(),
             n_ref,
             order: Order::Instants(times),
-            simd: true,
+            arm: Arm::detect(),
         };
         Some(self.drain(capture, &feed, scratch))
     }
@@ -849,14 +880,14 @@ impl PnbsGridPlan {
         t0: f64,
         step: f64,
         n: usize,
-        simd: bool,
+        arm: Arm,
         scratch: &mut GridScratch,
     ) -> Option<GridFeed<'static>> {
         assert!(step > 0.0, "grid step must be positive");
         let omega_max = self.w.iter().fold(0.0f64, |m, w| m.max(w.abs()));
         let lattice =
             Lattice::detect(step, capture.period(), n, omega_max).unwrap_or(Lattice { p: 0, q: n });
-        self.prepare_feed(capture, t0, step, n, lattice, simd, scratch)
+        self.prepare_feed(capture, t0, step, n, lattice, arm, scratch)
     }
 
     /// [`prepare`](Self::prepare) on a given lattice: the tables cover
@@ -871,7 +902,7 @@ impl PnbsGridPlan {
         step: f64,
         n: usize,
         lattice: Lattice,
-        simd: bool,
+        arm: Arm,
         scratch: &mut GridScratch,
     ) -> Option<GridFeed<'static>> {
         let mut feed = GridFeed {
@@ -881,7 +912,7 @@ impl PnbsGridPlan {
             tab_first: 0,
             n_ref: 0,
             order: Order::PhaseMajor(lattice),
-            simd,
+            arm,
         };
         if n == 0 {
             return Some(feed);
@@ -898,12 +929,13 @@ impl PnbsGridPlan {
         Some(feed)
     }
 
-    /// Appends points `i0 .. i1` to `scratch.out`, dispatching to the
-    /// SIMD recompilations of [`produce_body`](Self::produce_body) on
-    /// x86-64 hosts with hardware FMA unless `RFBIST_FORCE_SCALAR` is
-    /// set or the feed pins the portable kernel. The single producer
-    /// behind the batch grid, the block feed and arbitrary instants. On
-    /// a grid, `i0` must be a multiple of [`SUPER_BLOCK_LEN`].
+    /// Appends points `i0 .. i1` to `scratch.out` on the feed's kernel
+    /// arm: the `#[target_feature]` recompilations of
+    /// [`produce_body`](Self::produce_body) where this CPU has the
+    /// arm's features, the portable instantiation otherwise. The single
+    /// producer behind the batch grid, the block feed and arbitrary
+    /// instants. On a grid, `i0` must be a multiple of
+    /// [`SUPER_BLOCK_LEN`].
     fn produce(
         &self,
         capture: &NonuniformCapture,
@@ -913,40 +945,34 @@ impl PnbsGridPlan {
         scratch: &mut GridScratch,
     ) {
         #[cfg(target_arch = "x86_64")]
-        if feed.simd
-            && !rfbist_dsp::simd::force_scalar()
-            && std::arch::is_x86_feature_detected!("fma")
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
+        if std::arch::is_x86_feature_detected!("fma") {
+            if feed.arm == Arm::Avx512 && std::arch::is_x86_feature_detected!("avx512f") {
                 // SAFETY: AVX-512F + FMA support was just verified at
-                // runtime by is_x86_feature_detected!; the kernel body
-                // is ordinary safe Rust, recompiled at wider vectors
-                // with hardware-FMA steps.
+                // runtime by is_x86_feature_detected!.
                 unsafe { self.produce_avx512(capture, feed, i0, i1, scratch) };
                 return;
             }
-            if std::arch::is_x86_feature_detected!("avx2") {
+            if feed.arm == Arm::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: AVX2 + FMA support was just verified at
-                // runtime by is_x86_feature_detected!; same safe kernel
-                // body as the portable path.
+                // runtime by is_x86_feature_detected!.
                 unsafe { self.produce_avx2(capture, feed, i0, i1, scratch) };
                 return;
             }
         }
-        self.produce_body::<false>(capture, feed, i0, i1, scratch)
+        self.produce_body::<false, _>(capture, feed, i0, i1, Portable::ZERO, scratch)
     }
 
     /// [`produce_body`](Self::produce_body) compiled with AVX2 + FMA
-    /// enabled. Selected at runtime by [`produce`](Self::produce);
-    /// agrees with the portable kernel to FMA rounding, far inside
-    /// every consumer's tolerance.
+    /// enabled, its dot products on [`Fma256`](rfbist_dsp::simd::Fma256)
+    /// lanes. Agrees with the portable kernel to FMA rounding, far
+    /// inside every consumer's tolerance.
     ///
     /// # Safety
     ///
     /// The caller must have verified AVX2 and FMA support on the
     /// running CPU (`is_x86_feature_detected!`) before calling —
     /// `#[target_feature]` recompilation emits those instructions
-    /// unconditionally. The body itself is safe Rust.
+    /// unconditionally.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn produce_avx2(
@@ -957,18 +983,21 @@ impl PnbsGridPlan {
         i1: usize,
         scratch: &mut GridScratch,
     ) {
-        self.produce_body::<true>(capture, feed, i0, i1, scratch)
+        // SAFETY: this function's own contract: AVX2 and FMA were
+        // verified.
+        let lanes = unsafe { rfbist_dsp::simd::Fma256::new() };
+        self.produce_body::<true, _>(capture, feed, i0, i1, lanes, scratch)
     }
 
     /// [`produce_body`](Self::produce_body) compiled with AVX-512F +
-    /// FMA enabled — the AVX2 variant's contract at twice the lane
-    /// count.
+    /// FMA enabled, its dot products on
+    /// [`Fma512`](rfbist_dsp::simd::Fma512) lanes — bit-identical to
+    /// the AVX2 arm.
     ///
     /// # Safety
     ///
     /// The caller must have verified AVX-512F and FMA support on the
-    /// running CPU (`is_x86_feature_detected!`) before calling; the
-    /// body itself is safe Rust.
+    /// running CPU (`is_x86_feature_detected!`) before calling.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,fma")]
     unsafe fn produce_avx512(
@@ -979,21 +1008,28 @@ impl PnbsGridPlan {
         i1: usize,
         scratch: &mut GridScratch,
     ) {
-        self.produce_body::<true>(capture, feed, i0, i1, scratch)
+        // SAFETY: this function's own contract: AVX-512F and FMA were
+        // verified.
+        let lanes = unsafe { rfbist_dsp::simd::Fma512::new() };
+        self.produce_body::<true, _>(capture, feed, i0, i1, lanes, scratch)
     }
 
     /// The producer kernel: a phase-major super-block or a run of
-    /// arbitrary instants, with every multiply-add fused when `FMA` (the
-    /// `#[target_feature]` instantiations) and plain `*`/`+` otherwise.
+    /// arbitrary instants, with every multiply-add of the row builder
+    /// fused when `FMA` (the `#[target_feature]` instantiations) and
+    /// plain `*`/`+` otherwise, and the dot products on `lanes`, which
+    /// round as `FMA` says.
     #[inline(always)]
-    fn produce_body<const FMA: bool>(
+    fn produce_body<const FMA: bool, L: F64x8>(
         &self,
         capture: &NonuniformCapture,
         feed: &GridFeed<'_>,
         i0: usize,
         i1: usize,
+        lanes: L,
         scratch: &mut GridScratch,
     ) {
+        debug_assert_eq!(FMA, L::FUSED);
         let GridScratch {
             out,
             even_tab,
@@ -1021,11 +1057,10 @@ impl PnbsGridPlan {
             fill,
         };
         match feed.order {
-            Order::PhaseMajor(lat) => {
-                self.phase_major_body::<FMA>(capture, feed, lat, &ctx, i0, i1, row, alt, out)
-            }
+            Order::PhaseMajor(lat) => self
+                .phase_major_body::<FMA, L>(capture, feed, lat, &ctx, i0, i1, lanes, row, alt, out),
             Order::Instants(times) => {
-                self.instants_body::<FMA>(capture, feed, &ctx, &times[i0..i1], row, out)
+                self.instants_body::<FMA, L>(capture, feed, &ctx, &times[i0..i1], lanes, row, out)
             }
         }
     }
@@ -1033,12 +1068,14 @@ impl PnbsGridPlan {
     /// Arbitrary instants: seeds each instant's time phasors exactly,
     /// builds its row and appends its dot product with the capture.
     #[inline(always)]
-    fn instants_body<const FMA: bool>(
+    #[allow(clippy::too_many_arguments)]
+    fn instants_body<const FMA: bool, L: F64x8>(
         &self,
         capture: &NonuniformCapture,
         feed: &GridFeed<'_>,
         ctx: &RowCtx<'_>,
         times: &[f64],
+        lanes: L,
         row: &mut WeightRow,
         out: &mut Vec<f64>,
     ) {
@@ -1050,7 +1087,7 @@ impl PnbsGridPlan {
             let first = t_idx.round() as i64 - h;
             let ph = time_phasors(&self.w, t - t_ref);
             self.point_row::<FMA>(ctx, &ph, t, t_idx, first, row);
-            out.push(dot_row::<FMA>(capture, first, row));
+            out.push(dot_row(lanes, capture, first, row));
         }
     }
 
@@ -1065,7 +1102,7 @@ impl PnbsGridPlan {
     /// starting on the re-seed at `i0`. Appends points `i0 .. i1`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn phase_major_body<const FMA: bool>(
+    fn phase_major_body<const FMA: bool, L: F64x8>(
         &self,
         capture: &NonuniformCapture,
         feed: &GridFeed<'_>,
@@ -1073,6 +1110,7 @@ impl PnbsGridPlan {
         ctx: &RowCtx<'_>,
         i0: usize,
         i1: usize,
+        lanes: L,
         row: &mut WeightRow,
         alt: &mut WeightRow,
         out: &mut Vec<f64>,
@@ -1110,14 +1148,14 @@ impl PnbsGridPlan {
                     let lattice_first = first + m as i64 * lat.p;
                     let shift = ((t / ctx.period).round() as i64 - h) - lattice_first;
                     *slot = if shift == 0 {
-                        dot_row::<FMA>(capture, lattice_first, row)
+                        dot_row(lanes, capture, lattice_first, row)
                     } else {
                         debug_assert!(shift.abs() == 1, "lattice drift is sub-sample");
                         if shift != alt_shift {
                             self.point_row::<FMA>(ctx, &ph, t_r, t_idx, first + shift, alt);
                             alt_shift = shift;
                         }
-                        dot_row::<FMA>(capture, lattice_first + shift, alt)
+                        dot_row(lanes, capture, lattice_first + shift, alt)
                     };
                 }
             }
@@ -1211,7 +1249,7 @@ impl PnbsGridPlan {
         n: usize,
         scratch: &'a mut GridScratch,
     ) -> Option<GridBlocks<'a>> {
-        let feed = self.prepare(capture, t0, step, n, true, scratch)?;
+        let feed = self.prepare(capture, t0, step, n, Arm::detect(), scratch)?;
         scratch.out.clear();
         Some(GridBlocks {
             plan: self,
@@ -1401,40 +1439,28 @@ fn numerator<const FMA: bool>(ph: &[f64; 6], planes: &[&[f64]; 6], k: usize) -> 
 }
 
 /// A row's dot product with the capture samples under its tap window
-/// (which starts at sample `first`): both streams accumulate on eight
-/// lanes, reduced pairwise, plus the scalar tail.
+/// (which starts at sample `first`): each stream accumulates its whole
+/// eight-tap chunks on `lanes`, and the sum is both lane sums plus the
+/// two streams' scalar tails, `(Σe + Σo) + (tail_e + tail_o)`.
 #[inline(always)]
-fn dot_row<const FMA: bool>(capture: &NonuniformCapture, first: i64, row: &WeightRow) -> f64 {
-    const LANES: usize = 8;
+fn dot_row<L: F64x8>(lanes: L, capture: &NonuniformCapture, first: i64, row: &WeightRow) -> f64 {
     let taps = row.even.len();
     let cap = (first - capture.n_start()) as usize;
-    let (ev, evt) = capture.even()[cap..cap + taps].as_chunks::<LANES>();
-    let (od, odt) = capture.odd()[cap..cap + taps].as_chunks::<LANES>();
-    let (re, ret) = row.even.as_chunks::<LANES>();
-    let (ro, rot) = row.odd.as_chunks::<LANES>();
-    let mut acc_e = [0.0f64; LANES];
-    let mut acc_o = [0.0f64; LANES];
+    let (ev, evt) = capture.even()[cap..cap + taps].as_chunks::<8>();
+    let (od, odt) = capture.odd()[cap..cap + taps].as_chunks::<8>();
+    let (re, ret) = row.even.as_chunks::<8>();
+    let (ro, rot) = row.odd.as_chunks::<8>();
+    let (mut acc_e, mut acc_o) = (lanes.zero(), lanes.zero());
     for (((e, o), a), b) in ev.iter().zip(od).zip(re).zip(ro) {
-        for (s, (&x, &w)) in acc_e.iter_mut().zip(e.iter().zip(a)) {
-            *s = mad::<FMA>(x, w, *s);
-        }
-        for (s, (&x, &w)) in acc_o.iter_mut().zip(o.iter().zip(b)) {
-            *s = mad::<FMA>(x, w, *s);
-        }
+        acc_e = acc_e.mul_add(e, a);
+        acc_o = acc_o.mul_add(o, b);
     }
     let (mut tail_e, mut tail_o) = (0.0, 0.0);
     for (((&e, &o), &a), &b) in evt.iter().zip(odt).zip(ret).zip(rot) {
-        tail_e = mad::<FMA>(e, a, tail_e);
-        tail_o = mad::<FMA>(o, b, tail_o);
+        tail_e = L::mad(e, a, tail_e);
+        tail_o = L::mad(o, b, tail_o);
     }
-    lane_sum(acc_e) + lane_sum(acc_o) + (tail_e + tail_o)
-}
-
-/// Pairwise sum of an eight-lane accumulator.
-#[inline(always)]
-fn lane_sum(acc: [f64; 8]) -> f64 {
-    let [a0, a1, a2, a3, a4, a5, a6, a7] = acc;
-    ((a0 + a4) + (a1 + a5)) + ((a2 + a6) + (a3 + a7))
+    acc_e.sum() + acc_o.sum() + (tail_e + tail_o)
 }
 
 /// The six per-sample factored planes of one stream's table (see
@@ -1900,7 +1926,15 @@ mod tests {
     ) -> Vec<f64> {
         let mut scratch = GridScratch::new();
         let feed = plan
-            .prepare_feed(cap, t0, step, n, Lattice { p: 0, q: n }, true, &mut scratch)
+            .prepare_feed(
+                cap,
+                t0,
+                step,
+                n,
+                Lattice { p: 0, q: n },
+                Arm::detect(),
+                &mut scratch,
+            )
             .expect("grid inside coverage");
         plan.drain(cap, &feed, &mut scratch).to_vec()
     }

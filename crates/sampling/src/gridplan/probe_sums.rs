@@ -60,8 +60,13 @@
 //! Chebyshev basis once, folds them into one `6 + 6·FIT_NODES` weight
 //! vector, and then costs one dot product of that length per probe,
 //! plus six multiply-adds and one window lookup per exact tap. Both
-//! inner loops run through the workspace's `#[target_feature]`
-//! AVX-512F/AVX2 + FMA dispatch with the `RFBIST_FORCE_SCALAR` escape.
+//! kernels run through the workspace's `#[target_feature]` AVX-512F /
+//! AVX2 + FMA dispatch ([`Arm`], with the `RFBIST_FORCE_SCALAR`
+//! escape), and their dot products on the arm's [`F64x8`] lanes, so
+//! the six build accumulators stay six registers: as `[f64; 8]` arrays
+//! they had compiled to scalar `vfmadd231sd` chains spilled to the
+//! stack. Every arm keeps the lane order of `rfbist_dsp::simd`, which
+//! `tests/lane_model.rs` checks bit for bit.
 //!
 //! # Validity
 //!
@@ -77,11 +82,12 @@
 //! [`PROBE_WINDOW`]), which is why none is an option.
 
 use super::{
-    covers_tap_window, kernel_frequencies, kernel_origin, kernel_weights, lane_sum, mad,
-    time_phasors, GridWindow, ORIGIN_TAU,
+    covers_tap_window, kernel_frequencies, kernel_origin, kernel_weights, mad, time_phasors,
+    GridWindow, ORIGIN_TAU,
 };
 use crate::band::BandSpec;
 use crate::reconstruct::NonuniformCapture;
+use rfbist_dsp::simd::{Arm, F64x8, Portable};
 use rfbist_dsp::window::Window;
 use rfbist_math::rotor::sincos;
 use std::f64::consts::PI;
@@ -127,7 +133,7 @@ const POLE_GUARD_HALF_WIDTHS: f64 = 11.0;
 /// odd-stream sums at each Chebyshev node (sum-major).
 const ROW_LEN: usize = 6 + 6 * FIT_NODES;
 
-/// Lanes of the multiply-add accumulators.
+/// Lanes of the multiply-add accumulators ([`F64x8`]).
 const LANES: usize = 8;
 
 /// [`PROBE_TAPS`] rounded up to whole lane chunks.
@@ -256,6 +262,55 @@ impl ProbeSums {
         times: &[f64],
         bound: f64,
     ) -> Result<Self, ProbeSumsError> {
+        Self::try_new_on(Arm::detect(), band, capture, times, bound)
+    }
+
+    /// [`try_new`](Self::try_new) with the build on kernel arm `arm`
+    /// where this CPU supports it (the portable kernel otherwise),
+    /// whatever the dispatch would pick. A test and benchmark hook.
+    #[doc(hidden)]
+    pub fn try_new_on(
+        arm: Arm,
+        band: BandSpec,
+        capture: &NonuniformCapture,
+        times: &[f64],
+        bound: f64,
+    ) -> Result<Self, ProbeSumsError> {
+        let mut sums = Self::empty(band, capture, times, bound)?;
+        sums.build(arm, capture, times);
+        sums.exact.shrink_to_fit();
+        Ok(sums)
+    }
+
+    /// [`try_new`](Self::try_new) with the build's dot products on the
+    /// caller's lanes `L` and every multiply-add fused as `L`'s are,
+    /// outside any `#[target_feature]` recompilation. A test hook, like
+    /// `PnbsGridPlan::try_reconstruct_grid_lanes`.
+    #[doc(hidden)]
+    pub fn try_new_lanes<L: F64x8>(
+        lanes: L,
+        band: BandSpec,
+        capture: &NonuniformCapture,
+        times: &[f64],
+        bound: f64,
+    ) -> Result<Self, ProbeSumsError> {
+        let mut sums = Self::empty(band, capture, times, bound)?;
+        if L::FUSED {
+            sums.build_body::<true, L>(capture, times, lanes);
+        } else {
+            sums.build_body::<false, L>(capture, times, lanes);
+        }
+        sums.exact.shrink_to_fit();
+        Ok(sums)
+    }
+
+    /// The checked, not yet built summary of `capture` at `times`.
+    fn empty(
+        band: BandSpec,
+        capture: &NonuniformCapture,
+        times: &[f64],
+        bound: f64,
+    ) -> Result<Self, ProbeSumsError> {
         let period = capture.period();
         if !(bound > 0.0 && bound <= period) {
             return Err(ProbeSumsError::SearchBound { bound, period });
@@ -273,7 +328,7 @@ impl ProbeSums {
             }
         }
         let span = FitSpan::new(bound, period);
-        let mut sums = ProbeSums {
+        Ok(ProbeSums {
             band,
             w: kernel_frequencies(band),
             inv_two_pi_b: 1.0 / (2.0 * PI * band.bandwidth()),
@@ -285,10 +340,22 @@ impl ProbeSums {
             rows: Vec::with_capacity(times.len() * ROW_LEN),
             fixed: Vec::with_capacity(times.len()),
             exact: Vec::new(),
-        };
-        sums.build(capture, times);
-        sums.exact.shrink_to_fit();
-        Ok(sums)
+        })
+    }
+
+    /// The probe rows, `6 + 6·FIT_NODES` values per probe: the six
+    /// even-stream sums, then the six odd-stream sums at each Chebyshev
+    /// node. A test hook.
+    #[doc(hidden)]
+    pub fn rows(&self) -> &[f64] {
+        &self.rows
+    }
+
+    /// How many odd-stream taps are kept out of the fit and evaluated
+    /// exactly per candidate. A test hook.
+    #[doc(hidden)]
+    pub fn exact_taps(&self) -> usize {
+        self.exact.len()
     }
 
     /// Writes the eq. 6 reconstruction at every probe, for delay
@@ -298,56 +365,83 @@ impl ProbeSums {
     ///
     /// `d_hat` must lie in `]0, m[`; the fit is not valid outside it.
     pub fn eval_into(&self, d_hat: f64, out: &mut Vec<f64>) {
+        self.eval_into_on(Arm::detect(), d_hat, out)
+    }
+
+    /// [`eval_into`](Self::eval_into) on kernel arm `arm` where this
+    /// CPU supports it (the portable kernel otherwise), whatever the
+    /// dispatch would pick. A test and benchmark hook.
+    #[doc(hidden)]
+    pub fn eval_into_on(&self, arm: Arm, d_hat: f64, out: &mut Vec<f64>) {
         #[cfg(target_arch = "x86_64")]
-        if !rfbist_dsp::simd::force_scalar() && std::arch::is_x86_feature_detected!("fma") {
-            if std::arch::is_x86_feature_detected!("avx512f") {
+        if std::arch::is_x86_feature_detected!("fma") {
+            if arm == Arm::Avx512 && std::arch::is_x86_feature_detected!("avx512f") {
                 // SAFETY: AVX-512F + FMA support was just verified at
-                // runtime by is_x86_feature_detected!; the kernel body
-                // is ordinary safe Rust.
+                // runtime by is_x86_feature_detected!.
                 unsafe { self.eval_avx512(d_hat, out) };
                 return;
             }
-            if std::arch::is_x86_feature_detected!("avx2") {
+            if arm == Arm::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: AVX2 + FMA support was just verified at
-                // runtime by is_x86_feature_detected!; same safe body.
+                // runtime by is_x86_feature_detected!.
                 unsafe { self.eval_avx2(d_hat, out) };
                 return;
             }
         }
-        self.eval_body::<false>(d_hat, out)
+        self.eval_body::<false, _>(d_hat, Portable::ZERO, out)
     }
 
-    /// [`eval_body`](Self::eval_body) compiled with AVX2 + FMA.
+    /// [`eval_into`](Self::eval_into) with the dot products on the
+    /// caller's lanes `L`, outside any `#[target_feature]`
+    /// recompilation. A test hook, like
+    /// [`try_new_lanes`](Self::try_new_lanes).
+    #[doc(hidden)]
+    pub fn eval_into_lanes<L: F64x8>(&self, lanes: L, d_hat: f64, out: &mut Vec<f64>) {
+        if L::FUSED {
+            self.eval_body::<true, L>(d_hat, lanes, out)
+        } else {
+            self.eval_body::<false, L>(d_hat, lanes, out)
+        }
+    }
+
+    /// [`eval_body`](Self::eval_body) compiled with AVX2 + FMA, on
+    /// [`Fma256`](rfbist_dsp::simd::Fma256) lanes.
     ///
     /// # Safety
     ///
     /// The caller must have verified AVX2 and FMA support on the
-    /// running CPU (`is_x86_feature_detected!`); the body itself is
-    /// safe Rust.
+    /// running CPU (`is_x86_feature_detected!`).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn eval_avx2(&self, d_hat: f64, out: &mut Vec<f64>) {
-        self.eval_body::<true>(d_hat, out)
+        // SAFETY: this function's own contract: AVX2 and FMA were
+        // verified.
+        let lanes = unsafe { rfbist_dsp::simd::Fma256::new() };
+        self.eval_body::<true, _>(d_hat, lanes, out)
     }
 
-    /// [`eval_body`](Self::eval_body) compiled with AVX-512F + FMA.
+    /// [`eval_body`](Self::eval_body) compiled with AVX-512F + FMA, on
+    /// [`Fma512`](rfbist_dsp::simd::Fma512) lanes.
     ///
     /// # Safety
     ///
     /// The caller must have verified AVX-512F and FMA support on the
-    /// running CPU (`is_x86_feature_detected!`); the body itself is
-    /// safe Rust.
+    /// running CPU (`is_x86_feature_detected!`).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,fma")]
     unsafe fn eval_avx512(&self, d_hat: f64, out: &mut Vec<f64>) {
-        self.eval_body::<true>(d_hat, out)
+        // SAFETY: this function's own contract: AVX-512F and FMA were
+        // verified.
+        let lanes = unsafe { rfbist_dsp::simd::Fma512::new() };
+        self.eval_body::<true, _>(d_hat, lanes, out)
     }
 
     /// The evaluation kernel: folds `(αⱼ, βⱼ)`, `(α′ⱼ, β′ⱼ)` and the
     /// Chebyshev node weights into one weight vector, dots it with
-    /// every probe row, and adds the exact taps.
+    /// every probe row on `lanes`, and adds the exact taps.
     #[inline(always)]
-    fn eval_body<const FMA: bool>(&self, d_hat: f64, out: &mut Vec<f64>) {
+    fn eval_body<const FMA: bool, L: F64x8>(&self, d_hat: f64, lanes: L, out: &mut Vec<f64>) {
+        debug_assert_eq!(FMA, L::FUSED);
         let (alpha, beta) = kernel_weights(self.band, d_hat);
         let nodal = self.node_weights(d_hat);
         let mut weights = [0.0; ROW_LEN];
@@ -371,7 +465,7 @@ impl ProbeSums {
         out.clear();
         out.reserve(self.fixed.len());
         for (row, &fixed) in self.rows.chunks_exact(ROW_LEN).zip(&self.fixed) {
-            out.push(fixed + dot_lanes::<FMA>(row, &weights));
+            out.push(fixed + dot_lanes(lanes, row, &weights));
         }
         let shift = d_hat / self.period * INV_2HW;
         for tap in &self.exact {
@@ -413,58 +507,70 @@ impl ProbeSums {
         nodal.map(|l| l / FIT_NODES as f64)
     }
 
-    /// Fills the probe rows, dispatching like
-    /// [`eval_into`](Self::eval_into).
-    fn build(&mut self, capture: &NonuniformCapture, times: &[f64]) {
+    /// Fills the probe rows on kernel arm `arm`, dispatching like
+    /// [`eval_into_on`](Self::eval_into_on).
+    fn build(&mut self, arm: Arm, capture: &NonuniformCapture, times: &[f64]) {
         #[cfg(target_arch = "x86_64")]
-        if !rfbist_dsp::simd::force_scalar() && std::arch::is_x86_feature_detected!("fma") {
-            if std::arch::is_x86_feature_detected!("avx512f") {
+        if std::arch::is_x86_feature_detected!("fma") {
+            if arm == Arm::Avx512 && std::arch::is_x86_feature_detected!("avx512f") {
                 // SAFETY: AVX-512F + FMA support was just verified at
-                // runtime by is_x86_feature_detected!; the kernel body
-                // is ordinary safe Rust.
+                // runtime by is_x86_feature_detected!.
                 unsafe { self.build_avx512(capture, times) };
                 return;
             }
-            if std::arch::is_x86_feature_detected!("avx2") {
+            if arm == Arm::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: AVX2 + FMA support was just verified at
-                // runtime by is_x86_feature_detected!; same safe body.
+                // runtime by is_x86_feature_detected!.
                 unsafe { self.build_avx2(capture, times) };
                 return;
             }
         }
-        self.build_body::<false>(capture, times)
+        self.build_body::<false, _>(capture, times, Portable::ZERO)
     }
 
-    /// [`build_body`](Self::build_body) compiled with AVX2 + FMA.
+    /// [`build_body`](Self::build_body) compiled with AVX2 + FMA, on
+    /// [`Fma256`](rfbist_dsp::simd::Fma256) lanes.
     ///
     /// # Safety
     ///
     /// The caller must have verified AVX2 and FMA support on the
-    /// running CPU (`is_x86_feature_detected!`); the body itself is
-    /// safe Rust.
+    /// running CPU (`is_x86_feature_detected!`).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn build_avx2(&mut self, capture: &NonuniformCapture, times: &[f64]) {
-        self.build_body::<true>(capture, times)
+        // SAFETY: this function's own contract: AVX2 and FMA were
+        // verified.
+        let lanes = unsafe { rfbist_dsp::simd::Fma256::new() };
+        self.build_body::<true, _>(capture, times, lanes)
     }
 
-    /// [`build_body`](Self::build_body) compiled with AVX-512F + FMA.
+    /// [`build_body`](Self::build_body) compiled with AVX-512F + FMA, on
+    /// [`Fma512`](rfbist_dsp::simd::Fma512) lanes.
     ///
     /// # Safety
     ///
     /// The caller must have verified AVX-512F and FMA support on the
-    /// running CPU (`is_x86_feature_detected!`); the body itself is
-    /// safe Rust.
+    /// running CPU (`is_x86_feature_detected!`).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,fma")]
     unsafe fn build_avx512(&mut self, capture: &NonuniformCapture, times: &[f64]) {
-        self.build_body::<true>(capture, times)
+        // SAFETY: this function's own contract: AVX-512F and FMA were
+        // verified.
+        let lanes = unsafe { rfbist_dsp::simd::Fma512::new() };
+        self.build_body::<true, _>(capture, times, lanes)
     }
 
-    /// The build kernel (see the module docs). Every probe is covered:
-    /// [`try_new`](Self::try_new) checked it.
+    /// The build kernel (see the module docs), its dot products on
+    /// `lanes`. Every probe is covered: [`try_new`](Self::try_new)
+    /// checked it.
     #[inline(always)]
-    fn build_body<const FMA: bool>(&mut self, capture: &NonuniformCapture, times: &[f64]) {
+    fn build_body<const FMA: bool, L: F64x8>(
+        &mut self,
+        capture: &NonuniformCapture,
+        times: &[f64],
+        lanes: L,
+    ) {
+        debug_assert_eq!(FMA, L::FUSED);
         const TAPS: usize = PROBE_TAPS;
         let period = self.period;
         let h = TAPS / 2;
@@ -529,7 +635,7 @@ impl ProbeSums {
                 g[h] = 0.0;
             }
             // kernel(−u) = Σ αⱼcos ωⱼu − βⱼ sin ωⱼu over −2πBu
-            let sums = dot6::<FMA>(&trig, &g);
+            let sums = dot6(lanes, &trig, &g);
             for (pair, sum) in row[..6].chunks_exact_mut(2).zip(sums.chunks_exact(2)) {
                 pair[0] = -sum[0];
                 pair[1] = sum[1];
@@ -552,7 +658,7 @@ impl ProbeSums {
                 for &k in exact {
                     g[k] = 0.0;
                 }
-                for (j, sum) in dot6::<FMA>(&coef, &g).into_iter().enumerate() {
+                for (j, sum) in dot6(lanes, &coef, &g).into_iter().enumerate() {
                     row[6 + j * FIT_NODES + i] = sum;
                 }
             }
@@ -653,42 +759,45 @@ fn node_angle(i: usize) -> f64 {
     PI * (2 * i + 1) as f64 / (2 * FIT_NODES) as f64
 }
 
-/// `Σ a[k]·b[k]` over the shorter length on eight lanes, reduced
-/// pairwise, plus the scalar tail.
+/// `Σ a[k]·b[k]` over the shorter length: the whole eight-value
+/// chunks on `lanes`, then the lane sum plus the scalar tail.
 #[inline(always)]
-fn dot_lanes<const FMA: bool>(a: &[f64], b: &[f64]) -> f64 {
+fn dot_lanes<L: F64x8>(lanes: L, a: &[f64], b: &[f64]) -> f64 {
     let n = a.len().min(b.len());
     let (ac, at) = a[..n].as_chunks::<LANES>();
     let (bc, bt) = b[..n].as_chunks::<LANES>();
-    let mut acc = [0.0f64; LANES];
+    let mut acc = lanes.zero();
     for (x, y) in ac.iter().zip(bc) {
-        for (s, (&p, &q)) in acc.iter_mut().zip(x.iter().zip(y)) {
-            *s = mad::<FMA>(p, q, *s);
-        }
+        acc = acc.mul_add(x, y);
     }
     let mut tail = 0.0;
     for (&p, &q) in at.iter().zip(bt) {
-        tail = mad::<FMA>(p, q, tail);
+        tail = L::mad(p, q, tail);
     }
-    lane_sum(acc) + tail
+    acc.sum() + tail
 }
 
 /// Six dot products of zero-padded tap planes with one tap vector in a
-/// single pass: six independent eight-lane accumulators, so the pass
+/// single pass: six independent accumulators on `lanes`, so the pass
 /// is bound by multiply-add throughput rather than latency.
 #[inline(always)]
-fn dot6<const FMA: bool>(planes: &[[f64; PADDED]; 6], g: &[f64; PADDED]) -> [f64; 6] {
-    let mut acc = [[0.0f64; LANES]; 6];
+fn dot6<L: F64x8>(lanes: L, planes: &[[f64; PADDED]; 6], g: &[f64; PADDED]) -> [f64; 6] {
+    let mut acc = [lanes.zero(); 6];
     let (gc, _) = g.as_chunks::<LANES>();
     for (c, gk) in gc.iter().enumerate() {
         for (a, plane) in acc.iter_mut().zip(planes) {
             let (pc, _) = plane.as_chunks::<LANES>();
-            for (s, (&p, &q)) in a.iter_mut().zip(pc[c].iter().zip(gk)) {
-                *s = mad::<FMA>(p, q, *s);
-            }
+            *a = a.mul_add(&pc[c], gk);
         }
     }
-    acc.map(lane_sum)
+    // A plain loop, not `acc.map`: its closure is not inlined into the
+    // enclosing #[target_feature] function, so every lane sum became a
+    // call that spilled all six accumulators.
+    let mut sums = [0.0; 6];
+    for (s, a) in sums.iter_mut().zip(acc) {
+        *s = a.sum();
+    }
+    sums
 }
 
 #[cfg(test)]

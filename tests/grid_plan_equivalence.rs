@@ -12,6 +12,7 @@
 mod common;
 
 use proptest::prelude::*;
+use rfbist::dsp::simd::Arm;
 use rfbist::dsp::window::Window;
 use rfbist::math::stats::nrmse;
 use rfbist::prelude::*;
@@ -72,10 +73,10 @@ fn assert_grid_equivalent(
 
 /// Asserts the runtime-dispatched grid producer (AVX-512/AVX2 + FMA where
 /// detected) against the scalar kernel pinned in-process via the
-/// `try_reconstruct_grid_scalar` hook. On hosts without the features
-/// — or under `RFBIST_FORCE_SCALAR` — both sides run the same scalar
-/// kernel and the comparison degenerates to bit-equality, so the suite
-/// is green on every CI leg.
+/// `try_reconstruct_grid_on(Arm::Portable, ..)` hook. On hosts without
+/// the features — or under `RFBIST_FORCE_SCALAR` — both sides run the
+/// same scalar kernel and the comparison degenerates to bit-equality,
+/// so the suite is green on every CI leg.
 fn assert_simd_matches_scalar(
     rec: &PnbsReconstructor,
     cap: &NonuniformCapture,
@@ -91,7 +92,7 @@ fn assert_simd_matches_scalar(
         .to_vec();
     let mut scalar_scratch = GridScratch::new();
     let scalar = plan
-        .try_reconstruct_grid_scalar(cap, t0, step, n, &mut scalar_scratch)
+        .try_reconstruct_grid_on(Arm::Portable, cap, t0, step, n, &mut scalar_scratch)
         .expect("grid inside coverage");
     for i in 0..n {
         assert!(
