@@ -46,7 +46,9 @@
 //!    also runs on the portable kernel (`try_reconstruct_grid_on`),
 //!    timed interleaved with the dispatched one: `simd_speedup` is
 //!    asserted (floors in `GRID_SIMD_FLOOR`) where the FMA dispatch is
-//!    active.
+//!    active. Reported, not gated: the grid at 4096 and 16384 points
+//!    on an 800-pair capture (one super-block of 400 row builds, and
+//!    two), fitted to `row_build_ns` per row and `ns_per_dot` per point.
 //! 5. **mask_scan** — one spectral-mask verdict, FFT-Welch vs the
 //!    banked Goertzel scan. The speedup floor is asserted only when
 //!    the AVX2+FMA kernels can dispatch (on plain SSE2/NEON the bank
@@ -90,22 +92,35 @@
 //!    (`ProbeSums::{try_new_on, eval_into_on}`), interleaved:
 //!    `build_simd_speedup` and `eval_simd_speedup`, asserted where the
 //!    FMA dispatch is active (`PROBE_BUILD_SIMD_FLOOR`,
-//!    `PROBE_EVAL_SIMD_FLOOR`).
+//!    `PROBE_EVAL_SIMD_FLOOR`). Then the engine's Section V captures
+//!    and the 300 probes of its lattice schedule, summed in grid order
+//!    (`ProbeSums::try_new_grid`, each residue's weights shared) and in
+//!    the instants order on the same times, interleaved:
+//!    `lattice_build_speedup` and `lattice_eval_speedup`, asserted on
+//!    every arm (`LATTICE_BUILD_FLOOR`, `LATTICE_EVAL_FLOOR`), with the
+//!    two orders within 1e-9 of each other.
 //! 10. **fma_bound** — informational, not gated: each eight-lane
 //!     kernel's counted multiply-adds per op (a grid point's dot
 //!     product, a probe row's build, a probe's evaluation) and the
 //!     fraction of an in-run peak (`fma_peak`: eight register-resident
 //!     accumulator chains on the dispatched arm) its measured time
-//!     reaches.
+//!     reaches, beside an in-run eight-lane divide peak (`div_peak`).
+//! 11. **stages** — one uncalibrated and one calibrated Section V
+//!     verdict, each timed untraced (`try_run_with`) and traced into a
+//!     `StageLedger` (`try_run_traced`), interleaved: the per-stage
+//!     medians, and the median over reps of the stage sum over the
+//!     untraced verdict timed beside it, asserted within 10 % of 1.
 
 use rfbist::fixtures::reference_rf_output;
 use rfbist_bench::{paper_cost, paper_stimulus, paper_tx, Frontend};
 use rfbist_converter::bptiadc::BpTiadc;
-use rfbist_core::bist::{welch_segmentation, BistConfig};
+use rfbist_converter::calibration::auto_calibrate;
+use rfbist_core::bist::{welch_segmentation, BistConfig, BistEngine, BistScratch};
 use rfbist_core::cost::DualRateCost;
 use rfbist_core::lms::{estimate_skew_lms, LmsConfig};
 use rfbist_core::mask::SpectralMask;
 use rfbist_core::scan::{EarlyVerdict, MaskScanEngine, ScanFeed, StreamScratch};
+use rfbist_core::trace::{StageLedger, VerdictStage};
 use rfbist_dsp::psd::welch;
 use rfbist_dsp::simd::{Arm, F64x8, Portable};
 use rfbist_dsp::window::Window;
@@ -156,6 +171,22 @@ const CAPTURE_FLOOR: (f64, f64) = (1.6, 1.5);
 const GRID_SIMD_FLOOR: (f64, f64) = (1.6, 1.5);
 const PROBE_BUILD_SIMD_FLOOR: (f64, f64) = (1.75, 1.9);
 const PROBE_EVAL_SIMD_FLOOR: (f64, f64) = (1.1, 1.05);
+
+/// Floors (full, quick) of the lattice schedule's probe sums in grid
+/// order over the instants order on the same 300 times
+/// (`probe_sums.lattice_build_speedup`, `lattice_eval_speedup`),
+/// asserted on every arm: both orders run the same kernels, and a grid
+/// order that built one probe per residue would read ~1x. Readings on
+/// a 2-core AVX-512 VM: build 3.2–3.9x and evaluation 1.4–1.8x on the
+/// AVX-512 arm (16 runs, quick and full), 1.51–1.54x and 1.58–1.63x
+/// on the portable one (`RFBIST_FORCE_SCALAR`, whose per-probe passes
+/// weigh more against the shared ones).
+const LATTICE_BUILD_FLOOR: (f64, f64) = (1.3, 1.3);
+const LATTICE_EVAL_FLOOR: (f64, f64) = (1.2, 1.2);
+
+/// Largest relative gap between a traced verdict's stage sum and the
+/// untraced verdict's time.
+const STAGE_SUM_TOLERANCE: f64 = 0.1;
 
 /// Evaluation sweeps per interleaved rep of `probe_sums`: one sweep of
 /// the candidates takes only tens of microseconds.
@@ -449,6 +480,63 @@ fn bench_grid_reconstruct(cfg: &Config) -> GridReconResult {
         portable_ns,
         nrmse: nrmse(grid_wave, &reference_wave),
         points,
+    }
+}
+
+/// Grid lengths of the row-build split: one super-block of the 4 GHz
+/// Section V grid and two.
+const SPLIT_POINTS: [usize; 2] = [4096, 16384];
+
+/// Row builds per super-block of the 4 GHz grid: its 9/400 lattice of
+/// the sample period has 400 residues.
+const SPLIT_ROWS_PER_BLOCK: f64 = 400.0;
+
+struct GridSplit {
+    /// Median ns per grid at each of [`SPLIT_POINTS`], timed
+    /// interleaved.
+    grid_ns: [f64; 2],
+    /// The fitted ns per 122-tap row build and per point.
+    row_build_ns: f64,
+    ns_per_dot: f64,
+}
+
+/// Where a grid point's time goes: the Section V grid at
+/// [`SPLIT_POINTS`] on one 800-pair capture, one super-block (400 row
+/// builds, 4096 points) and two (800, 16384), interleaved. The two
+/// times fit `rows · row_build + points · per_point`. (8192 and 16384
+/// points would not split: both build 400 rows per 8192 points.)
+fn bench_grid_split(cfg: &Config) -> GridSplit {
+    const FS_GRID: f64 = 4e9;
+    let band = BandSpec::centered(FC, B);
+    let stim = paper_stimulus(160, 0xACE1);
+    let cap = NonuniformCapture::from_signal(&stim, 1.0 / B, D, 80, 800);
+    let rec = PnbsReconstructor::paper_default(band, D).expect("valid delay");
+    let (lo, hi) = rec.coverage(&cap).expect("capture too short");
+    let dt = 1.0 / FS_GRID;
+    assert!(
+        (hi - lo) / dt >= SPLIT_POINTS[1] as f64,
+        "capture covers both grids"
+    );
+    let (mut short, mut long) = (GridScratch::new(), GridScratch::new());
+    let grid_ns = interleaved_medians(
+        SIMD_RATIO_REPS * cfg.reps,
+        1,
+        [
+            &mut || {
+                black_box(rec.reconstruct_grid(&cap, lo, dt, SPLIT_POINTS[0], &mut short));
+            },
+            &mut || {
+                black_box(rec.reconstruct_grid(&cap, lo, dt, SPLIT_POINTS[1], &mut long));
+            },
+        ],
+    );
+    let [p0, p1] = SPLIT_POINTS.map(|p| p as f64);
+    // t₀ = R·rows + P·p₀ and t₁ = 2R·rows + P·p₁
+    let ns_per_dot = (grid_ns[1] - 2.0 * grid_ns[0]) / (p1 - 2.0 * p0);
+    GridSplit {
+        grid_ns,
+        row_build_ns: (grid_ns[0] - p0 * ns_per_dot) / SPLIT_ROWS_PER_BLOCK,
+        ns_per_dot,
     }
 }
 
@@ -853,6 +941,215 @@ fn bench_probe_sums(cfg: &Config) -> ProbeSumsResult {
     }
 }
 
+struct ProbeLatticeResult {
+    probes: usize,
+    /// Lattice residues of the fast and the slow capture's grid order.
+    residues: (usize, usize),
+    /// Median ns per build of both captures' probe sums on the lattice
+    /// schedule, in grid order and in the instants order on the same
+    /// times, timed interleaved.
+    build_grid_ns: f64,
+    build_instants_ns: f64,
+    /// Median ns per evaluation of both captures' sums at one
+    /// candidate, grid order and instants order, timed interleaved.
+    eval_grid_ns: f64,
+    eval_instants_ns: f64,
+    /// Largest |grid − instants| over every probe and candidate,
+    /// relative to the value or absolute below 1.
+    max_diff: f64,
+}
+
+/// The engine's Section V captures (`BistConfig::paper_default()`, the
+/// typical-impairment DUT, both channels calibrated) and the 300 probes
+/// of its lattice schedule (`DualRateCost::try_probe_lattice`), summed
+/// in grid order, whose residues share their weights, and in the
+/// instants order on the same times, interleaved in one rep loop. Run
+/// beside `probe_sums`: the builds allocate.
+fn bench_probe_lattice(cfg: &Config) -> ProbeLatticeResult {
+    const PROBES: usize = 300;
+    let bist = BistConfig::paper_default();
+    let dual = bist.dual;
+    let rf = paper_tx(TxImpairments::typical(), 160, 0xACE1).rf_output();
+    let calibrated =
+        |frontend, start, len| auto_calibrate(&BpTiadc::new(frontend).capture(&rf, start, len)).0;
+    let fast = calibrated(bist.frontend_fast, bist.fast_start, bist.fast_len);
+    let slow = calibrated(bist.frontend_slow, bist.slow_start, bist.slow_len);
+    let (t0, step) = DualRateCost::try_probe_lattice(&fast, &slow, &dual, PROBES)
+        .expect("the engine's captures cover the probes");
+    let times: Vec<f64> = (0..PROBES).map(|i| t0 + i as f64 * step).collect();
+    let m = dual.m_bound();
+    let captures = [(dual.fast_band(), &fast), (dual.slow_band(), &slow)];
+    let grid = || {
+        captures.map(|(band, cap)| {
+            ProbeSums::try_new_grid(band, cap, t0, step, PROBES, m).expect("probes inside coverage")
+        })
+    };
+    let instants = || {
+        captures.map(|(band, cap)| {
+            ProbeSums::try_new(band, cap, &times, m).expect("probes inside coverage")
+        })
+    };
+    let reps = SIMD_RATIO_REPS * cfg.reps;
+    let [build_grid_ns, build_instants_ns] = interleaved_medians(
+        reps,
+        1,
+        [
+            &mut || {
+                black_box(grid());
+            },
+            &mut || {
+                black_box(instants());
+            },
+        ],
+    );
+    let (grid_sums, instant_sums) = (grid(), instants());
+    let candidates: Vec<f64> = (0..cfg.candidates)
+        .map(|i| m * (i as f64 + 0.5) / cfg.candidates as f64)
+        .chain([0.5e-12, m - 0.5e-12])
+        .collect();
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    let mut max_diff = 0.0f64;
+    for (g, i) in grid_sums.iter().zip(&instant_sums) {
+        for &d in &candidates {
+            g.eval_into(d, &mut a);
+            i.eval_into(d, &mut b);
+            for (&x, &y) in a.iter().zip(&b) {
+                max_diff = max_diff.max((x - y).abs() / y.abs().max(1.0));
+            }
+        }
+    }
+    let eval = |sums: &[ProbeSums; 2], out: &mut Vec<f64>| {
+        for _ in 0..EVAL_SWEEPS {
+            for &d in &candidates {
+                for s in sums {
+                    s.eval_into(d, out);
+                    black_box(&*out);
+                }
+            }
+        }
+    };
+    let [eval_grid_ns, eval_instants_ns] = interleaved_medians(
+        reps,
+        EVAL_SWEEPS * candidates.len(),
+        [&mut || eval(&grid_sums, &mut a), &mut || {
+            eval(&instant_sums, &mut b)
+        }],
+    );
+    ProbeLatticeResult {
+        probes: PROBES,
+        residues: (grid_sums[0].residues(), grid_sums[1].residues()),
+        build_grid_ns,
+        build_instants_ns,
+        eval_grid_ns,
+        eval_instants_ns,
+        max_diff,
+    }
+}
+
+struct StagesResult {
+    /// Median ns of the untraced verdict, uncalibrated and calibrated.
+    untraced_ns: [f64; 2],
+    /// Median ns of the traced verdict's stage sum, and of each stage
+    /// (`VerdictStage::ALL` order), uncalibrated and calibrated.
+    sum_ns: [f64; 2],
+    stage_ns: [[f64; 6]; 2],
+    /// Median over reps of the stage sum over the untraced verdict
+    /// timed beside it.
+    sum_ratio: [f64; 2],
+    /// The uncalibrated verdict's LMS iterations and cost evaluations.
+    lms_iterations: usize,
+    lms_evaluations: usize,
+}
+
+/// One Section V verdict (`BistConfig::paper_default()`, the
+/// typical-impairment DUT, no reference) per engine, uncalibrated
+/// (per-run LMS) and on a calibrated skew: each timed untraced
+/// (`try_run_with`) and traced into a `StageLedger`
+/// (`try_run_traced`), interleaved in one rep loop, the two in
+/// alternating order so neither always follows the other engine.
+fn bench_stages(cfg: &Config) -> StagesResult {
+    let bist = BistConfig::paper_default();
+    let dut = paper_tx(TxImpairments::typical(), 160, 0xACE1).rf_output();
+    let mask = SpectralMask::qpsk_10msym();
+    let calibration = BistEngine::new(bist.clone())
+        .try_calibrate_skew(&dut)
+        .expect("the Section V DUT calibrates");
+    let engines = [
+        BistEngine::new(bist.clone()),
+        BistEngine::new(bist.with_calibrated_skew(calibration.delay)),
+    ];
+    let none: Option<&Tone> = None;
+    let mut scratch = BistScratch::new();
+    let reps = 8 * cfg.reps;
+    let mut untraced = [Vec::new(), Vec::new()];
+    let mut sums = [Vec::new(), Vec::new()];
+    let mut ratios = [Vec::new(), Vec::new()];
+    let mut stages: [[Vec<f64>; 6]; 2] = Default::default();
+    let (mut lms_iterations, mut lms_evaluations) = (0, 0);
+    for rep in 0..reps {
+        for (k, engine) in engines.iter().enumerate() {
+            let mut untraced_ns = 0.0;
+            let mut ledger = StageLedger::new();
+            for traced in [rep % 2 == 0, rep % 2 != 0] {
+                if traced {
+                    black_box(
+                        engine
+                            .try_run_traced(&dut, &mask, none, &mut scratch, &mut ledger)
+                            .expect("clean verdict"),
+                    );
+                } else {
+                    let start = Instant::now();
+                    black_box(
+                        engine
+                            .try_run_with(&dut, &mask, none, &mut scratch)
+                            .expect("clean verdict"),
+                    );
+                    untraced_ns = start.elapsed().as_nanos() as f64;
+                }
+            }
+            let sum_ns = ledger.sum().as_nanos() as f64;
+            untraced[k].push(untraced_ns);
+            sums[k].push(sum_ns);
+            ratios[k].push(sum_ns / untraced_ns);
+            for (samples, stage) in stages[k].iter_mut().zip(VerdictStage::ALL) {
+                samples.push(ledger.total(stage).as_nanos() as f64);
+            }
+            if let Some(lms) = ledger.lms() {
+                (lms_iterations, lms_evaluations) = (lms.iterations, lms.evaluations);
+            }
+        }
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        v[v.len() / 2]
+    };
+    StagesResult {
+        untraced_ns: untraced.map(median),
+        sum_ns: sums.map(median),
+        stage_ns: stages.map(|per_stage| per_stage.map(median)),
+        sum_ratio: ratios.map(median),
+        lms_iterations,
+        lms_evaluations,
+    }
+}
+
+/// One verdict's `stages` JSON object: the untraced time, the traced
+/// stage sum and each stage, in µs, and the median paired ratio of the
+/// two.
+fn stages_json(untraced_ns: f64, sum_ns: f64, ratio: f64, stage_ns: &[f64; 6]) -> String {
+    let stages: Vec<String> = VerdictStage::ALL
+        .iter()
+        .zip(stage_ns)
+        .map(|(stage, ns)| format!(r#""{}_us": {:.2}"#, stage.name(), ns / 1e3))
+        .collect();
+    format!(
+        r#"{{ "untraced_us": {:.2}, "stage_sum_us": {:.2}, "stage_sum_ratio": {ratio:.4}, {} }}"#,
+        untraced_ns / 1e3,
+        sum_ns / 1e3,
+        stages.join(", ")
+    )
+}
+
 /// Runs `rounds` rounds of eight independent lane multiply-adds on
 /// kernel arm `arm` (the portable one where this CPU lacks it), all
 /// operands in registers, and returns the lanes' total: the in-run
@@ -916,6 +1213,78 @@ fn fma_peak_body<L: F64x8>(lanes: L, rounds: usize) -> f64 {
         total += x.sum();
     }
     total
+}
+
+/// Runs `rounds` rounds of eight independent eight-lane divides on
+/// kernel arm `arm` (the portable one where this CPU lacks it), all
+/// operands in registers, and returns the lanes' total: the divide
+/// throughput the row builders' and the probe build's `1/τ` passes
+/// run against.
+fn div_peak(arm: Arm, rounds: usize) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("fma") {
+        if arm == Arm::Avx512 && std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: AVX-512F + FMA support was just verified at
+            // runtime by is_x86_feature_detected!.
+            return unsafe { div_peak_avx512(rounds) };
+        }
+        if arm == Arm::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 + FMA support was just verified at runtime
+            // by is_x86_feature_detected!.
+            return unsafe { div_peak_avx2(rounds) };
+        }
+    }
+    div_peak_body(rounds)
+}
+
+/// [`div_peak_body`] compiled with AVX2 + FMA.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 and FMA support on the running
+/// CPU (`is_x86_feature_detected!`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn div_peak_avx2(rounds: usize) -> f64 {
+    div_peak_body(rounds)
+}
+
+/// [`div_peak_body`] compiled with AVX-512F + FMA.
+///
+/// # Safety
+///
+/// The caller must have verified AVX-512F and FMA support on the
+/// running CPU (`is_x86_feature_detected!`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,fma")]
+unsafe fn div_peak_avx512(rounds: usize) -> f64 {
+    div_peak_body(rounds)
+}
+
+/// [`div_peak`]'s kernel: eight chains of eight-lane divides, which
+/// LLVM keeps in vector registers of the instantiation's width.
+#[inline(always)]
+fn div_peak_body(rounds: usize) -> f64 {
+    // opaque starts, or LLVM merges the eight identical chains into one
+    let d = black_box([1.000_000_1; 8]);
+    let mut acc = black_box([[1.0f64; 8]; 8]);
+    for _ in 0..rounds {
+        for x in acc.iter_mut() {
+            for (v, &dv) in x.iter_mut().zip(&d) {
+                *v /= dv;
+            }
+        }
+    }
+    acc.iter().flatten().sum()
+}
+
+/// Median ns per eight-lane divide of the register-resident
+/// [`div_peak`] kernel on the dispatched arm.
+fn bench_div_peak(cfg: &Config) -> f64 {
+    const ROUNDS: usize = 25_000;
+    median_ns_per_op(SIMD_RATIO_REPS * cfg.reps, 8 * ROUNDS, || {
+        black_box(div_peak(Arm::detect(), black_box(ROUNDS)));
+    })
 }
 
 /// Median ns per eight-lane multiply-add of the register-resident
@@ -1004,6 +1373,16 @@ fn main() {
         grid_recon.grid_ns,
         Arm::detect(),
     );
+    let split = bench_grid_split(&cfg);
+    println!(
+        "grid_reconstruct   {:>10.1} ns/row build {:>10.1} ns/point  ({} and {} points: {:.1} and {:.1} us)",
+        split.row_build_ns,
+        split.ns_per_dot,
+        SPLIT_POINTS[0],
+        SPLIT_POINTS[1],
+        split.grid_ns[0] / 1e3,
+        split.grid_ns[1] / 1e3,
+    );
     let mask_scan = bench_mask_scan(&cfg);
     println!(
         "mask_scan          {:>10.1} us/verdict fft-welch  {:>10.1} us/verdict banked  ({:.2}x, {} of {} bins, margin delta {:.3e} dB)",
@@ -1078,6 +1457,23 @@ fn main() {
         probe_sums.eval_ns / 1e3,
         Arm::detect(),
     );
+    let lattice = bench_probe_lattice(&cfg);
+    let lattice_build_speedup = lattice.build_instants_ns / lattice.build_grid_ns;
+    let lattice_eval_speedup = lattice.eval_instants_ns / lattice.eval_grid_ns;
+    println!(
+        "probe_sums lattice {:>10.1} us/cost instants  {:>10.1} us/cost grid order  ({lattice_build_speedup:.2}x, {} probes on {}/{} residues)",
+        lattice.build_instants_ns / 1e3,
+        lattice.build_grid_ns / 1e3,
+        lattice.probes,
+        lattice.residues.0,
+        lattice.residues.1,
+    );
+    println!(
+        "probe_sums lattice {:>10.2} us/cand instants  {:>10.2} us/cand grid order  ({lattice_eval_speedup:.2}x, max diff {:.2e})",
+        lattice.eval_instants_ns / 1e3,
+        lattice.eval_grid_ns / 1e3,
+        lattice.max_diff,
+    );
     // Informational: how close each eight-lane kernel runs to the
     // register-resident lane-FMA peak, counting its dot-product
     // multiply-adds only (a grid point also pays its share of row
@@ -1098,6 +1494,8 @@ fn main() {
         ),
     ];
     println!("fma_bound          {peak:>10.3} ns per 8-lane FMA at the in-run peak");
+    let div_peak_ns = bench_div_peak(&cfg);
+    println!("fma_bound          {div_peak_ns:>10.3} ns per 8-lane divide at the in-run peak");
     for (name, fmas, ns) in fma_kernels {
         println!(
             "fma_bound {name:<12} {fmas:>5} FMAs/op {ns:>9.1} ns/op  ({:.1} % of peak)",
@@ -1105,6 +1503,22 @@ fn main() {
         );
     }
 
+    let stages = bench_stages(&cfg);
+    for (k, name) in ["uncalibrated", "calibrated"].into_iter().enumerate() {
+        let parts: Vec<String> = VerdictStage::ALL
+            .iter()
+            .zip(&stages.stage_ns[k])
+            .filter(|&(_, &ns)| ns > 0.0)
+            .map(|(stage, ns)| format!("{} {:.0}", stage.name(), ns / 1e3))
+            .collect();
+        println!(
+            "stages {name:<12} {:>8.1} us untraced  {:>8.1} us stage sum  (x{:.3} paired; {} us)",
+            stages.untraced_ns[k] / 1e3,
+            stages.sum_ns[k] / 1e3,
+            stages.sum_ratio[k],
+            parts.join(", "),
+        );
+    }
     let capture = bench_capture(&cfg);
     let capture_speedup = capture.reference_ns / capture.ns;
     println!(
@@ -1161,7 +1575,11 @@ fn main() {
     "speedup": {grid_recon_speedup:.3},
     "portable_median_ns_per_point": {grid_recon_portable:.2},
     "simd_speedup": {grid_simd_speedup:.3},
-    "grid_vs_reference_nrmse": {grid_recon_nrmse:.3e}
+    "grid_vs_reference_nrmse": {grid_recon_nrmse:.3e},
+    "split_points": [{split_p0}, {split_p1}],
+    "split_median_ns": [{split_t0:.2}, {split_t1:.2}],
+    "row_build_ns": {split_row:.2},
+    "ns_per_dot": {split_dot:.2}
   }},
   "probe_sums": {{
     "probes": {ps_probes},
@@ -1170,11 +1588,21 @@ fn main() {
     "build_simd_speedup": {build_simd_speedup:.3},
     "eval_median_ns_per_candidate": {ps_eval:.2},
     "eval_portable_median_ns_per_candidate": {ps_eval_portable:.2},
-    "eval_simd_speedup": {eval_simd_speedup:.3}
+    "eval_simd_speedup": {eval_simd_speedup:.3},
+    "lattice_probes": {lat_probes},
+    "lattice_residues": [{lat_res_fast}, {lat_res_slow}],
+    "lattice_build_median_ns": {lat_build:.2},
+    "lattice_instants_build_median_ns": {lat_build_instants:.2},
+    "lattice_build_speedup": {lattice_build_speedup:.3},
+    "lattice_eval_median_ns_per_candidate": {lat_eval:.2},
+    "lattice_instants_eval_median_ns_per_candidate": {lat_eval_instants:.2},
+    "lattice_eval_speedup": {lattice_eval_speedup:.3},
+    "lattice_vs_instants_max_diff": {lat_diff:.3e}
   }},
   "fma_bound": {{
     "arm": "{fma_arm:?}",
     "peak_ns_per_lane_fma": {peak:.4},
+    "div_peak_ns_per_lane_div": {div_peak_ns:.4},
     "grid_dot": {fma_grid},
     "probe_build": {fma_build},
     "probe_eval": {fma_eval}
@@ -1209,6 +1637,14 @@ fn main() {
 {saturation_json}
     ]
   }},
+  "stages": {{
+    "uncalibrated_us": {stages_uncal_us:.2},
+    "calibrated_us": {stages_cal_us:.2},
+    "lms_iterations": {stages_lms_iterations},
+    "lms_evaluations": {stages_lms_evaluations},
+    "uncalibrated": {stages_uncal},
+    "calibrated": {stages_cal}
+  }},
   "capture": {{
     "samples_per_pair": {capture_samples},
     "reference_median_ns": {capture_ref:.2},
@@ -1238,11 +1674,25 @@ fn main() {
         grid_recon_speedup = grid_recon.reference_ns / grid_recon.grid_ns,
         grid_recon_nrmse = grid_recon.nrmse,
         grid_recon_portable = grid_recon.portable_ns,
+        split_p0 = SPLIT_POINTS[0],
+        split_p1 = SPLIT_POINTS[1],
+        split_t0 = split.grid_ns[0],
+        split_t1 = split.grid_ns[1],
+        split_row = split.row_build_ns,
+        split_dot = split.ns_per_dot,
         ps_probes = probe_sums.probes,
         ps_build = probe_sums.build_ns,
         ps_build_portable = probe_sums.build_portable_ns,
         ps_eval = probe_sums.eval_ns,
         ps_eval_portable = probe_sums.eval_portable_ns,
+        lat_probes = lattice.probes,
+        lat_res_fast = lattice.residues.0,
+        lat_res_slow = lattice.residues.1,
+        lat_build = lattice.build_grid_ns,
+        lat_build_instants = lattice.build_instants_ns,
+        lat_eval = lattice.eval_grid_ns,
+        lat_eval_instants = lattice.eval_instants_ns,
+        lat_diff = lattice.max_diff,
         fma_arm = Arm::detect(),
         fma_grid = fma_bound_json(fma_kernels[0].1, fma_kernels[0].2, peak),
         fma_build = fma_bound_json(fma_kernels[1].1, fma_kernels[1].2, peak),
@@ -1268,6 +1718,22 @@ fn main() {
         svc_vps = 1e9 / service_1w_ns,
         svc_overhead = service.direct_ns / service_1w_ns,
         svc_scaling = service_1w_ns / service.saturation[1].1,
+        stages_uncal_us = stages.untraced_ns[0] / 1e3,
+        stages_cal_us = stages.untraced_ns[1] / 1e3,
+        stages_lms_iterations = stages.lms_iterations,
+        stages_lms_evaluations = stages.lms_evaluations,
+        stages_uncal = stages_json(
+            stages.untraced_ns[0],
+            stages.sum_ns[0],
+            stages.sum_ratio[0],
+            &stages.stage_ns[0]
+        ),
+        stages_cal = stages_json(
+            stages.untraced_ns[1],
+            stages.sum_ns[1],
+            stages.sum_ratio[1],
+            &stages.stage_ns[1]
+        ),
         capture_samples = capture.samples,
         capture_ref = capture.reference_ns,
         capture_ns = capture.ns,
@@ -1373,6 +1839,42 @@ fn main() {
                 "{name} floor (>= {floor}x) not asserted: no FMA dispatch (measured {ratio:.2}x)"
             );
         }
+    }
+    // Lattice contracts: the grid order follows the instants order on
+    // the same times (the probe sums' 1e-9 contract), and sharing each
+    // residue's weights must pay.
+    assert!(
+        lattice.max_diff <= 1e-9,
+        "lattice probe sums diverged from the instants order: {:.3e}",
+        lattice.max_diff
+    );
+    for (name, ratio, (full, quick)) in [
+        (
+            "probe_sums.lattice_build_speedup",
+            lattice_build_speedup,
+            LATTICE_BUILD_FLOOR,
+        ),
+        (
+            "probe_sums.lattice_eval_speedup",
+            lattice_eval_speedup,
+            LATTICE_EVAL_FLOOR,
+        ),
+    ] {
+        let floor = if cfg.quick { quick } else { full };
+        assert!(
+            ratio >= floor,
+            "{name} below the {floor}x floor: {ratio:.2}x"
+        );
+    }
+    // Stage-ledger contract: a traced verdict's stages account for the
+    // untraced verdict's time, each rep's pair compared (the medians of
+    // ~1 ms verdicts drift apart by up to ~10 % over a quick run).
+    for (k, name) in ["uncalibrated", "calibrated"].into_iter().enumerate() {
+        assert!(
+            (stages.sum_ratio[k] - 1.0).abs() <= STAGE_SUM_TOLERANCE,
+            "{name} verdict: stage sum {:.3}x the untraced verdict",
+            stages.sum_ratio[k]
+        );
     }
     // Mask-scan contracts: the banked Goertzel path must agree with the
     // FFT-Welch reference on the Section V fixture (they probe the same

@@ -19,6 +19,7 @@ use crate::mask::SpectralMask;
 use crate::report::BistReport;
 use crate::scan::{EarlyVerdict, MaskScanEngine, ScanFeed, StreamScratch};
 use crate::skew::SkewEstimate;
+use crate::trace::{NoTrace, StageClock, VerdictStage, VerdictTrace};
 use rfbist_converter::bptiadc::{BpTiadc, BpTiadcConfig};
 use rfbist_converter::calibration::auto_calibrate;
 use rfbist_dsp::window::Window;
@@ -34,12 +35,15 @@ pub enum ProbeSchedule {
     /// the schedule the originally published Section V fixtures were
     /// pinned against, kept selectable for reproducing them.
     Random,
-    /// A uniform midpoint grid over the coverage intersection
+    /// A uniform grid on a short rational lattice of the fast period,
+    /// `p/q·T` with `q ≤ 16`, centred in the coverage intersection
     /// ([`DualRateCost::grid_probes`]) — the default. Statistically
     /// equivalent to the random draws for skew estimation (pinned by
-    /// `grid_probe_schedule_matches_random_schedule`); both schedules
-    /// evaluate through the same probe sums at the same price. The
-    /// Section V skew fixtures are pinned against this schedule.
+    /// `grid_probe_schedule_matches_random_schedule`); the probes of
+    /// each lattice residue share their probe-sum weights, so its cost
+    /// builds in about a third of the random schedule's time and
+    /// evaluates in about half. The Section V skew fixtures are pinned
+    /// against this schedule.
     #[default]
     UniformGrid,
 }
@@ -472,14 +476,30 @@ impl BistEngine {
         reference: Option<&R>,
         scratch: &mut BistScratch,
     ) -> Result<BistReport, BistError> {
+        self.try_run_traced(dut, mask, reference, scratch, &mut NoTrace)
+    }
+
+    /// [`try_run_with`](Self::try_run_with), reporting each stage's
+    /// wall time and the LMS result to `trace` (see
+    /// [`VerdictTrace`]). The report is the untraced one's.
+    pub fn try_run_traced<S: ContinuousSignal, R: ContinuousSignal>(
+        &self,
+        dut: &S,
+        mask: &SpectralMask,
+        reference: Option<&R>,
+        scratch: &mut BistScratch,
+        trace: &mut dyn VerdictTrace,
+    ) -> Result<BistReport, BistError> {
         let cfg = &self.config;
+        let mut clock = StageClock::new(trace);
 
         // 1 + 2. fast-rate capture, pre-calibration health guard, and
         //        offset/gain background calibration (the slow channel
         //        is only needed when the skew must be estimated on
         //        this run)
-        let (fast_cap, capture_health, true_delay) =
-            self.calibrated_capture(dut, &cfg.frontend_fast, cfg.fast_start, cfg.fast_len)?;
+        let (fast_cap, capture_health, true_delay) = clock.time(VerdictStage::Capture, || {
+            self.calibrated_capture(dut, &cfg.frontend_fast, cfg.fast_start, cfg.fast_len)
+        })?;
 
         // 3. skew: reuse the calibrated value when one is supplied
         //    (skew is a hardware property — the wideband calibration
@@ -488,7 +508,7 @@ impl BistEngine {
         let (skew, skew_ok) = match cfg.calibrated_skew {
             Some(delay) => (SkewEstimate::from_delay(delay), true),
             None => {
-                let lms = self.estimate_skew(dut, fast_cap.clone())?;
+                let lms = self.estimate_skew(dut, fast_cap.clone(), &mut clock)?;
                 let ok = (!cfg.skew_gate.require_convergence || lms.converged)
                     && cfg
                         .skew_gate
@@ -499,6 +519,7 @@ impl BistEngine {
         };
 
         // 4. dense reconstruction from the fast capture
+        let plan_start = clock.start();
         let rec = PnbsReconstructor::new_unchecked(
             cfg.dual.fast_band(),
             skew.delay,
@@ -522,6 +543,7 @@ impl BistEngine {
             });
         }
         let n_grid = cfg.grid_len.min(usable);
+        clock.stop(VerdictStage::Reconstruction, plan_start);
 
         // 4 + 5. reconstruction and mask verdict in one streamed pass:
         // the grid-plan block feed drives the banked-Goertzel scan
@@ -539,6 +561,7 @@ impl BistEngine {
             stream,
             scan_cache,
         } = scratch;
+        let scan_start = clock.start();
         let engine = scan_engine_cached(
             scan_cache,
             mask,
@@ -551,12 +574,18 @@ impl BistEngine {
         let mut scan = engine
             .stream(stream, cfg.early_verdict)
             .with_capture_len(n_grid);
+        clock.stop(VerdictStage::Scan, scan_start);
         // Δε accumulators, summed in grid order so a full capture
         // reproduces `nrmse` over the batch wave bit-for-bit.
         let (mut err_num, mut err_den) = (0.0f64, 0.0f64);
         let mut produced = 0usize;
+        let mut feed_start = clock.start();
         let mut blocks = rec.reconstruct_blocks(&fast_cap, lo, dt, n_grid, grid);
-        while let Some(block) = blocks.next_block() {
+        loop {
+            let Some(block) = blocks.next_block() else {
+                clock.stop(VerdictStage::Reconstruction, feed_start);
+                break;
+            };
             if let Some(r) = reference {
                 for (i, &g) in block.iter().enumerate() {
                     let rv = r.eval(lo + (produced + i) as f64 * dt);
@@ -565,10 +594,14 @@ impl BistEngine {
                 }
             }
             produced += block.len();
-            if scan.push(block) != ScanFeed::Continue {
+            clock.stop(VerdictStage::Reconstruction, feed_start);
+            let feed = clock.time(VerdictStage::Scan, || scan.push(block));
+            feed_start = clock.start();
+            if feed != ScanFeed::Continue {
                 break;
             }
         }
+        let fold_start = clock.start();
         let early_exit = scan.early_stopped();
         let noise_density_dbhz = scan.noise_density_dbhz();
         let mask_report = scan.try_finish()?;
@@ -592,7 +625,7 @@ impl BistEngine {
             _ => (None, true),
         };
 
-        Ok(BistReport {
+        let report = BistReport {
             skew,
             true_delay,
             mask: mask_report,
@@ -602,7 +635,9 @@ impl BistEngine {
             noise_figure_db,
             nf_ok,
             capture_health: Some(capture_health),
-        })
+        };
+        clock.stop(VerdictStage::Fold, fold_start);
+        Ok(report)
     }
 
     /// Runs only the front half of the BIST — capture at both rates,
@@ -632,10 +667,25 @@ impl BistEngine {
         &self,
         stimulus: &S,
     ) -> Result<SkewEstimate, BistError> {
+        self.try_calibrate_skew_traced(stimulus, &mut NoTrace)
+    }
+
+    /// [`try_calibrate_skew`](Self::try_calibrate_skew), reporting each
+    /// stage's wall time (captures, cost build, LMS) and the LMS result
+    /// to `trace`.
+    pub fn try_calibrate_skew_traced<S: ContinuousSignal>(
+        &self,
+        stimulus: &S,
+        trace: &mut dyn VerdictTrace,
+    ) -> Result<SkewEstimate, BistError> {
         let cfg = &self.config;
-        let (fast_cap, _, _) =
-            self.calibrated_capture(stimulus, &cfg.frontend_fast, cfg.fast_start, cfg.fast_len)?;
-        Ok(self.estimate_skew(stimulus, fast_cap)?.to_estimate())
+        let mut clock = StageClock::new(trace);
+        let (fast_cap, _, _) = clock.time(VerdictStage::Capture, || {
+            self.calibrated_capture(stimulus, &cfg.frontend_fast, cfg.fast_start, cfg.fast_len)
+        })?;
+        Ok(self
+            .estimate_skew(stimulus, fast_cap, &mut clock)?
+            .to_estimate())
     }
 
     /// One channel of the front half: captures `len` pairs from sample
@@ -664,26 +714,30 @@ impl BistEngine {
         &self,
         signal: &S,
         fast_cap: NonuniformCapture,
+        clock: &mut StageClock<'_>,
     ) -> Result<LmsResult, BistError> {
         let cfg = &self.config;
-        let (slow_cap, _, _) =
-            self.calibrated_capture(signal, &cfg.frontend_slow, cfg.slow_start, cfg.slow_len)?;
+        let (slow_cap, _, _) = clock.time(VerdictStage::Capture, || {
+            self.calibrated_capture(signal, &cfg.frontend_slow, cfg.slow_start, cfg.slow_len)
+        })?;
         // the typed constructors, so an undersized capture or a cost
         // the probe sums cannot build is an error value, not a panic
-        let cost = match cfg.probe_schedule {
+        let cost = clock.time(VerdictStage::CostBuild, || match cfg.probe_schedule {
             ProbeSchedule::Random => DualRateCost::try_paper_probes(
                 fast_cap,
                 slow_cap,
                 cfg.dual,
                 cfg.probe_count,
                 cfg.probe_seed,
-            )?,
+            ),
             ProbeSchedule::UniformGrid => {
-                DualRateCost::try_grid_probes(fast_cap, slow_cap, cfg.dual, cfg.probe_count)?
+                DualRateCost::try_grid_probes(fast_cap, slow_cap, cfg.dual, cfg.probe_count)
             }
-        };
+        })?;
         let lms_config = LmsConfig::paper_default(cfg.lms_initial);
-        Ok(estimate_skew_lms(&cost, lms_config))
+        let lms = clock.time(VerdictStage::Lms, || estimate_skew_lms(&cost, lms_config));
+        clock.lms(&lms);
+        Ok(lms)
     }
 }
 
@@ -1069,5 +1123,63 @@ mod tests {
             "calibrated skew error {} ps",
             report.skew_abs_error() * 1e12
         );
+    }
+
+    #[test]
+    fn traced_verdicts_report_every_stage_and_the_untraced_result() {
+        use crate::trace::StageLedger;
+        use std::time::Duration;
+        let tx = paper_tx(TxImpairments::typical());
+        let dut = tx.rf_output();
+        let mask = SpectralMask::qpsk_10msym();
+        let base = BistConfig::paper_default();
+        let engine = BistEngine::new(base.clone());
+        let mut scratch = BistScratch::new();
+        let none: Option<&BandpassSignal<ShapedBaseband>> = None;
+        let untraced = engine
+            .try_run_with(&dut, &mask, none, &mut scratch)
+            .unwrap();
+        let mut ledger = StageLedger::new();
+        let traced = engine
+            .try_run_traced(&dut, &mask, none, &mut scratch, &mut ledger)
+            .unwrap();
+        assert_eq!(traced, untraced);
+        for stage in VerdictStage::ALL {
+            assert!(ledger.total(stage) > Duration::ZERO, "{}", stage.name());
+        }
+        let lms = ledger.lms().expect("the LMS result is reported");
+        assert_eq!(lms.estimate, untraced.skew.delay);
+        assert_eq!(lms.trace.len(), lms.iterations + 1);
+        assert!(lms.evaluations > lms.iterations);
+
+        // a calibrated verdict runs no cost and no LMS
+        let calibration = engine.try_calibrate_skew(&dut).unwrap();
+        let mut cal_ledger = StageLedger::new();
+        assert_eq!(
+            engine
+                .try_calibrate_skew_traced(&dut, &mut cal_ledger)
+                .unwrap(),
+            calibration
+        );
+        assert!(cal_ledger.total(VerdictStage::CostBuild) > Duration::ZERO);
+        assert_eq!(
+            cal_ledger.total(VerdictStage::Reconstruction),
+            Duration::ZERO
+        );
+        let calibrated = BistEngine::new(base.with_calibrated_skew(calibration.delay));
+        let mut ledger = StageLedger::new();
+        let report = calibrated
+            .try_run_traced(&dut, &mask, none, &mut scratch, &mut ledger)
+            .unwrap();
+        assert_eq!(
+            report,
+            calibrated
+                .try_run_with(&dut, &mask, none, &mut scratch)
+                .unwrap()
+        );
+        assert_eq!(ledger.total(VerdictStage::CostBuild), Duration::ZERO);
+        assert_eq!(ledger.total(VerdictStage::Lms), Duration::ZERO);
+        assert!(ledger.lms().is_none());
+        assert!(ledger.total(VerdictStage::Reconstruction) > Duration::ZERO);
     }
 }

@@ -23,11 +23,17 @@
 //! Chebyshev nodes of `[0, m]`, and the few taps the fit cannot
 //! reproduce (poles near `[0, m]`, window support edges) kept exact.
 //! An evaluation then costs one 60-term dot product per probe and
-//! capture, plus the exact taps: ~20–25 µs for the
-//! Section V cost against ~0.3–0.4 ms for two 2 × 61-tap weight rows
-//! per probe, after a ~1.3–2.6 ms build (2-core AVX-512 VM). Both
-//! probe schedules evaluate the same way and agree with the direct
-//! reference ([`evaluate_reference`](DualRateCost::evaluate_reference))
+//! capture, plus the exact taps. The uniform-grid schedule puts its
+//! probes on a short rational lattice of `T`
+//! ([`grid_probes`](DualRateCost::grid_probes)), so each capture's
+//! sums are built in grid order: the probes of one lattice residue
+//! share their window fills, divides and exact-tap geometry. On the
+//! engine's Section V cost (300 probes, 2-core AVX-512 VM) that build
+//! takes ~0.25–0.33 ms against ~0.9–1.2 ms for the same times as
+//! arbitrary instants (the paper's random schedule's cost), and an
+//! evaluation ~5–8 µs against ~8–14 µs, where two 2 × 61-tap weight
+//! rows per probe cost ~0.3–0.4 ms. Both schedules agree with the
+//! direct reference ([`evaluate_reference`](DualRateCost::evaluate_reference))
 //! to ≤ 1e-9 across `]0, m[`.
 
 use crate::error::BistError;
@@ -35,6 +41,13 @@ use rfbist_math::rng::Randomizer;
 use rfbist_sampling::dualrate::DualRateConfig;
 use rfbist_sampling::gridplan::{ProbeSums, ProbeSumsError, PROBE_TAPS, PROBE_WINDOW};
 use rfbist_sampling::reconstruct::{NonuniformCapture, PnbsReconstructor};
+
+/// Largest lattice denominator `q` of the
+/// [`grid_probes`](DualRateCost::grid_probes) schedule's step `p/q·T`:
+/// small enough that each residue holds tens of the paper's 300 probes,
+/// large enough that the step stays within 0.4 % of the midpoint
+/// schedule's on Section V.
+pub const MAX_PROBE_LATTICE_PHASES: usize = 16;
 
 /// A bound cost function: captures + probe times, with each capture's
 /// `D̂`-independent probe sums built once at construction.
@@ -90,27 +103,35 @@ impl DualRateCost {
                 reason: "slow capture rate disagrees with config".to_string(),
             });
         }
-        Self::build(fast, slow, config, times)
+        Self::build(fast, slow, config, times, None)
     }
 
     /// Builds both captures' probe sums over `times` — the one place
     /// every constructor pays for, so an evaluation only combines them.
+    /// With `grid = Some((t0, step))`, `times` is the uniform grid
+    /// `t0 + i·step` and the sums are built in grid order.
     fn build(
         fast: NonuniformCapture,
         slow: NonuniformCapture,
         config: DualRateConfig,
         times: Vec<f64>,
+        grid: Option<(f64, f64)>,
     ) -> Result<Self, BistError> {
         let sums = |band, capture: &NonuniformCapture, channel: &str| {
-            ProbeSums::try_new(band, capture, &times, config.m_bound()).map_err(|e| {
-                BistError::InvalidConfig {
-                    reason: match e {
-                        ProbeSumsError::OutsideCoverage { time } => {
-                            format!("probe time {time:.3e} s outside {channel}-capture coverage")
-                        }
-                        other => other.to_string(),
-                    },
+            let m = config.m_bound();
+            match grid {
+                Some((t0, step)) => {
+                    ProbeSums::try_new_grid(band, capture, t0, step, times.len(), m)
                 }
+                None => ProbeSums::try_new(band, capture, &times, m),
+            }
+            .map_err(|e| BistError::InvalidConfig {
+                reason: match e {
+                    ProbeSumsError::OutsideCoverage { time } => {
+                        format!("probe time {time:.3e} s outside {channel}-capture coverage")
+                    }
+                    other => other.to_string(),
+                },
             })
         };
         let fast_sums = sums(config.fast_band(), &fast, "fast")?;
@@ -191,18 +212,24 @@ impl DualRateCost {
             .map_err(|reason| BistError::CaptureTooShort { reason })?;
         let mut rng = Randomizer::from_seed(seed);
         let times = (0..n).map(|_| rng.uniform(lo, hi)).collect();
-        Self::build(fast, slow, config, times)
+        Self::build(fast, slow, config, times, None)
     }
 
-    /// Uniform-grid probe schedule: `n` probe times at the midpoints of
-    /// a uniform subdivision of both captures' coverage intersection
-    /// (so the singular coverage edges are never touched), 61-tap
-    /// Kaiser reconstruction.
+    /// Uniform-grid probe schedule: `n` probe times on a short rational
+    /// lattice of the fast sample period `T`, centred in both captures'
+    /// coverage intersection (so the singular coverage edges are never
+    /// touched), 61-tap Kaiser reconstruction. The step is `p/q·T`, the
+    /// largest fraction not above `window/(n·T)` with
+    /// `q ≤` [`MAX_PROBE_LATTICE_PHASES`] ([`try_probe_lattice`](Self::try_probe_lattice)):
+    /// `12/13·T` on Section V (`6/13·T₁` on the slow capture), so the
+    /// probes of each lattice residue share their weights and the
+    /// probe sums are built in grid order at about half the cost of
+    /// arbitrary instants.
     ///
     /// Functionally interchangeable with
     /// [`paper_probes`](Self::paper_probes): the cost keeps its unique
     /// minimum at the true delay, and both schedules evaluate through
-    /// the same probe sums at the same price.
+    /// the same probe sums.
     pub fn grid_probes(
         fast: NonuniformCapture,
         slow: NonuniformCapture,
@@ -222,17 +249,65 @@ impl DualRateCost {
         config: DualRateConfig,
         n: usize,
     ) -> Result<Self, BistError> {
+        let (t0, step) = Self::try_probe_lattice(&fast, &slow, &config, n)?;
+        let times = (0..n).map(|i| t0 + i as f64 * step).collect();
+        Self::build(fast, slow, config, times, Some((t0, step)))
+    }
+
+    /// The first probe time and the step of the
+    /// [`grid_probes`](Self::grid_probes) schedule of `n` probes: the
+    /// step is `p/q·T` (`T` the fast period), the largest such fraction
+    /// not above `window/(n·T)` for `q ≤` [`MAX_PROBE_LATTICE_PHASES`],
+    /// in lowest terms, and the `n` probes are centred in the coverage
+    /// window to within half the residue spacing `T/q`, placed so that
+    /// no probe sits on a sample instant or half a sample off one. A
+    /// window too short for `T/16` per probe falls back to its uniform
+    /// midpoint subdivision.
+    ///
+    /// # Errors
+    ///
+    /// As [`try_grid_probes`](Self::try_grid_probes): an empty schedule
+    /// or an undersized capture.
+    pub fn try_probe_lattice(
+        fast: &NonuniformCapture,
+        slow: &NonuniformCapture,
+        config: &DualRateConfig,
+        n: usize,
+    ) -> Result<(f64, f64), BistError> {
         if n == 0 {
             return Err(BistError::InvalidConfig {
                 reason: "at least one probe time required".to_string(),
             });
         }
-        let (lo, hi) = Self::try_probe_window(&fast, &slow, &config)
+        let (lo, hi) = Self::try_probe_window(fast, slow, config)
             .map_err(|reason| BistError::CaptureTooShort { reason })?;
-        let step = (hi - lo) / n as f64;
-        let t0 = lo + 0.5 * step;
-        let times = (0..n).map(|i| t0 + i as f64 * step).collect();
-        Self::build(fast, slow, config, times)
+        let window = hi - lo;
+        let period = fast.period();
+        let x = window / (n as f64 * period);
+        let (mut p, mut q) = (0usize, 1usize);
+        for k in 1..=MAX_PROBE_LATTICE_PHASES {
+            // strictly larger only: an equal fraction keeps the
+            // smaller denominator, so p/q ends in lowest terms
+            let j = (x * k as f64).floor() as usize;
+            if j * q > p * k {
+                (p, q) = (j, k);
+            }
+        }
+        if p == 0 {
+            let step = window / n as f64;
+            return Ok((lo + 0.5 * step, step));
+        }
+        let step = p as f64 * period / q as f64;
+        // Centred, then moved (by at most half the residue spacing T/q)
+        // to a quarter spacing past the sample instants' lattice
+        // points: on both captures every residue then sits ≥ T/(4q)
+        // off a sample instant, where the odd stream's pole would sit
+        // at the end D̂ = 0 of the search interval, and off the
+        // half-sample tie.
+        let centre = lo + 0.5 * (window - (n - 1) as f64 * step);
+        let spacing = period / q as f64;
+        let t0 = ((centre / spacing - 0.25).round() + 0.25) * spacing;
+        Ok((t0, step))
     }
 
     /// The dual-rate configuration.
@@ -563,18 +638,68 @@ mod tests {
     }
 
     #[test]
-    fn grid_probes_form_a_uniform_midpoint_grid() {
-        let cost = paper_grid_setup(true);
-        let (lo, hi) =
-            DualRateCost::try_probe_window(cost.fast_capture(), cost.slow_capture(), cost.config())
-                .expect("covered");
-        let step = (hi - lo) / 120.0;
-        let t0 = lo + 0.5 * step;
-        assert!(step > 0.0);
-        assert_eq!(cost.times().len(), 120);
-        for (i, &t) in cost.times().iter().enumerate() {
-            assert_eq!(t, t0 + i as f64 * step, "probe {i} off the grid");
+    fn grid_probes_form_a_lattice_of_the_fast_period() {
+        for n in [120, 300, 37] {
+            let cost = DualRateCost::grid_probes(
+                paper_setup(true).fast_capture().clone(),
+                paper_setup(true).slow_capture().clone(),
+                DualRateConfig::paper_section_v(),
+                n,
+            );
+            let (fast, slow) = (cost.fast_capture(), cost.slow_capture());
+            let (lo, hi) = DualRateCost::try_probe_window(fast, slow, cost.config()).unwrap();
+            let period = fast.period();
+            // the largest p/q ≤ window/(n·T) over q ≤ 16, by brute force
+            let x = (hi - lo) / (n as f64 * period);
+            let (p, q) = (1..=MAX_PROBE_LATTICE_PHASES)
+                .flat_map(|q| (1..=q * 8).map(move |p| (p, q)))
+                .filter(|&(p, q)| (p as f64) <= x * q as f64)
+                .max_by(|a, b| (a.0 * b.1).cmp(&(b.0 * a.1)).then(b.1.cmp(&a.1)))
+                .unwrap();
+            assert!(q <= MAX_PROBE_LATTICE_PHASES);
+            let step = p as f64 * period / q as f64;
+            let (t0, got_step) =
+                DualRateCost::try_probe_lattice(fast, slow, cost.config(), n).unwrap();
+            assert_eq!(got_step, step, "n = {n}: step is {p}/{q}·T");
+            assert_eq!(cost.times().len(), n);
+            for (i, &t) in cost.times().iter().enumerate() {
+                assert_eq!(
+                    t,
+                    t0 + i as f64 * step,
+                    "n = {n}: probe {i} off the lattice"
+                );
+                assert!(t > lo && t < hi, "n = {n}: probe {i} outside the window");
+            }
+            // centred to within half the residue spacing, and a quarter
+            // spacing off every sample instant of both captures
+            let margin = (t0 - lo, hi - cost.times()[n - 1]);
+            assert!(
+                (margin.0 - margin.1).abs() <= period / q as f64 * (1.0 + 1e-9),
+                "n = {n}: {margin:?}"
+            );
+            for &t in cost.times() {
+                for cap in [fast, slow] {
+                    let off = (t / cap.period()).fract();
+                    let nearest = off.min(1.0 - off).min((off - 0.5).abs());
+                    assert!(
+                        nearest >= 0.99 / (4 * 2 * q) as f64,
+                        "n = {n}: probe at {off} of a sample"
+                    );
+                }
+            }
         }
+        // the engine's 300 probes on its Section V captures (fast 380
+        // pairs from sample 80, slow 200 from 40) sit on 12/13·T,
+        // which is 6/13 of the slow period
+        let cfg = DualRateConfig::paper_section_v();
+        let tx = BandpassSignal::new(ShapedBaseband::qpsk_prbs(10e6, 0.5, 12, 96, 1), 1e9);
+        let fast =
+            BpTiadc::new(BpTiadcConfig::ideal(cfg.fast_rate(), cfg.delay())).capture(&tx, 80, 380);
+        let slow =
+            BpTiadc::new(BpTiadcConfig::ideal(cfg.slow_rate(), cfg.delay())).capture(&tx, 40, 200);
+        let (_, step) = DualRateCost::try_probe_lattice(&fast, &slow, &cfg, 300).unwrap();
+        assert_eq!(step, 12.0 * fast.period() / 13.0);
+        assert_eq!(step, 6.0 * slow.period() / 13.0);
     }
 
     #[test]

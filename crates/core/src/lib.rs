@@ -25,6 +25,8 @@
 //! - [`service`]: the persistent-worker verdict service (shards
 //!   (standard × carrier × DUT) jobs across long-lived workers with
 //!   bounded-queue backpressure),
+//! - [`trace`]: the opt-in per-stage ledger of a verdict
+//!   ([`VerdictTrace`](trace::VerdictTrace)),
 //! - [`wire`]: the length-prefixed wire format for feeding sample
 //!   blocks to a verdict worker and draining partial reports.
 //!
@@ -71,6 +73,7 @@ pub mod report;
 pub mod scan;
 pub mod service;
 pub mod skew;
+pub mod trace;
 pub mod wire;
 
 pub use bist::{BistConfig, BistEngine, BistScratch, NoiseFigureConfig, SkewGate};

@@ -203,3 +203,66 @@ fn probe_sums_match_the_lane_model_on_every_arm() {
         assert_bits_eq(&format!("{rate} values, dispatched"), &got, &want);
     }
 }
+
+#[test]
+fn grid_probe_sums_match_the_lane_model_on_every_arm() {
+    // the engine's Section V captures and the 300 probes of its
+    // lattice schedule, summed in grid order: 13 residues per capture
+    let cfg = BistConfig::paper_default();
+    let dut = paper_tx(TxImpairments::typical()).rf_output();
+    let calibrated =
+        |frontend, start, len| auto_calibrate(&BpTiadc::new(frontend).capture(&dut, start, len)).0;
+    let fast = calibrated(cfg.frontend_fast, cfg.fast_start, cfg.fast_len);
+    let slow = calibrated(cfg.frontend_slow, cfg.slow_start, cfg.slow_len);
+    let n = 300;
+    let (t0, step) = DualRateCost::try_probe_lattice(&fast, &slow, &cfg.dual, n).expect("covered");
+    let m = cfg.dual.m_bound();
+    let candidates: Vec<f64> = (1..40).map(|i| m * i as f64 / 40.0).collect();
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for (band, cap, rate) in [
+        (cfg.dual.fast_band(), &fast, "fast"),
+        (cfg.dual.slow_band(), &slow, "slow"),
+    ] {
+        for arm in arms() {
+            let sums = ProbeSums::try_new_grid_on(arm, band, cap, t0, step, n, m).expect("covered");
+            assert_eq!(sums.residues(), 13, "the {rate} capture's lattice");
+            assert!(
+                sums.exact_taps() > 0,
+                "the {rate} fixture must have exact taps"
+            );
+            let model = if arm == Arm::Portable {
+                ProbeSums::try_new_grid_lanes(UNFUSED, band, cap, t0, step, n, m)
+            } else {
+                ProbeSums::try_new_grid_lanes(FUSED, band, cap, t0, step, n, m)
+            }
+            .expect("covered");
+            assert_eq!(sums.exact_taps(), model.exact_taps());
+            assert_bits_eq(
+                &format!("{rate} grid-order rows, {arm:?} arm"),
+                sums.rows(),
+                model.rows(),
+            );
+            for &d in &candidates {
+                sums.eval_into_on(arm, d, &mut got);
+                if arm == Arm::Portable {
+                    sums.eval_into_lanes(UNFUSED, d, &mut want);
+                } else {
+                    sums.eval_into_lanes(FUSED, d, &mut want);
+                }
+                let what = format!(
+                    "{rate} grid-order values at {:.1} ps, {arm:?} arm",
+                    d * 1e12
+                );
+                assert_bits_eq(&what, &got, &want);
+            }
+        }
+        let dispatched = ProbeSums::try_new_grid(band, cap, t0, step, n, m).expect("covered");
+        let on_arm =
+            ProbeSums::try_new_grid_on(Arm::detect(), band, cap, t0, step, n, m).expect("covered");
+        assert_bits_eq(
+            &format!("{rate} grid-order rows, dispatched"),
+            dispatched.rows(),
+            on_arm.rows(),
+        );
+    }
+}

@@ -10,9 +10,14 @@
 //!   both captures' sample indices and shifting the probes by the same
 //!   time leaves ε unchanged, which pins the phase origins of the
 //!   cost's probe sums without the direct reference.
+//! - A known spur: a bin-centred tone of closed-form density added to a
+//!   healthy Section V DUT sets the verdict's worst margin to the mask
+//!   limit minus its level, within a bound derived from the
+//!   Welch/Blackman–Harris estimator.
 
 mod common;
 
+use rfbist::core::bist::welch_segmentation;
 use rfbist::prelude::*;
 
 /// The paper's true inter-channel delay.
@@ -138,4 +143,69 @@ fn whole_sample_shift_leaves_the_cost_unchanged() {
             );
         }
     }
+}
+
+/// The Blackman–Harris equivalent noise bandwidth of an `n`-point
+/// segment in bins, `n·Σw²/(Σw)²`, from the window's closed form.
+fn blackman_harris_enbw(n: usize) -> f64 {
+    let w = |i: usize| {
+        let x = 2.0 * std::f64::consts::PI * i as f64 / (n - 1) as f64;
+        0.35875 - 0.48829 * x.cos() + 0.14128 * (2.0 * x).cos() - 0.01168 * (3.0 * x).cos()
+    };
+    let (sum, sum_sq) = (0..n).fold((0.0, 0.0), |(s, q), i| (s + w(i), q + w(i) * w(i)));
+    n as f64 * sum_sq / (sum * sum)
+}
+
+#[test]
+fn a_known_spur_sets_the_worst_margin() {
+    // A tone at carrier + 31 Welch bins (15.14 MHz, inside the
+    // −38 dBc segment), −10 dBc against the healthy run's reference, on
+    // the default configuration (lattice probe schedule, per-run LMS).
+    // Its one-sided density in its bin is (A²/2)/(ENBW·Δf); the verdict
+    // reports limit − level there, off by what the DUT's own spectrum
+    // adds to that bin.
+    let cfg = BistConfig::paper_default();
+    let mask = SpectralMask::qpsk_10msym();
+    let engine = BistEngine::new(cfg.clone());
+    let tx = common::paper_tx(TxImpairments::typical());
+    let none: Option<&Tone> = None;
+    let healthy = engine.run(&tx.rf_output(), &mask, none);
+    assert!(healthy.passed(), "the healthy DUT passes");
+
+    let (seg, overlap) = welch_segmentation(cfg.grid_len);
+    let df = cfg.grid_rate / seg as f64;
+    let carrier = cfg.dual.fast_band().center();
+    assert_eq!((carrier / df).fract(), 0.0, "the carrier sits on a bin");
+    let f_spur = carrier + 31.0 * df;
+    let limit = -38.0;
+    let enbw_hz = blackman_harris_enbw(seg) * df;
+    let density_db = |amp: f64| 10.0 * (amp * amp / 2.0 / enbw_hz).log10();
+    let amp = (2.0 * enbw_hz * 10f64.powf((healthy.mask.reference_db - 10.0) / 10.0)).sqrt();
+    let dut = Sum::new(tx.rf_output(), Tone::new(f_spur, amp, 0.7));
+    let report = engine.run(&dut, &mask, none);
+    let level = density_db(amp) - report.mask.reference_db;
+
+    // Tolerance. In each of the K Welch segments the bin holds the
+    // tone's DFT S plus the DUT's own N_k, so the averaged periodogram
+    // lies within |S|²·(1 ± √(K·r))², r the DUT's averaged density
+    // there relative to the tone's: no segment holds more than K times
+    // the average. The healthy verdict bounds the DUT's density in
+    // this segment by limit − its worst margin. A further 0.1 dB
+    // covers the reconstruction's and the front-end's gain at the tone.
+    let segments = 1 + (cfg.grid_len - seg) / (seg - overlap);
+    let r = 10f64.powf((limit - healthy.mask.worst_margin_db - level) / 10.0);
+    let tolerance = -20.0 * (1.0 - (segments as f64 * r).sqrt()).log10() + 0.1;
+    let expected = limit - level;
+    assert!(
+        (report.mask.worst_margin_db - expected).abs() <= tolerance,
+        "worst margin {:.3} dB, limit − level {expected:.3} dB, tolerance {tolerance:.3} dB",
+        report.mask.worst_margin_db
+    );
+    assert!(
+        (report.mask.worst_frequency_hz - f_spur).abs() < 0.5 * df,
+        "worst margin at {:.4} MHz, spur at {:.4} MHz",
+        report.mask.worst_frequency_hz / 1e6,
+        f_spur / 1e6
+    );
+    assert!(!report.passed());
 }
