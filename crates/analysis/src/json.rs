@@ -1,7 +1,7 @@
-//! Minimal JSON emit + parse — the linter's own `minijson`, in the
-//! same spirit as the campaign checkpoint's: no dependencies, exact
-//! and deterministic output (object key order preserved, stable
-//! number formatting) so `--update-baseline` is byte-idempotent.
+//! Minimal JSON emit + parse, the workspace's only JSON reader: no
+//! dependencies, exact and deterministic output (object key order
+//! preserved, stable number formatting) so `--update-baseline` is
+//! byte-idempotent.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -10,8 +10,7 @@
 //! checked on every CI run instead of enforced by reviewer memory.
 //!
 //! The pass is a dependency-free, hand-rolled line/token scanner
-//! (see [`scanner`]) — deliberately not a Rust parser, in the same
-//! spirit as the campaign checkpoint's `minijson`. Findings emit
+//! (see [`scanner`]) — deliberately not a Rust parser. Findings emit
 //! human text plus schema'd JSON (`rfbist-analysis-findings/v1`) and
 //! are diffed against the committed `ANALYSIS_BASELINE.json`: only
 //! **new** findings fail, so the rules ratchet instead of blocking

@@ -4,11 +4,11 @@
 //! that recovers function declarations, attribute/doc context,
 //! `#[cfg(test)]` spans and `unsafe` sites.
 //!
-//! This is deliberately **not** a Rust parser. Like the campaign
-//! checkpoint's `minijson`, it is a small, dependency-free scanner
-//! with exactly enough state tracking to be reliable on this
-//! workspace's idiomatic rustfmt-formatted sources; the lint fixtures
-//! in `tests/` pin the constructs it must understand.
+//! This is deliberately **not** a Rust parser: it is a small,
+//! dependency-free scanner with exactly enough state tracking to be
+//! reliable on this workspace's idiomatic rustfmt-formatted sources;
+//! the lint fixtures in `tests/` pin the constructs it must
+//! understand.
 
 /// One scanned source file: raw lines, masked code lines (string and
 /// comment contents blanked), per-line comment text, and the

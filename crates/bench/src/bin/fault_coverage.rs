@@ -5,9 +5,8 @@
 //!
 //! ```sh
 //! cargo run --release -p rfbist-bench --bin fault_coverage             # full
-//! cargo run --release -p rfbist-bench --bin fault_coverage -- --quick  # CI smoke
+//! cargo run --release -p rfbist-bench --bin fault_coverage -- --quick  # gross faults, one trial
 //! cargo run --release -p rfbist-bench --bin fault_coverage -- --out some.json
-//! cargo run --release -p rfbist-bench --bin fault_coverage -- --quick --resume
 //! ```
 //!
 //! Full mode sweeps [`standard_fault_set`] at two payload trials over
@@ -21,53 +20,30 @@
 //! standard, zero false alarms, calibrated skew at the picosecond
 //! hardware floor. The verdicts run on the verdict-service pool, one
 //! worker per available core; the matrix is the same at any worker
-//! count (`taskset -c 0` pins it to one).
-//!
-//! The driver checkpoints after every completed (standard, jitter)
-//! cell (to `<out>.checkpoint.json` unless `--checkpoint PATH`
-//! overrides it) and `--resume` continues a killed campaign from the
-//! first missing cell; the resumed matrix is bit-identical to an
-//! uninterrupted run. `--kill-after-cells N` stops after N cells with
-//! exit code 3 — the hook the CI kill-and-resume smoke uses.
+//! count (`taskset -c 0` pins it to one). The campaign keeps no
+//! checkpoint: the full sweep takes under a second on a 2-core
+//! machine, so a killed run is simply rerun.
 
 use rfbist_core::campaign::{try_run_campaign_supervised, CampaignConfig, CampaignProgress};
-use rfbist_core::error::BistError;
 use rfbist_rfchain::faults::standard_fault_set;
-use std::path::PathBuf;
 use std::time::Instant;
 
 struct Config {
     quick: bool,
     out: String,
-    checkpoint: Option<String>,
-    resume: bool,
-    kill_after_cells: Option<usize>,
 }
 
 fn main() {
     let mut cfg = Config {
         quick: false,
         out: "BENCH_fault_coverage.json".to_string(),
-        checkpoint: None,
-        resume: false,
-        kill_after_cells: None,
     };
-    let usage = "usage: fault_coverage [--quick] [--out PATH] [--checkpoint PATH] \
-                 [--resume] [--kill-after-cells N]";
+    let usage = "usage: fault_coverage [--quick] [--out PATH]";
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => cfg.quick = true,
             "--out" => cfg.out = args.next().expect("--out requires a path"),
-            "--checkpoint" => {
-                cfg.checkpoint = Some(args.next().expect("--checkpoint requires a path"))
-            }
-            "--resume" => cfg.resume = true,
-            "--kill-after-cells" => {
-                let n = args.next().expect("--kill-after-cells requires a count");
-                cfg.kill_after_cells =
-                    Some(n.parse().expect("--kill-after-cells requires an integer"));
-            }
             other => {
                 eprintln!("unknown argument `{other}`");
                 eprintln!("{usage}");
@@ -93,16 +69,6 @@ fn main() {
         campaign.jitter_rms.len(),
     );
 
-    let checkpoint = PathBuf::from(
-        cfg.checkpoint
-            .clone()
-            .unwrap_or_else(|| format!("{}.checkpoint.json", cfg.out)),
-    );
-    if cfg.resume && checkpoint.exists() {
-        println!("resuming from checkpoint {}", checkpoint.display());
-    }
-
-    let kill_after = cfg.kill_after_cells;
     let mut observer = |p: &CampaignProgress| {
         println!(
             "  cell {}/{} done: {} @ {:.1} ps jitter",
@@ -111,21 +77,12 @@ fn main() {
             p.standard,
             p.jitter_rms * 1e12
         );
-        kill_after.is_none_or(|n| p.completed_cells < n)
+        true
     };
 
     let t0 = Instant::now();
-    let matrix = match try_run_campaign_supervised(
-        &campaign,
-        Some(&checkpoint),
-        cfg.resume,
-        &mut observer,
-    ) {
+    let matrix = match try_run_campaign_supervised(&campaign, None, false, &mut observer) {
         Ok(matrix) => matrix,
-        Err(e @ BistError::Interrupted { .. }) => {
-            println!("{e}; checkpoint retained at {}", checkpoint.display());
-            std::process::exit(3);
-        }
         Err(e) => {
             eprintln!("fault_coverage: {e}");
             std::process::exit(1);
@@ -160,8 +117,6 @@ fn main() {
 
     std::fs::write(&cfg.out, matrix.to_json()).expect("write coverage matrix");
     println!("wrote {}", cfg.out);
-    // the campaign completed: its checkpoint has served its purpose
-    let _ = std::fs::remove_file(&checkpoint);
 
     // acceptance self-asserts — a red exit code is the point of a
     // coverage campaign

@@ -45,7 +45,6 @@ use rfbist_sampling::dualrate::DualRateConfig;
 use rfbist_sampling::kohlenberg::optimal_delay;
 use rfbist_signal::baseband::ShapedBaseband;
 use std::fmt::Write as _;
-use std::fs;
 use std::iter;
 use std::path::Path;
 use std::sync::Arc;
@@ -453,7 +452,7 @@ impl CoverageMatrix {
 /// completed (deployment, jitter) cell.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CampaignProgress {
-    /// Cells completed so far (including restored ones at resume).
+    /// Cells completed so far.
     pub completed_cells: usize,
     /// Total cells in the campaign
     /// (`deployments.len() × jitter_rms.len()`).
@@ -462,30 +461,6 @@ pub struct CampaignProgress {
     pub standard: String,
     /// Jitter profile of the cell that just completed, RMS seconds.
     pub jitter_rms: f64,
-}
-
-/// Per-fault tally of one completed campaign cell, positionally
-/// matching the configured corpus (ids may repeat across a corpus, so
-/// position — not id — is the join key; the id is stored for sanity
-/// checking at resume).
-#[derive(Clone, Debug, PartialEq)]
-struct CellFault {
-    id: String,
-    runs: usize,
-    verdict_detected: usize,
-    detected: usize,
-}
-
-/// One completed (deployment, jitter) cell — the checkpoint unit.
-#[derive(Clone, Debug, PartialEq)]
-struct CellRecord {
-    standard: String,
-    jitter_rms: f64,
-    healthy_runs: usize,
-    false_alarms: usize,
-    errored_runs: usize,
-    worst_skew_error: f64,
-    faults: Vec<CellFault>,
 }
 
 /// Validates a campaign configuration up front, so every rejection —
@@ -529,44 +504,27 @@ fn validate(cfg: &CampaignConfig, library: &MaskLibrary) -> Result<(), BistError
 
 /// Runs one (deployment, jitter) cell: calibrates the skew on the
 /// calling thread, submits the cell's `trials × (faults + 1)` verdicts
-/// to the pool and scores the outcomes in job order. A run whose
-/// verdict fails is tallied under `errored_runs` instead of aborting
-/// the campaign — a robustness campaign must outlive the failures it
-/// measures. Only a dead pool is an `Err`.
+/// to the pool and adds the outcomes, in job order, to the standard's
+/// tallies in `outcome`. A run whose verdict fails is tallied under
+/// `errored_runs` instead of aborting the campaign — a robustness
+/// campaign must outlive the failures it measures. Only a dead pool is
+/// an `Err`.
 fn run_cell(
     service: &mut VerdictService,
     cfg: &CampaignConfig,
     dep: &Deployment,
     standard: &MaskStandard,
     jitter: f64,
-) -> Result<CellRecord, BistError> {
+    outcome: &mut StandardOutcome,
+) -> Result<(), BistError> {
     let runs_per_trial = cfg.faults.len() + 1;
-    let mut record = CellRecord {
-        standard: dep.standard.clone(),
-        jitter_rms: jitter,
-        healthy_runs: 0,
-        false_alarms: 0,
-        errored_runs: 0,
-        worst_skew_error: 0.0,
-        faults: cfg
-            .faults
-            .iter()
-            .map(|f| CellFault {
-                id: f.kind.id().to_string(),
-                runs: 0,
-                verdict_detected: 0,
-                detected: 0,
-            })
-            .collect(),
-    };
-
     let mut base = dep.try_bist_config()?;
     base.frontend_fast.jitter = JitterModel::Gaussian { rms: jitter };
     base.frontend_slow.jitter = JitterModel::Gaussian { rms: jitter };
     let Ok(config) = dep.try_calibrate(base, cfg.base_seed) else {
         // no skew estimate, no verdicts: the whole cell errors
-        record.errored_runs = cfg.trials * runs_per_trial;
-        return Ok(record);
+        outcome.errored_runs += cfg.trials * runs_per_trial;
+        return Ok(());
     };
 
     // each trial is its healthy baseline followed by every corpus
@@ -601,15 +559,15 @@ fn run_cell(
         let Some(Some((healthy, healthy_eps))) = runs.next() else {
             // without the healthy Δε floor the trial's fault runs
             // cannot be scored either: the whole trial errors
-            record.errored_runs += runs_per_trial;
+            outcome.errored_runs += runs_per_trial;
             continue;
         };
-        record.healthy_runs += 1;
-        record.false_alarms += usize::from(!healthy.passed());
-        record.worst_skew_error = record.worst_skew_error.max(healthy.skew_abs_error());
-        for (tally, run) in record.faults.iter_mut().zip(runs) {
+        outcome.healthy_runs += 1;
+        outcome.false_alarms += usize::from(!healthy.passed());
+        outcome.worst_skew_error = outcome.worst_skew_error.max(healthy.skew_abs_error());
+        for (tally, run) in outcome.per_fault.iter_mut().zip(runs) {
             let Some((report, eps)) = run else {
-                record.errored_runs += 1;
+                outcome.errored_runs += 1;
                 continue;
             };
             let verdict_flag = !report.passed();
@@ -617,10 +575,10 @@ fn run_cell(
             tally.runs += 1;
             tally.verdict_detected += usize::from(verdict_flag);
             tally.detected += usize::from(verdict_flag || eps_flag);
-            record.worst_skew_error = record.worst_skew_error.max(report.skew_abs_error());
+            outcome.worst_skew_error = outcome.worst_skew_error.max(report.skew_abs_error());
         }
     }
-    Ok(record)
+    Ok(())
 }
 
 /// A scoreable run: its report and Δε. Every campaign job carries a
@@ -628,282 +586,6 @@ fn run_cell(
 fn scored(outcome: &VerdictOutcome) -> Option<(&BistReport, f64)> {
     let report = outcome.result.as_ref().ok()?;
     Some((report, report.reconstruction_error?))
-}
-
-/// Folds completed cell records (deployment-major, jitter-minor order)
-/// into the per-standard coverage matrix. Integer tallies sum and the
-/// worst skew error maxes, so a resumed campaign folds to exactly the
-/// matrix an uninterrupted run would have produced.
-fn fold_records(cfg: &CampaignConfig, records: &[CellRecord]) -> CoverageMatrix {
-    let per_standard = cfg.jitter_rms.len();
-    let standards = records
-        .chunks(per_standard)
-        .zip(&cfg.deployments)
-        .map(|(chunk, dep)| {
-            let mut outcome = StandardOutcome {
-                standard: dep.standard.clone(),
-                healthy_runs: 0,
-                false_alarms: 0,
-                errored_runs: 0,
-                per_fault: cfg
-                    .faults
-                    .iter()
-                    .map(|&fault| FaultOutcome {
-                        fault,
-                        runs: 0,
-                        verdict_detected: 0,
-                        detected: 0,
-                    })
-                    .collect(),
-                worst_skew_error: 0.0,
-            };
-            for cell in chunk {
-                outcome.healthy_runs += cell.healthy_runs;
-                outcome.false_alarms += cell.false_alarms;
-                outcome.errored_runs += cell.errored_runs;
-                outcome.worst_skew_error = outcome.worst_skew_error.max(cell.worst_skew_error);
-                for (slot, f) in cell.faults.iter().enumerate() {
-                    let tally = &mut outcome.per_fault[slot];
-                    tally.runs += f.runs;
-                    tally.verdict_detected += f.verdict_detected;
-                    tally.detected += f.detected;
-                }
-            }
-            outcome
-        })
-        .collect();
-    CoverageMatrix { standards }
-}
-
-/// A deterministic digest of everything that shapes the campaign's
-/// cell sequence and arithmetic. A checkpoint written under one
-/// fingerprint refuses to resume under another — resuming half a
-/// campaign against different parameters would silently splice two
-/// incomparable measurements.
-fn config_fingerprint(cfg: &CampaignConfig) -> String {
-    let mut s = String::new();
-    // `cal=true` names the per-cell wideband calibration every
-    // campaign runs; the text stays so older checkpoints still resume
-    let _ = write!(
-        s,
-        "v1;seed={};trials={};eps={};cal=true;jitter=",
-        cfg.base_seed, cfg.trials, cfg.eps_ratio
-    );
-    for j in &cfg.jitter_rms {
-        let _ = write!(s, "{j},");
-    }
-    let _ = write!(s, ";deployments=");
-    for d in &cfg.deployments {
-        let _ = write!(
-            s,
-            "{}:{}:{}:{}:{}:{}|",
-            d.standard, d.carrier_hz, d.grid_rate, d.grid_len, d.fast_len, d.slow_len
-        );
-    }
-    let _ = write!(s, ";faults=");
-    for f in &cfg.faults {
-        let _ = write!(s, "{:?}|", f.kind);
-    }
-    s
-}
-
-/// Escapes a string for embedding in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Serializes the checkpoint: schema header, config fingerprint, and
-/// one record per completed cell. Floats use Rust's shortest-exact
-/// `{}` formatting, which `parse::<f64>()` round-trips bit-for-bit —
-/// the property the resumed-equals-uninterrupted guarantee rests on.
-fn checkpoint_json(fingerprint: &str, records: &[CellRecord]) -> String {
-    let mut cells = String::new();
-    for (i, c) in records.iter().enumerate() {
-        let mut faults = String::new();
-        for (j, f) in c.faults.iter().enumerate() {
-            let _ = write!(
-                faults,
-                "{}{{\"id\": \"{}\", \"runs\": {}, \"verdict_detected\": {}, \"detected\": {}}}",
-                if j == 0 { "" } else { ", " },
-                json_escape(&f.id),
-                f.runs,
-                f.verdict_detected,
-                f.detected
-            );
-        }
-        let _ = write!(
-            cells,
-            "{}\n    {{\"standard\": \"{}\", \"jitter_rms\": {}, \"healthy_runs\": {}, \
-             \"false_alarms\": {}, \"errored_runs\": {}, \"worst_skew_error\": {}, \
-             \"faults\": [{}]}}",
-            if i == 0 { "" } else { "," },
-            json_escape(&c.standard),
-            c.jitter_rms,
-            c.healthy_runs,
-            c.false_alarms,
-            c.errored_runs,
-            c.worst_skew_error,
-            faults
-        );
-    }
-    format!(
-        "{{\n  \"schema\": \"{CHECKPOINT_SCHEMA}\",\n  \"fingerprint\": \"{}\",\n  \
-         \"cells\": [{}\n  ]\n}}\n",
-        json_escape(fingerprint),
-        cells
-    )
-}
-
-/// Checkpoint document schema identifier.
-const CHECKPOINT_SCHEMA: &str = "rfbist-campaign-checkpoint/v1";
-
-/// Atomically replaces the checkpoint file (write to a sibling temp
-/// file, then rename): a kill mid-write leaves the previous complete
-/// checkpoint, never a torn one.
-fn write_checkpoint(
-    path: &Path,
-    fingerprint: &str,
-    records: &[CellRecord],
-) -> Result<(), BistError> {
-    let doc = checkpoint_json(fingerprint, records);
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    fs::write(&tmp, &doc).map_err(|e| BistError::Checkpoint {
-        reason: format!("cannot write `{}`: {e}", tmp.display()),
-    })?;
-    fs::rename(&tmp, path).map_err(|e| BistError::Checkpoint {
-        reason: format!("cannot move `{}` into place: {e}", tmp.display()),
-    })?;
-    Ok(())
-}
-
-/// Loads and validates a checkpoint against the running config:
-/// schema, fingerprint, and that the stored cells form a *prefix* of
-/// this campaign's cell sequence (position by position, including the
-/// per-cell fault-corpus ids).
-fn load_checkpoint(
-    path: &Path,
-    fingerprint: &str,
-    cfg: &CampaignConfig,
-) -> Result<Vec<CellRecord>, BistError> {
-    let err = |reason: String| BistError::Checkpoint { reason };
-    let text = fs::read_to_string(path)
-        .map_err(|e| err(format!("cannot read `{}`: {e}", path.display())))?;
-    let doc = minijson::parse(&text).map_err(|e| err(format!("`{}`: {e}", path.display())))?;
-    let schema = doc.get("schema").and_then(minijson::Value::as_str);
-    if schema != Some(CHECKPOINT_SCHEMA) {
-        return Err(err(format!(
-            "`{}` is not a campaign checkpoint (schema {:?})",
-            path.display(),
-            schema
-        )));
-    }
-    match doc.get("fingerprint").and_then(minijson::Value::as_str) {
-        Some(f) if f == fingerprint => {}
-        _ => {
-            return Err(err(format!(
-                "`{}` was written by a different campaign configuration — \
-                 refusing to splice incomparable runs",
-                path.display()
-            )))
-        }
-    }
-    let cells = doc
-        .get("cells")
-        .and_then(minijson::Value::as_arr)
-        .ok_or_else(|| err(format!("`{}` has no cells array", path.display())))?;
-    let total = cfg.deployments.len() * cfg.jitter_rms.len();
-    if cells.len() > total {
-        return Err(err(format!(
-            "`{}` holds {} cells but the campaign only has {total}",
-            path.display(),
-            cells.len()
-        )));
-    }
-    let expected_ids: Vec<&str> = cfg.faults.iter().map(|f| f.kind.id()).collect();
-    let mut records = Vec::with_capacity(cells.len());
-    for (i, cell) in cells.iter().enumerate() {
-        let dep = &cfg.deployments[i / cfg.jitter_rms.len()];
-        let jitter = cfg.jitter_rms[i % cfg.jitter_rms.len()];
-        let field = |k: &str| {
-            cell.get(k)
-                .and_then(minijson::Value::as_f64)
-                .ok_or_else(|| err(format!("cell {i} is missing numeric field `{k}`")))
-        };
-        let standard = cell
-            .get("standard")
-            .and_then(minijson::Value::as_str)
-            .ok_or_else(|| err(format!("cell {i} is missing `standard`")))?;
-        let jitter_rms = field("jitter_rms")?;
-        if standard != dep.standard || jitter_rms != jitter {
-            return Err(err(format!(
-                "cell {i} is ({standard}, {jitter_rms} s) but this campaign's cell {i} \
-                 is ({}, {jitter} s) — the checkpoint is not a prefix of this run",
-                dep.standard
-            )));
-        }
-        let faults = cell
-            .get("faults")
-            .and_then(minijson::Value::as_arr)
-            .ok_or_else(|| err(format!("cell {i} has no faults array")))?;
-        if faults.len() != expected_ids.len() {
-            return Err(err(format!(
-                "cell {i} tallies {} faults but the corpus has {}",
-                faults.len(),
-                expected_ids.len()
-            )));
-        }
-        let mut cell_faults = Vec::with_capacity(faults.len());
-        for (slot, f) in faults.iter().enumerate() {
-            let id = f
-                .get("id")
-                .and_then(minijson::Value::as_str)
-                .ok_or_else(|| err(format!("cell {i} fault {slot} is missing `id`")))?;
-            if id != expected_ids[slot] {
-                return Err(err(format!(
-                    "cell {i} fault {slot} is `{id}` but the corpus has \
-                     `{}` at that position",
-                    expected_ids[slot]
-                )));
-            }
-            let ffield = |k: &str| {
-                f.get(k)
-                    .and_then(minijson::Value::as_f64)
-                    .ok_or_else(|| err(format!("cell {i} fault {slot} is missing `{k}`")))
-            };
-            cell_faults.push(CellFault {
-                id: id.to_string(),
-                runs: ffield("runs")? as usize,
-                verdict_detected: ffield("verdict_detected")? as usize,
-                detected: ffield("detected")? as usize,
-            });
-        }
-        records.push(CellRecord {
-            standard: standard.to_string(),
-            jitter_rms,
-            healthy_runs: field("healthy_runs")? as usize,
-            false_alarms: field("false_alarms")? as usize,
-            errored_runs: field("errored_runs")? as usize,
-            worst_skew_error: field("worst_skew_error")?,
-            faults: cell_faults,
-        });
-    }
-    Ok(records)
 }
 
 /// Runs the campaign and returns the coverage matrix, or a typed
@@ -919,80 +601,87 @@ pub fn try_run_campaign(cfg: &CampaignConfig) -> Result<CoverageMatrix, BistErro
     try_run_campaign_supervised(cfg, None, false, &mut |_| true)
 }
 
-/// The fully supervised campaign driver: optional checkpointing after
-/// every completed cell, resume from a compatible checkpoint, and an
-/// observer that can stop the sweep between cells. One
-/// [`VerdictService`] pool, sized by [`ServiceConfig::paper_default`],
-/// runs every verdict of the sweep; a dead pool stops the sweep with
-/// [`BistError::WorkerPanic`], the checkpoint holding every completed
-/// cell.
+/// [`try_run_campaign`] with an observer that can stop the sweep
+/// between cells. One [`VerdictService`] pool, sized by
+/// [`ServiceConfig::paper_default`], runs every verdict of the sweep;
+/// a dead pool stops the sweep with [`BistError::WorkerPanic`].
 ///
-/// - `checkpoint`: when `Some`, the partial cell sequence is
-///   atomically rewritten to this path after every completed cell
-///   (schema `rfbist-campaign-checkpoint/v1`).
-/// - `resume`: when `true` and the checkpoint file exists, its cells
-///   are restored (after schema/fingerprint/prefix validation) and
-///   the sweep continues from the first missing cell. Restored cells
-///   do not re-invoke the observer.
-/// - `after_cell`: invoked after each newly computed cell (its
-///   checkpoint already durable); returning `false` stops the sweep
-///   with [`BistError::Interrupted`].
+/// `after_cell` is invoked after each completed (deployment, jitter)
+/// cell; returning `false` stops the sweep with
+/// [`BistError::Interrupted`]. A stopped sweep keeps nothing: rerun it
+/// (the full campaign takes under a second on a 2-core machine).
 ///
-/// A resumed campaign folds to exactly the matrix the uninterrupted
-/// run produces: cells are deterministic given the config (whatever
-/// the worker count), and the checkpoint round-trips every tally
-/// bit-for-bit.
+/// `checkpoint` and `resume` are retired: the campaign no longer
+/// checkpoints, and `Some(path)` or `resume = true` returns
+/// [`BistError::InvalidConfig`] before any work, writing no file. Both
+/// parameters go when the benchmark's call site changes (ROADMAP
+/// item 8).
 pub fn try_run_campaign_supervised(
     cfg: &CampaignConfig,
     checkpoint: Option<&Path>,
     resume: bool,
     after_cell: &mut dyn FnMut(&CampaignProgress) -> bool,
 ) -> Result<CoverageMatrix, BistError> {
+    if checkpoint.is_some() || resume {
+        return Err(BistError::InvalidConfig {
+            reason: "campaign checkpoint/resume is retired: pass None and false, \
+                     and rerun a stopped campaign"
+                .to_string(),
+        });
+    }
     let library = MaskLibrary::builtin();
     validate(cfg, &library)?;
-    let fingerprint = config_fingerprint(cfg);
     let total_cells = cfg.deployments.len() * cfg.jitter_rms.len();
-
-    let mut records: Vec<CellRecord> = match checkpoint {
-        Some(path) if resume && path.exists() => load_checkpoint(path, &fingerprint, cfg)?,
-        _ => Vec::new(),
-    };
+    let mut completed_cells = 0;
 
     let mut service = VerdictService::try_start(ServiceConfig::paper_default())?;
-    for index in records.len()..total_cells {
-        let dep = &cfg.deployments[index / cfg.jitter_rms.len()];
-        let jitter = cfg.jitter_rms[index % cfg.jitter_rms.len()];
-        let standard = match library.get(&dep.standard) {
-            Some(s) => s,
-            None => {
-                // validate() above checked every deployment
-                return Err(BistError::UnknownStandard {
-                    name: dep.standard.clone(),
-                    known: Vec::new(),
+    let mut standards = Vec::with_capacity(cfg.deployments.len());
+    for dep in &cfg.deployments {
+        // validate() above checked every deployment
+        let standard = library
+            .get(&dep.standard)
+            .ok_or_else(|| BistError::UnknownStandard {
+                name: dep.standard.clone(),
+                known: Vec::new(),
+            })?;
+        let mut outcome = StandardOutcome {
+            standard: dep.standard.clone(),
+            healthy_runs: 0,
+            false_alarms: 0,
+            errored_runs: 0,
+            per_fault: cfg
+                .faults
+                .iter()
+                .map(|&fault| FaultOutcome {
+                    fault,
+                    runs: 0,
+                    verdict_detected: 0,
+                    detected: 0,
+                })
+                .collect(),
+            worst_skew_error: 0.0,
+        };
+        for &jitter in &cfg.jitter_rms {
+            run_cell(&mut service, cfg, dep, standard, jitter, &mut outcome)?;
+            completed_cells += 1;
+            let progress = CampaignProgress {
+                completed_cells,
+                total_cells,
+                standard: dep.standard.clone(),
+                jitter_rms: jitter,
+            };
+            if !after_cell(&progress) {
+                return Err(BistError::Interrupted {
+                    completed_cells,
+                    total_cells,
                 });
             }
-        };
-        let record = run_cell(&mut service, cfg, dep, standard, jitter)?;
-        records.push(record);
-        if let Some(path) = checkpoint {
-            write_checkpoint(path, &fingerprint, &records)?;
         }
-        let progress = CampaignProgress {
-            completed_cells: records.len(),
-            total_cells,
-            standard: dep.standard.clone(),
-            jitter_rms: jitter,
-        };
-        if !after_cell(&progress) {
-            return Err(BistError::Interrupted {
-                completed_cells: records.len(),
-                total_cells,
-            });
-        }
+        standards.push(outcome);
     }
     service.shutdown();
 
-    Ok(fold_records(cfg, &records))
+    Ok(CoverageMatrix { standards })
 }
 
 /// Runs the campaign and returns the coverage matrix.
@@ -1007,230 +696,6 @@ pub fn try_run_campaign_supervised(
 /// standard, or if `eps_ratio` is not a finite value above 1.
 pub fn run_campaign(cfg: &CampaignConfig) -> CoverageMatrix {
     try_run_campaign(cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// A dependency-free recursive-descent JSON reader, just big enough
-/// for the checkpoint documents this module writes (the workspace
-/// vendors no serde). Numbers are lexed as text and converted with
-/// `parse::<f64>()`, the exact inverse of the `{}` formatting the
-/// writer uses.
-mod minijson {
-    /// A parsed JSON value.
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Num(f64),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// Object field lookup (first match).
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(x) => Some(*x),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses one JSON document, rejecting trailing garbage.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(value)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&mut self) -> Result<u8, String> {
-            self.skip_ws();
-            self.bytes
-                .get(self.pos)
-                .copied()
-                .ok_or_else(|| "unexpected end of document".to_string())
-        }
-
-        fn expect(&mut self, c: u8) -> Result<(), String> {
-            if self.peek()? == c {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected `{}` at byte {}", c as char, self.pos))
-            }
-        }
-
-        fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(value)
-            } else {
-                Err(format!("malformed literal at byte {}", self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek()? {
-                b'{' => self.object(),
-                b'[' => self.array(),
-                b'"' => Ok(Value::Str(self.string()?)),
-                b't' => self.literal("true", Value::Bool(true)),
-                b'f' => self.literal("false", Value::Bool(false)),
-                b'n' => self.literal("null", Value::Null),
-                _ => self.number(),
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            if self.peek()? == b'}' {
-                self.pos += 1;
-                return Ok(Value::Obj(fields));
-            }
-            loop {
-                let key = self.string()?;
-                self.expect(b':')?;
-                let value = self.value()?;
-                fields.push((key, value));
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    b'}' => {
-                        self.pos += 1;
-                        return Ok(Value::Obj(fields));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            if self.peek()? == b']' {
-                self.pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    b']' => {
-                        self.pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.bytes.get(self.pos) {
-                    None => return Err("unterminated string".to_string()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.bytes.get(self.pos) {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b'u') => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos + 1..self.pos + 5)
-                                    .ok_or("truncated \\u escape")?;
-                                let hex = std::str::from_utf8(hex)
-                                    .map_err(|_| "malformed \\u escape".to_string())?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| "malformed \\u escape".to_string())?;
-                                out.push(
-                                    char::from_u32(code)
-                                        .ok_or_else(|| "invalid \\u code point".to_string())?,
-                                );
-                                self.pos += 4;
-                            }
-                            _ => return Err(format!("bad escape at byte {}", self.pos)),
-                        }
-                        self.pos += 1;
-                    }
-                    Some(_) => {
-                        // consume one UTF-8 scalar (multi-byte safe)
-                        let rest = &self.bytes[self.pos..];
-                        let s = std::str::from_utf8(rest)
-                            .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                        let c = s.chars().next().ok_or("unterminated string")?;
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            let start = self.pos;
-            while matches!(
-                self.bytes.get(self.pos),
-                Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            ) {
-                self.pos += 1;
-            }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| "invalid number".to_string())?;
-            text.parse::<f64>()
-                .map(Value::Num)
-                .map_err(|_| format!("malformed number `{text}` at byte {start}"))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1384,114 +849,6 @@ mod tests {
             }
             other => panic!("expected UnknownStandard, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn minijson_round_trips_checkpoint_documents() {
-        let records = vec![
-            CellRecord {
-                standard: "qpsk-10msym-srrc0.5".into(),
-                jitter_rms: 3e-12,
-                healthy_runs: 2,
-                false_alarms: 0,
-                errored_runs: 1,
-                worst_skew_error: 1.234_567_890_123e-12,
-                faults: vec![CellFault {
-                    id: "pa-gain-shift".into(),
-                    runs: 2,
-                    verdict_detected: 1,
-                    detected: 2,
-                }],
-            },
-            CellRecord {
-                standard: "wcdma-like-3g84".into(),
-                jitter_rms: 1.5e-12,
-                healthy_runs: 1,
-                false_alarms: 1,
-                errored_runs: 0,
-                worst_skew_error: 0.0,
-                faults: vec![CellFault {
-                    id: "iq-gain-imbalance".into(),
-                    runs: 1,
-                    verdict_detected: 0,
-                    detected: 1,
-                }],
-            },
-        ];
-        let doc = checkpoint_json("fp \"quoted\"\\backslash", &records);
-        let parsed = minijson::parse(&doc).expect("parses");
-        assert_eq!(
-            parsed.get("schema").and_then(minijson::Value::as_str),
-            Some(CHECKPOINT_SCHEMA)
-        );
-        assert_eq!(
-            parsed.get("fingerprint").and_then(minijson::Value::as_str),
-            Some("fp \"quoted\"\\backslash")
-        );
-        let cells = parsed
-            .get("cells")
-            .and_then(minijson::Value::as_arr)
-            .expect("cells");
-        assert_eq!(cells.len(), 2);
-        // floats round-trip bit-exactly through {} + parse::<f64>()
-        let skew = cells[0]
-            .get("worst_skew_error")
-            .and_then(minijson::Value::as_f64)
-            .expect("skew");
-        assert_eq!(skew.to_bits(), 1.234_567_890_123e-12f64.to_bits());
-    }
-
-    #[test]
-    fn minijson_rejects_malformed_documents() {
-        assert!(minijson::parse("{\"a\": }").is_err());
-        assert!(minijson::parse("{\"a\": 1,}").is_err());
-        assert!(minijson::parse("[1, 2").is_err());
-        assert!(minijson::parse("{\"a\": 1} junk").is_err());
-        assert!(minijson::parse("\"unterminated").is_err());
-        assert!(minijson::parse("nul").is_err());
-    }
-
-    #[test]
-    fn checkpoint_load_validates_prefix_and_fingerprint() {
-        let cfg = one_cell_config();
-        let fp = config_fingerprint(&cfg);
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("rfbist-ckpt-test-{}.json", std::process::id()));
-        let records = vec![CellRecord {
-            standard: cfg.deployments[0].standard.clone(),
-            jitter_rms: cfg.jitter_rms[0],
-            healthy_runs: 1,
-            false_alarms: 0,
-            errored_runs: 0,
-            worst_skew_error: 2.5e-13,
-            faults: cfg
-                .faults
-                .iter()
-                .map(|f| CellFault {
-                    id: f.kind.id().to_string(),
-                    runs: 1,
-                    verdict_detected: 1,
-                    detected: 1,
-                })
-                .collect(),
-        }];
-        write_checkpoint(&path, &fp, &records).expect("write");
-        let restored = load_checkpoint(&path, &fp, &cfg).expect("load");
-        assert_eq!(restored, records);
-        // wrong fingerprint (e.g. a different base seed) is refused
-        let err = load_checkpoint(&path, "other", &cfg).unwrap_err();
-        assert!(
-            matches!(&err, BistError::Checkpoint { reason }
-                if reason.contains("different campaign configuration")),
-            "{err:?}"
-        );
-        // corruption is a typed error, not a panic
-        std::fs::write(&path, "{\"schema\": \"wrong\"").expect("corrupt");
-        assert!(matches!(
-            load_checkpoint(&path, &fp, &cfg),
-            Err(BistError::Checkpoint { .. })
-        ));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -16,8 +16,8 @@ use std::fmt;
 /// DUT/front-end produced unusable samples — reject, do not score)
 /// from *configuration* problems (the caller asked for something
 /// impossible — fail fast, before any trial runs) and *infrastructure*
-/// problems (a worker thread died, a checkpoint is stale — recover or
-/// surface, never emit a wrong verdict).
+/// problems (a worker thread died, the campaign observer stopped the
+/// sweep — recover or surface, never emit a wrong verdict).
 #[derive(Clone, Debug, PartialEq)]
 pub enum BistError {
     /// The capture cannot support the reconstruction tap window or the
@@ -82,12 +82,6 @@ pub enum BistError {
         /// What is wrong with it.
         reason: String,
     },
-    /// A campaign checkpoint could not be read, parsed, or matched
-    /// against the running configuration.
-    Checkpoint {
-        /// Parse/validation detail.
-        reason: String,
-    },
     /// A length-prefixed wire frame could not be decoded: truncated
     /// body, unknown frame type, oversized length prefix, or a payload
     /// that fails its own invariants. Malformed bytes from a transport
@@ -96,8 +90,8 @@ pub enum BistError {
         /// What is wrong with the frame.
         reason: String,
     },
-    /// The campaign observer requested a stop; the checkpoint (if any)
-    /// holds every completed cell.
+    /// The campaign observer requested a stop between cells; the
+    /// completed cells' tallies are discarded.
     Interrupted {
         /// Cells fully scored before the stop.
         completed_cells: usize,
@@ -166,17 +160,13 @@ impl fmt::Display for BistError {
                 write!(f, "worker panic: {detail}")
             }
             BistError::InvalidConfig { reason } => write!(f, "{reason}"),
-            BistError::Checkpoint { reason } => {
-                write!(f, "campaign checkpoint error: {reason}")
-            }
             BistError::Wire { reason } => write!(f, "wire format error: {reason}"),
             BistError::Interrupted {
                 completed_cells,
                 total_cells,
             } => write!(
                 f,
-                "campaign interrupted after {completed_cells}/{total_cells} \
-                 cells (completed cells are checkpointed)"
+                "campaign interrupted after {completed_cells}/{total_cells} cells"
             ),
         }
     }
@@ -226,9 +216,10 @@ mod tests {
 
     #[test]
     fn error_trait_is_implemented() {
-        let e: Box<dyn std::error::Error> = Box::new(BistError::Checkpoint {
-            reason: "truncated file".into(),
+        let e: Box<dyn std::error::Error> = Box::new(BistError::Interrupted {
+            completed_cells: 1,
+            total_cells: 2,
         });
-        assert!(e.to_string().contains("checkpoint"));
+        assert_eq!(e.to_string(), "campaign interrupted after 1/2 cells");
     }
 }

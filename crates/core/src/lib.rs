@@ -16,7 +16,7 @@
 //!   reconstruct → mask check),
 //! - [`campaign`]: the Monte-Carlo fault-coverage campaign runner
 //!   (fault corpus × standards × jitter profiles → detection/false-alarm
-//!   matrix), with checkpoint/resume,
+//!   matrix) on the verdict pool,
 //! - [`error`]: the typed failure taxonomy behind every `try_*` entry
 //!   point,
 //! - [`health`]: pre-scan capture health guards (NaN/clip/dead-signal

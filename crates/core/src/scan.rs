@@ -9,10 +9,11 @@
 //! [`GoertzelBank`](rfbist_dsp::goertzel::GoertzelBank) — one windowed
 //! recurrence pass per Welch segment, the same window coefficients,
 //! hop and density normalization as [`rfbist_dsp::psd::welch`], and a
-//! shared accumulator for the segment average. The batched
-//! [`MaskScanEngine::scan`] and the push-style [`StreamingMaskScan`]
-//! run the same bank calls on the same [`StreamScratch`], so their
-//! verdicts are bit-identical.
+//! shared accumulator for the segment average. There is one segment
+//! loop, the push-style [`StreamingMaskScan`]; the batched
+//! [`MaskScanEngine::scan`] is a single push of the whole capture
+//! through it, so a streamed verdict in any chunking is bit-identical
+//! to the batched one.
 //!
 //! Because the probed frequencies are the *same* bin centers the FFT
 //! would produce and Goertzel evaluates the same DFT sum, the two
@@ -53,7 +54,8 @@ struct ScanBin {
 /// Mirrors the `PnbsGridPlan` split: everything that does not depend on
 /// the waveform — bin selection, `2cos ω` tables, window, density
 /// normalization — is computed once here; [`scan`](Self::scan) then
-/// runs one banked recurrence pass per Welch segment.
+/// runs one banked recurrence pass per Welch segment, through the
+/// same [`StreamingMaskScan`] a block feed pushes into.
 ///
 /// # Example
 ///
@@ -307,9 +309,9 @@ impl MaskScanEngine {
     }
 
     /// [`scan`](Self::scan) with caller-owned scratch buffers (the
-    /// streaming scan's, of which it uses one state and the
-    /// accumulator), so repeated scans (fault sweeps, benches) allocate
-    /// nothing.
+    /// streaming scan's: the batched scan is one push of the whole
+    /// waveform through [`stream`](Self::stream)), so repeated scans
+    /// (fault sweeps, benches) allocate nothing.
     pub fn scan_with(&self, wave: &[f64], scratch: &mut StreamScratch) -> MaskReport {
         self.try_scan_with(wave, scratch)
             .unwrap_or_else(|e| panic!("{e}"))
@@ -332,41 +334,19 @@ impl MaskScanEngine {
                 ),
             });
         }
-        // Welch-style segment averaging of banked Goertzel powers: the
-        // same hop/window/normalization as `welch`, with only the
-        // probed bins ever materialized. Only complete segments are
-        // advanced (a stream also starts the trailing partial one).
-        let StreamScratch { states, acc } = scratch;
-        acc.clear();
-        acc.resize(self.bins.len(), 0.0);
-        if states.is_empty() {
-            states.push(GoertzelState::new());
-        }
-        let state = &mut states[0];
-        let mut count = 0usize;
-        let mut start = 0usize;
-        while start + self.segment_len <= wave.len() {
-            // window fold inside the banked pass: the same `x·w`
-            // products a staging buffer would hold, formed in-register
-            self.bank.reset_state(state);
-            self.bank.advance_state_windowed(
-                state,
-                &wave[start..start + self.segment_len],
-                &self.window,
-            );
-            self.bank.accumulate_powers(state, acc);
-            count += 1;
-            start += self.hop;
-        }
-
-        Ok(self.report_from_acc(acc, count))
+        // one push of the whole capture: the declared length keeps the
+        // stream from starting a segment that cannot complete, so it
+        // advances exactly the complete segments, in start order
+        let mut stream = self.stream(scratch, None).with_capture_len(wave.len());
+        stream.push(wave);
+        stream.try_finish()
     }
 
     /// Folds per-bin accumulated segment powers (`count` completed
     /// Welch segments) into the mask verdict — the single definition
-    /// shared by the batched [`scan_with`](Self::scan_with) and the
-    /// push-style [`StreamingMaskScan`], so a streamed verdict is
-    /// bit-identical to a batched one over the same segments.
+    /// behind every [`StreamingMaskScan`] report, final or provisional,
+    /// and so behind the batched [`scan_with`](Self::scan_with), which
+    /// is one push through that stream.
     fn report_from_acc(&self, acc: &[f64], count: usize) -> MaskReport {
         // Per-bin one-sided density in dB, matching `PsdEstimate::psd_db`
         // (including its 1e-30 floor).
@@ -495,12 +475,12 @@ impl Default for EarlyVerdict {
 }
 
 /// Reusable buffers for [`MaskScanEngine::stream`] and
-/// [`MaskScanEngine::scan_with`]: per-segment Goertzel states and the
-/// running per-bin power accumulator. Memory is bounded by
-/// `ceil(segment/hop)` states of `2·probed_bins` values — independent
-/// of the capture length, which is the point of the streaming scan; a
-/// batched scan uses one state. (Window products are folded inside the
-/// banked pass, so no per-chunk staging buffer exists.)
+/// [`MaskScanEngine::scan_with`] (which streams): per-segment Goertzel
+/// states and the running per-bin power accumulator. Memory is bounded
+/// by `ceil(segment/hop)` states of `2·probed_bins` values —
+/// independent of the capture length, which is the point of the
+/// streaming scan. (Window products are folded inside the banked pass,
+/// so no per-chunk staging buffer exists.)
 #[derive(Clone, Debug, Default)]
 pub struct StreamScratch {
     states: Vec<GoertzelState>,
@@ -606,8 +586,8 @@ impl StreamingMaskScan<'_> {
             }
             // Window the chunk at its position inside the segment,
             // folded into the banked pass itself — the same products
-            // `scan_with` forms for the whole segment at once, with no
-            // staging copy between the block feed and the recurrences.
+            // whatever the chunking, with no staging copy between the
+            // block feed and the recurrences.
             let wpos = a - seg_start;
             engine.bank.advance_state_windowed(
                 state,
@@ -616,8 +596,8 @@ impl StreamingMaskScan<'_> {
             );
             if b == seg_start + seg {
                 // segment complete: fold its powers into the Welch
-                // average (segments complete in start order, matching
-                // the batched loop)
+                // average (segments complete in start order, whatever
+                // the chunking)
                 engine.bank.accumulate_powers(state, acc);
                 self.segments += 1;
                 if let Some(policy) = self.early {

@@ -1,7 +1,7 @@
 //! Fault-injection ("chaos") suite for the fail-safe verdict
 //! pipeline: every injected failure — NaN/Inf corruption, saturation,
 //! dead channels, truncated captures, malformed campaign
-//! configurations, killed campaigns — must surface as a typed
+//! configurations, stopped campaigns — must surface as a typed
 //! [`BistError`] or as a verdict bit-identical to the clean path. A
 //! corrupted capture silently PASSing is the one outcome a self-test
 //! must never produce.
@@ -199,7 +199,7 @@ proptest! {
 
 /// A 2-standard, 1-trial, 1-jitter, gross-faults-only campaign: small
 /// enough for an integration test, real enough to cross a cell
-/// boundary (the checkpoint unit).
+/// boundary (where the observer can stop the sweep).
 fn two_cell_campaign() -> CampaignConfig {
     let deployments: Vec<Deployment> = Deployment::builtin_five()
         .into_iter()
@@ -219,85 +219,56 @@ fn two_cell_campaign() -> CampaignConfig {
     }
 }
 
-fn temp_checkpoint(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "rfbist-chaos-{tag}-{}.checkpoint.json",
-        std::process::id()
-    ))
-}
-
 #[test]
-fn killed_campaign_resumes_to_the_uninterrupted_matrix() {
+fn observer_stop_is_a_typed_interrupt() {
     let cfg = two_cell_campaign();
-    let path = temp_checkpoint("resume");
-    let _ = std::fs::remove_file(&path);
-
-    // reference: the uninterrupted run
-    let uninterrupted =
-        try_run_campaign_supervised(&cfg, None, false, &mut |_| true).expect("clean run");
-
-    // run A: killed after the first cell — the observer refusing to
-    // continue models a SIGKILL between cells
-    let err = try_run_campaign_supervised(&cfg, Some(&path), false, &mut |p| p.completed_cells < 1)
-        .expect_err("interrupted run must not return a matrix");
-    match err {
-        BistError::Interrupted {
-            completed_cells,
-            total_cells,
-        } => {
-            assert_eq!(completed_cells, 1);
-            assert_eq!(total_cells, 2);
-        }
-        other => panic!("expected Interrupted, got {other:?}"),
-    }
-    assert!(path.exists(), "checkpoint must survive the kill");
-
-    // run B: resume — only the missing cell runs, and the folded
-    // matrix is byte-identical to the uninterrupted run
-    let mut resumed_cells = Vec::new();
-    let resumed = try_run_campaign_supervised(&cfg, Some(&path), true, &mut |p| {
-        resumed_cells.push((p.standard.clone(), p.completed_cells));
-        true
+    // the observer refusing to continue after the first cell models an
+    // operator stopping the sweep between cells
+    let mut seen = Vec::new();
+    let err = try_run_campaign_supervised(&cfg, None, false, &mut |p| {
+        seen.push(p.clone());
+        p.completed_cells < 1
     })
-    .expect("resumed run completes");
+    .expect_err("a stopped sweep must not return a matrix");
     assert_eq!(
-        resumed_cells,
-        vec![("wcdma-like-3g84".to_string(), 2)],
-        "only the second cell should have run"
+        err,
+        BistError::Interrupted {
+            completed_cells: 1,
+            total_cells: 2,
+        }
     );
-    assert_eq!(resumed.to_json(), uninterrupted.to_json());
-
-    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        seen,
+        vec![CampaignProgress {
+            completed_cells: 1,
+            total_cells: 2,
+            standard: "qpsk-10msym-srrc0.5".to_string(),
+            jitter_rms: 3e-12,
+        }],
+        "the sweep must stop at the first refusal"
+    );
 }
 
 #[test]
-fn checkpoint_from_a_different_config_is_refused() {
+fn retired_checkpoint_arguments_are_rejected() {
     let cfg = two_cell_campaign();
-    let path = temp_checkpoint("fingerprint");
+    let path =
+        std::env::temp_dir().join(format!("rfbist-chaos-retired-{}.json", std::process::id()));
     let _ = std::fs::remove_file(&path);
-
-    // write a one-cell checkpoint under cfg…
-    let _ = try_run_campaign_supervised(&cfg, Some(&path), false, &mut |p| p.completed_cells < 1);
-    assert!(path.exists());
-
-    // …then try to resume it under a different base seed
-    let mut other = cfg.clone();
-    other.base_seed ^= 1;
-    let err = try_run_campaign_supervised(&other, Some(&path), true, &mut |_| true)
-        .expect_err("mismatched fingerprint must be refused");
-    assert!(
-        matches!(&err, BistError::Checkpoint { reason }
-            if reason.contains("different campaign configuration")),
-        "{err:?}"
-    );
-
-    // a corrupted checkpoint is a typed error too, not a panic
-    std::fs::write(&path, "{\"schema\": \"rfbist-campaign-checkpoint/v1\", ").expect("corrupt");
-    let err = try_run_campaign_supervised(&cfg, Some(&path), true, &mut |_| true)
-        .expect_err("corrupt checkpoint must be refused");
-    assert!(matches!(err, BistError::Checkpoint { .. }), "{err:?}");
-
-    let _ = std::fs::remove_file(&path);
+    let mut cells = 0;
+    for (checkpoint, resume) in [(Some(path.as_path()), false), (None, true)] {
+        let err = try_run_campaign_supervised(&cfg, checkpoint, resume, &mut |_| {
+            cells += 1;
+            true
+        })
+        .expect_err("checkpoint/resume arguments must be refused");
+        assert!(
+            matches!(err, BistError::InvalidConfig { .. }),
+            "{checkpoint:?}, resume {resume}: {err:?}"
+        );
+    }
+    assert_eq!(cells, 0, "refused before the first cell");
+    assert!(!path.exists(), "no file may appear at the retired path");
 }
 
 #[test]

@@ -14,6 +14,10 @@
 //!   healthy Section V DUT sets the verdict's worst margin to the mask
 //!   limit minus its level, within a bound derived from the
 //!   Welch/Blackman–Harris estimator.
+//! - Amplitude scaling (a metamorphic relation): the verdict is
+//!   reference-relative, so scaling a DUT's output by `g` moves the
+//!   0 dBc reference by 20·log10 g and leaves every margin where it
+//!   was.
 
 mod common;
 
@@ -208,4 +212,71 @@ fn a_known_spur_sets_the_worst_margin() {
         f_spur / 1e6
     );
     assert!(!report.passed());
+}
+
+/// Tolerance of the amplitude-scaling relation, dB. Measured: the
+/// scaled runs' margins, violation levels and shifted reference sit
+/// at most 1.22e-3 dB from the unscaled run's (the compressed unit's
+/// band-edge violations; 1.2e-4 dB on the worst margins), with about
+/// 2x margin. The deviation is the 24-bit quantizer's rounding, which
+/// does not scale with the signal: on a 32-bit quantizer it falls to
+/// 4.6e-6 dB.
+const SCALING_TOL_DB: f64 = 2.5e-3;
+
+#[test]
+fn amplitude_scaling_leaves_the_margins_unchanged() {
+    // The ideal front end (24-bit converters, no jitter) with the skew
+    // calibrated at its true delay: no LMS decision can differ between
+    // the runs, and nothing in the chain but the quantizer depends on
+    // the amplitude.
+    let engine = BistEngine::new(
+        BistConfig::paper_default()
+            .with_ideal_frontend()
+            .with_calibrated_skew(D),
+    );
+    let mask = SpectralMask::qpsk_10msym();
+    let none: Option<&Tone> = None;
+    let healthy = common::paper_tx(TxImpairments::typical());
+    let compressed = common::paper_tx(
+        Fault::new(FaultKind::PaEarlyCompression { v_sat_factor: 0.05 })
+            .inject(TxImpairments::typical()),
+    );
+    for (name, tx, passes) in [
+        ("healthy", &healthy, true),
+        ("compressed", &compressed, false),
+    ] {
+        let base = engine.run(&tx.rf_output(), &mask, none).mask;
+        assert_eq!(base.passed, passes, "{name}: unscaled verdict");
+        assert_eq!(base.violations.is_empty(), passes, "{name}: violations");
+        for g in [0.5, 0.25] {
+            let scaled = engine.run(&Gain::new(tx.rf_output(), g), &mask, none).mask;
+            let near = |a: f64, b: f64, what: &str| {
+                assert!(
+                    (a - b).abs() <= SCALING_TOL_DB,
+                    "{name} × {g}: {what} {a} dB, unscaled {b} dB"
+                );
+            };
+            assert_eq!(scaled.passed, base.passed, "{name} × {g}: verdict");
+            near(scaled.worst_margin_db, base.worst_margin_db, "worst margin");
+            assert_eq!(
+                scaled.worst_frequency_hz, base.worst_frequency_hz,
+                "{name} × {g}"
+            );
+            near(
+                scaled.reference_db - 20.0 * g.log10(),
+                base.reference_db,
+                "reference less 20·log10 g",
+            );
+            assert_eq!(scaled.violation_count, base.violation_count, "{name} × {g}");
+            assert_eq!(
+                scaled.violations.len(),
+                base.violations.len(),
+                "{name} × {g}"
+            );
+            for (vs, vb) in scaled.violations.iter().zip(&base.violations) {
+                assert_eq!(vs.frequency, vb.frequency, "{name} × {g}");
+                near(vs.measured_dbc, vb.measured_dbc, "violation level");
+            }
+        }
+    }
 }
