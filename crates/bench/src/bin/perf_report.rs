@@ -34,11 +34,11 @@
 //!    ≥ 80× quick). The build and LMS timings run last, after the
 //!    service section, so their allocations cannot disturb the others.
 //! 4. **grid_reconstruct** — the analysis-grid workload of
-//!    `BistEngine::run` (~12288 uniform points at 4 GHz, a 9/400
-//!    lattice of the sample period): the direct reference per point vs
-//!    the planned grid (`PnbsGridPlan::reconstruct_grid`, phase-major
-//!    on this rational grid, with the runtime-dispatched SIMD
-//!    kernels). Asserted ≥ 12× (full) / ≥ 9× (quick) at ≤ 1e-9 NRMSE
+//!    `BistEngine::run` (12288 uniform points at 4 GHz in both modes, a
+//!    9/400 lattice of the sample period): the direct reference per
+//!    point vs the planned grid (`PnbsGridPlan::reconstruct_grid`,
+//!    phase-major on this rational grid, with the runtime-dispatched
+//!    SIMD kernels). Asserted ≥ 12× (full) / ≥ 9× (quick) at ≤ 1e-9 NRMSE
 //!    against the reference everywhere and ≥ 33× (full) / ≥ 24×
 //!    (quick) where the AVX2/AVX-512+FMA kernels can dispatch (the
 //!    mask_scan-style feature gate; the ratio is reported either way
@@ -47,8 +47,13 @@
 //!    timed interleaved with the dispatched one: `simd_speedup` is
 //!    asserted (floors in `GRID_SIMD_FLOOR`) where the FMA dispatch is
 //!    active. Reported, not gated: the grid at 4096 and 16384 points
-//!    on an 800-pair capture (one super-block of 400 row builds, and
-//!    two), fitted to `row_build_ns` per row and `ns_per_dot` per point.
+//!    on an 800-pair capture (each one batch chunk of 400 row builds),
+//!    fitted to `row_build_ns` per row and `ns_per_dot` per point.
+//!    Then `rows_once_speedup`: the 12288-point grid through the
+//!    early-stop feed (8192-point chunks, 800 row builds) over the
+//!    default feed (one chunk, 400 row builds), interleaved, the two
+//!    asserted bit-identical and the ratio asserted on every arm
+//!    (`ROWS_ONCE_FLOOR`).
 //! 5. **mask_scan** — one spectral-mask verdict, FFT-Welch vs the
 //!    banked Goertzel scan. The speedup floor is asserted only when
 //!    the AVX2+FMA kernels can dispatch (on plain SSE2/NEON the bank
@@ -58,7 +63,8 @@
 //!    engine: materialize the grid, construct the scanner, scan) vs
 //!    the streaming single pass (block feed → push-style scan with
 //!    engine-held scratch), plus the early-exit case on a grossly
-//!    failing unit. Verdict agreement is
+//!    failing unit, on the early-stop feed as the engine runs an armed
+//!    early verdict. Verdict agreement is
 //!    asserted everywhere (the paths are bit-identical by
 //!    construction); the sequential stream must no longer regress
 //!    below the batch (floor 0.9× quick / 0.95× full — with the Welch
@@ -127,7 +133,7 @@ use rfbist_dsp::window::Window;
 use rfbist_math::stats::nrmse;
 use rfbist_rfchain::impairments::TxImpairments;
 use rfbist_sampling::band::BandSpec;
-use rfbist_sampling::gridplan::{GridScratch, ProbeSums, PROBE_TAPS};
+use rfbist_sampling::gridplan::{GridBlocks, GridScratch, ProbeSums, PROBE_TAPS};
 use rfbist_sampling::reconstruct::{NonuniformCapture, PnbsReconstructor};
 use rfbist_signal::tone::{MultiTone, Tone};
 use rfbist_signal::traits::ContinuousSignal;
@@ -183,6 +189,17 @@ const PROBE_EVAL_SIMD_FLOOR: (f64, f64) = (1.1, 1.05);
 /// weigh more against the shared ones).
 const LATTICE_BUILD_FLOOR: (f64, f64) = (1.3, 1.3);
 const LATTICE_EVAL_FLOOR: (f64, f64) = (1.2, 1.2);
+
+/// Floors (full, quick) of `grid_reconstruct.rows_once_speedup`: the
+/// 12288-point Section V grid through the early-stop feed (two chunks,
+/// 800 row builds) over the same grid through the default feed (one
+/// chunk, 400), asserted on every arm. A producer that went back to
+/// building its rows per 8192-point chunk would read ~1x. Readings on
+/// a 2-core AVX-512 VM: 1.27–1.38x quick (20 runs) and 1.28–1.69x full
+/// (24) on the AVX-512 arm; 1.18–1.22x quick (7) and 1.11–1.30x full
+/// (12) on the portable one (`RFBIST_FORCE_SCALAR`), whose slower dot
+/// products leave the rows a smaller share.
+const ROWS_ONCE_FLOOR: (f64, f64) = (1.1, 1.1);
 
 /// Largest relative gap between a traced verdict's stage sum and the
 /// untraced verdict's time.
@@ -427,9 +444,9 @@ struct GridReconResult {
 /// (`reconstruct_at_reference`: four kernel cosines and two Kaiser
 /// Bessel series per tap per point) vs the planned grid
 /// (`reconstruct_grid`: the 4 GHz grid is a 9/400 lattice of the
-/// sample period, so it runs phase-major — 400 weight rows per
-/// super-block, one dot product per point, reusing its scratch across
-/// repetitions exactly as the engine does across verdicts).
+/// sample period, so it runs phase-major — 400 weight rows for the
+/// whole batch grid, one dot product per point, reusing its scratch
+/// across repetitions exactly as the engine does across verdicts).
 fn bench_grid_reconstruct(cfg: &Config) -> GridReconResult {
     const FS_GRID: f64 = 4e9;
     let band = BandSpec::centered(FC, B);
@@ -438,7 +455,10 @@ fn bench_grid_reconstruct(cfg: &Config) -> GridReconResult {
     let rec = PnbsReconstructor::paper_default(band, D).expect("valid delay");
     let (lo, hi) = rec.coverage(&cap).expect("capture too short");
     let dt = 1.0 / FS_GRID;
-    let points = if cfg.quick { 4096 } else { 12288 }.min(((hi - lo) / dt) as usize);
+    // Both modes time the whole grid: the batch grid builds its 400
+    // rows once, so a shorter quick grid would weigh them more per
+    // point than the full-mode baseline CI compares it with.
+    let points = 12288usize.min(((hi - lo) / dt) as usize);
 
     let mut reference_wave = vec![0.0; points];
     let reference_ns = median_ns_per_op(cfg.reps, points, || {
@@ -483,13 +503,13 @@ fn bench_grid_reconstruct(cfg: &Config) -> GridReconResult {
     }
 }
 
-/// Grid lengths of the row-build split: one super-block of the 4 GHz
-/// Section V grid and two.
+/// Grid lengths of the row-build split: two one-chunk batch grids of
+/// the 4 GHz Section V lattice, each building its 400 rows once.
 const SPLIT_POINTS: [usize; 2] = [4096, 16384];
 
-/// Row builds per super-block of the 4 GHz grid: its 9/400 lattice of
+/// Row builds per batch grid of the 4 GHz grid: its 9/400 lattice of
 /// the sample period has 400 residues.
-const SPLIT_ROWS_PER_BLOCK: f64 = 400.0;
+const SPLIT_ROWS: f64 = 400.0;
 
 struct GridSplit {
     /// Median ns per grid at each of [`SPLIT_POINTS`], timed
@@ -501,10 +521,10 @@ struct GridSplit {
 }
 
 /// Where a grid point's time goes: the Section V grid at
-/// [`SPLIT_POINTS`] on one 800-pair capture, one super-block (400 row
-/// builds, 4096 points) and two (800, 16384), interleaved. The two
-/// times fit `rows · row_build + points · per_point`. (8192 and 16384
-/// points would not split: both build 400 rows per 8192 points.)
+/// [`SPLIT_POINTS`] on one 800-pair capture, each a batch grid (one
+/// chunk, so 400 row builds either way), interleaved. The two times
+/// fit `rows · row_build + points · per_point`: their difference is
+/// all points.
 fn bench_grid_split(cfg: &Config) -> GridSplit {
     const FS_GRID: f64 = 4e9;
     let band = BandSpec::centered(FC, B);
@@ -531,12 +551,82 @@ fn bench_grid_split(cfg: &Config) -> GridSplit {
         ],
     );
     let [p0, p1] = SPLIT_POINTS.map(|p| p as f64);
-    // t₀ = R·rows + P·p₀ and t₁ = 2R·rows + P·p₁
-    let ns_per_dot = (grid_ns[1] - 2.0 * grid_ns[0]) / (p1 - 2.0 * p0);
+    // t₀ = R·rows + P·p₀ and t₁ = R·rows + P·p₁
+    let ns_per_dot = (grid_ns[1] - grid_ns[0]) / (p1 - p0);
     GridSplit {
         grid_ns,
-        row_build_ns: (grid_ns[0] - p0 * ns_per_dot) / SPLIT_ROWS_PER_BLOCK,
+        row_build_ns: (grid_ns[0] - p0 * ns_per_dot) / SPLIT_ROWS,
         ns_per_dot,
+    }
+}
+
+struct RowsOnce {
+    points: usize,
+    /// Median ns per grid through the early-stop feed and through the
+    /// default feed, timed interleaved.
+    stoppable_ns: f64,
+    default_ns: f64,
+    bit_identical: bool,
+}
+
+/// Drains a block feed, handing each block to `sink`.
+fn drain_feed(mut blocks: GridBlocks<'_>, mut sink: impl FnMut(&[f64])) {
+    while let Some(block) = blocks.next_block() {
+        sink(block);
+    }
+}
+
+/// What building each residue's row once per chunk saves: the
+/// 12288-point Section V grid (9/400 lattice) through the early-stop
+/// feed (8192-point chunks, 800 row builds) and through the default
+/// feed (one chunk, 400), interleaved, in both modes. The two feeds
+/// must yield the same bits.
+fn bench_rows_once(cfg: &Config) -> RowsOnce {
+    const FS_GRID: f64 = 4e9;
+    let band = BandSpec::centered(FC, B);
+    let stim = paper_stimulus(96, 0xACE1);
+    let cap = NonuniformCapture::from_signal(&stim, 1.0 / B, D, 80, 380);
+    let rec = PnbsReconstructor::paper_default(band, D).expect("valid delay");
+    let (lo, hi) = rec.coverage(&cap).expect("capture too short");
+    let dt = 1.0 / FS_GRID;
+    let points = 12288usize.min(((hi - lo) / dt) as usize);
+    let (mut stoppable, mut default) = (GridScratch::new(), GridScratch::new());
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    drain_feed(
+        rec.reconstruct_stoppable_blocks(&cap, lo, dt, points, &mut stoppable),
+        |block| a.extend_from_slice(block),
+    );
+    drain_feed(
+        rec.reconstruct_blocks(&cap, lo, dt, points, &mut default),
+        |block| b.extend_from_slice(block),
+    );
+    let [stoppable_ns, default_ns] = interleaved_medians(
+        SIMD_RATIO_REPS * cfg.reps,
+        1,
+        [
+            &mut || {
+                drain_feed(
+                    rec.reconstruct_stoppable_blocks(&cap, lo, dt, points, &mut stoppable),
+                    |block| {
+                        black_box(block);
+                    },
+                );
+            },
+            &mut || {
+                drain_feed(
+                    rec.reconstruct_blocks(&cap, lo, dt, points, &mut default),
+                    |block| {
+                        black_box(block);
+                    },
+                );
+            },
+        ],
+    );
+    RowsOnce {
+        points,
+        stoppable_ns,
+        default_ns,
+        bit_identical: a.len() == points && a == b,
     }
 }
 
@@ -618,7 +708,8 @@ struct StreamBistResult {
 /// before the streaming refactor) vs the streaming single pass (block
 /// feed pushed straight into the scan, everything reused — the
 /// `run_with` steady state). The early-exit case times a grossly
-/// violating unit under the default guard: the feed stops at the
+/// violating unit under the default guard on the early-stop feed, as
+/// the engine runs an armed early verdict: the feed stops at the
 /// first completed Welch segment, skipping a third of the
 /// reconstruction — the hottest loop of the whole pipeline.
 fn bench_stream_bist(cfg: &Config) -> StreamBistResult {
@@ -700,7 +791,8 @@ fn bench_stream_bist(cfg: &Config) -> StreamBistResult {
             let mut stream = scan
                 .stream(&mut stream_scratch, Some(EarlyVerdict::paper_default()))
                 .with_capture_len(points);
-            let mut blocks = rec.reconstruct_blocks(&spur_cap, spur_lo, dt, points, &mut grid);
+            let mut blocks =
+                rec.reconstruct_stoppable_blocks(&spur_cap, spur_lo, dt, points, &mut grid);
             let mut produced = 0usize;
             while let Some(block) = blocks.next_block() {
                 produced += block.len();
@@ -1383,6 +1475,14 @@ fn main() {
         split.grid_ns[0] / 1e3,
         split.grid_ns[1] / 1e3,
     );
+    let rows_once = bench_rows_once(&cfg);
+    let rows_once_speedup = rows_once.stoppable_ns / rows_once.default_ns;
+    println!(
+        "grid_reconstruct   {:>10.1} us early-stop feed {:>7.1} us default feed  ({rows_once_speedup:.2}x over {} points)",
+        rows_once.stoppable_ns / 1e3,
+        rows_once.default_ns / 1e3,
+        rows_once.points,
+    );
     let mask_scan = bench_mask_scan(&cfg);
     println!(
         "mask_scan          {:>10.1} us/verdict fft-welch  {:>10.1} us/verdict banked  ({:.2}x, {} of {} bins, margin delta {:.3e} dB)",
@@ -1579,7 +1679,11 @@ fn main() {
     "split_points": [{split_p0}, {split_p1}],
     "split_median_ns": [{split_t0:.2}, {split_t1:.2}],
     "row_build_ns": {split_row:.2},
-    "ns_per_dot": {split_dot:.2}
+    "ns_per_dot": {split_dot:.2},
+    "rows_once_points": {rows_once_points},
+    "stoppable_feed_median_ns": {rows_once_stoppable:.2},
+    "default_feed_median_ns": {rows_once_default:.2},
+    "rows_once_speedup": {rows_once_speedup:.3}
   }},
   "probe_sums": {{
     "probes": {ps_probes},
@@ -1680,6 +1784,9 @@ fn main() {
         split_t1 = split.grid_ns[1],
         split_row = split.row_build_ns,
         split_dot = split.ns_per_dot,
+        rows_once_points = rows_once.points,
+        rows_once_stoppable = rows_once.stoppable_ns,
+        rows_once_default = rows_once.default_ns,
         ps_probes = probe_sums.probes,
         ps_build = probe_sums.build_ns,
         ps_build_portable = probe_sums.build_portable_ns,
@@ -1866,6 +1973,22 @@ fn main() {
             "{name} below the {floor}x floor: {ratio:.2}x"
         );
     }
+    // Rows-once contract: both feeds yield the same bits, and the
+    // default feed, building each residue's row once on this grid,
+    // must beat the early-stop feed's two builds per residue.
+    assert!(
+        rows_once.bit_identical,
+        "the early-stop and default feeds diverged"
+    );
+    let rows_once_floor = if cfg.quick {
+        ROWS_ONCE_FLOOR.1
+    } else {
+        ROWS_ONCE_FLOOR.0
+    };
+    assert!(
+        rows_once_speedup >= rows_once_floor,
+        "grid_reconstruct.rows_once_speedup below the {rows_once_floor}x floor: {rows_once_speedup:.2}x"
+    );
     // Stage-ledger contract: a traced verdict's stages account for the
     // untraced verdict's time, each rep's pair compared (the medians of
     // ~1 ms verdicts drift apart by up to ~10 % over a quick run).

@@ -551,8 +551,9 @@ impl BistEngine {
         // a Blackman–Harris window) segment by segment, with no
         // full-grid buffer, and the early-verdict policy can stop
         // reconstruction as soon as the verdict is decided. The feed
-        // runs the batch grid's producer over the same chunks, so the
-        // verdict is bit-identical to scanning the batch reconstruction.
+        // runs the batch grid's producer, and no value depends on where
+        // a chunk ends, so the verdict is bit-identical to scanning the
+        // batch reconstruction.
         let (seg, overlap) = welch_segmentation(n_grid);
         let carrier = cfg.dual.fast_band().center();
         let noise_band = cfg.noise_figure.map(|nf| (nf.offset_lo, nf.offset_hi));
@@ -580,7 +581,14 @@ impl BistEngine {
         let (mut err_num, mut err_den) = (0.0f64, 0.0f64);
         let mut produced = 0usize;
         let mut feed_start = clock.start();
-        let mut blocks = rec.reconstruct_blocks(&fast_cap, lo, dt, n_grid, grid);
+        // An armed early verdict takes the early-stop feed, whose
+        // shorter chunks let a stop skip the rest of the grid; a full
+        // scan takes the default feed, which builds fewer rows.
+        let mut blocks = if cfg.early_verdict.is_some() {
+            rec.reconstruct_stoppable_blocks(&fast_cap, lo, dt, n_grid, grid)
+        } else {
+            rec.reconstruct_blocks(&fast_cap, lo, dt, n_grid, grid)
+        };
         loop {
             let Some(block) = blocks.next_block() else {
                 clock.stop(VerdictStage::Reconstruction, feed_start);
@@ -744,6 +752,8 @@ impl BistEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{CampaignConfig, Deployment};
+    use crate::mask::MaskLibrary;
     use rfbist_rfchain::faults::{Fault, FaultKind};
     use rfbist_rfchain::impairments::TxImpairments;
     use rfbist_rfchain::txchain::{HomodyneTx, ImpairedEnvelope};
@@ -952,6 +962,12 @@ mod tests {
 
     #[test]
     fn early_verdict_skips_nothing_on_healthy_units() {
+        // An armed early verdict that does not fire must equal the
+        // unarmed verdict, whole report for whole report. The armed run
+        // takes the early-stop feed and the unarmed one the default
+        // feed, which chunk every grid longer than SUPER_BLOCK_LEN
+        // differently. Section V with the per-run LMS first, then every
+        // builtin deployment on its calibrated skew.
         let tx = paper_tx(TxImpairments::typical());
         let armed = BistEngine::new(
             BistConfig::paper_default().with_early_verdict(EarlyVerdict::paper_default()),
@@ -968,7 +984,35 @@ mod tests {
             None::<&BandpassSignal<ShapedBaseband>>,
         );
         assert!(!a.early_exit, "policy must not fire on a passing unit");
-        assert_eq!(a.mask, b.mask, "armed run must match the full verdict");
+        assert_eq!(a, b, "armed run must match the full verdict");
+
+        let campaign = CampaignConfig::paper_default();
+        let library = MaskLibrary::builtin();
+        for dep in Deployment::builtin_five() {
+            let standard = library.get(&dep.standard).expect("builtin standard");
+            let cfg = dep
+                .try_calibrate(dep.bist_config(), campaign.base_seed)
+                .expect("the calibration burst converges");
+            let bb = dep.payload(
+                cfg.fast_start,
+                standard.symbol_rate,
+                standard.rolloff,
+                campaign.trial_seed(0),
+            );
+            let tx = HomodyneTx::builder(bb, dep.carrier_hz)
+                .impairments(TxImpairments::typical())
+                .build();
+            let (dut, ideal) = (tx.rf_output(), tx.ideal_rf_output());
+            let armed = BistEngine::new(
+                cfg.clone()
+                    .with_early_verdict(EarlyVerdict::paper_default()),
+            );
+            let a = armed.run(&dut, &standard.mask, Some(&ideal));
+            let b = BistEngine::new(cfg).run(&dut, &standard.mask, Some(&ideal));
+            assert!(a.passed(), "{}: healthy unit fails\n{a}", dep.standard);
+            assert!(!a.early_exit, "{}: policy fired", dep.standard);
+            assert_eq!(a, b, "{}: armed run differs", dep.standard);
+        }
     }
 
     #[test]

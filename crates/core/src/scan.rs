@@ -122,49 +122,26 @@ impl MaskScanEngine {
         overlap: usize,
         window: Window,
     ) -> Self {
-        Self::build(mask, carrier_hz, fs, segment_len, overlap, window, None)
+        Self::try_build(mask, carrier_hz, fs, segment_len, overlap, window, None)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`new`](Self::new) with an additional noise-figure measurement
-    /// band, given as absolute carrier offsets `(offset_lo, offset_hi)`
-    /// in Hz: bins with `offset_lo ≤ |f − carrier| ≤ offset_hi` (both
-    /// sidebands) are probed alongside the mask bins, and their mean
-    /// density is reported by
-    /// [`StreamingMaskScan::noise_density_dbhz`]. Probing them rides
-    /// the same banked Goertzel pass — the NF measurement is close to
-    /// free on top of the mask verdict.
+    /// [`new`](Self::new) (same `carrier_hz` carrier and `fs` sample
+    /// rate, both in Hz) returning a typed [`BistError`] instead of
+    /// panicking: parameter violations surface as
+    /// [`BistError::InvalidConfig`], empty reference/segment/noise
+    /// coverage as [`BistError::NoMaskCoverage`].
     ///
-    /// # Panics
-    ///
-    /// Panics under the [`new`](Self::new) contract, and additionally
-    /// when the noise band is malformed (`offset_lo < 0` or
-    /// `offset_hi ≤ offset_lo`) or puts no bin on the scan grid.
-    pub fn with_noise_band(
-        mask: &SpectralMask,
-        carrier_hz: f64,
-        fs: f64,
-        segment_len: usize,
-        overlap: usize,
-        window: Window,
-        noise_band: (f64, f64),
-    ) -> Self {
-        Self::build(
-            mask,
-            carrier_hz,
-            fs,
-            segment_len,
-            overlap,
-            window,
-            Some(noise_band),
-        )
-    }
-
-    /// [`new`](Self::new)/[`with_noise_band`](Self::with_noise_band)
-    /// (same `carrier_hz` carrier and `fs` sample rate, both in Hz)
-    /// returning a typed [`BistError`] instead of panicking: parameter
-    /// violations surface as [`BistError::InvalidConfig`], empty
-    /// reference/segment/noise coverage as
-    /// [`BistError::NoMaskCoverage`].
+    /// `noise_band` adds a noise-figure measurement band, given as
+    /// absolute carrier offsets `(offset_lo, offset_hi)` in Hz: bins
+    /// with `offset_lo ≤ |f − carrier| ≤ offset_hi` (both sidebands)
+    /// are probed alongside the mask bins, and their mean density is
+    /// reported by [`StreamingMaskScan::noise_density_dbhz`]. Probing
+    /// them rides the same banked Goertzel pass — the NF measurement is
+    /// close to free on top of the mask verdict. A malformed band
+    /// (`offset_lo < 0` or `offset_hi ≤ offset_lo`) is
+    /// [`BistError::InvalidConfig`], and one that puts no bin on the
+    /// scan grid [`BistError::NoMaskCoverage`].
     pub fn try_build(
         mask: &SpectralMask,
         carrier_hz: f64,
@@ -253,27 +230,6 @@ impl MaskScanEngine {
             bank: GoertzelBank::new(&freqs),
             bins,
         })
-    }
-
-    fn build(
-        mask: &SpectralMask,
-        carrier_hz: f64,
-        fs: f64,
-        segment_len: usize,
-        overlap: usize,
-        window: Window,
-        noise_band: Option<(f64, f64)>,
-    ) -> Self {
-        Self::try_build(
-            mask,
-            carrier_hz,
-            fs,
-            segment_len,
-            overlap,
-            window,
-            noise_band,
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Number of probed bins (mask + reference + noise band).

@@ -66,19 +66,19 @@
 //! accumulated lattice phase error over the whole grid of at most
 //! 1e-10 rad at the kernel's fastest oscillation (far inside the 1e-9
 //! equivalence budget). Grids are reconstructed **phase-major** in
-//! super-blocks of [`SUPER_BLOCK_LEN`] consecutive points: the time
+//! chunks of consecutive points (see the chunk policy below): the time
 //! phasors advance by the grid-step rotor `e^{jωⱼ·Δt}` over the first
 //! `q` grid points only, each emitting its weight row, and the row of
 //! residue `r` is applied to every point of that residue in the
-//! super-block — one 2 × `num_taps` dot product per point instead of a
-//! row build.
+//! chunk — one 2 × `num_taps` dot product per point instead of a row
+//! build.
 //!
 //! **The one-period lattice.** A uniform grid on no short lattice is
 //! the phase-major grid whose period is the whole grid, `q = n` (and
 //! `p = 0`, never read): every point is its own residue and gets its
-//! own row, built in grid order from the rotor. A super-block then
-//! steps only through its own residues, starting on a re-seed
-//! boundary, and the tables cover exactly the grid's tap windows.
+//! own row, built in grid order from the rotor. A chunk then steps
+//! only through its own residues, starting on a re-seed boundary, and
+//! the tables cover exactly the grid's tap windows.
 //!
 //! **Tie rule.** When `t_r/T` sits exactly half a sample from a sample
 //! instant (one residue per grid whenever `t0` is a sample instant and
@@ -91,19 +91,37 @@
 //! sample of margin on each side for that shifted window, on short
 //! lattices only: a one-period grid has no second point per residue.
 //!
-//! **Memory bound.** Only one row (plus the tie residue's second row)
-//! is in flight, and every super-block rebuilds its rows from the grid
+//! **Chunk policy.** Only one row (plus the tie residue's second row)
+//! is in flight, and every chunk rebuilds its `q` rows from the grid
 //! start (on the one-period lattice, from its own first point's
-//! re-seed): values do not depend on chunking, so the batch
-//! ([`PnbsGridPlan::reconstruct_grid`]) and the block feed
-//! ([`PnbsGridPlan::reconstruct_blocks`]) share one producer and stay
-//! bit-identical, and the feed holds at most one super-block (64 KiB).
-//! An early-stopped feed never builds the super-blocks after the stop.
-//! There is deliberately no resident `q × 2·num_taps` coefficient
-//! bank: on the five-standard calibrated line with one pool worker per
-//! core (2-core AVX-512 VM), keeping every residue's row resident
-//! raised peak RSS from 5.1–5.2 MiB to 7.6–7.8 MiB (+49 %), while
-//! rebuilding the rows costs only `q` row builds per super-block.
+//! re-seed). Re-seeds are absolute, so no value depends on where a
+//! chunk starts or ends: the batch grid and both block feeds share one
+//! producer and stay bit-identical. A row build costs as much as 10–20
+//! points' dot products, so a chunk is as long as the memory its
+//! caller already holds:
+//!
+//! - **Batch grid** ([`PnbsGridPlan::try_reconstruct_grid`]): one
+//!   chunk, since its output holds the whole grid anyway.
+//! - **Block feed** ([`PnbsGridPlan::reconstruct_blocks`]): chunks of
+//!   up to [`FEED_CHUNK_LEN`] points, a 128 KiB buffer.
+//! - **Early-stop feed**
+//!   ([`PnbsReconstructor::reconstruct_stoppable_blocks`](crate::reconstruct::PnbsReconstructor::reconstruct_stoppable_blocks)),
+//!   for a consumer that may stop early: [`SUPER_BLOCK_LEN`]-point
+//!   chunks, so a stop skips every chunk after the one it stopped in.
+//!
+//! The block feed therefore builds 400 rows on a 12288-point 9/400
+//! grid (Section V, wcdma-like), 1000 on lte5-like's 32768-point 9/500
+//! grid and 1300 on wb-20msym's 9/650 one, half of what
+//! [`SUPER_BLOCK_LEN`] chunks build; gsm-like's 8192-point 3/10 grid is
+//! one chunk of 10 rows either way. The feed's length is a memory
+//! choice. Peak RSS of the five-standard calibrated line with one pool
+//! worker per core (2-core AVX-512 VM), against [`SUPER_BLOCK_LEN`]
+//! chunks everywhere: 16384-point feed chunks read +5.5–9 % in the
+//! median of ten-pair runs (the two workers' extra 64 KiB, plus the
+//! latency samples of the verdicts a faster run completes), a
+//! whole-grid feed +15 %, and a resident `q × 2·num_taps` coefficient
+//! bank (every residue's row built once per plan) +49 % (5.1–5.2 MiB
+//! to 7.6–7.8 MiB).
 //!
 //! # Runtime-dispatched SIMD
 //!
@@ -141,25 +159,32 @@ pub use probe_sums::{ProbeSums, ProbeSumsError, PROBE_TAPS, PROBE_WINDOW};
 /// phasors. The grid-step rotor's phase error grows O(points·ε);
 /// re-seeding every 256 points caps it at ≈ 6e-14 rad — far below the
 /// near-origin guard's budget — for arbitrarily long grids, and because
-/// the schedule is absolute, a super-block that starts its rotor on one
+/// the schedule is absolute, a chunk that starts its rotor on one
 /// of these boundaries reproduces the rows of one pass from the start.
 pub const GRID_BLOCK_LEN: usize = 256;
 
 /// Internal alias documenting the re-seed role of [`GRID_BLOCK_LEN`].
 const TIME_RESEED_INTERVAL: usize = GRID_BLOCK_LEN;
 
-/// Consecutive grid points reconstructed together on the phase-major
-/// path: the unit a block feed materializes (64 KiB of values) and an
-/// early verdict skips. It equals the engine's longest Welch segment,
-/// so a verdict decided at the first completed segment of a long grid
-/// never builds a second super-block.
+/// Points per chunk of the early-stop feed
+/// ([`PnbsReconstructor::reconstruct_stoppable_blocks`](crate::reconstruct::PnbsReconstructor::reconstruct_stoppable_blocks)):
+/// the unit an early verdict skips (64 KiB of values). It equals the
+/// engine's longest Welch segment, so a verdict decided at the first
+/// completed segment of a long grid never builds a second chunk.
 pub const SUPER_BLOCK_LEN: usize = 32 * GRID_BLOCK_LEN;
+
+/// Points per chunk of the default block feed
+/// ([`PnbsGridPlan::reconstruct_blocks`]): two of the engine's longest
+/// Welch segments, a 128 KiB buffer. Each chunk builds every residue's
+/// row once, so the 32768-point grids build their rows twice instead
+/// of four times (see the module docs' chunk policy).
+pub const FEED_CHUNK_LEN: usize = 2 * SUPER_BLOCK_LEN;
 
 /// Largest lattice denominator `q` reconstructed phase-major.
 const MAX_LATTICE_PHASES: i64 = 4096;
 
 /// Fewest grid points per lattice phase for which rebuilding `q` rows
-/// per super-block pays off against one row per point.
+/// per chunk pays off against one row per point.
 const MIN_POINTS_PER_PHASE: usize = 4;
 
 /// Largest relative error `|step/T − p/q| / (step/T)` of an accepted
@@ -392,24 +417,6 @@ struct GridFeed<'t> {
     order: Order<'t>,
     /// The kernel arm the producer runs.
     arm: Arm,
-}
-
-impl GridFeed<'_> {
-    /// Points one producer call emits: a super-block of a grid, one
-    /// block of arbitrary instants.
-    fn chunk_len(&self) -> usize {
-        match self.order {
-            Order::PhaseMajor(_) => SUPER_BLOCK_LEN,
-            Order::Instants(_) => GRID_BLOCK_LEN,
-        }
-    }
-
-    /// The `(i0, i1)` point ranges of the producer calls that cover
-    /// the feed.
-    fn chunks(&self) -> impl Iterator<Item = (usize, usize)> {
-        let (n, len) = (self.n, self.chunk_len());
-        (0..n).step_by(len).map(move |i0| (i0, (i0 + len).min(n)))
-    }
 }
 
 /// How the row builder fills a stream's window row.
@@ -724,8 +731,9 @@ impl PnbsGridPlan {
         Some(self.drain(capture, &feed, scratch))
     }
 
-    /// Runs the producer over every point of `feed`, chunk by chunk,
-    /// into `scratch`, and returns the filled slice.
+    /// Runs the producer over every point of `feed` as one chunk (the
+    /// output holds them all anyway) into `scratch`, and returns the
+    /// filled slice.
     fn drain<'s>(
         &self,
         capture: &NonuniformCapture,
@@ -733,9 +741,7 @@ impl PnbsGridPlan {
         scratch: &'s mut GridScratch,
     ) -> &'s [f64] {
         scratch.out.clear();
-        for (i0, i1) in feed.chunks() {
-            self.produce(capture, feed, i0, i1, scratch);
-        }
+        self.produce(capture, feed, 0, feed.n, scratch);
         &scratch.out
     }
 
@@ -757,12 +763,10 @@ impl PnbsGridPlan {
     ) -> Option<&'s [f64]> {
         let feed = self.prepare(capture, t0, step, n, Arm::Portable, scratch)?;
         scratch.out.clear();
-        for (i0, i1) in feed.chunks() {
-            if L::FUSED {
-                self.produce_body::<true, L>(capture, &feed, i0, i1, lanes, scratch);
-            } else {
-                self.produce_body::<false, L>(capture, &feed, i0, i1, lanes, scratch);
-            }
+        if L::FUSED {
+            self.produce_body::<true, L>(capture, &feed, 0, n, lanes, scratch);
+        } else {
+            self.produce_body::<false, L>(capture, &feed, 0, n, lanes, scratch);
         }
         Some(&scratch.out)
     }
@@ -933,9 +937,9 @@ impl PnbsGridPlan {
     /// arm: the `#[target_feature]` recompilations of
     /// [`produce_body`](Self::produce_body) where this CPU has the
     /// arm's features, the portable instantiation otherwise. The single
-    /// producer behind the batch grid, the block feed and arbitrary
+    /// producer behind the batch grid, both block feeds and arbitrary
     /// instants. On a grid, `i0` must be a multiple of
-    /// [`SUPER_BLOCK_LEN`].
+    /// [`GRID_BLOCK_LEN`] (a re-seed boundary).
     fn produce(
         &self,
         capture: &NonuniformCapture,
@@ -1014,8 +1018,8 @@ impl PnbsGridPlan {
         self.produce_body::<true, _>(capture, feed, i0, i1, lanes, scratch)
     }
 
-    /// The producer kernel: a phase-major super-block or a run of
-    /// arbitrary instants, with every multiply-add of the row builder
+    /// The producer kernel: a phase-major chunk or a run of arbitrary
+    /// instants, with every multiply-add of the row builder
     /// fused when `FMA` (the `#[target_feature]` instantiations) and
     /// plain `*`/`+` otherwise, and the dot products on `lanes`, which
     /// round as `FMA` says.
@@ -1091,14 +1095,14 @@ impl PnbsGridPlan {
         }
     }
 
-    /// One phase-major super-block: steps the rotor through the first
-    /// `q` grid points, building residue `r`'s row at point `r`, and
-    /// applies it to every point `r + m·q` of the block with the tap
+    /// One phase-major chunk: steps the rotor through the first `q`
+    /// grid points, building residue `r`'s row at point `r`, and
+    /// applies it to every point `r + m·q` of the chunk with the tap
     /// window shifted by `m·p` samples. A point whose own `round(t/T)`
     /// departs from that prediction (the half-sample tie residue) takes
     /// the second row, built for its shifted window. When no residue
-    /// repeats inside the block (`q ≥ i1`, the one-period lattice) only
-    /// the block's own residues `i0 .. i1` are visited, the rotor
+    /// repeats inside the chunk (`q ≥ i1`, the one-period lattice) only
+    /// the chunk's own residues `i0 .. i1` are visited, the rotor
     /// starting on the re-seed at `i0`. Appends points `i0 .. i1`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
@@ -1119,12 +1123,12 @@ impl PnbsGridPlan {
         let t_ref = feed.n_ref as f64 * ctx.period;
         let base = out.len();
         out.resize(base + (i1 - i0), 0.0);
-        let block = &mut out[base..];
+        let chunk = &mut out[base..];
         let mut rot = TimeRotor::new(&self.w, feed.step);
         let residues = if lat.q >= i1 {
             debug_assert!(
                 i0.is_multiple_of(TIME_RESEED_INTERVAL),
-                "super-blocks start on a re-seed boundary"
+                "chunks start on a re-seed boundary"
             );
             i0..i1
         } else {
@@ -1133,7 +1137,7 @@ impl PnbsGridPlan {
         for r in residues {
             let t_r = feed.t0 + r as f64 * feed.step;
             rot.seed_if_due(r, &self.w, t_r - t_ref);
-            // first point of residue r inside the block
+            // first point of residue r inside the chunk
             let m0 = i0.saturating_sub(r).div_ceil(lat.q);
             if r + m0 * lat.q < i1 {
                 let t_idx = t_r / ctx.period;
@@ -1142,7 +1146,7 @@ impl PnbsGridPlan {
                 self.point_row::<FMA>(ctx, &ph, t_r, t_idx, first, row);
                 // window offset of the second row currently built
                 let mut alt_shift = 0i64;
-                let points = block.iter_mut().skip(r + m0 * lat.q - i0).step_by(lat.q);
+                let points = chunk.iter_mut().skip(r + m0 * lat.q - i0).step_by(lat.q);
                 for (m, slot) in (m0..).zip(points) {
                     let t = feed.t0 + (r + m * lat.q) as f64 * feed.step;
                     let lattice_first = first + m as i64 * lat.p;
@@ -1225,17 +1229,20 @@ impl PnbsGridPlan {
     /// Streams the `n` uniform grid instants `t0, t0 + step, …` as
     /// [`GRID_BLOCK_LEN`]-point blocks, one per
     /// [`GridBlocks::next_block`] call, with no allocation per block in
-    /// steady state. The producer fills `scratch` one
-    /// [`SUPER_BLOCK_LEN`] super-block ahead, so the full grid never
-    /// materializes.
+    /// steady state. The producer fills `scratch` one chunk of up to
+    /// [`FEED_CHUNK_LEN`] points ahead, so the full grid never
+    /// materializes. A consumer that may stop early takes the
+    /// early-stop feed
+    /// ([`PnbsReconstructor::reconstruct_stoppable_blocks`](crate::reconstruct::PnbsReconstructor::reconstruct_stoppable_blocks))
+    /// instead.
     /// Returns `None` when the grid is not fully inside the capture's
     /// coverage.
     ///
     /// The feed runs the same producer as
-    /// [`reconstruct_grid`](Self::reconstruct_grid) over the same
-    /// chunks, so the concatenated blocks are **bit-identical** to the
-    /// batch grid (pinned by the gridplan tests,
-    /// `tests/grid_plan_equivalence.rs` and
+    /// [`reconstruct_grid`](Self::reconstruct_grid), and no value
+    /// depends on where a chunk ends, so the concatenated blocks are
+    /// **bit-identical** to the batch grid (pinned by the gridplan
+    /// tests, `tests/grid_plan_equivalence.rs` and
     /// `tests/stream_scan_equivalence.rs`).
     ///
     /// # Panics
@@ -1249,16 +1256,7 @@ impl PnbsGridPlan {
         n: usize,
         scratch: &'a mut GridScratch,
     ) -> Option<GridBlocks<'a>> {
-        let feed = self.prepare(capture, t0, step, n, Arm::detect(), scratch)?;
-        scratch.out.clear();
-        Some(GridBlocks {
-            plan: self,
-            capture,
-            scratch,
-            feed,
-            held: 0,
-            produced: 0,
-        })
+        self.try_feed(capture, t0, step, n, FEED_CHUNK_LEN, scratch)
     }
 
     /// [`try_reconstruct_blocks`](Self::try_reconstruct_blocks),
@@ -1281,10 +1279,78 @@ impl PnbsGridPlan {
                 )
             })
     }
+
+    /// The early-stop feed:
+    /// [`try_reconstruct_blocks`](Self::try_reconstruct_blocks) in
+    /// chunks of [`SUPER_BLOCK_LEN`] points, for a consumer that may
+    /// stop early. A stop skips every chunk after the one it stopped
+    /// in, and every row build of those chunks. The blocks are
+    /// bit-identical to the default feed's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step` is not positive.
+    pub(crate) fn try_reconstruct_stoppable_blocks<'a>(
+        &'a self,
+        capture: &'a NonuniformCapture,
+        t0: f64,
+        step: f64,
+        n: usize,
+        scratch: &'a mut GridScratch,
+    ) -> Option<GridBlocks<'a>> {
+        self.try_feed(capture, t0, step, n, SUPER_BLOCK_LEN, scratch)
+    }
+
+    /// [`try_reconstruct_stoppable_blocks`](Self::try_reconstruct_stoppable_blocks),
+    /// panicking (like [`reconstruct_grid`](Self::reconstruct_grid))
+    /// when the grid leaves the capture's coverage.
+    pub(crate) fn reconstruct_stoppable_blocks<'a>(
+        &'a self,
+        capture: &'a NonuniformCapture,
+        t0: f64,
+        step: f64,
+        n: usize,
+        scratch: &'a mut GridScratch,
+    ) -> GridBlocks<'a> {
+        let coverage = self.coverage(capture);
+        self.try_reconstruct_stoppable_blocks(capture, t0, step, n, scratch)
+            .unwrap_or_else(|| {
+                panic!(
+                    "grid [{t0:.3e}, {:.3e}] s outside capture coverage {coverage:?}",
+                    t0 + n.saturating_sub(1) as f64 * step,
+                )
+            })
+    }
+
+    /// A block feed producing `chunk_len` points per producer call
+    /// (a multiple of [`GRID_BLOCK_LEN`]).
+    fn try_feed<'a>(
+        &'a self,
+        capture: &'a NonuniformCapture,
+        t0: f64,
+        step: f64,
+        n: usize,
+        chunk_len: usize,
+        scratch: &'a mut GridScratch,
+    ) -> Option<GridBlocks<'a>> {
+        debug_assert!(chunk_len.is_multiple_of(GRID_BLOCK_LEN));
+        let feed = self.prepare(capture, t0, step, n, Arm::detect(), scratch)?;
+        scratch.out.clear();
+        Some(GridBlocks {
+            plan: self,
+            capture,
+            scratch,
+            feed,
+            chunk_len,
+            held: 0,
+            produced: 0,
+        })
+    }
 }
 
 /// A lending iterator over the grid's [`GRID_BLOCK_LEN`]-point blocks,
-/// produced by [`PnbsGridPlan::reconstruct_blocks`]. Each
+/// produced by [`PnbsGridPlan::reconstruct_blocks`] or the early-stop
+/// feed. Each
 /// [`next_block`](Self::next_block) yields the next block from the
 /// chunk held in the borrowed scratch, producing the next chunk when
 /// the held one is exhausted; the final block may be shorter.
@@ -1300,6 +1366,8 @@ pub struct GridBlocks<'a> {
     capture: &'a NonuniformCapture,
     scratch: &'a mut GridScratch,
     feed: GridFeed<'a>,
+    /// Points per producer call.
+    chunk_len: usize,
     /// Grid index of the first point of the chunk held in the scratch.
     held: usize,
     produced: usize,
@@ -1316,7 +1384,7 @@ impl GridBlocks<'_> {
             return None;
         }
         if self.produced == self.held + self.scratch.out.len() {
-            let end = (self.produced + self.feed.chunk_len()).min(n);
+            let end = (self.produced + self.chunk_len).min(n);
             self.scratch.out.clear();
             self.plan
                 .produce(self.capture, &self.feed, self.produced, end, self.scratch);
@@ -1689,13 +1757,13 @@ mod tests {
         }
         assert_eq!(blocks.produced(), n);
         assert_eq!(got.len(), n);
-        // all blocks are full re-seed chunks except the final partial
+        // all blocks are full re-seed blocks except the final partial
         assert!(sizes[..sizes.len() - 1]
             .iter()
             .all(|&s| s == GRID_BLOCK_LEN));
         assert_eq!(*sizes.last().unwrap(), n % GRID_BLOCK_LEN);
-        // the feed runs the batch's producer over the same
-        // super-blocks, so it is bit-identical — not just close
+        // the feed runs the batch's producer, and no value depends on
+        // where a chunk ends, so it is bit-identical — not just close
         assert_eq!(got, want);
     }
 
@@ -1961,7 +2029,7 @@ mod tests {
     }
 
     #[test]
-    fn lattice_detection_rejects_walk_grids() {
+    fn lattice_detection_rejects_one_period_grids() {
         let w = omega_max(&PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0)));
         let t_s = 1.0 / B;
         // a 300-point cost-probe-sized grid: under four points per phase
@@ -1985,7 +2053,7 @@ mod tests {
     }
 
     #[test]
-    fn phase_major_matches_the_walk() {
+    fn short_lattice_matches_the_one_period_lattice() {
         let tone = Tone::unit(0.98e9);
         let t_s = 1.0 / B;
         let cap = NonuniformCapture::from_signal(&tone, t_s, D, -60, 400);
@@ -2010,13 +2078,13 @@ mod tests {
     #[test]
     fn one_period_grid_matches_instants_and_reference() {
         // a 4 GHz grid detuned by √2·1e-6 sits on no short lattice, so
-        // it runs as one period of 17384 residues: past two super-blocks
-        // and many re-seed boundaries
+        // it runs as one period of 17384 residues: past the block
+        // feed's first chunk and many re-seed boundaries
         let tone = Tone::unit(1.013e9);
         let cap = NonuniformCapture::from_signal(&tone, 1.0 / B, D, -50, 700);
         let plan = PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0));
         let (t0, step, n) = (0.5e-6, 2.5e-10 * (1.0 + 2f64.sqrt() * 1e-6), 17_384);
-        assert!(n > 2 * SUPER_BLOCK_LEN);
+        assert!(n > FEED_CHUNK_LEN);
         assert_eq!(
             Lattice::detect(step, cap.period(), n, omega_max(&plan)),
             None
@@ -2080,23 +2148,41 @@ mod tests {
         let tone = Tone::unit(0.98e9);
         let cap = NonuniformCapture::from_signal(&tone, 1.0 / B, D, -60, 800);
         let plan = PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0));
-        // three super-blocks, the last one partial
+        // two default-feed chunks and three early-stop ones, the last
+        // one partial in both
         let (t0, step, n) = (0.5e-6, 2.5e-10, 2 * SUPER_BLOCK_LEN + 1000);
+        assert!(n > FEED_CHUNK_LEN);
         let mut scratch = GridScratch::new();
         let want = plan
             .reconstruct_grid(&cap, t0, step, n, &mut scratch)
             .to_vec();
         let mut bs = GridScratch::new();
-        let mut blocks = plan.reconstruct_blocks(&cap, t0, step, n, &mut bs);
-        let mut got = Vec::new();
-        while let Some(block) = blocks.next_block() {
-            assert!(block.len() <= GRID_BLOCK_LEN);
-            got.extend_from_slice(block);
+        for stoppable in [false, true] {
+            let mut blocks = if stoppable {
+                plan.reconstruct_stoppable_blocks(&cap, t0, step, n, &mut bs)
+            } else {
+                plan.reconstruct_blocks(&cap, t0, step, n, &mut bs)
+            };
+            let mut got = Vec::new();
+            while let Some(block) = blocks.next_block() {
+                assert!(block.len() <= GRID_BLOCK_LEN);
+                got.extend_from_slice(block);
+            }
+            assert_eq!(got, want, "stoppable feed: {stoppable}");
+            let cap_len = if stoppable {
+                SUPER_BLOCK_LEN
+            } else {
+                FEED_CHUNK_LEN
+            };
+            assert!(bs.values().len() <= cap_len);
         }
-        assert_eq!(got, want);
-        assert!(bs.values().len() <= SUPER_BLOCK_LEN);
-        // an early stop inside the first super-block builds no other
+        // the default feed holds its first chunk whole
         let mut blocks = plan.reconstruct_blocks(&cap, t0, step, n, &mut bs);
+        blocks.next_block();
+        assert_eq!(bs.values(), &want[..FEED_CHUNK_LEN]);
+        // an early stop inside the early-stop feed's first chunk builds
+        // no other
+        let mut blocks = plan.reconstruct_stoppable_blocks(&cap, t0, step, n, &mut bs);
         for _ in 0..3 {
             blocks.next_block();
         }

@@ -408,6 +408,28 @@ impl PnbsReconstructor {
         self.grid_plan
             .reconstruct_blocks(capture, t0, step, n, scratch)
     }
+
+    /// The early-stop feed:
+    /// [`reconstruct_blocks`](Self::reconstruct_blocks) in
+    /// [`SUPER_BLOCK_LEN`](crate::gridplan::SUPER_BLOCK_LEN)-point
+    /// chunks, so a consumer that stops early skips the rest of the
+    /// grid and its row builds. The blocks are bit-identical to
+    /// [`reconstruct_blocks`](Self::reconstruct_blocks)'.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`reconstruct_grid`](Self::reconstruct_grid) does.
+    pub fn reconstruct_stoppable_blocks<'a>(
+        &'a self,
+        capture: &'a NonuniformCapture,
+        t0: f64,
+        step: f64,
+        n: usize,
+        scratch: &'a mut GridScratch,
+    ) -> GridBlocks<'a> {
+        self.grid_plan
+            .reconstruct_stoppable_blocks(capture, t0, step, n, scratch)
+    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use rfbist::dsp::simd::Arm;
 use rfbist::dsp::window::Window;
 use rfbist::math::stats::nrmse;
 use rfbist::prelude::*;
-use rfbist::sampling::gridplan::SUPER_BLOCK_LEN;
+use rfbist::sampling::gridplan::{FEED_CHUNK_LEN, SUPER_BLOCK_LEN};
 use rfbist::sampling::kohlenberg::check_delay;
 
 const FC: f64 = 1e9;
@@ -111,7 +111,7 @@ fn assert_simd_matches_scalar(
 }
 
 #[test]
-fn simd_walk_matches_scalar_walk_on_fixture_grids() {
+fn simd_grid_matches_scalar_grid_on_fixture_grids() {
     let tone = Tone::unit(0.98e9);
     let cap = NonuniformCapture::from_signal(&tone, 1.0 / B, D, -60, 400);
     let rec = PnbsReconstructor::paper_default(band(), D).unwrap();
@@ -124,7 +124,7 @@ fn simd_walk_matches_scalar_walk_on_fixture_grids() {
 }
 
 #[test]
-fn simd_walk_matches_scalar_walk_across_windows() {
+fn simd_grid_matches_scalar_grid_across_windows() {
     // Smooth windows ride the planar row fill the vector kernels use;
     // the kinked Bartlett shape must agree trivially (both sides fall
     // back to the scalar row fill).
@@ -315,7 +315,7 @@ proptest! {
     /// NRMSE within the 1e-9 budget at every sampled configuration
     /// (bit-equal wherever no vector unit is dispatched).
     #[test]
-    fn simd_walk_matches_scalar_over_random_band_delay_step(
+    fn simd_grid_matches_scalar_over_random_band_delay_step(
         fc_mhz in 300.0f64..2500.0,
         b_mhz in 40.0f64..120.0,
         rel_delay in 0.1f64..0.9,
@@ -389,9 +389,20 @@ fn deployment_grids() -> Vec<DeploymentGrid> {
         .collect()
 }
 
-/// Drains the block feed over the grid's first `n` points.
-fn block_feed(g: &DeploymentGrid, n: usize, scratch: &mut GridScratch) -> Vec<f64> {
-    let mut blocks = g.rec.reconstruct_blocks(&g.cap, g.t0, g.step, n, scratch);
+/// Drains the default block feed, or the early-stop feed when
+/// `stoppable`, over the grid's first `n` points.
+fn block_feed(
+    g: &DeploymentGrid,
+    n: usize,
+    stoppable: bool,
+    scratch: &mut GridScratch,
+) -> Vec<f64> {
+    let mut blocks = if stoppable {
+        g.rec
+            .reconstruct_stoppable_blocks(&g.cap, g.t0, g.step, n, scratch)
+    } else {
+        g.rec.reconstruct_blocks(&g.cap, g.t0, g.step, n, scratch)
+    };
     let mut got = Vec::with_capacity(n);
     while let Some(block) = blocks.next_block() {
         got.extend_from_slice(block);
@@ -409,7 +420,7 @@ fn deployment_grids_match_the_direct_reference() {
         "builtin grid ratios"
     );
     for g in &grids {
-        let got = block_feed(g, g.n, &mut GridScratch::new());
+        let got = block_feed(g, g.n, false, &mut GridScratch::new());
         assert_eq!(got.len(), g.n);
         // The tie residue: t0 is a sample instant, so the residue with
         // r·p ≡ q/2 (mod q) sits half a sample off, where round(t/T)
@@ -440,29 +451,43 @@ fn deployment_grids_match_the_direct_reference() {
 fn deployment_block_feeds_are_bit_identical_to_batch_grids() {
     for g in deployment_grids() {
         let mut scratch = GridScratch::new();
-        let streamed = block_feed(&g, g.n, &mut scratch);
         let batch = g
             .rec
             .reconstruct_grid(&g.cap, g.t0, g.step, g.n, &mut scratch)
             .to_vec();
-        assert_eq!(streamed, batch, "{}", g.standard);
-        // Grids cut one point either side of a super-block boundary (and
-        // mid-way into the next) reproduce the full grid's prefix bit
-        // for bit: values never depend on where a chunk ends.
+        for stoppable in [false, true] {
+            let streamed = block_feed(&g, g.n, stoppable, &mut scratch);
+            assert_eq!(streamed, batch, "{} stoppable {stoppable}", g.standard);
+        }
+        // Grids cut one point either side of the early-stop feed's
+        // chunk boundary and of the default feed's (and mid-way into
+        // the next chunk) reproduce the full grid's prefix bit for bit,
+        // through the batch and both feeds: values never depend on
+        // where a chunk ends.
         let cuts = [
             SUPER_BLOCK_LEN - 1,
             SUPER_BLOCK_LEN,
             SUPER_BLOCK_LEN + 1,
             SUPER_BLOCK_LEN + 3 * GRID_BLOCK_LEN + 17,
+            FEED_CHUNK_LEN - 1,
+            FEED_CHUNK_LEN,
+            FEED_CHUNK_LEN + 1,
+            FEED_CHUNK_LEN + 3 * GRID_BLOCK_LEN + 17,
         ];
         for cut in cuts.into_iter().filter(|&c| c <= g.n) {
             let prefix = g
                 .rec
                 .reconstruct_grid(&g.cap, g.t0, g.step, cut, &mut scratch)
                 .to_vec();
-            assert_eq!(prefix, streamed[..cut], "{} cut at {cut}", g.standard);
-            let fed = block_feed(&g, cut, &mut scratch);
-            assert_eq!(fed, prefix, "{} feed cut at {cut}", g.standard);
+            assert_eq!(prefix, batch[..cut], "{} cut at {cut}", g.standard);
+            for stoppable in [false, true] {
+                let fed = block_feed(&g, cut, stoppable, &mut scratch);
+                assert_eq!(
+                    fed, prefix,
+                    "{} feed cut at {cut}, stoppable {stoppable}",
+                    g.standard
+                );
+            }
         }
     }
 }

@@ -134,7 +134,7 @@ fn section_v_grid_matches_the_lane_model_on_every_arm() {
 fn tie_residue_grid_matches_the_lane_model_on_every_arm() {
     // t0 on a sample instant and step 9T/400: one residue sits half a
     // sample off, so some of its points take the second, shifted row;
-    // two super-blocks, 21 taps (two whole chunks and a tail) and 61
+    // 16000 points, 21 taps (two whole lane chunks and a tail) and 61
     let b = 90e6;
     let band = BandSpec::centered(1e9, b);
     let t_s = 1.0 / b;
