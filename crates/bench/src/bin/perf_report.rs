@@ -108,9 +108,9 @@
 //! 10. **fma_bound** — informational, not gated: each eight-lane
 //!     kernel's counted multiply-adds per op (a grid point's dot
 //!     product, a probe row's build, a probe's evaluation) and the
-//!     fraction of an in-run peak (`fma_peak`: eight register-resident
+//!     fraction of an in-run peak (`FmaPeak`: eight register-resident
 //!     accumulator chains on the dispatched arm) its measured time
-//!     reaches, beside an in-run eight-lane divide peak (`div_peak`).
+//!     reaches, beside an in-run eight-lane divide peak (`DivPeak`).
 //! 11. **stages** — one uncalibrated and one calibrated Section V
 //!     verdict, each timed untraced (`try_run_with`) and traced into a
 //!     `StageLedger` (`try_run_traced`), interleaved: the per-stage
@@ -128,7 +128,7 @@ use rfbist_core::mask::SpectralMask;
 use rfbist_core::scan::{EarlyVerdict, MaskScanEngine, ScanFeed, StreamScratch};
 use rfbist_core::trace::{StageLedger, VerdictStage};
 use rfbist_dsp::psd::welch;
-use rfbist_dsp::simd::{Arm, F64x8, Portable};
+use rfbist_dsp::simd::{Arm, F64x8, Kernel};
 use rfbist_dsp::window::Window;
 use rfbist_math::stats::nrmse;
 use rfbist_rfchain::impairments::TxImpairments;
@@ -209,8 +209,8 @@ const STAGE_SUM_TOLERANCE: f64 = 0.1;
 /// the candidates takes only tens of microseconds.
 const EVAL_SWEEPS: usize = 8;
 
-/// Interleaved reps per `cfg.reps` of the dispatched-vs-portable
-/// ratios (each rep times a few milliseconds of work or less).
+/// Interleaved reps per `cfg.reps` of the ratios timed through
+/// [`interleaved_medians`] (each rep times ~10 ms of work or less).
 const SIMD_RATIO_REPS: usize = 4;
 
 /// Multiply-adds of one grid point's dot product: both streams' taps.
@@ -725,13 +725,13 @@ fn bench_stream_bist(cfg: &Config) -> StreamBistResult {
     let (seg, overlap) = welch_segmentation(points);
     let verdicts = if cfg.quick { 2 } else { 4 };
 
-    // The three configurations are timed inside the *same* rep loop,
-    // interleaved, so slow drift on a shared machine (the dominant
+    // The three configurations are timed interleaved, each with its
+    // own scratch, so slow drift on a shared machine (the dominant
     // noise source at ~10 ms per verdict) hits every configuration
     // equally and cancels out of the ratios.
     let scan = MaskScanEngine::new(&mask, FC, FS_GRID, seg, overlap, Window::BlackmanHarris);
-    let mut grid = GridScratch::new();
-    let mut stream_scratch = StreamScratch::new();
+    let (mut grid, mut stream_scratch) = (GridScratch::new(), StreamScratch::new());
+    let (mut early_grid, mut early_scratch) = (GridScratch::new(), StreamScratch::new());
     // Early-exit fixture: a gross in-mask spur (−10 dBc at 15 MHz
     // offset) stops the feed at the first completed segment.
     let spur = MultiTone::new(vec![
@@ -745,77 +745,83 @@ fn bench_stream_bist(cfg: &Config) -> StreamBistResult {
     let mut stream_report = None;
     let mut early_fired = false;
     let mut early_points = 0usize;
-    let mut samples: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for _ in 0..cfg.reps {
-        // Full-grid batch: per-verdict allocation and construction
-        // included, exactly as the engine paid it before streaming.
-        let start = Instant::now();
-        for _ in 0..verdicts {
-            let mut batch_grid = GridScratch::new();
-            rec.reconstruct_grid(&cap, lo, dt, points, &mut batch_grid);
-            let wave = batch_grid.into_values();
-            let batch_scan =
-                MaskScanEngine::new(&mask, FC, FS_GRID, seg, overlap, Window::BlackmanHarris);
-            batch_report = Some(black_box(
-                batch_scan
-                    .try_scan(&wave)
-                    .expect("benchmark wave spans a segment"),
-            ));
-        }
-        samples[0].push(start.elapsed().as_nanos() as f64 / verdicts as f64);
-
-        // Streaming single pass, scratch and scanner held across
-        // verdicts (the `run_with` steady state).
-        let start = Instant::now();
-        for _ in 0..verdicts {
-            let mut stream = scan
-                .stream(&mut stream_scratch, None)
-                .with_capture_len(points);
-            let mut blocks = rec.reconstruct_blocks(&cap, lo, dt, points, &mut grid);
-            while let Some(block) = blocks.next_block() {
-                if stream.push(block) == ScanFeed::EarlyStop {
-                    break;
+    let [batch_ns, stream_ns, early_ns] = interleaved_medians(
+        SIMD_RATIO_REPS * cfg.reps,
+        verdicts,
+        [
+            // Full-grid batch: per-verdict allocation and construction
+            // included, exactly as the engine paid it before streaming.
+            &mut || {
+                for _ in 0..verdicts {
+                    let mut batch_grid = GridScratch::new();
+                    rec.reconstruct_grid(&cap, lo, dt, points, &mut batch_grid);
+                    let wave = batch_grid.into_values();
+                    let batch_scan = MaskScanEngine::new(
+                        &mask,
+                        FC,
+                        FS_GRID,
+                        seg,
+                        overlap,
+                        Window::BlackmanHarris,
+                    );
+                    batch_report = Some(black_box(
+                        batch_scan
+                            .try_scan(&wave)
+                            .expect("benchmark wave spans a segment"),
+                    ));
                 }
-            }
-            stream_report = Some(black_box(
-                stream
-                    .try_finish()
-                    .expect("stream fed at least one segment"),
-            ));
-        }
-        samples[1].push(start.elapsed().as_nanos() as f64 / verdicts as f64);
-
-        // Early exit on the gross-violation fixture.
-        let start = Instant::now();
-        for _ in 0..verdicts {
-            let mut stream = scan
-                .stream(&mut stream_scratch, Some(EarlyVerdict::paper_default()))
-                .with_capture_len(points);
-            let mut blocks =
-                rec.reconstruct_stoppable_blocks(&spur_cap, spur_lo, dt, points, &mut grid);
-            let mut produced = 0usize;
-            while let Some(block) = blocks.next_block() {
-                produced += block.len();
-                if stream.push(block) == ScanFeed::EarlyStop {
-                    break;
+            },
+            // Streaming single pass, scratch and scanner held across
+            // verdicts (the `run_with` steady state).
+            &mut || {
+                for _ in 0..verdicts {
+                    let mut stream = scan
+                        .stream(&mut stream_scratch, None)
+                        .with_capture_len(points);
+                    let mut blocks = rec.reconstruct_blocks(&cap, lo, dt, points, &mut grid);
+                    while let Some(block) = blocks.next_block() {
+                        if stream.push(block) == ScanFeed::EarlyStop {
+                            break;
+                        }
+                    }
+                    stream_report = Some(black_box(
+                        stream
+                            .try_finish()
+                            .expect("stream fed at least one segment"),
+                    ));
                 }
-            }
-            early_fired = stream.early_stopped();
-            early_points = produced;
-            black_box(
-                stream
-                    .try_finish()
-                    .expect("stream fed at least one segment"),
-            );
-        }
-        samples[2].push(start.elapsed().as_nanos() as f64 / verdicts as f64);
-    }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        v[v.len() / 2]
-    };
-    let [mut s0, mut s1, mut s2] = samples;
-    let (batch_ns, stream_ns, early_ns) = (median(&mut s0), median(&mut s1), median(&mut s2));
+            },
+            // Early exit on the gross-violation fixture.
+            &mut || {
+                for _ in 0..verdicts {
+                    let mut stream = scan
+                        .stream(&mut early_scratch, Some(EarlyVerdict::paper_default()))
+                        .with_capture_len(points);
+                    let mut blocks = rec.reconstruct_stoppable_blocks(
+                        &spur_cap,
+                        spur_lo,
+                        dt,
+                        points,
+                        &mut early_grid,
+                    );
+                    let mut produced = 0usize;
+                    while let Some(block) = blocks.next_block() {
+                        produced += block.len();
+                        if stream.push(block) == ScanFeed::EarlyStop {
+                            break;
+                        }
+                    }
+                    early_fired = stream.early_stopped();
+                    early_points = produced;
+                    black_box(
+                        stream
+                            .try_finish()
+                            .expect("stream fed at least one segment"),
+                    );
+                }
+            },
+        ],
+    );
 
     let batch_report = batch_report.expect("batch verdict");
     let stream_report = stream_report.expect("streamed verdict");
@@ -1242,149 +1248,72 @@ fn stages_json(untraced_ns: f64, sum_ns: f64, ratio: f64, stage_ns: &[f64; 6]) -
     )
 }
 
-/// Runs `rounds` rounds of eight independent lane multiply-adds on
-/// kernel arm `arm` (the portable one where this CPU lacks it), all
-/// operands in registers, and returns the lanes' total: the in-run
-/// peak the `fma_bound` report times the eight-lane kernels against.
-fn fma_peak(arm: Arm, rounds: usize) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("fma") {
-        if arm == Arm::Avx512 && std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: AVX-512F + FMA support was just verified at
-            // runtime by is_x86_feature_detected!.
-            return unsafe { fma_peak_avx512(rounds) };
-        }
-        if arm == Arm::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 + FMA support was just verified at runtime
-            // by is_x86_feature_detected!.
-            return unsafe { fma_peak_avx2(rounds) };
-        }
-    }
-    fma_peak_body(Portable::ZERO, rounds)
-}
+/// `rounds` rounds of eight independent lane multiply-adds, all
+/// operands in registers, returning the lanes' total: the in-run peak
+/// the `fma_bound` report times the eight-lane kernels against.
+struct FmaPeak(usize);
 
-/// [`fma_peak_body`] compiled with AVX2 + FMA.
-///
-/// # Safety
-///
-/// The caller must have verified AVX2 and FMA support on the running
-/// CPU (`is_x86_feature_detected!`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn fma_peak_avx2(rounds: usize) -> f64 {
-    // SAFETY: this function's own contract.
-    fma_peak_body(unsafe { rfbist_dsp::simd::Fma256::new() }, rounds)
-}
+impl Kernel for FmaPeak {
+    type Output = f64;
 
-/// [`fma_peak_body`] compiled with AVX-512F + FMA.
-///
-/// # Safety
-///
-/// The caller must have verified AVX-512F and FMA support on the
-/// running CPU (`is_x86_feature_detected!`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,fma")]
-unsafe fn fma_peak_avx512(rounds: usize) -> f64 {
-    // SAFETY: this function's own contract.
-    fma_peak_body(unsafe { rfbist_dsp::simd::Fma512::new() }, rounds)
-}
-
-/// [`fma_peak`]'s kernel: eight accumulator chains, each one lane
-/// multiply-add per round.
-#[inline(always)]
-fn fma_peak_body<L: F64x8>(lanes: L, rounds: usize) -> f64 {
-    let (a, b) = black_box(([0.5; 8], [0.5; 8]));
-    let mut acc = [lanes.zero(); 8];
-    for _ in 0..rounds {
-        for x in acc.iter_mut() {
-            *x = x.mul_add(&a, &b);
-        }
-    }
-    let mut total = 0.0;
-    for x in acc {
-        total += x.sum();
-    }
-    total
-}
-
-/// Runs `rounds` rounds of eight independent eight-lane divides on
-/// kernel arm `arm` (the portable one where this CPU lacks it), all
-/// operands in registers, and returns the lanes' total: the divide
-/// throughput the row builders' and the probe build's `1/τ` passes
-/// run against.
-fn div_peak(arm: Arm, rounds: usize) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("fma") {
-        if arm == Arm::Avx512 && std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: AVX-512F + FMA support was just verified at
-            // runtime by is_x86_feature_detected!.
-            return unsafe { div_peak_avx512(rounds) };
-        }
-        if arm == Arm::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 + FMA support was just verified at runtime
-            // by is_x86_feature_detected!.
-            return unsafe { div_peak_avx2(rounds) };
-        }
-    }
-    div_peak_body(rounds)
-}
-
-/// [`div_peak_body`] compiled with AVX2 + FMA.
-///
-/// # Safety
-///
-/// The caller must have verified AVX2 and FMA support on the running
-/// CPU (`is_x86_feature_detected!`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn div_peak_avx2(rounds: usize) -> f64 {
-    div_peak_body(rounds)
-}
-
-/// [`div_peak_body`] compiled with AVX-512F + FMA.
-///
-/// # Safety
-///
-/// The caller must have verified AVX-512F and FMA support on the
-/// running CPU (`is_x86_feature_detected!`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,fma")]
-unsafe fn div_peak_avx512(rounds: usize) -> f64 {
-    div_peak_body(rounds)
-}
-
-/// [`div_peak`]'s kernel: eight chains of eight-lane divides, which
-/// LLVM keeps in vector registers of the instantiation's width.
-#[inline(always)]
-fn div_peak_body(rounds: usize) -> f64 {
-    // opaque starts, or LLVM merges the eight identical chains into one
-    let d = black_box([1.000_000_1; 8]);
-    let mut acc = black_box([[1.0f64; 8]; 8]);
-    for _ in 0..rounds {
-        for x in acc.iter_mut() {
-            for (v, &dv) in x.iter_mut().zip(&d) {
-                *v /= dv;
+    #[inline(always)]
+    fn run<L: F64x8>(self, lanes: L) -> f64 {
+        let (a, b) = black_box(([0.5; 8], [0.5; 8]));
+        let mut acc = [lanes.zero(); 8];
+        for _ in 0..self.0 {
+            for x in acc.iter_mut() {
+                *x = x.mul_add(&a, &b);
             }
         }
+        let mut total = 0.0;
+        for x in acc {
+            total += x.sum();
+        }
+        total
     }
-    acc.iter().flatten().sum()
+}
+
+/// `rounds` rounds of eight independent eight-lane divides, all
+/// operands in registers, returning the lanes' total: the divide
+/// throughput the row builders' and the probe build's `1/τ` passes run
+/// against. LLVM keeps the eight chains in vector registers of the
+/// arm's width.
+struct DivPeak(usize);
+
+impl Kernel for DivPeak {
+    type Output = f64;
+
+    #[inline(always)]
+    fn run<L: F64x8>(self, _lanes: L) -> f64 {
+        // opaque starts, or LLVM merges the eight identical chains into one
+        let d = black_box([1.000_000_1; 8]);
+        let mut acc = black_box([[1.0f64; 8]; 8]);
+        for _ in 0..self.0 {
+            for x in acc.iter_mut() {
+                for (v, &dv) in x.iter_mut().zip(&d) {
+                    *v /= dv;
+                }
+            }
+        }
+        acc.iter().flatten().sum()
+    }
 }
 
 /// Median ns per eight-lane divide of the register-resident
-/// [`div_peak`] kernel on the dispatched arm.
+/// [`DivPeak`] kernel on the dispatched arm.
 fn bench_div_peak(cfg: &Config) -> f64 {
     const ROUNDS: usize = 25_000;
     median_ns_per_op(SIMD_RATIO_REPS * cfg.reps, 8 * ROUNDS, || {
-        black_box(div_peak(Arm::detect(), black_box(ROUNDS)));
+        black_box(Arm::detect().run(DivPeak(black_box(ROUNDS))));
     })
 }
 
 /// Median ns per eight-lane multiply-add of the register-resident
-/// [`fma_peak`] kernel on the dispatched arm.
+/// [`FmaPeak`] kernel on the dispatched arm.
 fn bench_fma_peak(cfg: &Config) -> f64 {
     const ROUNDS: usize = 250_000;
     median_ns_per_op(SIMD_RATIO_REPS * cfg.reps, 8 * ROUNDS, || {
-        black_box(fma_peak(Arm::detect(), black_box(ROUNDS)));
+        black_box(Arm::detect().run(FmaPeak(black_box(ROUNDS))));
     })
 }
 
@@ -1878,13 +1807,16 @@ fn main() {
         lms_speedup >= lms_floor,
         "LMS speedup over reference evaluations below the {lms_floor}x floor: {lms_speedup:.2}x"
     );
+    // Whether the dispatched kernels run an FMA arm: the precondition
+    // of every vector-width floor below. False on scalar hardware and
+    // under RFBIST_FORCE_SCALAR.
+    let fma_dispatch = Arm::detect() != Arm::Portable;
     // Grid-reconstruct contracts: the planned grid must agree with the
     // direct reference on the analysis-grid workload, and two floors
     // pin its cost. The scalar floor (no vector width needed) holds
     // unconditionally; the SIMD floor pins the runtime-dispatched
-    // kernels and is asserted only where they can engage — the
-    // mask_scan gate applied to the grid plan — with the ratio
-    // reported either way on scalar hardware or under
+    // kernels and is asserted only where they can engage, with the
+    // ratio reported either way on scalar hardware or under
     // RFBIST_FORCE_SCALAR. Both floors sit far under what the
     // phase-major path measures (~220–260x on a 2-core AVX-512 VM);
     // they catch a grid that silently falls back to a per-instant cost.
@@ -1900,7 +1832,7 @@ fn main() {
         grid_recon.reference_ns / grid_recon.grid_ns
     );
     let grid_simd_floor = if cfg.quick { 24.0 } else { 33.0 };
-    if scan_simd_available() {
+    if fma_dispatch {
         assert!(
             grid_recon.reference_ns / grid_recon.grid_ns >= grid_simd_floor,
             "SIMD grid-reconstruct speedup below the {grid_simd_floor}x floor: {:.2}x",
@@ -1936,7 +1868,7 @@ fn main() {
     ];
     for (name, ratio, (full, quick)) in simd_ratios {
         let floor = if cfg.quick { quick } else { full };
-        if Arm::detect() != Arm::Portable {
+        if fma_dispatch {
             assert!(
                 ratio >= floor,
                 "{name} below the {floor}x floor: {ratio:.2}x"
@@ -2019,7 +1951,7 @@ fn main() {
     // ahead), so the speedup floor is asserted only where the AVX2+FMA
     // kernels can dispatch; the measured ratio is reported either way.
     let scan_floor = if cfg.quick { 1.0 } else { 1.25 };
-    if scan_simd_available() {
+    if fma_dispatch {
         assert!(
             mask_scan.fft_welch_ns / mask_scan.banked_ns > scan_floor,
             "banked mask scan must beat FFT-Welch (>{scan_floor}x): {:.2}x",
@@ -2126,28 +2058,5 @@ fn main() {
             "service scaling floor (> 1.3x at 2 workers) not asserted: single core \
              (measured {scaling_2w:.2}x)"
         );
-    }
-}
-
-/// Whether the runtime-dispatched AVX2+FMA kernels — the banked
-/// Goertzel scan (`rfbist_dsp::goertzel`) and the grid-plan kernels
-/// (`rfbist_sampling::gridplan`) share the dispatch predicate — can
-/// engage in this process: the precondition for the scan and SIMD
-/// grid-reconstruct speedup floors. False under `RFBIST_FORCE_SCALAR`
-/// regardless of hardware.
-fn scan_simd_available() -> bool {
-    if rfbist_dsp::simd::force_scalar() {
-        // RFBIST_FORCE_SCALAR pins every runtime dispatch to the
-        // portable kernels, so the SIMD floors cannot be expressed
-        // even on capable hardware.
-        return false;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
     }
 }

@@ -433,7 +433,8 @@ impl Default for EarlyVerdict {
 /// Reusable buffers for [`MaskScanEngine::stream`] and
 /// [`MaskScanEngine::scan_with`] (which streams): per-segment Goertzel
 /// states and the running per-bin power accumulator. Memory is bounded
-/// by `ceil(segment/hop)` states of `2·probed_bins` values —
+/// by `ceil(segment/hop)` states of `2·probed_bins` values (the bins
+/// rounded up to a multiple of eight) —
 /// independent of the capture length, which is the point of the
 /// streaming scan. (Window products are folded inside the banked pass,
 /// so no per-chunk staging buffer exists.)

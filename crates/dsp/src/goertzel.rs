@@ -4,8 +4,16 @@
 //! such as the few dozen PSD bins a spectral mask actually constrains:
 //! [`GoertzelBank`] advances one windowed recurrence per bin over a
 //! segment fed in chunks. The single-bin [`goertzel`] is its reference.
+//!
+//! The bank's advance is a [`Kernel`] entered through [`Arm::run`]:
+//! the AVX-512F or AVX2 + FMA recompilation where the CPU has it
+//! (unless `RFBIST_FORCE_SCALAR` is set), with fused recurrence steps,
+//! and the portable kernel with plain ones otherwise. The bank pads its
+//! bins to whole eight-lane vectors, so no arm runs a scalar tail.
+//! `tests/lane_model.rs` checks every arm the host runs against a
+//! scalar model of both steps.
 
-use crate::simd::force_scalar;
+use crate::simd::{Arm, F64x8, Kernel};
 use rfbist_math::Complex64;
 use std::f64::consts::PI;
 
@@ -60,6 +68,10 @@ impl GoertzelState {
     }
 }
 
+/// Bins per vector the bank pads its recurrences to (the widest arm's
+/// eight lanes), so the bin loop runs no scalar tail per sample quad.
+const BIN_PAD: usize = 8;
+
 /// A bank of Goertzel recurrences advanced together in one pass over
 /// the data — the batched form of [`goertzel`] for evaluating many
 /// spectral bins of the *same* windowed signal segment.
@@ -75,7 +87,9 @@ impl GoertzelState {
 /// `mask_scan` section of `BENCH_recon.json`).
 ///
 /// The recurrence coefficients `2cos ω` are computed once at
-/// construction and shared by every segment the bank processes.
+/// construction and shared by every segment the bank processes. They
+/// are zero-padded to a multiple of eight bins; a padded bin runs the
+/// recurrence like any other and is never read.
 ///
 /// # Example
 ///
@@ -100,7 +114,8 @@ impl GoertzelState {
 #[derive(Clone, Debug)]
 pub struct GoertzelBank {
     freqs: Vec<f64>,
-    /// `2cos ωⱼ` — the recurrence coefficient per bin.
+    /// `2cos ωⱼ` — the recurrence coefficient per bin, zero-padded to
+    /// whole [`BIN_PAD`]-bin vectors.
     coeff: Vec<f64>,
 }
 
@@ -113,9 +128,11 @@ impl GoertzelBank {
     /// Panics if `freqs` is empty.
     pub fn new(freqs: &[f64]) -> Self {
         assert!(!freqs.is_empty(), "goertzel bank needs at least one bin");
+        let mut coeff: Vec<f64> = freqs.iter().map(|&f| 2.0 * (2.0 * PI * f).cos()).collect();
+        coeff.resize(freqs.len().next_multiple_of(BIN_PAD), 0.0);
         GoertzelBank {
             freqs: freqs.to_vec(),
-            coeff: freqs.iter().map(|&f| 2.0 * (2.0 * PI * f).cos()).collect(),
+            coeff,
         }
     }
 
@@ -136,7 +153,7 @@ impl GoertzelBank {
 
     /// Sizes and zeroes `state` for a fresh segment of this bank.
     pub fn reset_state(&self, state: &mut GoertzelState) {
-        let m = self.len();
+        let m = self.coeff.len();
         state.s1.clear();
         state.s1.resize(m, 0.0);
         state.s2.clear();
@@ -159,16 +176,38 @@ impl GoertzelBank {
     /// [`reset_state`](Self::reset_state) for this bank, or if `w` and
     /// `x` differ in length.
     pub fn advance_state_windowed(&self, state: &mut GoertzelState, x: &[f64], w: &[f64]) {
+        self.advance_state_windowed_on(Arm::detect(), state, x, w)
+    }
+
+    /// [`advance_state_windowed`](Self::advance_state_windowed) on
+    /// kernel arm `arm` where this CPU supports it (the portable kernel
+    /// otherwise), whatever the dispatch would pick. A test hook: the
+    /// lane-model tests check every arm the host supports, so an
+    /// AVX-512 host also checks the AVX2 arm.
+    #[doc(hidden)]
+    pub fn advance_state_windowed_on(
+        &self,
+        arm: Arm,
+        state: &mut GoertzelState,
+        x: &[f64],
+        w: &[f64],
+    ) {
         assert_eq!(
             state.s1.len(),
-            self.len(),
+            self.coeff.len(),
             "state not sized for this bank — call reset_state first"
         );
         assert_eq!(x.len(), w.len(), "window chunk must match the data chunk");
         if x.is_empty() {
             return;
         }
-        self.advance_windowed_dispatch(x, w, &mut state.s1, &mut state.s2);
+        arm.run(Advance {
+            coeff: &self.coeff,
+            x,
+            w,
+            s1: &mut state.s1,
+            s2: &mut state.s2,
+        });
     }
 
     /// Adds `|X(fⱼ)|² = s₁² + s₂² − 2cos ωⱼ·s₁·s₂` of the segment
@@ -181,7 +220,7 @@ impl GoertzelBank {
     /// Panics if `acc` or `state` do not match the bank's bin count.
     pub fn accumulate_powers(&self, state: &GoertzelState, acc: &mut [f64]) {
         assert_eq!(acc.len(), self.len(), "accumulator/bank size mismatch");
-        assert_eq!(state.s1.len(), self.len(), "state/bank size mismatch");
+        assert_eq!(state.s1.len(), self.coeff.len(), "state/bank size mismatch");
         for (((a, &s1), &s2), &c) in acc
             .iter_mut()
             .zip(&state.s1)
@@ -192,15 +231,23 @@ impl GoertzelBank {
         }
     }
 
-    /// One recurrence step `x + c·s₁ − s₂`. `FUSED` selects the
-    /// hardware fused multiply-add form `c·s₁ + (x − s₂)` — two vector
-    /// ops instead of three, differing from the plain form by one
-    /// rounding (~1 ulp per step). Only the SIMD wrappers pass `true`:
-    /// without hardware FMA, `mul_add` falls back to a soft-float
+    /// The states `(s₁, s₂)` of the bank's bins in `state`: the last
+    /// two `s` of the segment fed so far. A test hook.
+    #[doc(hidden)]
+    pub fn states<'s>(&self, state: &'s GoertzelState) -> (&'s [f64], &'s [f64]) {
+        let m = self.len();
+        (&state.s1[..m], &state.s2[..m])
+    }
+
+    /// One recurrence step `x + c·s₁ − s₂`, in the hardware fused
+    /// multiply-add form `c·s₁ + (x − s₂)` where `L`'s multiply-adds
+    /// are fused — two vector ops instead of three, differing from the
+    /// plain form by one rounding (~1 ulp per step). Only the FMA arms
+    /// fuse: without hardware FMA, `mul_add` falls back to a soft-float
     /// routine orders of magnitude slower.
     #[inline(always)]
-    fn step<const FUSED: bool>(c: f64, p1: f64, p2: f64, x: f64) -> f64 {
-        if FUSED {
+    fn step<L: F64x8>(c: f64, p1: f64, p2: f64, x: f64) -> f64 {
+        if L::FUSED {
             c.mul_add(p1, x - p2)
         } else {
             x + c * p1 - p2
@@ -225,7 +272,7 @@ impl GoertzelBank {
     /// staging `x[i]·w[i]` into a buffer would perform.
     #[inline(always)]
     // analysis: allow(naked-panic) — quad indices are bounded by chunks_exact(4); the subscripts cannot leave the chunk
-    fn advance_kernel<const FUSED: bool>(
+    fn advance_kernel<L: F64x8>(
         coeff: &[f64],
         x: &[f64],
         w: &[f64],
@@ -243,10 +290,10 @@ impl GoertzelBank {
                 quad[3] * wq[3],
             );
             for ((c, p1), p2) in coeff.iter().zip(s1.iter_mut()).zip(s2.iter_mut()) {
-                let s_a = Self::step::<FUSED>(*c, *p1, *p2, x0);
-                let s_b = Self::step::<FUSED>(*c, s_a, *p1, x1);
-                let s_c = Self::step::<FUSED>(*c, s_b, s_a, x2);
-                let s_d = Self::step::<FUSED>(*c, s_c, s_b, x3);
+                let s_a = Self::step::<L>(*c, *p1, *p2, x0);
+                let s_b = Self::step::<L>(*c, s_a, *p1, x1);
+                let s_c = Self::step::<L>(*c, s_b, s_a, x2);
+                let s_d = Self::step::<L>(*c, s_c, s_b, x3);
                 *p1 = s_d;
                 *p2 = s_c;
             }
@@ -254,85 +301,31 @@ impl GoertzelBank {
         for (&xr, &wr) in quads.remainder().iter().zip(wins.remainder()) {
             let x0 = xr * wr;
             for ((c, p1), p2) in coeff.iter().zip(s1.iter_mut()).zip(s2.iter_mut()) {
-                let s = Self::step::<FUSED>(*c, *p1, *p2, x0);
+                let s = Self::step::<L>(*c, *p1, *p2, x0);
                 *p2 = *p1;
                 *p1 = s;
             }
         }
     }
+}
 
-    /// [`advance_kernel`](Self::advance_kernel) compiled with AVX2 +
-    /// FMA enabled and fused steps. Selected at runtime by
-    /// [`advance_windowed_dispatch`](Self::advance_windowed_dispatch);
-    /// agrees with the portable path to ~1 ulp per step (single
-    /// rounding), far inside every consumer's tolerance.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 and FMA support on the
-    /// running CPU (`is_x86_feature_detected!`) before calling —
-    /// `#[target_feature]` recompilation emits those instructions
-    /// unconditionally. The body itself is safe Rust.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn advance_windowed_avx2(
-        coeff: &[f64],
-        x: &[f64],
-        w: &[f64],
-        s1: &mut [f64],
-        s2: &mut [f64],
-    ) {
-        Self::advance_kernel::<true>(coeff, x, w, s1, s2)
-    }
+/// The bank's advance as a [`Kernel`]: one windowed recurrence pass
+/// over `x`, continuing from the states already in `(s1, s2)`.
+struct Advance<'a> {
+    coeff: &'a [f64],
+    x: &'a [f64],
+    w: &'a [f64],
+    s1: &'a mut [f64],
+    s2: &'a mut [f64],
+}
 
-    /// [`advance_kernel`](Self::advance_kernel) compiled with AVX-512F
-    /// and FMA enabled — the
-    /// [`advance_windowed_avx2`](Self::advance_windowed_avx2) contract
-    /// at twice the lane count.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX-512F and FMA support on the
-    /// running CPU (`is_x86_feature_detected!`) before calling; the
-    /// body itself is safe Rust.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,fma")]
-    unsafe fn advance_windowed_avx512(
-        coeff: &[f64],
-        x: &[f64],
-        w: &[f64],
-        s1: &mut [f64],
-        s2: &mut [f64],
-    ) {
-        Self::advance_kernel::<true>(coeff, x, w, s1, s2)
-    }
+impl Kernel for Advance<'_> {
+    type Output = ();
 
-    /// One runtime-dispatched recurrence pass over `x`, continuing from
-    /// the states already in `(s1, s2)`: the AVX-512F or AVX2 + FMA
-    /// recompilation where the CPU has it (unless `RFBIST_FORCE_SCALAR`
-    /// is set), the portable kernel otherwise.
-    fn advance_windowed_dispatch(&self, x: &[f64], w: &[f64], s1: &mut [f64], s2: &mut [f64]) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if !force_scalar() && std::arch::is_x86_feature_detected!("fma") {
-                if std::arch::is_x86_feature_detected!("avx512f") {
-                    // SAFETY: AVX-512F + FMA support was just verified
-                    // at runtime by is_x86_feature_detected!; the
-                    // kernel body is ordinary safe Rust, recompiled at
-                    // wider vectors with hardware-FMA steps.
-                    unsafe { Self::advance_windowed_avx512(&self.coeff, x, w, s1, s2) };
-                    return;
-                }
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    // SAFETY: AVX2 + FMA support was just verified at
-                    // runtime by is_x86_feature_detected!; same safe
-                    // kernel body as the scalar path.
-                    unsafe { Self::advance_windowed_avx2(&self.coeff, x, w, s1, s2) };
-                    return;
-                }
-            }
-        }
-        Self::advance_kernel::<false>(&self.coeff, x, w, s1, s2);
+    /// The lanes only pick the recompilation and the step's rounding.
+    #[inline(always)]
+    fn run<L: F64x8>(self, _lanes: L) {
+        GoertzelBank::advance_kernel::<L>(self.coeff, self.x, self.w, self.s1, self.s2)
     }
 }
 

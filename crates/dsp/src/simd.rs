@@ -1,21 +1,35 @@
 //! Runtime SIMD dispatch shared by the workspace's kernels: the
-//! `RFBIST_FORCE_SCALAR` switch, the kernel [`Arm`] a dispatcher
-//! selects, and the eight-lane `f64` multiply-add accumulator
-//! ([`F64x8`]) that `rfbist_sampling`'s grid-plan dot product and probe
-//! sums run on. ([`crate::goertzel`]'s banked recurrence is plain safe
-//! Rust recompiled under `#[target_feature]`.)
+//! kernel [`Arm`] a dispatcher selects, the [`Kernel`] trait
+//! [`Arm::run`] enters every kernel through, and the eight-lane `f64`
+//! multiply-add accumulator ([`F64x8`]) the kernels run on.
+//!
+//! # One dispatcher
+//!
+//! [`Arm::run`] enters every kernel through one of two generic
+//! `#[target_feature]` trampolines (on [`Fma512`] or [`Fma256`] lanes)
+//! or runs it on [`Portable`] lanes. They are the workspace's only
+//! `#[target_feature]` functions, and this module its only `unsafe`
+//! code: every other package forbids it. Kernels that do not
+//! accumulate on lanes (the Goertzel bank, `perf_report`'s divide peak)
+//! take the lanes only for the recompilation and the
+//! [`F64x8::FUSED`] rounding. A kernel must not reach its arithmetic
+//! through a closure (`array::map`, iterator adapters taking one): a
+//! closure is not inlined into the trampoline, so off it `f64::mul_add`
+//! is a libm call, and each lane sum of an `array::map` reduction
+//! became a call that spilled every accumulator to the stack.
 //!
 //! # Why an explicit lane type
 //!
-//! Those kernels used to accumulate on loop-carried `[f64; 8]` arrays
-//! inside `#[target_feature]` recompilations, trusting LLVM to hold
-//! each array in one 512-bit register (or two 256-bit ones). It did
-//! not: in the AVX-512 instantiations the grid dot came out as 2-wide
-//! xmm FMAs with `vunpcklpd`/`vunpckhpd` shuffles, and the probe sums as
-//! scalar `vfmadd231sd` chains, six-accumulator ones spilled to the
-//! stack. [`F64x8`] states the register form instead: [`Portable`]
-//! keeps the array, [`Fma256`] holds two `__m256d` and [`Fma512`] one
-//! `__m512d`, each multiply-add one instruction per register.
+//! The grid-plan dot product and the probe sums used to accumulate on
+//! loop-carried `[f64; 8]` arrays inside `#[target_feature]`
+//! recompilations, trusting LLVM to hold each array in one 512-bit
+//! register (or two 256-bit ones). It did not: in the AVX-512
+//! instantiations the grid dot came out as 2-wide xmm FMAs with
+//! `vunpcklpd`/`vunpckhpd` shuffles, and the probe sums as scalar
+//! `vfmadd231sd` chains, six-accumulator ones spilled to the stack.
+//! [`F64x8`] states the register form instead: [`Portable`] keeps the
+//! array, [`Fma256`] holds two `__m256d` and [`Fma512`] one `__m512d`,
+//! each multiply-add one instruction per register.
 //!
 //! # The lane order
 //!
@@ -28,21 +42,12 @@
 //! scalar tail follows [`F64x8::mad`]. The workspace's
 //! `tests/lane_model.rs` checks the kernels built on it against a
 //! scalar model of exactly this order, on every arm the host can run.
-//!
-//! A kernel that takes an `F64x8` must not reduce its accumulators
-//! through a closure (`array::map`, iterator adapters taking one): the
-//! closure is not inlined into the enclosing `#[target_feature]`
-//! function, so each lane sum became a call that spilled every
-//! accumulator to the stack.
 
 /// `true` when `RFBIST_FORCE_SCALAR` is set (to anything but `0` or
-/// empty): the runtime SIMD dispatch is skipped and the portable
-/// scalar kernels run instead. `RUSTFLAGS`-level feature flags cannot
-/// reach the `target_feature`-recompiled kernels (that is the whole
-/// point of runtime dispatch), so this is the hook CI's
-/// scalar-portability job uses to actually execute the fallback path
-/// on SIMD-capable runners. Read once and cached.
-pub fn force_scalar() -> bool {
+/// empty): [`Arm::detect`] then picks [`Arm::Portable`]. `RUSTFLAGS`
+/// cannot reach the trampolines, so CI's scalar job uses this to run
+/// the portable kernels on SIMD-capable runners. Read once and cached.
+fn force_scalar() -> bool {
     use std::sync::OnceLock;
     static FORCE: OnceLock<bool> = OnceLock::new();
     *FORCE.get_or_init(|| {
@@ -52,7 +57,7 @@ pub fn force_scalar() -> bool {
     })
 }
 
-/// A kernel instantiation a runtime dispatcher can run.
+/// A kernel instantiation [`Arm::run`] can enter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Arm {
     /// Plain `*`/`+` on [`Portable`] lanes: every target, and every
@@ -67,7 +72,7 @@ pub enum Arm {
 }
 
 impl Arm {
-    /// The arm the dispatchers run: the widest this CPU supports, or
+    /// The arm the kernels run on: the widest this CPU supports, or
     /// [`Arm::Portable`] under `RFBIST_FORCE_SCALAR`.
     pub fn detect() -> Arm {
         if force_scalar() {
@@ -98,13 +103,71 @@ impl Arm {
             Arm::Avx2 | Arm::Avx512 => false,
         }
     }
+
+    /// Runs `kernel` on this arm where this CPU supports it, and on
+    /// [`Portable`] lanes otherwise: the workspace's only dispatcher.
+    /// It does not read `RFBIST_FORCE_SCALAR`; [`Arm::detect`] does.
+    pub fn run<K: Kernel>(self, kernel: K) -> K::Output {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("fma") {
+            if self == Arm::Avx512 && std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: AVX-512F and FMA support was just verified at
+                // runtime by is_x86_feature_detected!.
+                return unsafe { run_avx512(kernel) };
+            }
+            if self == Arm::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 and FMA support was just verified at
+                // runtime by is_x86_feature_detected!.
+                return unsafe { run_avx2(kernel) };
+            }
+        }
+        kernel.run(Portable::ZERO)
+    }
+}
+
+/// A kernel body [`Arm::run`] recompiles for each arm: a struct of its
+/// arguments whose [`run`](Kernel::run) is generic over the lane form.
+/// Implement `run` `#[inline(always)]`, so that its body (and every
+/// `#[inline(always)]` helper it calls) is compiled inside the arm's
+/// trampoline.
+pub trait Kernel {
+    /// What the kernel returns.
+    type Output;
+
+    /// Runs the kernel with its accumulators on `lanes`' form and its
+    /// scalar multiply-adds rounded as [`F64x8::mad`] says.
+    fn run<L: F64x8>(self, lanes: L) -> Self::Output;
+}
+
+/// `kernel` compiled with AVX-512F and FMA, on [`Fma512`] lanes.
+///
+/// # Safety
+///
+/// The running CPU must support AVX-512F and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,fma")]
+unsafe fn run_avx512<K: Kernel>(kernel: K) -> K::Output {
+    // SAFETY: this function's own contract.
+    kernel.run(unsafe { Fma512::new() })
+}
+
+/// `kernel` compiled with AVX2 and FMA, on [`Fma256`] lanes.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn run_avx2<K: Kernel>(kernel: K) -> K::Output {
+    // SAFETY: this function's own contract.
+    kernel.run(unsafe { Fma256::new() })
 }
 
 /// Eight `f64` multiply-add accumulator lanes in the order set out in
 /// the module docs. A value also vouches for its form's CPU features:
-/// the x86-64 forms can only be made by code that checked them, so
-/// kernels take one and make their accumulators with
-/// [`zero`](Self::zero).
+/// the x86-64 forms are only made by [`Arm::run`]'s trampolines, after
+/// it checked them, so kernels take one and make their accumulators
+/// with [`zero`](Self::zero).
 pub trait F64x8: Copy {
     /// Whether the form's multiply-adds are fused.
     const FUSED: bool;
@@ -213,7 +276,7 @@ mod x86 {
         /// (`is_x86_feature_detected!`): every value of this type, and
         /// so every method call on one, relies on it.
         #[inline(always)]
-        pub unsafe fn new() -> Self {
+        pub(super) unsafe fn new() -> Self {
             // SAFETY: the caller guarantees AVX2 (which implies AVX).
             unsafe { Fma256(_mm256_setzero_pd(), _mm256_setzero_pd()) }
         }
@@ -265,7 +328,7 @@ mod x86 {
         /// (`is_x86_feature_detected!`): every value of this type, and
         /// so every method call on one, relies on it.
         #[inline(always)]
-        pub unsafe fn new() -> Self {
+        pub(super) unsafe fn new() -> Self {
             // SAFETY: the caller guarantees AVX-512F.
             unsafe { Fma512(_mm512_setzero_pd()) }
         }
@@ -331,39 +394,67 @@ mod tests {
         )
     }
 
-    /// Runs three multiply-adds on `lanes` and returns the lane sum,
-    /// next to the same arithmetic on an array in the documented order.
-    fn check<L: F64x8>(lanes: L) {
-        for seed in 0..200 {
-            let chunks = [inputs(seed), inputs(seed + 1000), inputs(seed + 2000)];
-            let mut acc = lanes.zero();
-            let mut model = [0.0f64; 8];
-            for (a, b) in &chunks {
-                acc = acc.mul_add(a, b);
-                for i in 0..8 {
-                    model[i] = L::mad(a[i], b[i], model[i]);
+    /// Runs three multiply-adds on the lanes and checks the lane sum
+    /// against the same arithmetic on an array in the documented order.
+    struct Check;
+
+    impl Kernel for Check {
+        type Output = ();
+
+        #[inline(always)]
+        fn run<L: F64x8>(self, lanes: L) {
+            for seed in 0..200 {
+                let chunks = [inputs(seed), inputs(seed + 1000), inputs(seed + 2000)];
+                let mut acc = lanes.zero();
+                let mut model = [0.0f64; 8];
+                for (a, b) in &chunks {
+                    acc = acc.mul_add(a, b);
+                    for i in 0..8 {
+                        model[i] = L::mad(a[i], b[i], model[i]);
+                    }
                 }
+                assert_eq!(
+                    acc.sum().to_bits(),
+                    lane_sum(model).to_bits(),
+                    "seed {seed}"
+                );
             }
-            assert_eq!(
-                acc.sum().to_bits(),
-                lane_sum(model).to_bits(),
-                "seed {seed}"
-            );
+        }
+    }
+
+    /// The lanes' form and rounding as a kernel sees them.
+    struct Form;
+
+    impl Kernel for Form {
+        type Output = (&'static str, bool);
+
+        #[inline(always)]
+        fn run<L: F64x8>(self, _lanes: L) -> (&'static str, bool) {
+            (std::any::type_name::<L>(), L::FUSED)
         }
     }
 
     #[test]
     fn every_supported_form_keeps_the_lane_order() {
-        check(Portable::ZERO);
-        #[cfg(target_arch = "x86_64")]
-        {
-            if Arm::Avx2.supported() {
-                // SAFETY: AVX2 and FMA support was just checked.
-                check(unsafe { Fma256::new() });
-            }
-            if Arm::Avx512.supported() {
-                // SAFETY: AVX-512F and FMA support was just checked.
-                check(unsafe { Fma512::new() });
+        for arm in [Arm::Portable, Arm::Avx2, Arm::Avx512] {
+            arm.run(Check);
+        }
+    }
+
+    #[test]
+    fn run_enters_the_arm_where_supported_and_portable_otherwise() {
+        for (arm, form) in [
+            (Arm::Portable, "Portable"),
+            (Arm::Avx2, "Fma256"),
+            (Arm::Avx512, "Fma512"),
+        ] {
+            let (name, fused) = arm.run(Form);
+            if arm.supported() {
+                assert!(name.ends_with(form), "{arm:?} ran on {name}");
+                assert_eq!(fused, arm != Arm::Portable);
+            } else {
+                assert!(name.ends_with("Portable"), "{arm:?} ran on {name}");
+                assert!(!fused);
             }
         }
     }

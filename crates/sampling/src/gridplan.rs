@@ -125,11 +125,11 @@
 //!
 //! # Runtime-dispatched SIMD
 //!
-//! On x86-64 hosts with hardware FMA the producer (row builds and dot
-//! products) runs as `#[target_feature]` AVX-512F or AVX2
-//! recompilations of one kernel body, behind the
-//! `is_x86_feature_detected!` / `RFBIST_FORCE_SCALAR` dispatch of
-//! [`Arm`]. The row builder is safe Rust that LLVM vectorizes itself;
+//! The producer (row builds and dot products) is one [`Kernel`],
+//! entered through [`Arm::run`]: on x86-64 hosts with hardware FMA it
+//! runs as the AVX-512F or AVX2 recompilation of its body (unless
+//! `RFBIST_FORCE_SCALAR` is set), elsewhere as the portable one. The
+//! row builder is safe Rust that LLVM vectorizes itself;
 //! every multiply-add is fused in the FMA arms and plain `*`/`+` in the
 //! portable one (without hardware FMA, `f64::mul_add` is a libm call).
 //! The dot product runs on the arm's [`F64x8`] lanes: one `__m512d`, two
@@ -144,7 +144,7 @@
 
 use crate::band::BandSpec;
 use crate::reconstruct::NonuniformCapture;
-use rfbist_dsp::simd::{Arm, F64x8, Portable};
+use rfbist_dsp::simd::{Arm, F64x8, Kernel};
 use rfbist_dsp::window::{Window, WindowTable};
 use rfbist_math::rotor::{fill_phasor_table, sincos};
 use std::cell::RefCell;
@@ -419,6 +419,33 @@ struct GridFeed<'t> {
     arm: Arm,
 }
 
+/// The producer kernel ([`PnbsGridPlan::producer`]): points `i0 .. i1`
+/// of `feed` appended to `scratch.out`.
+struct Produce<'a> {
+    plan: &'a PnbsGridPlan,
+    capture: &'a NonuniformCapture,
+    feed: &'a GridFeed<'a>,
+    i0: usize,
+    i1: usize,
+    scratch: &'a mut GridScratch,
+}
+
+impl Kernel for Produce<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<L: F64x8>(self, lanes: L) {
+        self.plan.produce_body(
+            self.capture,
+            self.feed,
+            self.i0,
+            self.i1,
+            lanes,
+            self.scratch,
+        )
+    }
+}
+
 /// How the row builder fills a stream's window row.
 #[derive(Clone, Copy)]
 enum WindowFill<'a> {
@@ -431,10 +458,10 @@ enum WindowFill<'a> {
 impl WindowFill<'_> {
     /// Fills `out` with the window at `x_start + k·inv_2hw`.
     #[inline(always)]
-    fn fill<const FMA: bool>(self, x_start: f64, inv_2hw: f64, out: &mut [f64]) {
+    fn fill<L: F64x8>(self, x_start: f64, inv_2hw: f64, out: &mut [f64]) {
         match self {
             WindowFill::Planar { rows, scale } => {
-                fill_window_row_planar::<FMA>(rows, scale, inv_2hw, x_start, out)
+                fill_window_row_planar::<L>(rows, scale, inv_2hw, x_start, out)
             }
             WindowFill::Direct(table) => {
                 for (k, w) in out.iter_mut().enumerate() {
@@ -741,7 +768,8 @@ impl PnbsGridPlan {
         scratch: &'s mut GridScratch,
     ) -> &'s [f64] {
         scratch.out.clear();
-        self.produce(capture, feed, 0, feed.n, scratch);
+        feed.arm
+            .run(self.producer(capture, feed, 0, feed.n, scratch));
         &scratch.out
     }
 
@@ -763,11 +791,7 @@ impl PnbsGridPlan {
     ) -> Option<&'s [f64]> {
         let feed = self.prepare(capture, t0, step, n, Arm::Portable, scratch)?;
         scratch.out.clear();
-        if L::FUSED {
-            self.produce_body::<true, L>(capture, &feed, 0, n, lanes, scratch);
-        } else {
-            self.produce_body::<false, L>(capture, &feed, 0, n, lanes, scratch);
-        }
+        self.producer(capture, &feed, 0, n, scratch).run(lanes);
         Some(&scratch.out)
     }
 
@@ -933,98 +957,34 @@ impl PnbsGridPlan {
         Some(feed)
     }
 
-    /// Appends points `i0 .. i1` to `scratch.out` on the feed's kernel
-    /// arm: the `#[target_feature]` recompilations of
-    /// [`produce_body`](Self::produce_body) where this CPU has the
-    /// arm's features, the portable instantiation otherwise. The single
-    /// producer behind the batch grid, both block feeds and arbitrary
-    /// instants. On a grid, `i0` must be a multiple of
-    /// [`GRID_BLOCK_LEN`] (a re-seed boundary).
-    fn produce(
-        &self,
-        capture: &NonuniformCapture,
-        feed: &GridFeed<'_>,
+    /// The producer kernel appending points `i0 .. i1` of `feed` to
+    /// `scratch.out`, run on the feed's arm: the single producer behind
+    /// the batch grid, both block feeds and arbitrary instants. On a
+    /// grid, `i0` must be a multiple of [`GRID_BLOCK_LEN`] (a re-seed
+    /// boundary).
+    fn producer<'a>(
+        &'a self,
+        capture: &'a NonuniformCapture,
+        feed: &'a GridFeed<'a>,
         i0: usize,
         i1: usize,
-        scratch: &mut GridScratch,
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("fma") {
-            if feed.arm == Arm::Avx512 && std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: AVX-512F + FMA support was just verified at
-                // runtime by is_x86_feature_detected!.
-                unsafe { self.produce_avx512(capture, feed, i0, i1, scratch) };
-                return;
-            }
-            if feed.arm == Arm::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 + FMA support was just verified at
-                // runtime by is_x86_feature_detected!.
-                unsafe { self.produce_avx2(capture, feed, i0, i1, scratch) };
-                return;
-            }
+        scratch: &'a mut GridScratch,
+    ) -> Produce<'a> {
+        Produce {
+            plan: self,
+            capture,
+            feed,
+            i0,
+            i1,
+            scratch,
         }
-        self.produce_body::<false, _>(capture, feed, i0, i1, Portable::ZERO, scratch)
-    }
-
-    /// [`produce_body`](Self::produce_body) compiled with AVX2 + FMA
-    /// enabled, its dot products on [`Fma256`](rfbist_dsp::simd::Fma256)
-    /// lanes. Agrees with the portable kernel to FMA rounding, far
-    /// inside every consumer's tolerance.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 and FMA support on the
-    /// running CPU (`is_x86_feature_detected!`) before calling —
-    /// `#[target_feature]` recompilation emits those instructions
-    /// unconditionally.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn produce_avx2(
-        &self,
-        capture: &NonuniformCapture,
-        feed: &GridFeed<'_>,
-        i0: usize,
-        i1: usize,
-        scratch: &mut GridScratch,
-    ) {
-        // SAFETY: this function's own contract: AVX2 and FMA were
-        // verified.
-        let lanes = unsafe { rfbist_dsp::simd::Fma256::new() };
-        self.produce_body::<true, _>(capture, feed, i0, i1, lanes, scratch)
-    }
-
-    /// [`produce_body`](Self::produce_body) compiled with AVX-512F +
-    /// FMA enabled, its dot products on
-    /// [`Fma512`](rfbist_dsp::simd::Fma512) lanes — bit-identical to
-    /// the AVX2 arm.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX-512F and FMA support on the
-    /// running CPU (`is_x86_feature_detected!`) before calling.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,fma")]
-    unsafe fn produce_avx512(
-        &self,
-        capture: &NonuniformCapture,
-        feed: &GridFeed<'_>,
-        i0: usize,
-        i1: usize,
-        scratch: &mut GridScratch,
-    ) {
-        // SAFETY: this function's own contract: AVX-512F and FMA were
-        // verified.
-        let lanes = unsafe { rfbist_dsp::simd::Fma512::new() };
-        self.produce_body::<true, _>(capture, feed, i0, i1, lanes, scratch)
     }
 
     /// The producer kernel: a phase-major chunk or a run of arbitrary
-    /// instants, with every multiply-add of the row builder
-    /// fused when `FMA` (the `#[target_feature]` instantiations) and
-    /// plain `*`/`+` otherwise, and the dot products on `lanes`, which
-    /// round as `FMA` says.
+    /// instants, with the dot products on `lanes` and every multiply-add
+    /// of the row builder fused as `L`'s are.
     #[inline(always)]
-    fn produce_body<const FMA: bool, L: F64x8>(
+    fn produce_body<L: F64x8>(
         &self,
         capture: &NonuniformCapture,
         feed: &GridFeed<'_>,
@@ -1033,7 +993,6 @@ impl PnbsGridPlan {
         lanes: L,
         scratch: &mut GridScratch,
     ) {
-        debug_assert_eq!(FMA, L::FUSED);
         let GridScratch {
             out,
             even_tab,
@@ -1061,10 +1020,11 @@ impl PnbsGridPlan {
             fill,
         };
         match feed.order {
-            Order::PhaseMajor(lat) => self
-                .phase_major_body::<FMA, L>(capture, feed, lat, &ctx, i0, i1, lanes, row, alt, out),
+            Order::PhaseMajor(lat) => {
+                self.phase_major_body(capture, feed, lat, &ctx, i0, i1, lanes, row, alt, out)
+            }
             Order::Instants(times) => {
-                self.instants_body::<FMA, L>(capture, feed, &ctx, &times[i0..i1], lanes, row, out)
+                self.instants_body(capture, feed, &ctx, &times[i0..i1], lanes, row, out)
             }
         }
     }
@@ -1073,7 +1033,7 @@ impl PnbsGridPlan {
     /// builds its row and appends its dot product with the capture.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn instants_body<const FMA: bool, L: F64x8>(
+    fn instants_body<L: F64x8>(
         &self,
         capture: &NonuniformCapture,
         feed: &GridFeed<'_>,
@@ -1090,7 +1050,7 @@ impl PnbsGridPlan {
             let t_idx = t / ctx.period;
             let first = t_idx.round() as i64 - h;
             let ph = time_phasors(&self.w, t - t_ref);
-            self.point_row::<FMA>(ctx, &ph, t, t_idx, first, row);
+            self.point_row::<L>(ctx, &ph, t, t_idx, first, row);
             out.push(dot_row(lanes, capture, first, row));
         }
     }
@@ -1106,7 +1066,7 @@ impl PnbsGridPlan {
     /// starting on the re-seed at `i0`. Appends points `i0 .. i1`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn phase_major_body<const FMA: bool, L: F64x8>(
+    fn phase_major_body<L: F64x8>(
         &self,
         capture: &NonuniformCapture,
         feed: &GridFeed<'_>,
@@ -1143,7 +1103,7 @@ impl PnbsGridPlan {
                 let t_idx = t_r / ctx.period;
                 let first = t_idx.round() as i64 - h;
                 let ph = rot.phasors();
-                self.point_row::<FMA>(ctx, &ph, t_r, t_idx, first, row);
+                self.point_row::<L>(ctx, &ph, t_r, t_idx, first, row);
                 // window offset of the second row currently built
                 let mut alt_shift = 0i64;
                 let points = chunk.iter_mut().skip(r + m0 * lat.q - i0).step_by(lat.q);
@@ -1156,7 +1116,7 @@ impl PnbsGridPlan {
                     } else {
                         debug_assert!(shift.abs() == 1, "lattice drift is sub-sample");
                         if shift != alt_shift {
-                            self.point_row::<FMA>(ctx, &ph, t_r, t_idx, first + shift, alt);
+                            self.point_row::<L>(ctx, &ph, t_r, t_idx, first + shift, alt);
                             alt_shift = shift;
                         }
                         dot_row(lanes, capture, lattice_first + shift, alt)
@@ -1175,7 +1135,7 @@ impl PnbsGridPlan {
     /// (where the `1/τ` pole lives, including τ = ±0) is rewritten with
     /// its exact value afterwards.
     #[inline(always)]
-    fn point_row<const FMA: bool>(
+    fn point_row<L: F64x8>(
         &self,
         ctx: &RowCtx<'_>,
         ph: &[f64; 6],
@@ -1191,8 +1151,8 @@ impl PnbsGridPlan {
         let x0 = 0.5 + (first as f64 - t_idx) * ctx.inv_2hw;
         let even = &mut row.even[..num_taps];
         let odd = &mut row.odd[..num_taps];
-        ctx.fill.fill::<FMA>(x0, ctx.inv_2hw, even);
-        ctx.fill.fill::<FMA>(x0 + ctx.d_shift, ctx.inv_2hw, odd);
+        ctx.fill.fill::<L>(x0, ctx.inv_2hw, even);
+        ctx.fill.fill::<L>(x0 + ctx.d_shift, ctx.inv_2hw, odd);
         // Exact near-origin weights, taken while the rows still hold
         // the bare window values.
         let exact = |tau0: f64, sign: f64, win: &[f64]| {
@@ -1213,9 +1173,9 @@ impl PnbsGridPlan {
         for k in 0..num_taps {
             let fk = k as f64;
             let tau_e = te0 - fk * period;
-            even[k] *= numerator::<FMA>(ph, &ea, k) * inv_two_pi_b / tau_e;
+            even[k] *= numerator::<L>(ph, &ea, k) * inv_two_pi_b / tau_e;
             let tau_o = to0 + fk * period;
-            odd[k] *= numerator::<FMA>(ph, &oa, k) * inv_two_pi_b / tau_o;
+            odd[k] *= numerator::<L>(ph, &oa, k) * inv_two_pi_b / tau_o;
         }
         for (stream, patch) in [(even, patch_e), (odd, patch_o)] {
             if let Some((k, v)) = patch {
@@ -1386,8 +1346,9 @@ impl GridBlocks<'_> {
         if self.produced == self.held + self.scratch.out.len() {
             let end = (self.produced + self.chunk_len).min(n);
             self.scratch.out.clear();
-            self.plan
-                .produce(self.capture, &self.feed, self.produced, end, self.scratch);
+            let (plan, feed) = (self.plan, &self.feed);
+            feed.arm
+                .run(plan.producer(self.capture, feed, self.produced, end, self.scratch));
             self.held = self.produced;
         }
         let lo = self.produced - self.held;
@@ -1483,25 +1444,14 @@ fn kernel_origin(band: BandSpec) -> f64 {
     s0_origin + (1.0 + 2.0 * f_lo / b - k)
 }
 
-/// `a·b + c`: one fused multiply-add in the `#[target_feature]`
-/// instantiations, plain `*`/`+` on the portable path.
-#[inline(always)]
-fn mad<const FMA: bool>(a: f64, b: f64, c: f64) -> f64 {
-    if FMA {
-        a.mul_add(b, c)
-    } else {
-        a * b + c
-    }
-}
-
 /// The factored kernel numerator at tap `k`:
 /// `c₀A₀ + s₀B₀ + c₁A₁ + s₁B₁ + c₂A₂ + s₂B₂`, nested from the last
 /// family outward.
 #[inline(always)]
-fn numerator<const FMA: bool>(ph: &[f64; 6], planes: &[&[f64]; 6], k: usize) -> f64 {
+fn numerator<L: F64x8>(ph: &[f64; 6], planes: &[&[f64]; 6], k: usize) -> f64 {
     let mut num = 0.0;
     for (p, plane) in ph.iter().zip(planes).rev() {
-        num = mad::<FMA>(*p, plane[k], num);
+        num = L::mad(*p, plane[k], num);
     }
     num
 }
@@ -1552,7 +1502,7 @@ fn plane_views(tab: &[f64], span: usize, base: usize, len: usize) -> [&[f64]; 6]
 /// that vectorize with the tap kernel. Taps beyond the window support
 /// get exact zeros, matching [`WindowTable::at`].
 #[inline(always)]
-fn fill_window_row_planar<const FMA: bool>(
+fn fill_window_row_planar<L: F64x8>(
     wr: &WinRows,
     scale: f64,
     inv_2hw: f64,
@@ -1591,11 +1541,8 @@ fn fill_window_row_planar<const FMA: bool>(
     let p3 = &wr.data[base + 3 * cols..base + 3 * cols + n_active];
     let (active, tail) = out.split_at_mut(n_active);
     for (k, w) in active.iter_mut().enumerate() {
-        *w = mad::<FMA>(
-            c0,
-            p0[k],
-            mad::<FMA>(c1, p1[k], mad::<FMA>(c2, p2[k], c3 * p3[k])),
-        );
+        let inner = L::mad(c2, p2[k], c3 * p3[k]);
+        *w = L::mad(c0, p0[k], L::mad(c1, p1[k], inner));
     }
     tail.fill(0.0);
 }

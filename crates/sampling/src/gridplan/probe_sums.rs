@@ -76,6 +76,18 @@
 //! ≲ 5e-10 (on the cost's schedule, at candidates down to 0.5 ps from
 //! the interval ends), inside the 1e-9 contract.
 //!
+//! **The one exception** is a half-sample tie residue (one per grid
+//! whose `t0` sits on a sample instant with `q` even). Within ~1 ps of
+//! an interval end the `1/sin(k⁺πBD̂)` weights raise the
+//! reconstruction's slope to ~2e12 /s, and the ~1e-21 s between a
+//! member's time and its residue's lattice position then moves one tie
+//! member 1.2e-9 from the direct reference at `D̂ = 0.5` ps (the
+//! instants order: 5e-10). The cost's schedule
+//! (`DualRateCost::try_probe_lattice`) keeps every residue ≥ `T/(4q)`
+//! off a tie, so no verdict meets it; the test
+//! `tie_residue_takes_the_per_probe_window` pins it with a bound
+//! derived from that slope.
+//!
 //! An evaluation computes `(αⱼ, βⱼ)`, three `sincos` and the
 //! Chebyshev basis once, folds them into one `6 + 6·FIT_NODES` weight
 //! vector, and then costs one dot product of that length per probe.
@@ -83,9 +95,10 @@
 //! window and kernel are computed once per candidate, then every
 //! member adds `sample · window · kernel` in ascending tap order, the
 //! bits of a per-tap pass. Both
-//! kernels run through the workspace's `#[target_feature]` AVX-512F /
-//! AVX2 + FMA dispatch ([`Arm`], with the `RFBIST_FORCE_SCALAR`
-//! escape), and their dot products on the arm's [`F64x8`] lanes, so
+//! kernels are [`Kernel`]s entered through [`Arm::run`]: the AVX-512F
+//! or AVX2 + FMA recompilation where the CPU has it (unless
+//! `RFBIST_FORCE_SCALAR` is set), with their dot products on the arm's
+//! [`F64x8`] lanes, so
 //! the six build accumulators stay six registers: as `[f64; 8]` arrays
 //! they had compiled to scalar `vfmadd231sd` chains spilled to the
 //! stack. Every arm keeps the lane order of `rfbist_dsp::simd`, which
@@ -105,12 +118,12 @@
 //! [`PROBE_WINDOW`]), which is why none is an option.
 
 use super::{
-    covers_tap_window, kernel_frequencies, kernel_origin, kernel_weights, mad, time_phasors,
-    GridWindow, Lattice, WindowFill, ORIGIN_TAU,
+    covers_tap_window, kernel_frequencies, kernel_origin, kernel_weights, time_phasors, GridWindow,
+    Lattice, WindowFill, ORIGIN_TAU,
 };
 use crate::band::BandSpec;
 use crate::reconstruct::NonuniformCapture;
-use rfbist_dsp::simd::{Arm, F64x8, Portable};
+use rfbist_dsp::simd::{Arm, F64x8, Kernel};
 use rfbist_dsp::window::Window;
 use rfbist_math::rotor::sincos;
 use std::f64::consts::PI;
@@ -444,7 +457,7 @@ impl ProbeSums {
         times: &[f64],
         bound: f64,
     ) -> Result<Self, ProbeSumsError> {
-        Self::build_on(arm, band, capture, Order::Instants(times), bound)
+        Self::build(band, capture, Order::Instants(times), bound, |k| arm.run(k))
     }
 
     /// [`try_new`](Self::try_new) with the build's dot products on the
@@ -459,7 +472,9 @@ impl ProbeSums {
         times: &[f64],
         bound: f64,
     ) -> Result<Self, ProbeSumsError> {
-        Self::build_lanes(lanes, band, capture, Order::Instants(times), bound)
+        Self::build(band, capture, Order::Instants(times), bound, |k| {
+            k.run(lanes)
+        })
     }
 
     /// The summary of `capture` at the `n` uniform probe instants
@@ -468,8 +483,11 @@ impl ProbeSums {
     /// the sample period (see the module docs), the members of each
     /// lattice residue share their window fills, divides and exact-tap
     /// geometry. Its values follow the instants order's on the same
-    /// times to ≪ 1e-9; a step on no short lattice builds every probe
-    /// as its own residue, with the instants order's bits.
+    /// times to ≪ 1e-9, except at a half-sample tie residue within
+    /// ~1 ps of an interval end, where a member can read 1.2e-9 from the
+    /// direct reference (see the module docs); a step on no short
+    /// lattice builds every probe as its own residue, with the instants
+    /// order's bits.
     ///
     /// # Errors
     ///
@@ -498,7 +516,7 @@ impl ProbeSums {
         bound: f64,
     ) -> Result<Self, ProbeSumsError> {
         let order = Self::grid_order(band, capture, t0, step, n);
-        Self::build_on(arm, band, capture, order, bound)
+        Self::build(band, capture, order, bound, |k| arm.run(k))
     }
 
     /// [`try_new_grid`](Self::try_new_grid) on the caller's lanes, like
@@ -514,7 +532,7 @@ impl ProbeSums {
         bound: f64,
     ) -> Result<Self, ProbeSumsError> {
         let order = Self::grid_order(band, capture, t0, step, n);
-        Self::build_lanes(lanes, band, capture, order, bound)
+        Self::build(band, capture, order, bound, |k| k.run(lanes))
     }
 
     /// The grid order of `n` probes from `t0` by `step`, on the lattice
@@ -539,46 +557,14 @@ impl ProbeSums {
         }
     }
 
-    /// The checked summary of `capture` in `order`, built on kernel arm
-    /// `arm`.
-    fn build_on(
-        arm: Arm,
+    /// The checked summary of `capture` in `order`, its rows filled by
+    /// `run` (on a kernel arm, or on the caller's lanes).
+    fn build(
         band: BandSpec,
         capture: &NonuniformCapture,
         order: Order<'_>,
         bound: f64,
-    ) -> Result<Self, ProbeSumsError> {
-        let mut sums = Self::empty(band, capture, order, bound)?;
-        sums.build(arm, capture, order);
-        sums.exact.shrink_to_fit();
-        Ok(sums)
-    }
-
-    /// The checked summary of `capture` in `order`, its dot products on
-    /// `lanes`.
-    fn build_lanes<L: F64x8>(
-        lanes: L,
-        band: BandSpec,
-        capture: &NonuniformCapture,
-        order: Order<'_>,
-        bound: f64,
-    ) -> Result<Self, ProbeSumsError> {
-        let mut sums = Self::empty(band, capture, order, bound)?;
-        if L::FUSED {
-            sums.build_body::<true, L>(capture, order, lanes);
-        } else {
-            sums.build_body::<false, L>(capture, order, lanes);
-        }
-        sums.exact.shrink_to_fit();
-        Ok(sums)
-    }
-
-    /// The checked, not yet built summary of `capture` in `order`.
-    fn empty(
-        band: BandSpec,
-        capture: &NonuniformCapture,
-        order: Order<'_>,
-        bound: f64,
+        run: impl FnOnce(Build<'_, '_>),
     ) -> Result<Self, ProbeSumsError> {
         let period = capture.period();
         if !(bound > 0.0 && bound <= period) {
@@ -598,7 +584,7 @@ impl ProbeSums {
             }
         }
         let span = FitSpan::new(bound, period);
-        Ok(ProbeSums {
+        let mut sums = ProbeSums {
             band,
             w: kernel_frequencies(band),
             inv_two_pi_b: 1.0 / (2.0 * PI * band.bandwidth()),
@@ -611,7 +597,13 @@ impl ProbeSums {
             fixed: vec![0.0; n],
             exact: ExactTaps::default(),
             residues: 0,
-        })
+        };
+        run(Build {
+            sums: &mut sums,
+            capture,
+            order,
+        });
+        Ok(sums)
     }
 
     /// The probe rows, `6 + 6·FIT_NODES` values per probe: the six
@@ -643,6 +635,7 @@ impl ProbeSums {
     /// with hardware FMA unless `RFBIST_FORCE_SCALAR` is set.
     ///
     /// `d_hat` must lie in `]0, m[`; the fit is not valid outside it.
+    // analysis: allow(typed-error-parity) — the panic capability is a same-file name match of `Kernel::run` against the build kernel's `run`, whose build body debug-asserts its lattice
     pub fn eval_into(&self, d_hat: f64, out: &mut Vec<f64>) {
         self.eval_into_on(Arm::detect(), d_hat, out)
     }
@@ -651,23 +644,13 @@ impl ProbeSums {
     /// CPU supports it (the portable kernel otherwise), whatever the
     /// dispatch would pick. A test and benchmark hook.
     #[doc(hidden)]
+    // analysis: allow(typed-error-parity) — the panic capability is a same-file name match of `Kernel::run` against the build kernel's `run`, whose build body debug-asserts its lattice
     pub fn eval_into_on(&self, arm: Arm, d_hat: f64, out: &mut Vec<f64>) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("fma") {
-            if arm == Arm::Avx512 && std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: AVX-512F + FMA support was just verified at
-                // runtime by is_x86_feature_detected!.
-                unsafe { self.eval_avx512(d_hat, out) };
-                return;
-            }
-            if arm == Arm::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 + FMA support was just verified at
-                // runtime by is_x86_feature_detected!.
-                unsafe { self.eval_avx2(d_hat, out) };
-                return;
-            }
-        }
-        self.eval_body::<false, _>(d_hat, Portable::ZERO, out)
+        arm.run(Eval {
+            sums: self,
+            d_hat,
+            out,
+        })
     }
 
     /// [`eval_into`](Self::eval_into) with the dot products on the
@@ -675,52 +658,21 @@ impl ProbeSums {
     /// recompilation. A test hook, like
     /// [`try_new_lanes`](Self::try_new_lanes).
     #[doc(hidden)]
+    // analysis: allow(typed-error-parity) — the panic capability is a same-file name match of `Kernel::run` against the build kernel's `run`, whose build body debug-asserts its lattice
     pub fn eval_into_lanes<L: F64x8>(&self, lanes: L, d_hat: f64, out: &mut Vec<f64>) {
-        if L::FUSED {
-            self.eval_body::<true, L>(d_hat, lanes, out)
-        } else {
-            self.eval_body::<false, L>(d_hat, lanes, out)
+        Eval {
+            sums: self,
+            d_hat,
+            out,
         }
-    }
-
-    /// [`eval_body`](Self::eval_body) compiled with AVX2 + FMA, on
-    /// [`Fma256`](rfbist_dsp::simd::Fma256) lanes.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 and FMA support on the
-    /// running CPU (`is_x86_feature_detected!`).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn eval_avx2(&self, d_hat: f64, out: &mut Vec<f64>) {
-        // SAFETY: this function's own contract: AVX2 and FMA were
-        // verified.
-        let lanes = unsafe { rfbist_dsp::simd::Fma256::new() };
-        self.eval_body::<true, _>(d_hat, lanes, out)
-    }
-
-    /// [`eval_body`](Self::eval_body) compiled with AVX-512F + FMA, on
-    /// [`Fma512`](rfbist_dsp::simd::Fma512) lanes.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX-512F and FMA support on the
-    /// running CPU (`is_x86_feature_detected!`).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,fma")]
-    unsafe fn eval_avx512(&self, d_hat: f64, out: &mut Vec<f64>) {
-        // SAFETY: this function's own contract: AVX-512F and FMA were
-        // verified.
-        let lanes = unsafe { rfbist_dsp::simd::Fma512::new() };
-        self.eval_body::<true, _>(d_hat, lanes, out)
+        .run(lanes)
     }
 
     /// The evaluation kernel: folds `(αⱼ, βⱼ)`, `(α′ⱼ, β′ⱼ)` and the
     /// Chebyshev node weights into one weight vector, dots it with
     /// every probe row on `lanes`, and adds the exact taps.
     #[inline(always)]
-    fn eval_body<const FMA: bool, L: F64x8>(&self, d_hat: f64, lanes: L, out: &mut Vec<f64>) {
-        debug_assert_eq!(FMA, L::FUSED);
+    fn eval_body<L: F64x8>(&self, d_hat: f64, lanes: L, out: &mut Vec<f64>) {
         let (alpha, beta) = kernel_weights(self.band, d_hat);
         let nodal = self.node_weights(d_hat);
         let mut weights = [0.0; ROW_LEN];
@@ -746,7 +698,7 @@ impl ProbeSums {
         for (row, &fixed) in self.rows.chunks_exact(ROW_LEN).zip(&self.fixed) {
             out.push(fixed + dot_lanes(lanes, row, &weights));
         }
-        self.add_exact_taps::<FMA>(d_hat, &shifted, out);
+        self.add_exact_taps::<L>(d_hat, &shifted, out);
     }
 
     /// Adds every exact tap's `sample · window · kernel` at `d_hat` to
@@ -754,7 +706,7 @@ impl ProbeSums {
     /// tap's window and kernel once, then each member's taps in
     /// ascending order, as a per-tap pass over the members would.
     #[inline(always)]
-    fn add_exact_taps<const FMA: bool>(&self, d_hat: f64, shifted: &[f64; 6], out: &mut [f64]) {
+    fn add_exact_taps<L: F64x8>(&self, d_hat: f64, shifted: &[f64; 6], out: &mut [f64]) {
         let shift = d_hat / self.period * INV_2HW;
         let mut samples = self.exact.samples.as_slice();
         let mut wk = [(0.0, 0.0); PROBE_TAPS];
@@ -763,7 +715,7 @@ impl ProbeSums {
             for (slot, tap) in wk.iter_mut().zip(taps) {
                 *slot = (
                     self.window.table.at(tap.x + shift),
-                    self.exact_kernel::<FMA>(tap, d_hat, shifted),
+                    self.exact_kernel::<L>(tap, d_hat, shifted),
                 );
             }
             for &probe in &self.exact.probes[group.probes.clone()] {
@@ -782,14 +734,14 @@ impl ProbeSums {
     /// on the pole, `Σⱼ α′ⱼcos ωⱼu + β′ⱼ sin ωⱼu` over `2πB(u + D̂)`
     /// elsewhere.
     #[inline(always)]
-    fn exact_kernel<const FMA: bool>(&self, tap: &ExactTap, d_hat: f64, shifted: &[f64; 6]) -> f64 {
+    fn exact_kernel<L: F64x8>(&self, tap: &ExactTap, d_hat: f64, shifted: &[f64; 6]) -> f64 {
         let tau = tap.u + d_hat;
         if tau.abs() < ORIGIN_TAU {
             self.origin
         } else {
             let mut num = 0.0;
             for (&a, &t) in shifted.iter().zip(&tap.trig).rev() {
-                num = mad::<FMA>(a, t, num);
+                num = L::mad(a, t, num);
             }
             num * self.inv_two_pi_b / tau
         }
@@ -817,59 +769,6 @@ impl ProbeSums {
         nodal.map(|l| l / FIT_NODES as f64)
     }
 
-    /// Fills the probe rows on kernel arm `arm`, dispatching like
-    /// [`eval_into_on`](Self::eval_into_on).
-    fn build(&mut self, arm: Arm, capture: &NonuniformCapture, order: Order<'_>) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("fma") {
-            if arm == Arm::Avx512 && std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: AVX-512F + FMA support was just verified at
-                // runtime by is_x86_feature_detected!.
-                unsafe { self.build_avx512(capture, order) };
-                return;
-            }
-            if arm == Arm::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 + FMA support was just verified at
-                // runtime by is_x86_feature_detected!.
-                unsafe { self.build_avx2(capture, order) };
-                return;
-            }
-        }
-        self.build_body::<false, _>(capture, order, Portable::ZERO)
-    }
-
-    /// [`build_body`](Self::build_body) compiled with AVX2 + FMA, on
-    /// [`Fma256`](rfbist_dsp::simd::Fma256) lanes.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 and FMA support on the
-    /// running CPU (`is_x86_feature_detected!`).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn build_avx2(&mut self, capture: &NonuniformCapture, order: Order<'_>) {
-        // SAFETY: this function's own contract: AVX2 and FMA were
-        // verified.
-        let lanes = unsafe { rfbist_dsp::simd::Fma256::new() };
-        self.build_body::<true, _>(capture, order, lanes)
-    }
-
-    /// [`build_body`](Self::build_body) compiled with AVX-512F + FMA, on
-    /// [`Fma512`](rfbist_dsp::simd::Fma512) lanes.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX-512F and FMA support on the
-    /// running CPU (`is_x86_feature_detected!`).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,fma")]
-    unsafe fn build_avx512(&mut self, capture: &NonuniformCapture, order: Order<'_>) {
-        // SAFETY: this function's own contract: AVX-512F and FMA were
-        // verified.
-        let lanes = unsafe { rfbist_dsp::simd::Fma512::new() };
-        self.build_body::<true, _>(capture, order, lanes)
-    }
-
     /// The build kernel (see the module docs), its dot products on
     /// `lanes`: per lattice residue, the shared part of its members'
     /// rows once ([`residue`](Self::residue)), then each member's
@@ -879,13 +778,7 @@ impl ProbeSums {
     /// part, built for its shifted tap window. Every probe is covered:
     /// [`try_new`](Self::try_new) checked it.
     #[inline(always)]
-    fn build_body<const FMA: bool, L: F64x8>(
-        &mut self,
-        capture: &NonuniformCapture,
-        order: Order<'_>,
-        lanes: L,
-    ) {
-        debug_assert_eq!(FMA, L::FUSED);
+    fn build_body<L: F64x8>(&mut self, capture: &NonuniformCapture, order: Order<'_>, lanes: L) {
         const TAPS: usize = PROBE_TAPS;
         let period = self.period;
         let h = (TAPS / 2) as f64;
@@ -936,7 +829,7 @@ impl ProbeSums {
                         continue;
                     }
                     if !built {
-                        self.residue::<FMA>(&tables, t_r, first_r + shift, &mut res);
+                        self.residue::<L>(&tables, t_r, first_r + shift, &mut res);
                         self.residues += 1;
                         built = true;
                     }
@@ -975,13 +868,7 @@ impl ProbeSums {
     /// taps and the odd stream's window-over-`τ` at each Chebyshev
     /// node.
     #[inline(always)]
-    fn residue<const FMA: bool>(
-        &self,
-        tables: &BuildTables<'_>,
-        t: f64,
-        first: i64,
-        res: &mut Residue,
-    ) {
+    fn residue<L: F64x8>(&self, tables: &BuildTables<'_>, t: f64, first: i64, res: &mut Residue) {
         const TAPS: usize = PROBE_TAPS;
         let period = self.period;
         let h = TAPS / 2;
@@ -995,12 +882,12 @@ impl ProbeSums {
             let (c0, s0) = (ph[2 * j], ph[2 * j + 1]);
             let (c_step, s_step) = (&tables.steps[2 * j], &tables.steps[2 * j + 1]);
             for k in 0..TAPS {
-                cu[k] = mad::<FMA>(c0, c_step[k], -(s0 * s_step[k]));
-                su[k] = mad::<FMA>(s0, c_step[k], c0 * s_step[k]);
+                cu[k] = L::mad(c0, c_step[k], -(s0 * s_step[k]));
+                su[k] = L::mad(s0, c_step[k], c0 * s_step[k]);
             }
         }
         // Even stream: τ = t − nT = −u, window independent of D̂.
-        tables.fill.fill::<FMA>(res.x0, INV_2HW, &mut res.win);
+        tables.fill.fill::<L>(res.x0, INV_2HW, &mut res.win);
         // Odd stream: τ = u + D̂. The exact taps are kept out of the
         // fit.
         res.n_exact = self.span.exact_taps(&res.u, res.x0, &mut res.exact);
@@ -1008,7 +895,7 @@ impl ProbeSums {
         for (g, &node) in res.odd.iter_mut().zip(&tables.nodes) {
             tables
                 .fill
-                .fill::<FMA>(res.x0 + node / period * INV_2HW, INV_2HW, &mut win);
+                .fill::<L>(res.x0 + node / period * INV_2HW, INV_2HW, &mut win);
             for k in 0..TAPS {
                 g[k] = win[k] / (res.u[k] + node);
             }
@@ -1066,6 +953,41 @@ impl ProbeSums {
             }
         }
         fixed
+    }
+}
+
+/// The build kernel ([`ProbeSums::build_body`]): fills the rows of
+/// `sums` from `capture` in `order`, then trims its exact-tap tables.
+struct Build<'a, 't> {
+    sums: &'a mut ProbeSums,
+    capture: &'a NonuniformCapture,
+    order: Order<'t>,
+}
+
+impl Kernel for Build<'_, '_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<L: F64x8>(self, lanes: L) {
+        self.sums.build_body(self.capture, self.order, lanes);
+        self.sums.exact.shrink_to_fit();
+    }
+}
+
+/// The evaluation kernel ([`ProbeSums::eval_body`]): every probe's
+/// value at `d_hat` into `out`.
+struct Eval<'a> {
+    sums: &'a ProbeSums,
+    d_hat: f64,
+    out: &'a mut Vec<f64>,
+}
+
+impl Kernel for Eval<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<L: F64x8>(self, lanes: L) {
+        self.sums.eval_body(self.d_hat, lanes, self.out)
     }
 }
 
@@ -1203,6 +1125,7 @@ fn dot6<L: F64x8>(lanes: L, planes: &[[f64; PADDED]; 6], g: &[f64; PADDED]) -> [
 mod tests {
     use super::*;
     use crate::gridplan::{GridScratch, PnbsGridPlan};
+    use rfbist_dsp::simd::Portable;
     use rfbist_signal::tone::{MultiTone, Tone};
 
     const B: f64 = 90e6;
@@ -1506,14 +1429,69 @@ mod tests {
             .filter(|&(i, k)| first_tap(t0 + i as f64 * step, t_s) != first_r + 11 * k)
             .count();
         assert!(shifted > 0, "no member of the tie residue flips");
-        // against the instants order only: 0.5 ps from the interval end
-        // the 1/sin(k⁺πBD̂) weights amplify the ~1e-21 s between a
-        // member's time and its residue's lattice position to 1.2e-9
-        // of the direct reference at one tie member (the instants
-        // order: 5e-10); the cost's schedule places no residue on a
-        // tie or a sample instant
         let sums = assert_grid_matches(band, &cap, (t0, step, n), m, &candidates(m), false);
         assert_eq!(sums.residues(), 7);
+        // Against the direct reference, the documented exception to the
+        // 1e-9 contract. A member i = r + k·q is evaluated at its
+        // residue's tap offsets, i.e. at the lattice time t_r + k·p·T,
+        // which sits δt from its own float time t_i: t_i and t_r each
+        // carry two roundings of t0 + i·step (≤ ε·t each), and the
+        // step's rounding (≤ ε·step/2) accumulates over the k·q steps
+        // between them. The reconstruction v(t) then moves by |v′|·δt,
+        // so each probe must lie within 1e-9 (the grid order's own
+        // arithmetic, as on every other lattice) plus |v′|·δt of the
+        // reference, v′ taken by a central difference of the reference.
+        // 0.5 ps from the interval end the 1/sin(k⁺πBD̂) weights raise
+        // |v′| to ~2e12 /s: a tie member reads 1.2e-9 (the instants
+        // order: 5e-10) against a bound of ~3.5e-9. Elsewhere |v′| is
+        // ~1e10 /s and the term ~1e-11. The cost's schedule keeps every
+        // residue ≥ T/(4q) off a tie, so no verdict meets the exception.
+        let t_end = t0 + (n - 1) as f64 * step;
+        let dt = 2.0 * f64::EPSILON * t_end + (n / 6) as f64 * 6.0 * f64::EPSILON * step / 2.0;
+        let h = 1e-13;
+        let mut got = Vec::new();
+        let mut worst_ratio = 0.0f64;
+        for &d in &candidates(m) {
+            sums.eval_into(d, &mut got);
+            let rec = crate::reconstruct::PnbsReconstructor::paper_default(band, d).unwrap();
+            for (i, &g) in got.iter().enumerate() {
+                let t = t0 + i as f64 * step;
+                let r = rec.reconstruct_at_reference(&cap, t);
+                let slope = (rec.reconstruct_at_reference(&cap, t + h)
+                    - rec.reconstruct_at_reference(&cap, t - h))
+                    / (2.0 * h);
+                let bound = 1e-9 * r.abs().max(1.0) + slope.abs() * dt;
+                assert!(
+                    (g - r).abs() <= bound,
+                    "D̂ = {:.2} ps, probe {i}: {g} vs {r} (bound {bound:.2e})",
+                    d * 1e12
+                );
+                worst_ratio = worst_ratio.max((g - r).abs() / (1e-9 * r.abs().max(1.0)));
+            }
+        }
+        // the exception is real: some member leaves the plain contract
+        assert!(worst_ratio > 1.0, "worst {worst_ratio:.3} of 1e-9");
+    }
+
+    /// The FMA arms' rounding for the scalar helpers, outside any kernel
+    /// (`f64::mul_add` rounds the same in hardware and in libm).
+    #[derive(Clone, Copy)]
+    struct Fused;
+
+    impl F64x8 for Fused {
+        const FUSED: bool = true;
+
+        fn zero(self) -> Self {
+            self
+        }
+
+        fn mul_add(self, _: &[f64; 8], _: &[f64; 8]) -> Self {
+            unreachable!("scalar helpers only")
+        }
+
+        fn sum(self) -> f64 {
+            unreachable!("scalar helpers only")
+        }
     }
 
     #[test]
@@ -1547,9 +1525,9 @@ mod tests {
                     let mut samples = sums.exact.samples.iter();
                     for (probe, tap) in exact_per_probe(&sums) {
                         let kernel = if arm == Arm::Portable {
-                            sums.exact_kernel::<false>(&tap, d_hat, &shifted)
+                            sums.exact_kernel::<Portable>(&tap, d_hat, &shifted)
                         } else {
-                            sums.exact_kernel::<true>(&tap, d_hat, &shifted)
+                            sums.exact_kernel::<Fused>(&tap, d_hat, &shifted)
                         };
                         let sample = samples.next().unwrap();
                         want[probe] += sample * sums.window.table.at(tap.x + shift) * kernel;

@@ -1,11 +1,13 @@
-//! The lane-model check of the eight-lane kernels: the grid plan's dot
-//! product, the probe sums' rows and their evaluation, on every kernel
-//! arm this host can run, bit for bit against the same kernels on a
-//! scalar model of the documented lane order (`rfbist::dsp::simd`):
-//! lane `i` accumulates `a[i]·b[i] + lane[i]` in call order — one
+//! The lane-model check of the kernels `Arm::run` dispatches: the grid
+//! plan's dot product, the probe sums' rows and their evaluation, and
+//! the Goertzel bank's recurrence, on every kernel arm this host can
+//! run, bit for bit against a scalar model. The eight-lane kernels run
+//! on a model of the documented lane order (`rfbist::dsp::simd`): lane
+//! `i` accumulates `a[i]·b[i] + lane[i]` in call order — one
 //! `f64::mul_add` per lane for the FMA arms, `*` then `+` for the
 //! portable one — and the lanes reduce pairwise,
-//! `((l₀ + l₄) + (l₁ + l₅)) + ((l₂ + l₆) + (l₃ + l₇))`.
+//! `((l₀ + l₄) + (l₁ + l₅)) + ((l₂ + l₆) + (l₃ + l₇))`. The bank's
+//! model is a per-bin loop in the test itself.
 //!
 //! The model runs through the `*_lanes` hooks outside any
 //! `#[target_feature]` recompilation, where `f64::mul_add` is libm's
@@ -19,6 +21,7 @@ mod common;
 
 use common::*;
 use rfbist::converter::calibration::auto_calibrate;
+use rfbist::dsp::goertzel::{GoertzelBank, GoertzelState};
 use rfbist::dsp::simd::{Arm, F64x8};
 use rfbist::dsp::window::Window;
 use rfbist::prelude::*;
@@ -265,4 +268,66 @@ fn grid_probe_sums_match_the_lane_model_on_every_arm() {
             on_arm.rows(),
         );
     }
+}
+
+#[test]
+fn goertzel_bank_matches_the_step_model_on_every_arm() {
+    // 167 bins (the Section V mask's count: twenty whole lane vectors
+    // and a padded one) over a Hann-windowed segment fed in uneven
+    // chunks, so the four-sample quads straddle the chunk edges
+    let n = 1000;
+    let x: Vec<f64> = (0..n)
+        .map(|i| (i as f64 * 0.173).sin() + 0.3 * (i as f64 * 0.051).cos())
+        .collect();
+    let w: Vec<f64> = (0..n)
+        .map(|i| 0.5 - 0.5 * (2.0 * std::f64::consts::PI * i as f64 / n as f64).cos())
+        .collect();
+    let freqs: Vec<f64> = (0..167).map(|j| 0.002 + 0.497 * j as f64 / 167.0).collect();
+    let bank = GoertzelBank::new(&freqs);
+    let advance = |arm: Option<Arm>, state: &mut GoertzelState| {
+        bank.reset_state(state);
+        let mut start = 0;
+        for len in [7, 256, 3, 301, 1, 432] {
+            let (xc, wc) = (&x[start..start + len], &w[start..start + len]);
+            match arm {
+                Some(arm) => bank.advance_state_windowed_on(arm, state, xc, wc),
+                None => bank.advance_state_windowed(state, xc, wc),
+            }
+            start += len;
+        }
+        assert_eq!(start, n);
+    };
+    let mut state = GoertzelState::new();
+    for arm in arms() {
+        advance(Some(arm), &mut state);
+        let (s1, s2) = bank.states(&state);
+        for (j, &f) in freqs.iter().enumerate() {
+            // the bank's coefficient, then one step per sample: the
+            // FMA arms' fused c·s₁ + (x − s₂), the portable x + c·s₁ − s₂
+            let c = 2.0 * (2.0 * std::f64::consts::PI * f).cos();
+            let (mut p1, mut p2) = (0.0f64, 0.0f64);
+            for (&xi, &wi) in x.iter().zip(&w) {
+                let xw = xi * wi;
+                let s = if arm == Arm::Portable {
+                    xw + c * p1 - p2
+                } else {
+                    c.mul_add(p1, xw - p2)
+                };
+                (p1, p2) = (s, p1);
+            }
+            for (name, got, want) in [("s1", s1[j], p1), ("s2", s2[j], p2)] {
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "bin {j} {name}, {arm:?} arm: {got:e} vs {want:e}"
+                );
+            }
+        }
+    }
+    let mut on_arm = GoertzelState::new();
+    advance(None, &mut state);
+    advance(Some(Arm::detect()), &mut on_arm);
+    let ((d1, d2), (a1, a2)) = (bank.states(&state), bank.states(&on_arm));
+    assert_bits_eq("bank s1, dispatched", d1, a1);
+    assert_bits_eq("bank s2, dispatched", d2, a2);
 }
