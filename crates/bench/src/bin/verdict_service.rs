@@ -16,13 +16,13 @@
 //! pool outcome must be **bit-identical** to the direct
 //! `try_run_with` verdict for the same job.
 
+use rfbist_bench::interleaved_medians;
 use rfbist_core::bist::{BistConfig, BistEngine, BistScratch};
 use rfbist_core::mask::SpectralMask;
 use rfbist_core::service::{ServiceConfig, SharedSignal, VerdictJob, VerdictService};
 use rfbist_rfchain::impairments::TxImpairments;
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
 struct Config {
     quick: bool,
@@ -75,11 +75,6 @@ fn main() {
             })
             .collect()
     };
-    let median = |mut v: Vec<f64>| -> f64 {
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        v[v.len() / 2]
-    };
-
     // Direct single-shot reference: the per-verdict cost without the
     // pool, and the report every service outcome must reproduce.
     let template = make_jobs(1).remove(0);
@@ -92,25 +87,23 @@ fn main() {
             &mut scratch,
         )
         .expect("clean direct verdict");
-    let direct_ns = median(
-        (0..reps)
-            .map(|_| {
-                let start = Instant::now();
-                for _ in 0..jobs_per_batch {
-                    black_box(
-                        BistEngine::new(template.config.clone())
-                            .try_run_with(
-                                &template.stimulus,
-                                &template.mask,
-                                template.reference.as_ref(),
-                                &mut scratch,
-                            )
-                            .expect("clean direct verdict"),
-                    );
-                }
-                start.elapsed().as_nanos() as f64 / jobs_per_batch as f64
-            })
-            .collect(),
+    let [direct_ns] = interleaved_medians(
+        reps,
+        jobs_per_batch,
+        [&mut || {
+            for _ in 0..jobs_per_batch {
+                black_box(
+                    BistEngine::new(template.config.clone())
+                        .try_run_with(
+                            &template.stimulus,
+                            &template.mask,
+                            template.reference.as_ref(),
+                            &mut scratch,
+                        )
+                        .expect("clean direct verdict"),
+                );
+            }
+        }],
     );
 
     println!(
@@ -144,17 +137,15 @@ fn main() {
                 "service verdict diverged from the direct run at {workers} worker(s)"
             );
         }
-        let ns = median(
-            (0..reps)
-                .map(|_| {
-                    let start = Instant::now();
-                    let outcomes = svc
-                        .try_run_all(make_jobs(jobs_per_batch))
-                        .expect("pool alive");
-                    black_box(&outcomes);
-                    start.elapsed().as_nanos() as f64 / jobs_per_batch as f64
-                })
-                .collect(),
+        let [ns] = interleaved_medians(
+            reps,
+            jobs_per_batch,
+            [&mut || {
+                black_box(
+                    svc.try_run_all(make_jobs(jobs_per_batch))
+                        .expect("pool alive"),
+                );
+            }],
         );
         svc.shutdown();
         println!(

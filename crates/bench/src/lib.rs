@@ -3,7 +3,9 @@
 //! Every figure and table of the paper's evaluation has a dedicated
 //! binary in `src/bin/`; the helpers here build the common Section V
 //! scenario (QPSK 10 Msym/s, SRRC α = 0.5, f_c = 1 GHz, B = 90 MHz,
-//! B1 = 45 MHz, D = 180 ps) so all experiments share one ground truth.
+//! B1 = 45 MHz, D = 180 ps) so all experiments share one ground truth,
+//! and time the perf binaries (`perf_report`, `verdict_service`) with
+//! one median.
 
 use rfbist::fixtures::{paper_stimulus_seeded, paper_tx_seeded};
 use rfbist_converter::bptiadc::{BpTiadc, BpTiadcConfig, JitterPlacement};
@@ -13,6 +15,7 @@ use rfbist_rfchain::txchain::HomodyneTx;
 use rfbist_sampling::dualrate::DualRateConfig;
 use rfbist_signal::bandpass::BandpassSignal;
 use rfbist_signal::baseband::ShapedBaseband;
+use std::time::Instant;
 
 /// Paper Section V stimulus: QPSK 10 Msym/s, SRRC α = 0.5 over 12
 /// symbols, 1 GHz carrier, PRBS-driven payload.
@@ -76,6 +79,35 @@ pub fn paper_cost(frontend: Frontend, n_probes: usize, seed: u64) -> DualRateCos
         n_probes,
         seed,
     )
+}
+
+/// The upper-middle element of `samples` (the median of an odd count).
+///
+/// # Panics
+///
+/// Panics if `samples` is empty or holds a NaN.
+pub fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    samples[samples.len() / 2]
+}
+
+/// Runs each closure of `work` (each performing `ops` operations) once
+/// per rep, in turn, `reps` times, and returns each one's [`median`]
+/// ns/op: slow drift on a shared machine hits all of them alike.
+pub fn interleaved_medians<const K: usize>(
+    reps: usize,
+    ops: usize,
+    mut work: [&mut dyn FnMut(); K],
+) -> [f64; K] {
+    let mut samples: [Vec<f64>; K] = std::array::from_fn(|_| Vec::with_capacity(reps));
+    for _ in 0..reps {
+        for (w, sample) in work.iter_mut().zip(&mut samples) {
+            let start = Instant::now();
+            w();
+            sample.push(start.elapsed().as_nanos() as f64 / ops as f64);
+        }
+    }
+    samples.map(median)
 }
 
 /// Prints a Markdown-ish table row with `|`-separated cells.

@@ -18,10 +18,9 @@
 //! leaves the LMS ~170 ps off while the mask still passes. The cell's
 //! verdicts then run as [`VerdictJob`]s on one [`VerdictService`] pool
 //! shared by the whole sweep, so the campaign uses every core. The pool
-//! retries a panicked verdict ([`ServiceConfig::max_retries`]); one
-//! that still fails is scored as an errored run instead of aborting the
-//! sweep. Outcomes are scored in job order, so the matrix does not
-//! depend on the worker count.
+//! retries a panicked verdict once; one that still fails is scored as
+//! an errored run instead of aborting the sweep. Outcomes are scored in
+//! job order, so the matrix does not depend on the worker count.
 //!
 //! A fault counts as *detected* when the overall verdict fails
 //! (mask, skew gate or noise figure) **or** the golden-waveform

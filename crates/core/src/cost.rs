@@ -151,24 +151,21 @@ impl DualRateCost {
     /// ("… capture too short" / "captures do not overlap in time"), so
     /// the engine's `try_*` paths can reject an undersized capture as
     /// a value before the cost is built.
+    ///
+    /// The window is where both captures hold the whole
+    /// [`PROBE_TAPS`]-tap support of every probe: it depends on the
+    /// captures alone, so `_config` (its delay included) plays no part.
     pub fn try_probe_window(
         fast: &NonuniformCapture,
         slow: &NonuniformCapture,
-        config: &DualRateConfig,
+        _config: &DualRateConfig,
     ) -> Result<(f64, f64), String> {
-        let probe_delay = config.delay().min(config.m_bound() * 0.5);
-        let fast_rec =
-            PnbsReconstructor::new(config.fast_band(), probe_delay, PROBE_TAPS, PROBE_WINDOW)
-                .map_err(|_| "valid probe delay".to_string())?;
-        let slow_rec =
-            PnbsReconstructor::new(config.slow_band(), probe_delay, PROBE_TAPS, PROBE_WINDOW)
-                .map_err(|_| "valid probe delay".to_string())?;
-        let (f_lo, f_hi) = fast_rec
-            .coverage(fast)
+        let (f_lo, f_hi) = fast
+            .coverage(PROBE_TAPS)
             .ok_or("fast capture too short")
             .map_err(str::to_string)?;
-        let (s_lo, s_hi) = slow_rec
-            .coverage(slow)
+        let (s_lo, s_hi) = slow
+            .coverage(PROBE_TAPS)
             .ok_or("slow capture too short")
             .map_err(str::to_string)?;
         let lo = f_lo.max(s_lo);
@@ -513,6 +510,23 @@ mod tests {
             120,
             7,
         )
+    }
+
+    #[test]
+    fn probe_window_is_the_captures_coverage_at_any_delay() {
+        // A kernel built at 1e-16 s fails the eq. 3 delay check, but the
+        // window is the captures' 61-tap coverage: the paper delay's,
+        // bit for bit.
+        let cost = paper_setup(true);
+        let (fast, slow) = (cost.fast_capture(), cost.slow_capture());
+        let tiny = DualRateConfig::new(1e9, 90e6, 45e6, 1e-16).expect("1e-16 s lies in ]0, m[");
+        let window = |config| {
+            let (lo, hi): (f64, f64) =
+                DualRateCost::try_probe_window(fast, slow, config).expect("captures overlap");
+            (lo.to_bits(), hi.to_bits())
+        };
+        assert_eq!(window(&tiny), window(cost.config()));
+        assert!(DualRateCost::try_grid_probes(fast.clone(), slow.clone(), tiny, 300).is_ok());
     }
 
     #[test]

@@ -68,9 +68,8 @@ pub enum BistError {
         known: Vec<String>,
     },
     /// A pool worker panicked on every attempt at a job (the verdict
-    /// service retries a panicked attempt up to
-    /// `ServiceConfig::max_retries` times first), or the pool itself
-    /// is gone. The campaign scores the former as an errored run and
+    /// service retries a panicked attempt once first), or the pool
+    /// itself is gone. The campaign scores the former as an errored run and
     /// stops on the latter.
     WorkerPanic {
         /// What failed, with the panic payload when there was one.

@@ -22,44 +22,43 @@
 use crate::cost::DualRateCost;
 use crate::skew::SkewEstimate;
 
-/// Tuning parameters for Algorithm 1.
+/// Initial step size µ in seconds (paper: 1e-12).
+const INITIAL_STEP: f64 = 1e-12;
+
+/// Iteration cap (the "maximum limit" of Algorithm 1).
+const MAX_ITERATIONS: usize = 40;
+
+/// Stop once the cost falls below this absolute level.
+const COST_TOLERANCE: f64 = 0.0;
+
+/// Stop after two consecutive accepted steps whose relative cost
+/// improvement falls below this ratio (the cost has plateaued at the
+/// front-end noise floor).
+const RELATIVE_TOLERANCE: f64 = 5e-4;
+
+/// Stop once µ collapses below this step (seconds) — the estimate can
+/// no longer move meaningfully.
+const MIN_STEP: f64 = 1e-17;
+
+/// Perturbation used to bootstrap the first finite difference.
+const BOOTSTRAP_DELTA: f64 = 1e-12;
+
+/// Cap on step-5 retries within one iteration.
+const MAX_RETRIES: usize = 60;
+
+/// Configuration of Algorithm 1: its starting point. The tuning values
+/// are the paper's (µ₀ = 1e-12, up to 40 iterations) for every run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LmsConfig {
     /// Initial estimate `D̂₀` in seconds.
     pub initial_estimate: f64,
-    /// Initial step size µ in seconds (paper: 1e-12).
-    pub initial_step: f64,
-    /// Iteration cap (the "maximum limit" of Algorithm 1).
-    pub max_iterations: usize,
-    /// Stop once the cost falls below this absolute level.
-    pub cost_tolerance: f64,
-    /// Stop after two consecutive accepted steps whose relative cost
-    /// improvement falls below this ratio (the cost has plateaued at
-    /// the front-end noise floor).
-    pub relative_tolerance: f64,
-    /// Stop once µ collapses below this step (seconds) — the estimate
-    /// can no longer move meaningfully.
-    pub min_step: f64,
-    /// Perturbation used to bootstrap the first finite difference.
-    pub bootstrap_delta: f64,
-    /// Cap on step-5 retries within one iteration.
-    pub max_retries: usize,
 }
 
 impl LmsConfig {
     /// The paper's configuration with the given starting estimate:
     /// µ₀ = 1e-12, up to 40 iterations.
     pub fn paper_default(initial_estimate: f64) -> Self {
-        LmsConfig {
-            initial_estimate,
-            initial_step: 1e-12,
-            max_iterations: 40,
-            cost_tolerance: 0.0,
-            relative_tolerance: 5e-4,
-            min_step: 1e-17,
-            bootstrap_delta: 1e-12,
-            max_retries: 60,
-        }
+        LmsConfig { initial_estimate }
     }
 }
 
@@ -110,16 +109,11 @@ impl LmsResult {
 ///
 /// # Panics
 ///
-/// Panics if the configured initial estimate or steps are non-positive.
+/// Panics if the initial estimate is non-positive.
 pub fn estimate_skew_lms(cost: &DualRateCost, config: LmsConfig) -> LmsResult {
     assert!(
         config.initial_estimate > 0.0,
         "initial estimate must be positive"
-    );
-    assert!(config.initial_step > 0.0, "initial step must be positive");
-    assert!(
-        config.bootstrap_delta != 0.0,
-        "bootstrap delta must be non-zero"
     );
 
     let m = cost.config().m_bound();
@@ -133,7 +127,7 @@ pub fn estimate_skew_lms(cost: &DualRateCost, config: LmsConfig) -> LmsResult {
     let mut e_cur = eval.eval(d_cur);
     let mut evaluations = 1;
 
-    let mut mu = config.initial_step;
+    let mut mu = INITIAL_STEP;
     let mut trace = vec![LmsIteration {
         index: 0,
         estimate: d_cur,
@@ -144,7 +138,7 @@ pub fn estimate_skew_lms(cost: &DualRateCost, config: LmsConfig) -> LmsResult {
     let mut iterations = 0;
     let mut plateau_count = 0usize;
 
-    for i in 1..=config.max_iterations {
+    for i in 1..=MAX_ITERATIONS {
         // Step 2: finite-difference gradient. The probe width follows
         // the step size (floored at the bootstrap delta scale) so the
         // difference stays informative as the search zooms in. The
@@ -152,9 +146,7 @@ pub fn estimate_skew_lms(cost: &DualRateCost, config: LmsConfig) -> LmsResult {
         // with `eval_grid` sweeps; each candidate only combines the
         // probe sums the cost built once, so a probe costs about as
         // much as one step.
-        let delta = (mu / 4.0)
-            .max(config.bootstrap_delta.abs() / 20.0)
-            .max(1e-16);
+        let delta = (mu / 4.0).max(BOOTSTRAP_DELTA / 20.0).max(1e-16);
         let probes = eval.eval_grid(&[clamp(d_cur + delta), clamp(d_cur - delta)]);
         evaluations += probes.len();
         let (e_plus, e_minus) = (probes[0], probes[1]);
@@ -170,7 +162,7 @@ pub fn estimate_skew_lms(cost: &DualRateCost, config: LmsConfig) -> LmsResult {
         let mut accepted = false;
         let mut d_next = d_cur;
         let mut e_next = e_cur;
-        for _ in 0..config.max_retries {
+        for _ in 0..MAX_RETRIES {
             d_next = clamp(d_cur - mu * direction);
             e_next = eval.eval(d_next);
             evaluations += 1;
@@ -179,7 +171,7 @@ pub fn estimate_skew_lms(cost: &DualRateCost, config: LmsConfig) -> LmsResult {
                 break;
             }
             mu /= 2.0;
-            if mu < config.min_step {
+            if mu < MIN_STEP {
                 break;
             }
         }
@@ -201,7 +193,7 @@ pub fn estimate_skew_lms(cost: &DualRateCost, config: LmsConfig) -> LmsResult {
         mu *= 2.0;
 
         let improvement = (e_cur - e_next) / e_cur.max(1e-300);
-        if improvement < config.relative_tolerance {
+        if improvement < RELATIVE_TOLERANCE {
             plateau_count += 1;
         } else {
             plateau_count = 0;
@@ -216,7 +208,7 @@ pub fn estimate_skew_lms(cost: &DualRateCost, config: LmsConfig) -> LmsResult {
             step: mu,
         });
 
-        if e_cur <= config.cost_tolerance || mu < config.min_step || plateau_count >= 2 {
+        if e_cur <= COST_TOLERANCE || mu < MIN_STEP || plateau_count >= 2 {
             converged = true;
             break;
         }
@@ -370,10 +362,9 @@ mod tests {
         // every counted iteration makes two gradient probes and at
         // least one update attempt, on top of the starting point
         let cost = paper_cost(false);
-        let config = LmsConfig::paper_default(60e-12);
-        let result = estimate_skew_lms(&cost, config);
+        let result = estimate_skew_lms(&cost, LmsConfig::paper_default(60e-12));
         assert!(result.evaluations > 3 * result.iterations);
-        assert!(result.evaluations <= 1 + (2 + config.max_retries) * (result.iterations + 1));
+        assert!(result.evaluations <= 1 + (2 + MAX_RETRIES) * (result.iterations + 1));
     }
 
     #[test]

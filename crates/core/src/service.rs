@@ -13,10 +13,9 @@
 //! so a fast submitter gets backpressure instead of unbounded memory
 //! growth: [`VerdictService::try_submit`] blocks while the queue is
 //! full and no job is ever dropped. A job whose attempt panics is
-//! retried in place up to [`ServiceConfig::max_retries`] times, then
-//! surfaced as a typed [`BistError::WorkerPanic`] — the pool itself
-//! survives every panic (the worker catches the unwind and moves to
-//! the next job). This is the only retry layer: the fault-coverage
+//! retried in place once, then surfaced as a typed
+//! [`BistError::WorkerPanic`] — the pool itself survives every panic
+//! (the worker catches the unwind and moves to the next job). This is the only retry layer: the fault-coverage
 //! [`campaign`](crate::campaign) runs its verdicts on this pool too.
 //!
 //! The byte-level companion is [`wire`](crate::wire): sample blocks
@@ -40,6 +39,11 @@ use crate::report::BistReport;
 /// A stimulus shared across jobs and worker threads.
 pub type SharedSignal = Arc<dyn ContinuousSignal + Send + Sync>;
 
+/// How many times a job whose attempt panics is retried on the same
+/// worker before the panic is surfaced as a typed
+/// [`BistError::WorkerPanic`].
+const MAX_RETRIES: u32 = 1;
+
 /// Sizing of the verdict worker pool and its job queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServiceConfig {
@@ -49,10 +53,6 @@ pub struct ServiceConfig {
     /// Bounded job-queue depth: a submitter blocks once this many
     /// jobs are waiting (backpressure, not drops). Must be ≥ 1.
     pub queue_depth: usize,
-    /// How many times a job whose attempt panics is retried on the
-    /// same worker before the panic is surfaced as a typed
-    /// [`BistError::WorkerPanic`].
-    pub max_retries: u32,
 }
 
 impl ServiceConfig {
@@ -62,7 +62,6 @@ impl ServiceConfig {
         ServiceConfig {
             workers: 0,
             queue_depth: 16,
-            max_retries: 1,
         }
     }
 
@@ -75,12 +74,6 @@ impl ServiceConfig {
     /// Sets the bounded job-queue depth.
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
-        self
-    }
-
-    /// Sets the per-job panic retry budget.
-    pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
         self
     }
 
@@ -186,7 +179,6 @@ impl VerdictService {
         for _ in 0..workers {
             let jobs_rx = Arc::clone(&jobs_rx);
             let results_tx: Sender<VerdictOutcome> = results_tx.clone();
-            let max_retries = cfg.max_retries;
             handles.push(std::thread::spawn(move || {
                 // The worker's scratch arena lives as long as the
                 // pool: repeated verdicts reuse its grid, stream and
@@ -199,8 +191,7 @@ impl VerdictService {
                         Ok(job) => job,
                         Err(_) => break, // queue closed: shut down
                     };
-                    let (attempts, recovered_panic, result) =
-                        run_job(&job, max_retries, &mut scratch);
+                    let (attempts, recovered_panic, result) = run_job(&job, &mut scratch);
                     let outcome = VerdictOutcome {
                         job_id: job.job_id,
                         dut: job.dut,
@@ -314,7 +305,6 @@ impl Drop for VerdictService {
 /// Returns `(attempts, saw_panic, result)`.
 fn run_job(
     job: &VerdictJob,
-    max_retries: u32,
     scratch: &mut BistScratch,
 ) -> (u32, bool, Result<BistReport, BistError>) {
     let mut attempts = 0u32;
@@ -339,7 +329,7 @@ fn run_job(
             Ok(result) => return (attempts, saw_panic, result),
             Err(payload) => {
                 saw_panic = true;
-                if attempts <= max_retries {
+                if attempts <= MAX_RETRIES {
                     continue; // re-run the job in place ("requeue once")
                 }
                 let detail = if let Some(s) = payload.downcast_ref::<&str>() {

@@ -622,13 +622,10 @@ impl PnbsGridPlan {
     }
 
     /// The time interval over which `capture` fully covers the filter
-    /// support: `[(n₀ + h)·T, (n₀ + len − 1 − h)·T]` with `h = nw/2`;
+    /// support ([`NonuniformCapture::coverage`] at this tap count);
     /// `None` when the capture is too short for even one evaluation.
     pub fn coverage(&self, capture: &NonuniformCapture) -> Option<(f64, f64)> {
-        let h = self.half_taps as i64;
-        let lo = capture.n_start() + h;
-        let hi = capture.n_start() + capture.len() as i64 - 1 - h;
-        (hi >= lo).then(|| (lo as f64 * capture.period(), hi as f64 * capture.period()))
+        capture.coverage(self.num_taps())
     }
 
     /// Whether `capture` holds the whole tap window `round(t/T) ± h` of

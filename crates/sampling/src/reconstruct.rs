@@ -118,6 +118,18 @@ impl NonuniformCapture {
     pub fn odd(&self) -> &[f64] {
         &self.odd
     }
+
+    /// The time interval over which this capture holds the whole
+    /// support of a `num_taps`-tap reconstruction filter
+    /// (`num_taps = nw + 1`): `[(n₀ + h)·T, (n₀ + len − 1 − h)·T]` with
+    /// `h = nw/2`; `None` when it is too short for even one evaluation.
+    /// The kernel's delay plays no part.
+    pub fn coverage(&self, num_taps: usize) -> Option<(f64, f64)> {
+        let h = (num_taps / 2) as i64;
+        let lo = self.n_start + h;
+        let hi = self.n_start + self.len() as i64 - 1 - h;
+        (hi >= lo).then_some((lo as f64 * self.period, hi as f64 * self.period))
+    }
 }
 
 /// Windowed finite-tap PNBS reconstructor.
@@ -220,7 +232,7 @@ impl PnbsReconstructor {
     }
 
     /// The time interval over which `capture` fully covers the filter
-    /// support: `[(n₀ + h)·T, (n₀ + len − 1 − h)·T]` with `h = nw/2`.
+    /// support ([`NonuniformCapture::coverage`] at this tap count).
     ///
     /// Returns `None` when the capture is too short for even one
     /// evaluation.

@@ -259,7 +259,7 @@ fn exhausted_retries_surface_a_typed_error_and_the_pool_survives() {
     let job = paper_job(11, 5);
     let mut svc =
         VerdictService::try_start(ServiceConfig::paper_default().with_workers(1)).expect("start");
-    // max_retries = 1 (default): two armed panics exhaust the budget
+    // the pool retries a panicked job once: two armed panics exhaust it
     chaos::arm_job_panics(2);
     let outcomes = svc.try_run_all(vec![job.clone()]).expect("pool alive");
     chaos::arm_job_panics(0);
