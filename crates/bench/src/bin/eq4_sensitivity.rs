@@ -13,6 +13,7 @@ use rfbist_math::rng::Randomizer;
 use rfbist_math::stats::nrmse;
 use rfbist_sampling::band::BandSpec;
 use rfbist_sampling::error::{paper_eq5_example, skew_budget, spectral_error_bound};
+use rfbist_sampling::gridplan::GridScratch;
 use rfbist_sampling::reconstruct::{NonuniformCapture, PnbsReconstructor};
 use rfbist_signal::tone::Tone;
 use rfbist_signal::traits::ContinuousSignal;
@@ -25,6 +26,7 @@ fn main() {
     let mut rng = Randomizer::from_seed(17);
     let times: Vec<f64> = (0..250).map(|_| rng.uniform(0.5e-6, 2.5e-6)).collect();
     let truth = tone.sample(&times);
+    let mut scratch = GridScratch::new();
 
     println!("# Eq. (4) — reconstruction sensitivity to skew-knowledge error");
     println!("band: fc = 1 GHz, B = 90 MHz, k+1 = {}", band.k() + 1);
@@ -38,7 +40,11 @@ fn main() {
             61,
             rfbist_dsp::window::Window::Kaiser(8.0),
         );
-        let measured = nrmse(&rec.reconstruct(&cap, &times), &truth);
+        let got = rec
+            .grid_plan()
+            .try_reconstruct_instants(&cap, &times, &mut scratch)
+            .expect("probe times inside the capture's coverage");
+        let measured = nrmse(got, &truth);
         let analytic = spectral_error_bound(band, dd);
         print_row(&[
             format!("{dd_ps:.2}"),

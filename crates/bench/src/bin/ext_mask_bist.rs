@@ -51,7 +51,7 @@ fn main() -> Result<(), BistError> {
 
     // baseline: the golden reference is the same payload, no
     // impairments. One shared scratch across the sweep — the fault
-    // loop is exactly the repeated-verdict workload `run_with` exists
+    // loop is exactly the repeated-verdict workload `try_run_with` exists
     // for.
     let mut scratch = BistScratch::new();
     let mut run = |imp: TxImpairments, label: &str| -> Result<(), BistError> {

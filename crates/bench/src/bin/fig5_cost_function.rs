@@ -47,7 +47,9 @@ fn main() {
     println!();
 
     // uniqueness over the full admissible interval
-    let candidates = cost.sweep_candidates(96);
+    let candidates = cost
+        .try_sweep_candidates(96)
+        .expect("96 candidates make a sweep");
     let grid = cost.eval_grid(&candidates);
     let sweep: Vec<(f64, f64)> = candidates.iter().copied().zip(grid).collect();
     let mut minima = 0;

@@ -20,8 +20,8 @@
 //! medians a machine can diff across commits:
 //!
 //! 1. **point_reconstruct** — one eq. 6 evaluation (61 taps, Kaiser
-//!    β = 8): `reconstruct_at_reference` vs the planned single-point
-//!    `reconstruct_at`, which fills the plan's tables over the whole
+//!    β = 8): `try_reconstruct_at_reference` vs the planned single-point
+//!    `try_reconstruct_at`, which fills the plan's tables over the whole
 //!    capture per call. Reported, not gated: no verdict path makes
 //!    single-point calls.
 //! 2. **cost_grid** — the Fig. 5 sweep on the paper's random probes
@@ -40,9 +40,9 @@
 //!    LMS timings run last, after the service section, so their
 //!    allocations cannot disturb the others.
 //! 4. **grid_reconstruct** — the analysis-grid workload of
-//!    `BistEngine::run` (12288 uniform points at 4 GHz in both modes, a
+//!    `BistEngine::try_run` (12288 uniform points at 4 GHz in both modes, a
 //!    9/400 lattice of the sample period): the direct reference per
-//!    point vs the planned grid (`PnbsGridPlan::reconstruct_grid`,
+//!    point vs the planned grid (`PnbsGridPlan::try_reconstruct_grid`,
 //!    phase-major on this rational grid, with the runtime-dispatched
 //!    SIMD kernels), gated at ≤ 1e-9 NRMSE against the reference, with
 //!    a speedup floor everywhere and a higher one where the AVX2/
@@ -533,13 +533,19 @@ fn bench_point_reconstruct(cfg: &Config, fx: &SectionV) -> (f64, f64) {
 
     let mut reference = || {
         for &t in &times {
-            black_box(rec.reconstruct_at_reference(&cap, black_box(t)));
+            black_box(
+                rec.try_reconstruct_at_reference(&cap, black_box(t))
+                    .expect("instant inside the capture coverage"),
+            );
         }
     };
     let [reference_ns] = interleaved_medians(cfg.reps, points, [&mut reference]);
     let mut planned = || {
         for &t in &times {
-            black_box(rec.reconstruct_at(&cap, black_box(t)));
+            black_box(
+                rec.try_reconstruct_at(&cap, black_box(t))
+                    .expect("instant inside the capture coverage"),
+            );
         }
     };
     let [planned_ns] = interleaved_medians(cfg.reps, points, [&mut planned]);
@@ -554,7 +560,9 @@ struct CostGridResult {
 
 fn bench_cost_grid(cfg: &Config, fx: &SectionV) -> CostGridResult {
     let cost = &fx.cost;
-    let candidates = cost.sweep_candidates(cfg.candidates);
+    let candidates = cost
+        .try_sweep_candidates(cfg.candidates)
+        .expect("at least two candidates");
 
     let mut reference_grid = Vec::new();
     let mut reference = || {
@@ -599,12 +607,13 @@ struct LmsResultNs {
 fn bench_lms(cfg: &Config, fx: &SectionV) -> LmsResultNs {
     let cost = &fx.cost;
     let rebuild = || {
-        DualRateCost::new(
+        DualRateCost::try_new(
             cost.fast_capture().clone(),
             cost.slow_capture().clone(),
             *cost.config(),
             cost.times().to_vec(),
         )
+        .expect("a well-formed configuration")
     };
     let mut build = || {
         black_box(rebuild());
@@ -694,12 +703,12 @@ struct GridReconResult {
     points: usize,
 }
 
-/// The analysis-grid workload: `BistEngine::run` step 4 reconstructs
+/// The analysis-grid workload: `BistEngine::try_run` step 4 reconstructs
 /// the RF waveform on a dense uniform grid (~12288 points at 4 GHz)
 /// before every mask verdict. The direct reference
-/// (`reconstruct_at_reference`: four kernel cosines and two Kaiser
+/// (`try_reconstruct_at_reference`: four kernel cosines and two Kaiser
 /// Bessel series per tap per point) vs the planned grid
-/// (`reconstruct_grid`: the 4 GHz grid is a 9/400 lattice of the
+/// (`try_reconstruct_grid`: the 4 GHz grid is a 9/400 lattice of the
 /// sample period, so it runs phase-major — 400 weight rows for the
 /// whole batch grid, one dot product per point, reusing its scratch
 /// across repetitions exactly as the engine does across verdicts).
@@ -710,7 +719,9 @@ fn bench_grid_reconstruct(cfg: &Config, fx: &SectionV) -> GridReconResult {
     let mut reference_wave = vec![0.0; points];
     let mut reference = || {
         for (i, slot) in reference_wave.iter_mut().enumerate() {
-            *slot = rec.reconstruct_at_reference(cap, black_box(lo + i as f64 * dt));
+            *slot = rec
+                .try_reconstruct_at_reference(cap, black_box(lo + i as f64 * dt))
+                .expect("instant inside the capture coverage");
         }
         black_box(&reference_wave);
     };
@@ -726,7 +737,10 @@ fn bench_grid_reconstruct(cfg: &Config, fx: &SectionV) -> GridReconResult {
         points,
         [
             &mut || {
-                black_box(rec.reconstruct_grid(cap, lo, dt, points, &mut grid_scratch));
+                black_box(
+                    rec.try_reconstruct_grid(cap, lo, dt, points, &mut grid_scratch)
+                        .expect("grid inside the capture coverage"),
+                );
             },
             &mut || {
                 black_box(plan.try_reconstruct_grid_on(
@@ -789,10 +803,16 @@ fn bench_grid_split(cfg: &Config, fx: &SectionV) -> GridSplit {
         1,
         [
             &mut || {
-                black_box(rec.reconstruct_grid(&cap, lo, dt, SPLIT_POINTS[0], &mut short));
+                black_box(
+                    rec.try_reconstruct_grid(&cap, lo, dt, SPLIT_POINTS[0], &mut short)
+                        .expect("grid inside the capture coverage"),
+                );
             },
             &mut || {
-                black_box(rec.reconstruct_grid(&cap, lo, dt, SPLIT_POINTS[1], &mut long));
+                black_box(
+                    rec.try_reconstruct_grid(&cap, lo, dt, SPLIT_POINTS[1], &mut long)
+                        .expect("grid inside the capture coverage"),
+                );
             },
         ],
     );
@@ -833,11 +853,15 @@ fn bench_rows_once(cfg: &Config, fx: &SectionV) -> RowsOnce {
     let (mut stoppable, mut default) = (GridScratch::new(), GridScratch::new());
     let (mut a, mut b) = (Vec::new(), Vec::new());
     drain_feed(
-        rec.reconstruct_stoppable_blocks(cap, lo, dt, points, &mut stoppable),
+        rec.grid_plan()
+            .try_reconstruct_stoppable_blocks(cap, lo, dt, points, &mut stoppable)
+            .expect("grid inside the capture coverage"),
         |block| a.extend_from_slice(block),
     );
     drain_feed(
-        rec.reconstruct_blocks(cap, lo, dt, points, &mut default),
+        rec.grid_plan()
+            .try_reconstruct_blocks(cap, lo, dt, points, &mut default)
+            .expect("grid inside the capture coverage"),
         |block| b.extend_from_slice(block),
     );
     let [stoppable_ns, default_ns] = interleaved_medians(
@@ -846,7 +870,9 @@ fn bench_rows_once(cfg: &Config, fx: &SectionV) -> RowsOnce {
         [
             &mut || {
                 drain_feed(
-                    rec.reconstruct_stoppable_blocks(cap, lo, dt, points, &mut stoppable),
+                    rec.grid_plan()
+                        .try_reconstruct_stoppable_blocks(cap, lo, dt, points, &mut stoppable)
+                        .expect("grid inside the capture coverage"),
                     |block| {
                         black_box(block);
                     },
@@ -854,7 +880,9 @@ fn bench_rows_once(cfg: &Config, fx: &SectionV) -> RowsOnce {
             },
             &mut || {
                 drain_feed(
-                    rec.reconstruct_blocks(cap, lo, dt, points, &mut default),
+                    rec.grid_plan()
+                        .try_reconstruct_blocks(cap, lo, dt, points, &mut default)
+                        .expect("grid inside the capture coverage"),
                     |block| {
                         black_box(block);
                     },
@@ -879,11 +907,26 @@ struct MaskScanResult {
     verdicts_agree: bool,
 }
 
+/// The scanner `BistEngine::try_run` builds for `mask` on the Section V
+/// analysis grid, Welch-segmented as `(seg, overlap)`.
+fn section_v_scanner(mask: &SpectralMask, seg: usize, overlap: usize) -> MaskScanEngine {
+    MaskScanEngine::try_build(
+        mask,
+        FC,
+        FS_GRID,
+        seg,
+        overlap,
+        Window::BlackmanHarris,
+        None,
+    )
+    .expect("the Section V mask is resolvable on the analysis grid")
+}
+
 /// The mask-bin workload: one Section V reconstruction-grid waveform →
 /// one spectral-mask verdict, FFT-Welch (full PSD + check) vs the
 /// banked-Goertzel scan (mask bins only). Both paths share the
 /// engine's `welch_segmentation` and window, and both timed regions
-/// include their per-verdict setup exactly as `BistEngine::run` pays
+/// include their per-verdict setup exactly as `BistEngine::try_run` pays
 /// it — `welch` regenerates its window per call, and the banked side
 /// rebuilds the `MaskScanEngine` (window, bin table, coefficient
 /// bank) per verdict — so the recorded speedup is what the engine
@@ -909,8 +952,7 @@ fn bench_mask_scan(cfg: &Config, fx: &SectionV) -> MaskScanResult {
     let mut banked_report = None;
     let mut banked = || {
         for _ in 0..verdicts {
-            let scan =
-                MaskScanEngine::new(&mask, FC, FS_GRID, seg, overlap, Window::BlackmanHarris);
+            let scan = section_v_scanner(&mask, seg, overlap);
             banked_report = Some(black_box(
                 scan.try_scan(&wave)
                     .expect("benchmark wave spans a segment"),
@@ -918,7 +960,7 @@ fn bench_mask_scan(cfg: &Config, fx: &SectionV) -> MaskScanResult {
         }
     };
     let [banked_ns] = interleaved_medians(cfg.reps, verdicts, [&mut banked]);
-    let scan = MaskScanEngine::new(&mask, FC, FS_GRID, seg, overlap, Window::BlackmanHarris);
+    let scan = section_v_scanner(&mask, seg, overlap);
 
     let fft_report = fft_report.expect("fft verdict");
     let banked_report = banked_report.expect("banked verdict");
@@ -945,10 +987,10 @@ struct StreamBistResult {
 
 /// The end-to-end verdict pipeline on the Section V capture:
 /// full-grid batch (fresh grid scratch, wave materialized, scanner
-/// constructed per verdict — exactly what `BistEngine::run` paid
+/// constructed per verdict — exactly what `BistEngine::try_run` paid
 /// before the streaming refactor) vs the streaming single pass (block
 /// feed pushed straight into the scan, everything reused — the
-/// `run_with` steady state). The early-exit case times a grossly
+/// `try_run_with` steady state). The early-exit case times a grossly
 /// violating unit under the default guard on the early-stop feed, as
 /// the engine runs an armed early verdict: the feed stops at the
 /// first completed Welch segment, skipping a third of the
@@ -964,7 +1006,7 @@ fn bench_stream_bist(cfg: &Config, fx: &SectionV) -> StreamBistResult {
     // own scratch, so slow drift on a shared machine (the dominant
     // noise source at ~10 ms per verdict) hits every configuration
     // equally and cancels out of the ratios.
-    let scan = MaskScanEngine::new(&mask, FC, FS_GRID, seg, overlap, Window::BlackmanHarris);
+    let scan = section_v_scanner(&mask, seg, overlap);
     let (mut grid, mut stream_scratch) = (GridScratch::new(), StreamScratch::new());
     let (mut early_grid, mut early_scratch) = (GridScratch::new(), StreamScratch::new());
     // Early-exit fixture: a gross in-mask spur (−10 dBc at 15 MHz
@@ -989,16 +1031,10 @@ fn bench_stream_bist(cfg: &Config, fx: &SectionV) -> StreamBistResult {
             &mut || {
                 for _ in 0..verdicts {
                     let mut batch_grid = GridScratch::new();
-                    rec.reconstruct_grid(cap, lo, dt, points, &mut batch_grid);
+                    rec.try_reconstruct_grid(cap, lo, dt, points, &mut batch_grid)
+                        .expect("grid inside the capture coverage");
                     let wave = batch_grid.into_values();
-                    let batch_scan = MaskScanEngine::new(
-                        &mask,
-                        FC,
-                        FS_GRID,
-                        seg,
-                        overlap,
-                        Window::BlackmanHarris,
-                    );
+                    let batch_scan = section_v_scanner(&mask, seg, overlap);
                     batch_report = Some(black_box(
                         batch_scan
                             .try_scan(&wave)
@@ -1007,13 +1043,16 @@ fn bench_stream_bist(cfg: &Config, fx: &SectionV) -> StreamBistResult {
                 }
             },
             // Streaming single pass, scratch and scanner held across
-            // verdicts (the `run_with` steady state).
+            // verdicts (the `try_run_with` steady state).
             &mut || {
                 for _ in 0..verdicts {
                     let mut stream = scan
                         .stream(&mut stream_scratch, None)
                         .with_capture_len(points);
-                    let mut blocks = rec.reconstruct_blocks(cap, lo, dt, points, &mut grid);
+                    let mut blocks = rec
+                        .grid_plan()
+                        .try_reconstruct_blocks(cap, lo, dt, points, &mut grid)
+                        .expect("grid inside the capture coverage");
                     while let Some(block) = blocks.next_block() {
                         if stream.push(block) == ScanFeed::EarlyStop {
                             break;
@@ -1032,13 +1071,16 @@ fn bench_stream_bist(cfg: &Config, fx: &SectionV) -> StreamBistResult {
                     let mut stream = scan
                         .stream(&mut early_scratch, Some(EarlyVerdict::paper_default()))
                         .with_capture_len(points);
-                    let mut blocks = rec.reconstruct_stoppable_blocks(
-                        &spur_cap,
-                        spur_lo,
-                        dt,
-                        points,
-                        &mut early_grid,
-                    );
+                    let mut blocks = rec
+                        .grid_plan()
+                        .try_reconstruct_stoppable_blocks(
+                            &spur_cap,
+                            spur_lo,
+                            dt,
+                            points,
+                            &mut early_grid,
+                        )
+                        .expect("grid inside the capture coverage");
                     let mut produced = 0usize;
                     while let Some(block) = blocks.next_block() {
                         produced += block.len();
@@ -1095,7 +1137,9 @@ struct ServiceResult {
 fn bench_service(cfg: &Config, fx: &SectionV) -> ServiceResult {
     use rfbist_core::service::{ServiceConfig, SharedSignal, VerdictJob, VerdictService};
 
-    let mut bist = BistConfig::paper_default().with_calibrated_skew(D);
+    let mut bist = BistConfig::paper_default()
+        .try_with_calibrated_skew(D)
+        .expect("a positive skew");
     bist.grid_len = 2048;
     let mask = SpectralMask::qpsk_10msym();
     let stimulus: SharedSignal = fx.dut.clone();
@@ -1236,7 +1280,9 @@ fn bench_probe_sums(cfg: &Config, fx: &SectionV) -> ProbeSumsResult {
         ],
     );
     let sums = build(arm);
-    let candidates = cost.sweep_candidates(cfg.candidates);
+    let candidates = cost
+        .try_sweep_candidates(cfg.candidates)
+        .expect("at least two candidates");
     let eval = |arm: Arm, out: &mut Vec<f64>| {
         for _ in 0..EVAL_SWEEPS {
             for &d in &candidates {
@@ -1399,7 +1445,10 @@ fn bench_stages(cfg: &Config, fx: &SectionV) -> StagesResult {
         .expect("the Section V DUT calibrates");
     let engines = [
         BistEngine::new(bist.clone()),
-        BistEngine::new(bist.with_calibrated_skew(calibration.delay)),
+        BistEngine::new(
+            bist.try_with_calibrated_skew(calibration.delay)
+                .expect("a positive skew"),
+        ),
     ];
     let none: Option<&Tone> = None;
     let mut scratch = BistScratch::new();

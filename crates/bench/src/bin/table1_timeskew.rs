@@ -1,6 +1,6 @@
 //! Regenerates paper **Table I**: time-skew estimation analysis.
 //!
-//! Rows 1–2: the sine-fit baseline (adapted from Jamal et al. [14])
+//! Rows 1–2: the sine-fit baseline (adapted from Jamal et al. \[14\])
 //! with test tones whose aliases land at ω₀ = 0.4·B and 0.46·B.
 //! Rows 3–4: the paper's LMS technique started from D̂₀ = 50 ps and
 //! 400 ps.

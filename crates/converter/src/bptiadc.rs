@@ -259,6 +259,7 @@ mod tests {
     use rfbist_math::rng::Randomizer;
     use rfbist_math::stats::nrmse;
     use rfbist_sampling::band::BandSpec;
+    use rfbist_sampling::gridplan::GridScratch;
     use rfbist_sampling::reconstruct::PnbsReconstructor;
     use rfbist_signal::tone::Tone;
 
@@ -315,7 +316,12 @@ mod tests {
         let rec = PnbsReconstructor::paper_default(band, adc.true_delay()).unwrap();
         let mut rng = Randomizer::from_seed(4);
         let times: Vec<f64> = (0..300).map(|_| rng.uniform(0.5e-6, 2.5e-6)).collect();
-        let err = nrmse(&rec.reconstruct(&cap, &times), &tone.sample(&times));
+        let mut scratch = GridScratch::new();
+        let got = rec
+            .grid_plan()
+            .try_reconstruct_instants(&cap, &times, &mut scratch)
+            .unwrap();
+        let err = nrmse(got, &tone.sample(&times));
         assert!(err < 0.03, "nrmse {err}");
         assert!(
             err > 0.001,

@@ -1,7 +1,7 @@
 //! Offset and gain background calibration.
 //!
 //! The paper notes that "the offset and the gain error calibrations are
-//! relatively simple to implement [16]" and focuses on time skew. This
+//! relatively simple to implement \[16\]" and focuses on time skew. This
 //! module supplies that simple machinery: estimate per-channel offset
 //! and relative gain from a capture, and return a corrected capture, so
 //! the skew estimators can assume offset/gain-clean streams.
@@ -23,7 +23,7 @@ pub struct MismatchEstimate {
 ///
 /// Assumes the two streams sample the *same* wide-sense-stationary
 /// signal, so their long-run means and powers should agree — the
-/// standard background-calibration assumption of Fu et al. [16].
+/// standard background-calibration assumption of Fu et al. \[16\].
 pub fn estimate_mismatch(capture: &NonuniformCapture) -> MismatchEstimate {
     let n = capture.len() as f64;
     let offset_even = capture.even().iter().sum::<f64>() / n;

@@ -107,19 +107,8 @@ pub struct NoiseFigureConfig {
 impl NoiseFigureConfig {
     /// A measurement band over `[offset_lo, offset_hi]` Hz from the
     /// carrier against the reference noise floor
-    /// `reference_density_dbhz` (dB/Hz), with no verdict limit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the band is malformed.
-    pub fn new(offset_lo: f64, offset_hi: f64, reference_density_dbhz: f64) -> Self {
-        Self::try_new(offset_lo, offset_hi, reference_density_dbhz)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`new`](Self::new) (same `[offset_lo, offset_hi]` Hz band and
-    /// `reference_density_dbhz` dB/Hz floor) returning a typed
-    /// [`BistError::InvalidConfig`] on a malformed band.
+    /// `reference_density_dbhz` (dB/Hz), with no verdict limit; a
+    /// malformed band is [`BistError::InvalidConfig`].
     pub fn try_new(
         offset_lo: f64,
         offset_hi: f64,
@@ -183,7 +172,7 @@ pub struct BistConfig {
     /// skips the per-run cost/LMS estimation and reconstructs with
     /// this delay. Skew is a hardware property of the sampler, not of
     /// the stimulus — estimate it once on a wideband calibration burst
-    /// ([`BistEngine::calibrate_skew`]) and reuse it across
+    /// ([`BistEngine::try_calibrate_skew`]) and reuse it across
     /// per-standard verdicts. This closes the narrowband trap: a
     /// GSM-like 270 ksym/s carrier leaves the dual-rate cost surface
     /// nearly flat and the LMS settles ~170 ps off, while a 10 Msym/s
@@ -251,19 +240,8 @@ impl BistConfig {
     }
 
     /// Builder-style: reuse an externally calibrated skew (seconds),
-    /// bypassing the per-run LMS estimation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay` is not a positive finite delay.
-    pub fn with_calibrated_skew(self, delay: f64) -> Self {
-        self.try_with_calibrated_skew(delay)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`with_calibrated_skew`](Self::with_calibrated_skew) returning
-    /// a typed [`BistError::InvalidConfig`] on a non-positive or
-    /// non-finite delay.
+    /// bypassing the per-run LMS estimation; a non-positive or
+    /// non-finite delay is [`BistError::InvalidConfig`].
     pub fn try_with_calibrated_skew(mut self, delay: f64) -> Result<Self, BistError> {
         if !(delay.is_finite() && delay > 0.0) {
             return Err(BistError::InvalidConfig {
@@ -308,9 +286,10 @@ pub fn welch_segmentation(grid_len: usize) -> (usize, usize) {
 /// Reusable engine buffers: grid-reconstruction scratch, streaming-scan
 /// scratch and the prepared [`MaskScanEngine`] (cached against its
 /// configuration), so sweep loops
-/// ([`run_with`](BistEngine::run_with)) stop paying per-verdict
+/// ([`try_run_with`](BistEngine::try_run_with)) stop paying per-verdict
 /// allocation and scanner construction. One fresh instance per
-/// [`run`](BistEngine::run) preserves the allocating convenience form.
+/// [`try_run`](BistEngine::try_run) preserves the allocating
+/// convenience form.
 #[derive(Clone, Debug, Default)]
 pub struct BistScratch {
     grid: GridScratch,
@@ -320,7 +299,6 @@ pub struct BistScratch {
 
 impl BistScratch {
     /// An empty scratch.
-    // analysis: allow(typed-error-parity) — infallible struct-literal constructor (panic capability is a same-file name match against `NoiseFigureConfig::new`)
     pub fn new() -> Self {
         Self::default()
     }
@@ -399,7 +377,6 @@ pub struct BistEngine {
 
 impl BistEngine {
     /// Creates an engine from a configuration.
-    // analysis: allow(typed-error-parity) — infallible struct-literal constructor (panic capability is a same-file name match against `NoiseFigureConfig::new`)
     pub fn new(config: BistConfig) -> Self {
         BistEngine { config }
     }
@@ -414,18 +391,7 @@ impl BistEngine {
     /// `reference` is given, the report also carries the relative RMS
     /// error between the reconstruction and that reference (Δε in the
     /// paper's Table I). Sweep loops should prefer
-    /// [`run_with`](Self::run_with).
-    pub fn run<S: ContinuousSignal, R: ContinuousSignal>(
-        &self,
-        dut: &S,
-        mask: &SpectralMask,
-        reference: Option<&R>,
-    ) -> BistReport {
-        self.run_with(dut, mask, reference, &mut BistScratch::new())
-    }
-
-    /// [`run`](Self::run) returning a typed [`BistError`] instead of
-    /// panicking on unusable captures or undecidable scans.
+    /// [`try_run_with`](Self::try_run_with).
     pub fn try_run<S: ContinuousSignal, R: ContinuousSignal>(
         &self,
         dut: &S,
@@ -435,32 +401,14 @@ impl BistEngine {
         self.try_run_with(dut, mask, reference, &mut BistScratch::new())
     }
 
-    /// [`run`](Self::run) with caller-owned [`BistScratch`], so
+    /// [`try_run`](Self::try_run) with caller-owned [`BistScratch`], so
     /// repeated verdicts (fault sweeps, multi-standard loops, benches)
     /// reuse the grid and scan buffers and the prepared scanner
     /// instead of reallocating them per call. Parallelism belongs at
     /// the job level: run many verdicts on the
     /// [`VerdictService`](crate::service::VerdictService) pool.
     ///
-    /// The analysis grid is streamed: reconstruction blocks feed the
-    /// banked-Goertzel mask scan as they are produced, the full grid
-    /// never materializes, and an armed [`BistConfig::early_verdict`]
-    /// stops reconstruction as soon as the verdict is decided (the
-    /// report's `early_exit` flag records this; Δε then covers only the
-    /// reconstructed prefix).
-    pub fn run_with<S: ContinuousSignal, R: ContinuousSignal>(
-        &self,
-        dut: &S,
-        mask: &SpectralMask,
-        reference: Option<&R>,
-        scratch: &mut BistScratch,
-    ) -> BistReport {
-        self.try_run_with(dut, mask, reference, scratch)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`run_with`](Self::run_with) returning a typed [`BistError`]
-    /// instead of panicking — the fail-safe entry point:
+    /// Every failure is a typed [`BistError`]:
     ///
     /// - raw captures are health-scanned **before** calibration
     ///   ([`CaptureHealth::scan`]; NaN would poison the calibration
@@ -469,6 +417,13 @@ impl BistEngine {
     /// - geometry problems (capture too short for the tap window or
     ///   the analysis grid, scan grid without mask coverage) come back
     ///   as values.
+    ///
+    /// The analysis grid is streamed: reconstruction blocks feed the
+    /// banked-Goertzel mask scan as they are produced, the full grid
+    /// never materializes, and an armed [`BistConfig::early_verdict`]
+    /// stops reconstruction as soon as the verdict is decided (the
+    /// report's `early_exit` flag records this; Δε then covers only the
+    /// reconstructed prefix).
     pub fn try_run_with<S: ContinuousSignal, R: ContinuousSignal>(
         &self,
         dut: &S,
@@ -584,10 +539,16 @@ impl BistEngine {
         // An armed early verdict takes the early-stop feed, whose
         // shorter chunks let a stop skip the rest of the grid; a full
         // scan takes the default feed, which builds fewer rows.
-        let mut blocks = if cfg.early_verdict.is_some() {
-            rec.reconstruct_stoppable_blocks(&fast_cap, lo, dt, n_grid, grid)
+        let plan = rec.grid_plan();
+        let blocks = if cfg.early_verdict.is_some() {
+            plan.try_reconstruct_stoppable_blocks(&fast_cap, lo, dt, n_grid, grid)
         } else {
-            rec.reconstruct_blocks(&fast_cap, lo, dt, n_grid, grid)
+            plan.try_reconstruct_blocks(&fast_cap, lo, dt, n_grid, grid)
+        };
+        let Some(mut blocks) = blocks else {
+            return Err(BistError::CaptureTooShort {
+                reason: "fast capture does not cover the analysis grid".to_string(),
+            });
         };
         loop {
             let Some(block) = blocks.next_block() else {
@@ -661,16 +622,11 @@ impl BistEngine {
     /// through the same front-end pins it to sub-ps. Calibrate once on
     /// a wideband burst at the deployment carrier, then run
     /// per-standard verdicts with
-    /// [`BistConfig::with_calibrated_skew`].
-    pub fn calibrate_skew<S: ContinuousSignal>(&self, stimulus: &S) -> SkewEstimate {
-        self.try_calibrate_skew(stimulus)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`calibrate_skew`](Self::calibrate_skew) returning a typed
-    /// [`BistError`] instead of panicking: both raw captures are
-    /// health-scanned before calibration, and the probe window is
-    /// verified before the cost is built.
+    /// [`BistConfig::try_with_calibrated_skew`].
+    ///
+    /// Both raw captures are health-scanned before calibration, and
+    /// the probe window is verified before the cost is built; every
+    /// failure is a typed [`BistError`].
     pub fn try_calibrate_skew<S: ContinuousSignal>(
         &self,
         stimulus: &S,
@@ -772,7 +728,9 @@ mod tests {
         let tx = paper_tx(TxImpairments::typical());
         let engine = BistEngine::new(BistConfig::paper_default());
         let ideal = tx.ideal_rf_output();
-        let report = engine.run(&tx.rf_output(), &SpectralMask::qpsk_10msym(), Some(&ideal));
+        let report = engine
+            .try_run(&tx.rf_output(), &SpectralMask::qpsk_10msym(), Some(&ideal))
+            .unwrap();
         assert!(
             report.mask.passed,
             "worst margin {}",
@@ -799,11 +757,13 @@ mod tests {
             Fault::new(FaultKind::PaEarlyCompression { v_sat_factor: 0.05 }).inject(healthy);
         let tx = paper_tx(faulty);
         let engine = BistEngine::new(BistConfig::paper_default());
-        let report = engine.run(
-            &tx.rf_output(),
-            &SpectralMask::qpsk_10msym(),
-            None::<&BandpassSignal<ShapedBaseband>>,
-        );
+        let report = engine
+            .try_run(
+                &tx.rf_output(),
+                &SpectralMask::qpsk_10msym(),
+                None::<&BandpassSignal<ShapedBaseband>>,
+            )
+            .unwrap();
         assert!(
             !report.mask.passed,
             "expected regrowth violation, margin {}",
@@ -819,11 +779,12 @@ mod tests {
                 .inject(TxImpairments::typical());
             let tx = paper_tx(imp);
             engine
-                .run(
+                .try_run(
                     &tx.rf_output(),
                     &SpectralMask::qpsk_10msym(),
                     None::<&BandpassSignal<ShapedBaseband>>,
                 )
+                .unwrap()
                 .mask
                 .worst_margin_db
         };
@@ -836,11 +797,13 @@ mod tests {
     fn ideal_frontend_recovers_skew_sub_picosecond() {
         let tx = paper_tx(TxImpairments::typical());
         let engine = BistEngine::new(BistConfig::paper_default().with_ideal_frontend());
-        let report = engine.run(
-            &tx.rf_output(),
-            &SpectralMask::qpsk_10msym(),
-            None::<&BandpassSignal<ShapedBaseband>>,
-        );
+        let report = engine
+            .try_run(
+                &tx.rf_output(),
+                &SpectralMask::qpsk_10msym(),
+                None::<&BandpassSignal<ShapedBaseband>>,
+            )
+            .unwrap();
         assert!(
             (report.skew.delay - report.true_delay).abs() < 0.3e-12,
             "skew {} vs true {}",
@@ -898,7 +861,9 @@ mod tests {
             "builder must select the schedule"
         );
         let ideal = tx.ideal_rf_output();
-        let report = engine.run(&tx.rf_output(), &SpectralMask::qpsk_10msym(), Some(&ideal));
+        let report = engine
+            .try_run(&tx.rf_output(), &SpectralMask::qpsk_10msym(), Some(&ideal))
+            .unwrap();
         assert!(
             report.mask.passed,
             "worst margin {}",
@@ -914,7 +879,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "capture too short")]
     fn too_coarse_grid_fails_early_with_clear_error() {
         // a grid sample longer than the whole reconstruction coverage
         // used to surface as a panic deep inside the Welch estimator;
@@ -923,10 +887,23 @@ mod tests {
         let mut cfg = BistConfig::paper_default();
         cfg.grid_rate = 1e5; // 10 µs per grid sample vs ~3.5 µs coverage
         let engine = BistEngine::new(cfg);
-        let _ = engine.run(
-            &tx.rf_output(),
-            &SpectralMask::qpsk_10msym(),
-            None::<&BandpassSignal<ShapedBaseband>>,
+        let err = engine
+            .try_run(
+                &tx.rf_output(),
+                &SpectralMask::qpsk_10msym(),
+                None::<&BandpassSignal<ShapedBaseband>>,
+            )
+            .unwrap_err();
+        assert!(matches!(err, BistError::CaptureTooShort { .. }), "{err:?}");
+        // the fast capture's 61-tap coverage runs from pair 80 + 30 to
+        // pair 80 + 380 − 1 − 30 of the 90 MHz sampler
+        let (lo, hi) = (110.0 / 90e6, 429.0 / 90e6);
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "capture too short for the analysis grid: reconstruction coverage \
+                 [{lo:.3e}, {hi:.3e}] s spans less than one sample at 1.000e5 Hz"
+            )
         );
     }
 
@@ -943,17 +920,21 @@ mod tests {
         );
         let mut scratch = BistScratch::new();
         for tx in [&healthy, &faulty, &healthy] {
-            let reused = engine.run_with(
-                &tx.rf_output(),
-                &SpectralMask::qpsk_10msym(),
-                Some(&tx.ideal_rf_output()),
-                &mut scratch,
-            );
-            let fresh = engine.run(
-                &tx.rf_output(),
-                &SpectralMask::qpsk_10msym(),
-                Some(&tx.ideal_rf_output()),
-            );
+            let reused = engine
+                .try_run_with(
+                    &tx.rf_output(),
+                    &SpectralMask::qpsk_10msym(),
+                    Some(&tx.ideal_rf_output()),
+                    &mut scratch,
+                )
+                .unwrap();
+            let fresh = engine
+                .try_run(
+                    &tx.rf_output(),
+                    &SpectralMask::qpsk_10msym(),
+                    Some(&tx.ideal_rf_output()),
+                )
+                .unwrap();
             assert_eq!(reused.mask, fresh.mask);
             assert_eq!(reused.reconstruction_error, fresh.reconstruction_error);
             assert_eq!(reused.skew.delay, fresh.skew.delay);
@@ -973,16 +954,20 @@ mod tests {
             BistConfig::paper_default().with_early_verdict(EarlyVerdict::paper_default()),
         );
         let unarmed = BistEngine::new(BistConfig::paper_default());
-        let a = armed.run(
-            &tx.rf_output(),
-            &SpectralMask::qpsk_10msym(),
-            None::<&BandpassSignal<ShapedBaseband>>,
-        );
-        let b = unarmed.run(
-            &tx.rf_output(),
-            &SpectralMask::qpsk_10msym(),
-            None::<&BandpassSignal<ShapedBaseband>>,
-        );
+        let a = armed
+            .try_run(
+                &tx.rf_output(),
+                &SpectralMask::qpsk_10msym(),
+                None::<&BandpassSignal<ShapedBaseband>>,
+            )
+            .unwrap();
+        let b = unarmed
+            .try_run(
+                &tx.rf_output(),
+                &SpectralMask::qpsk_10msym(),
+                None::<&BandpassSignal<ShapedBaseband>>,
+            )
+            .unwrap();
         assert!(!a.early_exit, "policy must not fire on a passing unit");
         assert_eq!(a, b, "armed run must match the full verdict");
 
@@ -991,7 +976,7 @@ mod tests {
         for dep in Deployment::builtin_five() {
             let standard = library.get(&dep.standard).expect("builtin standard");
             let cfg = dep
-                .try_calibrate(dep.bist_config(), campaign.base_seed)
+                .try_calibrate(dep.try_bist_config().unwrap(), campaign.base_seed)
                 .expect("the calibration burst converges");
             let bb = dep.payload(
                 cfg.fast_start,
@@ -1007,8 +992,10 @@ mod tests {
                 cfg.clone()
                     .with_early_verdict(EarlyVerdict::paper_default()),
             );
-            let a = armed.run(&dut, &standard.mask, Some(&ideal));
-            let b = BistEngine::new(cfg).run(&dut, &standard.mask, Some(&ideal));
+            let a = armed.try_run(&dut, &standard.mask, Some(&ideal)).unwrap();
+            let b = BistEngine::new(cfg)
+                .try_run(&dut, &standard.mask, Some(&ideal))
+                .unwrap();
             assert!(a.passed(), "{}: healthy unit fails\n{a}", dep.standard);
             assert!(!a.early_exit, "{}: policy fired", dep.standard);
             assert_eq!(a, b, "{}: armed run differs", dep.standard);
@@ -1023,11 +1010,13 @@ mod tests {
         let engine = BistEngine::new(
             BistConfig::paper_default().with_early_verdict(EarlyVerdict::paper_default()),
         );
-        let report = engine.run(
-            &tx.rf_output(),
-            &SpectralMask::qpsk_10msym(),
-            None::<&BandpassSignal<ShapedBaseband>>,
-        );
+        let report = engine
+            .try_run(
+                &tx.rf_output(),
+                &SpectralMask::qpsk_10msym(),
+                None::<&BandpassSignal<ShapedBaseband>>,
+            )
+            .unwrap();
         assert!(report.early_exit, "gross regrowth must decide early");
         assert!(!report.mask.passed);
         assert!(report.mask.worst_margin_db < -EarlyVerdict::paper_default().guard_db);
@@ -1048,16 +1037,20 @@ mod tests {
         let ideal_ref = tx.ideal_rf_output();
         let noisy = BistEngine::new(BistConfig::paper_default());
         let clean = BistEngine::new(BistConfig::paper_default().with_ideal_frontend());
-        let r_noisy = noisy.run(
-            &tx.rf_output(),
-            &SpectralMask::qpsk_10msym(),
-            Some(&ideal_ref),
-        );
-        let r_clean = clean.run(
-            &tx.rf_output(),
-            &SpectralMask::qpsk_10msym(),
-            Some(&ideal_ref),
-        );
+        let r_noisy = noisy
+            .try_run(
+                &tx.rf_output(),
+                &SpectralMask::qpsk_10msym(),
+                Some(&ideal_ref),
+            )
+            .unwrap();
+        let r_clean = clean
+            .try_run(
+                &tx.rf_output(),
+                &SpectralMask::qpsk_10msym(),
+                Some(&ideal_ref),
+            )
+            .unwrap();
         assert!(r_clean.reconstruction_error.unwrap() < r_noisy.reconstruction_error.unwrap());
     }
 
@@ -1091,17 +1084,19 @@ mod tests {
         // DCDE jitter smears the carrier into a real ≈ −117 dB/Hz
         // floor that sits right on top of the injected one.
         let (dut, density_dbhz) = noisy_paper_tx(0.01);
-        let nf_cfg = NoiseFigureConfig::new(25e6, 40e6, density_dbhz);
+        let nf_cfg = NoiseFigureConfig::try_new(25e6, 40e6, density_dbhz).unwrap();
         let engine = BistEngine::new(
             BistConfig::paper_default()
                 .with_ideal_frontend()
                 .with_noise_figure(nf_cfg),
         );
-        let report = engine.run(
-            &dut,
-            &SpectralMask::qpsk_10msym(),
-            None::<&BandpassSignal<ShapedBaseband>>,
-        );
+        let report = engine
+            .try_run(
+                &dut,
+                &SpectralMask::qpsk_10msym(),
+                None::<&BandpassSignal<ShapedBaseband>>,
+            )
+            .unwrap();
         let nf = report.noise_figure_db.expect("NF was configured");
         assert!(nf.abs() < 1.5, "noise figure off by {nf} dB");
         assert!(report.nf_ok, "no limit configured, gate must stay open");
@@ -1113,13 +1108,17 @@ mod tests {
         let (dut, density_dbhz) = noisy_paper_tx(0.01);
         // reference 10 dB below the injected density → NF ≈ 10 dB,
         // over a 5 dB limit
-        let nf_cfg = NoiseFigureConfig::new(25e6, 40e6, density_dbhz - 10.0).with_max_nf(5.0);
+        let nf_cfg = NoiseFigureConfig::try_new(25e6, 40e6, density_dbhz - 10.0)
+            .unwrap()
+            .with_max_nf(5.0);
         let engine = BistEngine::new(BistConfig::paper_default().with_noise_figure(nf_cfg));
-        let report = engine.run(
-            &dut,
-            &SpectralMask::qpsk_10msym(),
-            None::<&BandpassSignal<ShapedBaseband>>,
-        );
+        let report = engine
+            .try_run(
+                &dut,
+                &SpectralMask::qpsk_10msym(),
+                None::<&BandpassSignal<ShapedBaseband>>,
+            )
+            .unwrap();
         assert!(report.mask.passed, "mask itself is still clean");
         assert!(
             !report.nf_ok,
@@ -1139,11 +1138,13 @@ mod tests {
             max_residual_cost: Some(1e-30),
         };
         let engine = BistEngine::new(BistConfig::paper_default().with_skew_gate(gate));
-        let report = engine.run(
-            &tx.rf_output(),
-            &SpectralMask::qpsk_10msym(),
-            None::<&BandpassSignal<ShapedBaseband>>,
-        );
+        let report = engine
+            .try_run(
+                &tx.rf_output(),
+                &SpectralMask::qpsk_10msym(),
+                None::<&BandpassSignal<ShapedBaseband>>,
+            )
+            .unwrap();
         assert!(report.mask.passed);
         assert!(!report.skew_ok);
         assert!(!report.passed());
@@ -1153,13 +1154,17 @@ mod tests {
     fn calibrated_skew_is_reused_and_stays_accurate() {
         let tx = paper_tx(TxImpairments::typical());
         let base = BistConfig::paper_default();
-        let est = BistEngine::new(base.clone()).calibrate_skew(&tx.rf_output());
-        let engine = BistEngine::new(base.with_calibrated_skew(est.delay));
-        let report = engine.run(
-            &tx.rf_output(),
-            &SpectralMask::qpsk_10msym(),
-            Some(&tx.ideal_rf_output()),
-        );
+        let est = BistEngine::new(base.clone())
+            .try_calibrate_skew(&tx.rf_output())
+            .unwrap();
+        let engine = BistEngine::new(base.try_with_calibrated_skew(est.delay).unwrap());
+        let report = engine
+            .try_run(
+                &tx.rf_output(),
+                &SpectralMask::qpsk_10msym(),
+                Some(&tx.ideal_rf_output()),
+            )
+            .unwrap();
         assert!(report.passed(), "calibrated healthy run must pass");
         assert!(report.skew_ok, "calibrated skew carries the gate");
         assert!(
@@ -1210,7 +1215,7 @@ mod tests {
             cal_ledger.total(VerdictStage::Reconstruction),
             Duration::ZERO
         );
-        let calibrated = BistEngine::new(base.with_calibrated_skew(calibration.delay));
+        let calibrated = BistEngine::new(base.try_with_calibrated_skew(calibration.delay).unwrap());
         let mut ledger = StageLedger::new();
         let report = calibrated
             .try_run_traced(&dut, &mask, none, &mut scratch, &mut ledger)

@@ -122,19 +122,9 @@ impl Deployment {
 
     /// The per-standard engine configuration: same hardware, new
     /// software plan (DCDE target, capture lengths, analysis grid,
-    /// LMS seed point).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the carrier violates the eq. 9 identifiability
-    /// conditions for the fixed rate pair.
-    pub fn bist_config(&self) -> BistConfig {
-        self.try_bist_config().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`bist_config`](Self::bist_config) returning a typed
-    /// [`BistError::InvalidConfig`] when the carrier violates the
-    /// eq. 9 identifiability conditions for the fixed rate pair.
+    /// LMS seed point). A carrier that violates the eq. 9
+    /// identifiability conditions for the fixed rate pair is
+    /// [`BistError::InvalidConfig`].
     pub fn try_bist_config(&self) -> Result<BistConfig, BistError> {
         let d_target = self.delay_target();
         let dual = DualRateConfig::new(self.carrier_hz, CAMPAIGN_B, CAMPAIGN_B1, d_target)
@@ -683,20 +673,6 @@ pub fn try_run_campaign_supervised(
     Ok(CoverageMatrix { standards })
 }
 
-/// Runs the campaign and returns the coverage matrix.
-///
-/// Thin panicking wrapper over [`try_run_campaign`], kept for
-/// call-site compatibility.
-///
-/// # Panics
-///
-/// Panics if the configuration is empty (no deployments, faults,
-/// trials or jitter profiles), if a deployment names an unknown
-/// standard, or if `eps_ratio` is not a finite value above 1.
-pub fn run_campaign(cfg: &CampaignConfig) -> CoverageMatrix {
-    try_run_campaign(cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -721,7 +697,7 @@ mod tests {
 
     #[test]
     fn single_cell_campaign_detects_and_stays_quiet() {
-        let matrix = run_campaign(&one_cell_config());
+        let matrix = try_run_campaign(&one_cell_config()).unwrap();
         assert_eq!(matrix.standards.len(), 1);
         let s = &matrix.standards[0];
         assert_eq!(s.standard, "qpsk-10msym-srrc0.5");
@@ -791,7 +767,7 @@ mod tests {
                 dep.standard
             );
             // the configured engine must construct (identifiability)
-            let cfg = dep.bist_config();
+            let cfg = dep.try_bist_config().unwrap();
             assert_eq!(cfg.grid_len, dep.grid_len);
             assert!(dep.delay_target() > 0.0);
         }
@@ -827,11 +803,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown standard")]
     fn unknown_standard_fails_fast() {
         let mut cfg = one_cell_config();
         cfg.deployments[0].standard = "no-such-standard".into();
-        let _ = run_campaign(&cfg);
+        let err = try_run_campaign(&cfg).unwrap_err();
+        assert!(matches!(err, BistError::UnknownStandard { .. }), "{err:?}");
+        assert_eq!(
+            err.to_string(),
+            "unknown standard `no-such-standard` — known standards: `gsm-like-270k`, \
+             `lte5-like`, `qpsk-10msym-srrc0.5`, `wb-20msym-srrc0.35`, `wcdma-like-3g84`"
+        );
     }
 
     #[test]

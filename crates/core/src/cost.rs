@@ -18,7 +18,7 @@
 //! The eq. 2 kernel depends on `D̂` only through its numerator weights
 //! and the odd stream's shift, so every constructor summarizes each
 //! capture once at the probe times
-//! ([`ProbeSums`](rfbist_sampling::gridplan::ProbeSums)): six exact
+//! ([`ProbeSums`]): six exact
 //! even-stream sums per probe, six odd-stream sums at the nine
 //! Chebyshev nodes of `[0, m]`, and the few taps the fit cannot
 //! reproduce (poles near `[0, m]`, window support edges) kept exact.
@@ -62,26 +62,11 @@ pub struct DualRateCost {
 }
 
 impl DualRateCost {
-    /// Builds the cost from explicit probe times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `times` is empty, if either capture's rate disagrees
-    /// with `config`, or if any probe time falls outside both captures'
-    /// reconstruction coverage (checked against the paper's 61-tap
-    /// filter span).
-    pub fn new(
-        fast: NonuniformCapture,
-        slow: NonuniformCapture,
-        config: DualRateConfig,
-        times: Vec<f64>,
-    ) -> Self {
-        Self::try_new(fast, slow, config, times).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`new`](Self::new) in typed form: every contract violation
-    /// surfaces as [`BistError::InvalidConfig`] (with the same message
-    /// the panicking constructor raises) instead of a panic.
+    /// Builds the cost from explicit probe times. An empty `times`, a
+    /// capture whose rate disagrees with `config`, or a probe time
+    /// outside either capture's reconstruction coverage (checked
+    /// against the paper's 61-tap filter span) is
+    /// [`BistError::InvalidConfig`].
     pub fn try_new(
         fast: NonuniformCapture,
         slow: NonuniformCapture,
@@ -146,11 +131,11 @@ impl DualRateCost {
         })
     }
 
-    /// The coverage check behind every probe schedule, in typed form:
-    /// `Err` carries the same message the panicking constructors raise
-    /// ("… capture too short" / "captures do not overlap in time"), so
-    /// the engine's `try_*` paths can reject an undersized capture as
-    /// a value before the cost is built.
+    /// The coverage check behind every probe schedule: `Err` carries
+    /// the reason ("… capture too short" / "captures do not overlap in
+    /// time") the schedules report as [`BistError::CaptureTooShort`],
+    /// so an undersized capture is rejected as a value before the cost
+    /// is built.
     ///
     /// The window is where both captures hold the whole
     /// [`PROBE_TAPS`]-tap support of every probe: it depends on the
@@ -176,9 +161,9 @@ impl DualRateCost {
         Ok((lo, hi))
     }
 
-    /// The paper's probe setup: `n` random times drawn uniformly from
-    /// the intersection of both captures' coverage (the paper uses
-    /// N = 300 over a 1230 ns window), 61-tap Kaiser reconstruction.
+    /// [`try_paper_probes`](Self::try_paper_probes), panicking on its
+    /// error, kept while the benchmark's replica of the engine calls
+    /// it.
     pub fn paper_probes(
         fast: NonuniformCapture,
         slow: NonuniformCapture,
@@ -189,10 +174,11 @@ impl DualRateCost {
         Self::try_paper_probes(fast, slow, config, n, seed).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`paper_probes`](Self::paper_probes) in typed form: an empty
-    /// schedule or an undersized capture surfaces as a
-    /// [`BistError`] (with the panicking constructor's message)
-    /// instead of a panic.
+    /// The paper's probe setup: `n` random times drawn uniformly from
+    /// the intersection of both captures' coverage (the paper uses
+    /// N = 300 over a 1230 ns window), 61-tap Kaiser reconstruction.
+    /// An empty schedule is [`BistError::InvalidConfig`], an undersized
+    /// capture [`BistError::CaptureTooShort`].
     pub fn try_paper_probes(
         fast: NonuniformCapture,
         slow: NonuniformCapture,
@@ -212,21 +198,9 @@ impl DualRateCost {
         Self::build(fast, slow, config, times, None)
     }
 
-    /// Uniform-grid probe schedule: `n` probe times on a short rational
-    /// lattice of the fast sample period `T`, centred in both captures'
-    /// coverage intersection (so the singular coverage edges are never
-    /// touched), 61-tap Kaiser reconstruction. The step is `p/q·T`, the
-    /// largest fraction not above `window/(n·T)` with
-    /// `q ≤` [`MAX_PROBE_LATTICE_PHASES`] ([`try_probe_lattice`](Self::try_probe_lattice)):
-    /// `12/13·T` on Section V (`6/13·T₁` on the slow capture), so the
-    /// probes of each lattice residue share their weights and the
-    /// probe sums are built in grid order at about half the cost of
-    /// arbitrary instants.
-    ///
-    /// Functionally interchangeable with
-    /// [`paper_probes`](Self::paper_probes): the cost keeps its unique
-    /// minimum at the true delay, and both schedules evaluate through
-    /// the same probe sums.
+    /// [`try_grid_probes`](Self::try_grid_probes), panicking on its
+    /// error, kept while the benchmark's replica of the engine calls
+    /// it.
     pub fn grid_probes(
         fast: NonuniformCapture,
         slow: NonuniformCapture,
@@ -236,10 +210,23 @@ impl DualRateCost {
         Self::try_grid_probes(fast, slow, config, n).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`grid_probes`](Self::grid_probes) in typed form: an empty
-    /// schedule or an undersized capture surfaces as a
-    /// [`BistError`] (with the panicking constructor's message)
-    /// instead of a panic.
+    /// Uniform-grid probe schedule: `n` probe times on a short rational
+    /// lattice of the fast sample period `T`, centred in both captures'
+    /// coverage intersection (so the singular coverage edges are never
+    /// touched), 61-tap Kaiser reconstruction. The step is `p/q·T`, the
+    /// largest fraction not above `window/(n·T)` with
+    /// `q ≤` [`MAX_PROBE_LATTICE_PHASES`] ([`try_probe_lattice`](Self::try_probe_lattice)):
+    /// `12/13·T` on Section V (`6/13·T₁` on the slow capture), so the
+    /// probes of each lattice residue share their weights and the
+    /// probe sums are built in grid order at about half the cost of
+    /// arbitrary instants. An empty schedule or an undersized capture
+    /// is a [`BistError`], as for
+    /// [`try_paper_probes`](Self::try_paper_probes).
+    ///
+    /// Functionally interchangeable with
+    /// [`try_paper_probes`](Self::try_paper_probes): the cost keeps its
+    /// unique minimum at the true delay, and both schedules evaluate
+    /// through the same probe sums.
     pub fn try_grid_probes(
         fast: NonuniformCapture,
         slow: NonuniformCapture,
@@ -252,7 +239,7 @@ impl DualRateCost {
     }
 
     /// The first probe time and the step of the
-    /// [`grid_probes`](Self::grid_probes) schedule of `n` probes: the
+    /// [`try_grid_probes`](Self::try_grid_probes) schedule of `n` probes: the
     /// step is `p/q·T` (`T` the fast period), the largest such fraction
     /// not above `window/(n·T)` for `q ≤` [`MAX_PROBE_LATTICE_PHASES`],
     /// in lowest terms, and the `n` probes are centred in the coverage
@@ -356,14 +343,19 @@ impl DualRateCost {
     /// [`evaluate`](Self::evaluate) through the preserved direct
     /// reconstruction path (four kernel cosines + two Bessel series per
     /// tap) — the oracle and baseline the probe sums are measured
-    /// against.
+    /// against. Every probe lies inside both captures' coverage (checked when
+    /// the cost was built); one that did not would read as NaN.
     pub fn evaluate_reference(&self, d_hat: f64) -> f64 {
         let d = self.clamp_candidate(d_hat);
         let (fast_rec, slow_rec) = self.reconstructors(d);
         let mut acc = 0.0;
         for &t in &self.times {
-            let a = fast_rec.reconstruct_at_reference(&self.fast, t);
-            let b = slow_rec.reconstruct_at_reference(&self.slow, t);
+            let (Some(a), Some(b)) = (
+                fast_rec.try_reconstruct_at_reference(&self.fast, t),
+                slow_rec.try_reconstruct_at_reference(&self.slow, t),
+            ) else {
+                return f64::NAN;
+            };
             acc += (a - b) * (a - b);
         }
         acc / self.times.len() as f64
@@ -397,15 +389,8 @@ impl DualRateCost {
 
     /// The uniform grid of `n` candidates across `]0, m[` the paper's
     /// Fig. 5 sweeps (midpoint placement, so the singular endpoints are
-    /// never touched).
-    pub fn sweep_candidates(&self, n: usize) -> Vec<f64> {
-        self.try_sweep_candidates(n)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`sweep_candidates`](Self::sweep_candidates) in typed form:
-    /// returns [`BistError::InvalidConfig`] on a degenerate grid
-    /// instead of panicking.
+    /// never touched); fewer than two candidates is
+    /// [`BistError::InvalidConfig`].
     pub fn try_sweep_candidates(&self, n: usize) -> Result<Vec<f64>, BistError> {
         if n < 2 {
             return Err(BistError::InvalidConfig {
@@ -417,14 +402,8 @@ impl DualRateCost {
     }
 
     /// Evaluates the cost on a uniform grid of `n` candidates across
-    /// `]0, m[` — the paper's Fig. 5 sweep.
-    pub fn sweep(&self, n: usize) -> Vec<(f64, f64)> {
-        self.try_sweep(n).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`sweep`](Self::sweep) in typed form: returns
-    /// [`BistError::InvalidConfig`] on a degenerate grid instead of
-    /// panicking.
+    /// `]0, m[` — the paper's Fig. 5 sweep — with the degenerate-grid
+    /// error of [`try_sweep_candidates`](Self::try_sweep_candidates).
     pub fn try_sweep(&self, n: usize) -> Result<Vec<(f64, f64)>, BistError> {
         let candidates = self.try_sweep_candidates(n)?;
         let values = self.eval_grid(&candidates);
@@ -541,7 +520,7 @@ mod tests {
     #[test]
     fn minimum_is_at_true_delay() {
         let cost = paper_setup(true);
-        let sweep = cost.sweep(60);
+        let sweep = cost.try_sweep(60).unwrap();
         let (d_min, _) = sweep
             .iter()
             .copied()
@@ -558,7 +537,7 @@ mod tests {
     fn minimum_is_unique_on_the_interval() {
         // count strict local minima of the sweep — conditions (9) promise one
         let cost = paper_setup(true);
-        let sweep = cost.sweep(80);
+        let sweep = cost.try_sweep(80).unwrap();
         let mut minima = 0;
         for w in sweep.windows(3) {
             if w[1].1 < w[0].1 && w[1].1 < w[2].1 {
@@ -571,7 +550,7 @@ mod tests {
     #[test]
     fn noisy_frontend_keeps_minimum_near_truth() {
         let cost = paper_setup(false);
-        let sweep = cost.sweep(60);
+        let sweep = cost.try_sweep(60).unwrap();
         let (d_min, _) = sweep
             .iter()
             .copied()
@@ -587,7 +566,7 @@ mod tests {
     #[test]
     fn cost_is_finite_across_search_interval() {
         let cost = paper_setup(true);
-        for (d, v) in cost.sweep(40) {
+        for (d, v) in cost.try_sweep(40).unwrap() {
             assert!(v.is_finite(), "cost at {} ps is {v}", d * 1e12);
             assert!(v >= 0.0);
         }
@@ -719,7 +698,7 @@ mod tests {
     #[test]
     fn grid_probed_cost_keeps_minimum_at_true_delay() {
         let cost = paper_grid_setup(true);
-        let sweep = cost.sweep(60);
+        let sweep = cost.try_sweep(60).unwrap();
         let (d_min, _) = sweep
             .iter()
             .copied()
@@ -765,8 +744,8 @@ mod tests {
     #[test]
     fn sweep_uses_midpoint_candidates() {
         let cost = paper_setup(true);
-        let sweep = cost.sweep(10);
-        let candidates = cost.sweep_candidates(10);
+        let sweep = cost.try_sweep(10).unwrap();
+        let candidates = cost.try_sweep_candidates(10).unwrap();
         let m = cost.config().m_bound();
         assert_eq!(sweep.len(), 10);
         for (i, ((d, _), dc)) in sweep.iter().zip(&candidates).enumerate() {
@@ -807,18 +786,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rate disagrees")]
-    fn mismatched_rates_panic() {
+    fn mismatched_rates_are_rejected() {
         let cfg = DualRateConfig::paper_section_v();
         let bb = ShapedBaseband::qpsk_prbs(10e6, 0.5, 12, 96, 1);
         let tx = BandpassSignal::new(bb, 1e9);
         let mut fast = BpTiadc::new(BpTiadcConfig::ideal(80e6, cfg.delay()));
         let mut slow = BpTiadc::new(BpTiadcConfig::ideal(45e6, cfg.delay()));
-        let _ = DualRateCost::new(
+        let err = DualRateCost::try_new(
             fast.capture(&tx, 80, 200),
             slow.capture(&tx, 40, 160),
             cfg,
             vec![1.5e-6],
-        );
+        )
+        .unwrap_err();
+        assert!(matches!(err, BistError::InvalidConfig { .. }), "{err:?}");
+        assert_eq!(err.to_string(), "fast capture rate disagrees with config");
     }
 }

@@ -1,12 +1,11 @@
 //! Typed error taxonomy for the fail-safe verdict pipeline.
 //!
 //! Every failure the BIST engine, the streaming mask scan and the
-//! fault-coverage campaign can encounter is a value of [`BistError`].
-//! The long-standing panicking entry points (`BistEngine::run`,
-//! `run_campaign`, `MaskScanEngine::new`, …) are thin wrappers over
-//! `try_*` variants that panic with the error's `Display` text, so the
-//! panic messages existing callers (and `#[should_panic]` pins) rely
-//! on are exactly the `Display` strings defined here.
+//! fault-coverage campaign can encounter is a value of [`BistError`],
+//! returned by the `try_*` entry points (`BistEngine::try_run`,
+//! `try_run_campaign`, `MaskScanEngine::try_build`, …): the core API
+//! has one error path, and its messages are the `Display` strings
+//! defined here.
 
 use std::fmt;
 
@@ -24,7 +23,7 @@ pub enum BistError {
     /// requested analysis grid. `reason` carries the specific geometry.
     CaptureTooShort {
         /// Human-readable geometry detail (contains "capture too short"
-        /// or "shorter" for wrapper-panic compatibility).
+        /// or "shorter").
         reason: String,
     },
     /// The scan grid or PSD has no bins inside the mask's reference

@@ -16,7 +16,7 @@
 //!   that passes every emission mask.
 //!
 //! Unusable captures are rejected with a typed
-//! [`BistError`](crate::error::BistError); marginal ones (light
+//! [`BistError`]; marginal ones (light
 //! clipping below the reject threshold) are annotated on the
 //! [`BistReport`](crate::report::BistReport) so an operator can see
 //! the verdict ran close to the rails.

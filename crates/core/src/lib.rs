@@ -5,7 +5,7 @@
 //! - [`cost`]: the dual-rate self-consistency cost `ε^{T,D̂}_{T1,D̂}(t)`
 //!   (paper eqs. 7–8) whose unique minimum sits at the true skew,
 //! - [`lms`]: the normalized variable-step LMS estimator (Algorithm 1),
-//! - [`jamal`]: the sine-fit baseline adapted from Jamal et al. [14],
+//! - [`jamal`]: the sine-fit baseline adapted from Jamal et al. \[14\],
 //! - [`skew`]: estimate/error-metric types shared by both estimators,
 //! - [`mask`]: spectral masks and compliance checking (the BIST's
 //!   verdict machinery),
@@ -45,15 +45,16 @@
 //!
 //! let mut fast = BpTiadc::new(BpTiadcConfig::ideal(cfg.fast_rate(), cfg.delay()));
 //! let mut slow = BpTiadc::new(BpTiadcConfig::ideal(cfg.slow_rate(), cfg.delay()));
-//! let cost = DualRateCost::paper_probes(
+//! let cost = DualRateCost::try_paper_probes(
 //!     fast.capture(&tx, 80, 260),
 //!     slow.capture(&tx, 40, 160),
 //!     cfg,
 //!     300,
 //!     1,
-//! );
+//! )?;
 //! let result = estimate_skew_lms(&cost, LmsConfig::paper_default(50e-12));
 //! assert!((result.estimate - 180e-12).abs() < 1e-12);
+//! # Ok::<(), rfbist_core::BistError>(())
 //! ```
 
 // Production code must not take shortcuts through unwrap/expect: the
@@ -78,7 +79,7 @@ pub mod wire;
 
 pub use bist::{BistConfig, BistEngine, BistScratch, NoiseFigureConfig, SkewGate};
 pub use campaign::{
-    run_campaign, try_run_campaign, try_run_campaign_supervised, CampaignConfig, CampaignProgress,
+    try_run_campaign, try_run_campaign_supervised, CampaignConfig, CampaignProgress,
     CoverageMatrix, Deployment, FaultOutcome, StandardOutcome,
 };
 pub use cost::{CostEvaluator, DualRateCost};

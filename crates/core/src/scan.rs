@@ -6,12 +6,12 @@
 //! [`MaskScanEngine`] inverts that: it enumerates, once, exactly the
 //! Welch bins that fall inside a mask segment or the 0 dBc reference
 //! region, and evaluates *only those* with a
-//! [`GoertzelBank`](rfbist_dsp::goertzel::GoertzelBank) — one windowed
+//! [`GoertzelBank`] — one windowed
 //! recurrence pass per Welch segment, the same window coefficients,
 //! hop and density normalization as [`rfbist_dsp::psd::welch`], and a
 //! shared accumulator for the segment average. There is one segment
 //! loop, the push-style [`StreamingMaskScan`]; the batched
-//! [`MaskScanEngine::scan`] is a single push of the whole capture
+//! [`MaskScanEngine::try_scan`] is a single push of the whole capture
 //! through it, so a streamed verdict in any chunking is bit-identical
 //! to the batched one.
 //!
@@ -53,14 +53,15 @@ struct ScanBin {
 ///
 /// Mirrors the `PnbsGridPlan` split: everything that does not depend on
 /// the waveform — bin selection, `2cos ω` tables, window, density
-/// normalization — is computed once here; [`scan`](Self::scan) then
-/// runs one banked recurrence pass per Welch segment, through the
+/// normalization — is computed once here; [`try_scan`](Self::try_scan)
+/// then runs one banked recurrence pass per Welch segment, through the
 /// same [`StreamingMaskScan`] a block feed pushes into.
 ///
 /// # Example
 ///
 /// ```
-/// use rfbist_core::mask::SpectralMask;
+/// use rfbist_core::error::BistError;
+/// use rfbist_core::mask::{MaskSegment, SpectralMask};
 /// use rfbist_core::scan::MaskScanEngine;
 /// use rfbist_dsp::window::Window;
 /// use std::f64::consts::PI;
@@ -70,18 +71,17 @@ struct ScanBin {
 /// let x: Vec<f64> = (0..8192)
 ///     .map(|i| (2.0 * PI * fc * i as f64 / fs).sin())
 ///     .collect();
-/// let mask = SpectralMask::new(
-///     "doc",
-///     5e6,
-///     vec![rfbist_core::mask::MaskSegment {
-///         offset_lo: 8e6,
-///         offset_hi: 40e6,
-///         limit_dbc: -30.0,
-///     }],
-/// );
-/// let engine = MaskScanEngine::new(&mask, fc, fs, 4096, 2048, Window::BlackmanHarris);
-/// let report = engine.scan(&x);
+/// let segment = MaskSegment {
+///     offset_lo: 8e6,
+///     offset_hi: 40e6,
+///     limit_dbc: -30.0,
+/// };
+/// let mask = SpectralMask::try_new("doc", 5e6, vec![segment])?;
+/// let window = Window::BlackmanHarris;
+/// let engine = MaskScanEngine::try_build(&mask, fc, fs, 4096, 2048, window, None)?;
+/// let report = engine.try_scan(&x)?;
 /// assert!(report.passed);
+/// # Ok::<(), BistError>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct MaskScanEngine {
@@ -99,38 +99,20 @@ pub struct MaskScanEngine {
 
 impl MaskScanEngine {
     /// Prepares a scanner for `mask` around `carrier_hz` on waveforms
-    /// sampled at `fs`, Welch-averaged over `segment_len`-sample
-    /// segments overlapping by `overlap` samples under `window`.
+    /// sampled at `fs` (both in Hz), Welch-averaged over
+    /// `segment_len`-sample segments overlapping by `overlap` samples
+    /// under `window`.
     ///
     /// The probed bins are exactly the `k·fs/segment_len` centers of
     /// the equivalent [`rfbist_dsp::psd::welch`] estimate that fall
-    /// inside the reference region or a mask segment.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same parameter contract as `welch`
-    /// (`segment_len > 0`, `overlap < segment_len`, `fs > 0`), and —
-    /// like [`SpectralMask::check`] on an equivalent PSD — when the bin
-    /// grid puts no bin inside the reference region or none inside any
-    /// mask segment: a scan that could never fail must not be
-    /// constructible.
-    pub fn new(
-        mask: &SpectralMask,
-        carrier_hz: f64,
-        fs: f64,
-        segment_len: usize,
-        overlap: usize,
-        window: Window,
-    ) -> Self {
-        Self::try_build(mask, carrier_hz, fs, segment_len, overlap, window, None)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`new`](Self::new) (same `carrier_hz` carrier and `fs` sample
-    /// rate, both in Hz) returning a typed [`BistError`] instead of
-    /// panicking: parameter violations surface as
-    /// [`BistError::InvalidConfig`], empty reference/segment/noise
-    /// coverage as [`BistError::NoMaskCoverage`].
+    /// inside the reference region or a mask segment. A violation of
+    /// `welch`'s parameter contract (`segment_len > 0`,
+    /// `overlap < segment_len`, `fs > 0`) is
+    /// [`BistError::InvalidConfig`]. A bin grid with no bin inside the
+    /// reference region, or none inside any mask segment, is
+    /// [`BistError::NoMaskCoverage`], as for
+    /// [`SpectralMask::try_check`] on an equivalent PSD: a scan that
+    /// could never fail must not be constructible.
     ///
     /// `noise_band` adds a noise-figure measurement band, given as
     /// absolute carrier offsets `(offset_lo, offset_hi)` in Hz: bins
@@ -249,33 +231,17 @@ impl MaskScanEngine {
     }
 
     /// Scans `wave` and returns the mask verdict, allocating fresh
-    /// scratch; use [`scan_with`](Self::scan_with) in sweeps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wave` is shorter than one Welch segment.
-    pub fn scan(&self, wave: &[f64]) -> MaskReport {
-        self.scan_with(wave, &mut StreamScratch::new())
-    }
-
-    /// [`scan`](Self::scan) returning a typed [`BistError`] instead of
-    /// panicking on a too-short waveform.
+    /// scratch; use [`try_scan_with`](Self::try_scan_with) in sweeps.
+    /// A waveform shorter than one Welch segment is
+    /// [`BistError::CaptureTooShort`].
     pub fn try_scan(&self, wave: &[f64]) -> Result<MaskReport, BistError> {
         self.try_scan_with(wave, &mut StreamScratch::new())
     }
 
-    /// [`scan`](Self::scan) with caller-owned scratch buffers (the
-    /// streaming scan's: the batched scan is one push of the whole
+    /// [`try_scan`](Self::try_scan) with caller-owned scratch buffers
+    /// (the streaming scan's: the batched scan is one push of the whole
     /// waveform through [`stream`](Self::stream)), so repeated scans
     /// (fault sweeps, benches) allocate nothing.
-    pub fn scan_with(&self, wave: &[f64], scratch: &mut StreamScratch) -> MaskReport {
-        self.try_scan_with(wave, scratch)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`scan_with`](Self::scan_with) returning a typed [`BistError`]
-    /// instead of panicking — the form sweep drivers and services
-    /// should call.
     pub fn try_scan_with(
         &self,
         wave: &[f64],
@@ -301,8 +267,8 @@ impl MaskScanEngine {
     /// Folds per-bin accumulated segment powers (`count` completed
     /// Welch segments) into the mask verdict — the single definition
     /// behind every [`StreamingMaskScan`] report, final or provisional,
-    /// and so behind the batched [`scan_with`](Self::scan_with), which
-    /// is one push through that stream.
+    /// and so behind the batched [`try_scan_with`](Self::try_scan_with),
+    /// which is one push through that stream.
     fn report_from_acc(&self, acc: &[f64], count: usize) -> MaskReport {
         // Per-bin one-sided density in dB, matching `PsdEstimate::psd_db`
         // (including its 1e-30 floor).
@@ -316,9 +282,9 @@ impl MaskScanEngine {
             .filter(|(b, _)| b.in_reference)
             .map(|(b, &a)| db(a, b.one_sided))
             .fold(f64::NEG_INFINITY, f64::max);
-        debug_assert!(reference_db.is_finite(), "reference bins pinned in new()");
+        debug_assert!(reference_db.is_finite(), "pinned by try_build");
 
-        // same verdict fold as `SpectralMask::check` — one definition,
+        // same verdict fold as `SpectralMask::try_check` — one definition,
         // so the banked scan and an FFT-Welch check cannot drift
         let (report, _) = report_from_margins(
             self.mask_name.clone(),
@@ -393,18 +359,8 @@ pub struct EarlyVerdict {
 }
 
 impl EarlyVerdict {
-    /// A policy with the given guard margin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `guard_db` is negative or non-finite.
-    pub fn with_guard(guard_db: f64) -> Self {
-        Self::try_with_guard(guard_db).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`with_guard`](Self::with_guard) returning a typed
-    /// [`BistError::InvalidConfig`] on a negative or non-finite
-    /// `guard_db`.
+    /// A policy with the given guard margin; a negative or non-finite
+    /// `guard_db` is [`BistError::InvalidConfig`].
     pub fn try_with_guard(guard_db: f64) -> Result<Self, BistError> {
         if !(guard_db.is_finite() && guard_db >= 0.0) {
             return Err(BistError::InvalidConfig {
@@ -431,7 +387,7 @@ impl Default for EarlyVerdict {
 }
 
 /// Reusable buffers for [`MaskScanEngine::stream`] and
-/// [`MaskScanEngine::scan_with`] (which streams): per-segment Goertzel
+/// [`MaskScanEngine::try_scan_with`] (which streams): per-segment Goertzel
 /// states and the running per-bin power accumulator. Memory is bounded
 /// by `ceil(segment/hop)` states of `2·probed_bins` values (the bins
 /// rounded up to a multiple of eight) —
@@ -469,7 +425,7 @@ pub enum ScanFeed {
 /// segment (let alone the full capture) ever materializes.
 ///
 /// Feeding the same samples in any chunking yields a verdict
-/// bit-identical to [`MaskScanEngine::scan`] on the concatenated
+/// bit-identical to [`MaskScanEngine::try_scan`] on the concatenated
 /// capture (pinned by `tests/stream_scan_equivalence.rs`): the
 /// windowed products, the per-bin recurrences and the segment fold all
 /// perform the same operations in the same order.
@@ -611,20 +567,9 @@ impl StreamingMaskScan<'_> {
 
     /// Final verdict over every completed segment (a trailing partial
     /// segment is discarded, exactly as the batched scan and `welch`
-    /// discard it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the streamed capture was shorter than one Welch
-    /// segment — the same contract as [`MaskScanEngine::scan`]. The
-    /// typed form is [`try_finish`](Self::try_finish).
-    pub fn finish(self) -> MaskReport {
-        self.try_finish().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`finish`](Self::finish) returning
-    /// [`BistError::CaptureTooShort`] instead of panicking when no
-    /// segment completed.
+    /// discard it). A streamed capture shorter than one Welch segment
+    /// is [`BistError::CaptureTooShort`], as for
+    /// [`MaskScanEngine::try_scan`].
     pub fn try_finish(self) -> Result<MaskReport, BistError> {
         if self.segments == 0 {
             return Err(BistError::CaptureTooShort {
@@ -660,7 +605,7 @@ mod tests {
     }
 
     fn test_mask() -> SpectralMask {
-        SpectralMask::new(
+        SpectralMask::try_new(
             "scan-test",
             5e6,
             vec![
@@ -676,14 +621,17 @@ mod tests {
                 },
             ],
         )
+        .unwrap()
     }
 
     fn engines() -> (MaskScanEngine, impl Fn(&[f64]) -> MaskReport) {
         let mask = test_mask();
-        let scan = MaskScanEngine::new(&mask, FC, FS, 4096, 2048, Window::BlackmanHarris);
+        let scan =
+            MaskScanEngine::try_build(&mask, FC, FS, 4096, 2048, Window::BlackmanHarris, None)
+                .unwrap();
         let fft = move |wave: &[f64]| {
             let psd = welch(wave, FS, 4096, 2048, Window::BlackmanHarris);
-            mask.check(&psd, FC)
+            mask.try_check(&psd, FC).unwrap()
         };
         (scan, fft)
     }
@@ -693,7 +641,7 @@ mod tests {
         let (scan, fft) = engines();
         for (offset, level) in [(15e6, -80.0), (15e6, -20.0), (30e6, -45.0), (12e6, -29.0)] {
             let wave = spur_wave(12288, offset, level);
-            let a = scan.scan(&wave);
+            let a = scan.try_scan(&wave).unwrap();
             let b = fft(&wave);
             assert_eq!(a.passed, b.passed, "spur {offset:e} @ {level} dBc");
             assert!(
@@ -731,10 +679,14 @@ mod tests {
         let clean = spur_wave(12288, 15e6, -70.0);
         let dirty = spur_wave(12288, 15e6, -10.0);
         let mut scratch = StreamScratch::new();
-        let a1 = scan.scan_with(&clean, &mut scratch);
-        let b1 = scan.scan_with(&dirty, &mut scratch);
-        assert_eq!(a1, scan.scan(&clean), "scratch must not leak state");
-        assert_eq!(b1, scan.scan(&dirty));
+        let a1 = scan.try_scan_with(&clean, &mut scratch).unwrap();
+        let b1 = scan.try_scan_with(&dirty, &mut scratch).unwrap();
+        assert_eq!(
+            a1,
+            scan.try_scan(&clean).unwrap(),
+            "scratch must not leak state"
+        );
+        assert_eq!(b1, scan.try_scan(&dirty).unwrap());
         assert!(a1.passed && !b1.passed);
     }
 
@@ -744,7 +696,7 @@ mod tests {
         // 9000 samples: one full 4096 segment at 0, one at 2048; the
         // tail past 6144 is dropped by both paths
         let wave = spur_wave(9000, 25e6, -44.0);
-        let a = scan.scan(&wave);
+        let a = scan.try_scan(&wave).unwrap();
         let b = fft(&wave);
         assert_eq!(a.passed, b.passed);
         assert!((a.worst_margin_db - b.worst_margin_db).abs() < 1e-6);
@@ -764,7 +716,7 @@ mod tests {
             }
         }
         let stopped = stream.early_stopped();
-        (stream.finish(), stopped)
+        (stream.try_finish().unwrap(), stopped)
     }
 
     #[test]
@@ -772,7 +724,7 @@ mod tests {
         let (scan, _) = engines();
         for (offset, level) in [(15e6, -80.0), (15e6, -20.0), (30e6, -45.0)] {
             let wave = spur_wave(12288, offset, level);
-            let batched = scan.scan(&wave);
+            let batched = scan.try_scan(&wave).unwrap();
             // chunk sizes off the segment, hop and 4-sample-unroll
             // boundaries must all reproduce the batched verdict exactly
             for chunk in [256usize, 4096, 12288, 1000, 7, 2049] {
@@ -786,7 +738,7 @@ mod tests {
     fn streamed_trailing_tail_is_discarded_like_welch() {
         let (scan, _) = engines();
         let wave = spur_wave(9000, 25e6, -44.0);
-        let batched = scan.scan(&wave);
+        let batched = scan.try_scan(&wave).unwrap();
         let (streamed, _) = stream_in_chunks(&scan, &wave, 333, None);
         assert_eq!(streamed, batched);
     }
@@ -809,7 +761,7 @@ mod tests {
         // 12288 samples, seg 4096, hop 2048 ⇒ 5 complete segments
         assert_eq!(stream.segments_completed(), 5);
         assert!(!stream.early_stopped());
-        assert_eq!(stream.finish(), scan.scan(&wave));
+        assert_eq!(stream.try_finish().unwrap(), scan.try_scan(&wave).unwrap());
     }
 
     #[test]
@@ -843,7 +795,7 @@ mod tests {
         // pushes after the stop are ignored no-ops
         let mut stream2 = stream;
         assert_eq!(stream2.push(&gross[..256]), ScanFeed::EarlyStop);
-        assert!(!stream2.finish().passed);
+        assert!(!stream2.try_finish().unwrap().passed);
     }
 
     #[test]
@@ -858,11 +810,11 @@ mod tests {
             for piece in wave.chunks(512) {
                 stream.push(piece);
             }
-            reports.push(stream.finish());
+            reports.push(stream.try_finish().unwrap());
         }
         assert_eq!(reports[0], reports[2], "scratch must not leak state");
-        assert_eq!(reports[0], scan.scan(&clean));
-        assert_eq!(reports[1], scan.scan(&dirty));
+        assert_eq!(reports[0], scan.try_scan(&clean).unwrap());
+        assert_eq!(reports[1], scan.try_scan(&dirty).unwrap());
     }
 
     #[test]
@@ -888,7 +840,7 @@ mod tests {
                         }
                     }
                     let segments = stream.segments_completed();
-                    (stream.finish(), segments)
+                    (stream.try_finish().unwrap(), segments)
                 };
                 let declared = run(&mut scratch, Some(wave.len()));
                 assert_eq!(
@@ -897,43 +849,74 @@ mod tests {
                     "chunk {chunk}, {early:?}"
                 );
                 if early.is_none() {
-                    assert_eq!(declared.0, scan.scan(&wave));
+                    assert_eq!(declared.0, scan.try_scan(&wave).unwrap());
                 }
             }
         }
     }
 
+    /// The typed error `result` must carry: `variant` matches it, and
+    /// its `Display` text is `message`.
+    fn assert_error<T: std::fmt::Debug>(
+        result: Result<T, BistError>,
+        variant: fn(&BistError) -> bool,
+        message: &str,
+    ) {
+        let err = result.expect_err("a typed error");
+        assert!(variant(&err), "unexpected variant {err:?}");
+        assert_eq!(err.to_string(), message);
+    }
+
+    fn too_short(e: &BistError) -> bool {
+        matches!(e, BistError::CaptureTooShort { .. })
+    }
+
+    fn no_coverage(e: &BistError) -> bool {
+        matches!(e, BistError::NoMaskCoverage { .. })
+    }
+
     #[test]
-    #[should_panic(expected = "shorter")]
-    fn streamed_short_capture_panics_at_finish() {
+    fn streamed_short_capture_is_rejected_at_finish() {
         let (scan, _) = engines();
         let wave = spur_wave(1000, 15e6, -40.0);
         let mut scratch = StreamScratch::new();
         let mut stream = scan.stream(&mut scratch, None);
         stream.push(&wave);
-        let _ = stream.finish();
+        assert_error(
+            stream.try_finish(),
+            too_short,
+            "streamed capture shorter (1000) than one scan segment (4096)",
+        );
     }
 
     #[test]
-    #[should_panic(expected = "non-negative")]
     fn negative_guard_is_rejected() {
-        let _ = EarlyVerdict::with_guard(-1.0);
+        for guard_db in [-1.0, f64::NAN, f64::INFINITY] {
+            assert_error(
+                EarlyVerdict::try_with_guard(guard_db),
+                |e| matches!(e, BistError::InvalidConfig { .. }),
+                "guard margin must be a non-negative dB value",
+            );
+        }
+        assert_eq!(EarlyVerdict::try_with_guard(0.0).unwrap().guard_db, 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "shorter")]
-    fn short_waveform_panics() {
+    fn short_waveform_is_rejected() {
         let (scan, _) = engines();
-        let _ = scan.scan(&spur_wave(1000, 15e6, -40.0));
+        assert_error(
+            scan.try_scan(&spur_wave(1000, 15e6, -40.0)),
+            too_short,
+            "waveform shorter (1000) than one scan segment (4096)",
+        );
     }
 
     #[test]
-    #[should_panic(expected = "no bins within any mask segment")]
     fn unresolvable_mask_is_rejected_at_construction() {
         // 16-sample segments ⇒ 25 MHz bins; the carrier sits on bin 4
         // (reference resolved) but every bin offset is a multiple of
         // 25 MHz, all outside the 8–20 MHz mask segment
-        let mask = SpectralMask::new(
+        let mask = SpectralMask::try_new(
             "narrow",
             5e6,
             vec![crate::mask::MaskSegment {
@@ -941,15 +924,19 @@ mod tests {
                 offset_hi: 20e6,
                 limit_dbc: -30.0,
             }],
+        )
+        .unwrap();
+        assert_error(
+            MaskScanEngine::try_build(&mask, FC, FS, 16, 8, Window::BlackmanHarris, None),
+            no_coverage,
+            "scan grid has no bins within any mask segment — cannot produce a verdict",
         );
-        let _ = MaskScanEngine::new(&mask, FC, FS, 16, 8, Window::BlackmanHarris);
     }
 
     #[test]
-    #[should_panic(expected = "reference region")]
     fn unresolvable_reference_is_rejected_at_construction() {
         // carrier far off the bin grid relative to a tiny reference
-        let mask = SpectralMask::new(
+        let mask = SpectralMask::try_new(
             "ref",
             1e3,
             vec![crate::mask::MaskSegment {
@@ -957,7 +944,13 @@ mod tests {
                 offset_hi: 40e6,
                 limit_dbc: -30.0,
             }],
+        )
+        .unwrap();
+        let window = Window::BlackmanHarris;
+        assert_error(
+            MaskScanEngine::try_build(&mask, FC + 40e3, FS, 4096, 2048, window, None),
+            no_coverage,
+            "scan grid has no bins within the mask reference region",
         );
-        let _ = MaskScanEngine::new(&mask, FC + 40e3, FS, 4096, 2048, Window::BlackmanHarris);
     }
 }

@@ -1,6 +1,7 @@
 //! Shared time-skew estimate records and error metrics (Table I
 //! columns).
 
+use rfbist_sampling::gridplan::GridScratch;
 use rfbist_sampling::reconstruct::{NonuniformCapture, PnbsReconstructor};
 use rfbist_sampling::BandSpec;
 use rfbist_signal::traits::ContinuousSignal;
@@ -55,7 +56,8 @@ pub fn skew_error(d_true: f64, d_hat: f64) -> SkewErrorMetrics {
 
 /// Computes all three Table I columns: reconstructs `capture` with the
 /// estimate and compares against the true signal at `times`
-/// (relative RMS, `‖f̂ − f‖/‖f‖`).
+/// (relative RMS, `‖f̂ − f‖/‖f‖`). The reconstruction error stays
+/// `None` when a time falls outside the capture's coverage.
 pub fn skew_error_with_reconstruction<S: ContinuousSignal>(
     d_true: f64,
     d_hat: f64,
@@ -67,9 +69,11 @@ pub fn skew_error_with_reconstruction<S: ContinuousSignal>(
     let mut metrics = skew_error(d_true, d_hat);
     let rec =
         PnbsReconstructor::new_unchecked(band, d_hat, 61, rfbist_dsp::window::Window::Kaiser(8.0));
-    let got = rec.reconstruct(capture, times);
     let want = truth.sample(times);
-    metrics.reconstruction_error = Some(rfbist_math::stats::nrmse(&got, &want));
+    metrics.reconstruction_error = rec
+        .grid_plan()
+        .try_reconstruct_instants(capture, times, &mut GridScratch::new())
+        .map(|got| rfbist_math::stats::nrmse(got, &want));
     metrics
 }
 

@@ -20,12 +20,6 @@ thread_local! {
     /// one configuration (mirroring the FFT twiddle cache).
     #[allow(clippy::type_complexity)]
     static COEFF_CACHE: RefCell<Option<(Window, usize, Arc<[f64]>)>> = const { RefCell::new(None) };
-
-    /// Most-recently-used [`WindowTable`], keyed by (window, node
-    /// alignment). Grid-plan construction tabulates the same window for
-    /// every delay candidate of a cost sweep; the cache makes all
-    /// builds after the first a reference-count bump.
-    static TABLE_CACHE: RefCell<Option<(Window, usize, WindowTable)>> = const { RefCell::new(None) };
 }
 
 /// Window function selector.
@@ -138,11 +132,10 @@ impl Window {
     /// Prepares this window for the cheapest repeated evaluation of
     /// all: a dense cubic-interpolation table — see [`WindowTable`].
     ///
-    /// Builds (including the against-the-sampler validation pass) run
-    /// once per window configuration; a thread-local MRU cache turns
-    /// every later call into a reference-count bump, mirroring the
-    /// [`coefficients`](Self::coefficients) cache, so per-candidate
-    /// plan construction in cost sweeps stays allocation-free.
+    /// Every call builds the table, including the against-the-sampler
+    /// validation pass, so hold on to it: the grid-aware
+    /// reconstruction plan shares its window tables across plans
+    /// itself.
     pub fn tabulated(self) -> WindowTable {
         self.tabulated_aligned(1)
     }
@@ -162,17 +155,7 @@ impl Window {
     /// Panics if `alignment` is zero.
     pub fn tabulated_aligned(self, alignment: usize) -> WindowTable {
         assert!(alignment > 0, "alignment must be positive");
-        TABLE_CACHE.with(|cell| {
-            let mut slot = cell.borrow_mut();
-            if let Some((w, a, table)) = slot.as_ref() {
-                if *w == self && *a == alignment {
-                    return table.clone();
-                }
-            }
-            let table = WindowTable::build(self, alignment);
-            *slot = Some((self, alignment, table.clone()));
-            table
-        })
+        WindowTable::build(self, alignment)
     }
 }
 
@@ -326,7 +309,7 @@ const TABLE_TOLERANCE: f64 = 5e-12;
 /// four loads and nine flops. Node values come from the sampler itself
 /// (exact at nodes); every build runs a midpoint validation pass
 /// against the sampler and falls back to direct sampling for shapes the
-/// cubic cannot represent to [`TABLE_TOLERANCE`] (kinked or
+/// cubic cannot represent to `TABLE_TOLERANCE` (5e-12; kinked or
 /// discontinuous windows), so `WindowTable::at` is *always* within the
 /// tolerance of [`Window::at`] on the support.
 ///
@@ -398,9 +381,9 @@ impl WindowTable {
     ///
     /// For callers that fuse the interpolation into their own inner
     /// loops (the grid-aware reconstruction plan evaluates the window
-    /// twice per tap per grid point): pairing this with
-    /// [`cubic_window_eval`] is exactly [`at`](Self::at), but lets the
-    /// hot loop monomorphize away the representation dispatch.
+    /// twice per tap per grid point): the four-node Lagrange stencil
+    /// on these values is exactly [`at`](Self::at), but lets the hot
+    /// loop monomorphize away the representation dispatch.
     pub fn cubic_parts(&self) -> Option<(f64, &[f64])> {
         match &self.repr {
             TableRepr::Cubic { scale, vals } => Some((*scale, vals)),
@@ -424,7 +407,7 @@ impl WindowTable {
 /// [`WindowTable::cubic_parts`]) at normalized position `x`; positions
 /// outside `[0, 1]` return 0.
 #[inline(always)]
-pub fn cubic_window_eval(scale: f64, vals: &[f64], x: f64) -> f64 {
+fn cubic_window_eval(scale: f64, vals: &[f64], x: f64) -> f64 {
     if !(0.0..=1.0).contains(&x) {
         return 0.0;
     }
@@ -668,11 +651,14 @@ mod tests {
 
     #[test]
     fn table_cache_round_trips_between_windows() {
-        // The MRU cache holds one entry; alternating windows must keep
-        // returning correct tables.
+        // Tables built for alternating windows stay correct, and every
+        // rebuild reproduces the first build bit for bit (the grid
+        // plan's window cache relies on it).
+        let first = Window::Kaiser(8.0).tabulated_aligned(62);
         for _ in 0..3 {
-            let k = Window::Kaiser(8.0).tabulated();
+            let k = Window::Kaiser(8.0).tabulated_aligned(62);
             assert!((k.at(0.5) - 1.0).abs() < 1e-12);
+            assert_eq!(k.cubic_parts(), first.cubic_parts());
             let h = Window::Hann.tabulated();
             assert!((h.at(0.25) - Window::Hann.at(0.25)).abs() < 5e-12);
         }

@@ -8,9 +8,9 @@
 //!
 //! The naive recurrence drifts in magnitude by O(n·ε);
 //! [`fill_phasor_table`] renormalizes its phasor with a Newton step
-//! every [`RENORM_INTERVAL`] advances, keeping the magnitude error
+//! every `RENORM_INTERVAL` (32) advances, keeping the magnitude error
 //! bounded (≈ 32·ε ≈ 7e-15), and re-seeds it exactly every
-//! [`RESEED_INTERVAL`] entries, which bounds the O(n·ε) phase error
+//! `RESEED_INTERVAL` (256) entries, which bounds the O(n·ε) phase error
 //! against a direct evaluation independent of table length.
 
 /// Simultaneous sine and cosine of `x`, as `(sin x, cos x)`.
@@ -37,7 +37,7 @@ const RESEED_INTERVAL: usize = 256;
 
 /// Fills `cos_out`/`sin_out` with `cos/sin(phase0 + n·step)` for
 /// `n = 0, 1, …` by phase-rotor recurrence, re-seeding exactly every
-/// [`RESEED_INTERVAL`] entries so the tables stay within a bounded
+/// `RESEED_INTERVAL` (256) entries so the tables stay within a bounded
 /// phase error of a direct per-entry `sincos` for arbitrarily long
 /// runs — the builder behind the grid-aware reconstruction plan's
 /// per-sample phasor tables.

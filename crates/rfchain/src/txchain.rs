@@ -78,7 +78,8 @@ impl<E: ComplexEnvelope + Clone> HomodyneTx<E> {
         }
     }
 
-    /// The RF output as a real passband [`ContinuousSignal`] — what the
+    /// The RF output as a real passband
+    /// [`ContinuousSignal`](rfbist_signal::traits::ContinuousSignal) — what the
     /// BIST sampler observes at the PA output.
     pub fn rf_output(&self) -> BandpassSignal<ImpairedEnvelope<E>> {
         BandpassSignal::new(self.impaired_envelope(), self.carrier_hz)

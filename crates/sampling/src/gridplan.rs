@@ -40,7 +40,7 @@
 //!   sampling). The transposed table depends only on (window, taps) and
 //!   is shared across plans through a thread-local MRU cache, so a new
 //!   `D̂` costs only the eq. 2 constants.
-//! - **Near-origin guard.** Within [`NEAR_ORIGIN_FRACTION`] of a sample
+//! - **Near-origin guard.** Within `NEAR_ORIGIN_FRACTION` (T/16) of a sample
 //!   instant the `1/τ` pole would amplify the tables' bounded phase
 //!   error, so that tap (at most one per stream) is evaluated exactly.
 //!
@@ -102,11 +102,11 @@
 //!
 //! - **Batch grid** ([`PnbsGridPlan::try_reconstruct_grid`]): one
 //!   chunk, since its output holds the whole grid anyway.
-//! - **Block feed** ([`PnbsGridPlan::reconstruct_blocks`]): chunks of
-//!   up to [`FEED_CHUNK_LEN`] points, a 128 KiB buffer.
+//! - **Block feed** ([`PnbsGridPlan::try_reconstruct_blocks`]): chunks
+//!   of up to [`FEED_CHUNK_LEN`] points, a 128 KiB buffer.
 //! - **Early-stop feed**
-//!   ([`PnbsReconstructor::reconstruct_stoppable_blocks`](crate::reconstruct::PnbsReconstructor::reconstruct_stoppable_blocks)),
-//!   for a consumer that may stop early: [`SUPER_BLOCK_LEN`]-point
+//!   ([`PnbsGridPlan::try_reconstruct_stoppable_blocks`]), for a
+//!   consumer that may stop early: [`SUPER_BLOCK_LEN`]-point
 //!   chunks, so a stop skips every chunk after the one it stopped in.
 //!
 //! The block feed therefore builds 400 rows on a 12288-point 9/400
@@ -167,14 +167,14 @@ pub const GRID_BLOCK_LEN: usize = 256;
 const TIME_RESEED_INTERVAL: usize = GRID_BLOCK_LEN;
 
 /// Points per chunk of the early-stop feed
-/// ([`PnbsReconstructor::reconstruct_stoppable_blocks`](crate::reconstruct::PnbsReconstructor::reconstruct_stoppable_blocks)):
+/// ([`PnbsGridPlan::try_reconstruct_stoppable_blocks`]):
 /// the unit an early verdict skips (64 KiB of values). It equals the
 /// engine's longest Welch segment, so a verdict decided at the first
 /// completed segment of a long grid never builds a second chunk.
 pub const SUPER_BLOCK_LEN: usize = 32 * GRID_BLOCK_LEN;
 
 /// Points per chunk of the default block feed
-/// ([`PnbsGridPlan::reconstruct_blocks`]): two of the engine's longest
+/// ([`PnbsGridPlan::try_reconstruct_blocks`]): two of the engine's longest
 /// Welch segments, a 128 KiB buffer. Each chunk builds every residue's
 /// row once, so the 32768-point grids build their rows twice instead
 /// of four times (see the module docs' chunk policy).
@@ -555,11 +555,14 @@ impl TimeRotor {
 /// let cap = NonuniformCapture::from_signal(&tone, 1.0 / 90e6, d, -40, 300);
 /// let plan = PnbsGridPlan::new(band, d, 61, Window::Kaiser(8.0));
 /// let mut scratch = GridScratch::new();
-/// let wave = plan.reconstruct_grid(&cap, 1.0e-6, 2.5e-10, 64, &mut scratch);
+/// let wave = plan
+///     .try_reconstruct_grid(&cap, 1.0e-6, 2.5e-10, 64, &mut scratch)
+///     .expect("grid inside the capture's coverage");
 /// // identical (to ≪ 1e-9) to the direct eq. 6 evaluation
 /// let rec = PnbsReconstructor::paper_default(band, d).unwrap();
 /// let t = 1.0e-6 + 5.0 * 2.5e-10;
-/// assert!((wave[5] - rec.reconstruct_at_reference(&cap, t)).abs() < 1e-9);
+/// let direct = rec.try_reconstruct_at_reference(&cap, t).unwrap();
+/// assert!((wave[5] - direct).abs() < 1e-9);
 /// ```
 #[derive(Clone, Debug)]
 pub struct PnbsGridPlan {
@@ -792,32 +795,6 @@ impl PnbsGridPlan {
         Some(&scratch.out)
     }
 
-    /// Reconstructs the `n` uniform grid instants `t0, t0 + step, …`
-    /// into `scratch`, reusing its buffers across calls, and returns
-    /// the filled slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any grid instant falls outside the capture's coverage,
-    /// or if `step` is not positive.
-    pub fn reconstruct_grid<'s>(
-        &self,
-        capture: &NonuniformCapture,
-        t0: f64,
-        step: f64,
-        n: usize,
-        scratch: &'s mut GridScratch,
-    ) -> &'s [f64] {
-        self.try_reconstruct_grid(capture, t0, step, n, scratch)
-            .unwrap_or_else(|| {
-                panic!(
-                    "grid [{t0:.3e}, {:.3e}] s outside capture coverage {:?}",
-                    t0 + n.saturating_sub(1) as f64 * step,
-                    self.coverage(capture)
-                )
-            })
-    }
-
     /// Reconstructs every instant of `times`, in any order, into
     /// `scratch`, returning `None` when one of them falls outside the
     /// capture's coverage. Each instant seeds its time phasors exactly
@@ -850,27 +827,6 @@ impl PnbsGridPlan {
             arm: Arm::detect(),
         };
         Some(self.drain(capture, &feed, scratch))
-    }
-
-    /// [`try_reconstruct_instants`](Self::try_reconstruct_instants),
-    /// returning the filled slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any instant falls outside the capture's coverage.
-    pub fn reconstruct_instants<'s>(
-        &self,
-        capture: &NonuniformCapture,
-        times: &[f64],
-        scratch: &'s mut GridScratch,
-    ) -> &'s [f64] {
-        self.try_reconstruct_instants(capture, times, scratch)
-            .unwrap_or_else(|| {
-                panic!(
-                    "probe instants outside capture coverage {:?}",
-                    self.coverage(capture)
-                )
-            })
     }
 
     /// The tap-window center of the `n`-point grid's first point, or
@@ -1190,13 +1146,13 @@ impl PnbsGridPlan {
     /// [`FEED_CHUNK_LEN`] points ahead, so the full grid never
     /// materializes. A consumer that may stop early takes the
     /// early-stop feed
-    /// ([`PnbsReconstructor::reconstruct_stoppable_blocks`](crate::reconstruct::PnbsReconstructor::reconstruct_stoppable_blocks))
+    /// ([`try_reconstruct_stoppable_blocks`](Self::try_reconstruct_stoppable_blocks))
     /// instead.
     /// Returns `None` when the grid is not fully inside the capture's
     /// coverage.
     ///
     /// The feed runs the same producer as
-    /// [`reconstruct_grid`](Self::reconstruct_grid), and no value
+    /// [`try_reconstruct_grid`](Self::try_reconstruct_grid), and no value
     /// depends on where a chunk ends, so the concatenated blocks are
     /// **bit-identical** to the batch grid (pinned by the gridplan
     /// tests, `tests/grid_plan_equivalence.rs` and
@@ -1217,8 +1173,8 @@ impl PnbsGridPlan {
     }
 
     /// [`try_reconstruct_blocks`](Self::try_reconstruct_blocks),
-    /// panicking (like [`reconstruct_grid`](Self::reconstruct_grid))
-    /// when the grid leaves the capture's coverage.
+    /// panicking when the grid leaves the capture's coverage, kept while
+    /// the benchmark's replica of the engine calls it.
     pub fn reconstruct_blocks<'a>(
         &'a self,
         capture: &'a NonuniformCapture,
@@ -1247,7 +1203,7 @@ impl PnbsGridPlan {
     /// # Panics
     ///
     /// Panics if `step` is not positive.
-    pub(crate) fn try_reconstruct_stoppable_blocks<'a>(
+    pub fn try_reconstruct_stoppable_blocks<'a>(
         &'a self,
         capture: &'a NonuniformCapture,
         t0: f64,
@@ -1256,27 +1212,6 @@ impl PnbsGridPlan {
         scratch: &'a mut GridScratch,
     ) -> Option<GridBlocks<'a>> {
         self.try_feed(capture, t0, step, n, SUPER_BLOCK_LEN, scratch)
-    }
-
-    /// [`try_reconstruct_stoppable_blocks`](Self::try_reconstruct_stoppable_blocks),
-    /// panicking (like [`reconstruct_grid`](Self::reconstruct_grid))
-    /// when the grid leaves the capture's coverage.
-    pub(crate) fn reconstruct_stoppable_blocks<'a>(
-        &'a self,
-        capture: &'a NonuniformCapture,
-        t0: f64,
-        step: f64,
-        n: usize,
-        scratch: &'a mut GridScratch,
-    ) -> GridBlocks<'a> {
-        let coverage = self.coverage(capture);
-        self.try_reconstruct_stoppable_blocks(capture, t0, step, n, scratch)
-            .unwrap_or_else(|| {
-                panic!(
-                    "grid [{t0:.3e}, {:.3e}] s outside capture coverage {coverage:?}",
-                    t0 + n.saturating_sub(1) as f64 * step,
-                )
-            })
     }
 
     /// A block feed producing `chunk_len` points per producer call
@@ -1306,8 +1241,8 @@ impl PnbsGridPlan {
 }
 
 /// A lending iterator over the grid's [`GRID_BLOCK_LEN`]-point blocks,
-/// produced by [`PnbsGridPlan::reconstruct_blocks`] or the early-stop
-/// feed. Each
+/// produced by [`PnbsGridPlan::try_reconstruct_blocks`] or the
+/// early-stop feed. Each
 /// [`next_block`](Self::next_block) yields the next block from the
 /// chunk held in the borrowed scratch, producing the next chunk when
 /// the held one is exhausted; the final block may be shorter.
@@ -1570,9 +1505,13 @@ mod tests {
         let plan = PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0));
         let (t0, step, n) = (0.6e-6, 2.5e-10, 2000);
         let mut scratch = GridScratch::new();
-        let got = plan.reconstruct_grid(&cap, t0, step, n, &mut scratch);
+        let got = plan
+            .try_reconstruct_grid(&cap, t0, step, n, &mut scratch)
+            .unwrap();
         let mut pp = GridScratch::new();
-        let want = plan.reconstruct_instants(&cap, &grid_times(t0, step, n), &mut pp);
+        let want = plan
+            .try_reconstruct_instants(&cap, &grid_times(t0, step, n), &mut pp)
+            .unwrap();
         for i in 0..n {
             assert!(
                 (got[i] - want[i]).abs() < 1e-10,
@@ -1598,9 +1537,12 @@ mod tests {
         let n = 64;
         let mut scratch = GridScratch::new();
         let got = plan
-            .reconstruct_grid(&cap, t0, step, n, &mut scratch)
+            .try_reconstruct_grid(&cap, t0, step, n, &mut scratch)
+            .unwrap()
             .to_vec();
-        let want = plan.reconstruct_instants(&cap, &grid_times(t0, step, n), &mut scratch);
+        let want = plan
+            .try_reconstruct_instants(&cap, &grid_times(t0, step, n), &mut scratch)
+            .unwrap();
         for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
             assert!((g - w).abs() < 1e-10, "point {i}");
         }
@@ -1615,13 +1557,14 @@ mod tests {
         assert!(plan.num_taps() == 61);
         let mut scratch = GridScratch::new();
         let got = plan
-            .reconstruct_grid(&cap, 0.9e-6, 3.1e-10, 500, &mut scratch)
+            .try_reconstruct_grid(&cap, 0.9e-6, 3.1e-10, 500, &mut scratch)
+            .unwrap()
             .to_vec();
         let rec = PnbsReconstructor::paper_default(band80, 200e-12).unwrap();
         for (i, &g) in got.iter().enumerate() {
             let t = 0.9e-6 + i as f64 * 3.1e-10;
             assert!(
-                (g - rec.reconstruct_at_reference(&cap, t)).abs() < 1e-9,
+                (g - rec.try_reconstruct_at_reference(&cap, t).unwrap()).abs() < 1e-9,
                 "point {i}"
             );
         }
@@ -1634,9 +1577,12 @@ mod tests {
         let plan = PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0));
         let mut scratch = GridScratch::new();
         let first = plan
-            .reconstruct_grid(&cap, 0.7e-6, 2.5e-10, 300, &mut scratch)
+            .try_reconstruct_grid(&cap, 0.7e-6, 2.5e-10, 300, &mut scratch)
+            .unwrap()
             .to_vec();
-        let second = plan.reconstruct_grid(&cap, 0.7e-6, 2.5e-10, 300, &mut scratch);
+        let second = plan
+            .try_reconstruct_grid(&cap, 0.7e-6, 2.5e-10, 300, &mut scratch)
+            .unwrap();
         assert_eq!(first, second);
         assert_eq!(scratch.values().len(), 300);
     }
@@ -1659,14 +1605,24 @@ mod tests {
         let cap = NonuniformCapture::from_signal(&tone, 1.0 / B, D, 0, 100);
         let plan = PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0));
         let mut scratch = GridScratch::new();
+        let (lo, _) = plan.coverage(&cap).unwrap();
         assert!(plan
             .try_reconstruct_grid(&cap, 0.0, 1e-9, 8, &mut scratch)
             .is_none());
+        // one sample short of the coverage start is enough
+        assert!(plan
+            .try_reconstruct_grid(&cap, lo - 1.0 / B, 1e-9, 8, &mut scratch)
+            .is_none());
+        assert!(plan
+            .try_reconstruct_grid(&cap, lo, 1e-9, 8, &mut scratch)
+            .is_some());
+        // the panicking block feed kept for the benchmark's replica
+        // panics on the same grid
         let result = std::panic::catch_unwind(|| {
             let mut scratch = GridScratch::new();
-            let _ = plan.reconstruct_grid(&cap, 0.0, 1e-9, 8, &mut scratch);
+            let _ = plan.reconstruct_blocks(&cap, 0.0, 1e-9, 8, &mut scratch);
         });
-        assert!(result.is_err(), "out-of-coverage grid must panic");
+        assert!(result.is_err(), "out-of-coverage block feed must panic");
     }
 
     #[test]
@@ -1688,7 +1644,8 @@ mod tests {
         let (t0, step, n) = (0.6e-6, 2.5e-10, 2000);
         let mut scratch = GridScratch::new();
         let want = plan
-            .reconstruct_grid(&cap, t0, step, n, &mut scratch)
+            .try_reconstruct_grid(&cap, t0, step, n, &mut scratch)
+            .unwrap()
             .to_vec();
         let mut block_scratch = GridScratch::new();
         let mut blocks = plan.reconstruct_blocks(&cap, t0, step, n, &mut block_scratch);
@@ -1724,7 +1681,8 @@ mod tests {
             let (t0, step, n) = (90.0 * t_s, t_s / 4.0, 300);
             let mut scratch = GridScratch::new();
             let want = plan
-                .reconstruct_grid(&cap, t0, step, n, &mut scratch)
+                .try_reconstruct_grid(&cap, t0, step, n, &mut scratch)
+                .unwrap()
                 .to_vec();
             let mut bs = GridScratch::new();
             let mut blocks = plan.reconstruct_blocks(&cap, t0, step, n, &mut bs);
@@ -1776,11 +1734,6 @@ mod tests {
             .expect("empty grid needs no coverage");
         assert!(empty.next_block().is_none());
         assert_eq!(empty.produced(), 0);
-        let result = std::panic::catch_unwind(|| {
-            let mut scratch = GridScratch::new();
-            let _ = plan.reconstruct_blocks(&cap, 0.0, 1e-9, 8, &mut scratch);
-        });
-        assert!(result.is_err(), "out-of-coverage block feed must panic");
     }
 
     #[test]
@@ -1877,7 +1830,9 @@ mod tests {
         let rec = PnbsReconstructor::paper_default(band(), D).unwrap();
         let times: Vec<f64> = (0..40).map(|i| 0.6e-6 + i as f64 * 31.7e-9).collect();
         let mut scratch = GridScratch::new();
-        let got = plan.reconstruct_instants(&cap, &times, &mut scratch);
+        let got = plan
+            .try_reconstruct_instants(&cap, &times, &mut scratch)
+            .unwrap();
         for (&t, &g) in times.iter().zip(got) {
             let want = rec.try_reconstruct_at_reference(&cap, t).unwrap();
             assert!((g - want).abs() < 1e-10, "t = {t:e}: {g} vs {want}");
@@ -1895,36 +1850,45 @@ mod tests {
         times.push(90.0 / B);
         let mut scratch = GridScratch::new();
         let first = plan
-            .reconstruct_instants(&cap, &times, &mut scratch)
+            .try_reconstruct_instants(&cap, &times, &mut scratch)
+            .unwrap()
             .to_vec();
         // a second call reuses the buffers, same values
-        assert_eq!(first, plan.reconstruct_instants(&cap, &times, &mut scratch));
+        assert_eq!(
+            first,
+            plan.try_reconstruct_instants(&cap, &times, &mut scratch)
+                .unwrap()
+        );
         assert_eq!(scratch.values().len(), times.len());
         // each value depends only on its own instant
         for (&t, &v) in times.iter().zip(&first) {
-            let single = plan.reconstruct_instants(&cap, &[t], &mut scratch)[0];
+            let single = plan
+                .try_reconstruct_instants(&cap, &[t], &mut scratch)
+                .unwrap()[0];
             assert_eq!(v, single, "batch and single point diverge at {t:e}");
         }
     }
 
     #[test]
     fn batch_coverage_panic_matches_scalar_contract() {
+        // out of coverage, a batch of instants and a single instant
+        // are both `None`
         let tone = Tone::unit(1.0e9);
         let cap = NonuniformCapture::from_signal(&tone, 1.0 / B, D, 0, 100);
         let plan = PnbsGridPlan::new(band(), D, 61, Window::Kaiser(8.0));
+        let rec = PnbsReconstructor::paper_default(band(), D).unwrap();
         let mut scratch = GridScratch::new();
         assert!(plan.covers(&cap, 30.0 / B) && !plan.covers(&cap, 29.0 / B));
-        assert!(plan
-            .try_reconstruct_instants(&cap, &[40.0 / B, 0.0], &mut scratch)
-            .is_none());
+        // a batch is refused exactly when one of its instants is
+        for t in [0.0, 29.0 / B, 30.0 / B, 69.0 / B, 70.0 / B] {
+            let single = rec.try_reconstruct_at(&cap, t);
+            assert_eq!(single.is_some(), plan.covers(&cap, t), "t = {t:e}");
+            let batch = plan.try_reconstruct_instants(&cap, &[40.0 / B, t], &mut scratch);
+            assert_eq!(batch.is_some(), single.is_some(), "t = {t:e}");
+        }
         assert!(plan
             .try_reconstruct_instants(&cap, &[], &mut scratch)
             .is_some_and(<[f64]>::is_empty));
-        let result = std::panic::catch_unwind(|| {
-            let mut scratch = GridScratch::new();
-            let _ = plan.reconstruct_instants(&cap, &[0.0], &mut scratch);
-        });
-        assert!(result.is_err(), "out-of-coverage instants must panic");
     }
 
     /// A grid's values on the one-period lattice, bypassing lattice
@@ -2011,7 +1975,9 @@ mod tests {
             (80.0 * t_s, t_s / 8.0, 600),
         ] {
             let mut scratch = GridScratch::new();
-            let got = plan.reconstruct_grid(&cap, t0, step, n, &mut scratch);
+            let got = plan
+                .try_reconstruct_grid(&cap, t0, step, n, &mut scratch)
+                .unwrap();
             let want = one_period_values(&plan, &cap, t0, step, n);
             for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
                 assert!((g - w).abs() < 1e-10, "t0 {t0:e} point {i}: {g} vs {w}");
@@ -2035,7 +2001,8 @@ mod tests {
         );
         let mut scratch = GridScratch::new();
         let got = plan
-            .reconstruct_grid(&cap, t0, step, n, &mut scratch)
+            .try_reconstruct_grid(&cap, t0, step, n, &mut scratch)
+            .unwrap()
             .to_vec();
         let mut bs = GridScratch::new();
         let mut blocks = plan.reconstruct_blocks(&cap, t0, step, n, &mut bs);
@@ -2045,13 +2012,15 @@ mod tests {
         }
         assert_eq!(fed, got, "block feed diverged from the batch grid");
         let times = grid_times(t0, step, n);
-        let want = plan.reconstruct_instants(&cap, &times, &mut scratch);
+        let want = plan
+            .try_reconstruct_instants(&cap, &times, &mut scratch)
+            .unwrap();
         for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
             assert!((g - w).abs() < 1e-10, "point {i}: {g} vs {w}");
         }
         let rec = PnbsReconstructor::paper_default(band(), D).unwrap();
         for i in (0..n).step_by(97) {
-            let w = rec.reconstruct_at_reference(&cap, times[i]);
+            let w = rec.try_reconstruct_at_reference(&cap, times[i]).unwrap();
             assert!((got[i] - w).abs() < 1e-9, "point {i}: {} vs {w}", got[i]);
         }
     }
@@ -2075,7 +2044,9 @@ mod tests {
             .count();
         assert!(flips > 0, "the fixture must exercise the shifted window");
         let mut scratch = GridScratch::new();
-        let got = plan.reconstruct_grid(&cap, t0, step, n, &mut scratch);
+        let got = plan
+            .try_reconstruct_grid(&cap, t0, step, n, &mut scratch)
+            .unwrap();
         let want = one_period_values(&plan, &cap, t0, step, n);
         for i in (r..n).step_by(400) {
             assert!(
@@ -2098,12 +2069,14 @@ mod tests {
         assert!(n > FEED_CHUNK_LEN);
         let mut scratch = GridScratch::new();
         let want = plan
-            .reconstruct_grid(&cap, t0, step, n, &mut scratch)
+            .try_reconstruct_grid(&cap, t0, step, n, &mut scratch)
+            .unwrap()
             .to_vec();
         let mut bs = GridScratch::new();
         for stoppable in [false, true] {
             let mut blocks = if stoppable {
-                plan.reconstruct_stoppable_blocks(&cap, t0, step, n, &mut bs)
+                plan.try_reconstruct_stoppable_blocks(&cap, t0, step, n, &mut bs)
+                    .unwrap()
             } else {
                 plan.reconstruct_blocks(&cap, t0, step, n, &mut bs)
             };
@@ -2126,7 +2099,9 @@ mod tests {
         assert_eq!(bs.values(), &want[..FEED_CHUNK_LEN]);
         // an early stop inside the early-stop feed's first chunk builds
         // no other
-        let mut blocks = plan.reconstruct_stoppable_blocks(&cap, t0, step, n, &mut bs);
+        let mut blocks = plan
+            .try_reconstruct_stoppable_blocks(&cap, t0, step, n, &mut bs)
+            .unwrap();
         for _ in 0..3 {
             blocks.next_block();
         }

@@ -399,7 +399,8 @@ struct MemberScratch {
 ///     sums.eval_into(d_hat, &mut values);
 ///     let rec = PnbsReconstructor::paper_default(band, d_hat).unwrap();
 ///     for (&t, &v) in times.iter().zip(&values) {
-///         assert!((v - rec.reconstruct_at_reference(&cap, t)).abs() < 1e-9);
+///         let direct = rec.try_reconstruct_at_reference(&cap, t).unwrap();
+///         assert!((v - direct).abs() < 1e-9);
 ///     }
 /// }
 /// ```
@@ -1190,7 +1191,9 @@ mod tests {
             assert_eq!(sums.fixed.len(), times.len());
             for &d in candidates {
                 let plan = PnbsGridPlan::new(band, d, PROBE_TAPS, PROBE_WINDOW);
-                let want = plan.reconstruct_instants(c, times, &mut scratch);
+                let want = plan
+                    .try_reconstruct_instants(c, times, &mut scratch)
+                    .unwrap();
                 sums.eval_into(d, &mut got);
                 for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
                     assert!(
@@ -1351,7 +1354,12 @@ mod tests {
             instants.eval_into(d, &mut want);
             let rec = crate::reconstruct::PnbsReconstructor::paper_default(band, d).unwrap();
             for (i, (&g, &t)) in got.iter().zip(&times).enumerate() {
-                let direct = reference.then(|| ("reference", rec.reconstruct_at_reference(cap, t)));
+                let direct = reference.then(|| {
+                    (
+                        "reference",
+                        rec.try_reconstruct_at_reference(cap, t).unwrap(),
+                    )
+                });
                 for (what, w) in [("instants", want[i])].into_iter().chain(direct) {
                     assert!(
                         (g - w).abs() <= 1e-9 * w.abs().max(1.0),
@@ -1456,9 +1464,9 @@ mod tests {
             let rec = crate::reconstruct::PnbsReconstructor::paper_default(band, d).unwrap();
             for (i, &g) in got.iter().enumerate() {
                 let t = t0 + i as f64 * step;
-                let r = rec.reconstruct_at_reference(&cap, t);
-                let slope = (rec.reconstruct_at_reference(&cap, t + h)
-                    - rec.reconstruct_at_reference(&cap, t - h))
+                let r = rec.try_reconstruct_at_reference(&cap, t).unwrap();
+                let slope = (rec.try_reconstruct_at_reference(&cap, t + h).unwrap()
+                    - rec.try_reconstruct_at_reference(&cap, t - h).unwrap())
                     / (2.0 * h);
                 let bound = 1e-9 * r.abs().max(1.0) + slope.abs() * dt;
                 assert!(

@@ -148,8 +148,8 @@ impl NonuniformCapture {
 /// let cap = NonuniformCapture::from_signal(&tone, 1.0 / 90e6, d, -40, 300);
 /// let rec = PnbsReconstructor::paper_default(band, d).unwrap();
 /// let t = 1.0e-6;
-/// let err = (rec.reconstruct_at(&cap, t) - tone.eval(t)).abs();
-/// assert!(err < 0.02);
+/// let value = rec.try_reconstruct_at(&cap, t).expect("t inside the coverage");
+/// assert!((value - tone.eval(t)).abs() < 0.02);
 /// ```
 #[derive(Clone, Debug)]
 pub struct PnbsReconstructor {
@@ -248,12 +248,12 @@ impl PnbsReconstructor {
     }
 
     /// Reconstructs `f(t)`, returning `None` if the capture does not
-    /// cover the filter support at `t`.
+    /// cover the filter support at `t` (silent zero-padding would
+    /// corrupt the error metrics this workspace is built to measure).
     ///
     /// Evaluates through the plan's arbitrary-instant order
     /// ([`PnbsGridPlan::try_reconstruct_instants`]), bit-identical to
-    /// the same instant inside a [`reconstruct_batch`](Self::reconstruct_batch)
-    /// and equivalent to
+    /// the same instant inside a batch of that order, and equivalent to
     /// [`try_reconstruct_at_reference`](Self::try_reconstruct_at_reference)
     /// to ≪ 1e-9. Each call fills the plan's tables over the whole
     /// capture: batch many instants instead.
@@ -300,92 +300,18 @@ impl PnbsReconstructor {
         Some(acc)
     }
 
-    /// Reconstructs `f(t)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` lies outside [`coverage`](Self::coverage) — silent
-    /// zero-padding would corrupt the error metrics this workspace is
-    /// built to measure.
-    pub fn reconstruct_at(&self, capture: &NonuniformCapture, t: f64) -> f64 {
-        self.try_reconstruct_at(capture, t).unwrap_or_else(|| {
-            panic!(
-                "t = {t:.3e} s outside capture coverage {:?}",
-                self.coverage(capture)
-            )
-        })
-    }
-
-    /// [`reconstruct_at`](Self::reconstruct_at) through the preserved
-    /// direct path — the scalar baseline.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`reconstruct_at`](Self::reconstruct_at) does.
-    pub fn reconstruct_at_reference(&self, capture: &NonuniformCapture, t: f64) -> f64 {
-        self.try_reconstruct_at_reference(capture, t)
-            .unwrap_or_else(|| {
-                panic!(
-                    "t = {t:.3e} s outside capture coverage {:?}",
-                    self.coverage(capture)
-                )
-            })
-    }
-
-    /// Reconstructs at each instant in `times`.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`reconstruct_at`](Self::reconstruct_at) does.
-    pub fn reconstruct(&self, capture: &NonuniformCapture, times: &[f64]) -> Vec<f64> {
-        let mut scratch = GridScratch::new();
-        self.reconstruct_batch(capture, times, &mut scratch);
-        scratch.into_values()
-    }
-
-    /// Reconstructs every instant of `times` through the plan's
-    /// arbitrary-instant order, reusing `scratch`'s buffers, and returns
-    /// the filled slice — the allocation-free form for repeated calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`reconstruct_at`](Self::reconstruct_at) does.
-    pub fn reconstruct_batch<'s>(
-        &self,
-        capture: &NonuniformCapture,
-        times: &[f64],
-        scratch: &'s mut GridScratch,
-    ) -> &'s [f64] {
-        self.grid_plan.reconstruct_instants(capture, times, scratch)
-    }
-
     /// Reconstructs the `n` uniform grid instants `t0, t0 + step, …`
-    /// through the plan's phase-major grid order — the entry point for
+    /// through the plan's phase-major grid order
+    /// ([`PnbsGridPlan::try_reconstruct_grid`]) — the entry point for
     /// dense analysis grids (one row per residue of the step's rational
     /// lattice of the sample period, or one row per point on grids off
-    /// any short lattice). Equivalent to
-    /// [`reconstruct_batch`](Self::reconstruct_batch) over the same
-    /// instants to ≪ 1e-9.
+    /// any short lattice). Equivalent to the plan's arbitrary-instant
+    /// order over the same instants to ≪ 1e-9. Returns `None` when the
+    /// grid leaves the capture's coverage.
     ///
     /// # Panics
     ///
-    /// Panics if any grid instant falls outside
-    /// [`coverage`](Self::coverage), or if `step` is not positive.
-    pub fn reconstruct_grid<'s>(
-        &self,
-        capture: &NonuniformCapture,
-        t0: f64,
-        step: f64,
-        n: usize,
-        scratch: &'s mut GridScratch,
-    ) -> &'s [f64] {
-        self.grid_plan
-            .reconstruct_grid(capture, t0, step, n, scratch)
-    }
-
-    /// [`reconstruct_grid`](Self::reconstruct_grid), returning `None`
-    /// instead of panicking when the grid leaves the capture's
-    /// coverage.
+    /// Panics if `step` is not positive.
     pub fn try_reconstruct_grid<'s>(
         &self,
         capture: &NonuniformCapture,
@@ -398,17 +324,13 @@ impl PnbsReconstructor {
             .try_reconstruct_grid(capture, t0, step, n, scratch)
     }
 
-    /// Streams the `n` uniform grid instants as
-    /// [`GRID_BLOCK_LEN`](crate::gridplan::GRID_BLOCK_LEN)-point
-    /// blocks through the grid plan's producer
-    /// ([`PnbsGridPlan::reconstruct_blocks`]) — the producer side of a
-    /// streaming verdict pipeline, where no full-grid buffer ever
-    /// materializes. The blocks are bit-identical to
-    /// [`reconstruct_grid`](Self::reconstruct_grid).
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`reconstruct_grid`](Self::reconstruct_grid) does.
+    /// [`PnbsGridPlan::reconstruct_blocks`]: the grid plan's block
+    /// feed, panicking when the grid leaves the capture's coverage.
+    /// Kept while the benchmark's replica of the engine calls it; the
+    /// typed feeds are the plan's
+    /// [`try_reconstruct_blocks`](PnbsGridPlan::try_reconstruct_blocks)
+    /// and
+    /// [`try_reconstruct_stoppable_blocks`](PnbsGridPlan::try_reconstruct_stoppable_blocks).
     pub fn reconstruct_blocks<'a>(
         &'a self,
         capture: &'a NonuniformCapture,
@@ -419,28 +341,6 @@ impl PnbsReconstructor {
     ) -> GridBlocks<'a> {
         self.grid_plan
             .reconstruct_blocks(capture, t0, step, n, scratch)
-    }
-
-    /// The early-stop feed:
-    /// [`reconstruct_blocks`](Self::reconstruct_blocks) in
-    /// [`SUPER_BLOCK_LEN`](crate::gridplan::SUPER_BLOCK_LEN)-point
-    /// chunks, so a consumer that stops early skips the rest of the
-    /// grid and its row builds. The blocks are bit-identical to
-    /// [`reconstruct_blocks`](Self::reconstruct_blocks)'.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`reconstruct_grid`](Self::reconstruct_grid) does.
-    pub fn reconstruct_stoppable_blocks<'a>(
-        &'a self,
-        capture: &'a NonuniformCapture,
-        t0: f64,
-        step: f64,
-        n: usize,
-        scratch: &'a mut GridScratch,
-    ) -> GridBlocks<'a> {
-        self.grid_plan
-            .reconstruct_stoppable_blocks(capture, t0, step, n, scratch)
     }
 }
 
@@ -466,6 +366,14 @@ mod tests {
         (0..n).map(|_| rng.uniform(t0, t1)).collect()
     }
 
+    /// `rec` at every instant of `times`, which the capture covers.
+    fn at_instants(rec: &PnbsReconstructor, cap: &NonuniformCapture, times: &[f64]) -> Vec<f64> {
+        rec.grid_plan()
+            .try_reconstruct_instants(cap, times, &mut GridScratch::new())
+            .expect("instants inside the coverage")
+            .to_vec()
+    }
+
     #[test]
     fn tone_reconstruction_is_accurate() {
         let tone = Tone::unit(0.98e9);
@@ -473,7 +381,7 @@ mod tests {
         let cap = NonuniformCapture::from_signal(&tone, t_s, D, -50, 350);
         let rec = PnbsReconstructor::paper_default(band(), D).unwrap();
         let times = probe_times(200, 0.5e-6, 2.0e-6, 1);
-        let got = rec.reconstruct(&cap, &times);
+        let got = at_instants(&rec, &cap, &times);
         let want = tone.sample(&times);
         let err = nrmse(&got, &want);
         assert!(err < 0.01, "nrmse {err}");
@@ -492,7 +400,7 @@ mod tests {
         let cap = NonuniformCapture::from_signal(&sig, t_s, D, -50, 350);
         let rec = PnbsReconstructor::paper_default(band(), D).unwrap();
         let times = probe_times(200, 0.5e-6, 2.0e-6, 2);
-        let err = nrmse(&rec.reconstruct(&cap, &times), &sig.sample(&times));
+        let err = nrmse(&at_instants(&rec, &cap, &times), &sig.sample(&times));
         assert!(err < 0.015, "nrmse {err}");
     }
 
@@ -506,7 +414,7 @@ mod tests {
         let (t0, t1) = tx.steady_time_range();
         let (c0, c1) = rec.coverage(&cap).unwrap();
         let times = probe_times(300, t0.max(c0), t1.min(c1), 3);
-        let err = nrmse(&rec.reconstruct(&cap, &times), &tx.sample(&times));
+        let err = nrmse(&at_instants(&rec, &cap, &times), &tx.sample(&times));
         assert!(err < 0.015, "nrmse {err}");
     }
 
@@ -520,7 +428,7 @@ mod tests {
         let mut last_err = f64::INFINITY;
         for taps in [21usize, 61, 121, 201] {
             let rec = PnbsReconstructor::new(band(), D, taps, Window::Kaiser(8.0)).unwrap();
-            let err = nrmse(&rec.reconstruct(&cap, &times), &want);
+            let err = nrmse(&at_instants(&rec, &cap, &times), &want);
             assert!(err < last_err, "taps {taps}: {err} !< {last_err}");
             last_err = err;
         }
@@ -534,8 +442,8 @@ mod tests {
         let cap = NonuniformCapture::from_signal(&tone, t_s, D, -50, 350);
         let rec = PnbsReconstructor::paper_default(band(), D).unwrap();
         for &t in &probe_times(100, 0.5e-6, 2.0e-6, 11) {
-            let planned = rec.reconstruct_at(&cap, t);
-            let reference = rec.reconstruct_at_reference(&cap, t);
+            let planned = rec.try_reconstruct_at(&cap, t).unwrap();
+            let reference = rec.try_reconstruct_at_reference(&cap, t).unwrap();
             assert!(
                 (planned - reference).abs() < 1e-10,
                 "t = {t:e}: planned {planned} vs reference {reference}"
@@ -550,9 +458,12 @@ mod tests {
         let rec = PnbsReconstructor::paper_default(band(), D).unwrap();
         let times = probe_times(60, 0.5e-6, 2.0e-6, 12);
         let mut scratch = GridScratch::new();
-        let batch = rec.reconstruct_batch(&cap, &times, &mut scratch);
+        let batch = rec
+            .grid_plan()
+            .try_reconstruct_instants(&cap, &times, &mut scratch)
+            .unwrap();
         for (i, &t) in times.iter().enumerate() {
-            assert_eq!(batch[i], rec.reconstruct_at(&cap, t));
+            assert_eq!(batch[i], rec.try_reconstruct_at(&cap, t).unwrap());
         }
     }
 
@@ -564,8 +475,11 @@ mod tests {
         let (t0, step, n) = (0.8e-6, 2.5e-10, 600);
         let times: Vec<f64> = (0..n).map(|i| t0 + i as f64 * step).collect();
         let mut gs = GridScratch::new();
-        let grid = rec.reconstruct_grid(&cap, t0, step, n, &mut gs).to_vec();
-        let batch = rec.reconstruct(&cap, &times);
+        let grid = rec
+            .try_reconstruct_grid(&cap, t0, step, n, &mut gs)
+            .unwrap()
+            .to_vec();
+        let batch = at_instants(&rec, &cap, &times);
         for i in 0..n {
             assert!(
                 (grid[i] - batch[i]).abs() < 1e-10,
@@ -589,10 +503,10 @@ mod tests {
         let want = tone.sample(&times);
 
         let good = PnbsReconstructor::paper_default(band(), D).unwrap();
-        let err_good = nrmse(&good.reconstruct(&cap, &times), &want);
+        let err_good = nrmse(&at_instants(&good, &cap, &times), &want);
 
         let bad = PnbsReconstructor::paper_default(band(), D + 10e-12).unwrap();
-        let err_bad = nrmse(&bad.reconstruct(&cap, &times), &want);
+        let err_bad = nrmse(&at_instants(&bad, &cap, &times), &want);
 
         assert!(err_bad > 4.0 * err_good, "good {err_good}, bad {err_bad}");
         // eq. (4) scale check: ΔF ≈ πB(k+1)ΔD = π·90e6·23·10e-12 ≈ 6.5 %
@@ -608,7 +522,7 @@ mod tests {
         let cap = NonuniformCapture::from_signal(&tone, t_s, 200e-12, -50, 350);
         let rec = PnbsReconstructor::paper_default(band80, 200e-12).unwrap();
         let times = probe_times(100, 0.5e-6, 2.0e-6, 6);
-        let err = nrmse(&rec.reconstruct(&cap, &times), &tone.sample(&times));
+        let err = nrmse(&at_instants(&rec, &cap, &times), &tone.sample(&times));
         assert!(err < 0.01, "nrmse {err}");
     }
 
@@ -635,12 +549,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "outside capture coverage")]
-    fn out_of_coverage_panics() {
+    fn out_of_coverage_is_none() {
+        // t = 0 needs samples from index −30: the capture starts at 0
         let tone = Tone::unit(1.0e9);
         let cap = NonuniformCapture::from_signal(&tone, 1.0 / B, D, 0, 100);
         let rec = PnbsReconstructor::paper_default(band(), D).unwrap();
-        let _ = rec.reconstruct_at(&cap, 0.0);
+        assert_eq!(rec.try_reconstruct_at(&cap, 0.0), None);
+        assert_eq!(rec.try_reconstruct_at_reference(&cap, 0.0), None);
+        let mut scratch = GridScratch::new();
+        assert!(rec
+            .try_reconstruct_grid(&cap, 0.0, 1e-9, 4, &mut scratch)
+            .is_none());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! offsets (in symbol periods), truncated to a finite span — the kernel
 //! behind [`crate::baseband::ShapedBaseband`].
 //!
-//! The SRRC pulse also has a per-instant form, [`SrrcTable`]: every tap
+//! The SRRC pulse also has a per-instant form, `SrrcTable`: every tap
 //! of one instant `tn` sits at `u = f + j`, with the shared fractional
 //! offset `f = tn − ⌊tn⌋` and an integer `j`. For integer `j` the
 //! angle-sum identities give

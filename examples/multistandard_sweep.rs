@@ -9,7 +9,7 @@
 //! the same rows the fault-coverage campaign sweeps.
 //!
 //! Each deployment first fires a wideband calibration burst
-//! ([`BistEngine::calibrate_skew`]) and reuses the skew estimate for
+//! ([`BistEngine::try_calibrate_skew`]) and reuses the skew estimate for
 //! its verdict. This matters for the GSM-like row: its 270.833 ksym/s
 //! stimulus is too narrowband to excite the dual-rate cost (the LMS
 //! converges ~170 ps off while the mask still passes); the burst
@@ -65,7 +65,7 @@ fn main() -> Result<(), BistError> {
                     let std = library
                         .get(&dep.standard)
                         .expect("deployment names a library standard");
-                    let base = dep.bist_config();
+                    let base = dep.try_bist_config()?;
                     let span =
                         (base.fast_start as f64 + base.fast_len as f64) / CAMPAIGN_B * 1.2;
 
@@ -79,7 +79,7 @@ fn main() -> Result<(), BistError> {
                         .build();
                     let est =
                         BistEngine::new(base.clone()).try_calibrate_skew(&burst.rf_output())?;
-                    let engine = BistEngine::new(base.with_calibrated_skew(est.delay));
+                    let engine = BistEngine::new(base.try_with_calibrated_skew(est.delay)?);
 
                     // Stimulus long enough for the capture span.
                     let n_sym = ((span * std.symbol_rate) as usize + 30).max(96);
@@ -135,7 +135,7 @@ fn main() -> Result<(), BistError> {
     let dep = &deps[1];
     let std = library.get(&dep.standard).unwrap();
     let engine = BistEngine::new(
-        dep.bist_config()
+        dep.try_bist_config()?
             .with_early_verdict(EarlyVerdict::paper_default()),
     );
     let bb = ShapedBaseband::qpsk_prbs(std.symbol_rate, std.rolloff, 12, 160, 0xACE1);

@@ -12,12 +12,13 @@
 //! use rfbist::prelude::*;
 //!
 //! let tx = fixtures::paper_tx(TxImpairments::typical());
-//! let report = fixtures::paper_engine().run(
+//! let report = fixtures::paper_engine().try_run(
 //!     &tx.rf_output(),
 //!     &fixtures::paper_mask(),
 //!     Some(&tx.ideal_rf_output()),
-//! );
+//! )?;
 //! assert!(report.passed());
+//! # Ok::<(), BistError>(())
 //! ```
 
 use crate::math::Complex64;

@@ -29,12 +29,13 @@
 //!     .impairments(TxImpairments::typical())
 //!     .build();
 //! let engine = BistEngine::new(BistConfig::paper_default());
-//! let report = engine.run(
+//! let report = engine.try_run(
 //!     &tx.rf_output(),
 //!     &SpectralMask::qpsk_10msym(),
 //!     Some(&tx.ideal_rf_output()),
-//! );
+//! )?;
 //! assert!(report.passed());
+//! # Ok::<(), BistError>(())
 //! ```
 
 pub mod fixtures;
@@ -54,8 +55,8 @@ pub mod prelude {
         BistConfig, BistEngine, BistScratch, NoiseFigureConfig, ProbeSchedule, SkewGate,
     };
     pub use rfbist_core::campaign::{
-        run_campaign, try_run_campaign, try_run_campaign_supervised, CampaignConfig,
-        CampaignProgress, CoverageMatrix, Deployment, FaultOutcome, StandardOutcome,
+        try_run_campaign, try_run_campaign_supervised, CampaignConfig, CampaignProgress,
+        CoverageMatrix, Deployment, FaultOutcome, StandardOutcome,
     };
     pub use rfbist_core::cost::DualRateCost;
     pub use rfbist_core::error::BistError;

@@ -16,7 +16,9 @@ use rfbist::prelude::*;
 /// externally calibrated skew (no slow-channel capture, so the chaos
 /// applies to exactly one capture path) and a short analysis grid.
 fn chaos_config() -> BistConfig {
-    let mut cfg = BistConfig::paper_default().with_calibrated_skew(180e-12);
+    let mut cfg = BistConfig::paper_default()
+        .try_with_calibrated_skew(180e-12)
+        .unwrap();
     cfg.grid_len = 2048;
     cfg
 }

@@ -52,12 +52,14 @@ pub fn fft_welch_verdict<S: ContinuousSignal, R: ContinuousSignal>(
     let dt = 1.0 / cfg.grid_rate;
     let n = cfg.grid_len.min(((hi - lo) / dt) as usize);
     let mut grid = GridScratch::default();
-    let wave = rec.reconstruct_grid(&cap, lo, dt, n, &mut grid);
+    let wave = rec
+        .try_reconstruct_grid(&cap, lo, dt, n, &mut grid)
+        .unwrap();
     let (seg, overlap) = welch_segmentation(n);
     let psd = welch(wave, cfg.grid_rate, seg, overlap, Window::BlackmanHarris);
     let carrier = cfg.dual.fast_band().center();
     WelchVerdict {
-        mask: mask.check(&psd, carrier),
+        mask: mask.try_check(&psd, carrier).unwrap(),
         reconstruction_error: reference.map(|r| nrmse(wave, &r.sample_uniform(lo, dt, n))),
         noise_figure_db: cfg.noise_figure.and_then(|nf| {
             psd.mean_density_in_offset_band(carrier, nf.offset_lo, nf.offset_hi)
@@ -98,7 +100,7 @@ pub fn oracle_cases() -> Vec<OracleCase> {
     let (f_lo, f_hi, rms) = (PAPER_CARRIER - 44e6, PAPER_CARRIER + 44e6, 0.01);
     let noise = BandlimitedNoise::new(f_lo, f_hi, 600, rms, 0xF107);
     let density_dbhz = 10.0 * (rms * rms / (f_hi - f_lo)).log10();
-    let nf = NoiseFigureConfig::new(25e6, 40e6, density_dbhz);
+    let nf = NoiseFigureConfig::try_new(25e6, 40e6, density_dbhz).unwrap();
     vec![
         case(
             "healthy",
@@ -153,7 +155,7 @@ pub fn paper_frontend_cost_fixture(n_probes: usize, seed: u64) -> DualRateCost {
 pub fn gsm_cost_fixture(n_probes: usize, seed: u64) -> DualRateCost {
     let dep = Deployment::builtin_five().remove(0);
     assert_eq!(dep.standard, "gsm-like-270k");
-    let cfg = dep.bist_config();
+    let cfg = dep.try_bist_config().unwrap();
     let bb = ShapedBaseband::qpsk_prbs(10e6, 0.5, 12, 96, PAPER_PRBS_SEED);
     let tx = BandpassSignal::new(bb, dep.carrier_hz);
     let mut fast = BpTiadc::new(cfg.frontend_fast);

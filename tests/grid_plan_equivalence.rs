@@ -1,7 +1,7 @@
 //! Equivalence suite for planned PNBS reconstruction on uniform grids:
-//! `PnbsGridPlan::reconstruct_grid` (phase-major reconstruction, on the
-//! step's rational lattice or the one-period lattice) must match both the
-//! plan's arbitrary-instant order (`reconstruct_batch`) and the direct
+//! `PnbsGridPlan::try_reconstruct_grid` (phase-major reconstruction, on
+//! the step's rational lattice or the one-period lattice) must match both
+//! the plan's arbitrary-instant order (`try_reconstruct_instants`) and the direct
 //! eq. 6 evaluation (`*_reference`) to ≤ 1e-9 on the
 //! paper's Section V fixtures — including long grids that exercise the
 //! grid-step rotors' renormalization/re-seed machinery, grids that land
@@ -44,14 +44,18 @@ fn assert_grid_equivalent(
 ) {
     let mut grid_scratch = GridScratch::new();
     let grid = rec
-        .reconstruct_grid(cap, t0, step, n, &mut grid_scratch)
+        .try_reconstruct_grid(cap, t0, step, n, &mut grid_scratch)
+        .unwrap()
         .to_vec();
     let times = grid_times(t0, step, n);
     let mut batch_scratch = GridScratch::new();
-    let batch = rec.reconstruct_batch(cap, &times, &mut batch_scratch);
+    let batch = rec
+        .grid_plan()
+        .try_reconstruct_instants(cap, &times, &mut batch_scratch)
+        .unwrap();
     let mut reference = Vec::with_capacity(n);
     for (i, &t) in times.iter().enumerate() {
-        let r = rec.reconstruct_at_reference(cap, t);
+        let r = rec.try_reconstruct_at_reference(cap, t).unwrap();
         assert!(
             (grid[i] - batch[i]).abs() <= TOL,
             "grid vs per-point at t = {t:e}: {} vs {} (diff {:e})",
@@ -244,7 +248,7 @@ fn grid_probed_cost_matches_reference_across_candidates() {
     let noisy = common::grid_probed(&common::paper_frontend_cost_fixture(300, 42), 300);
     let gsm = common::grid_probed(&common::gsm_cost_fixture(300, 42), 300);
     for (cost, n) in [(&ideal, 24), (&noisy, 24), (&gsm, 99)] {
-        let candidates = cost.sweep_candidates(n);
+        let candidates = cost.try_sweep_candidates(n).unwrap();
         let planned = cost.eval_grid(&candidates);
         let reference: Vec<f64> = candidates
             .iter()
@@ -297,10 +301,16 @@ proptest! {
         let n = 200;
         let t0 = 0.6e-6;
         let mut grid_scratch = GridScratch::new();
-        let grid = rec.reconstruct_grid(&cap, t0, step, n, &mut grid_scratch).to_vec();
+        let grid = rec
+            .try_reconstruct_grid(&cap, t0, step, n, &mut grid_scratch)
+            .unwrap()
+            .to_vec();
         let times = grid_times(t0, step, n);
         let mut batch_scratch = GridScratch::new();
-        let batch = rec.reconstruct_batch(&cap, &times, &mut batch_scratch);
+        let batch = rec
+            .grid_plan()
+            .try_reconstruct_instants(&cap, &times, &mut batch_scratch)
+            .unwrap();
         for i in 0..n {
             prop_assert!(
                 (grid[i] - batch[i]).abs() <= TOL,
@@ -399,7 +409,9 @@ fn block_feed(
 ) -> Vec<f64> {
     let mut blocks = if stoppable {
         g.rec
-            .reconstruct_stoppable_blocks(&g.cap, g.t0, g.step, n, scratch)
+            .grid_plan()
+            .try_reconstruct_stoppable_blocks(&g.cap, g.t0, g.step, n, scratch)
+            .unwrap()
     } else {
         g.rec.reconstruct_blocks(&g.cap, g.t0, g.step, n, scratch)
     };
@@ -453,7 +465,8 @@ fn deployment_block_feeds_are_bit_identical_to_batch_grids() {
         let mut scratch = GridScratch::new();
         let batch = g
             .rec
-            .reconstruct_grid(&g.cap, g.t0, g.step, g.n, &mut scratch)
+            .try_reconstruct_grid(&g.cap, g.t0, g.step, g.n, &mut scratch)
+            .unwrap()
             .to_vec();
         for stoppable in [false, true] {
             let streamed = block_feed(&g, g.n, stoppable, &mut scratch);
@@ -477,7 +490,8 @@ fn deployment_block_feeds_are_bit_identical_to_batch_grids() {
         for cut in cuts.into_iter().filter(|&c| c <= g.n) {
             let prefix = g
                 .rec
-                .reconstruct_grid(&g.cap, g.t0, g.step, cut, &mut scratch)
+                .try_reconstruct_grid(&g.cap, g.t0, g.step, cut, &mut scratch)
+                .unwrap()
                 .to_vec();
             assert_eq!(prefix, batch[..cut], "{} cut at {cut}", g.standard);
             for stoppable in [false, true] {

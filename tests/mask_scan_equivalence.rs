@@ -26,17 +26,19 @@ fn section_v_wave(imp: TxImpairments, n: usize) -> Vec<f64> {
 fn both_verdicts(wave: &[f64]) -> (rfbist_core::MaskReport, rfbist_core::MaskReport) {
     let mask = paper_mask();
     let (seg, overlap) = welch_segmentation(wave.len());
-    let scan = MaskScanEngine::new(
+    let scan = MaskScanEngine::try_build(
         &mask,
         PAPER_CARRIER,
         4e9,
         seg,
         overlap,
         Window::BlackmanHarris,
-    );
-    let banked = scan.scan(wave);
+        None,
+    )
+    .unwrap();
+    let banked = scan.try_scan(wave).unwrap();
     let psd = welch(wave, 4e9, seg, overlap, Window::BlackmanHarris);
-    let reference = mask.check(&psd, PAPER_CARRIER);
+    let reference = mask.try_check(&psd, PAPER_CARRIER).unwrap();
     (banked, reference)
 }
 
@@ -96,7 +98,9 @@ fn engine_strategies_agree_end_to_end() {
     // scan path
     let mask = paper_mask();
     for case in oracle_cases() {
-        let a = BistEngine::new(case.config.clone()).run(&case.dut, &mask, Some(&case.reference));
+        let a = BistEngine::new(case.config.clone())
+            .try_run(&case.dut, &mask, Some(&case.reference))
+            .unwrap();
         let b = fft_welch_verdict(
             &case.config,
             a.skew.delay,
@@ -144,14 +148,16 @@ fn scan_probes_a_small_bin_subset() {
     for dep in Deployment::builtin_five() {
         let mask = &library.get(&dep.standard).expect("builtin standard").mask;
         let (seg, overlap) = welch_segmentation(dep.grid_len);
-        let scan = MaskScanEngine::new(
+        let scan = MaskScanEngine::try_build(
             mask,
             dep.carrier_hz,
             dep.grid_rate,
             seg,
             overlap,
             Window::BlackmanHarris,
-        );
+            None,
+        )
+        .unwrap();
         let full_bins = seg / 2 + 1;
         assert!(
             scan.probed_bins() * 10 < full_bins,

@@ -129,7 +129,7 @@ fn whole_sample_shift_leaves_the_cost_unchanged() {
     let t_fast = cost.fast_capture().period();
     assert_eq!(cost.slow_capture().period(), 2.0 * t_fast);
     for k in [1i64, 7, 120] {
-        let shifted = DualRateCost::new(
+        let shifted = DualRateCost::try_new(
             relabelled(cost.fast_capture(), 2 * k),
             relabelled(cost.slow_capture(), k),
             *cost.config(),
@@ -137,8 +137,9 @@ fn whole_sample_shift_leaves_the_cost_unchanged() {
                 .iter()
                 .map(|&t| t + (2 * k) as f64 * t_fast)
                 .collect(),
-        );
-        for d in cost.sweep_candidates(30) {
+        )
+        .unwrap();
+        for d in cost.try_sweep_candidates(30).unwrap() {
             let (a, b) = (cost.evaluate(d), shifted.evaluate(d));
             assert!(
                 (a - b).abs() <= 1e-10 * a,
@@ -173,7 +174,7 @@ fn a_known_spur_sets_the_worst_margin() {
     let engine = BistEngine::new(cfg.clone());
     let tx = common::paper_tx(TxImpairments::typical());
     let none: Option<&Tone> = None;
-    let healthy = engine.run(&tx.rf_output(), &mask, none);
+    let healthy = engine.try_run(&tx.rf_output(), &mask, none).unwrap();
     assert!(healthy.passed(), "the healthy DUT passes");
 
     let (seg, overlap) = welch_segmentation(cfg.grid_len);
@@ -186,7 +187,7 @@ fn a_known_spur_sets_the_worst_margin() {
     let density_db = |amp: f64| 10.0 * (amp * amp / 2.0 / enbw_hz).log10();
     let amp = (2.0 * enbw_hz * 10f64.powf((healthy.mask.reference_db - 10.0) / 10.0)).sqrt();
     let dut = Sum::new(tx.rf_output(), Tone::new(f_spur, amp, 0.7));
-    let report = engine.run(&dut, &mask, none);
+    let report = engine.try_run(&dut, &mask, none).unwrap();
     let level = density_db(amp) - report.mask.reference_db;
 
     // Tolerance. In each of the K Welch segments the bin holds the
@@ -232,7 +233,8 @@ fn amplitude_scaling_leaves_the_margins_unchanged() {
     let engine = BistEngine::new(
         BistConfig::paper_default()
             .with_ideal_frontend()
-            .with_calibrated_skew(D),
+            .try_with_calibrated_skew(D)
+            .unwrap(),
     );
     let mask = SpectralMask::qpsk_10msym();
     let none: Option<&Tone> = None;
@@ -245,11 +247,14 @@ fn amplitude_scaling_leaves_the_margins_unchanged() {
         ("healthy", &healthy, true),
         ("compressed", &compressed, false),
     ] {
-        let base = engine.run(&tx.rf_output(), &mask, none).mask;
+        let base = engine.try_run(&tx.rf_output(), &mask, none).unwrap().mask;
         assert_eq!(base.passed, passes, "{name}: unscaled verdict");
         assert_eq!(base.violations.is_empty(), passes, "{name}: violations");
         for g in [0.5, 0.25] {
-            let scaled = engine.run(&Gain::new(tx.rf_output(), g), &mask, none).mask;
+            let scaled = engine
+                .try_run(&Gain::new(tx.rf_output(), g), &mask, none)
+                .unwrap()
+                .mask;
             let near = |a: f64, b: f64, what: &str| {
                 assert!(
                     (a - b).abs() <= SCALING_TOL_DB,

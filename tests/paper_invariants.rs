@@ -114,7 +114,12 @@ proptest! {
         let rec = PnbsReconstructor::paper_default(band, d).expect("valid delay");
         let mut rng = Randomizer::from_seed(11);
         let times: Vec<f64> = (0..60).map(|_| rng.uniform(0.5e-6, 2.0e-6)).collect();
-        let err = nrmse(&rec.reconstruct(&cap, &times), &tone.sample(&times));
+        let mut scratch = GridScratch::new();
+        let got = rec
+            .grid_plan()
+            .try_reconstruct_instants(&cap, &times, &mut scratch)
+            .expect("instants inside the capture coverage");
+        let err = nrmse(got, &tone.sample(&times));
         prop_assert!(err < 0.02, "nrmse {} for band {} tone {}", err, band, f_tone);
     }
 
@@ -130,7 +135,12 @@ proptest! {
             .expect("valid delay");
         let mut rng = Randomizer::from_seed(13);
         let times: Vec<f64> = (0..60).map(|_| rng.uniform(0.5e-6, 2.0e-6)).collect();
-        let err = nrmse(&rec.reconstruct(&cap, &times), &tone.sample(&times));
+        let mut scratch = GridScratch::new();
+        let got = rec
+            .grid_plan()
+            .try_reconstruct_instants(&cap, &times, &mut scratch)
+            .expect("instants inside the capture coverage");
+        let err = nrmse(got, &tone.sample(&times));
         let bound = spectral_error_bound(band, dd_ps * 1e-12);
         // same order: within 3x either way
         prop_assert!(err < 3.0 * bound, "err {} vs bound {}", err, bound);

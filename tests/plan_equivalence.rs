@@ -1,6 +1,7 @@
 //! Equivalence suite for planned PNBS reconstruction at arbitrary
-//! instants: the plan's per-instant order (`reconstruct_at`, and the
-//! scratch-reusing `reconstruct_batch`, bit-identical to each other)
+//! instants: the plan's per-instant order (`try_reconstruct_at`, and the
+//! scratch-reusing `try_reconstruct_instants`, bit-identical to each
+//! other)
 //! must match the direct eq. 6 evaluation (`*_reference`) to ≤ 1e-9 on
 //! the paper's Section V fixtures — tones, the QPSK stimulus,
 //! deliberately wrong delay estimates, and the random-probe dual-rate
@@ -34,12 +35,16 @@ fn probe_times(n: usize, t0: f64, t1: f64, seed: u64) -> Vec<f64> {
 /// one capture over `times`.
 fn assert_equivalent(rec: &PnbsReconstructor, cap: &NonuniformCapture, times: &[f64]) {
     let mut scratch = GridScratch::new();
-    let batch = rec.reconstruct_batch(cap, times, &mut scratch).to_vec();
+    let batch = rec
+        .grid_plan()
+        .try_reconstruct_instants(cap, times, &mut scratch)
+        .unwrap()
+        .to_vec();
     let mut planned = Vec::with_capacity(times.len());
     let mut reference = Vec::with_capacity(times.len());
     for (i, &t) in times.iter().enumerate() {
-        let p = rec.reconstruct_at(cap, t);
-        let r = rec.reconstruct_at_reference(cap, t);
+        let p = rec.try_reconstruct_at(cap, t).unwrap();
+        let r = rec.try_reconstruct_at_reference(cap, t).unwrap();
         assert_eq!(batch[i], p, "batch vs scalar planned at t = {t:e}");
         assert!(
             (p - r).abs() <= TOL,
@@ -131,7 +136,7 @@ fn dual_rate_cost_grid_planned_matches_reference() {
     // The Fig. 5 shape: the batched+planned grid and the preserved
     // scalar baseline must agree to 1e-9 NRMSE across ]0, m[.
     let cost = common::paper_cost_fixture(80, 27);
-    let candidates = cost.sweep_candidates(24);
+    let candidates = cost.try_sweep_candidates(24).unwrap();
     let planned = cost.eval_grid(&candidates);
     let reference: Vec<f64> = candidates
         .iter()
@@ -150,8 +155,13 @@ fn random_probe_cost_matches_reference_across_the_search_interval() {
     // per-point budget, and each cost within 1e-9 of the reference.
     let cost = common::paper_cost_fixture(300, 42);
     let cfg = *cost.config();
-    let planned = cost.eval_grid(&cost.sweep_candidates(99));
-    for (d, planned) in cost.sweep_candidates(99).into_iter().zip(planned) {
+    let planned = cost.eval_grid(&cost.try_sweep_candidates(99).unwrap());
+    for (d, planned) in cost
+        .try_sweep_candidates(99)
+        .unwrap()
+        .into_iter()
+        .zip(planned)
+    {
         for (band, cap) in [
             (cfg.fast_band(), cost.fast_capture()),
             (cfg.slow_band(), cost.slow_capture()),
@@ -175,7 +185,7 @@ fn random_probe_cost_matches_reference_across_the_search_interval() {
     let noisy = common::paper_frontend_cost_fixture(300, 42);
     let gsm = common::gsm_cost_fixture(300, 42);
     for (name, fixture) in [("paper front-end", &noisy), ("gsm-like", &gsm)] {
-        let candidates = fixture.sweep_candidates(99);
+        let candidates = fixture.try_sweep_candidates(99).unwrap();
         for (d, planned) in candidates.iter().zip(fixture.eval_grid(&candidates)) {
             let reference = fixture.evaluate_reference(*d);
             assert!(
@@ -214,8 +224,8 @@ proptest! {
         let mut rng = Randomizer::from_seed(31);
         for _ in 0..40 {
             let t = rng.uniform(0.5e-6, 2.0e-6);
-            let p = rec.reconstruct_at(&cap, t);
-            let r = rec.reconstruct_at_reference(&cap, t);
+            let p = rec.try_reconstruct_at(&cap, t).unwrap();
+            let r = rec.try_reconstruct_at_reference(&cap, t).unwrap();
             prop_assert!(
                 (p - r).abs() <= 1e-9,
                 "band {} D {:e} t {:e}: {} vs {}",

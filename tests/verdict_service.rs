@@ -25,7 +25,9 @@ static SERVICE_LOCK: Mutex<()> = Mutex::new(());
 /// A small calibrated-skew job on the paper's Section V fixture —
 /// cheap enough to run many times.
 fn paper_job(job_id: u64, dut: u32) -> VerdictJob {
-    let mut cfg = BistConfig::paper_default().with_calibrated_skew(180e-12);
+    let mut cfg = BistConfig::paper_default()
+        .try_with_calibrated_skew(180e-12)
+        .unwrap();
     cfg.grid_len = 2048;
     VerdictJob {
         job_id,
